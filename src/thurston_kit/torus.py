@@ -12,10 +12,16 @@ commutator trace -2, i.e. the cusp relation x^2 + y^2 + z^2 = xyz for
 (x, y, z) = (tr A, tr B, tr AB).
 
 Simple closed curves correspond to extended rationals p/q (slope of B is
-0, slope of A is infinity); the curve word is the Christoffel block
-product prod_i A^{k_i} B with cutting-sequence exponents summing to p.
-All block matrices are entrywise positive, so trace evaluation is
-cancellation-free; a running log scale keeps huge words in range.
+0, slope of A is infinity); the curve word is conjugate to the
+Christoffel block product prod_i diag(e^{u_i/2}, e^{-u_i/2}) B0, where
+u_i = k_i l + tau and the cutting-sequence exponents k_i sum to p.  One
+engine, :func:`_log_lengths`, sets each integer slope in closed form and
+every other slope as M(left parent) M(right parent) over its Stern-Brocot
+parents: one 2x2 product per slope, in at most max_q - 1 levels that are
+vectorised over endpoints.  For Fenchel-Nielsen points all entries are
+positive, so nothing cancels, and a log scale keeps huge words in range.
+The trace form tr W(a+b) = tr a tr b - tr W(a-b) is not used: it runs a
+decaying recurrence forward and loses all digits at large twist.
 
 The distance estimator is the maximum of log(l_s(Y)/l_s(X)) over a
 finite Stern-Brocot slope family (every reduced slope with q <= max_q
@@ -28,8 +34,12 @@ ratios tau/l tighten estimates between heavily twisted surfaces.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 from .stretch import FNPoint, left_spec, right_spec, stretch_point
 
@@ -170,53 +180,97 @@ def _eigen_diag(A: Mat2) -> tuple[Mat2, Mat2, float]:
 
 
 _LOG_HUGE = 30.0
+_Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
 
 
-def _log_half_trace(rep: TorusRep, slope: Slope) -> float:
-    """log(|trace|/2) of the curve word, stable for very long words.
+def _plan(slopes: Sequence[Slope]) -> _Plan:
+    """(ints, levels, slope_node): the evaluation order of slopes on the Farey graph.
 
-    The word is the block product prod A^{k_i} B over the cutting
-    sequence k_i = floor(i p / q) - floor((i-1) p / q); A^k is evaluated
-    in closed form from the eigenvalue of A, with a running log scale
-    absorbing the growth (the overall sign does not affect |trace|).
+    Nodes 0 .. len(ints) - 1 are the integer slopes ``ints``.  Every other
+    node is the product of its Stern-Brocot parents, which have smaller
+    denominators; ``levels`` holds their (left, right) node indices for
+    the denominators 2, 3, ... in turn, and ``slope_node[j]`` is the node of
+    the j-th slope, -1 for infinity.
     """
-    p, q = slope.p, slope.q
-    if q == 0:
-        return math.log(abs(_tr(rep.A)) / 2.0)
-    P, Pi, mu = _eigen_diag(rep.A)
-    log_mu = math.log(abs(mu))
-    B = rep.B
-    M: Mat2 = ((1.0, 0.0), (0.0, 1.0))
-    logscale = 0.0
-    prev = 0
-    for i in range(1, q + 1):
-        cur = (i * p) // q
-        k = cur - prev
-        prev = cur
-        # A^k = mu^k * P diag(1, mu^{-2k}) P^{-1}; mu^{-2k} > 0 regardless of sign
-        logscale += k * log_mu
-        d = math.exp(-2.0 * k * log_mu)
-        Ak = _mul(_mul(P, ((1.0, 0.0), (0.0, d))), Pi)
-        M = _mul(_mul(M, Ak), B)
-        m = max(abs(M[0][0]), abs(M[0][1]), abs(M[1][0]), abs(M[1][1]))
-        if m == 0.0 or not math.isfinite(m):
-            raise ValueError("word evaluation overflowed")
-        M = ((M[0][0] / m, M[0][1] / m), (M[1][0] / m, M[1][1] / m))
-        logscale += math.log(m)
-    half = abs(_tr(M)) / 2.0
-    if half == 0.0:
-        raise ValueError("trace vanished: elliptic word")
-    return logscale + math.log(half)
+    by_q: dict[int, set[int]] = {1: set()}
+    for s in slopes:
+        if s.q:
+            by_q.setdefault(s.q, set()).add(s.p)
+    parents = {}
+    for q in range(max(by_q), 1, -1):
+        for p in by_q.get(q, ()):
+            # left parent a/b: p b - a q = 1 with 0 < b < q
+            b = pow(p, -1, q)
+            a = (p * b - 1) // q
+            parents[p, q] = (a, b), (p - a, q - b)
+            by_q.setdefault(b, set()).add(a)
+            by_q.setdefault(q - b, set()).add(p - a)
+    dens = sorted(by_q)
+    index = {node: i for i, node in enumerate((p, q) for q in dens for p in sorted(by_q[q]))}
+    levels = tuple(
+        tuple(np.array([index[parents[p, q][side]] for p in sorted(by_q[q])]) for side in (0, 1))
+        for q in dens[1:]
+    )
+    slope_node = np.array([index[s.p, s.q] if s.q else -1 for s in slopes], dtype=np.intp)
+    return np.array(sorted(by_q[1]), dtype=float), levels, slope_node
 
 
-def _length_from_log_half_trace(lh: float, slope: Slope) -> float:
-    if lh > _LOG_HUGE:
-        # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
-        return 2.0 * (lh + math.log(2.0))
-    y = math.exp(lh)
-    if y <= 1.0 + 1e-14:
-        raise ValueError(f"slope {slope} word is elliptic or parabolic (|tr|/2 = {y}): rep not discrete")
-    return 2.0 * math.acosh(y)
+@lru_cache(maxsize=8)
+def _family(max_q: int, centers: tuple[float, ...]) -> tuple[tuple[Slope, ...], _Plan]:
+    """The slope family of :func:`candidate_slopes` with its plan, built on first use."""
+    slopes = tuple(candidate_slopes(max_q, centers))
+    return slopes, _plan(slopes)
+
+
+def _seed(x: FNPoint | TorusRep) -> tuple[float, float, Mat2]:
+    """(lambda, tau, B_core): up to conjugacy and sign the slope n/1 has
+    the word diag(e^{u/2}, e^{-u/2}) B_core, u = n lambda + tau."""
+    if isinstance(x, TorusRep):
+        P, Pi, mu = _eigen_diag(x.A)
+        return 2.0 * math.log(abs(mu)), 0.0, _mul(_mul(Pi, x.B), P)
+    l = x.lengths[0]
+    # coth(l/2) and 1/sinh(l/2) in a form that stays finite for every length
+    cb, sb = 1.0 / math.tanh(l / 2.0), -2.0 * math.exp(-l / 2.0) / math.expm1(-l)
+    return l, x.twists[0], ((cb, sb), (sb, cb))
+
+
+def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.ndarray:
+    """log translation lengths, one row per slope of the plan and one
+    column per endpoint; raises for elliptic or parabolic words
+    (|trace| <= 2), which signal a non-discrete input."""
+    ints, levels, slope_node = plan
+    lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
+    start = len(ints)
+    size = start + sum(len(left) for left, _ in levels)
+    M, logscale = np.empty((2, 2, size, len(lam))), np.empty((size, len(lam)))
+    # diag(e^{u/2}, e^{-u/2}) scaled by e^{-|u|/2}, so no exp overflows
+    u = ints[:, None] * lam + tau
+    rows = np.stack((np.exp(np.minimum(u, 0.0)), np.exp(-np.maximum(u, 0.0))))
+    M[:, :, :start] = core.transpose(1, 2, 0)[:, :, None] * rows[:, None]
+    logscale[:start] = np.abs(u) / 2.0
+    for left, right in levels:
+        a, b = M.take(left, axis=2), M.take(right, axis=2)
+        prod = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+        scale = np.abs(prod).max(axis=(0, 1))
+        stop = start + len(left)
+        M[:, :, start:stop] = prod / scale
+        logscale[start:stop] = logscale[left] + logscale[right] + np.log(scale)
+        start = stop
+    node = slope_node[slope_node >= 0]
+    with np.errstate(divide="ignore"):
+        lh = logscale[node] + np.log(np.abs(M[0, 0, node] + M[1, 1, node]) / 2.0)
+    if not np.all(lh < np.inf):
+        raise ValueError("word evaluation overflowed")
+    # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
+    lengths = 2.0 * (lh + math.log(2.0))
+    small = lh <= _LOG_HUGE
+    y = np.exp(lh[small])
+    if np.any(y <= 1.0 + 1e-14):
+        raise ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): rep not discrete")
+    lengths[small] = 2.0 * np.arccosh(y)
+    out = np.tile(np.log(lam), (len(slope_node), 1))
+    out[slope_node >= 0] = np.log(lengths)
+    return out
 
 
 def curve_length(rep: TorusRep, slope: Slope) -> float:
@@ -227,45 +281,7 @@ def curve_length(rep: TorusRep, slope: Slope) -> float:
     half the precision.  Raises for elliptic or parabolic words
     (|trace| <= 2), which signal a non-discrete input.
     """
-    if slope.q == 0:
-        _, _, mu = _eigen_diag(rep.A)
-        return 2.0 * math.log(abs(mu))
-    return _length_from_log_half_trace(_log_half_trace(rep, slope), slope)
-
-
-def _fn_curve_length(l: float, tau: float, slope: Slope) -> float:
-    """Curve length straight from Fenchel-Nielsen coordinates.
-
-    Folds the twist into the translation blocks: the word is
-    prod_i diag(e^{u_i/2}, e^{-u_i/2}) B0 with u_i = k_i l + tau, whose
-    entries stay moderate even when the raw generator matrices would not,
-    so the sweeps remain stable for huge twists and tiny lengths.
-    """
-    p, q = slope.p, slope.q
-    if q == 0:
-        return l
-    ch, sh = math.cosh(l / 2.0), math.sinh(l / 2.0)
-    cb, sb = ch / sh, 1.0 / sh
-    M: Mat2 = ((1.0, 0.0), (0.0, 1.0))
-    logscale = 0.0
-    prev = 0
-    for i in range(1, q + 1):
-        cur = (i * p) // q
-        k = cur - prev
-        prev = cur
-        u = k * l + tau
-        e = math.exp(u / 2.0)
-        blk: Mat2 = ((cb * e, sb * e), (sb / e, cb / e))
-        M = _mul(M, blk)
-        m = max(abs(M[0][0]), abs(M[0][1]), abs(M[1][0]), abs(M[1][1]))
-        if m == 0.0 or not math.isfinite(m):
-            raise ValueError("word evaluation overflowed")
-        M = ((M[0][0] / m, M[0][1] / m), (M[1][0] / m, M[1][1] / m))
-        logscale += math.log(m)
-    half = abs(_tr(M)) / 2.0
-    if half == 0.0:
-        raise ValueError("trace vanished: elliptic word")
-    return _length_from_log_half_trace(logscale + math.log(half), slope)
+    return math.exp(_log_lengths((rep,), _plan((slope,)))[0, 0])
 
 
 def candidate_slopes(max_q: int, centers: tuple[float, ...] = ()) -> list[Slope]:
@@ -308,16 +324,9 @@ def dth_estimate(
     """
     if x.surface != "S11" or y.surface != "S11":
         raise ValueError("the holonomy model covers the once-punctured torus only")
-    if slopes is None:
-        slopes = candidate_slopes(max_q, centers)
-    lx, tx = x.lengths[0], x.twists[0]
-    ly, ty = y.lengths[0], y.twists[0]
-    best = -math.inf
-    for s in slopes:
-        r = math.log(_fn_curve_length(ly, ty, s)) - math.log(_fn_curve_length(lx, tx, s))
-        if r > best:
-            best = r
-    return best
+    plan = _family(max_q, tuple(centers))[1] if slopes is None else _plan(slopes)
+    ll = _log_lengths((x, y), plan)
+    return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
 
 def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float]:
@@ -326,18 +335,8 @@ def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float
     Uses the default slope family of :func:`dth_estimate` and shares one
     length evaluation per endpoint across the two directions.
     """
-    yl, yr = _endpoints_signed(y, t)
-    slopes = candidate_slopes(max_q)
-    ll, tl = yl.lengths[0], yl.twists[0]
-    lr, tr = yr.lengths[0], yr.twists[0]
-    d_lr = -math.inf
-    d_rl = -math.inf
-    for s in slopes:
-        a = math.log(_fn_curve_length(ll, tl, s))
-        b = math.log(_fn_curve_length(lr, tr, s))
-        d_lr = max(d_lr, b - a)
-        d_rl = max(d_rl, a - b)
-    return d_lr, d_rl
+    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q, ())[1])
+    return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
 
 def earthquake(x: FNPoint, t: float) -> FNPoint:
@@ -350,9 +349,8 @@ def short_marking(x: FNPoint, max_q: int = 30) -> tuple[Slope, Slope]:
 
     Ties are broken by smaller q, then smaller |p|, then positive p.
     """
-    l, tau = x.lengths[0], x.twists[0]
-    slopes = candidate_slopes(max_q)
-    lengths = {s: _fn_curve_length(l, tau, s) for s in slopes}
+    slopes, plan = _family(max_q, ())
+    lengths = dict(zip(slopes, np.exp(_log_lengths((x,), plan)[:, 0]).tolist()))
 
     def pick(cands: list[Slope]) -> Slope:
         lmin = min(lengths[s] for s in cands)

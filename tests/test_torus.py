@@ -3,6 +3,7 @@
 import math
 from math import gcd
 
+import numpy as np
 import pytest
 
 from thurston_kit.stretch import FNPoint, twist_width_closed
@@ -17,7 +18,8 @@ from thurston_kit.torus import (
     rep_from_fn,
     short_marking,
     stretch_endpoints,
-    _fn_curve_length,
+    _log_lengths,
+    _plan,
 )
 
 #: length of the dual curve at (l, tau) = (1, 0): 2 arccosh(coth(1/2)),
@@ -29,6 +31,37 @@ DUAL_LENGTH_GOLDEN = 2.8136582274945905
 FULL_TWIST_GOLDEN = 0.20861035263064975
 
 SQUARE_LENGTH = 2.0 * math.log(1.0 + math.sqrt(2.0))
+
+
+def _block_product_length(l, tau, p, q):
+    """Reference curve length of slope p/q at (l, tau): the plain
+    Christoffel block product prod_i diag(e^{u_i/2}, e^{-u_i/2}) B0 with
+    u_i = k_i l + tau, one block at a time with a running log scale.
+    Valid while every block stays below e^709."""
+    if q == 0:
+        return l
+    cb, sb = 1.0 / math.tanh(l / 2.0), 1.0 / math.sinh(l / 2.0)
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    logscale = 0.0
+    for i in range(1, q + 1):
+        e = math.exp((((i * p) // q - ((i - 1) * p) // q) * l + tau) / 2.0)
+        x00, x01, x10, x11 = cb * e, sb * e, sb / e, cb / e
+        m00, m01, m10, m11 = (
+            m00 * x00 + m01 * x10,
+            m00 * x01 + m01 * x11,
+            m10 * x00 + m11 * x10,
+            m10 * x01 + m11 * x11,
+        )
+        s = max(m00, m01, m10, m11)
+        m00, m01, m10, m11 = m00 / s, m01 / s, m10 / s, m11 / s
+        logscale += math.log(s)
+    lh = logscale + math.log((m00 + m11) / 2.0)
+    # arccosh(e^lh) without forming e^lh
+    return 2.0 * (lh + math.log1p(math.sqrt(-math.expm1(-2.0 * lh))))
+
+
+def _engine_lengths(l, tau, slopes):
+    return np.exp(_log_lengths((FNPoint("S11", (l,), (tau,)),), _plan(slopes))[:, 0])
 
 
 # ------------------------------------------------------------- slopes
@@ -117,16 +150,47 @@ def test_full_twist_relabels_slopes():
 
 
 def test_matrix_and_fn_length_paths_agree():
-    for l, tau in ((1.0, 0.3), (2.5, -1.2), (0.2, 4.0)):
-        rep = rep_from_fn(l, tau)
-        for q in range(0, 7):
-            for p in range(-8, 9):
-                if q == 0 and p != 1:
-                    continue
-                if q > 0 and gcd(abs(p), q) != 1:
-                    continue
-                s = Slope(p, q)
-                assert curve_length(rep, s) == pytest.approx(_fn_curve_length(l, tau, s), abs=1e-10)
+    # both seeds of the Farey engine (TorusRep and Fenchel-Nielsen) against
+    # the block-product reference, from thin to thick and heavily twisted
+    small = [Slope(1, 0)] + [Slope(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
+    windows = candidate_slopes(6, (-100.0,))
+    points = [(1.0, 0.3), (2.5, -1.2), (0.2, 4.0), (1.3e-5, 23.8), (1.3e-5, -23.8), (20.0, -7.0)]
+    points += [(l, 100.0) for l in (1.0, 2.0, 5.0)]
+    for i, (l, tau) in enumerate(points):
+        ref = [_block_product_length(l, tau, s.p, s.q) for s in small]
+        assert _engine_lengths(l, tau, small) == pytest.approx(ref, abs=1e-10)
+        if i < 3:
+            # TorusRep rescales B to det 1, a difference of two squares of
+            # size 4/l^2, so at l = 1.3e-5 the rep itself is off by 1e-7 relative
+            rep = rep_from_fn(l, tau)
+            assert [curve_length(rep, s) for s in small] == pytest.approx(ref, abs=1e-10)
+        if i < 5:
+            ref = [_block_product_length(l, tau, s.p, s.q) for s in windows]
+            assert _engine_lengths(l, tau, windows) == pytest.approx(ref, abs=1e-10)
+
+
+def test_heavy_twist_lengths_match_block_product():
+    # the trace recursion tr W(n-1) = tr A tr W(n) - tr W(n+1), run from
+    # slope 0 down to -30/1, misses that log length by 6e-5 at (1, 100)
+    # and returns NaN at (2, 100)
+    slopes = [Slope(p, q) for q in (1, 2, 3) for p in range(-30 * q, 30 * q + 1) if gcd(p, q) == 1]
+    for l in (1.0, 2.0):
+        ref = [math.log(_block_product_length(l, 100.0, s.p, s.q)) for s in slopes]
+        assert np.log(_engine_lengths(l, 100.0, slopes)) == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_huge_twist_stays_finite_and_relabels():
+    # exp(u/2) overflowed a float here before the seeds were scaled
+    x = FNPoint("S11", (1.0,), (0.0,))
+    y = earthquake(x, 1500.0)
+    assert math.isfinite(dth_estimate(x, y, 5))
+    beta, dual = short_marking(y, 5)
+    assert beta.intersection(dual) >= 1
+    slopes = [Slope(0, 1), Slope(1, 2), Slope(-3, 5), Slope(7, 4), Slope(-11, 3)]
+    a = _engine_lengths(1.0, 1500.0, slopes)
+    b = _engine_lengths(1.0, 0.0, [Slope.of(s.p + 1500 * s.q, s.q) for s in slopes])
+    assert np.all(np.isfinite(a))
+    assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_elliptic_guard_fires_for_non_discrete_words():
@@ -261,6 +325,10 @@ def test_envelope_widths_nonnegative_and_zero_at_origin():
     y = FNPoint("S11", (2.0,), (0.0,))
     d1, d2 = envelope_widths(y, 0.0, 10)
     assert d1 == 0.0 and d2 == 0.0
+    for l0 in (0.02, 1.0, 10.0):
+        # exactly +0.0: the envelope artifacts print the t = 0 cells
+        d = envelope_widths(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0, 30)
+        assert [repr(v) for v in d] == ["0.0", "0.0"]
     d1, d2 = envelope_widths(y, 2.0, 10)
     assert d1 > 0.0 and d2 > 0.0
 
