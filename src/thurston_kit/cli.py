@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 computational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -139,7 +140,9 @@ def _parse_lengths(text: str, n: int = 3) -> tuple[float, ...]:
 def _triangulation(kind: str, cuff: int, signs: TwistSigns) -> PantsTriangulation:
     """Type for the distinguished cuff: 3sym = (2,2,2); 2sym puts the four
     leaf ends at the cuff; asym puts one end there and four at the
-    cyclically next cuff."""
+    cyclically next cuff.  ``cuff`` is 0-based."""
+    if cuff not in (0, 1, 2):
+        raise ConfigError("cuff must be 1, 2 or 3")
     ends = [0, 0, 0]
     if kind == "3sym":
         ends = [2, 2, 2]
@@ -163,8 +166,6 @@ def _write(path: Path, text: str) -> None:
 def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
     signs = _parse_signs(args.signs)
     cuff = args.cuff - 1
-    if cuff not in (0, 1, 2):
-        raise ConfigError("cuff must be 1, 2 or 3")
     tri = _triangulation(args.type, cuff, signs)
     pm = PantsMetric(*_parse_lengths(args.l))
     closed = delta_closed(pm, tri, cuff)
@@ -350,9 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first :func:`main` call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command == "sweep" and args.grid == "default":

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .h2 import GeometryError
 from .pants import (
@@ -166,6 +165,10 @@ def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
     adjacencies between distinct merged faces.  Degenerate input is
     rejected, and the merged counts must satisfy Euler's formula.
     """
+    # imported here, not at module level: scipy.spatial takes about 0.45 s
+    # to import and no other command needs it
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
         raise GeometryError("need at least four 3D points")

@@ -13,6 +13,18 @@ Conventions used throughout:
   determinant acting by fractional linear transformations, stored
   normalized to determinant one.
 
+Each operation is implemented once, by a private function on plain
+floats and tuples: an ideal point is a canonical float, an interior
+point is ``(x, y)``, a geodesic is its two endpoints passed as two
+arguments, an ideal triangle is a 3-tuple of distinct canonical
+vertices, and an isometry is a 4-tuple ``(a, b, c, d)`` normalized to
+determinant one by dividing every entry by ``sqrt(a d - b c)``.  These
+functions take validated inputs and validate everything they construct,
+with the same checks and messages as the dataclasses.  The public
+functions take the dataclasses (validated on construction) and call
+them; hot loops such as the constructive oracle in :mod:`pants` call
+them directly.
+
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no synchronization.
 """
@@ -46,14 +58,226 @@ def ideal(p: float) -> float:
     return INF if math.isinf(p) else float(p)
 
 
+# ---------------------------------------------------------------------------
+# flat kernel
+# ---------------------------------------------------------------------------
+
+
+def _upper(x: float, y: float) -> tuple[float, float]:
+    if not y > 0:
+        raise GeometryError(f"point ({x}, {y}) not in the upper half-plane")
+    return x, y
+
+
+def _geodesic(a: float, b: float) -> tuple[float, float]:
+    a, b = ideal(a), ideal(b)
+    if a == b:
+        raise GeometryError("geodesic endpoints coincide")
+    return a, b
+
+
+def _distinct(v1: float, v2: float, v3: float) -> tuple[float, float, float]:
+    """Vertex tuple of canonical ideal points, which must be distinct."""
+    if v1 == v2 or v2 == v3 or v1 == v3:
+        raise GeometryError("ideal triangle has repeated vertices")
+    return v1, v2, v3
+
+
+def _triangle(v1: float, v2: float, v3: float) -> tuple[float, float, float]:
+    return _distinct(ideal(v1), ideal(v2), ideal(v3))
+
+
+def _edge(v: tuple, index: int) -> tuple[float, float]:
+    """Edge ``index`` in 1..3 of a vertex tuple: (v1,v2), (v2,v3), (v3,v1)."""
+    if index not in (1, 2, 3):
+        raise GeometryError(f"edge index {index} not in 1..3")
+    return v[index - 1], v[index % 3]
+
+
+def _mobius(a: float, b: float, c: float, d: float) -> tuple:
+    det = a * d - b * c
+    if not det > 0:
+        raise GeometryError(f"Mobius matrix determinant {det} is not positive")
+    s = math.sqrt(det)
+    return a / s, b / s, c / s, d / s
+
+
+def _inverse(m: tuple) -> tuple:
+    a, b, c, d = m
+    return _mobius(d, -b, -c, a)
+
+
+def _compose(m: tuple, n: tuple) -> tuple:
+    a, b, c, d = m
+    e, f, g, h = n
+    return _mobius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _apply_ideal(m: tuple, t: float) -> float:
+    """Image of the canonical ideal point ``t``; the pole goes to infinity."""
+    a, b, c, d = m
+    if t == INF:
+        return ideal(a / c) if c != 0.0 else INF
+    den = c * t + d
+    if den == 0.0:
+        return INF
+    return ideal((a * t + b) / den)
+
+
+def _apply_point(m: tuple, x: float, y: float) -> tuple[float, float]:
+    a, b, c, d = m
+    z = complex(*_upper(x, y))
+    w = (a * z + b) / (c * z + d)
+    return _upper(w.real, w.imag)
+
+
+def _apply_triangle(m: tuple, v: tuple) -> tuple[float, float, float]:
+    return _distinct(_apply_ideal(m, v[0]), _apply_ideal(m, v[1]), _apply_ideal(m, v[2]))
+
+
+def _to_standard(a: float, b: float) -> tuple:
+    """Map sending the endpoints a -> 0 and b -> infinity."""
+    if a == INF:
+        return _mobius(0.0, -1.0, 1.0, -b)
+    if b == INF:
+        return _mobius(1.0, -a, 0.0, 1.0)
+    s = 1.0 if a > b else -1.0
+    return _mobius(s, -s * a, 1.0, -b)
+
+
+#: z -> -1/z
+_FLIP = _mobius(0.0, -1.0, 1.0, 0.0)
+
+
+def _triangle_median(v: tuple, edge: int) -> tuple[float, float]:
+    ga, gb = _edge(v, edge)
+    # the vertex off the edge (the vertices are distinct)
+    w = v[(edge + 1) % 3]
+    m = _to_standard(ga, gb)
+    w_std = _apply_ideal(m, w)
+    if w_std == INF or w_std == 0.0:
+        raise GeometryError("degenerate triangle")
+    return _apply_point(_inverse(m), 0.0, abs(w_std))
+
+
+def _median_height_toward_axis(v: tuple) -> float:
+    """Height on the standard axis of the parabolic transport of the median.
+
+    The triangle ``v`` has one vertex at infinity and two finite vertices
+    on one side of 0 (0 itself allowed as a shared vertex).  The median on
+    the vertical edge nearest the axis is carried to the axis by the
+    parabolic z -> z - near fixing infinity, which keeps its height.
+    """
+    fin = [u for u in v if u != INF]
+    if len(fin) != 2:
+        raise GeometryError("triangle must have exactly one vertex at infinity here")
+    lo, hi = min(fin), max(fin)
+    if lo < 0.0 < hi:
+        raise GeometryError("geodesic does not separate the triangle interiors")
+    near = hi if hi <= 0.0 else lo
+    edge_idx = next(i for i in (1, 2, 3) if {v[i - 1], v[i % 3]} == {near, INF})
+    return _triangle_median(v, edge_idx)[1]
+
+
+def _snap_vertex(v: tuple, target: float, tol: float) -> tuple[float, float, float]:
+    """Replace the vertex of ``v`` nearest ``target`` by ``target`` exactly.
+
+    Incidence of constructed configurations is only float-accurate; the
+    vertex is required to be within ``tol`` and then made exact so that
+    downstream normalizations send it to 0 or infinity without roundoff.
+    """
+    if target == INF:
+        if INF not in v:
+            raise GeometryError("geodesic endpoint is not a vertex of the triangle")
+        return v
+    dists = [abs(u - target) if u != INF else INF for u in v]
+    i = dists.index(min(dists))
+    if not dists[i] <= tol:
+        raise GeometryError("geodesic endpoint is not a vertex of the triangle")
+    vs = list(v)
+    vs[i] = target
+    return _distinct(*vs)
+
+
+def _to_axis(m: tuple, v: tuple, ga: float, gb: float) -> tuple[float, float, float]:
+    """Image of the triangle ``v`` under ``m = _to_standard(ga, gb)``.
+
+    Vertices equal to ``ga`` or ``gb`` go to 0 and infinity exactly; the
+    normalized matrix alone can leave them off by a rounding error when
+    both endpoints are finite.
+    """
+    return _distinct(*[0.0 if u == ga else INF if u == gb else _apply_ideal(m, u) for u in v])
+
+
+def _shear(v1: tuple, v2: tuple, ga: float, gb: float, tol: float) -> float:
+    v1 = _snap_vertex(v1, ga, tol)
+    v2 = _snap_vertex(v2, gb, tol)
+    m = _to_standard(ga, gb)
+    s1 = _to_axis(m, v1, ga, gb)
+    s2 = _to_axis(m, v2, ga, gb)
+
+    # t2 has its distinguished vertex at infinity already; it must lie on
+    # the right of the upward axis (shared vertex at 0 allowed)
+    fin2 = [u for u in s2 if u != INF]
+    if len(fin2) != 2 or min(fin2) < 0.0:
+        raise GeometryError("g does not separate the triangles with t1 on the left")
+    h2_height = _median_height_toward_axis(s2)
+
+    # flip the frame (z -> -1/z) so t1's distinguished vertex is at infinity;
+    # a left-side t1 lands on the right of the flipped axis
+    f1 = _apply_triangle(_FLIP, s1)
+    fin1 = [u for u in f1 if u != INF]
+    if len(fin1) != 2 or min(fin1) < 0.0:
+        raise GeometryError("g does not separate the triangles with t1 on the left")
+    h1_height = 1.0 / _median_height_toward_axis(f1)
+
+    return math.log(h2_height) - math.log(h1_height)
+
+
+def _orthofoot(a1: float, b1: float, a2: float, b2: float) -> tuple[float, float]:
+    if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+        raise GeometryError("geodesics share an ideal endpoint")
+    m = _to_standard(a1, b1)
+    a = _apply_ideal(m, a2)
+    b = _apply_ideal(m, b2)
+    if a == INF or b == INF:
+        raise GeometryError("geodesics intersect (image endpoint at infinity)")
+    if a * b <= 0.0:
+        raise GeometryError("geodesics intersect")
+    return _apply_point(_inverse(m), 0.0, math.sqrt(a * b))
+
+
+def _orthofoot_to_ideal(a1: float, b1: float, p: float) -> tuple[float, float]:
+    if p == a1 or p == b1:
+        raise GeometryError("ideal point is an endpoint of the geodesic")
+    m = _to_standard(a1, b1)
+    a = _apply_ideal(m, p)
+    if a == INF:
+        raise GeometryError("ideal point is an endpoint of the geodesic")
+    # the perpendicular through the ideal point a is the half-circle |z| = |a|
+    return _apply_point(_inverse(m), 0.0, abs(a))
+
+
+def _axis_translation(a: float, b: float, length: float) -> tuple:
+    if not length > 0:
+        raise GeometryError("translation length must be positive")
+    m = _to_standard(a, b)
+    t = _mobius(math.exp(length / 2.0), 0.0, 0.0, math.exp(-length / 2.0))
+    return _compose(_compose(_inverse(m), t), m)
+
+
+# ---------------------------------------------------------------------------
+# public values and operations
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True, slots=True)
 class H2Point:
     x: float
     y: float
 
     def __post_init__(self) -> None:
-        if not self.y > 0:
-            raise GeometryError(f"point ({self.x}, {self.y}) not in the upper half-plane")
+        _upper(self.x, self.y)
 
     def as_complex(self) -> complex:
         return complex(self.x, self.y)
@@ -65,10 +289,9 @@ class Geodesic:
     b: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", ideal(self.a))
-        object.__setattr__(self, "b", ideal(self.b))
-        if self.a == self.b:
-            raise GeometryError("geodesic endpoints coincide")
+        a, b = _geodesic(self.a, self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def reversed(self) -> "Geodesic":
         return Geodesic(self.b, self.a)
@@ -81,11 +304,10 @@ class IdealTriangle:
     v3: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "v1", ideal(self.v1))
-        object.__setattr__(self, "v2", ideal(self.v2))
-        object.__setattr__(self, "v3", ideal(self.v3))
-        if len({self.v1, self.v2, self.v3}) != 3:
-            raise GeometryError("ideal triangle has repeated vertices")
+        v1, v2, v3 = _triangle(self.v1, self.v2, self.v3)
+        object.__setattr__(self, "v1", v1)
+        object.__setattr__(self, "v2", v2)
+        object.__setattr__(self, "v3", v3)
 
     @property
     def vertices(self) -> tuple[float, float, float]:
@@ -93,10 +315,7 @@ class IdealTriangle:
 
     def edge(self, index: int) -> Geodesic:
         """Edge ``index`` in 1..3: (v1,v2), (v2,v3), (v3,v1)."""
-        v = self.vertices
-        if index not in (1, 2, 3):
-            raise GeometryError(f"edge index {index} not in 1..3")
-        return Geodesic(v[index - 1], v[index % 3])
+        return Geodesic(*_edge(self.vertices, index))
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,29 +341,29 @@ class MobiusMap:
     d: float
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
-        if not det > 0:
-            raise GeometryError(f"Mobius matrix determinant {det} is not positive")
-        s = math.sqrt(det)
-        object.__setattr__(self, "a", self.a / s)
-        object.__setattr__(self, "b", self.b / s)
-        object.__setattr__(self, "c", self.c / s)
-        object.__setattr__(self, "d", self.d / s)
+        for name, value in zip("abcd", _mobius(self.a, self.b, self.c, self.d)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, m: tuple) -> "MobiusMap":
+        """Wrap a normalized kernel tuple as it is (no second normalization)."""
+        out = object.__new__(cls)
+        for name, value in zip("abcd", m):
+            object.__setattr__(out, name, value)
+        return out
+
+    def _tuple(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
 
     @staticmethod
     def identity() -> "MobiusMap":
         return MobiusMap(1.0, 0.0, 0.0, 1.0)
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        return MobiusMap._of(_inverse(self._tuple()))
 
     def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return MobiusMap._of(_compose(self._tuple(), other._tuple()))
 
     def trace(self) -> float:
         return self.a + self.d
@@ -163,16 +382,8 @@ def mobius_apply(m: MobiusMap, p):
     points, with the pole of the map sent to infinity.
     """
     if isinstance(p, H2Point):
-        z = p.as_complex()
-        w = (m.a * z + m.b) / (m.c * z + m.d)
-        return H2Point(w.real, w.imag)
-    t = ideal(p)
-    if is_infinity(t):
-        return ideal(m.a / m.c) if m.c != 0.0 else INF
-    den = m.c * t + m.d
-    if den == 0.0:
-        return INF
-    return ideal((m.a * t + m.b) / den)
+        return H2Point(*_apply_point(m._tuple(), p.x, p.y))
+    return _apply_ideal(m._tuple(), ideal(p))
 
 
 def mobius_apply_geodesic(m: MobiusMap, g: Geodesic) -> Geodesic:
@@ -180,7 +391,7 @@ def mobius_apply_geodesic(m: MobiusMap, g: Geodesic) -> Geodesic:
 
 
 def mobius_apply_triangle(m: MobiusMap, t: IdealTriangle) -> IdealTriangle:
-    return IdealTriangle(mobius_apply(m, t.v1), mobius_apply(m, t.v2), mobius_apply(m, t.v3))
+    return IdealTriangle(*_apply_triangle(m._tuple(), t.vertices))
 
 
 def geodesic_to_standard(g: Geodesic) -> MobiusMap:
@@ -188,13 +399,7 @@ def geodesic_to_standard(g: Geodesic) -> MobiusMap:
 
     The image geodesic is the imaginary axis oriented upward.
     """
-    a, b = g.a, g.b
-    if is_infinity(a):
-        return MobiusMap(0.0, -1.0, 1.0, -b)
-    if is_infinity(b):
-        return MobiusMap(1.0, -a, 0.0, 1.0)
-    s = 1.0 if a > b else -1.0
-    return MobiusMap(s, -s * a, 1.0, -b)
+    return MobiusMap._of(_to_standard(g.a, g.b))
 
 
 def triangle_median(t: IdealTriangle, edge: int) -> H2Point:
@@ -204,13 +409,7 @@ def triangle_median(t: IdealTriangle, edge: int) -> H2Point:
     triangle is (0, w, inf) and the incircle touches the axis at height
     |w|, which is mapped back.  Mobius equivariance is automatic.
     """
-    g = t.edge(edge)
-    w = next(v for v in t.vertices if v not in (g.a, g.b))
-    m = geodesic_to_standard(g)
-    w_std = mobius_apply(m, w)
-    if is_infinity(w_std) or w_std == 0.0:
-        raise GeometryError("degenerate triangle")
-    return mobius_apply(m.inverse(), H2Point(0.0, abs(w_std)))
+    return H2Point(*_triangle_median(t.vertices, edge))
 
 
 def incircle(t: IdealTriangle) -> Circle:
@@ -237,47 +436,6 @@ def circle_through(p1: H2Point, p2: H2Point, p3: H2Point) -> Circle:
     return Circle(ux, uy, math.hypot(ax - ux, ay - uy))
 
 
-def _median_height_toward_axis(t_std: IdealTriangle) -> float:
-    """Height on the standard axis of the parabolic transport of the median.
-
-    ``t_std`` has one vertex at infinity and two finite vertices on one
-    side of 0 (0 itself allowed as a shared vertex).  The median on the
-    vertical edge nearest the axis is carried to the axis by the
-    parabolic fixing infinity that moves that edge onto the axis.
-    """
-    fin = [v for v in t_std.vertices if not is_infinity(v)]
-    if len(fin) != 2:
-        raise GeometryError("triangle must have exactly one vertex at infinity here")
-    lo, hi = min(fin), max(fin)
-    if lo < 0.0 < hi:
-        raise GeometryError("geodesic does not separate the triangle interiors")
-    near = hi if hi <= 0.0 else lo
-    edge_idx = next(i for i in (1, 2, 3) if {t_std.edge(i).a, t_std.edge(i).b} == {near, INF})
-    med = triangle_median(t_std, edge_idx)
-    # parabolic z -> z - near carries the edge (near, inf) onto the axis
-    return med.y
-
-
-def _snap_vertex(t: IdealTriangle, target: float, tol: float) -> IdealTriangle:
-    """Replace the vertex of ``t`` nearest ``target`` by ``target`` exactly.
-
-    Incidence of constructed configurations is only float-accurate; the
-    vertex is required to be within ``tol`` and then made exact so that
-    downstream normalizations send it to 0 or infinity without roundoff.
-    """
-    vs = list(t.vertices)
-    if is_infinity(target):
-        if not any(is_infinity(v) for v in vs):
-            raise GeometryError("geodesic endpoint is not a vertex of the triangle")
-        return t
-    dists = [abs(v - target) if not is_infinity(v) else INF for v in vs]
-    i = dists.index(min(dists))
-    if not dists[i] <= tol:
-        raise GeometryError("geodesic endpoint is not a vertex of the triangle")
-    vs[i] = target
-    return IdealTriangle(*vs)
-
-
 def shear(t1: IdealTriangle, t2: IdealTriangle, g: Geodesic, tol: float = DEFAULT_TOL) -> float:
     """Signed shear between two ideal triangles across an oriented geodesic.
 
@@ -288,29 +446,7 @@ def shear(t1: IdealTriangle, t2: IdealTriangle, g: Geodesic, tol: float = DEFAUL
     vertex, and the result is the signed distance between the two
     transported points (positive in the direction of ``g``).
     """
-    t1 = _snap_vertex(t1, g.a, tol)
-    t2 = _snap_vertex(t2, g.b, tol)
-    m = geodesic_to_standard(g)
-    t1_std = mobius_apply_triangle(m, t1)
-    t2_std = mobius_apply_triangle(m, t2)
-
-    # t2 has its distinguished vertex at infinity already; it must lie on
-    # the right of the upward axis (shared vertex at 0 allowed)
-    fin2 = [v for v in t2_std.vertices if not is_infinity(v)]
-    if len(fin2) != 2 or min(fin2) < 0.0:
-        raise GeometryError("g does not separate the triangles with t1 on the left")
-    h2_height = _median_height_toward_axis(t2_std)
-
-    # flip the frame (z -> -1/z) so t1's distinguished vertex is at infinity;
-    # a left-side t1 lands on the right of the flipped axis
-    flip = MobiusMap(0.0, -1.0, 1.0, 0.0)
-    t1_flip = mobius_apply_triangle(flip, t1_std)
-    fin1 = [v for v in t1_flip.vertices if not is_infinity(v)]
-    if len(fin1) != 2 or min(fin1) < 0.0:
-        raise GeometryError("g does not separate the triangles with t1 on the left")
-    h1_height = 1.0 / _median_height_toward_axis(t1_flip)
-
-    return math.log(h2_height) - math.log(h1_height)
+    return _shear(t1.vertices, t2.vertices, g.a, g.b, tol)
 
 
 def orthofoot(g1: Geodesic, g2: Geodesic) -> H2Point:
@@ -320,16 +456,7 @@ def orthofoot(g1: Geodesic, g2: Geodesic) -> H2Point:
     and the perpendicular is the circle about 0 orthogonal to it, of
     radius sqrt(a*b).  Intersecting or asymptotic inputs are rejected.
     """
-    if {g1.a, g1.b} & {g2.a, g2.b}:
-        raise GeometryError("geodesics share an ideal endpoint")
-    m = geodesic_to_standard(g1)
-    a = mobius_apply(m, g2.a)
-    b = mobius_apply(m, g2.b)
-    if is_infinity(a) or is_infinity(b):
-        raise GeometryError("geodesics intersect (image endpoint at infinity)")
-    if a * b <= 0.0:
-        raise GeometryError("geodesics intersect")
-    return mobius_apply(m.inverse(), H2Point(0.0, math.sqrt(a * b)))
+    return H2Point(*_orthofoot(g1.a, g1.b, g2.a, g2.b))
 
 
 def orthofoot_to_ideal(g1: Geodesic, p: float) -> H2Point:
@@ -338,15 +465,7 @@ def orthofoot_to_ideal(g1: Geodesic, p: float) -> H2Point:
     This is the degenerate (parabolic) limit of :func:`orthofoot` where the
     second geodesic collapses to a boundary point.
     """
-    p = ideal(p)
-    if p in (g1.a, g1.b):
-        raise GeometryError("ideal point is an endpoint of the geodesic")
-    m = geodesic_to_standard(g1)
-    a = mobius_apply(m, p)
-    if is_infinity(a):
-        raise GeometryError("ideal point is an endpoint of the geodesic")
-    # the perpendicular through the ideal point a is the half-circle |z| = |a|
-    return mobius_apply(m.inverse(), H2Point(0.0, abs(a)))
+    return H2Point(*_orthofoot_to_ideal(g1.a, g1.b, ideal(p)))
 
 
 def axis_translation(g: Geodesic, length: float) -> MobiusMap:
@@ -354,11 +473,7 @@ def axis_translation(g: Geodesic, length: float) -> MobiusMap:
 
     Translation is in the direction of the orientation of ``g``.
     """
-    if not length > 0:
-        raise GeometryError("translation length must be positive")
-    m = geodesic_to_standard(g)
-    t = MobiusMap(math.exp(length / 2.0), 0.0, 0.0, math.exp(-length / 2.0))
-    return m.inverse() @ t @ m
+    return MobiusMap._of(_axis_translation(g.a, g.b, length))
 
 
 def signed_distance_along(g: Geodesic, p: H2Point, q: H2Point) -> float:

@@ -29,18 +29,21 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .h2 import (
+    DEFAULT_TOL,
     INF,
-    Geodesic,
     GeometryError,
     H2Point,
-    IdealTriangle,
-    MobiusMap,
-    axis_translation,
-    mobius_apply,
-    orthofoot,
-    orthofoot_to_ideal,
-    shear,
-    triangle_median,
+    _apply_ideal,
+    _axis_translation,
+    _geodesic,
+    _inverse,
+    _mobius,
+    _orthofoot,
+    _orthofoot_to_ideal,
+    _shear,
+    _triangle,
+    _triangle_median,
+    ideal,
 )
 
 #: cuff lengths below this are rejected as singular (formulas blow up at 0)
@@ -315,10 +318,10 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
     are invariant under the parabolic transport fixing infinity), so tiny
     gaps are not absorbed by large coordinates.
     """
-    t_prev = IdealTriangle(-prev_gap, 0.0, INF)
+    t_prev = _triangle(-prev_gap, 0.0, INF)
 
     def cond(u: float) -> float:
-        return shear(t_prev, IdealTriangle(0.0, math.exp(u), INF), Geodesic(0.0, INF)) - sigma
+        return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF, DEFAULT_TOL) - sigma
 
     return math.exp(_solve_monotone(cond, 0.0, 1.0))
 
@@ -341,8 +344,8 @@ def _deck_endpoint(length: float, sign: int, target: float) -> float:
     """
 
     def image_of_zero(v: float) -> float:
-        axis = Geodesic(INF, v) if sign == 1 else Geodesic(v, INF)
-        return mobius_apply(axis_translation(axis, length), 0.0)
+        axis = (INF, v) if sign == 1 else (v, INF)
+        return _apply_ideal(_axis_translation(*axis, length), 0.0)
 
     f0 = image_of_zero(0.0) - target
     f1 = image_of_zero(1.0) - target
@@ -386,18 +389,19 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     # close the fan with the cuff's deck translation: deck(x) = x + width,
     # where deck translates along the axis by the cuff length (towards 0
     # for a left twist).  The condition is linear in x.
+    deck = _axis_translation(*((INF, 0.0) if e[cuff] == 1 else (0.0, INF)), l[cuff])
+
     def closure(x: float) -> float:
-        axis = Geodesic(INF, 0.0) if e[cuff] == 1 else Geodesic(0.0, INF)
-        return mobius_apply(axis_translation(axis, l[cuff]), x) - (x + width)
+        return _apply_ideal(deck, x) - (x + width)
 
     c0, c1 = closure(0.0), closure(1.0)
     x = -c0 / (c1 - c0)
 
     # frame of the first fan leaf: phi maps the half-circle (x, x+1) to the
     # standard axis with the image of the fan triangle as (-1, 0, inf)
-    phi = MobiusMap(-1.0, x, 1.0, -(x + 1.0))
-    t1 = IdealTriangle(x, x + 1.0, INF)
-    img = (mobius_apply(phi, INF), mobius_apply(phi, x), mobius_apply(phi, x + 1.0))
+    phi = _mobius(-1.0, x, 1.0, -(x + 1.0))
+    t1 = _triangle(x, x + 1.0, INF)
+    img = (_apply_ideal(phi, INF), _apply_ideal(phi, x), _apply_ideal(phi, x + 1.0))
     # projectively (-1, 0, inf): the pole image may round to a huge finite value
     if abs(img[0] + 1.0) > 1e-9 or abs(img[1]) > 1e-9 or (math.isfinite(img[2]) and abs(img[2]) < 1e9):
         raise GeometryError("fan frame normalization failed")
@@ -407,26 +411,26 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     # perpendicular cuff axis: second endpoint from its deck translation,
     # or the parabolic limit when that cuff is a puncture
     if l[j] < MIN_CUFF_LENGTH:
-        p_star = mobius_apply(phi.inverse(), INF)
-        foot = orthofoot_to_ideal(Geodesic(0.0, INF), p_star)
+        p_star = _apply_ideal(_inverse(phi), INF)
+        foot = _orthofoot_to_ideal(0.0, INF, p_star)
     else:
         v = _deck_endpoint(l[j], e[j], w)
-        p_star = mobius_apply(phi.inverse(), v)
-        foot = orthofoot(Geodesic(0.0, INF), Geodesic(x + 1.0, p_star))
+        p_star = _apply_ideal(_inverse(phi), ideal(v))
+        foot = _orthofoot(0.0, INF, *_geodesic(x + 1.0, p_star))
 
-    # shear reference point: incircle median of the first fan triangle,
-    # transported to the axis along the horocycle about infinity
-    med = triangle_median(t1, next(i for i in (1, 2, 3) if {t1.edge(i).a, t1.edge(i).b} == {x, INF}))
-    q = H2Point(0.0, med.y)
+    # shear reference point: incircle median of the first fan triangle on
+    # its edge 3, (inf, x), transported to the axis along the horocycle
+    # about infinity
+    q = (0.0, _triangle_median(t1, 3)[1])
 
     return {
         "x": x,
         "fan_width": width,
         "period_width": w,
         "p_star": p_star,
-        "foot": foot,
-        "q": q,
-        "delta": e[cuff] * (math.log(foot.y) - math.log(q.y)),
+        "foot": H2Point(*foot),
+        "q": H2Point(*q),
+        "delta": e[cuff] * (math.log(foot[1]) - math.log(q[1])),
     }
 
 

@@ -56,6 +56,26 @@ def test_bad_signs_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["delta", "shear"])
+@pytest.mark.parametrize("cuff", ["0", "5"])
+def test_cuff_out_of_range_is_usage_error(capsys, command, cuff):
+    code = main([command, "--type", "2sym", "--l", "1,2,3", "--signs", "LLL", "--cuff", cuff])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cuff must be 1, 2 or 3")
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    code = (
+        "import sys, thurston_kit.cli, thurston_kit; "
+        "print('scipy.spatial' in sys.modules, callable(thurston_kit.hull))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["delta", "--help"])

@@ -326,3 +326,42 @@ def test_point_distance_mobius_invariant():
         assert point_distance(mobius_apply(m, p), mobius_apply(m, q)) == pytest.approx(d, abs=1e-9)
     # vertical distance is the log-ratio of heights
     assert point_distance(H2Point(0, 1), H2Point(0, math.e)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shear_mobius_equivariance_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    gaps = st.floats(0.05, 20.0)
+    angles = st.floats(0.0, math.pi)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(a=gaps, b=gaps, r=st.floats(0.0, 20.0), s=gaps, adjacent=st.booleans(),
+                      theta=angles, scale=st.floats(0.1, 10.0), shift=st.floats(-10.0, 10.0))
+    def check(a, b, r, s, adjacent, theta, scale, shift):
+        # standard frame: g is the upward axis, t1 on its left with a vertex
+        # at 0, t2 on its right with a vertex at infinity
+        g = Geodesic(0.0, INF)
+        t1 = IdealTriangle(0.0, -a, INF if adjacent else -a - b)
+        t2 = IdealTriangle(INF, 0.0 if adjacent else r, r + s)
+        # rotation about i, then a scaling and a translation
+        c, sn = math.cos(theta), math.sin(theta)
+        m = MobiusMap(scale, shift, 0.0, 1.0) @ MobiusMap(c, sn, -sn, c)
+        images = [mobius_apply(m, v) for v in (*t1.vertices, *t2.vertices)]
+        # keep the image away from the pole, where shears lose digits
+        hypothesis.assume(all(v == INF or abs(v) < 1e3 for v in images))
+        moved = shear(mobius_apply_triangle(m, t1), mobius_apply_triangle(m, t2), mobius_apply_geodesic(m, g))
+        assert moved == pytest.approx(shear(t1, t2, g), abs=1e-9)
+
+    check()
+
+
+def test_shear_across_geodesic_with_two_finite_endpoints():
+    # the snapped endpoints must land on 0 and infinity exactly; before they
+    # did, this configuration failed the separation check by a rounding error
+    t1 = IdealTriangle(0.0, -1.0, -2.0)
+    t2 = IdealTriangle(INF, 0.0, 1.0)
+    g = Geodesic(0.0, INF)
+    m = MobiusMap(math.cos(1.0), math.sin(1.0), -math.sin(1.0), math.cos(1.0))
+    moved = shear(mobius_apply_triangle(m, t1), mobius_apply_triangle(m, t2), mobius_apply_geodesic(m, g))
+    assert moved == pytest.approx(shear(t1, t2, g), abs=1e-12)
+    assert shear(t1, t2, g) == pytest.approx(-math.log(2.0), abs=1e-15)

@@ -313,3 +313,38 @@ def test_oracle_matches_closed_form_random_lengths_and_signs():
         cuff = int(rng.randint(3))
         worst = max(worst, abs(delta_closed(pm, tri, cuff) - delta_oracle(pm, tri, cuff)))
     assert worst <= 1e-9
+
+
+#: delta_oracle pinned to the last bit: (ends, signs, cuff, lengths, value).
+#: The oracle is the independent check on the closed forms, so a change to
+#: the float operations of the half-plane kernel must show here, not only
+#: as a residual within 1e-9.  The comments give |delta_closed -
+#: delta_oracle|; on long cuffs it exceeds 1e-9.
+ORACLE_PINNED = [
+    ((2, 2, 2), "LLL", 0, (1.0, 1.0, 1.0), 0.5464202764685121),  # |closed - oracle| = 5.6e-16
+    ((2, 2, 2), "RLR", 1, (0.5, 2.0, 4.0), 0.2267766102567034),  # |closed - oracle| = 1.9e-16
+    ((2, 2, 2), "LRR", 2, (4.0, 0.5, 1.0), -0.1456322763220376),  # |closed - oracle| = 8.3e-17
+    ((2, 2, 2), "RRR", 0, (0.01, 0.02, 0.03), -5.298350698166218),  # |closed - oracle| = 0.0e+00
+    ((4, 1, 1), "LLL", 0, (1.0, 1.0, 1.0), 1.0204972606486182),  # |closed - oracle| = 2.2e-16
+    ((4, 1, 1), "RLL", 0, (2.0, 0.5, 0.0), -0.534213545329132),  # |closed - oracle| = 1.1e-16
+    ((1, 4, 1), "LRR", 1, (0.03664950884040524, 0.030424676661811877, 18.829871949884183), -22.322498127643144),  # |closed - oracle| = 4.4e-07
+    ((1, 1, 4), "RRL", 2, (15.709873283902974, 6.6061431682451115, 18.49053731629074), 8.884869604929506),  # |closed - oracle| = 1.4e-04
+    ((1, 4, 1), "LLR", 1, (8.71147208828151, 0.9168441811917454, 17.87384501455205), 17.937144235385887),  # |closed - oracle| = 1.2e-08
+    ((4, 1, 1), "LRR", 0, (0.021136484744808358, 12.986166445413696, 0.43698126134277715), 16.846000396132087),  # |closed - oracle| = 1.2e-09
+    ((1, 4, 1), "LLL", 0, (1.0, 1.0, 1.0), -0.4276567077115953),  # |closed - oracle| = 1.7e-16
+    ((1, 1, 4), "RLR", 1, (0.7, 3.0, 0.2), -3.0112645822385566),  # |closed - oracle| = 4.4e-15
+    ((4, 1, 1), "RRL", 2, (13.361745422683716, 0.05165839606850002, 18.94300354570567), -25.561941482068864),  # |closed - oracle| = 4.2e-03
+    ((4, 1, 1), "RLL", 2, (15.214151584141655, 0.45631340655083835, 17.186771448868296), -24.4718478663994),  # |closed - oracle| = 1.9e-03
+    ((4, 1, 1), "RRL", 2, (6.660273258884103, 0.08406651621143178, 15.097503764794336), -18.413034674163058),  # |closed - oracle| = 1.2e-08
+    ((4, 1, 1), "RLL", 2, (0.25892591892755656, 0.24173402716398046, 16.549575305956942), -16.678971557401436),  # |closed - oracle| = 1.0e-09
+    ((2, 2, 2), "LLL", 0, (1.0, 0.0, 1.0), 0.7719368329053048),  # |closed - oracle| = 0.0e+00
+    ((1, 4, 1), "RLR", 0, (0.3, 0.0, 2.5), -1.3502256128148469),  # |closed - oracle| = 4.4e-16
+    ((2, 2, 2), "LRL", 1, (19.5, 0.011, 7.25), -10.637040108051771),  # |closed - oracle| = 7.8e-13
+    ((1, 1, 4), "LLR", 0, (1e-06, 2.0, 3.0), 13.815509784568496),  # |closed - oracle| = 1.1e-10
+]
+
+
+@pytest.mark.parametrize("ends, signs, cuff, lengths, expected", ORACLE_PINNED)
+def test_oracle_values_are_pinned_bit_for_bit(ends, signs, cuff, lengths, expected):
+    tri = PantsTriangulation(ends, TwistSigns(*(1 if ch == "L" else -1 for ch in signs)))
+    assert repr(delta_oracle(PantsMetric(*lengths), tri, cuff)) == repr(expected)

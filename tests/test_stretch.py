@@ -1,6 +1,7 @@
 """Tests for twist evolution along stretch paths and twist widths."""
 
 import math
+import sys
 
 import pytest
 
@@ -168,3 +169,13 @@ def test_width_agreement_for_random_partial_sign_patterns():
             return d0 * math.exp(-t) - dt
 
         assert w == pytest.approx(combo(lam) - combo(nu), abs=1e-10)
+
+
+@pytest.mark.parametrize("u", [1e-14, 1e-11, 1e-8, 1e-4, 0.05, 1.0, 5.0, 20.0, 300.0])
+def test_log_coth_matches_mpmath_reference(u):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        # log coth u = log1p(2 / (e^{2u} - 1)), exact to 50 digits at every u here
+        ref = mpmath.log1p(2 / mpmath.expm1(2 * mpmath.mpf(u)))
+        rel = abs((mpmath.mpf(log_coth(u)) - ref) / ref)
+    assert rel <= 4 * sys.float_info.epsilon
