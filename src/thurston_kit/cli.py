@@ -19,8 +19,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds, cube, reconcile, torus
 from .bounds import SweepGrid, format_float, run_sweep, sweep_csv, sweep_json
 from .pants import (
@@ -83,8 +81,17 @@ class Config:
             raise ConfigError("tolerance must be positive")
 
     def t_values(self) -> tuple[float, ...]:
-        n = int(round(self.t_max / self.t_step))
-        return tuple(i * self.t_step for i in range(n + 1))
+        return t_grid(self.t_max, self.t_step)
+
+
+def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
+    """0, t_step, 2 t_step, ... up to t_max.
+
+    The step count rounds down, with a relative slack of 1e-9 so that a
+    t_max that is a multiple of t_step up to round-off (0.3 / 0.1) is kept.
+    """
+    n = math.floor(t_max / t_step * (1.0 + 1e-9))
+    return tuple(i * t_step for i in range(n + 1))
 
 
 def load_config(path: str | None) -> Config:
@@ -222,8 +229,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     t_max = args.t_max if args.t_max is not None else cfg.t_max
     max_q = args.max_q if args.max_q is not None else cfg.max_q
-    n = int(round(t_max / cfg.t_step))
-    ts = [i * cfg.t_step for i in range(n + 1)]
+    ts = t_grid(t_max, cfg.t_step)
     lines = ["l0,t,d_lr,d_rl"]
     sup = -math.inf
     for l0 in cfg.l0_values:
@@ -250,33 +256,21 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
-    x = FNPoint("S2", cfg.base_lengths, cfg.base_twists)
-    labeled = cube.cloud(x)
-    pts = np.array([tv.as_array() for _, tv in labeled])
-    uniq, group = cube.dedupe_points(pts)
-    summary = cube.hull(uniq)
-    brute = cube.extreme_points_brute(uniq)
-    hull_set = set(summary.vertex_indices)
-    entries = [
-        {
-            "completion": comp.label(),
-            "d_twist": [tv.da, tv.db, tv.dc],
-            "extreme": group[i] in hull_set,
-        }
-        for i, (comp, tv) in enumerate(labeled)
-    ]
+    result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
+    entries = result["entries"]
     csv_lines = ["completion,d_twist_1,d_twist_2,d_twist_3,extreme"]
     for ent in entries:
         a, b, c = ent["d_twist"]
         csv_lines.append(
             f"{ent['completion']},{format_float(a)},{format_float(b)},{format_float(c)},{int(ent['extreme'])}"
         )
+    n_vertices, n_edges, n_faces = result["hull_counts"]
     hull_info = {
-        "n_vertices": summary.n_vertices,
-        "n_edges": summary.n_edges,
-        "n_faces": summary.n_faces,
-        "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
-        "brute_force_agrees": set(brute) == hull_set,
+        "n_vertices": n_vertices,
+        "n_edges": n_edges,
+        "n_faces": n_faces,
+        "extreme_completions": result["extreme_completions"],
+        "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
     _write(out / "cube_points.json", json.dumps(entries, indent=2, sort_keys=True, default=format_float) + "\n")

@@ -13,6 +13,8 @@ test.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -94,54 +96,91 @@ def stretch_vector_projection(x: FNPoint, completion: Completion, check: bool = 
     offsets differentiated analytically (complex step); with ``check`` a
     central difference (h = 1e-6) must agree to 1e-6 relative.
     """
+    return _projections(x, [completion], check)[0]
+
+
+def _projections(x: FNPoint, completions: list[Completion], check: bool) -> list[TwistVector]:
+    """Projections of ``completions`` at ``x``, one per completion.
+
+    Both pairs of pants share the three curves, so an offset depends only
+    on (leaf ends, signs, curve): each of those sides is evaluated at most
+    once per call and its value reused by every completion containing it.
+    Values are first evaluated, and the sums formed, in the order of the
+    per-completion formula, so results and the first error raised are the
+    same as evaluating every completion on its own.
+    """
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
     metric = PantsMetric(*x.lengths)
-    tris = (
-        PantsTriangulation(completion.ends1, completion.signs),
-        PantsTriangulation(completion.ends2, completion.signs),
-    )
-    rates = []
-    for curve in range(3):
-        total0 = 0.0
-        dtotal = 0.0
-        for tri in tris:
-            total0 += delta_closed(metric, tri, curve)
-            dtotal += delta_scale_derivative(metric, tri, curve)
-        if check:
-            h = 1e-6
-            num = sum(
-                delta_closed(metric.scaled(math.exp(h)), tri, curve)
-                - delta_closed(metric.scaled(math.exp(-h)), tri, curve)
-                for tri in tris
-            ) / (2.0 * h)
-            scale = max(1.0, abs(dtotal))
-            if abs(num - dtotal) > DERIVATIVE_CHECK_REL * scale:
-                raise ArithmeticError(
-                    f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
-                )
-        rates.append(x.twists[curve] + total0 - dtotal)
-    return TwistVector(*rates)
+    h = 1e-6
+
+    @functools.cache
+    def tri(ends, signs) -> PantsTriangulation:
+        return PantsTriangulation(ends, TwistSigns(*signs))
+
+    @functools.cache
+    def offset(ends, signs, curve: int) -> float:
+        return delta_closed(metric, tri(ends, signs), curve)
+
+    @functools.cache
+    def rate(ends, signs, curve: int) -> float:
+        return delta_scale_derivative(metric, tri(ends, signs), curve)
+
+    @functools.cache
+    def difference(ends, signs, curve: int) -> float:
+        t = tri(ends, signs)
+        return delta_closed(metric.scaled(math.exp(h)), t, curve) - delta_closed(
+            metric.scaled(math.exp(-h)), t, curve
+        )
+
+    out = []
+    for completion in completions:
+        signs = completion.signs.signs
+        sides = (completion.ends1, completion.ends2)
+        rates = []
+        for curve in range(3):
+            total0 = 0.0
+            dtotal = 0.0
+            for ends in sides:
+                total0 += offset(ends, signs, curve)
+                dtotal += rate(ends, signs, curve)
+            if check:
+                num = sum(difference(ends, signs, curve) for ends in sides) / (2.0 * h)
+                scale = max(1.0, abs(dtotal))
+                if abs(num - dtotal) > DERIVATIVE_CHECK_REL * scale:
+                    raise ArithmeticError(
+                        f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
+                    )
+            rates.append(x.twists[curve] + total0 - dtotal)
+        out.append(TwistVector(*rates))
+    return out
 
 
 def cloud(x: FNPoint, check: bool = True) -> list[tuple[Completion, TwistVector]]:
     """All 128 labeled candidate projections, in enumeration order."""
-    return [(c, stretch_vector_projection(x, c, check)) for c in enumerate_completions()]
+    completions = enumerate_completions()
+    return list(zip(completions, _projections(x, completions, check)))
 
 
 def dedupe_points(points: np.ndarray, tol: float = HULL_TOL) -> tuple[np.ndarray, list[int]]:
-    """Representative subset with pairwise distance > tol, plus group index per point."""
-    reps: list[np.ndarray] = []
+    """Representative subset with pairwise distance > tol, plus group index per point.
+
+    Each point joins the first representative within ``tol`` (max norm) or
+    becomes a new one.
+    """
+    pts = np.asarray(points, dtype=float)
+    reps = np.empty_like(pts)
+    n_reps = 0
     group: list[int] = []
-    for p in points:
-        for i, r in enumerate(reps):
-            if float(np.max(np.abs(p - r))) <= tol:
-                group.append(i)
-                break
+    for p in pts:
+        near = np.flatnonzero(np.max(np.abs(reps[:n_reps] - p), axis=1) <= tol)
+        if near.size:
+            group.append(int(near[0]))
         else:
-            group.append(len(reps))
-            reps.append(p)
-    return np.array(reps), group
+            reps[n_reps] = p
+            group.append(n_reps)
+            n_reps += 1
+    return reps[:n_reps].copy(), group
 
 
 @dataclass(frozen=True)
@@ -214,31 +253,49 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Non-negative least squares (Lawson-Hanson active set).
 
     Small and deterministic; used for the convex-representability test.
+    The passive set is kept as a sorted index list and each subproblem is
+    solved by LAPACK ``gelsd`` with numpy's default cutoff eps * max(m, k).
+    With no columns the solution is empty and the residual is ``||b||``.
     """
+    # scipy.linalg is already loaded by scipy.spatial in the cube command;
+    # scipy.optimize.nnls is avoided because importing scipy.optimize costs
+    # about 12 MB and 0.1 s
+    from scipy.linalg.lapack import dgelsd, dgelsd_lwork
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
     x = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
+    if n == 0:
+        return x, float(np.linalg.norm(b))
+    eps = np.finfo(float).eps
+    tol = 10.0 * max(m, n) * eps * max(float(np.abs(a).max()), 1.0) * max(float(np.linalg.norm(b)), 1.0)
+    passive: list[int] = []
     w = a.T @ (b - a @ x)
-    tol = 10.0 * max(m, n) * np.finfo(float).eps * max(float(np.abs(a).max()), 1.0) * max(float(np.linalg.norm(b)), 1.0)
     for _ in range(10 * n):
-        if active.all() or float(np.max(np.where(~active, w, -np.inf))) <= tol:
+        if len(passive) == n:
             break
-        active[int(np.argmax(np.where(~active, w, -np.inf)))] = True
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if float(w[j]) <= tol:
+            break
+        bisect.insort(passive, j)
         while True:
             s = np.zeros(n)
-            s[active], *_ = np.linalg.lstsq(a[:, active], b, rcond=None)
-            if s[active].size and float(np.min(s[active])) > 0.0:
+            if passive:
+                k = len(passive)
+                rhs = np.zeros(max(m, k))
+                rhs[:m] = b
+                cond = eps * max(m, k)
+                lwork, iwork, _ = dgelsd_lwork(m, k, 1, cond)
+                s[passive] = dgelsd(a[:, passive], rhs, lwork, iwork, cond, False, False)[0][:k]
+            blocking = [i for i in passive if s[i] <= 0.0]
+            if not blocking:
                 x = s
                 break
-            mask = active & (s <= 0.0)
-            if not mask.any():
-                x = s
-                break
-            alpha = float(np.min(x[mask] / (x[mask] - s[mask])))
+            alpha = float(np.min(x[blocking] / (x[blocking] - s[blocking])))
             x = x + alpha * (s - x)
-            active &= x > 1e-14
+            passive = [i for i in passive if x[i] > 1e-14]
         w = a.T @ (b - a @ x)
     return x, float(np.linalg.norm(a @ x - b))
 
@@ -248,15 +305,14 @@ def extreme_points_brute(points: np.ndarray, tol: float = EXTREME_TOL) -> list[i
 
     A point is extreme iff the least-squares feasibility problem
     min ||sum_j w_j p_j - p_i|| with w >= 0, sum w = 1 (the constraint
-    appended as an extra row) has residual above ``tol``.
+    appended as an extra row) has residual above ``tol``.  A lone point is
+    extreme.
     """
     pts = np.asarray(points, dtype=float)
+    augmented = np.vstack([pts.T, np.ones(len(pts))])
     out = []
     for i in range(len(pts)):
-        others = np.delete(pts, i, axis=0)
-        a = np.vstack([others.T, np.ones(len(others))])
-        b = np.concatenate([pts[i], [1.0]])
-        _, res = nnls(a, b)
+        _, res = nnls(np.delete(augmented, i, axis=1), augmented[:, i])
         if res > tol:
             out.append(i)
     return out
@@ -270,8 +326,10 @@ def symmetric_base_point() -> FNPoint:
 def chamfered_cube_check(x: FNPoint | None = None) -> dict:
     """Full pipeline: cloud, dedupe, hull counts, brute-force extremality.
 
-    Returns the counts and both extreme sets (as cloud indices) so callers
-    can assert agreement.
+    Returns the counts, both extreme sets (as indices of the unique points)
+    so callers can assert agreement, and one entry per candidate in
+    enumeration order: its label, its twist vector and whether its point
+    is a hull vertex.
     """
     if x is None:
         x = symmetric_base_point()
@@ -281,9 +339,10 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
     summary = hull(uniq)
     brute = extreme_points_brute(uniq)
     hull_set = set(summary.vertex_indices)
-    extreme_labels = sorted(
-        labeled[i][0].label() for i in range(len(labeled)) if group[i] in hull_set
-    )
+    entries = [
+        {"completion": comp.label(), "d_twist": [tv.da, tv.db, tv.dc], "extreme": group[i] in hull_set}
+        for i, (comp, tv) in enumerate(labeled)
+    ]
     return {
         "n_candidates": len(labeled),
         "n_unique": len(uniq),
@@ -291,5 +350,6 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
         "hull_vertices": summary.vertex_indices,
         "brute_extremes": tuple(brute),
         "agree": set(brute) == hull_set,
-        "extreme_completions": extreme_labels,
+        "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
+        "entries": entries,
     }

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thurston_kit.cli import CONFIG_ENV, Config, ConfigError, load_config, main
+from thurston_kit.cli import CONFIG_ENV, Config, ConfigError, load_config, main, t_grid
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -177,3 +177,29 @@ def test_envelope_flags_and_csv_header(tmp_path, capsys):
     lines = (tmp_path / "out" / "envelope.csv").read_text().splitlines()
     assert lines[0] == "l0,t,d_lr,d_rl"
     assert len(lines) == 1 + 2 * 2
+
+
+def test_t_grid_stops_at_t_max(tmp_path, capsys):
+    # 1.0 / 0.6 rounds to 2, which used to write rows at t = 1.2 > t_max
+    cfg = write_config(tmp_path, t_step="0.6")
+    for cmd in ("sweep", "envelope"):
+        code, _ = run_cli(capsys, "--config", str(cfg), cmd)
+        assert code == 0, cmd
+    out = tmp_path / "out"
+    for name in ("sweep.csv", "envelope.csv"):
+        rows = (out / name).read_text().splitlines()[1:]
+        assert sorted({float(row.split(",")[1]) for row in rows}) == [0.0, 0.6], name
+    env = json.loads((out / "envelope_summary.json").read_text())
+    assert env["t_max"] == 1.0
+    rows = [row.split(",") for row in (out / "envelope.csv").read_text().splitlines()[1:]]
+    assert env["empirical_bound"] == max(float(v) for row in rows for v in row[2:])
+
+
+def test_t_grid_keeps_exact_multiples():
+    assert len(t_grid(4.0, 0.25)) == 17
+    assert len(t_grid(8.0, 0.25)) == 33
+    assert t_grid(2.7, 2.7) == (0.0, 2.7)
+    assert t_grid(0.0, 0.5) == (0.0,)
+    assert len(t_grid(0.3, 0.1)) == 4
+    assert t_grid(1.0, 0.6) == (0.0, 0.6)
+    assert Config(t_max=1.0, t_step=0.6).t_values() == (0.0, 0.6)

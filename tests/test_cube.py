@@ -1,13 +1,18 @@
 """Tests for the stretch-vector cloud and hull machinery."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from thurston_kit import cube
+from thurston_kit.cli import main
 from thurston_kit.cube import (
     Completion,
+    TwistVector,
     chamfered_cube_check,
     cloud,
     dedupe_points,
@@ -19,7 +24,13 @@ from thurston_kit.cube import (
     symmetric_base_point,
 )
 from thurston_kit.h2 import GeometryError
-from thurston_kit.pants import TwistSigns
+from thurston_kit.pants import (
+    PantsMetric,
+    PantsTriangulation,
+    TwistSigns,
+    delta_closed,
+    delta_scale_derivative,
+)
 from thurston_kit.stretch import FNPoint
 
 
@@ -146,3 +157,169 @@ def test_projection_requires_genus_two_point():
         stretch_vector_projection(
             FNPoint("S11", (1.0,), (0.0,)), Completion(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
         )
+
+
+def _reference_nnls(a, b):
+    """Reference Lawson-Hanson: boolean active set, numpy lstsq subproblems."""
+    m, n = a.shape
+    x = np.zeros(n)
+    active = np.zeros(n, dtype=bool)
+    w = a.T @ (b - a @ x)
+    tol = 10.0 * max(m, n) * np.finfo(float).eps * max(float(np.abs(a).max()), 1.0) * max(float(np.linalg.norm(b)), 1.0)
+    for _ in range(10 * n):
+        if active.all() or float(np.max(np.where(~active, w, -np.inf))) <= tol:
+            break
+        active[int(np.argmax(np.where(~active, w, -np.inf)))] = True
+        while True:
+            s = np.zeros(n)
+            s[active], *_ = np.linalg.lstsq(a[:, active], b, rcond=None)
+            if s[active].size and float(np.min(s[active])) > 0.0:
+                x = s
+                break
+            mask = active & (s <= 0.0)
+            if not mask.any():
+                x = s
+                break
+            alpha = float(np.min(x[mask] / (x[mask] - s[mask])))
+            x = x + alpha * (s - x)
+            active &= x > 1e-14
+        w = a.T @ (b - a @ x)
+    return x, float(np.linalg.norm(a @ x - b))
+
+
+def _reference_dedupe(points, tol):
+    """Reference dedupe: one max-norm comparison per (point, representative) pair."""
+    reps, group = [], []
+    for p in points:
+        for i, r in enumerate(reps):
+            if float(np.max(np.abs(p - r))) <= tol:
+                group.append(i)
+                break
+        else:
+            group.append(len(reps))
+            reps.append(p)
+    return np.array(reps), group
+
+
+def _random_base_point(rng):
+    lengths = tuple(float(v) for v in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
+    twists = tuple(float(v) for v in rng.uniform(-2.0, 2.0, 3))
+    return FNPoint("S2", lengths, twists)
+
+
+def _reference_projection(x, completion):
+    """The projection formula written per completion, every offset evaluated afresh."""
+    metric = PantsMetric(*x.lengths)
+    tris = [PantsTriangulation(ends, completion.signs) for ends in (completion.ends1, completion.ends2)]
+    rates = []
+    for curve in range(3):
+        total0 = 0.0
+        dtotal = 0.0
+        for tri in tris:
+            total0 += delta_closed(metric, tri, curve)
+            dtotal += delta_scale_derivative(metric, tri, curve)
+        rates.append(x.twists[curve] + total0 - dtotal)
+    return TwistVector(*rates)
+
+
+def _bits(vectors):
+    return [(tv.da.hex(), tv.db.hex(), tv.dc.hex()) for tv in vectors]
+
+
+def test_cloud_matches_per_completion_projection_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lengths = st.floats(0.2, 5.0)
+    twists = st.floats(-2.0, 2.0)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(l1=lengths, l2=lengths, l3=lengths, t1=twists, t2=twists, t3=twists)
+    def check(l1, l2, l3, t1, t2, t3):
+        x = FNPoint("S2", (l1, l2, l3), (t1, t2, t3))
+        comps = enumerate_completions()
+        labeled = cloud(x)
+        assert [c for c, _ in labeled] == comps
+        got = _bits(tv for _, tv in labeled)
+        assert got == _bits(stretch_vector_projection(x, c) for c in comps)
+        assert got == _bits(_reference_projection(x, c) for c in comps)
+
+    check()
+
+
+# sha256 of cube_points.json and cube_hull.json, recorded before the cloud
+# shared its pants offsets across completions
+CUBE_ARTIFACT_SHA256 = [
+    (
+        (0.7, 1.9, 3.1),
+        (0.3, -1.2, 0.5),
+        "dc46ac935efa0aba9723dc43748533b0ebc28d49f60f0b0c338acc748ba2ed3e",
+        "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+    ),
+    (
+        (0.35, 0.8, 2.2),
+        (-1.5, 0.1, 1.1),
+        "6c65cba9c871507866f7be59efc9abefe01ef46bdcfd406740ad187e74b83c3a",
+        "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+    ),
+    (
+        (4.2, 0.6, 1.3),
+        (0.9, 1.7, -0.4),
+        "e2ff836056a64a6fec01cef4e530a6ddc2b1e313dc66ef4f457c2018835b3961",
+        "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+    ),
+]
+
+
+@pytest.mark.parametrize("lengths, twists, points_sha, hull_sha", CUBE_ARTIFACT_SHA256)
+def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha, hull_sha):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(
+        f"out_dir={tmp_path / 'out'}\n"
+        f"base_lengths={','.join(map(repr, lengths))}\nbase_twists={','.join(map(repr, twists))}\n"
+    )
+    assert main(["--config", str(cfg), "cube"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert hashlib.sha256((out / "cube_points.json").read_bytes()).hexdigest() == points_sha
+    assert hashlib.sha256((out / "cube_hull.json").read_bytes()).hexdigest() == hull_sha
+    assert json.loads((out / "cube_hull.json").read_text())["brute_force_agrees"] is True
+
+
+def test_dedupe_and_nnls_match_reference_loops():
+    rng = np.random.default_rng(20261018)
+    for _ in range(20):
+        raw = np.array([tv.as_array() for _, tv in cloud(_random_base_point(rng))])
+        uniq, group = dedupe_points(raw)
+        ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
+        assert group == ref_group
+        assert np.array_equal(uniq, ref_uniq)
+        augmented = np.vstack([uniq.T, np.ones(len(uniq))])
+        ref_extremes = []
+        for i in range(len(uniq)):
+            a, b = np.delete(augmented, i, axis=1), augmented[:, i]
+            _, res = nnls(a, b)
+            _, ref = _reference_nnls(a, b)
+            assert abs(res - ref) <= 1e-12
+            if ref > cube.EXTREME_TOL:
+                ref_extremes.append(i)
+        assert extreme_points_brute(uniq) == ref_extremes
+
+
+def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
+    exact = cube.delta_scale_derivative
+    monkeypatch.setattr(cube, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
+    with pytest.raises(ArithmeticError, match="central difference"):
+        cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
+
+
+def test_lone_point_is_extreme():
+    x, res = nnls(np.zeros((4, 0)), np.array([0.0, 0.0, 3.0, 4.0]))
+    assert x.shape == (0,) and res == 5.0
+    assert extreme_points_brute(np.array([[0.0, 0.0, 0.0]])) == [0]
+
+
+def test_chamfered_cube_check_entries_follow_enumeration():
+    result = chamfered_cube_check()
+    entries = result["entries"]
+    assert [e["completion"] for e in entries] == [c.label() for c in enumerate_completions()]
+    assert sorted(e["completion"] for e in entries if e["extreme"]) == result["extreme_completions"]
