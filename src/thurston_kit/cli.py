@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bounds, cube, reconcile, torus
@@ -32,18 +32,6 @@ from .pants import (
 from .stretch import FNPoint, StretchSpec, left_spec, right_spec, stretch_point, twist_width_closed
 
 CONFIG_ENV = "THURSTON_KIT_CONFIG"
-
-_CONFIG_KEYS = {
-    "out_dir": str,
-    "max_q": int,
-    "epsilon": float,
-    "l0_values": "floats",
-    "t_max": float,
-    "t_step": float,
-    "base_lengths": "floats",
-    "base_twists": "floats",
-    "tolerance": float,
-}
 
 
 class ConfigError(ValueError):
@@ -101,6 +89,7 @@ def load_config(path: str | None) -> Config:
     if path is None:
         cfg.validate()
         return cfg
+    defaults = {f.name: f.default for f in fields(Config)}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -109,18 +98,15 @@ def load_config(path: str | None) -> Config:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
+        default = defaults[key]
         try:
-            if kind == "floats":
+            # a tuple default is a comma-separated list of floats
+            if isinstance(default, tuple):
                 parsed: object = tuple(float(v) for v in value.split(","))
-            elif kind is int:
-                parsed = int(value)
-            elif kind is float:
-                parsed = float(value)
             else:
-                parsed = value
+                parsed = type(default)(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         setattr(cfg, key, parsed)

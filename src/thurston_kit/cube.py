@@ -199,10 +199,13 @@ class HullSummary:
 def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
     """Convex hull combinatorics with coplanar facets merged within ``tol``.
 
-    Qhull's triangulated facets are merged by union-find across facet
-    adjacencies whose supporting planes agree to ``tol``; edges are the
-    adjacencies between distinct merged faces.  Degenerate input is
-    rejected, and the merged counts must satisfy Euler's formula.
+    Qhull triangulates the hull and may keep points that lie on a hull edge,
+    so the combinatorics are read off facet incidence: a face is a group of
+    qhull facets whose plane equations agree to ``tol`` (grouped by
+    :func:`dedupe_points`), an edge is a pair of distinct faces sharing a
+    ridge, and a vertex is a point on at least three merged faces.
+    Degenerate input is rejected, and the counts must satisfy Euler's
+    formula.
     """
     # imported here, not at module level: scipy.spatial takes about 0.45 s
     # to import and no other command needs it
@@ -216,37 +219,17 @@ def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
     except QhullError as exc:
         raise GeometryError(f"degenerate point set: {exc}") from exc
 
-    n_f = len(h.simplices)
-    parent = list(range(n_f))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for i in range(n_f):
-        for j in h.neighbors[i]:
-            if j > i and np.max(np.abs(h.equations[i] - h.equations[j])) <= tol:
-                union(i, int(j))
-
-    faces = {find(i) for i in range(n_f)}
-    edges = set()
-    for i in range(n_f):
-        for j in h.neighbors[i]:
-            if find(i) != find(int(j)):
-                shared = tuple(sorted(set(h.simplices[i]) & set(h.simplices[int(j)])))
-                if len(shared) == 2:
-                    edges.add(shared)
-    v, e, f = len(h.vertices), len(edges), len(faces)
+    planes, face = dedupe_points(h.equations, tol)
+    edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
+    faces_at: dict[int, set[int]] = {}
+    for simplex, group in zip(h.simplices.tolist(), face):
+        for p in simplex:
+            faces_at.setdefault(p, set()).add(group)
+    vertices = tuple(sorted(p for p, fs in faces_at.items() if len(fs) >= 3))
+    v, e, f = len(vertices), len(edges), len(planes)
     if v - e + f != 2:
         raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(v, e, f, tuple(sorted(int(i) for i in h.vertices)))
+    return HullSummary(v, e, f, vertices)
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

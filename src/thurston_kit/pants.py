@@ -24,6 +24,7 @@ horocycle about infinity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -129,9 +130,20 @@ def enumerate_triangulations() -> list[PantsTriangulation]:
     return out
 
 
-def _leaf_key(i: int, j: int) -> str:
-    a, b = sorted((i, j))
-    return f"s{a + 1}{b + 1}"
+def _shear_coord(l, e, ends: tuple[int, int, int], i: int, j: int):
+    """Shear coordinate of the leaf between cuffs ``i`` and ``j`` (0-based).
+
+    ``l`` may carry complex entries, as in :func:`_delta_core`.
+    """
+    if ends == (2, 2, 2):
+        k = 3 - i - j
+        return 0.5 * (e[k] * l[k] - e[i] * l[i] - e[j] * l[j])
+    m = ends.index(4)
+    if i == j == m:
+        a, b = (x for x in range(3) if x != m)
+        return 0.5 * (-e[m] * l[m] + e[a] * l[a] + e[b] * l[b])
+    other = j if i == m else i
+    return -e[other] * l[other]
 
 
 def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
@@ -139,21 +151,13 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
 
     Only the labels meaningful for the triangulation type are present.
     """
-    l = p.lengths
-    e = t.signs.signs
     if t.ends == (2, 2, 2):
-        out = {}
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            k = 3 - i - j
-            out[_leaf_key(i, j)] = 0.5 * (e[k] * l[k] - e[i] * l[i] - e[j] * l[j])
-        return out
-    m = t.ends.index(4)
-    j, k = (i for i in range(3) if i != m)
-    return {
-        _leaf_key(m, m): 0.5 * (-e[m] * l[m] + e[j] * l[j] + e[k] * l[k]),
-        _leaf_key(m, j): -e[j] * l[j],
-        _leaf_key(m, k): -e[k] * l[k],
-    }
+        pairs = [(0, 1), (0, 2), (1, 2)]
+    else:
+        m = t.ends.index(4)
+        pairs = [(m, m)] + [(m, i) for i in range(3) if i != m]
+    l, e = p.lengths, t.signs.signs
+    return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
 
 
 def _roles(t: PantsTriangulation, cuff: int, partner: int | None) -> tuple[str, int, int]:
@@ -191,18 +195,7 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
     implements exact differentiation of the log-coth-type expressions).
     """
     exp, log = cmath.exp, cmath.log
-
-    def sc(i: int, jj: int):
-        # shear coordinate of the leaf between cuffs i and jj (complex-capable)
-        if ends == (2, 2, 2):
-            kk = 3 - i - jj
-            return 0.5 * (e[kk] * l[kk] - e[i] * l[i] - e[jj] * l[jj])
-        m = ends.index(4)
-        if i == jj == m:
-            a, b = (x for x in range(3) if x != m)
-            return 0.5 * (-e[m] * l[m] + e[a] * l[a] + e[b] * l[b])
-        other = jj if i == m else i
-        return -e[other] * l[other]
+    sc = functools.partial(_shear_coord, l, e, ends)
 
     ec, lc = e[cuff], l[cuff]
     if sym == "3sym":
@@ -283,10 +276,10 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int, s: 
 
 
 def _solve_monotone(f: Callable[[float], float], u0: float, u1: float, tol: float = 1e-13) -> float:
-    """Secant solve of f(u) = 0 with a bisection fallback.
+    """Secant solve of f(u) = 0.
 
     The gap equations below are linear in the log-width parameter, so the
-    secant step is exact; the loop guards against pathological inputs.
+    secant step is exact; a stalled or non-converging secant raises.
     """
     f0, f1 = f(u0), f(u1)
     for _ in range(80):
@@ -296,18 +289,6 @@ def _solve_monotone(f: Callable[[float], float], u0: float, u1: float, tol: floa
             break
         u0, u1, f0 = u1, u1 - f1 * (u1 - u0) / (f1 - f0), f1
         f1 = f(u1)
-    # bisection fallback on an expanding bracket
-    lo, hi = -60.0, 60.0
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol:
-            return mid
-        if (flo < 0) == (fm < 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
     raise GeometryError("gap equation did not converge")
 
 
@@ -368,20 +349,21 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     _check_cuff(p, cuff)
     l = p.lengths
     e = t.signs.signs
-    s = shear_coords(p, t)
 
-    def sv(i: int, jj: int) -> float:
-        return s[_leaf_key(i, jj)]
+    def sc(i: int, jj: int) -> float:
+        # cuff pair in increasing order, as shear_coords reports the leaf;
+        # the order fixes the rounding of the (2,2,2) sum
+        return _shear_coord(l, e, t.ends, min(i, jj), max(i, jj))
 
     if sym == "3sym":
-        fan_shears = [sv(cuff, j)]
-        spiral_shears = [sv(j, k), sv(cuff, j)]
+        fan_shears = [sc(cuff, j)]
+        spiral_shears = [sc(j, k), sc(cuff, j)]
     elif sym == "2sym":
-        fan_shears = [sv(cuff, j), sv(cuff, cuff), sv(cuff, k)]
-        spiral_shears = [sv(cuff, j)]
+        fan_shears = [sc(cuff, j), sc(cuff, cuff), sc(cuff, k)]
+        spiral_shears = [sc(cuff, j)]
     else:
         fan_shears = []
-        spiral_shears = [sv(j, j), sv(j, k), sv(j, j), sv(cuff, j)]
+        spiral_shears = [sc(j, j), sc(j, k), sc(j, j), sc(cuff, j)]
 
     # fan period width from constructive shears (first gap normalized to 1)
     width = math.fsum(_gap_widths(1.0, fan_shears))

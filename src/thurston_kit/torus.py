@@ -216,9 +216,9 @@ def _plan(slopes: Sequence[Slope]) -> _Plan:
 
 
 @lru_cache(maxsize=8)
-def _family(max_q: int, centers: tuple[float, ...]) -> tuple[tuple[Slope, ...], _Plan]:
-    """The slope family of :func:`candidate_slopes` with its plan, built on first use."""
-    slopes = tuple(candidate_slopes(max_q, centers))
+def _family(max_q: int) -> tuple[tuple[Slope, ...], _Plan]:
+    """The default slope family of :func:`candidate_slopes` with its plan, built on first use."""
+    slopes = tuple(candidate_slopes(max_q))
     return slopes, _plan(slopes)
 
 
@@ -308,23 +308,19 @@ def candidate_slopes(max_q: int, centers: tuple[float, ...] = ()) -> list[Slope]
     return sorted(out, key=lambda s: (s.q, s.p))
 
 
-def dth_estimate(
-    x: FNPoint,
-    y: FNPoint,
-    max_q: int = 30,
-    slopes: list[Slope] | None = None,
-    centers: tuple[float, ...] = (),
-) -> float:
+def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30, slopes: list[Slope] | None = None) -> float:
     """Lower estimate of the Thurston distance: max over the slope family
     of log(l_s(y)/l_s(x)).
 
-    Monotone non-decreasing in max_q (the families nest).  This is a raw
-    max-ratio report over a finite family; no additive marking constant is
-    claimed and no exactness: the estimate certifies lower bounds only.
+    The family is ``candidate_slopes(max_q)`` unless ``slopes`` is given,
+    e.g. a window family ``candidate_slopes(max_q, centers)``.  Monotone
+    non-decreasing in max_q (the families nest).  This is a raw max-ratio
+    report over a finite family; no additive marking constant is claimed
+    and no exactness: the estimate certifies lower bounds only.
     """
     if x.surface != "S11" or y.surface != "S11":
         raise ValueError("the holonomy model covers the once-punctured torus only")
-    plan = _family(max_q, tuple(centers))[1] if slopes is None else _plan(slopes)
+    plan = _family(max_q)[1] if slopes is None else _plan(slopes)
     ll = _log_lengths((x, y), plan)
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
@@ -335,7 +331,7 @@ def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float
     Uses the default slope family of :func:`dth_estimate` and shares one
     length evaluation per endpoint across the two directions.
     """
-    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q, ())[1])
+    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q)[1])
     return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
 
@@ -349,7 +345,7 @@ def short_marking(x: FNPoint, max_q: int = 30) -> tuple[Slope, Slope]:
 
     Ties are broken by smaller q, then smaller |p|, then positive p.
     """
-    slopes, plan = _family(max_q, ())
+    slopes, plan = _family(max_q)
     lengths = dict(zip(slopes, np.exp(_log_lengths((x,), plan)[:, 0]).tolist()))
 
     def pick(cands: list[Slope]) -> Slope:

@@ -115,6 +115,22 @@ def test_config_rejects_invalid_values(tmp_path):
     assert main(["--config", str(path), "twist-width", "--l0", "1", "--t", "1"]) == 2
 
 
+def test_config_parses_every_field_by_its_default_type(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text(
+        "out_dir=o\nmax_q=7\nepsilon=0.2\nl0_values=1, 2\nt_max=3\nt_step=0.5\n"
+        "base_lengths=1,2,3\nbase_twists=0,0,1\ntolerance=1e-7\n"
+    )
+    expected = Config("o", 7, 0.2, (1.0, 2.0), 3.0, 0.5, (1.0, 2.0, 3.0), (0.0, 0.0, 1.0), 1e-7)
+    assert load_config(str(path)) == expected
+    path.write_text("max_q=3.5\n")
+    with pytest.raises(ConfigError, match="bad value for max_q"):
+        load_config(str(path))
+    path.write_text("validate=1\n")
+    with pytest.raises(ConfigError, match="unknown key 'validate'"):
+        load_config(str(path))
+
+
 def test_config_env_variable(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     monkeypatch.setenv(CONFIG_ENV, str(cfg))

@@ -323,3 +323,25 @@ def test_chamfered_cube_check_entries_follow_enumeration():
     entries = result["entries"]
     assert [e["completion"] for e in entries] == [c.label() for c in enumerate_completions()]
     assert sorted(e["completion"] for e in entries if e["extreme"]) == result["extreme_completions"]
+
+
+#: genus-two base points (lengths, twists) where qhull keeps a point on a
+#: hull edge: counting qhull's vertices gave (33, 49, 18) and (34, 50, 18)
+EDGE_POINT_BASES = [
+    (
+        (3.2668788245925136, 0.5492198629009981, 4.377018301611705),
+        (1.5866385657104063, -0.4888430423512693, -0.158361468616381),
+    ),
+    (
+        (1.6311789485048425, 1.5869270884277915, 4.131620483291535),
+        (-0.43808579544430737, -0.7728628205939456, -0.6910343412514672),
+    ),
+]
+
+
+@pytest.mark.parametrize("lengths, twists", EDGE_POINT_BASES)
+def test_points_on_hull_edges_are_not_vertices(lengths, twists):
+    result = chamfered_cube_check(FNPoint("S2", lengths, twists))
+    assert result["hull_counts"] == (32, 48, 18)
+    assert len(result["extreme_completions"]) == 32
+    assert result["agree"]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from thurston_kit.h2 import GeometryError
 from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
@@ -21,6 +22,7 @@ from thurston_kit.pants import (
     enumerate_triangulations,
     oracle_details,
     shear_coords,
+    _solve_monotone,
 )
 
 LLL = TwistSigns(1, 1, 1)
@@ -348,3 +350,9 @@ ORACLE_PINNED = [
 def test_oracle_values_are_pinned_bit_for_bit(ends, signs, cuff, lengths, expected):
     tri = PantsTriangulation(ends, TwistSigns(*(1 if ch == "L" else -1 for ch in signs)))
     assert repr(delta_oracle(PantsMetric(*lengths), tri, cuff)) == repr(expected)
+
+
+def test_gap_solve_raises_when_the_secant_stalls():
+    assert _solve_monotone(lambda u: 2.0 * u - 1.0, 0.0, 1.0) == 0.5
+    with pytest.raises(GeometryError, match="gap equation did not converge"):
+        _solve_monotone(lambda u: 1.0, 0.0, 1.0)
