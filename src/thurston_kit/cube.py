@@ -6,18 +6,17 @@ triangulation type to each pair of pants and a common twist sign per
 curve: 8 x 4 x 4 = 128 candidates.  For each, the time derivative at 0
 of the three twist coordinates along the stretch path is one point of
 the cloud; the convex hull of the cloud at the symmetric base point is
-combinatorially a chamfered cube whose 32 vertices are recovered both
-by the hull routine and by an independent least-squares extremality
-test.
+combinatorially a chamfered cube whose 32 vertices are found by qhull and
+certified by arithmetic on its merged faces.  The least-squares
+extremality test :func:`extreme_points_brute` is the tests' reference.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .stretch import FNPoint
 #: coplanarity tolerance for merging hull facets
 HULL_TOL = 1e-9
 
-#: tolerance for the least-squares convex-representability residual
+#: tolerance for convex representability, by certificate or least squares
 EXTREME_TOL = 1e-8
 
 
@@ -89,17 +88,17 @@ def enumerate_completions() -> list[Completion]:
 DERIVATIVE_CHECK_REL = 1e-6
 
 
-def stretch_vector_projection(x: FNPoint, completion: Completion, check: bool = True) -> TwistVector:
+def stretch_vector_projection(x: FNPoint, completion: Completion) -> TwistVector:
     """d/dt at 0 of the three twist coordinates along the completion's stretch.
 
     theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0), with the
-    offsets differentiated analytically (complex step); with ``check`` a
-    central difference (h = 1e-6) must agree to 1e-6 relative.
+    offsets differentiated analytically (complex step); a central
+    difference (h = 1e-6) must agree to 1e-6 relative.
     """
-    return _projections(x, [completion], check)[0]
+    return _projections(x, [completion])[0]
 
 
-def _projections(x: FNPoint, completions: list[Completion], check: bool) -> list[TwistVector]:
+def _projections(x: FNPoint, completions: list[Completion]) -> list[TwistVector]:
     """Projections of ``completions`` at ``x``, one per completion.
 
     Both pairs of pants share the three curves, so an offset depends only
@@ -144,22 +143,21 @@ def _projections(x: FNPoint, completions: list[Completion], check: bool) -> list
             for ends in sides:
                 total0 += offset(ends, signs, curve)
                 dtotal += rate(ends, signs, curve)
-            if check:
-                num = sum(difference(ends, signs, curve) for ends in sides) / (2.0 * h)
-                scale = max(1.0, abs(dtotal))
-                if abs(num - dtotal) > DERIVATIVE_CHECK_REL * scale:
-                    raise ArithmeticError(
-                        f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
-                    )
+            num = sum(difference(ends, signs, curve) for ends in sides) / (2.0 * h)
+            scale = max(1.0, abs(dtotal))
+            if abs(num - dtotal) > DERIVATIVE_CHECK_REL * scale:
+                raise ArithmeticError(
+                    f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
+                )
             rates.append(x.twists[curve] + total0 - dtotal)
         out.append(TwistVector(*rates))
     return out
 
 
-def cloud(x: FNPoint, check: bool = True) -> list[tuple[Completion, TwistVector]]:
+def cloud(x: FNPoint) -> list[tuple[Completion, TwistVector]]:
     """All 128 labeled candidate projections, in enumeration order."""
     completions = enumerate_completions()
-    return list(zip(completions, _projections(x, completions, check)))
+    return list(zip(completions, _projections(x, completions)))
 
 
 def dedupe_points(points: np.ndarray, tol: float = HULL_TOL) -> tuple[np.ndarray, list[int]]:
@@ -185,12 +183,15 @@ def dedupe_points(points: np.ndarray, tol: float = HULL_TOL) -> tuple[np.ndarray
 
 @dataclass(frozen=True)
 class HullSummary:
-    """Merged-face combinatorics of a 3D convex hull."""
+    """Merged-face combinatorics of a 3D convex hull, with the plane equation
+    (unit outward normal, offset) of each face and the faces through each point."""
 
     n_vertices: int
     n_edges: int
     n_faces: int
     vertex_indices: tuple[int, ...]
+    planes: np.ndarray = field(repr=False, compare=False)
+    point_faces: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def counts(self) -> tuple[int, int, int]:
         return (self.n_vertices, self.n_edges, self.n_faces)
@@ -221,65 +222,82 @@ def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
 
     planes, face = dedupe_points(h.equations, tol)
     edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
-    faces_at: dict[int, set[int]] = {}
+    faces_at: list[set[int]] = [set() for _ in pts]
     for simplex, group in zip(h.simplices.tolist(), face):
         for p in simplex:
-            faces_at.setdefault(p, set()).add(group)
-    vertices = tuple(sorted(p for p, fs in faces_at.items() if len(fs) >= 3))
+            faces_at[p].add(group)
+    vertices = tuple(p for p, fs in enumerate(faces_at) if len(fs) >= 3)
     v, e, f = len(vertices), len(edges), len(planes)
     if v - e + f != 2:
         raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(v, e, f, vertices)
+    return HullSummary(v, e, f, vertices, planes, tuple(tuple(sorted(fs)) for fs in faces_at))
+
+
+def _certified(points: np.ndarray, summary: HullSummary) -> bool:
+    """Whether the summary's vertices are exactly the extreme points of ``points``.
+
+    Each vertex v is strictly supported: with c_v the sum of the normals
+    of its faces, c_v.p_v - c_v.q > EXTREME_TOL |c_v| for every other point
+    q.  Every other point is rebuilt to within EXTREME_TOL by the barycentric
+    weights, clipped to >= 0 and renormalised, of the simplex that a
+    Delaunay triangulation of the vertices finds for it.
+    """
+    from scipy.spatial import Delaunay, QhullError
+
+    pts = np.asarray(points, dtype=float)
+    verts = list(summary.vertex_indices)
+    c = np.array([summary.planes[list(summary.point_faces[v]), :3].sum(axis=0) for v in verts])
+    scores = c @ pts.T
+    rows = np.arange(len(verts))
+    own = scores[rows, verts]
+    scores[rows, verts] = -np.inf
+    if not np.all(own - scores.max(axis=1) > EXTREME_TOL * np.linalg.norm(c, axis=1)):
+        return False
+    rest = np.delete(pts, verts, axis=0)
+    try:
+        tri = Delaunay(pts[verts])
+    except QhullError:  # vertices that span no solid
+        return False
+    simplex = tri.find_simplex(rest, tol=EXTREME_TOL)
+    if np.any(simplex < 0):
+        return False
+    affine = tri.transform[simplex]
+    bary = np.einsum("nij,nj->ni", affine[:, :3], rest - affine[:, 3])
+    weights = np.clip(np.column_stack([bary, 1.0 - bary.sum(axis=1)]), 0.0, None)
+    weights /= weights.sum(axis=1, keepdims=True)
+    rebuilt = np.einsum("ni,nij->nj", weights, tri.points[tri.simplices[simplex]])
+    return bool(np.all(np.linalg.norm(rebuilt - rest, axis=1) <= EXTREME_TOL))
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Non-negative least squares (Lawson-Hanson active set).
+    """Non-negative least squares (Lawson-Hanson active set, numpy ``lstsq``
+    subproblems), the solver of the reference :func:`extreme_points_brute`.
 
-    Small and deterministic; used for the convex-representability test.
-    The passive set is kept as a sorted index list and each subproblem is
-    solved by LAPACK ``gelsd`` with numpy's default cutoff eps * max(m, k).
     With no columns the solution is empty and the residual is ``||b||``.
     """
-    # scipy.linalg is already loaded by scipy.spatial in the cube command;
-    # scipy.optimize.nnls is avoided because importing scipy.optimize costs
-    # about 12 MB and 0.1 s
-    from scipy.linalg.lapack import dgelsd, dgelsd_lwork
-
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape
     x = np.zeros(n)
-    if n == 0:
-        return x, float(np.linalg.norm(b))
+    passive = np.zeros(n, dtype=bool)
     eps = np.finfo(float).eps
-    tol = 10.0 * max(m, n) * eps * max(float(np.abs(a).max()), 1.0) * max(float(np.linalg.norm(b)), 1.0)
-    passive: list[int] = []
-    w = a.T @ (b - a @ x)
+    tol = 10.0 * max(m, n) * eps * max(float(np.abs(a).max(initial=0.0)), 1.0) * max(float(np.linalg.norm(b)), 1.0)
     for _ in range(10 * n):
-        if len(passive) == n:
-            break
-        w[passive] = -np.inf
+        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
         j = int(np.argmax(w))
         if float(w[j]) <= tol:
             break
-        bisect.insort(passive, j)
+        passive[j] = True
         while True:
             s = np.zeros(n)
-            if passive:
-                k = len(passive)
-                rhs = np.zeros(max(m, k))
-                rhs[:m] = b
-                cond = eps * max(m, k)
-                lwork, iwork, _ = dgelsd_lwork(m, k, 1, cond)
-                s[passive] = dgelsd(a[:, passive], rhs, lwork, iwork, cond, False, False)[0][:k]
-            blocking = [i for i in passive if s[i] <= 0.0]
-            if not blocking:
+            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocking = passive & (s <= 0.0)
+            if not blocking.any():
                 x = s
                 break
             alpha = float(np.min(x[blocking] / (x[blocking] - s[blocking])))
             x = x + alpha * (s - x)
-            passive = [i for i in passive if x[i] > 1e-14]
-        w = a.T @ (b - a @ x)
+            passive &= x > 1e-14
     return x, float(np.linalg.norm(a @ x - b))
 
 
@@ -289,7 +307,7 @@ def extreme_points_brute(points: np.ndarray, tol: float = EXTREME_TOL) -> list[i
     A point is extreme iff the least-squares feasibility problem
     min ||sum_j w_j p_j - p_i|| with w >= 0, sum w = 1 (the constraint
     appended as an extra row) has residual above ``tol``.  A lone point is
-    extreme.
+    extreme.  The reference the hull certificates are tested against.
     """
     pts = np.asarray(points, dtype=float)
     augmented = np.vstack([pts.T, np.ones(len(pts))])
@@ -307,10 +325,11 @@ def symmetric_base_point() -> FNPoint:
 
 
 def chamfered_cube_check(x: FNPoint | None = None) -> dict:
-    """Full pipeline: cloud, dedupe, hull counts, brute-force extremality.
+    """Full pipeline: cloud, dedupe, hull counts, certificates of the vertices.
 
-    Returns the counts, both extreme sets (as indices of the unique points)
-    so callers can assert agreement, and one entry per candidate in
+    Returns the counts, the hull vertices (as indices of the unique points),
+    ``agree``: whether :func:`_certified` verifies them as the extreme set
+    (the CLI's ``brute_force_agrees``), and one entry per candidate in
     enumeration order: its label, its twist vector and whether its point
     is a hull vertex.
     """
@@ -320,7 +339,6 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
     raw = np.array([tv.as_array() for _, tv in labeled])
     uniq, group = dedupe_points(raw)
     summary = hull(uniq)
-    brute = extreme_points_brute(uniq)
     hull_set = set(summary.vertex_indices)
     entries = [
         {"completion": comp.label(), "d_twist": [tv.da, tv.db, tv.dc], "extreme": group[i] in hull_set}
@@ -331,8 +349,7 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
         "n_unique": len(uniq),
         "hull_counts": summary.counts(),
         "hull_vertices": summary.vertex_indices,
-        "brute_extremes": tuple(brute),
-        "agree": set(brute) == hull_set,
+        "agree": _certified(uniq, summary),
         "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
         "entries": entries,
     }

@@ -47,10 +47,6 @@ class GeometryError(ValueError):
     """Raised when an operation's geometric preconditions fail."""
 
 
-def is_infinity(p: float) -> bool:
-    return math.isinf(p)
-
-
 def ideal(p: float) -> float:
     """Canonicalize an ideal point (both ends of the real axis are one point)."""
     if math.isnan(p):

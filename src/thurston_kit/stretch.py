@@ -145,14 +145,15 @@ def stretch_lengths(x: FNPoint, t: float) -> FNPoint:
     return FNPoint(x.surface, tuple(v * f for v in x.lengths), x.twists)
 
 
-def _offset_sum(x_lengths: tuple[float, ...], surface: str, spec: StretchSpec, curve: int, s: float) -> float:
-    """D1(s) + D2(s) for the two pants adjacent to the curve."""
-    scale = math.exp(s)
-    total = 0.0
-    for pants, cuff in _sides(surface, curve):
-        metric = _pants_metric(surface, x_lengths).scaled(scale)
-        total += delta_closed(metric, spec.triangulations[pants], cuff)
-    return total
+def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
+    """(D1(0) + D2(0)) e^s - (D1(s) + D2(s)) for the two pants adjacent to the
+    curve, grouped so that it cancels exactly at s = 0."""
+    metric = _pants_metric(x.surface, x.lengths)
+    d0, ds = (
+        sum(delta_closed(m, spec.triangulations[pants], cuff) for pants, cuff in _sides(x.surface, curve))
+        for m in (metric, metric.scaled(math.exp(s)))
+    )
+    return d0 * math.exp(s) - ds
 
 
 def _signed_time(spec: StretchSpec, t: float | None) -> float:
@@ -172,11 +173,7 @@ def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int = 0, t: float 
     if spec.surface != x.surface:
         raise SpecMismatchError("spec surface does not match the point")
     s = _signed_time(spec, t)
-    es = math.exp(s)
-    d0 = _offset_sum(x.lengths, x.surface, spec, curve, 0.0)
-    ds = _offset_sum(x.lengths, x.surface, spec, curve, s)
-    # grouped so the offset combination cancels exactly at s = 0
-    return x.twists[curve] * es + (d0 * es - ds)
+    return x.twists[curve] * math.exp(s) + _offset_drift(x, spec, curve, s)
 
 
 def stretch_point(x: FNPoint, spec: StretchSpec, t: float | None = None) -> FNPoint:
@@ -200,14 +197,7 @@ def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int = 0, t
     if lam.duration != nu.duration:
         raise SpecMismatchError("specs must share a duration")
     s = _signed_time(lam, t)
-    es = math.exp(s)
-
-    def combo(spec: StretchSpec) -> float:
-        d0 = _offset_sum(x.lengths, x.surface, spec, curve, 0.0)
-        ds = _offset_sum(x.lengths, x.surface, spec, curve, s)
-        return d0 * es - ds
-
-    return combo(lam) - combo(nu)
+    return _offset_drift(x, lam, curve, s) - _offset_drift(x, nu, curve, s)
 
 
 def log_coth(u: float) -> float:

@@ -27,8 +27,7 @@ The distance estimator is the maximum of log(l_s(Y)/l_s(X)) over a
 finite Stern-Brocot slope family (every reduced slope with q <= max_q
 and |p| <= max_q).  It is a lower bound for the sup over all simple
 closed curves, monotone in max_q, and reports raw max ratios without
-any additive constant.  Optional windows of p centered at the twist
-ratios tau/l tighten estimates between heavily twisted surfaces.
+any additive constant.
 """
 
 from __future__ import annotations
@@ -284,25 +283,18 @@ def curve_length(rep: TorusRep, slope: Slope) -> float:
     return math.exp(_log_lengths((rep,), _plan((slope,)))[0, 0])
 
 
-def candidate_slopes(max_q: int, centers: tuple[float, ...] = ()) -> list[Slope]:
+def candidate_slopes(max_q: int) -> list[Slope]:
     """Stern-Brocot slope family: every reduced p/q with q <= max_q and
     |p| <= max_q, plus the infinite slope.
 
-    Optional ``centers`` (twist ratios tau/l) add windows of p around
-    q*center, which tightens estimates between heavily twisted surfaces;
-    the default family is the plain truncation.  Families nest as max_q
-    grows, so estimators built on them are monotone in max_q.
+    Families nest as max_q grows, so estimators built on them are
+    monotone in max_q.
     """
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
     out = {Slope(1, 0)}
     for q in range(1, max_q + 1):
-        ps = set(range(-max_q, max_q + 1))
-        window = max_q // q + 2
-        for c in centers:
-            base = round(q * c)
-            ps.update(range(base - window, base + window + 1))
-        for p in ps:
+        for p in range(-max_q, max_q + 1):
             if gcd(abs(p), q) == 1:
                 out.add(Slope(p, q))
     return sorted(out, key=lambda s: (s.q, s.p))
@@ -312,8 +304,7 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30, slopes: list[Slope] | 
     """Lower estimate of the Thurston distance: max over the slope family
     of log(l_s(y)/l_s(x)).
 
-    The family is ``candidate_slopes(max_q)`` unless ``slopes`` is given,
-    e.g. a window family ``candidate_slopes(max_q, centers)``.  Monotone
+    The family is ``candidate_slopes(max_q)`` unless ``slopes`` is given.  Monotone
     non-decreasing in max_q (the families nest).  This is a raw max-ratio
     report over a finite family; no additive marking constant is claimed
     and no exactness: the estimate certifies lower bounds only.

@@ -262,7 +262,7 @@ def test_criterion_8_chamfered_cube():
         8,
         "chamfered cube",
         ok,
-        f"128 candidates -> hull (V, E, F) = {result['hull_counts']}, brute-force extremality agrees, "
+        f"128 candidates -> hull (V, E, F) = {result['hull_counts']}, vertices certified extreme, "
         f"32 extreme completions, in {elapsed:.1f} s",
     )
     assert result["n_candidates"] == 128

@@ -1,9 +1,11 @@
 """Tests for the stretch-vector cloud and hull machinery."""
 
+import functools
 import hashlib
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def test_projection_includes_initial_twist():
 def test_projection_derivative_cross_check_runs():
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.0, 0.0, 0.0))
     for comp in (Completion(TwistSigns(1, -1, 1), (2, 2, 2), (1, 1, 4)),):
-        v = stretch_vector_projection(x, comp, check=True)
+        v = stretch_vector_projection(x, comp)
         assert all(math.isfinite(c) for c in (v.da, v.db, v.dc))
 
 
@@ -99,9 +101,14 @@ def test_hull_of_unit_cube():
     assert summary.counts() == (8, 12, 6)
 
 
+UNIT_CUBE_WITH_CENTRE = np.array(list(itertools.product((0.0, 1.0), repeat=3)) + [(0.5, 0.5, 0.5)])
+SQUARE_PYRAMID_WITH_BASE_MIDPOINT = np.array(
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1.0]], dtype=float
+)
+
+
 def test_hull_ignores_interior_point():
-    corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)) + [(0.5, 0.5, 0.5)])
-    summary = hull(corners)
+    summary = hull(UNIT_CUBE_WITH_CENTRE)
     assert summary.counts() == (8, 12, 6)
     assert 8 not in summary.vertex_indices
 
@@ -125,10 +132,7 @@ def test_nnls_solves_simple_feasibility():
 
 
 def test_brute_force_extremes_of_square_with_midpoint():
-    pts = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0.0], [0.5, 0.5, 1.0]], dtype=float
-    )
-    ext = extreme_points_brute(pts)
+    ext = extreme_points_brute(SQUARE_PYRAMID_WITH_BASE_MIDPOINT)
     assert ext == [0, 1, 2, 3, 5]
 
 
@@ -157,34 +161,6 @@ def test_projection_requires_genus_two_point():
         stretch_vector_projection(
             FNPoint("S11", (1.0,), (0.0,)), Completion(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
         )
-
-
-def _reference_nnls(a, b):
-    """Reference Lawson-Hanson: boolean active set, numpy lstsq subproblems."""
-    m, n = a.shape
-    x = np.zeros(n)
-    active = np.zeros(n, dtype=bool)
-    w = a.T @ (b - a @ x)
-    tol = 10.0 * max(m, n) * np.finfo(float).eps * max(float(np.abs(a).max()), 1.0) * max(float(np.linalg.norm(b)), 1.0)
-    for _ in range(10 * n):
-        if active.all() or float(np.max(np.where(~active, w, -np.inf))) <= tol:
-            break
-        active[int(np.argmax(np.where(~active, w, -np.inf)))] = True
-        while True:
-            s = np.zeros(n)
-            s[active], *_ = np.linalg.lstsq(a[:, active], b, rcond=None)
-            if s[active].size and float(np.min(s[active])) > 0.0:
-                x = s
-                break
-            mask = active & (s <= 0.0)
-            if not mask.any():
-                x = s
-                break
-            alpha = float(np.min(x[mask] / (x[mask] - s[mask])))
-            x = x + alpha * (s - x)
-            active &= x > 1e-14
-        w = a.T @ (b - a @ x)
-    return x, float(np.linalg.norm(a @ x - b))
 
 
 def _reference_dedupe(points, tol):
@@ -285,7 +261,7 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
     assert json.loads((out / "cube_hull.json").read_text())["brute_force_agrees"] is True
 
 
-def test_dedupe_and_nnls_match_reference_loops():
+def test_dedupe_and_certificates_match_references():
     rng = np.random.default_rng(20261018)
     for _ in range(20):
         raw = np.array([tv.as_array() for _, tv in cloud(_random_base_point(rng))])
@@ -293,16 +269,9 @@ def test_dedupe_and_nnls_match_reference_loops():
         ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
         assert group == ref_group
         assert np.array_equal(uniq, ref_uniq)
-        augmented = np.vstack([uniq.T, np.ones(len(uniq))])
-        ref_extremes = []
-        for i in range(len(uniq)):
-            a, b = np.delete(augmented, i, axis=1), augmented[:, i]
-            _, res = nnls(a, b)
-            _, ref = _reference_nnls(a, b)
-            assert abs(res - ref) <= 1e-12
-            if ref > cube.EXTREME_TOL:
-                ref_extremes.append(i)
-        assert extreme_points_brute(uniq) == ref_extremes
+        summary = hull(uniq)
+        assert cube._certified(uniq, summary)
+        assert list(summary.vertex_indices) == extreme_points_brute(uniq)
 
 
 def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
@@ -345,3 +314,28 @@ def test_points_on_hull_edges_are_not_vertices(lengths, twists):
     assert result["hull_counts"] == (32, 48, 18)
     assert len(result["extreme_completions"]) == 32
     assert result["agree"]
+
+
+def _unique_cloud(lengths, twists):
+    return dedupe_points(np.array([tv.as_array() for _, tv in cloud(FNPoint("S2", lengths, twists))]))[0]
+
+
+CERTIFICATE_CASES = {
+    "unit cube with centre": lambda: UNIT_CUBE_WITH_CENTRE,
+    "square pyramid with base midpoint": lambda: SQUARE_PYRAMID_WITH_BASE_MIDPOINT,
+    "symmetric cloud": lambda: _unique_cloud((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
+    **{f"edge-point cloud {i}": functools.partial(_unique_cloud, *base) for i, base in enumerate(EDGE_POINT_BASES)},
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_CASES)
+def test_certificates_accept_the_extreme_set_and_reject_one_off_sets(case):
+    pts = CERTIFICATE_CASES[case]()
+    summary = hull(pts)
+    vertices = set(summary.vertex_indices)
+    assert sorted(vertices) == extreme_points_brute(pts)
+    assert cube._certified(pts, summary)
+    for v in vertices:
+        assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices - {v}))))
+    for q in set(range(len(pts))) - vertices:
+        assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices | {q}))))

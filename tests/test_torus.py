@@ -84,8 +84,8 @@ def test_slope_intersection_number():
 
 
 def test_candidate_families_nest():
-    small = set(candidate_slopes(5, (0.0, 7.3)))
-    large = set(candidate_slopes(30, (0.0, 7.3)))
+    small = set(candidate_slopes(5))
+    large = set(candidate_slopes(30))
     assert small <= large
 
 
@@ -153,7 +153,8 @@ def test_matrix_and_fn_length_paths_agree():
     # both seeds of the Farey engine (TorusRep and Fenchel-Nielsen) against
     # the block-product reference, from thin to thick and heavily twisted
     small = [Slope(1, 0)] + [Slope(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
-    windows = candidate_slopes(6, (-100.0,))
+    # a window of p around -100 q, where the words are heavily twisted
+    windows = [Slope(p, q) for q in range(1, 7) for p in range(-100 * q - 8, -100 * q + 9) if gcd(abs(p), q) == 1]
     points = [(1.0, 0.3), (2.5, -1.2), (0.2, 4.0), (1.3e-5, 23.8), (1.3e-5, -23.8), (20.0, -7.0)]
     points += [(l, 100.0) for l in (1.0, 2.0, 5.0)]
     for i, (l, tau) in enumerate(points):
@@ -229,7 +230,7 @@ def test_estimate_asymmetric_sum_nonnegative():
 
 
 def test_estimate_subadditive_on_fixed_slope_family():
-    slopes = candidate_slopes(8, (0.0,))
+    slopes = candidate_slopes(8)
     x = FNPoint("S11", (1.0,), (0.0,))
     y = FNPoint("S11", (1.3,), (0.5,))
     z = FNPoint("S11", (0.8,), (-0.4,))
