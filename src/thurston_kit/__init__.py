@@ -51,6 +51,7 @@ from .torus import (
     curve_length,
     dth_estimate,
     earthquake,
+    envelope_cells,
     envelope_widths,
     rep_from_fn,
     short_marking,

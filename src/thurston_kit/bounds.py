@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .stretch import FNPoint, log_coth
-from .torus import envelope_widths
+from .torus import envelope_cells
 
 #: systole threshold is never quantified by the theory; the artifact picks a
 #: number, caps it at log 2, and records it in every report
@@ -162,10 +162,10 @@ def run_sweep(grid: SweepGrid) -> SweepReport:
     expression, and middle cells the triangle-inequality bridge
     2(1 - eps) + d(Y0^R, Y0^L) measured with the distance estimator at
     the cross-section where the curve has length one (one constant per
-    l0, cached).
+    l0, all from one batched pass).
     """
+    middle = _middle_constants(grid)
     rows: list[tuple[float, float, str, float]] = []
-    middle_cache: dict[float, float] = {}
     sup: dict[str, float] = {}
     argmax: dict[str, tuple[float, float]] = {}
     bounded = True
@@ -180,7 +180,7 @@ def run_sweep(grid: SweepGrid) -> SweepReport:
             elif regime == "thick":
                 val = thick_bound(l0, t)
             else:
-                val = 2.0 * (1.0 - grid.epsilon) + _middle_constant(l0, grid.max_q, middle_cache)
+                val = 2.0 * (1.0 - grid.epsilon) + middle[l0]
             rows.append((l0, t, regime, val))
             if not math.isfinite(val):
                 bounded = False
@@ -192,18 +192,21 @@ def run_sweep(grid: SweepGrid) -> SweepReport:
         epsilon=grid.epsilon,
         regime_sup=sup,
         regime_argmax=argmax,
-        middle_constants=dict(middle_cache),
+        middle_constants=middle,
         global_bounded=bounded,
     )
 
 
-def _middle_constant(l0: float, max_q: int, cache: dict[float, float]) -> float:
-    """max of both direction estimates at the length-one cross-section
-    (signed stretch time log(2 l0))."""
-    if l0 not in cache:
-        y = FNPoint("S11", (2.0 * l0,), (0.0,))
-        cache[l0] = max(envelope_widths(y, math.log(2.0 * l0), max_q))
-    return cache[l0]
+def _middle_constants(grid: SweepGrid) -> dict[float, float]:
+    """{l0: max of both direction estimates at the length-one cross-section
+    (signed stretch time log(2 l0))} for every l0 with a middle cell at t > 0."""
+    l0s = [
+        l0
+        for l0 in dict.fromkeys(grid.l0_values)
+        if any(t != 0.0 and classify(l0, t, grid.epsilon) == "middle" for t in grid.t_values)
+    ]
+    cells = [(FNPoint("S11", (2.0 * l0,), (0.0,)), math.log(2.0 * l0)) for l0 in l0s]
+    return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, grid.max_q))}
 
 
 def format_float(x: float) -> str:

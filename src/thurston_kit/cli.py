@@ -59,8 +59,8 @@ class Config:
             raise ConfigError("epsilon must lie in (0, log 2]")
         if any(v <= 0 for v in self.l0_values):
             raise ConfigError("l0_values must be positive")
-        if self.t_max < 0 or self.t_step <= 0:
-            raise ConfigError("t_max must be >= 0 and t_step > 0")
+        if not (0.0 <= self.t_max < math.inf and 0.0 < self.t_step < math.inf):
+            raise ConfigError("t_max must be finite and >= 0, and t_step finite and > 0")
         if len(self.base_lengths) != 3 or len(self.base_twists) != 3:
             raise ConfigError("base point needs three lengths and three twists")
         if any(v <= 0 for v in self.base_lengths):
@@ -82,13 +82,22 @@ def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
     return tuple(i * t_step for i in range(n + 1))
 
 
-def load_config(path: str | None) -> Config:
+def load_config(path: str | None, **overrides: object) -> Config:
+    """The configuration in ``path`` (or ``$THURSTON_KIT_CONFIG``, or the
+    defaults) with the ``overrides`` of command-line flags applied,
+    validated as a whole."""
     cfg = Config()
     if path is None:
         path = os.environ.get(CONFIG_ENV)
-    if path is None:
-        cfg.validate()
-        return cfg
+    if path is not None:
+        _read_config(path, cfg)
+    for key, value in overrides.items():
+        setattr(cfg, key, value)
+    cfg.validate()
+    return cfg
+
+
+def _read_config(path: str, cfg: Config) -> None:
     defaults = {f.name: f.default for f in fields(Config)}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -110,8 +119,6 @@ def load_config(path: str | None) -> Config:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         setattr(cfg, key, parsed)
-    cfg.validate()
-    return cfg
 
 
 def _parse_signs(text: str) -> TwistSigns:
@@ -213,27 +220,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
-    t_max = args.t_max if args.t_max is not None else cfg.t_max
-    max_q = args.max_q if args.max_q is not None else cfg.max_q
-    ts = t_grid(t_max, cfg.t_step)
+    cells = [(l0, t) for l0 in cfg.l0_values for t in cfg.t_values()]
+    widths = torus.envelope_cells([(FNPoint("S11", (2.0 * l0,), (0.0,)), t) for l0, t in cells], cfg.max_q)
     lines = ["l0,t,d_lr,d_rl"]
     sup = -math.inf
-    for l0 in cfg.l0_values:
-        y = FNPoint("S11", (2.0 * l0,), (0.0,))
-        for t in ts:
-            d_lr, d_rl = torus.envelope_widths(y, t, max_q)
-            sup = max(sup, d_lr, d_rl)
-            lines.append(
-                f"{format_float(l0)},{format_float(t)},{format_float(d_lr)},{format_float(d_rl)}"
-            )
+    for (l0, t), (d_lr, d_rl) in zip(cells, widths):
+        sup = max(sup, d_lr, d_rl)
+        lines.append(f"{format_float(l0)},{format_float(t)},{format_float(d_lr)},{format_float(d_rl)}")
     out = Path(cfg.out_dir)
     _write(out / "envelope.csv", "\n".join(lines) + "\n")
     summary = {
         "empirical_bound": sup,
         "l0_values": list(cfg.l0_values),
-        "t_max": t_max,
+        "t_max": cfg.t_max,
         "t_step": cfg.t_step,
-        "max_q": max_q,
+        "max_q": cfg.max_q,
         "bounded": math.isfinite(sup),
     }
     _write(out / "envelope_summary.json", json.dumps(summary, indent=2, sort_keys=True, default=format_float) + "\n")
@@ -337,16 +338,26 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
+    """Config values that the subcommand's flags replace."""
+    if args.command == "envelope":
+        flags = {"t_max": args.t_max, "max_q": args.max_q}
+        return {key: value for key, value in flags.items() if value is not None}
+    if args.command == "sweep" and args.grid == "default":
+        grid = SweepGrid.default()
+        return {
+            "l0_values": grid.l0_values,
+            "t_max": grid.t_values[-1],
+            "t_step": grid.t_values[1] - grid.t_values[0],
+            "epsilon": grid.epsilon,
+        }
+    return {}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "sweep" and args.grid == "default":
-            grid = SweepGrid.default()
-            cfg.l0_values = grid.l0_values
-            cfg.t_max = grid.t_values[-1]
-            cfg.t_step = grid.t_values[1] - grid.t_values[0]
-            cfg.epsilon = grid.epsilon
+        cfg = load_config(args.config, **_flag_overrides(args))
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -161,6 +161,8 @@ def _signed_time(spec: StretchSpec, t: float | None) -> float:
         if spec.duration is None:
             raise SpecMismatchError("no time given and the spec carries no duration")
         t = spec.duration
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     return -t if spec.direction == "backward" else t
 
 

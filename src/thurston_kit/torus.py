@@ -27,7 +27,10 @@ The distance estimator is the maximum of log(l_s(Y)/l_s(X)) over a
 finite Stern-Brocot slope family (every reduced slope with q <= max_q
 and |p| <= max_q).  It is a lower bound for the sup over all simple
 closed curves, monotone in max_q, and reports raw max ratios without
-any additive constant.
+any additive constant.  Envelope widths are batched: :func:`envelope_cells`
+evaluates the backward stretch endpoints of many (y, t) cells as the
+columns of shared passes, since a pass costs mostly its fixed per-level
+overhead and little per column.
 """
 
 from __future__ import annotations
@@ -179,6 +182,10 @@ def _eigen_diag(A: Mat2) -> tuple[Mat2, Mat2, float]:
 
 
 _LOG_HUGE = 30.0
+#: node x column budget of one batched length pass, about 0.8 MB of
+#: matrices (8 envelope cells at max_q = 30); larger batches save
+#: little per column and grow the working set
+_CHUNK_NODE_COLUMNS = 20_000
 _Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
 
 
@@ -319,11 +326,38 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30, slopes: list[Slope] | 
 def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float]:
     """(d(YL, YR), d(YR, YL)) estimates between the backward stretch endpoints.
 
-    Uses the default slope family of :func:`dth_estimate` and shares one
-    length evaluation per endpoint across the two directions.
+    One cell of :func:`envelope_cells`, which batches many cells.
     """
-    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q)[1])
-    return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
+    return envelope_cells(((y, t),), max_q)[0]
+
+
+def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int = 30) -> list[tuple[float, float]]:
+    """:func:`envelope_widths` of every (y, t) cell, in order.
+
+    The backward stretch endpoints of all cells are the columns of
+    :func:`_log_lengths` passes over the default slope family of
+    :func:`dth_estimate`, in chunks of at most ``_CHUNK_NODE_COLUMNS``
+    plan nodes times columns, so the working set stays bounded.  Each
+    endpoint's lengths are shared by the two directions.  A chunk that
+    fails is evaluated again cell by cell, so the error is the one its
+    first failing cell raises on its own.
+    """
+    slopes, plan = _family(max_q)
+    # the family's plan has one node per finite slope
+    step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(slopes)))
+    out: list[tuple[float, float]] = []
+    for i in range(0, len(cells), step):
+        chunk = cells[i : i + step]
+        try:
+            ll = _log_lengths([p for y, t in chunk for p in _endpoints_signed(y, t)], plan)
+        except (ValueError, ArithmeticError):
+            ll = np.hstack([_log_lengths(_endpoints_signed(y, t), plan) for y, t in chunk])
+        # the reverse direction is not the negated forward one, which
+        # would give -0.0 where the endpoints coincide
+        d_lr = np.max(ll[:, 1::2] - ll[:, 0::2], axis=0)
+        d_rl = np.max(ll[:, 0::2] - ll[:, 1::2], axis=0)
+        out.extend(zip(d_lr.tolist(), d_rl.tolist()))
+    return out
 
 
 def earthquake(x: FNPoint, t: float) -> FNPoint:

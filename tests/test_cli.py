@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,69 @@ def test_envelope_flags_and_csv_header(tmp_path, capsys):
     lines = (tmp_path / "out" / "envelope.csv").read_text().splitlines()
     assert lines[0] == "l0,t,d_lr,d_rl"
     assert len(lines) == 1 + 2 * 2
+
+
+# sha256 of the artifacts at the default configuration and at a thin,
+# dense envelope grid, recorded before the envelope cells and the sweep's
+# middle constants were batched into shared length passes
+ARTIFACT_SHA256 = [
+    (
+        "envelope",
+        "",
+        {
+            "envelope.csv": "9442f24482d85177e295d4f89050ef7448151b5dede7190a14fb7ead20cfce79",
+            "envelope_summary.json": "a71d47e8a2677ae4db6e70cc3cb72fcd365f94765097f4623d92c27de67e304d",
+        },
+    ),
+    (
+        "envelope",
+        "l0_values=0.02,0.3,7.5,10\nt_step=0.5\nmax_q=45\n",
+        {
+            "envelope.csv": "f6b1ad36222a74d715283ef4444e6ad528389d755bd4e5478d2381472a0fbd3d",
+            "envelope_summary.json": "bbf118355f6d7241a1fdff3b79b73df722faab1f2745c97f6ec637d4e8f12be5",
+        },
+    ),
+    (
+        "sweep",
+        "",
+        {
+            "sweep.csv": "e917b48564c517be4b55d2e099f7090650270219ca9d4a581f8287250116a3d0",
+            "sweep_summary.json": "5d9753e08a315a393bc3e517b73c3d08e529c80ed8f8b52e61cb00cb3cb0c79d",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("command,config,sha256", ARTIFACT_SHA256)
+def test_artifacts_match_pinned_bytes(tmp_path, capsys, command, config, sha256):
+    path = tmp_path / "config.txt"
+    path.write_text(config + f"out_dir={tmp_path / 'out'}\n")
+    assert main(["--config", str(path), command]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in sha256} == sha256
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [
+        (("--t-max", "-1"), {}),
+        (("--t-max", "nan"), {}),
+        (("--t-max", "inf"), {}),
+        (("--max-q", "0"), {}),
+        ((), {"max_q": "0"}),
+        ((), {"t_max": "nan"}),
+        ((), {"t_max": "inf"}),
+        ((), {"t_step": "nan"}),
+        ((), {"t_step": "inf"}),
+    ],
+)
+def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, flags, config):
+    cfg = write_config(tmp_path, **config)
+    assert main(["--config", str(cfg), "envelope", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_t_grid_stops_at_t_max(tmp_path, capsys):

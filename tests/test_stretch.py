@@ -79,6 +79,19 @@ def test_spec_validation():
         StretchSpec("S04", (PantsTriangulation((4, 1, 1), TwistSigns(1, 1, 1)),))
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_rejected(t):
+    x = FNPoint("S11", (1.0,), (0.0,))
+    lam, nu = left_spec("S11"), right_spec("S11")
+    for call in (
+        lambda: stretch_point(x, lam, t),
+        lambda: twist_along_stretch(x, lam, 0, t),
+        lambda: twist_width(x, lam, nu, 0, t),
+    ):
+        with pytest.raises(ValueError, match="^t must be finite$"):
+            call()
+
+
 def test_twist_width_same_spec_is_zero():
     x = FNPoint("S11", (2.0,), (0.1,))
     lam = left_spec("S11")

@@ -6,6 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
+from thurston_kit import torus
 from thurston_kit.stretch import FNPoint, twist_width_closed
 from thurston_kit.torus import (
     Slope,
@@ -14,10 +15,13 @@ from thurston_kit.torus import (
     curve_length,
     dth_estimate,
     earthquake,
+    envelope_cells,
     envelope_widths,
     rep_from_fn,
     short_marking,
     stretch_endpoints,
+    _endpoints_signed,
+    _family,
     _log_lengths,
     _plan,
 )
@@ -332,6 +336,49 @@ def test_envelope_widths_nonnegative_and_zero_at_origin():
         assert [repr(v) for v in d] == ["0.0", "0.0"]
     d1, d2 = envelope_widths(y, 2.0, 10)
     assert d1 > 0.0 and d2 > 0.0
+
+
+def _per_cell_widths(y, t, max_q):
+    """One length pass over the two endpoints of one cell, the loop that
+    :func:`envelope_cells` batches."""
+    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q)[1])
+    return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
+
+
+def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
+    # t = 0 (both widths +0.0), thin l0, the negative signed times of the
+    # sweep's middle constants, and more cells than one chunk
+    l0s = (0.02, 0.1, 1.0, 5.0, 10.0)
+    cells = [(FNPoint("S11", (2.0 * l0,), (0.0,)), t) for l0 in l0s for t in (0.0, 0.5, 3.0, 8.0, math.log(2.0 * l0))]
+    columns = []
+    monkeypatch.setattr(torus, "_log_lengths", lambda ends, plan: columns.append(len(ends)) or _log_lengths(ends, plan))
+    got = envelope_cells(cells, 30)
+    monkeypatch.undo()
+    assert sum(columns) == 2 * len(cells) and len(columns) > 1
+    assert max(columns) * len(_family(30)[0]) <= torus._CHUNK_NODE_COLUMNS
+    want = [_per_cell_widths(y, t, 30) for y, t in cells]
+    assert [tuple(map(float.hex, w)) for w in got] == [tuple(map(float.hex, w)) for w in want]
+    assert float.hex(got[0][1]) == "0x0.0p+0"
+    assert [envelope_widths(y, t, 30) for y, t in cells] == got
+    assert envelope_cells([], 30) == []
+
+
+def test_envelope_cells_raise_the_first_failing_cells_error():
+    # at t = 0 an alpha of length 34-36 trips the engine's elliptic guard
+    # (|tr|/2 of slope 0 is 1 + 2 e^{-l}, inside its 1e-14 margin), with a
+    # message that depends on the cell
+    ok = [(FNPoint("S11", (2.0,), (0.0,)), t) for t in (0.0, 1.0)]
+    bad = [(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0) for l0 in (17.0, 18.0)]
+    messages = []
+    for y, t in bad:
+        with pytest.raises(ValueError) as exc:
+            _per_cell_widths(y, t, 30)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    for cells, first in ((ok * 5 + bad + ok, 0), (bad[::-1], 1)):
+        with pytest.raises(ValueError) as exc:
+            envelope_cells(cells, 30)
+        assert str(exc.value) == messages[first]
 
 
 def test_puncture_conservation_under_earthquake():
