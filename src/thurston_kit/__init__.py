@@ -44,6 +44,7 @@ from .stretch import (
     twist_along_stretch,
     twist_width,
     twist_width_closed,
+    width_point,
 )
 from .torus import (
     Slope,

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .stretch import FNPoint, log_coth
+from .stretch import log_coth, width_point
 from .torus import envelope_cells
 
 #: systole threshold is never quantified by the theory; the artifact picks a
@@ -199,13 +199,14 @@ def run_sweep(grid: SweepGrid) -> SweepReport:
 
 def _middle_constants(grid: SweepGrid) -> dict[float, float]:
     """{l0: max of both direction estimates at the length-one cross-section
-    (signed stretch time log(2 l0))} for every l0 with a middle cell at t > 0."""
+    (signed stretch time log l_alpha of the :func:`width_point` of l0)} for
+    every l0 with a middle cell at t > 0."""
     l0s = [
         l0
         for l0 in dict.fromkeys(grid.l0_values)
         if any(t != 0.0 and classify(l0, t, grid.epsilon) == "middle" for t in grid.t_values)
     ]
-    cells = [(FNPoint("S11", (2.0 * l0,), (0.0,)), math.log(2.0 * l0)) for l0 in l0s]
+    cells = [(y, math.log(y.lengths[0])) for y in (width_point("S11", l0) for l0 in l0s)]
     return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, grid.max_q))}
 
 

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import bounds, cube, reconcile, torus
+from . import bounds, cube, reconcile, stretch, torus
 from .bounds import SweepGrid, format_float, run_sweep, sweep_csv, sweep_json
 from .pants import (
     PantsMetric,
@@ -29,7 +29,7 @@ from .pants import (
     delta_oracle,
     shear_coords,
 )
-from .stretch import FNPoint, StretchSpec, left_spec, right_spec, stretch_point, twist_width_closed
+from .stretch import FNPoint, left_spec, right_spec, stretch_point, twist_width_closed
 
 CONFIG_ENV = "THURSTON_KIT_CONFIG"
 
@@ -186,18 +186,11 @@ def cmd_shear(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def _spec_from_args(args: argparse.Namespace, surface: str) -> StretchSpec:
-    if args.completion == "L":
-        return left_spec(surface, direction=args.direction)
-    return right_spec(surface, direction=args.direction)
-
-
 def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
-    surface = args.surface
-    n = 3 if surface == "S2" else 1
-    x = FNPoint(surface, _parse_lengths(args.l, n), _parse_lengths(args.tau, n))
-    spec = _spec_from_args(args, surface)
-    y = stretch_point(x, spec, args.t)
+    n = stretch.curve_count(args.surface)
+    x = FNPoint(args.surface, _parse_lengths(args.l, n), _parse_lengths(args.tau, n))
+    completion = left_spec if args.completion == "L" else right_spec
+    y = stretch_point(x, completion(args.surface, direction=args.direction), args.t)
     for i, (l, th) in enumerate(zip(y.lengths, y.twists)):
         print(f"curve{i + 1}: length={format_float(l)} twist={format_float(th)}")
     return 0
@@ -210,7 +203,10 @@ def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
-    grid = SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+    try:
+        grid = SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = run_sweep(grid)
     out = Path(cfg.out_dir)
     _write(out / "sweep.csv", sweep_csv(report))
@@ -221,7 +217,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     cells = [(l0, t) for l0 in cfg.l0_values for t in cfg.t_values()]
-    widths = torus.envelope_cells([(FNPoint("S11", (2.0 * l0,), (0.0,)), t) for l0, t in cells], cfg.max_q)
+    widths = torus.envelope_cells([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
     lines = ["l0,t,d_lr,d_rl"]
     sup = -math.inf
     for (l0, t), (d_lr, d_rl) in zip(cells, widths):
@@ -237,7 +233,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
         "max_q": cfg.max_q,
         "bounded": math.isfinite(sup),
     }
-    _write(out / "envelope_summary.json", json.dumps(summary, indent=2, sort_keys=True, default=format_float) + "\n")
+    _write(out / "envelope_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out / 'envelope.csv'} and {out / 'envelope_summary.json'}")
     return 0 if math.isfinite(sup) else 1
 
@@ -260,7 +256,7 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
         "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
-    _write(out / "cube_points.json", json.dumps(entries, indent=2, sort_keys=True, default=format_float) + "\n")
+    _write(out / "cube_points.json", json.dumps(entries, indent=2, sort_keys=True) + "\n")
     _write(out / "cube_points.csv", "\n".join(csv_lines) + "\n")
     _write(out / "cube_hull.json", json.dumps(hull_info, indent=2, sort_keys=True) + "\n")
     print(f"wrote cube outputs to {out}")
@@ -301,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_shear)
 
     p = sub.add_parser("stretch", help="stretch a Fenchel-Nielsen point")
-    p.add_argument("--surface", choices=("S11", "S04", "S2"), default="S11")
+    p.add_argument("--surface", choices=stretch.SURFACES, default="S11")
     p.add_argument("--l", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--t", type=float, required=True)

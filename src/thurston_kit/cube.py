@@ -160,10 +160,10 @@ def cloud(x: FNPoint) -> list[tuple[Completion, TwistVector]]:
     return list(zip(completions, _projections(x, completions)))
 
 
-def dedupe_points(points: np.ndarray, tol: float = HULL_TOL) -> tuple[np.ndarray, list[int]]:
-    """Representative subset with pairwise distance > tol, plus group index per point.
+def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Representative subset with pairwise distance > HULL_TOL, plus group index per point.
 
-    Each point joins the first representative within ``tol`` (max norm) or
+    Each point joins the first representative within ``HULL_TOL`` (max norm) or
     becomes a new one.
     """
     pts = np.asarray(points, dtype=float)
@@ -171,7 +171,7 @@ def dedupe_points(points: np.ndarray, tol: float = HULL_TOL) -> tuple[np.ndarray
     n_reps = 0
     group: list[int] = []
     for p in pts:
-        near = np.flatnonzero(np.max(np.abs(reps[:n_reps] - p), axis=1) <= tol)
+        near = np.flatnonzero(np.max(np.abs(reps[:n_reps] - p), axis=1) <= HULL_TOL)
         if near.size:
             group.append(int(near[0]))
         else:
@@ -197,12 +197,12 @@ class HullSummary:
         return (self.n_vertices, self.n_edges, self.n_faces)
 
 
-def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
-    """Convex hull combinatorics with coplanar facets merged within ``tol``.
+def hull(points: np.ndarray) -> HullSummary:
+    """Convex hull combinatorics with coplanar facets merged within ``HULL_TOL``.
 
     Qhull triangulates the hull and may keep points that lie on a hull edge,
     so the combinatorics are read off facet incidence: a face is a group of
-    qhull facets whose plane equations agree to ``tol`` (grouped by
+    qhull facets whose plane equations agree to ``HULL_TOL`` (grouped by
     :func:`dedupe_points`), an edge is a pair of distinct faces sharing a
     ridge, and a vertex is a point on at least three merged faces.
     Degenerate input is rejected, and the counts must satisfy Euler's
@@ -220,7 +220,7 @@ def hull(points: np.ndarray, tol: float = HULL_TOL) -> HullSummary:
     except QhullError as exc:
         raise GeometryError(f"degenerate point set: {exc}") from exc
 
-    planes, face = dedupe_points(h.equations, tol)
+    planes, face = dedupe_points(h.equations)
     edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
     faces_at: list[set[int]] = [set() for _ in pts]
     for simplex, group in zip(h.simplices.tolist(), face):
@@ -301,12 +301,12 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     return x, float(np.linalg.norm(a @ x - b))
 
 
-def extreme_points_brute(points: np.ndarray, tol: float = EXTREME_TOL) -> list[int]:
+def extreme_points_brute(points: np.ndarray) -> list[int]:
     """Indices of points not representable as convex combinations of the rest.
 
     A point is extreme iff the least-squares feasibility problem
     min ||sum_j w_j p_j - p_i|| with w >= 0, sum w = 1 (the constraint
-    appended as an extra row) has residual above ``tol``.  A lone point is
+    appended as an extra row) has residual above ``EXTREME_TOL``.  A lone point is
     extreme.  The reference the hull certificates are tested against.
     """
     pts = np.asarray(points, dtype=float)
@@ -314,7 +314,7 @@ def extreme_points_brute(points: np.ndarray, tol: float = EXTREME_TOL) -> list[i
     out = []
     for i in range(len(pts)):
         _, res = nnls(np.delete(augmented, i, axis=1), augmented[:, i])
-        if res > tol:
+        if res > EXTREME_TOL:
             out.append(i)
     return out
 

@@ -175,11 +175,11 @@ def _median_height_toward_axis(v: tuple) -> float:
     return _triangle_median(v, edge_idx)[1]
 
 
-def _snap_vertex(v: tuple, target: float, tol: float) -> tuple[float, float, float]:
+def _snap_vertex(v: tuple, target: float) -> tuple[float, float, float]:
     """Replace the vertex of ``v`` nearest ``target`` by ``target`` exactly.
 
     Incidence of constructed configurations is only float-accurate; the
-    vertex is required to be within ``tol`` and then made exact so that
+    vertex is required to be within ``DEFAULT_TOL`` and then made exact so that
     downstream normalizations send it to 0 or infinity without roundoff.
     """
     if target == INF:
@@ -188,7 +188,7 @@ def _snap_vertex(v: tuple, target: float, tol: float) -> tuple[float, float, flo
         return v
     dists = [abs(u - target) if u != INF else INF for u in v]
     i = dists.index(min(dists))
-    if not dists[i] <= tol:
+    if not dists[i] <= DEFAULT_TOL:
         raise GeometryError("geodesic endpoint is not a vertex of the triangle")
     vs = list(v)
     vs[i] = target
@@ -205,9 +205,9 @@ def _to_axis(m: tuple, v: tuple, ga: float, gb: float) -> tuple[float, float, fl
     return _distinct(*[0.0 if u == ga else INF if u == gb else _apply_ideal(m, u) for u in v])
 
 
-def _shear(v1: tuple, v2: tuple, ga: float, gb: float, tol: float) -> float:
-    v1 = _snap_vertex(v1, ga, tol)
-    v2 = _snap_vertex(v2, gb, tol)
+def _shear(v1: tuple, v2: tuple, ga: float, gb: float) -> float:
+    v1 = _snap_vertex(v1, ga)
+    v2 = _snap_vertex(v2, gb)
     m = _to_standard(ga, gb)
     s1 = _to_axis(m, v1, ga, gb)
     s2 = _to_axis(m, v2, ga, gb)
@@ -274,9 +274,6 @@ class H2Point:
 
     def __post_init__(self) -> None:
         _upper(self.x, self.y)
-
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,17 +429,17 @@ def circle_through(p1: H2Point, p2: H2Point, p3: H2Point) -> Circle:
     return Circle(ux, uy, math.hypot(ax - ux, ay - uy))
 
 
-def shear(t1: IdealTriangle, t2: IdealTriangle, g: Geodesic, tol: float = DEFAULT_TOL) -> float:
+def shear(t1: IdealTriangle, t2: IdealTriangle, g: Geodesic) -> float:
     """Signed shear between two ideal triangles across an oriented geodesic.
 
     ``g`` must run from a vertex of ``t1`` to a vertex of ``t2`` (within
-    ``tol``) and separate the two interiors, with ``t1`` on the left of
+    ``DEFAULT_TOL``) and separate the two interiors, with ``t1`` on the left of
     ``g``.  For each triangle the incircle median on the edge facing ``g``
     is moved onto ``g`` by the parabolic isometry fixing the shared ideal
     vertex, and the result is the signed distance between the two
     transported points (positive in the direction of ``g``).
     """
-    return _shear(t1.vertices, t2.vertices, g.a, g.b, tol)
+    return _shear(t1.vertices, t2.vertices, g.a, g.b)
 
 
 def orthofoot(g1: Geodesic, g2: Geodesic) -> H2Point:

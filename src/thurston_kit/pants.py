@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .h2 import (
-    DEFAULT_TOL,
     INF,
     GeometryError,
     H2Point,
@@ -275,7 +274,7 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int, s: 
 # ---------------------------------------------------------------------------
 
 
-def _solve_monotone(f: Callable[[float], float], u0: float, u1: float, tol: float = 1e-13) -> float:
+def _solve_monotone(f: Callable[[float], float], u0: float, u1: float) -> float:
     """Secant solve of f(u) = 0.
 
     The gap equations below are linear in the log-width parameter, so the
@@ -283,7 +282,7 @@ def _solve_monotone(f: Callable[[float], float], u0: float, u1: float, tol: floa
     """
     f0, f1 = f(u0), f(u1)
     for _ in range(80):
-        if abs(f1) <= tol:
+        if abs(f1) <= 1e-13:
             return u1
         if f1 == f0:
             break
@@ -302,7 +301,7 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
     t_prev = _triangle(-prev_gap, 0.0, INF)
 
     def cond(u: float) -> float:
-        return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF, DEFAULT_TOL) - sigma
+        return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
 
     return math.exp(_solve_monotone(cond, 0.0, 1.0))
 

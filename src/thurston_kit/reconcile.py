@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from .bounds import format_float
 from .pants import PantsMetric, delta_closed, delta_oracle, enumerate_triangulations
-from .stretch import FNPoint, left_spec, right_spec, twist_width, twist_width_closed
+from .stretch import left_spec, right_spec, twist_width, twist_width_closed, width_point
 
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 ORACLE_TOL = 1e-9
@@ -56,10 +55,10 @@ def twist_width_conventions(l0_values=(0.25, 0.5, 1.0, 2.0), t_values=(0.25, 0.5
     residual is small is chosen.
     """
     out = {}
-    for surface, ratio in (("S11", 2.0), ("S04", 4.0)):
+    for surface in ("S11", "S04"):
         worst = {"reconciled": 0.0, "printed": 0.0}
         for l0 in l0_values:
-            x = FNPoint(surface, (ratio * l0,), (0.0,))
+            x = width_point(surface, l0)
             lam, nu = left_spec(surface), right_spec(surface)
             for t in t_values:
                 built = twist_width(x, lam, nu, 0, t)
@@ -103,7 +102,7 @@ def build_report(grid: tuple[float, ...] = DEFAULT_GRID) -> dict:
 
 
 def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, default=format_float) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def report_text(report: dict) -> str:

@@ -12,20 +12,49 @@ rational expressions in exponentials of lengths, so scaling the shear
 coordinates and scaling the lengths agree).  Negative s gives the
 backward path.
 
-Surfaces supported: the once-punctured torus S11 (one curve, one pair
-of pants seen from both sides), the four-times punctured sphere S04
-(one curve, two pants with two puncture cuffs each) and the genus-two
-surface S2 (three curves, two pants glued along all three).
+Each surface is one row of ``_SURFACES``: the (pants, cuff) pair on each
+side of each decomposition curve, the leaf ends of each pair of pants in
+the uniform completions, the cuff lengths every pair of pants sees, and
+the ratio l_alpha / l0 of the closed-form width (:func:`width_point`).
+The rows are the once-punctured torus S11 (one pair of pants glued to
+itself), the four-times punctured sphere S04 (two pants with two
+puncture cuffs each) and the genus-two surface S2 (two pants glued along
+all three curves).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed
 
-SURFACES = ("S11", "S04", "S2")
+
+class _Surface(NamedTuple):
+    sides: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    ends: tuple[tuple[int, int, int], ...]
+    metric: Callable[[tuple[float, ...]], PantsMetric]
+    width_ratio: float | None
+
+
+_SURFACES = {
+    "S11": _Surface((((0, 0), (0, 1)),), ((2, 2, 2),), lambda l: PantsMetric(l[0], l[0], 0.0), 2.0),
+    "S04": _Surface((((0, 0), (1, 0)),), ((4, 1, 1),) * 2, lambda l: PantsMetric(l[0], 0.0, 0.0), 4.0),
+    "S2": _Surface(tuple(((0, c), (1, c)) for c in range(3)), ((2, 2, 2),) * 2, lambda l: PantsMetric(*l), None),
+}
+SURFACES = tuple(_SURFACES)
+
+
+def _surface(name: str) -> _Surface:
+    if name not in _SURFACES:
+        raise ValueError(f"surface must be one of {SURFACES}")
+    return _SURFACES[name]
+
+
+def curve_count(surface: str) -> int:
+    """Number of decomposition curves (length/twist pairs) of ``surface``."""
+    return len(_surface(surface).sides)
 
 
 class SpecMismatchError(ValueError):
@@ -41,9 +70,7 @@ class FNPoint:
     twists: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.surface not in SURFACES:
-            raise ValueError(f"surface must be one of {SURFACES}")
-        n = self.curve_count()
+        n = curve_count(self.surface)
         object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
         object.__setattr__(self, "twists", tuple(float(v) for v in self.twists))
         if len(self.lengths) != n or len(self.twists) != n:
@@ -51,35 +78,14 @@ class FNPoint:
         if any(not (math.isfinite(v) and v > 0) for v in self.lengths):
             raise ValueError("curve lengths must be finite and positive")
 
-    def curve_count(self) -> int:
-        return 3 if self.surface == "S2" else 1
 
-
-def _pants_count(surface: str) -> int:
-    return 1 if surface == "S11" else 2
-
-
-def _pants_metric(surface: str, lengths: tuple[float, ...]) -> PantsMetric:
-    """Cuff lengths of one pair of pants of the decomposition.
-
-    Every pair of pants of these decompositions sees the same lengths:
-    on S11 the two glued cuffs are the same curve, on S04 the other
-    cuffs are punctures, and on S2 both pants border all three curves.
-    """
-    if surface == "S11":
-        return PantsMetric(lengths[0], lengths[0], 0.0)
-    if surface == "S04":
-        return PantsMetric(lengths[0], 0.0, 0.0)
-    return PantsMetric(*lengths)
-
-
-def _sides(surface: str, curve: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(pants index, cuff index) for the two sides of a decomposition curve."""
-    if surface == "S11":
-        return ((0, 0), (0, 1))
-    if surface == "S04":
-        return ((0, 0), (1, 0))
-    return ((0, curve), (1, curve))
+def width_point(surface: str, l0: float) -> FNPoint:
+    """The untwisted point whose closed-form twist width has parameter l0:
+    l_alpha = 2 l0 on S11 and 4 l0 on S04; S2 has no closed-form width."""
+    ratio = _surface(surface).width_ratio
+    if ratio is None:
+        raise ValueError(f"{surface} has no closed-form twist width")
+    return FNPoint(surface, (ratio * l0,), (0.0,))
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,49 +100,33 @@ class StretchSpec:
     surface: str
     triangulations: tuple[PantsTriangulation, ...]
     direction: str = "forward"
-    duration: float | None = None
 
     def __post_init__(self) -> None:
-        if self.surface not in SURFACES:
-            raise ValueError(f"surface must be one of {SURFACES}")
+        row = _surface(self.surface)
         object.__setattr__(self, "triangulations", tuple(self.triangulations))
-        if len(self.triangulations) != _pants_count(self.surface):
-            raise ValueError(f"{self.surface} needs {_pants_count(self.surface)} pants triangulations")
+        if len(self.triangulations) != len(row.ends):
+            raise ValueError(f"{self.surface} needs {len(row.ends)} pants triangulations")
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
-        if self.duration is not None and not self.duration >= 0:
-            raise ValueError("duration must be non-negative")
-        for curve in range(3 if self.surface == "S2" else 1):
-            (p1, c1), (p2, c2) = _sides(self.surface, curve)
-            s1 = self.triangulations[p1].signs.signs[c1]
-            s2 = self.triangulations[p2].signs.signs[c2]
-            if s1 != s2:
+        for curve, ((p1, c1), (p2, c2)) in enumerate(row.sides):
+            if self.triangulations[p1].signs.signs[c1] != self.triangulations[p2].signs.signs[c2]:
                 raise SpecMismatchError(f"twist signs disagree across curve {curve}")
 
 
-def _uniform_signs(sign: int) -> TwistSigns:
-    return TwistSigns(sign, sign, sign)
-
-
-def left_spec(surface: str, duration: float | None = None, direction: str = "backward") -> StretchSpec:
+def left_spec(surface: str, direction: str = "backward") -> StretchSpec:
     """The left-twisting completion (all twist signs +1)."""
-    return _signed_spec(surface, 1, duration, direction)
+    return _signed_spec(surface, 1, direction)
 
 
-def right_spec(surface: str, duration: float | None = None, direction: str = "backward") -> StretchSpec:
+def right_spec(surface: str, direction: str = "backward") -> StretchSpec:
     """The right-twisting completion (all twist signs -1)."""
-    return _signed_spec(surface, -1, duration, direction)
+    return _signed_spec(surface, -1, direction)
 
 
-def _signed_spec(surface: str, sign: int, duration: float | None, direction: str) -> StretchSpec:
-    signs = _uniform_signs(sign)
-    if surface == "S11":
-        tris = (PantsTriangulation((2, 2, 2), signs),)
-    elif surface == "S04":
-        tris = (PantsTriangulation((4, 1, 1), signs), PantsTriangulation((4, 1, 1), signs))
-    else:
-        tris = (PantsTriangulation((2, 2, 2), signs), PantsTriangulation((2, 2, 2), signs))
-    return StretchSpec(surface, tris, direction, duration)
+def _signed_spec(surface: str, sign: int, direction: str) -> StretchSpec:
+    signs = TwistSigns(sign, sign, sign)
+    tris = tuple(PantsTriangulation(ends, signs) for ends in _surface(surface).ends)
+    return StretchSpec(surface, tris, direction)
 
 
 def stretch_lengths(x: FNPoint, t: float) -> FNPoint:
@@ -148,45 +138,39 @@ def stretch_lengths(x: FNPoint, t: float) -> FNPoint:
 def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
     """(D1(0) + D2(0)) e^s - (D1(s) + D2(s)) for the two pants adjacent to the
     curve, grouped so that it cancels exactly at s = 0."""
-    metric = _pants_metric(x.surface, x.lengths)
+    row = _SURFACES[x.surface]
+    metric = row.metric(x.lengths)
     d0, ds = (
-        sum(delta_closed(m, spec.triangulations[pants], cuff) for pants, cuff in _sides(x.surface, curve))
+        sum(delta_closed(m, spec.triangulations[pants], cuff) for pants, cuff in row.sides[curve])
         for m in (metric, metric.scaled(math.exp(s)))
     )
     return d0 * math.exp(s) - ds
 
 
-def _signed_time(spec: StretchSpec, t: float | None) -> float:
-    if t is None:
-        if spec.duration is None:
-            raise SpecMismatchError("no time given and the spec carries no duration")
-        t = spec.duration
+def _signed_time(spec: StretchSpec, t: float) -> float:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     return -t if spec.direction == "backward" else t
 
 
-def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int = 0, t: float | None = None) -> float:
-    """Twist coordinate of ``curve`` after stretching ``x`` along ``spec``.
-
-    ``t`` defaults to the spec's duration; the spec's direction selects the
-    forward (s = +t) or backward (s = -t) evolution.
-    """
+def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> float:
+    """Twist coordinate of ``curve`` after stretching ``x`` along ``spec``
+    for time ``t``; the spec's direction selects the forward (s = +t) or
+    backward (s = -t) evolution."""
     if spec.surface != x.surface:
         raise SpecMismatchError("spec surface does not match the point")
     s = _signed_time(spec, t)
     return x.twists[curve] * math.exp(s) + _offset_drift(x, spec, curve, s)
 
 
-def stretch_point(x: FNPoint, spec: StretchSpec, t: float | None = None) -> FNPoint:
+def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
     """Full Fenchel-Nielsen image of ``x`` under the stretch."""
     s = _signed_time(spec, t)
-    lengths = tuple(v * math.exp(s) for v in x.lengths)
-    twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(x.curve_count()))
-    return FNPoint(x.surface, lengths, twists)
+    twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
+    return FNPoint(x.surface, stretch_lengths(x, s).lengths, twists)
 
 
-def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int = 0, t: float | None = None) -> float:
+def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: float) -> float:
     """Difference of the twist of ``curve`` along ``lam`` and along ``nu``.
 
     Independent of the twist coordinates of ``x`` (the linear theta-term
@@ -196,8 +180,6 @@ def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int = 0, t
         raise SpecMismatchError("specs must live on the surface of the point")
     if lam.direction != nu.direction:
         raise SpecMismatchError("specs must share a direction")
-    if lam.duration != nu.duration:
-        raise SpecMismatchError("specs must share a duration")
     s = _signed_time(lam, t)
     return _offset_drift(x, lam, curve, s) - _offset_drift(x, nu, curve, s)
 
@@ -223,8 +205,8 @@ def log_coth(u: float) -> float:
 def twist_width_closed(l0: float, t: float, convention: str = "reconciled") -> float:
     """Closed-form twist width between the backward left and right stretches.
 
-    For the once-punctured torus take l0 = l_alpha/2, for the four-times
-    punctured sphere l0 = l_alpha/4; then
+    At the point :func:`width_point` maps l0 to, on the once-punctured
+    torus or the four-times punctured sphere,
 
         theta(left, -t) - theta(right, -t)
             = 4 e^{-t} log coth(l0) - 4 log coth(l0 e^{-t})
@@ -238,6 +220,10 @@ def twist_width_closed(l0: float, t: float, convention: str = "reconciled") -> f
         raise ValueError("l0 must be positive")
     if not t >= 0:
         raise ValueError("t must be non-negative")
+    if l0 == math.inf:
+        raise ValueError("l0 must be finite")
+    if t == math.inf:
+        raise ValueError("t must be finite")
     if convention == "reconciled":
         a = l0
     elif convention == "printed":

@@ -95,10 +95,35 @@ def test_twist_width_command(capsys):
     assert float(out.split("=")[1]) == pytest.approx(-5.68142893628726, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "l0,t,message",
+    [
+        ("inf", "1", "l0 must be finite"),
+        ("nan", "1", "l0 must be positive"),
+        ("1", "inf", "t must be finite"),
+        ("1", "nan", "t must be non-negative"),
+    ],
+)
+def test_twist_width_command_rejects_non_finite_input(capsys, l0, t, message):
+    assert main(["twist-width", "--l0", l0, "--t", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_stretch_command(capsys):
     code, out = run_cli(capsys, "stretch", "--surface", "S11", "--l", "2", "--tau", "0", "--t", "1.5")
     assert code == 0
     assert out.startswith("curve1: length=")
+
+
+@pytest.mark.parametrize("surface,values", [("S04", "2"), ("S2", "1,1,1")])
+def test_stretch_command_reads_one_value_per_curve(capsys, surface, values):
+    code, out = run_cli(capsys, "stretch", "--surface", surface, "--l", values, "--tau", values, "--t", "0.5")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [f"curve{i + 1}" for i in range(values.count(",") + 1)]
+    assert main(["stretch", "--surface", surface, "--l", "1,1", "--tau", "1,1", "--t", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error: expected ")
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -256,6 +281,15 @@ def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, flags,
     assert main(["--config", str(cfg), "envelope", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unsorted_sweep_grid_is_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, l0_values="2,1")
+    assert main(["--config", str(cfg), "sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: grid axes must be sorted ascending"]
     assert not (tmp_path / "out").exists()
 
 

@@ -90,7 +90,7 @@ def test_cloud_size_and_central_symmetry():
 
 def test_dedupe_groups_points():
     pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-12], [1.0, 0.0, 0.0]])
-    uniq, group = dedupe_points(pts, 1e-9)
+    uniq, group = dedupe_points(pts)
     assert len(uniq) == 2
     assert group == [0, 0, 1]
 

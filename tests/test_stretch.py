@@ -1,11 +1,13 @@
 """Tests for twist evolution along stretch paths and twist widths."""
 
+import itertools
 import math
 import sys
 
 import pytest
 
 from thurston_kit.pants import PantsTriangulation, TwistSigns
+from thurston_kit.reconcile import twist_width_conventions
 from thurston_kit.stretch import (
     FNPoint,
     SpecMismatchError,
@@ -18,6 +20,7 @@ from thurston_kit.stretch import (
     twist_along_stretch,
     twist_width,
     twist_width_closed,
+    width_point,
 )
 
 #: printed-convention value at (l0, t) = (1, 1), recomputed then frozen
@@ -118,8 +121,6 @@ def test_twist_width_rejects_mismatched_specs():
     x = FNPoint("S11", (2.0,), (0.0,))
     with pytest.raises(SpecMismatchError):
         twist_width(x, left_spec("S11", direction="forward"), right_spec("S11", direction="backward"), 0, 1.0)
-    with pytest.raises(SpecMismatchError):
-        twist_width(x, left_spec("S11", 1.0), right_spec("S11", 2.0), 0, 1.0)
 
 
 def test_closed_width_vanishes_at_zero():
@@ -138,6 +139,23 @@ def test_closed_width_rejects_bad_arguments():
         twist_width_closed(1.0, -0.5)
     with pytest.raises(ValueError):
         twist_width_closed(1.0, 1.0, "other")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["l0", "t"])
+def test_closed_width_rejects_non_finite_arguments(name, value):
+    args = {"l0": 1.0, "t": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        twist_width_closed(**args)
+
+
+def test_width_point_maps_l0_to_the_untwisted_curve_length():
+    assert width_point("S11", 0.3) == FNPoint("S11", (0.6,), (0.0,))
+    assert width_point("S04", 0.3) == FNPoint("S04", (1.2,), (0.0,))
+    with pytest.raises(ValueError, match="^S2 has no closed-form twist width$"):
+        width_point("S2", 0.3)
+    with pytest.raises(ValueError, match=r"^surface must be one of \('S11', 'S04', 'S2'\)$"):
+        width_point("S3", 0.3)
 
 
 @pytest.mark.parametrize("surface,ratio", [("S11", 2.0), ("S04", 4.0)])
@@ -192,3 +210,232 @@ def test_log_coth_matches_mpmath_reference(u):
         ref = mpmath.log1p(2 / mpmath.expm1(2 * mpmath.mpf(u)))
         rel = abs((mpmath.mpf(log_coth(u)) - ref) / ref)
     assert rel <= 4 * sys.float_info.epsilon
+
+
+#: twists of the pinned points, one per curve
+PIN_TWISTS = {"S11": (0.37,), "S04": (0.37,), "S2": (0.37, -1.25, 2.0)}
+
+
+def _pin(call) -> tuple[str, ...]:
+    """float.hex of the float or point ``call`` returns (lengths, then
+    twists), or the type and message of the error it raises."""
+    try:
+        value = call()
+    except Exception as exc:
+        return (f"{type(exc).__name__}: {exc}",)
+    if isinstance(value, FNPoint):
+        return tuple(v.hex() for v in value.lengths + value.twists)
+    return (value.hex(),)
+
+
+def _pin_cases(surface):
+    """(case key, point, left spec, right spec, t) over every pinned case on ``surface``."""
+    n = len(PIN_TWISTS[surface])
+    for length, direction, t in itertools.product((1e-3, 1.0, 8.0), ("forward", "backward"), (0.0, 0.3, 2.5)):
+        x = FNPoint(surface, (length,) * n, PIN_TWISTS[surface])
+        lam, nu = left_spec(surface, direction=direction), right_spec(surface, direction=direction)
+        yield f"{surface} {length!r} {direction} {t!r}", x, lam, nu, t
+
+
+def _stretch_pins(surface):
+    """{key: pin} of stretch_point for both completions and of twist_width
+    for every curve, over the cases of :func:`_pin_cases`."""
+    pins = {}
+    for key, x, lam, nu, t in _pin_cases(surface):
+        pins[f"{key} L"] = _pin(lambda: stretch_point(x, lam, t))
+        pins[f"{key} R"] = _pin(lambda: stretch_point(x, nu, t))
+        pins[f"{key} width"] = sum((_pin(lambda: twist_width(x, lam, nu, c, t)) for c in range(len(x.twists))), ())
+    return pins
+
+
+#: _stretch_pins of every surface, recorded then frozen
+STRETCH_PINS = {
+    "S11 0.001 forward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S11 0.001 forward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S11 0.001 forward 0.0 width": ("0x0.0p+0",),
+    "S11 0.001 forward 0.3 L": ("0x1.61db7dbb24848p-10", "0x1.9abf6a2572119p+2"),
+    "S11 0.001 forward 0.3 R": ("0x1.61db7dbb24848p-10", "-0x1.5ad182ae629f9p+2"),
+    "S11 0.001 forward 0.3 width": ("0x1.7ac87669ea589p+3",),
+    "S11 0.001 forward 2.5 L": ("0x1.8f322a928d5bep-7", "0x1.6700d0a29a6abp+7"),
+    "S11 0.001 forward 2.5 R": ("0x1.8f322a928d5bep-7", "-0x1.54f91c965be45p+7"),
+    "S11 0.001 forward 2.5 width": ("0x1.5dfcf69c7b278p+8",),
+    "S11 0.001 backward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S11 0.001 backward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S11 0.001 backward 0.0 width": ("0x0.0p+0",),
+    "S11 0.001 backward 0.3 L": ("0x1.8466f03da9babp-11", "-0x1.1104f72f5cf68p+2"),
+    "S11 0.001 backward 0.3 R": ("0x1.8466f03da9babp-11", "0x1.341ac3a2eeecap+2"),
+    "S11 0.001 backward 0.3 width": ("-0x1.228fdd6925f19p+3",),
+    "S11 0.001 backward 2.5 L": ("0x1.584a189cfd318p-14", "-0x1.2ec709ca53d54p+4"),
+    "S11 0.001 backward 2.5 R": ("0x1.584a189cfd318p-14", "0x1.2fbfd7561d531p+4"),
+    "S11 0.001 backward 2.5 width": ("-0x1.2f43709038942p+5",),
+    "S11 1.0 forward 0.0 L": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S11 1.0 forward 0.0 R": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S11 1.0 forward 0.0 width": ("0x0.0p+0",),
+    "S11 1.0 forward 0.3 L": ("0x1.599058c8c1a96p+0", "0x1.85aa2126990dap+0"),
+    "S11 1.0 forward 0.3 R": ("0x1.599058c8c1a96p+0", "-0x1.0be50694b753cp-1"),
+    "S11 1.0 forward 0.3 width": ("0x1.05ce52387a5bcp+1",),
+    "S11 1.0 forward 2.5 L": ("0x1.85d6fd931e0bbp+3", "0x1.750d3efcea1c2p+4"),
+    "S11 1.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+3", "-0x1.c99f3d35ebb73p+3"),
+    "S11 1.0 forward 2.5 width": ("0x1.2cee6ecbeffbep+5",),
+    "S11 1.0 backward 0.0 L": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S11 1.0 backward 0.0 R": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S11 1.0 backward 0.0 width": ("0x0.0p+0",),
+    "S11 1.0 backward 0.3 L": ("0x1.7b4c869c37c05p-1", "-0x1.5070cd79b5050p-1"),
+    "S11 1.0 backward 0.3 R": ("0x1.7b4c869c37c05p-1", "0x1.348f988b2256ap+0"),
+    "S11 1.0 backward 0.3 width": ("-0x1.dcc7ff47fcd92p+0",),
+    "S11 1.0 backward 2.5 L": ("0x1.50385c094f425p-4", "-0x1.8ebd81cf9cf78p+2"),
+    "S11 1.0 backward 2.5 R": ("0x1.50385c094f425p-4", "0x1.92a0b7fec2c36p+2"),
+    "S11 1.0 backward 2.5 width": ("-0x1.90af1ce72fdd7p+3",),
+    "S11 8.0 forward 0.0 L": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S11 8.0 forward 0.0 R": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S11 8.0 forward 0.0 width": ("0x0.0p+0",),
+    "S11 8.0 forward 0.3 L": ("0x1.599058c8c1a96p+3", "0x1.009a523a96dd4p-1"),
+    "S11 8.0 forward 0.3 R": ("0x1.599058c8c1a96p+3", "0x1.fda9d2fbc8d57p-2"),
+    "S11 8.0 forward 0.3 width": ("0x1.c568bcb272800p-9",),
+    "S11 8.0 forward 2.5 L": ("ValueError: math domain error",),
+    "S11 8.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+6", "0x1.1f6f6c1d92f16p+2"),
+    "S11 8.0 forward 2.5 width": ("ValueError: math domain error",),
+    "S11 8.0 backward 0.0 L": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S11 8.0 backward 0.0 R": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S11 8.0 backward 0.0 width": ("0x0.0p+0",),
+    "S11 8.0 backward 0.3 L": ("0x1.7b4c869c37c05p+2", "0x1.0ec5b481f4d5fp-2"),
+    "S11 8.0 backward 0.3 R": ("0x1.7b4c869c37c05p+2", "0x1.229712b72a037p-2"),
+    "S11 8.0 backward 0.3 width": ("-0x1.3d15e35352d80p-6",),
+    "S11 8.0 backward 2.5 L": ("0x1.50385c094f425p-1", "-0x1.222e923bb75d4p+1"),
+    "S11 8.0 backward 2.5 R": ("0x1.50385c094f425p-1", "0x1.29f4fe9a02f36p+1"),
+    "S11 8.0 backward 2.5 width": ("-0x1.2611c86add285p+2",),
+    "S04 0.001 forward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S04 0.001 forward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S04 0.001 forward 0.0 width": ("0x0.0p+0",),
+    "S04 0.001 forward 0.3 L": ("0x1.61db7dbb24848p-10", "0x1.b9c9c66b56451p+2"),
+    "S04 0.001 forward 0.3 R": ("0x1.61db7dbb24848p-10", "-0x1.79dbdef446d2dp+2"),
+    "S04 0.001 forward 0.3 width": ("0x1.99d2d2afce8bfp+3",),
+    "S04 0.001 forward 2.5 L": ("0x1.8f322a928d5bep-7", "0x1.8601f6f008ba7p+7"),
+    "S04 0.001 forward 2.5 R": ("0x1.8f322a928d5bep-7", "-0x1.73fa42e3ca341p+7"),
+    "S04 0.001 forward 2.5 width": ("0x1.7cfe1ce9e9774p+8",),
+    "S04 0.001 backward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S04 0.001 backward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2"),
+    "S04 0.001 backward 0.0 width": ("0x0.0p+0",),
+    "S04 0.001 backward 0.3 L": ("0x1.8466f03da9babp-11", "-0x1.2803c61acaafep+2"),
+    "S04 0.001 backward 0.3 R": ("0x1.8466f03da9babp-11", "0x1.4b19928e5ca60p+2"),
+    "S04 0.001 backward 0.3 width": ("-0x1.398eac5493aafp+3",),
+    "S04 0.001 backward 2.5 L": ("0x1.584a189cfd318p-14", "-0x1.4323332b695ccp+4"),
+    "S04 0.001 backward 2.5 R": ("0x1.584a189cfd318p-14", "0x1.441c00b732daap+4"),
+    "S04 0.001 backward 2.5 width": ("-0x1.439f99f14e1bbp+5",),
+    "S04 1.0 forward 0.0 L": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S04 1.0 forward 0.0 R": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S04 1.0 forward 0.0 width": ("0x0.0p+0",),
+    "S04 1.0 forward 0.3 L": ("0x1.599058c8c1a96p+0", "0x1.0684ff7014f5fp+1"),
+    "S04 1.0 forward 0.3 R": ("0x1.599058c8c1a96p+0", "-0x1.0d526103ec886p+0"),
+    "S04 1.0 forward 0.3 width": ("0x1.8d2e2ff20b3a2p+1",),
+    "S04 1.0 forward 2.5 L": ("0x1.85d6fd931e0bbp+3", "0x1.3634ef26deea3p+5"),
+    "S04 1.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+3", "-0x1.dc2c3debc9c0cp+4"),
+    "S04 1.0 forward 2.5 width": ("0x1.1225870e61e54p+6",),
+    "S04 1.0 backward 0.0 L": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S04 1.0 backward 0.0 R": ("0x1.0000000000000p+0", "0x1.7ae147ae147aep-2"),
+    "S04 1.0 backward 0.0 width": ("0x0.0p+0",),
+    "S04 1.0 backward 0.3 L": ("0x1.7b4c869c37c05p-1", "-0x1.096945be06ac4p+0"),
+    "S04 1.0 backward 0.3 R": ("0x1.7b4c869c37c05p-1", "0x1.95c0778c4e802p+0"),
+    "S04 1.0 backward 0.3 width": ("-0x1.4f94dea52a963p+1",),
+    "S04 1.0 backward 2.5 L": ("0x1.50385c094f425p-4", "-0x1.e0bd0d7de60f6p+2"),
+    "S04 1.0 backward 2.5 R": ("0x1.50385c094f425p-4", "0x1.e4a043ad0bdb3p+2"),
+    "S04 1.0 backward 2.5 width": ("-0x1.e2aea89578f54p+3",),
+    "S04 8.0 forward 0.0 L": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S04 8.0 forward 0.0 R": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S04 8.0 forward 0.0 width": ("0x0.0p+0",),
+    "S04 8.0 forward 0.3 L": ("0x1.599058c8c1a96p+3", "0x1.2919f8b877b9ap-1"),
+    "S04 8.0 forward 0.3 R": ("0x1.599058c8c1a96p+3", "0x1.acaa8600061b3p-2"),
+    "S04 8.0 forward 0.3 width": ("0x1.4b12d6e1d2b00p-3",),
+    "S04 8.0 forward 2.5 L": ("0x1.85d6fd931e0bbp+6", "0x1.599bf2581fb78p+2"),
+    "S04 8.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+6", "0x1.ceb51e5f612e8p+1"),
+    "S04 8.0 forward 2.5 width": ("0x1.c9058ca1bc812p+0",),
+    "S04 8.0 backward 0.0 L": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S04 8.0 backward 0.0 R": ("0x1.0000000000000p+3", "0x1.7ae147ae147aep-2"),
+    "S04 8.0 backward 0.0 width": ("0x0.0p+0",),
+    "S04 8.0 backward 0.3 L": ("0x1.7b4c869c37c05p+2", "0x1.f2138668c0ffcp-4"),
+    "S04 8.0 backward 0.3 R": ("0x1.7b4c869c37c05p+2", "0x1.b4d7e59eef0f2p-2"),
+    "S04 8.0 backward 0.3 width": ("-0x1.38530404becf3p-2",),
+    "S04 8.0 backward 2.5 L": ("0x1.50385c094f425p-1", "-0x1.cc2eb5bb10028p+1"),
+    "S04 8.0 backward 2.5 R": ("0x1.50385c094f425p-1", "0x1.d3f522195b9a4p+1"),
+    "S04 8.0 backward 2.5 width": ("-0x1.d011ebea35ce6p+2",),
+    "S2 0.001 forward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 0.001 forward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 0.001 forward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 0.001 forward 0.3 L": ("0x1.61db7dbb24848p-10", "0x1.61db7dbb24848p-10", "0x1.61db7dbb24848p-10", "0x1.9abf6a05c0b67p+2", "0x1.0ecb5a8b7c851p+2", "0x1.13c851574cef6p+3"),
+    "S2 0.001 forward 0.3 R": ("0x1.61db7dbb24848p-10", "0x1.61db7dbb24848p-10", "0x1.61db7dbb24848p-10", "-0x1.5ad1828eb1443p+2", "-0x1.e6c59208f5759p+2", "-0x1.9c0093cbb037ep+1"),
+    "S2 0.001 forward 0.3 width": ("0x1.7ac8764a38fd5p+3", "0x1.7ac8764a38fd5p+3", "0x1.7ac8764a38fd5p+3"),
+    "S2 0.001 forward 2.5 L": ("0x1.8f322a928d5bep-7", "0x1.8f322a928d5bep-7", "0x1.8f322a928d5bep-7", "0x1.6700cf84eb369p+7", "0x1.3f8829af4d9c6p+7", "0x1.8eb7d5312fb6cp+7"),
+    "S2 0.001 forward 2.5 R": ("0x1.8f322a928d5bep-7", "0x1.8f322a928d5bep-7", "0x1.8f322a928d5bep-7", "-0x1.54f91b78acb02p+7", "-0x1.7c71c14e4a4a5p+7", "-0x1.2d4215cc682ffp+7"),
+    "S2 0.001 forward 2.5 width": ("0x1.5dfcf57ecbf36p+8", "0x1.5dfcf57ecbf36p+8", "0x1.5dfcf57ecbf36p+8"),
+    "S2 0.001 backward 0.0 L": ("0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 0.001 backward 0.0 R": ("0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 0.001 backward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 0.001 backward 0.3 L": ("0x1.8466f03da9babp-11", "0x1.8466f03da9babp-11", "0x1.8466f03da9babp-11", "-0x1.1104f7227a512p+2", "-0x1.5dd3d264ac01bp+2", "-0x1.8779776a6ab72p+1"),
+    "S2 0.001 backward 0.3 R": ("0x1.8466f03da9babp-11", "0x1.8466f03da9babp-11", "0x1.8466f03da9babp-11", "0x1.341ac3960c476p+2", "0x1.ce97d0a7b52dap+1", "0x1.8162ff03513cfp+2"),
+    "S2 0.001 backward 0.3 width": ("-0x1.228fdd5c434c4p+3", "-0x1.228fdd5c434c4p+3", "-0x1.228fdd5c434c4p+3"),
+    "S2 0.001 backward 2.5 L": ("0x1.584a189cfd318p-14", "0x1.584a189cfd318p-14", "0x1.584a189cfd318p-14", "-0x1.2ec709c910385p+4", "-0x1.30e7b7020094ep+4", "-0x1.2ca2ffd6e2535p+4"),
+    "S2 0.001 backward 2.5 R": ("0x1.584a189cfd318p-14", "0x1.584a189cfd318p-14", "0x1.584a189cfd318p-14", "0x1.2fbfd754d9b62p+4", "0x1.2d9f2a1be9599p+4", "0x1.31e3e147079b2p+4"),
+    "S2 0.001 backward 2.5 width": ("-0x1.2f43708ef4f74p+5", "-0x1.2f43708ef4f74p+5", "-0x1.2f43708ef4f74p+5"),
+    "S2 1.0 forward 0.0 L": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 1.0 forward 0.0 R": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 1.0 forward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 1.0 forward 0.3 L": ("0x1.599058c8c1a96p+0", "0x1.599058c8c1a96p+0", "0x1.599058c8c1a96p+0", "0x1.83833819945e4p+0", "-0x1.589a0b9ef8cecp-1", "0x1.db640d5e7c7f9p+1"),
+    "S2 1.0 forward 0.3 R": ("0x1.599058c8c1a96p+0", "0x1.599058c8c1a96p+0", "0x1.599058c8c1a96p+0", "-0x1.0797347aadf4cp-1", "-0x1.59cdec1333e00p+1", "0x1.af7948660da68p+0"),
+    "S2 1.0 forward 0.3 width": ("0x1.03a7692b75ac5p+1", "0x1.03a7692b75ac5p+1", "0x1.03a7692b75ac5p+1"),
+    "S2 1.0 forward 2.5 L": ("0x1.85d6fd931e0bbp+3", "0x1.85d6fd931e0bbp+3", "0x1.85d6fd931e0bbp+3", "0x1.7e8f742c9ecb0p+4", "0x1.0b2915fec7e74p+2", "0x1.5e23d0c761666p+5"),
+    "S2 1.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+3", "0x1.85d6fd931e0bbp+3", "0x1.85d6fd931e0bbp+3", "-0x1.dca3a79555701p+3", "-0x1.150b813bcbc4ap+5", "0x1.3d99665de5274p+2"),
+    "S2 1.0 forward 2.5 width": ("0x1.3670a3fba4c18p+5", "0x1.3670a3fba4c18p+5", "0x1.3670a3fba4c18p+5"),
+    "S2 1.0 backward 0.0 L": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 1.0 backward 0.0 R": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 1.0 backward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 1.0 backward 0.3 L": ("0x1.7b4c869c37c05p-1", "0x1.7b4c869c37c05p-1", "0x1.7b4c869c37c05p-1", "-0x1.4d2b77e650392p-1", "-0x1.d9d128fbeedecp+0", "0x1.1d166383d7738p-1"),
+    "S2 1.0 backward 0.3 R": ("0x1.7b4c869c37c05p-1", "0x1.7b4c869c37c05p-1", "0x1.7b4c869c37c05p-1", "0x1.32ecedc16ff0ap+0", "-0x1.39fd1d5b46400p-10", "0x1.3406edbb41e38p+1"),
+    "S2 1.0 backward 0.3 width": ("-0x1.d982a9b4980d3p+0", "-0x1.d982a9b4980d3p+0", "-0x1.d982a9b4980d3p+0"),
+    "S2 1.0 backward 2.5 L": ("0x1.50385c094f425p-4", "0x1.50385c094f425p-4", "0x1.50385c094f425p-4", "-0x1.8e828a3f06cdap+2", "-0x1.97053f22c83fep+2", "-0x1.85f262764f398p+2"),
+    "S2 1.0 backward 2.5 R": ("0x1.50385c094f425p-4", "0x1.50385c094f425p-4", "0x1.50385c094f425p-4", "0x1.9265c06e2c997p+2", "0x1.89e30b8a6b273p+2", "0x1.9af5e836e42d9p+2"),
+    "S2 1.0 backward 2.5 width": ("-0x1.9074255699b38p+3", "-0x1.9074255699b38p+3", "-0x1.9074255699b38p+3"),
+    "S2 8.0 forward 0.0 L": ("0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 8.0 forward 0.0 R": ("0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 8.0 forward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 8.0 forward 0.3 L": ("0x1.599058c8c1a96p+3", "0x1.599058c8c1a96p+3", "0x1.599058c8c1a96p+3", "0x1.0a664f390069cp-1", "-0x1.aa9d164c9090cp+0", "0x1.5c3c051ff26aep+1"),
+    "S2 8.0 forward 0.3 R": ("0x1.599058c8c1a96p+3", "0x1.599058c8c1a96p+3", "0x1.599058c8c1a96p+3", "0x1.ea11d8fef49d7p-2", "-0x1.b54bc7a9539e4p+0", "0x1.56e4ac7190e42p+1"),
+    "S2 8.0 forward 0.3 width": ("0x1.55d62b9861b00p-5", "0x1.55d62b9861b00p-5", "0x1.55d62b9861b00p-5"),
+    "S2 8.0 forward 2.5 L": ("ValueError: math domain error",),
+    "S2 8.0 forward 2.5 R": ("0x1.85d6fd931e0bbp+6", "0x1.85d6fd931e0bbp+6", "0x1.85d6fd931e0bbp+6", "0x1.11cd665d2465ep+2", "-0x1.eea3aa2b476f6p+3", "0x1.822b86f96d1b5p+4"),
+    "S2 8.0 forward 2.5 width": ("ValueError: math domain error", "ValueError: math domain error", "ValueError: math domain error"),
+    "S2 8.0 backward 0.0 L": ("0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 8.0 backward 0.0 R": ("0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.0000000000000p+3", "0x1.7ae147ae147aep-2", "-0x1.4000000000000p+0", "0x1.0000000000000p+1"),
+    "S2 8.0 backward 0.0 width": ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    "S2 8.0 backward 0.3 L": ("0x1.7b4c869c37c05p+2", "0x1.7b4c869c37c05p+2", "0x1.7b4c869c37c05p+2", "0x1.db90e5f673e7ep-3", "-0x1.ef92a093f08a6p-1", "0x1.70930a73e2535p+0"),
+    "S2 8.0 backward 0.3 R": ("0x1.7b4c869c37c05p+2", "0x1.7b4c869c37c05p+2", "0x1.7b4c869c37c05p+2", "0x1.4394543de5597p-2", "-0x1.c4acaff29ad7ap-1", "0x1.860602c48d2cbp+0"),
+    "S2 8.0 backward 0.3 width": ("-0x1.572f850aad960p-4", "-0x1.572f850aad960p-4", "-0x1.572f850aad960p-4"),
+    "S2 8.0 backward 2.5 L": ("0x1.50385c094f425p-1", "0x1.50385c094f425p-1", "0x1.50385c094f425p-1", "-0x1.251772dd06c3fp+1", "-0x1.361cdca489a86p+1", "-0x1.13f7234b979bbp+1"),
+    "S2 8.0 backward 2.5 R": ("0x1.50385c094f425p-1", "0x1.50385c094f425p-1", "0x1.50385c094f425p-1", "0x1.2cdddf3b525bcp+1", "0x1.1bd87573cf775p+1", "0x1.3dfe2eccc1840p+1"),
+    "S2 8.0 backward 2.5 width": ("-0x1.28faa90c2c8fep+2", "-0x1.28faa90c2c8fep+2", "-0x1.28faa90c2c8fep+2"),
+}
+
+
+@pytest.mark.parametrize("surface", list(PIN_TWISTS))
+def test_stretch_point_and_twist_width_bits_are_pinned(surface):
+    pinned = {key: pin for key, pin in STRETCH_PINS.items() if key.split()[0] == surface}
+    assert _stretch_pins(surface) == pinned
+
+
+@pytest.mark.parametrize("surface", list(PIN_TWISTS))
+def test_twist_along_stretch_bits_are_pinned(surface):
+    # each twist is the pinned twist of the stretched point, or fails as it does
+    n = len(PIN_TWISTS[surface])
+    for key, x, lam, nu, t in _pin_cases(surface):
+        for name, spec in (("L", lam), ("R", nu)):
+            pin = STRETCH_PINS[f"{key} {name}"]
+            for c in range(n):
+                expected = pin[n + c] if len(pin) == 2 * n else pin[0]
+                assert _pin(lambda: twist_along_stretch(x, spec, c, t)) == (expected,), (key, name, c)
+
+
+def test_twist_width_conventions_bits_are_pinned():
+    surfaces = twist_width_conventions()["surfaces"]
+    assert {s: {conv: w.hex() for conv, w in worst.items()} for s, worst in surfaces.items()} == {
+        "S11": {"reconciled": "0x1.3800000000000p-49", "printed": "0x1.49609f0abfdb6p+1"},
+        "S04": {"reconciled": "0x1.0000000000000p-50", "printed": "0x1.49609f0abfdb4p+1"},
+    }
