@@ -23,9 +23,6 @@ from .pants import (
     PantsTriangulation,
     SingularCuffError,
     TwistSigns,
-    delta_2sym,
-    delta_3sym,
-    delta_asym,
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
@@ -41,6 +38,7 @@ from .stretch import (
     right_spec,
     stretch_lengths,
     stretch_point,
+    stretch_vectors,
     twist_along_stretch,
     twist_width,
     twist_width_closed,
@@ -70,14 +68,12 @@ from .bounds import (
     run_sweep,
 )
 from .cube import (
-    Completion,
     TwistVector,
     chamfered_cube_check,
     cloud,
     enumerate_completions,
     extreme_points_brute,
     hull,
-    stretch_vector_projection,
 )
 
 __version__ = "0.1.0"

@@ -117,11 +117,6 @@ class SweepGrid:
         if not 0.0 < self.epsilon <= math.log(2.0):
             raise ValueError("epsilon must lie in (0, log 2]")
 
-    @staticmethod
-    def default() -> "SweepGrid":
-        ts = tuple(0.25 * i for i in range(0, 33))
-        return SweepGrid((0.1, 0.5, 1.0, 2.0, 5.0), ts)
-
 
 @dataclass(frozen=True)
 class SweepReport:

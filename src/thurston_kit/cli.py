@@ -340,13 +340,8 @@ def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
         flags = {"t_max": args.t_max, "max_q": args.max_q}
         return {key: value for key, value in flags.items() if value is not None}
     if args.command == "sweep" and args.grid == "default":
-        grid = SweepGrid.default()
-        return {
-            "l0_values": grid.l0_values,
-            "t_max": grid.t_values[-1],
-            "t_step": grid.t_values[1] - grid.t_values[0],
-            "epsilon": grid.epsilon,
-        }
+        grid_keys = ("l0_values", "t_max", "t_step", "epsilon")
+        return {f.name: f.default for f in fields(Config) if f.name in grid_keys}
     return {}
 
 

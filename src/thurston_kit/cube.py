@@ -1,19 +1,17 @@
-"""Stretch-vector twist projections on the genus-two surface and their hull.
+"""The hull of the genus-two stretch vectors: faces, vertices and their certificates.
 
-For the pants decomposition of the genus-two surface into two pairs of
-pants glued along three curves, a candidate completion assigns one
-triangulation type to each pair of pants and a common twist sign per
-curve: 8 x 4 x 4 = 128 candidates.  For each, the time derivative at 0
-of the three twist coordinates along the stretch path is one point of
-the cloud; the convex hull of the cloud at the symmetric base point is
-combinatorially a chamfered cube whose 32 vertices are found by qhull and
-certified by arithmetic on its merged faces.  The least-squares
-extremality test :func:`extreme_points_brute` is the tests' reference.
+A candidate is a forward :class:`~thurston_kit.stretch.StretchSpec` on
+the genus-two surface: one triangulation type per pair of pants and one
+twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
+(:func:`~thurston_kit.stretch.stretch_vectors`) form the cloud; the
+convex hull of the cloud at the symmetric base point is combinatorially
+a chamfered cube whose 32 vertices are found by qhull and certified by
+arithmetic on its merged faces.  The least-squares extremality test
+:func:`extreme_points_brute` is the tests' reference.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -21,41 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .h2 import GeometryError
-from .pants import (
-    LEAF_DISTRIBUTIONS,
-    PantsMetric,
-    PantsTriangulation,
-    TwistSigns,
-    delta_closed,
-    delta_scale_derivative,
-)
-from .stretch import FNPoint
+from .pants import LEAF_DISTRIBUTIONS, PantsTriangulation, TwistSigns
+from .stretch import FNPoint, StretchSpec, stretch_vectors
 
 #: coplanarity tolerance for merging hull facets
 HULL_TOL = 1e-9
 
 #: tolerance for convex representability, by certificate or least squares
 EXTREME_TOL = 1e-8
-
-
-@dataclass(frozen=True, slots=True)
-class Completion:
-    """Candidate completion: shared twist signs and one type per pair of pants."""
-
-    signs: TwistSigns
-    ends1: tuple[int, int, int]
-    ends2: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        for ends in (self.ends1, self.ends2):
-            if tuple(ends) not in LEAF_DISTRIBUTIONS:
-                raise ValueError(f"leaf distribution {ends} invalid")
-        object.__setattr__(self, "ends1", tuple(self.ends1))
-        object.__setattr__(self, "ends2", tuple(self.ends2))
-
-    def label(self) -> str:
-        letters = "".join("L" if e == 1 else "R" for e in self.signs.signs)
-        return f"{letters}-{''.join(map(str, self.ends1))}-{''.join(map(str, self.ends2))}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,90 +45,27 @@ class TwistVector:
         return np.array([self.da, self.db, self.dc])
 
 
-def enumerate_completions() -> list[Completion]:
-    """All 128 candidates (8 sign patterns x 4 x 4 pants types)."""
+def enumerate_completions() -> list[StretchSpec]:
+    """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types)."""
     out = []
     for bits in itertools.product((1, -1), repeat=3):
-        for e1 in LEAF_DISTRIBUTIONS:
-            for e2 in LEAF_DISTRIBUTIONS:
-                out.append(Completion(TwistSigns(*bits), e1, e2))
+        tris = [PantsTriangulation(ends, TwistSigns(*bits)) for ends in LEAF_DISTRIBUTIONS]
+        out.extend(StretchSpec("S2", pair) for pair in itertools.product(tris, repeat=2))
     return out
 
 
-#: relative agreement required between analytic and central-difference rates
-DERIVATIVE_CHECK_REL = 1e-6
+def _label(spec: StretchSpec) -> str:
+    """The twist signs, then the leaf ends of each pair of pants: ``LLR-222-411``."""
+    letters = "".join("L" if e == 1 else "R" for e in spec.triangulations[0].signs.signs)
+    return "-".join([letters, *("".join(map(str, t.ends)) for t in spec.triangulations)])
 
 
-def stretch_vector_projection(x: FNPoint, completion: Completion) -> TwistVector:
-    """d/dt at 0 of the three twist coordinates along the completion's stretch.
-
-    theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0), with the
-    offsets differentiated analytically (complex step); a central
-    difference (h = 1e-6) must agree to 1e-6 relative.
-    """
-    return _projections(x, [completion])[0]
-
-
-def _projections(x: FNPoint, completions: list[Completion]) -> list[TwistVector]:
-    """Projections of ``completions`` at ``x``, one per completion.
-
-    Both pairs of pants share the three curves, so an offset depends only
-    on (leaf ends, signs, curve): each of those sides is evaluated at most
-    once per call and its value reused by every completion containing it.
-    Values are first evaluated, and the sums formed, in the order of the
-    per-completion formula, so results and the first error raised are the
-    same as evaluating every completion on its own.
-    """
+def cloud(x: FNPoint) -> list[tuple[StretchSpec, TwistVector]]:
+    """All 128 labeled candidate stretch vectors, in enumeration order."""
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
-    metric = PantsMetric(*x.lengths)
-    h = 1e-6
-
-    @functools.cache
-    def tri(ends, signs) -> PantsTriangulation:
-        return PantsTriangulation(ends, TwistSigns(*signs))
-
-    @functools.cache
-    def offset(ends, signs, curve: int) -> float:
-        return delta_closed(metric, tri(ends, signs), curve)
-
-    @functools.cache
-    def rate(ends, signs, curve: int) -> float:
-        return delta_scale_derivative(metric, tri(ends, signs), curve)
-
-    @functools.cache
-    def difference(ends, signs, curve: int) -> float:
-        t = tri(ends, signs)
-        return delta_closed(metric.scaled(math.exp(h)), t, curve) - delta_closed(
-            metric.scaled(math.exp(-h)), t, curve
-        )
-
-    out = []
-    for completion in completions:
-        signs = completion.signs.signs
-        sides = (completion.ends1, completion.ends2)
-        rates = []
-        for curve in range(3):
-            total0 = 0.0
-            dtotal = 0.0
-            for ends in sides:
-                total0 += offset(ends, signs, curve)
-                dtotal += rate(ends, signs, curve)
-            num = sum(difference(ends, signs, curve) for ends in sides) / (2.0 * h)
-            scale = max(1.0, abs(dtotal))
-            if abs(num - dtotal) > DERIVATIVE_CHECK_REL * scale:
-                raise ArithmeticError(
-                    f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
-                )
-            rates.append(x.twists[curve] + total0 - dtotal)
-        out.append(TwistVector(*rates))
-    return out
-
-
-def cloud(x: FNPoint) -> list[tuple[Completion, TwistVector]]:
-    """All 128 labeled candidate projections, in enumeration order."""
-    completions = enumerate_completions()
-    return list(zip(completions, _projections(x, completions)))
+    specs = enumerate_completions()
+    return [(spec, TwistVector(*v)) for spec, v in zip(specs, stretch_vectors(x, specs))]
 
 
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -341,7 +249,7 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
     summary = hull(uniq)
     hull_set = set(summary.vertex_indices)
     entries = [
-        {"completion": comp.label(), "d_twist": [tv.da, tv.db, tv.dc], "extreme": group[i] in hull_set}
+        {"completion": _label(comp), "d_twist": [tv.da, tv.db, tv.dc], "extreme": group[i] in hull_set}
         for i, (comp, tv) in enumerate(labeled)
     ]
     return {

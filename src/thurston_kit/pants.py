@@ -235,21 +235,6 @@ def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int, partner: int 
     return _delta_core(p.lengths, t.signs.signs, t.ends, cuff, j, k, sym).real
 
 
-def delta_3sym(p: PantsMetric, signs: TwistSigns, partner: int | None = None) -> float:
-    """Twist offset at cuff 1 for the (2,2,2) triangulation."""
-    return delta_closed(p, PantsTriangulation((2, 2, 2), signs), 0, partner)
-
-
-def delta_2sym(p: PantsMetric, signs: TwistSigns) -> float:
-    """Twist offset at cuff 1 for the triangulation with 4 leaf ends there."""
-    return delta_closed(p, PantsTriangulation((4, 1, 1), signs), 0)
-
-
-def delta_asym(p: PantsMetric, signs: TwistSigns) -> float:
-    """Twist offset at cuff 1 when a single leaf end spirals into it."""
-    return delta_closed(p, PantsTriangulation((1, 4, 1), signs), 0)
-
-
 def delta_scaled(p: PantsMetric, t: PantsTriangulation, cuff: int, s: float) -> float:
     """Twist offset with every cuff length (hence every shear) scaled by e^s."""
     return delta_closed(p.scaled(math.exp(s)), t, cuff)

@@ -10,7 +10,9 @@ where D_i(s) is the twist offset of the pair of pants on side i of c,
 evaluated with every length scaled by e^s (offsets are 1/2 log of
 rational expressions in exponentials of lengths, so scaling the shear
 coordinates and scaling the lengths agree).  Negative s gives the
-backward path.
+backward path.  The stretch vector of a forward completion is the
+derivative at t = 0 of every twist coordinate (:func:`stretch_vectors`),
+the quantity whose convex hull ``cube`` studies on the genus-two surface.
 
 Each surface is one row of ``_SURFACES``: the (pants, cuff) pair on each
 side of each decomposition curve, the leaf ends of each pair of pants in
@@ -25,10 +27,11 @@ all three curves).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed
+from .pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed, delta_scale_derivative
 
 
 class _Surface(NamedTuple):
@@ -168,6 +171,57 @@ def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
     s = _signed_time(spec, t)
     twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
     return FNPoint(x.surface, stretch_lengths(x, s).lengths, twists)
+
+
+#: relative agreement required between analytic and central-difference rates
+DERIVATIVE_CHECK_REL = 1e-6
+
+
+def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> list[tuple[float, ...]]:
+    """The stretch vector of each forward spec at ``x``: per curve c,
+
+        theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
+
+    with the offsets differentiated analytically (complex step); a central
+    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative.
+    Each (triangulation, cuff) side is evaluated once per call and shared
+    by every spec that contains it; the sums are formed in the order of
+    the per-spec formula, so the values are those of one spec at a time.
+    """
+    if any(spec.surface != x.surface or spec.direction != "forward" for spec in specs):
+        raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
+    row = _SURFACES[x.surface]
+    metric = row.metric(x.lengths)
+    h = 1e-6
+    up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
+    # (offset, rate, central difference) per (triangulation, cuff) side
+    evaluated: dict[tuple[PantsTriangulation, int], tuple[float, float, float]] = {}
+    out = []
+    for spec in specs:
+        rates = []
+        for curve, adjacent in enumerate(row.sides):
+            total0 = dtotal = diff = 0.0
+            for pants, cuff in adjacent:
+                tri = spec.triangulations[pants]
+                key = (tri, cuff)
+                if key not in evaluated:
+                    evaluated[key] = (
+                        delta_closed(metric, tri, cuff),
+                        delta_scale_derivative(metric, tri, cuff),
+                        delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff),
+                    )
+                d0, rate, d = evaluated[key]
+                total0 += d0
+                dtotal += rate
+                diff += d
+            num = diff / (2.0 * h)
+            if abs(num - dtotal) > DERIVATIVE_CHECK_REL * max(1.0, abs(dtotal)):
+                raise ArithmeticError(
+                    f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
+                )
+            rates.append(x.twists[curve] + total0 - dtotal)
+        out.append(tuple(rates))
+    return out
 
 
 def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: float) -> float:

@@ -243,7 +243,9 @@ def _seed(x: FNPoint | TorusRep) -> tuple[float, float, Mat2]:
 def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.ndarray:
     """log translation lengths, one row per slope of the plan and one
     column per endpoint; raises for elliptic or parabolic words
-    (|trace| <= 2), which signal a non-discrete input."""
+    (|trace| <= 2), which signal a non-discrete input, except for the
+    integer slopes of Fenchel-Nielsen points, whose |trace|/2 - 1 has an
+    exact form."""
     ints, levels, slope_node = plan
     lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
     start = len(ints)
@@ -271,9 +273,23 @@ def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.nda
     lengths = 2.0 * (lh + math.log(2.0))
     small = lh <= _LOG_HUGE
     y = np.exp(lh[small])
-    if np.any(y <= 1.0 + 1e-14):
-        raise ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): rep not discrete")
-    lengths[small] = 2.0 * np.arccosh(y)
+    lengths[small] = 2.0 * np.arccosh(np.maximum(y, 1.0))
+    flat = y <= 1.0 + 1e-14
+    if np.any(flat):
+        error = ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): rep not discrete")
+        rows, cols = (i[flat] for i in np.nonzero(small))
+        fn = np.array([isinstance(p, FNPoint) for p in endpoints])
+        if not np.all((node[rows] < len(ints)) & fn[cols]):
+            raise error
+        # an integer slope of a Fenchel-Nielsen point with a long alpha:
+        # |tr|/2 = coth(l/2) cosh(u/2) rounds to 1, but |tr|/2 - 1 is
+        # 2 coth(l/2) sinh^2(u/4) + 2/expm1(l), a sum of positive terms
+        # (the second written so that no exponential overflows)
+        l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
+        w = 2.0 * np.sinh(u / 4.0) ** 2 / np.tanh(l / 2.0) - 2.0 * np.exp(-l) / np.expm1(-l)
+        if not np.all(w > 0.0):
+            raise error
+        lengths[rows, cols] = 2.0 * np.log1p(w + np.sqrt(w * (w + 2.0)))
     out = np.tile(np.log(lam), (len(slope_node), 1))
     out[slope_node >= 0] = np.log(lengths)
     return out

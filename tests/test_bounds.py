@@ -21,6 +21,7 @@ from thurston_kit.bounds import (
     sweep_json,
     thick_bound,
 )
+from thurston_kit.cli import Config
 from thurston_kit.stretch import log_coth
 
 
@@ -176,7 +177,8 @@ def test_sweep_outputs_are_deterministic_and_well_formed():
 
 
 def test_default_grid_sweep_globally_bounded():
-    report = run_sweep(SweepGrid.default())
+    cfg = Config()
+    report = run_sweep(SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q))
     assert report.global_bounded
     assert set(row[2] for row in report.rows) == {"thin", "middle", "thick"}
     assert all(math.isfinite(row[3]) for row in report.rows)

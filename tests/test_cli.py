@@ -212,6 +212,16 @@ def test_sweep_default_grid_flag(tmp_path, capsys):
     assert len(lines) == 1 + 5 * 33
 
 
+def test_envelope_with_a_long_alpha_starts_at_zero_widths(tmp_path, capsys):
+    # l_alpha = 34: slope 0/1 at t = 0 has |tr|/2 = 1 + 2 e^{-34}
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\nl0_values=17\n")
+    code, _ = run_cli(capsys, "--config", str(cfg), "envelope")
+    assert code == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "envelope.csv").read_text().splitlines()[1:]]
+    assert [row for row in rows if row[1] == "0"] == [["17", "0", "0", "0"]]
+
+
 def test_envelope_flags_and_csv_header(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, _ = run_cli(capsys, "--config", str(cfg), "envelope", "--t-max", "0.5", "--max-q", "4")

@@ -10,10 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thurston_kit import cube
+from thurston_kit import cube, stretch
 from thurston_kit.cli import main
 from thurston_kit.cube import (
-    Completion,
     TwistVector,
     chamfered_cube_check,
     cloud,
@@ -22,7 +21,6 @@ from thurston_kit.cube import (
     extreme_points_brute,
     hull,
     nnls,
-    stretch_vector_projection,
     symmetric_base_point,
 )
 from thurston_kit.h2 import GeometryError
@@ -33,7 +31,16 @@ from thurston_kit.pants import (
     delta_closed,
     delta_scale_derivative,
 )
-from thurston_kit.stretch import FNPoint
+from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, stretch_vectors
+
+
+def _spec(signs, ends1, ends2):
+    """The forward genus-two completion with shared ``signs`` and the given pants types."""
+    return StretchSpec("S2", (PantsTriangulation(ends1, signs), PantsTriangulation(ends2, signs)))
+
+
+def _projection(x, spec):
+    return TwistVector(*stretch_vectors(x, [spec])[0])
 
 
 def test_enumeration_has_128_distinct_candidates():
@@ -45,8 +52,8 @@ def test_enumeration_has_128_distinct_candidates():
 def test_projection_antipodal_under_full_sign_flip():
     x = symmetric_base_point()
     for e1, e2 in (((2, 2, 2), (2, 2, 2)), ((4, 1, 1), (1, 4, 1))):
-        v = stretch_vector_projection(x, Completion(TwistSigns(1, 1, 1), e1, e2)).as_array()
-        w = stretch_vector_projection(x, Completion(TwistSigns(-1, -1, -1), e1, e2)).as_array()
+        v = _projection(x, _spec(TwistSigns(1, 1, 1), e1, e2)).as_array()
+        w = _projection(x, _spec(TwistSigns(-1, -1, -1), e1, e2)).as_array()
         assert np.max(np.abs(v + w)) <= 1e-9
 
 
@@ -54,24 +61,24 @@ def test_projection_equivariant_under_curve_relabeling():
     # at the symmetric base point, cyclically permuting the pants types
     # permutes the coordinates
     x = symmetric_base_point()
-    v = stretch_vector_projection(x, Completion(TwistSigns(1, 1, 1), (4, 1, 1), (4, 1, 1))).as_array()
-    w = stretch_vector_projection(x, Completion(TwistSigns(1, 1, 1), (1, 4, 1), (1, 4, 1))).as_array()
+    v = _projection(x, _spec(TwistSigns(1, 1, 1), (4, 1, 1), (4, 1, 1))).as_array()
+    w = _projection(x, _spec(TwistSigns(1, 1, 1), (1, 4, 1), (1, 4, 1))).as_array()
     assert np.allclose(np.roll(v, 1), w, atol=1e-9)
 
 
 def test_projection_includes_initial_twist():
     x0 = symmetric_base_point()
     x1 = FNPoint("S2", (1.0, 1.0, 1.0), (0.3, -0.1, 0.2))
-    comp = Completion(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
-    v0 = stretch_vector_projection(x0, comp).as_array()
-    v1 = stretch_vector_projection(x1, comp).as_array()
+    comp = _spec(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
+    v0 = _projection(x0, comp).as_array()
+    v1 = _projection(x1, comp).as_array()
     assert np.allclose(v1 - v0, [0.3, -0.1, 0.2], atol=1e-12)
 
 
 def test_projection_derivative_cross_check_runs():
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.0, 0.0, 0.0))
-    for comp in (Completion(TwistSigns(1, -1, 1), (2, 2, 2), (1, 1, 4)),):
-        v = stretch_vector_projection(x, comp)
+    for comp in (_spec(TwistSigns(1, -1, 1), (2, 2, 2), (1, 1, 4)),):
+        v = _projection(x, comp)
         assert all(math.isfinite(c) for c in (v.da, v.db, v.dc))
 
 
@@ -157,10 +164,10 @@ def test_extreme_completions_pair_types_across_the_curve():
 
 
 def test_projection_requires_genus_two_point():
-    with pytest.raises(ValueError):
-        stretch_vector_projection(
-            FNPoint("S11", (1.0,), (0.0,)), Completion(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
-        )
+    with pytest.raises(ValueError, match="genus-two"):
+        cloud(FNPoint("S11", (1.0,), (0.0,)))
+    with pytest.raises(SpecMismatchError):
+        stretch_vectors(FNPoint("S11", (1.0,), (0.0,)), [_spec(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))])
 
 
 def _reference_dedupe(points, tol):
@@ -183,10 +190,10 @@ def _random_base_point(rng):
     return FNPoint("S2", lengths, twists)
 
 
-def _reference_projection(x, completion):
-    """The projection formula written per completion, every offset evaluated afresh."""
+def _reference_projection(x, spec):
+    """The projection formula written per spec, every offset evaluated afresh."""
     metric = PantsMetric(*x.lengths)
-    tris = [PantsTriangulation(ends, completion.signs) for ends in (completion.ends1, completion.ends2)]
+    tris = spec.triangulations
     rates = []
     for curve in range(3):
         total0 = 0.0
@@ -216,7 +223,7 @@ def test_cloud_matches_per_completion_projection_bit_for_bit():
         labeled = cloud(x)
         assert [c for c, _ in labeled] == comps
         got = _bits(tv for _, tv in labeled)
-        assert got == _bits(stretch_vector_projection(x, c) for c in comps)
+        assert got == _bits(_projection(x, c) for c in comps)
         assert got == _bits(_reference_projection(x, c) for c in comps)
 
     check()
@@ -275,8 +282,8 @@ def test_dedupe_and_certificates_match_references():
 
 
 def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
-    exact = cube.delta_scale_derivative
-    monkeypatch.setattr(cube, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
+    exact = stretch.delta_scale_derivative
+    monkeypatch.setattr(stretch, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
     with pytest.raises(ArithmeticError, match="central difference"):
         cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
 
@@ -290,7 +297,7 @@ def test_lone_point_is_extreme():
 def test_chamfered_cube_check_entries_follow_enumeration():
     result = chamfered_cube_check()
     entries = result["entries"]
-    assert [e["completion"] for e in entries] == [c.label() for c in enumerate_completions()]
+    assert [e["completion"] for e in entries] == [cube._label(c) for c in enumerate_completions()]
     assert sorted(e["completion"] for e in entries if e["extreme"]) == result["extreme_completions"]
 
 

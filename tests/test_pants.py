@@ -12,9 +12,6 @@ from thurston_kit.pants import (
     PantsTriangulation,
     SingularCuffError,
     TwistSigns,
-    delta_2sym,
-    delta_3sym,
-    delta_asym,
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
@@ -96,7 +93,8 @@ def test_invalid_distribution_rejected():
 
 def test_delta_3sym_matches_oracle_at_unit_lengths():
     pm = PantsMetric(1, 1, 1)
-    assert delta_3sym(pm, LLL) == pytest.approx(delta_oracle(pm, PantsTriangulation((2, 2, 2), LLL), 0), abs=1e-9)
+    tri = PantsTriangulation((2, 2, 2), LLL)
+    assert delta_closed(pm, tri, 0) == pytest.approx(delta_oracle(pm, tri, 0), abs=1e-9)
 
 
 def test_delta_3sym_flipping_first_sign_uses_opposite_translate():
@@ -108,15 +106,15 @@ def test_delta_3sym_flipping_first_sign_uses_opposite_translate():
     x = (1 + math.exp(s["s12"])) / (math.exp(+pm.l1) - 1)
     frac = (math.exp(s["s23"]) + math.exp(-pm.l2)) / (math.exp(s["s23"]) + 1)
     by_hand = -0.5 * math.log((x + 1) * (x + frac))
-    assert delta_3sym(pm, signs) == pytest.approx(by_hand, abs=1e-12)
+    assert delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0) == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_delta_3sym_partner_relabeling_shifts_by_half_length():
     for signs in all_sign_patterns():
         for l in itertools.product((0.5, 1.0, 3.0), repeat=3):
             pm = PantsMetric(*l)
-            d2 = delta_3sym(pm, signs, partner=1)
-            d3 = delta_3sym(pm, signs, partner=2)
+            d2 = delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0, partner=1)
+            d3 = delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0, partner=2)
             assert d2 - d3 == pytest.approx(-signs.e1 * l[0] / 2.0, abs=1e-10) or d2 - d3 == pytest.approx(
                 signs.e1 * l[0] / 2.0, abs=1e-10
             )
@@ -150,7 +148,7 @@ def test_partner_formula_against_holonomy_fixed_points():
     for _ in range(15):
         l = tuple(rng.uniform(0.3, 3.5, 3))
         x, p3 = _pants_holonomy_gamma3_endpoint(l)
-        d3 = delta_3sym(PantsMetric(*l), LLL, partner=2)
+        d3 = delta_closed(PantsMetric(*l), PantsTriangulation((2, 2, 2), LLL), 0, partner=2)
         assert d3 == pytest.approx(0.5 * math.log(x * p3), abs=1e-9)
 
 
@@ -158,21 +156,22 @@ def test_delta_2sym_puncture_case_is_log_coth_quarter_length():
     for l1 in GRID:
         pm = PantsMetric(l1, 0.0, 0.0)
         expected = math.log(1.0 / math.tanh(l1 / 4.0))
-        assert delta_2sym(pm, LLL) == pytest.approx(expected, abs=1e-12)
+        assert delta_closed(pm, PantsTriangulation((4, 1, 1), LLL), 0) == pytest.approx(expected, abs=1e-12)
         # sign flip negates exactly in this case
-        assert delta_2sym(pm, RRR) == pytest.approx(-expected, abs=1e-12)
+        assert delta_closed(pm, PantsTriangulation((4, 1, 1), RRR), 0) == pytest.approx(-expected, abs=1e-12)
 
 
 def test_delta_2sym_matches_oracle_on_grid():
     tri = PantsTriangulation((4, 1, 1), LLL)
     for l in itertools.product(GRID, repeat=3):
         pm = PantsMetric(*l)
-        assert delta_2sym(pm, LLL) == pytest.approx(delta_oracle(pm, tri, 0), abs=1e-9)
+        assert delta_closed(pm, tri, 0) == pytest.approx(delta_oracle(pm, tri, 0), abs=1e-9)
 
 
 def test_delta_asym_matches_oracle_at_unit_lengths():
     pm = PantsMetric(1, 1, 1)
-    assert delta_asym(pm, LLL) == pytest.approx(delta_oracle(pm, PantsTriangulation((1, 4, 1), LLL), 0), abs=1e-9)
+    tri = PantsTriangulation((1, 4, 1), LLL)
+    assert delta_closed(pm, tri, 0) == pytest.approx(delta_oracle(pm, tri, 0), abs=1e-9)
 
 
 def test_delta_asym_leading_sign_flip():
@@ -183,7 +182,7 @@ def test_delta_asym_leading_sign_flip():
     num = math.exp(s["s22"]) + math.exp(s["s22"] + s["s23"]) + math.exp(2 * s["s22"] + s["s23"]) + math.exp(-pm.l2)
     den = math.exp(s["s22"]) + math.exp(s["s22"] + s["s23"]) + math.exp(2 * s["s22"] + s["s23"]) + 1
     by_hand = -0.5 * math.log((x + 1) * (x + num / den))
-    assert delta_asym(pm, signs) == pytest.approx(by_hand, abs=1e-12)
+    assert delta_closed(pm, PantsTriangulation((1, 4, 1), signs), 0) == pytest.approx(by_hand, abs=1e-12)
 
 
 def test_sign_flip_offsets_are_length_linear():
@@ -225,7 +224,7 @@ def test_normalization_freedom_shifts_delta_but_not_width_combination():
 def test_singular_cuff_rejected():
     pm = PantsMetric(0.0, 1.0, 1.0)
     with pytest.raises(SingularCuffError):
-        delta_3sym(pm, LLL)
+        delta_closed(pm, PantsTriangulation((2, 2, 2), LLL), 0)
     with pytest.raises(SingularCuffError):
         delta_oracle(PantsMetric(1e-14, 1.0, 1.0), PantsTriangulation((2, 2, 2), LLL), 0)
 
@@ -300,7 +299,7 @@ def test_role_resolution_rejects_bad_partners():
     with pytest.raises(ValueError):
         delta_closed(PantsMetric(1, 1, 1), tri_asym, 0, partner=2)
     # the forced partner is accepted
-    assert delta_closed(PantsMetric(1, 1, 1), tri_asym, 0, partner=1) == delta_asym(PantsMetric(1, 1, 1), LLL)
+    assert delta_closed(PantsMetric(1, 1, 1), tri_asym, 0, partner=1) == delta_closed(PantsMetric(1, 1, 1), tri_asym, 0)
     with pytest.raises(ValueError):
         delta_closed(PantsMetric(1, 1, 1), tri_2sym, 3)
 

@@ -12,11 +12,13 @@ from thurston_kit.stretch import (
     FNPoint,
     SpecMismatchError,
     StretchSpec,
+    curve_count,
     left_spec,
     log_coth,
     right_spec,
     stretch_lengths,
     stretch_point,
+    stretch_vectors,
     twist_along_stretch,
     twist_width,
     twist_width_closed,
@@ -174,6 +176,29 @@ def test_stretch_point_scales_lengths_and_evolves_twists():
     y = stretch_point(x, spec, 0.5)
     assert all(l == pytest.approx(math.exp(0.5), rel=1e-14) for l in y.lengths)
     assert all(th == pytest.approx(y.twists[0], abs=1e-12) for th in y.twists)
+
+
+@pytest.mark.parametrize(
+    "surface, lengths, twists",
+    [("S11", (1.3,), (0.4,)), ("S04", (0.8,), (-0.2,)), ("S2", (0.7, 1.9, 3.1), (0.3, -1.2, 0.5))],
+)
+def test_stretch_vectors_are_the_time_derivative_of_the_twists(surface, lengths, twists):
+    x = FNPoint(surface, lengths, twists)
+    specs = [left_spec(surface, direction="forward"), right_spec(surface, direction="forward")]
+    h = 1e-5
+    for spec, vector in zip(specs, stretch_vectors(x, specs)):
+        assert len(vector) == curve_count(surface)
+        for curve, rate in enumerate(vector):
+            num = (twist_along_stretch(x, spec, curve, h) - twist_along_stretch(x, spec, curve, -h)) / (2 * h)
+            assert rate == pytest.approx(num, rel=1e-8, abs=1e-8)
+
+
+def test_stretch_vectors_reject_backward_and_foreign_specs():
+    x = FNPoint("S11", (1.0,), (0.0,))
+    with pytest.raises(SpecMismatchError):
+        stretch_vectors(x, [left_spec("S11", direction="forward"), left_spec("S11", direction="backward")])
+    with pytest.raises(SpecMismatchError):
+        stretch_vectors(x, [right_spec("S04", direction="forward")])
 
 
 def test_width_agreement_for_random_partial_sign_patterns():

@@ -1,6 +1,7 @@
 """Tests for the once-punctured torus holonomy model and distance estimator."""
 
 import math
+import sys
 from math import gcd
 
 import numpy as np
@@ -363,22 +364,48 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     assert envelope_cells([], 30) == []
 
 
-def test_envelope_cells_raise_the_first_failing_cells_error():
-    # at t = 0 an alpha of length 34-36 trips the engine's elliptic guard
-    # (|tr|/2 of slope 0 is 1 + 2 e^{-l}, inside its 1e-14 margin), with a
-    # message that depends on the cell
+def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
+    # a matrix rep with an A of length 34-36 trips the engine's elliptic
+    # guard (|tr|/2 of slope 0 is 1 + 2 e^{-l}, inside its 1e-14 margin),
+    # with a message that depends on the cell; the bad cells' endpoints
+    # are made such reps
+    def endpoints(y, t):
+        if y.lengths[0] < 30.0:
+            return _endpoints_signed(y, t)
+        rep = rep_from_fn(y.lengths[0], 0.0)
+        return rep, rep
+
+    monkeypatch.setattr(torus, "_endpoints_signed", endpoints)
     ok = [(FNPoint("S11", (2.0,), (0.0,)), t) for t in (0.0, 1.0)]
     bad = [(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0) for l0 in (17.0, 18.0)]
     messages = []
     for y, t in bad:
         with pytest.raises(ValueError) as exc:
-            _per_cell_widths(y, t, 30)
+            _log_lengths(endpoints(y, t), _family(30)[1])
         messages.append(str(exc.value))
     assert messages[0] != messages[1]
     for cells, first in ((ok * 5 + bad + ok, 0), (bad[::-1], 1)):
         with pytest.raises(ValueError) as exc:
             envelope_cells(cells, 30)
         assert str(exc.value) == messages[first]
+
+
+@pytest.mark.parametrize("l, tau, n", [(34.0, 0.0, 0), (36.0, -36.0, 1), (40.0, 3e-8, 0), (50.0, 100.0, -2)])
+def test_long_alpha_integer_slopes_match_mpmath_reference(l, tau, n):
+    # |tr|/2 = coth(l/2) cosh(u/2) rounds to within 1e-14 of 1 here, where
+    # the elliptic guard fired before integer slopes had an exact form
+    mpmath = pytest.importorskip("mpmath")
+    got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([Slope(n, 1)]))[0, 0])
+    with mpmath.workdps(60):
+        u = n * mpmath.mpf(l) + mpmath.mpf(tau)
+        ref = 2 * mpmath.acosh(mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2))
+        rel = abs((mpmath.mpf(got) - ref) / ref)
+    assert rel <= 4 * sys.float_info.epsilon
+
+
+def test_long_alpha_matrix_rep_still_trips_the_guard():
+    with pytest.raises(ValueError, match="elliptic or parabolic"):
+        curve_length(rep_from_fn(34.0, 0.0), Slope(0, 1))
 
 
 def test_puncture_conservation_under_earthquake():

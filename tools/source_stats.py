@@ -1,0 +1,53 @@
+"""Print the size of the package source and the number of settable options.
+
+    python3 tools/source_stats.py
+
+For every module of ``src/thurston_kit`` prints its line count, then the
+total, then the number of settable keyword options: function, method and
+lambda parameters that have a default, plus fields with a default in
+classes decorated with ``dataclass``.  Reads the files next to this
+script; imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "thurston_kit"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def settable_options(tree: ast.AST) -> int:
+    """Parameters with a default plus dataclass fields with a default."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+    return count
+
+
+def main() -> None:
+    total_lines = total_options = 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = len(text.splitlines())
+        options = settable_options(ast.parse(text))
+        print(f"{path.name:<16}{lines:>6} lines{options:>6} options")
+        total_lines += lines
+        total_options += options
+    print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options")
+
+
+if __name__ == "__main__":
+    main()
