@@ -46,13 +46,11 @@ from .stretch import (
 )
 from .torus import (
     Slope,
-    TorusRep,
     curve_length,
     dth_estimate,
     earthquake,
     envelope_cells,
     envelope_widths,
-    rep_from_fn,
     short_marking,
     stretch_endpoints,
 )

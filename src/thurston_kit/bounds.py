@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .stretch import log_coth, width_point
 from .torus import envelope_cells
@@ -124,10 +124,10 @@ class SweepReport:
 
     rows: tuple[tuple[float, float, str, float], ...]
     epsilon: float
-    regime_sup: dict = field(default_factory=dict)
-    regime_argmax: dict = field(default_factory=dict)
-    middle_constants: dict = field(default_factory=dict)
-    global_bounded: bool = True
+    regime_sup: dict
+    regime_argmax: dict
+    middle_constants: dict
+    global_bounded: bool
 
     def summary(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Holonomy model of the once-punctured torus and a length-ratio distance estimator.
 
-A point (l, tau) in Fenchel-Nielsen coordinates along the curve alpha is
-realized as a discrete representation with generators
+Every input is a point (l, tau) in Fenchel-Nielsen coordinates along the
+curve alpha.  Its lengths are those of the holonomy with generators
 
     A = diag(e^{l/2}, e^{-l/2})            (axis = imaginary axis)
     B = B0 * diag(e^{tau/2}, e^{-tau/2})   (twist pre-composed)
@@ -9,7 +9,8 @@ realized as a discrete representation with generators
 where B0 is the symmetric hyperbolic with axis the unit half-circle and
 cosh(l_B/2) = coth(l/2), the unique choice (with tr B > 0) making the
 commutator trace -2, i.e. the cusp relation x^2 + y^2 + z^2 = xyz for
-(x, y, z) = (tr A, tr B, tr AB).
+(x, y, z) = (tr A, tr B, tr AB).  The matrices are never formed: the
+engine seeds its integer slopes from (l, tau) directly.
 
 Simple closed curves correspond to extended rationals p/q (slope of B is
 0, slope of A is infinity); the curve word is conjugate to the
@@ -18,8 +19,8 @@ u_i = k_i l + tau and the cutting-sequence exponents k_i sum to p.  One
 engine, :func:`_log_lengths`, sets each integer slope in closed form and
 every other slope as M(left parent) M(right parent) over its Stern-Brocot
 parents: one 2x2 product per slope, in at most max_q - 1 levels that are
-vectorised over endpoints.  For Fenchel-Nielsen points all entries are
-positive, so nothing cancels, and a log scale keeps huge words in range.
+vectorised over endpoints.  All entries are positive, so nothing
+cancels, and a log scale keeps huge words in range.
 The trace form tr W(a+b) = tr a tr b - tr W(a-b) is not used: it runs a
 decaying recurrence forward and loses all digits at large twist.
 
@@ -44,28 +45,6 @@ from math import gcd
 import numpy as np
 
 from .stretch import FNPoint, left_spec, right_spec, stretch_point
-
-Mat2 = tuple[tuple[float, float], tuple[float, float]]
-
-#: commutator-trace tolerance for accepting a representation
-PUNCTURE_TOL = 1e-9
-
-
-def _mul(x: Mat2, y: Mat2) -> Mat2:
-    return (
-        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
-        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
-    )
-
-
-def _inv(x: Mat2) -> Mat2:
-    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    return ((x[1][1] / det, -x[0][1] / det), (-x[1][0] / det, x[0][0] / det))
-
-
-def _tr(x: Mat2) -> float:
-    return x[0][0] + x[1][1]
-
 
 @dataclass(frozen=True, slots=True)
 class Slope:
@@ -101,84 +80,6 @@ class Slope:
 
     def __str__(self) -> str:
         return "inf" if self.q == 0 else f"{self.p}/{self.q}"
-
-
-def _unimodular(x: Mat2) -> Mat2:
-    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    if not det > 0:
-        raise ValueError("generator matrices must have positive determinant")
-    s = math.sqrt(det)
-    return ((x[0][0] / s, x[0][1] / s), (x[1][0] / s, x[1][1] / s))
-
-
-@dataclass(frozen=True, slots=True)
-class TorusRep:
-    """Generator holonomies of a once-punctured torus representation.
-
-    Matrices are normalized to determinant one on construction.
-    """
-
-    A: Mat2
-    B: Mat2
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "A", _unimodular(self.A))
-        object.__setattr__(self, "B", _unimodular(self.B))
-        comm = _mul(_mul(self.A, self.B), _mul(_inv(self.A), _inv(self.B)))
-        # the trace is a difference of products of entry magnitude
-        # ~(|A| |B|)^2, so the verifiable tolerance degrades accordingly
-        na = max(abs(v) for row in self.A for v in row)
-        nb = max(abs(v) for row in self.B for v in row)
-        allowed = PUNCTURE_TOL + 64.0 * 2.220446049250313e-16 * (na * nb) ** 2
-        if abs(_tr(comm) + 2.0) > allowed:
-            raise ValueError(f"commutator trace {_tr(comm)} is not -2: not a cusped torus rep")
-        if abs(_tr(self.A)) <= 2.0:
-            raise ValueError("generator A must be hyperbolic")
-
-    def commutator_trace(self) -> float:
-        comm = _mul(_mul(self.A, self.B), _mul(_inv(self.A), _inv(self.B)))
-        return _tr(comm)
-
-
-def rep_from_fn(l: float, tau: float) -> TorusRep:
-    """Representation realizing Fenchel-Nielsen coordinates (l, tau).
-
-    At tau = 0 the B-axis is the unit half-circle, perpendicular to the
-    A-axis; the twist pre-composes B with the translation by tau along
-    the A-axis.  With this normalization a full twist relabels slopes by
-    l_{p/q}(l, tau + l) = l_{(p+q)/q}(l, tau).
-    """
-    if not l > 0:
-        raise ValueError("curve length must be positive")
-    ch, sh = math.cosh(l / 2.0), math.sinh(l / 2.0)
-    a = math.exp(l / 2.0)
-    A: Mat2 = ((a, 0.0), (0.0, 1.0 / a))
-    cb, sb = ch / sh, 1.0 / sh
-    e = math.exp(tau / 2.0)
-    # B0 @ diag(e^{tau/2}, e^{-tau/2})
-    B: Mat2 = ((cb * e, sb / e), (sb * e, cb / e))
-    return TorusRep(A, B)
-
-
-def _eigen_diag(A: Mat2) -> tuple[Mat2, Mat2, float]:
-    """(P, P^{-1}, mu) with A = P diag(mu, 1/mu) P^{-1} and |mu| > 1."""
-    if A[0][1] == 0.0 and A[1][0] == 0.0:
-        ident: Mat2 = ((1.0, 0.0), (0.0, 1.0))
-        if abs(A[0][0]) >= 1.0:
-            return ident, ident, A[0][0]
-        swap: Mat2 = ((0.0, 1.0), (1.0, 0.0))
-        return swap, swap, A[1][1]
-    t = _tr(A)
-    disc = t * t - 4.0
-    if disc <= 0:
-        raise ValueError("generator is not hyperbolic")
-    mu = (t + math.copysign(math.sqrt(disc), t)) / 2.0
-    nu = 1.0 / mu
-    if A[1][0] != 0.0:
-        P: Mat2 = ((mu - A[1][1], nu - A[1][1]), (A[1][0], A[1][0]))
-    else:
-        P = ((A[0][1], A[0][1]), (mu - A[0][0], nu - A[0][0]))
-    return P, _inv(P), mu
 
 
 _LOG_HUGE = 30.0
@@ -228,24 +129,23 @@ def _family(max_q: int) -> tuple[tuple[Slope, ...], _Plan]:
     return slopes, _plan(slopes)
 
 
-def _seed(x: FNPoint | TorusRep) -> tuple[float, float, Mat2]:
-    """(lambda, tau, B_core): up to conjugacy and sign the slope n/1 has
-    the word diag(e^{u/2}, e^{-u/2}) B_core, u = n lambda + tau."""
-    if isinstance(x, TorusRep):
-        P, Pi, mu = _eigen_diag(x.A)
-        return 2.0 * math.log(abs(mu)), 0.0, _mul(_mul(Pi, x.B), P)
+def _seed(x: FNPoint) -> tuple[float, float, tuple[tuple[float, float], tuple[float, float]]]:
+    """(l, tau, B0): up to conjugacy the slope n/1 has the word
+    diag(e^{u/2}, e^{-u/2}) B0, u = n l + tau."""
+    if x.surface != "S11":
+        raise ValueError("the holonomy model covers the once-punctured torus only")
     l = x.lengths[0]
     # coth(l/2) and 1/sinh(l/2) in a form that stays finite for every length
     cb, sb = 1.0 / math.tanh(l / 2.0), -2.0 * math.exp(-l / 2.0) / math.expm1(-l)
     return l, x.twists[0], ((cb, sb), (sb, cb))
 
 
-def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.ndarray:
-    """log translation lengths, one row per slope of the plan and one
-    column per endpoint; raises for elliptic or parabolic words
-    (|trace| <= 2), which signal a non-discrete input, except for the
-    integer slopes of Fenchel-Nielsen points, whose |trace|/2 - 1 has an
-    exact form."""
+def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
+    """log curve lengths, one row per slope of the plan and one column per
+    Fenchel-Nielsen point; slope infinity is log l.  Raises where a word's
+    |trace|/2 rounds to within 1e-14 of 1, so its length is below working
+    precision, except for integer slopes, whose |trace|/2 - 1 has an exact
+    form."""
     ints, levels, slope_node = plan
     lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
     start = len(ints)
@@ -276,12 +176,11 @@ def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.nda
     lengths[small] = 2.0 * np.arccosh(np.maximum(y, 1.0))
     flat = y <= 1.0 + 1e-14
     if np.any(flat):
-        error = ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): rep not discrete")
+        error = ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): length below working precision")
         rows, cols = (i[flat] for i in np.nonzero(small))
-        fn = np.array([isinstance(p, FNPoint) for p in endpoints])
-        if not np.all((node[rows] < len(ints)) & fn[cols]):
+        if not np.all(node[rows] < len(ints)):
             raise error
-        # an integer slope of a Fenchel-Nielsen point with a long alpha:
+        # an integer slope of a point with a long alpha:
         # |tr|/2 = coth(l/2) cosh(u/2) rounds to 1, but |tr|/2 - 1 is
         # 2 coth(l/2) sinh^2(u/4) + 2/expm1(l), a sum of positive terms
         # (the second written so that no exponential overflows)
@@ -295,15 +194,15 @@ def _log_lengths(endpoints: Sequence[FNPoint | TorusRep], plan: _Plan) -> np.nda
     return out
 
 
-def curve_length(rep: TorusRep, slope: Slope) -> float:
-    """Translation length 2 arccosh(|tr W|/2) of the slope's curve word.
+def curve_length(x: FNPoint, slope: Slope) -> float:
+    """Length 2 arccosh(|tr W|/2) of the slope's curve word at the point x.
 
-    The alpha-curve (slope infinity) is read off the eigenvalue of A,
-    which stays exact for very short curves where the trace would lose
-    half the precision.  Raises for elliptic or parabolic words
-    (|trace| <= 2), which signal a non-discrete input.
+    The alpha-curve (slope infinity) is read off the coordinate l, as
+    exp(log l) with relative error about eps |log l|, not off a trace,
+    which would lose half the precision for very short curves.
+    Raises as :func:`_log_lengths` does.
     """
-    return math.exp(_log_lengths((rep,), _plan((slope,)))[0, 0])
+    return math.exp(_log_lengths((x,), _plan((slope,)))[0, 0])
 
 
 def candidate_slopes(max_q: int) -> list[Slope]:
@@ -332,8 +231,6 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30, slopes: list[Slope] | 
     report over a finite family; no additive marking constant is claimed
     and no exactness: the estimate certifies lower bounds only.
     """
-    if x.surface != "S11" or y.surface != "S11":
-        raise ValueError("the holonomy model covers the once-punctured torus only")
     plan = _family(max_q)[1] if slopes is None else _plan(slopes)
     ll = _log_lengths((x, y), plan)
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))

@@ -22,7 +22,7 @@ from thurston_kit.bounds import (
     thick_bound,
 )
 from thurston_kit.cli import Config
-from thurston_kit.stretch import log_coth
+from thurston_kit.stretch import FNPoint, log_coth
 
 
 def test_earthquake_bound_values():
@@ -43,12 +43,12 @@ def test_intersection_bound_values():
 def test_intersection_bound_dominates_actual_intersection_on_torus():
     # slopes 0 and infinity intersect once; both lengths exceed the chosen
     # thickness at this point
-    from thurston_kit.torus import Slope, curve_length, rep_from_fn
+    from thurston_kit.torus import Slope, curve_length
 
-    rep = rep_from_fn(1.0, 0.0)
+    x = FNPoint("S11", (1.0,), (0.0,))
     eps = 0.5
-    la = curve_length(rep, Slope(1, 0))
-    lb = curve_length(rep, Slope(0, 1))
+    la = curve_length(x, Slope(1, 0))
+    lb = curve_length(x, Slope(0, 1))
     assert min(la, lb) >= eps
     assert Slope(1, 0).intersection(Slope(0, 1)) <= intersection_bound(la, lb, eps)
 

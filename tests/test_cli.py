@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
@@ -75,6 +76,19 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_benchmark_tracer_binds_every_layer(monkeypatch):
+    # the benchmark's tracer wraps LAYERS by name in the modules that
+    # importing the CLI (done above) loads; a renamed or deleted function
+    # there would break every traced run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for module, funcs in tracer.LAYERS.items():
+        home = sys.modules[f"thurston_kit.{module}"]
+        for fn in funcs:
+            assert callable(getattr(home, fn, None)), f"{module}.{fn}"
+    tracer.Tracer().install()
 
 
 def test_help_exits_zero():

@@ -11,14 +11,12 @@ from thurston_kit import torus
 from thurston_kit.stretch import FNPoint, twist_width_closed
 from thurston_kit.torus import (
     Slope,
-    TorusRep,
     candidate_slopes,
     curve_length,
     dth_estimate,
     earthquake,
     envelope_cells,
     envelope_widths,
-    rep_from_fn,
     short_marking,
     stretch_endpoints,
     _endpoints_signed,
@@ -65,8 +63,12 @@ def _block_product_length(l, tau, p, q):
     return 2.0 * (lh + math.log1p(math.sqrt(-math.expm1(-2.0 * lh))))
 
 
+def _point(l, tau):
+    return FNPoint("S11", (l,), (tau,))
+
+
 def _engine_lengths(l, tau, slopes):
-    return np.exp(_log_lengths((FNPoint("S11", (l,), (tau,)),), _plan(slopes))[:, 0])
+    return np.exp(_log_lengths((_point(l, tau),), _plan(slopes))[:, 0])
 
 
 # ------------------------------------------------------------- slopes
@@ -94,34 +96,117 @@ def test_candidate_families_nest():
     assert small <= large
 
 
-# ------------------------------------------------------------- representations
+# ------------------------------------------------------------- inputs
+
+
+def test_point_rejects_non_positive_length():
+    # every input of the engine is a Fenchel-Nielsen point, which validates itself
+    for l in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            _point(l, 1.0)
+
+
+# ------------------------------------------------------------- properties
+
+EPS = sys.float_info.epsilon
+
+_MARKOV_PLAN = _plan([Slope(1, 0), Slope(0, 1), Slope(1, 1)])
+
+
+def _markov_residual(x):
+    """(|x^2 + y^2 + z^2 - xyz| / xyz, longest length) for the traces
+    2 cosh(l/2) of slopes 1/0, 0/1 and 1/1, all through the engine."""
+    lengths = np.exp(_log_lengths((x,), _MARKOV_PLAN)[:, 0])
+    a, b, c = (2.0 * math.cosh(v / 2.0) for v in lengths)
+    return abs(a * a + b * b + c * c - a * b * c) / (a * b * c), float(lengths.max())
+
+
+def _traces(x):
+    """Traces 2 cosh(l/2) of slopes 1/0, 0/1 and 1/1 at x, through the engine."""
+    lengths = np.exp(_log_lengths((x,), _MARKOV_PLAN)[:, 0])
+    return tuple(2.0 * math.cosh(v / 2.0) for v in lengths)
+
+
+def _commutator_trace(x):
+    # Fricke: tr[A, B] = tr^2 A + tr^2 B + tr^2 AB - tr A tr B tr AB - 2
+    a, b, c = _traces(x)
+    return a * a + b * b + c * c - a * b * c - 2.0
 
 
 def test_commutator_trace_is_minus_two():
     for l, tau in ((0.5, 0.0), (1.3, 0.7), (3.0, -2.4)):
-        rep = rep_from_fn(l, tau)
-        assert rep.commutator_trace() == pytest.approx(-2.0, abs=1e-9)
-
-
-def test_rep_rejects_bad_input():
-    with pytest.raises(ValueError):
-        rep_from_fn(0.0, 1.0)
-    with pytest.raises(ValueError):
-        TorusRep(((2.0, 0.0), (0.0, 0.5)), ((1.0, 1.0), (0.0, 1.0)))
+        assert _commutator_trace(_point(l, tau)) == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_markov_identity():
     for l, tau in ((1.2, 0.5), (0.7, -1.0), (2.5, 3.3)):
-        rep = rep_from_fn(l, tau)
-        x = abs(rep.A[0][0] + rep.A[1][1])
-        y = abs(rep.B[0][0] + rep.B[1][1])
-        z_mat = (
-            rep.A[0][0] * rep.B[0][0] + rep.A[0][1] * rep.B[1][0],
-            rep.A[1][0] * rep.B[0][1] + rep.A[1][1] * rep.B[1][1],
-        )
-        z = abs(z_mat[0] + z_mat[1])
-        lhs = x * x + y * y + z * z
-        assert lhs == pytest.approx(x * y * z, rel=1e-6)
+        x, y, z = _traces(_point(l, tau))
+        assert x * x + y * y + z * z == pytest.approx(x * y * z, rel=1e-6)
+
+
+def test_puncture_conservation_under_earthquake():
+    x = _point(1.1, 0.3)
+    for t in (0.0, 0.6, 5.0):
+        assert _commutator_trace(earthquake(x, t)) == pytest.approx(-2.0, abs=1e-9)
+
+
+def test_markov_identity_through_the_engine():
+    # the cusp relation of the holonomy behind the seeds; the traces carry
+    # the relative error of a length times l/2, so the residual grows
+    # with the longest length: about 2e-16 at (1.2, 0.5), (20, -7) and
+    # (1e-3, 0.2), 1.7e-14 at (1, 100); at most 2.1 eps (1 + longest)
+    # over 20,000 random points
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(log_l=st.floats(math.log(1e-3), math.log(20.0)), tau=st.floats(-100.0, 100.0),
+                      t=st.floats(-50.0, 50.0))
+    @hypothesis.example(log_l=math.log(1.2), tau=0.5, t=0.0)
+    @hypothesis.example(log_l=math.log(20.0), tau=-7.0, t=0.0)
+    @hypothesis.example(log_l=math.log(1e-3), tau=0.2, t=0.0)
+    @hypothesis.example(log_l=0.0, tau=100.0, t=0.0)
+    def check(log_l, tau, t):
+        x = _point(math.exp(log_l), tau)
+        for p in (x, earthquake(x, t)):
+            residual, longest = _markov_residual(p)
+            assert residual <= 8.0 * EPS * (1.0 + longest)
+
+    check()
+
+
+def test_full_twist_relabelling_through_the_engine():
+    # l_{p/q}(l, tau + l) = l_{(p+q)/q}(l, tau): the two sides add l and tau
+    # in a different order, so they differ by rounding in u = k l + tau
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    slopes = [Slope(p, q) for q in range(1, 6) for p in range(-8, 9) if gcd(abs(p), q) == 1]
+    twisted, relabelled = _plan(slopes), _plan([Slope.of(s.p + s.q, s.q) for s in slopes])
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(log_l=st.floats(math.log(1e-3), math.log(20.0)), tau=st.floats(-50.0, 50.0))
+    def check(log_l, tau):
+        l = math.exp(log_l)
+        a = np.exp(_log_lengths((_point(l, tau + l),), twisted)[:, 0])
+        b = np.exp(_log_lengths((_point(l, tau),), relabelled)[:, 0])
+        assert np.all(np.abs(a - b) <= 8.0 * EPS * (abs(tau) + l + a))
+
+    check()
+
+
+def test_estimate_monotone_in_max_q_property():
+    # the families nest and each slope's length does not depend on the
+    # family, so the estimate never decreases, not even by rounding
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    points = st.tuples(st.floats(-5.0, 3.0), st.floats(-20.0, 20.0)).map(lambda v: _point(math.exp(v[0]), v[1]))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(x=points, y=points, small=st.integers(1, 30), extra=st.integers(0, 29))
+    def check(x, y, small, extra):
+        assert dth_estimate(x, y, small) <= dth_estimate(x, y, min(30, small + extra))
+
+    check()
 
 
 # ------------------------------------------------------------- lengths
@@ -129,11 +214,11 @@ def test_markov_identity():
 
 def test_alpha_length_is_l_for_all_twists():
     for tau in (-3.0, 0.0, 5.0):
-        assert curve_length(rep_from_fn(1.37, tau), Slope(1, 0)) == pytest.approx(1.37, rel=1e-12)
+        assert curve_length(_point(1.37, tau), Slope(1, 0)) == pytest.approx(1.37, rel=1e-12)
 
 
 def test_dual_length_golden_value():
-    assert curve_length(rep_from_fn(1.0, 0.0), Slope(0, 1)) == pytest.approx(DUAL_LENGTH_GOLDEN, rel=1e-12)
+    assert curve_length(_point(1.0, 0.0), Slope(0, 1)) == pytest.approx(DUAL_LENGTH_GOLDEN, rel=1e-12)
 
 
 def test_word_block_count_matches_slope():
@@ -149,14 +234,14 @@ def test_full_twist_relabels_slopes():
         for p in range(-12, 13):
             if gcd(abs(p), q) != 1:
                 continue
-            a = curve_length(rep_from_fn(l, tau + l), Slope(p, q))
-            b = curve_length(rep_from_fn(l, tau), Slope.of(p + q, q))
+            a = curve_length(_point(l, tau + l), Slope(p, q))
+            b = curve_length(_point(l, tau), Slope.of(p + q, q))
             assert a == pytest.approx(b, abs=1e-8)
 
 
-def test_matrix_and_fn_length_paths_agree():
-    # both seeds of the Farey engine (TorusRep and Fenchel-Nielsen) against
-    # the block-product reference, from thin to thick and heavily twisted
+def test_engine_lengths_match_block_product():
+    # the Farey engine against the block-product reference, from thin to
+    # thick and heavily twisted
     small = [Slope(1, 0)] + [Slope(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
     # a window of p around -100 q, where the words are heavily twisted
     windows = [Slope(p, q) for q in range(1, 7) for p in range(-100 * q - 8, -100 * q + 9) if gcd(abs(p), q) == 1]
@@ -165,11 +250,6 @@ def test_matrix_and_fn_length_paths_agree():
     for i, (l, tau) in enumerate(points):
         ref = [_block_product_length(l, tau, s.p, s.q) for s in small]
         assert _engine_lengths(l, tau, small) == pytest.approx(ref, abs=1e-10)
-        if i < 3:
-            # TorusRep rescales B to det 1, a difference of two squares of
-            # size 4/l^2, so at l = 1.3e-5 the rep itself is off by 1e-7 relative
-            rep = rep_from_fn(l, tau)
-            assert [curve_length(rep, s) for s in small] == pytest.approx(ref, abs=1e-10)
         if i < 5:
             ref = [_block_product_length(l, tau, s.p, s.q) for s in windows]
             assert _engine_lengths(l, tau, windows) == pytest.approx(ref, abs=1e-10)
@@ -199,14 +279,31 @@ def test_huge_twist_stays_finite_and_relabels():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def test_elliptic_guard_fires_for_non_discrete_words():
-    # fabricate a non-rep pair (bypassing validation) whose commutator-type
-    # word has small trace
-    rep = object.__new__(TorusRep)
-    object.__setattr__(rep, "A", ((2.0, 0.0), (0.0, 0.5)))
-    object.__setattr__(rep, "B", ((math.cos(0.4), -math.sin(0.4)), (math.sin(0.4), math.cos(0.4))))
-    with pytest.raises(ValueError):
-        curve_length(rep, Slope(0, 1))
+@pytest.mark.parametrize("l, tau", [(70.0, 35.0), (72.0, 36.0)])
+def test_flat_non_integer_slope_trips_the_guard(l, tau):
+    # slope -1/2 has the blocks u = -l/2 and u = l/2; its |tr|/2 rounds to
+    # within 1e-14 of 1, and unlike an integer slope it has no exact form
+    with pytest.raises(ValueError, match=r"elliptic or parabolic \(\|tr\|/2 = 1\.00000000000000[0-9]+\): length below"):
+        curve_length(_point(l, tau), Slope(-1, 2))
+
+
+@pytest.mark.parametrize(
+    "x", [FNPoint("S04", (1.0,), (0.3,)), FNPoint("S2", (1.0, 1.2, 0.8), (0.1, 0.0, -0.2))], ids=("S04", "S2")
+)
+def test_every_entry_point_rejects_other_surfaces(x):
+    # the holonomy model reads curve 0 as alpha, which is right on S11 only
+    s11 = _point(1.0, 0.0)
+    calls = (
+        lambda: curve_length(x, Slope(0, 1)),
+        lambda: dth_estimate(s11, x, 5),
+        lambda: dth_estimate(x, s11, 5),
+        lambda: short_marking(x, 5),
+        lambda: envelope_cells([(x, 0.5)], 5),
+        lambda: envelope_widths(x, 0.5, 5),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="covers the once-punctured torus only"):
+            call()
 
 
 # ------------------------------------------------------------- estimator
@@ -365,19 +462,18 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
 
 
 def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
-    # a matrix rep with an A of length 34-36 trips the engine's elliptic
-    # guard (|tr|/2 of slope 0 is 1 + 2 e^{-l}, inside its 1e-14 margin),
-    # with a message that depends on the cell; the bad cells' endpoints
-    # are made such reps
+    # the points (70, 35) and (72, 36) trip the engine's elliptic guard on
+    # slope -1/2 with a message that depends on the point; as t = 0 cells
+    # their endpoints are the points themselves, set here directly because
+    # the closed-form offsets fail at cuff length 70
     def endpoints(y, t):
-        if y.lengths[0] < 30.0:
+        if y.lengths[0] < 60.0:
             return _endpoints_signed(y, t)
-        rep = rep_from_fn(y.lengths[0], 0.0)
-        return rep, rep
+        return y, y
 
     monkeypatch.setattr(torus, "_endpoints_signed", endpoints)
     ok = [(FNPoint("S11", (2.0,), (0.0,)), t) for t in (0.0, 1.0)]
-    bad = [(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0) for l0 in (17.0, 18.0)]
+    bad = [(_point(l, tau), 0.0) for l, tau in ((70.0, 35.0), (72.0, 36.0))]
     messages = []
     for y, t in bad:
         with pytest.raises(ValueError) as exc:
@@ -401,16 +497,3 @@ def test_long_alpha_integer_slopes_match_mpmath_reference(l, tau, n):
         ref = 2 * mpmath.acosh(mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2))
         rel = abs((mpmath.mpf(got) - ref) / ref)
     assert rel <= 4 * sys.float_info.epsilon
-
-
-def test_long_alpha_matrix_rep_still_trips_the_guard():
-    with pytest.raises(ValueError, match="elliptic or parabolic"):
-        curve_length(rep_from_fn(34.0, 0.0), Slope(0, 1))
-
-
-def test_puncture_conservation_under_earthquake():
-    x = FNPoint("S11", (1.1,), (0.3,))
-    for t in (0.0, 0.6, 5.0):
-        y = earthquake(x, t)
-        rep = rep_from_fn(y.lengths[0], y.twists[0])
-        assert rep.commutator_trace() == pytest.approx(-2.0, abs=1e-9)
