@@ -25,6 +25,16 @@ functions take the dataclasses (validated on construction) and call
 them; hot loops such as the constructive oracle in :mod:`pants` call
 them directly.
 
+A shear is computed in two halves, one per triangle, once both are
+snapped to the geodesic's endpoints and mapped to the standard axis:
+:func:`_far_height` checks that the triangle at the far end lies on the
+right of the axis and returns its median height, and :func:`_near_height`
+does the same for the other triangle in the flipped frame z -> -1/z.  The
+shear is the log ratio of the two heights, so a caller whose one triangle
+stays fixed (the oracle's gap solve) computes that half once.
+:func:`_apply_ideal`, the innermost call of the oracle, canonicalizes its
+image inline as :func:`ideal` does: NaN raises and -inf becomes inf.
+
 Everything here is an immutable value and every operation is a pure
 function, so concurrent use needs no synchronization.
 """
@@ -110,14 +120,21 @@ def _compose(m: tuple, n: tuple) -> tuple:
 
 
 def _apply_ideal(m: tuple, t: float) -> float:
-    """Image of the canonical ideal point ``t``; the pole goes to infinity."""
+    """Image of the canonical ideal point ``t``, canonicalized as by :func:`ideal`;
+    the pole goes to infinity."""
     a, b, c, d = m
     if t == INF:
-        return ideal(a / c) if c != 0.0 else INF
-    den = c * t + d
-    if den == 0.0:
-        return INF
-    return ideal((a * t + b) / den)
+        if c == 0.0:
+            return INF
+        p = a / c
+    else:
+        den = c * t + d
+        if den == 0.0:
+            return INF
+        p = (a * t + b) / den
+    if p != p:
+        raise GeometryError("ideal point is NaN")
+    return INF if p == INF or p == -INF else p
 
 
 def _apply_point(m: tuple, x: float, y: float) -> tuple[float, float]:
@@ -164,15 +181,17 @@ def _median_height_toward_axis(v: tuple) -> float:
     the vertical edge nearest the axis is carried to the axis by the
     parabolic z -> z - near fixing infinity, which keeps its height.
     """
-    fin = [u for u in v if u != INF]
-    if len(fin) != 2:
+    if v.count(INF) != 1:
         raise GeometryError("triangle must have exactly one vertex at infinity here")
-    lo, hi = min(fin), max(fin)
+    k = v.index(INF)
+    # the finite vertices after infinity in cyclic order: edge k + 1 runs
+    # from infinity to ``nxt``, edge (k + 2) % 3 + 1 from ``prv`` to infinity
+    nxt, prv = v[k - 2], v[k - 1]
+    lo, hi = (nxt, prv) if nxt < prv else (prv, nxt)
     if lo < 0.0 < hi:
         raise GeometryError("geodesic does not separate the triangle interiors")
     near = hi if hi <= 0.0 else lo
-    edge_idx = next(i for i in (1, 2, 3) if {v[i - 1], v[i % 3]} == {near, INF})
-    return _triangle_median(v, edge_idx)[1]
+    return _triangle_median(v, k + 1 if near == nxt else (k + 2) % 3 + 1)[1]
 
 
 def _snap_vertex(v: tuple, target: float) -> tuple[float, float, float]:
@@ -205,29 +224,37 @@ def _to_axis(m: tuple, v: tuple, ga: float, gb: float) -> tuple[float, float, fl
     return _distinct(*[0.0 if u == ga else INF if u == gb else _apply_ideal(m, u) for u in v])
 
 
+def _far_height(s: tuple) -> float:
+    """Median height of the far half of a shear: the triangle ``s``, snapped
+    and mapped to the axis, with its distinguished vertex at infinity.
+
+    It must lie on the right of the upward axis (shared vertex at 0
+    allowed).
+    """
+    fin = [u for u in s if u != INF]
+    if len(fin) != 2 or min(fin) < 0.0:
+        raise GeometryError("g does not separate the triangles with t1 on the left")
+    return _median_height_toward_axis(s)
+
+
+def _near_height(s: tuple) -> float:
+    """Median height of the near half of a shear: the triangle ``s``, snapped
+    and mapped to the axis, with its distinguished vertex at 0.
+
+    The frame is flipped (z -> -1/z) so that vertex is at infinity; a
+    left-side triangle lands on the right of the flipped axis, and its
+    height h there is 1/h in the axis frame.
+    """
+    return 1.0 / _far_height(_apply_triangle(_FLIP, s))
+
+
 def _shear(v1: tuple, v2: tuple, ga: float, gb: float) -> float:
     v1 = _snap_vertex(v1, ga)
     v2 = _snap_vertex(v2, gb)
     m = _to_standard(ga, gb)
     s1 = _to_axis(m, v1, ga, gb)
     s2 = _to_axis(m, v2, ga, gb)
-
-    # t2 has its distinguished vertex at infinity already; it must lie on
-    # the right of the upward axis (shared vertex at 0 allowed)
-    fin2 = [u for u in s2 if u != INF]
-    if len(fin2) != 2 or min(fin2) < 0.0:
-        raise GeometryError("g does not separate the triangles with t1 on the left")
-    h2_height = _median_height_toward_axis(s2)
-
-    # flip the frame (z -> -1/z) so t1's distinguished vertex is at infinity;
-    # a left-side t1 lands on the right of the flipped axis
-    f1 = _apply_triangle(_FLIP, s1)
-    fin1 = [u for u in f1 if u != INF]
-    if len(fin1) != 2 or min(fin1) < 0.0:
-        raise GeometryError("g does not separate the triangles with t1 on the left")
-    h1_height = 1.0 / _median_height_toward_axis(f1)
-
-    return math.log(h2_height) - math.log(h1_height)
+    return math.log(_far_height(s2)) - math.log(_near_height(s1))
 
 
 def _orthofoot(a1: float, b1: float, a2: float, b2: float) -> tuple[float, float]:

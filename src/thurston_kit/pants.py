@@ -35,12 +35,13 @@ from .h2 import (
     H2Point,
     _apply_ideal,
     _axis_translation,
+    _far_height,
     _geodesic,
     _inverse,
     _mobius,
+    _near_height,
     _orthofoot,
     _orthofoot_to_ideal,
-    _shear,
     _triangle,
     _triangle_median,
     ideal,
@@ -281,12 +282,17 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
 
     Solved in the frame where the shared vertical line sits at 0 (shears
     are invariant under the parabolic transport fixing infinity), so tiny
-    gaps are not absorbed by large coordinates.
+    gaps are not absorbed by large coordinates.  That line is the standard
+    axis, on which both triangles already lie with their shared vertices
+    exact, so the previous triangle's half of the shear is computed once
+    and each secant step computes only the new triangle's half.  The
+    condition is the float expression of the full shear minus sigma, so
+    the widths are bit-identical to solving with :func:`h2._shear`.
     """
-    t_prev = _triangle(-prev_gap, 0.0, INF)
+    log_h1 = math.log(_near_height(_triangle(-prev_gap, 0.0, INF)))
 
     def cond(u: float) -> float:
-        return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
+        return math.log(_far_height(_triangle(0.0, math.exp(u), INF))) - log_h1 - sigma
 
     return math.exp(_solve_monotone(cond, 0.0, 1.0))
 

@@ -197,11 +197,12 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
 def curve_length(x: FNPoint, slope: Slope) -> float:
     """Length 2 arccosh(|tr W|/2) of the slope's curve word at the point x.
 
-    The alpha-curve (slope infinity) is read off the coordinate l, as
-    exp(log l) with relative error about eps |log l|, not off a trace,
-    which would lose half the precision for very short curves.
-    Raises as :func:`_log_lengths` does.
+    The alpha-curve (slope infinity) is the coordinate l itself, exactly,
+    not a trace, which would lose half the precision for very short
+    curves.  Raises as :func:`_log_lengths` does.
     """
+    if slope.q == 0:
+        return _seed(x)[0]
     return math.exp(_log_lengths((x,), _plan((slope,)))[0, 0])
 
 

@@ -1,5 +1,6 @@
 """Tests for the upper half-plane kernel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
+from thurston_kit import h2
 from thurston_kit.h2 import (
     INF,
     Geodesic,
@@ -26,6 +28,9 @@ from thurston_kit.h2 import (
     shear,
     signed_distance_along,
     triangle_median,
+    _apply_ideal,
+    _median_height_toward_axis,
+    _mobius,
 )
 
 
@@ -116,6 +121,43 @@ def test_median_rejects_degenerate_triangle():
         IdealTriangle(1.0, 1.0, INF)
 
 
+def _set_search_edge(v):
+    """Edge of ``v`` from its nearest finite vertex to infinity, found as the
+    kernel found it before its index arithmetic: by comparing vertex sets."""
+    fin = [u for u in v if u != INF]
+    lo, hi = min(fin), max(fin)
+    near = hi if hi <= 0.0 else lo
+    return next(i for i in (1, 2, 3) if {v[i - 1], v[i % 3]} == {near, INF})
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 3.0), (0.0, 2.0), (-0.5, -3.0), (0.0, -2.0)])
+def test_median_height_edge_choice_matches_set_search(monkeypatch, a, b):
+    # every vertex order of (a, b, inf), on both sides of 0 and with the
+    # shared vertex 0; the edge is recorded where the kernel passes it on
+    kernel = h2._triangle_median
+    edges = []
+    monkeypatch.setattr(h2, "_triangle_median", lambda v, edge: edges.append(edge) or kernel(v, edge))
+    for v in itertools.permutations((a, b, INF)):
+        edges.clear()
+        height = _median_height_toward_axis(v)
+        assert edges == [_set_search_edge(v)]
+        assert height == kernel(v, edges[0])[1]
+
+
+def test_apply_ideal_canonicalizes_its_image():
+    # -inf is the one point at infinity, from either branch
+    assert math.copysign(1.0, _apply_ideal(_mobius(2.0, 0.0, 0.0, 0.5), -1e308)) == 1.0
+    assert _apply_ideal(_mobius(2.0, 0.0, 0.0, 0.5), -1e308) == INF
+    assert _apply_ideal(_mobius(-1e300, 0.0, 1e-300, -1e-300), INF) == INF
+    # the pole goes to infinity
+    assert _apply_ideal(_mobius(1.0, 0.0, 1.0, 1.0), -1.0) == INF
+    assert _apply_ideal(_mobius(1.0, 5.0, 0.0, 1.0), INF) == INF
+    with pytest.raises(GeometryError, match="^ideal point is NaN$"):
+        _apply_ideal((INF, 0.0, INF, 1.0), INF)
+    with pytest.raises(GeometryError, match="^ideal point is NaN$"):
+        _apply_ideal((INF, -INF, 0.0, 1.0), 1.0)
+
+
 def _euclidean_distance_point_to_edge(c, edge: Geodesic) -> float:
     cx, cy = c
     if edge.a == INF or edge.b == INF:
@@ -175,6 +217,16 @@ def test_shear_rejects_vertex_incidence_violation():
     t2 = IdealTriangle(2.0, 3.0, INF)
     with pytest.raises(GeometryError):
         shear(t1, t2, Geodesic(1.5, INF))
+
+
+def test_shear_checks_the_vertex_snap_before_the_separation():
+    t2 = IdealTriangle(-1.0, 0.5, INF)  # straddles g: fails the separation check
+    g = Geodesic(0.0, INF)
+    with pytest.raises(GeometryError, match="g does not separate the triangles"):
+        shear(IdealTriangle(0.0, -1.0, -2.0), t2, g)
+    # no vertex at 0 either: the snap fails first
+    with pytest.raises(GeometryError, match="geodesic endpoint is not a vertex of the triangle"):
+        shear(IdealTriangle(1.0, -1.0, -2.0), t2, g)
 
 
 def test_shear_on_non_adjacent_separated_triangles():

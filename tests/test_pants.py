@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from thurston_kit.h2 import GeometryError
+from thurston_kit.h2 import INF, GeometryError, _shear, _triangle
 from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
@@ -19,6 +19,7 @@ from thurston_kit.pants import (
     enumerate_triangulations,
     oracle_details,
     shear_coords,
+    _next_gap,
     _solve_monotone,
 )
 
@@ -355,3 +356,32 @@ def test_gap_solve_raises_when_the_secant_stalls():
     assert _solve_monotone(lambda u: 2.0 * u - 1.0, 0.0, 1.0) == 0.5
     with pytest.raises(GeometryError, match="gap equation did not converge"):
         _solve_monotone(lambda u: 1.0, 0.0, 1.0)
+
+
+def test_gap_solve_matches_the_full_shear_bit_for_bit():
+    # _next_gap computes t_prev's half of the shear once per solve; the
+    # reference re-evaluates the whole shear at every secant step
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def outcome(f):
+        try:
+            return f().hex()
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True)
+    @hypothesis.given(log_gap=st.floats(math.log(1e-6), math.log(1e6)), sigma=st.floats(-40.0, 40.0))
+    def check(log_gap, sigma):
+        prev_gap = math.exp(log_gap)
+        t_prev = _triangle(-prev_gap, 0.0, INF)
+
+        def reference():
+            def cond(u):
+                return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
+
+            return math.exp(_solve_monotone(cond, 0.0, 1.0))
+
+        assert outcome(lambda: _next_gap(prev_gap, sigma)) == outcome(reference)
+
+    check()

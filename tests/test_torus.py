@@ -217,6 +217,12 @@ def test_alpha_length_is_l_for_all_twists():
         assert curve_length(_point(1.37, tau), Slope(1, 0)) == pytest.approx(1.37, rel=1e-12)
 
 
+@pytest.mark.parametrize("l, tau", [(20.0, -7.0), (1e-3, 0.2)])
+def test_alpha_length_is_the_coordinate_exactly(l, tau):
+    # not exp(log l), which is 19.999999999999996 at (20, -7)
+    assert curve_length(_point(l, tau), Slope(1, 0)) == l
+
+
 def test_dual_length_golden_value():
     assert curve_length(_point(1.0, 0.0), Slope(0, 1)) == pytest.approx(DUAL_LENGTH_GOLDEN, rel=1e-12)
 
@@ -295,6 +301,7 @@ def test_every_entry_point_rejects_other_surfaces(x):
     s11 = _point(1.0, 0.0)
     calls = (
         lambda: curve_length(x, Slope(0, 1)),
+        lambda: curve_length(x, Slope(1, 0)),
         lambda: dth_estimate(s11, x, 5),
         lambda: dth_estimate(x, s11, 5),
         lambda: short_marking(x, 5),

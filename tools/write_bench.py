@@ -1,0 +1,163 @@
+"""Write a ``BENCH_<n>.json`` that compares the benchmark records of two source checkouts.
+
+    python3 tools/write_bench.py PARENT_ROOT CHANGE_ROOT OUT
+
+Each root is a source checkout in which ``perfbench/run.py`` ran with
+``--trace 0``; its records are ``<root>/.perfbench_out/result-<workload>-
+seed<n>-trace0.json``.  For each workload recorded on both sides, OUT
+holds, per end-to-end metric declared in ``BENCHMARK.json``, each side's
+median, quartiles and per-seed values, and, over the seeds run on both
+sides, how many of those pairs the change wins, ties and loses in the
+metric's ``better`` direction.  It also holds the git sha and source
+digest of each side as its records give them (a checkout without
+``.git`` has no sha, and one with uncommitted changes reports HEAD; the
+digest identifies the source), the machine the records report, and
+in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``
+and one ``pants._next_gap`` solve: the best of several repeats per fresh
+process, in processes that import each root's ``src`` in turn, with the
+median over rounds of the change's time over the parent's in the same
+round.
+
+Only reads the records; it runs nothing under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+#: fresh processes per side for the layer timings, alternating sides
+LAYER_ROUNDS = 5
+
+#: times each layer on fixed inputs and prints microseconds per call as JSON
+LAYER_SNIPPET = r"""
+import json, timeit
+from thurston_kit import pants
+metric = pants.PantsMetric(0.5, 1.0, 2.0)
+cases = [(t, cuff) for t in pants.enumerate_triangulations() for cuff in range(3)]
+def oracle():
+    for t, cuff in cases:
+        pants.delta_oracle(metric, t, cuff)
+def closed():
+    for t, cuff in cases:
+        pants.delta_closed(metric, t, cuff)
+def gap():
+    pants._next_gap(1.0, 0.7)
+out = {}
+for name, fn, calls in (("pants.delta_oracle", oracle, len(cases)),
+                        ("pants.delta_closed", closed, len(cases)),
+                        ("pants._next_gap", gap, 1)):
+    number = max(1, 1000 // calls)
+    out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
+print(json.dumps(out))
+"""
+LAYER_INPUTS = (
+    "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
+    "_next_gap: prev_gap 1, sigma 0.7; microseconds per call, best of 5 repeats of about "
+    f"1,000 calls per process; medians over {LAYER_ROUNDS} processes per side"
+)
+
+
+def load_records(root: Path) -> list[dict]:
+    paths = sorted((root / ".perfbench_out").glob("result-*-trace0.json"))
+    if not paths:
+        raise SystemExit(f"error: no result-*-trace0.json records under {root / '.perfbench_out'}")
+    return [json.loads(path.read_text()) for path in paths]
+
+
+def spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
+    """Per workload and metric: each side's spread and per-seed values, and the pair counts."""
+    by_side = {side: {} for side in SIDES}
+    for side in SIDES:
+        for record in records[side]:
+            info = record["info"]
+            by_side[side].setdefault(info["workload"], {})[info["seed"]] = record
+    out = {}
+    for workload in sorted(set(by_side["parent"]) & set(by_side["change"])):
+        runs = {side: by_side[side][workload] for side in SIDES}
+        seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+        entry = {
+            "seeds": {side: sorted(runs[side]) for side in SIDES},
+            "run_seconds": {side: sorted({r["info"]["seconds"] for r in runs[side].values()}) for side in SIDES},
+        }
+        for metric in declared:
+            name, lower = metric["name"], metric["better"] == "lower"
+            values = {side: {seed: r["result"]["metrics"][name]["value"] for seed, r in runs[side].items()}
+                      for side in SIDES}
+            wins = ties = 0
+            for seed in seeds:
+                p, c = values["parent"][seed], values["change"][seed]
+                ties += c == p
+                wins += (c < p) if lower else (c > p)
+            entry[name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "bound": metric["bound"],
+                **{side: {**spread(list(values[side].values())),
+                          "by_seed": {str(seed): v for seed, v in sorted(values[side].items())}}
+                   for side in SIDES},
+                "pairs": {"count": len(seeds), "change_wins": wins, "ties": ties,
+                          "parent_wins": len(seeds) - wins - ties},
+            }
+        out[workload] = entry
+    return out
+
+
+def layer_timings(roots: dict[str, Path]) -> dict:
+    samples = {side: [] for side in SIDES}
+    for _ in range(LAYER_ROUNDS):
+        for side in SIDES:
+            env = dict(os.environ, PYTHONPATH=str(roots[side] / "src"))
+            proc = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], env=env, capture_output=True,
+                                  text=True, check=True, timeout=600)
+            samples[side].append(json.loads(proc.stdout))
+    # the host's speed drifts between rounds; the two processes of one round share it
+    return {name: {**{side: statistics.median(s[name] for s in samples[side]) for side in SIDES},
+                   "change_over_parent": statistics.median(c[name] / p[name] for p, c in zip(*samples.values()))}
+            for name in samples["parent"][0]}
+
+
+def cpu_model() -> str | None:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return None
+    return next((line.split(":", 1)[1].strip() for line in text.splitlines() if line.startswith("model name")), None)
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) != 3:
+        raise SystemExit(__doc__.split("\n\n")[1])
+    roots = {side: Path(arg).resolve() for side, arg in zip(SIDES, argv[:2])}
+    records = {side: load_records(roots[side]) for side in SIDES}
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    info = records["parent"][0]["info"]
+    bench = {
+        "sides": {side: {key: sorted({r["info"][key] for r in records[side]}, key=str)
+                         for key in ("git_sha", "src_sha256")} for side in SIDES},
+        "machine": {
+            "cpu": cpu_model(),
+            "arch": platform.machine(),
+            **{key: info[key] for key in ("nproc", "python", "numpy", "scipy")},
+        },
+        "end_to_end": compare(declared, records),
+        "layers_us_per_call": layer_timings(roots),
+        "layer_inputs": LAYER_INPUTS,
+    }
+    Path(argv[2]).write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
