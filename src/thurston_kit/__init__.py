@@ -5,14 +5,8 @@ stretch-vector hull on the genus-two surface."""
 
 from .h2 import (
     INF,
-    Circle,
-    Geodesic,
     GeometryError,
-    H2Point,
-    IdealTriangle,
-    MobiusMap,
     axis_translation,
-    incircle,
     mobius_apply,
     orthofoot,
     shear,

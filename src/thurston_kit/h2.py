@@ -1,29 +1,23 @@
 """Upper half-plane hyperbolic geometry kernel.
 
-Conventions used throughout:
+Every value is a plain float or tuple:
 
-* Interior points are pairs ``(x, y)`` with ``y > 0``.
-* Ideal boundary points are plain floats; ``math.inf`` is the single
-  point at infinity (``-inf`` is the same ideal point and is normalized
-  to ``+inf`` on construction).
-* A :class:`Geodesic` is an ordered pair of distinct ideal endpoints;
-  the order is its orientation.  Signed distances along a geodesic are
-  positive in the direction of the orientation.
-* Orientation-preserving isometries are 2x2 real matrices of positive
-  determinant acting by fractional linear transformations, stored
-  normalized to determinant one.
+* An interior point is a pair ``(x, y)`` with ``y > 0``.
+* An ideal boundary point is a canonical float: ``math.inf`` is the
+  single point at infinity (``-inf`` is the same ideal point and
+  :func:`ideal` canonicalizes it to ``+inf``), and NaN is rejected.
+* A geodesic is its two distinct ideal endpoints, passed as two
+  arguments; their order is its orientation.  Signed distances along a
+  geodesic are positive in the direction of the orientation.
+* An ideal triangle is a 3-tuple of distinct canonical vertices
+  ``(v1, v2, v3)``; its edges 1, 2, 3 are (v1,v2), (v2,v3), (v3,v1).
+* An orientation-preserving isometry is a 4-tuple ``(a, b, c, d)``
+  acting by z -> (a z + b) / (c z + d), normalized to determinant one
+  by dividing every entry by ``sqrt(a d - b c)``.
 
-Each operation is implemented once, by a private function on plain
-floats and tuples: an ideal point is a canonical float, an interior
-point is ``(x, y)``, a geodesic is its two endpoints passed as two
-arguments, an ideal triangle is a 3-tuple of distinct canonical
-vertices, and an isometry is a 4-tuple ``(a, b, c, d)`` normalized to
-determinant one by dividing every entry by ``sqrt(a d - b c)``.  These
-functions take validated inputs and validate everything they construct,
-with the same checks and messages as the dataclasses.  The public
-functions take the dataclasses (validated on construction) and call
-them; hot loops such as the constructive oracle in :mod:`pants` call
-them directly.
+The functions take validated inputs and validate everything they
+construct.  There is no wrapper layer: the constructive oracle in
+:mod:`pants` calls these functions.
 
 A shear is computed in two halves, one per triangle, once both are
 snapped to the geodesic's endpoints and mapped to the standard axis:
@@ -32,25 +26,21 @@ right of the axis and returns its median height, and :func:`_near_height`
 does the same for the other triangle in the flipped frame z -> -1/z.  The
 shear is the log ratio of the two heights, so a caller whose one triangle
 stays fixed (the oracle's gap solve) computes that half once.
-:func:`_apply_ideal`, the innermost call of the oracle, canonicalizes its
+:func:`mobius_apply`, the innermost call of the oracle, canonicalizes its
 image inline as :func:`ideal` does: NaN raises and -inf becomes inf.
 
-Everything here is an immutable value and every operation is a pure
-function, so concurrent use needs no synchronization.
+Every operation is a pure function on immutable values, so concurrent
+use needs no synchronization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 INF = math.inf
 
 #: default absolute tolerance for scalar comparisons
 DEFAULT_TOL = 1e-9
-
-#: determinant normalization tolerance for isometry matrices
-DET_TOL = 1e-12
 
 
 class GeometryError(ValueError):
@@ -62,11 +52,6 @@ def ideal(p: float) -> float:
     if math.isnan(p):
         raise GeometryError("ideal point is NaN")
     return INF if math.isinf(p) else float(p)
-
-
-# ---------------------------------------------------------------------------
-# flat kernel
-# ---------------------------------------------------------------------------
 
 
 def _upper(x: float, y: float) -> tuple[float, float]:
@@ -119,9 +104,14 @@ def _compose(m: tuple, n: tuple) -> tuple:
     return _mobius(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def _apply_ideal(m: tuple, t: float) -> float:
-    """Image of the canonical ideal point ``t``, canonicalized as by :func:`ideal`;
-    the pole goes to infinity."""
+def mobius_apply(m: tuple, t: float) -> float:
+    """Apply the fractional linear action of ``m`` to the canonical ideal
+    point ``t``.
+
+    The image is an ideal point, canonicalized as by :func:`ideal` (NaN
+    raises, -inf becomes inf), with the pole of the map sent to infinity.
+    Interior points are moved by :func:`_apply_point`.
+    """
     a, b, c, d = m
     if t == INF:
         if c == 0.0:
@@ -145,11 +135,14 @@ def _apply_point(m: tuple, x: float, y: float) -> tuple[float, float]:
 
 
 def _apply_triangle(m: tuple, v: tuple) -> tuple[float, float, float]:
-    return _distinct(_apply_ideal(m, v[0]), _apply_ideal(m, v[1]), _apply_ideal(m, v[2]))
+    return _distinct(mobius_apply(m, v[0]), mobius_apply(m, v[1]), mobius_apply(m, v[2]))
 
 
 def _to_standard(a: float, b: float) -> tuple:
-    """Map sending the endpoints a -> 0 and b -> infinity."""
+    """Map sending the endpoints a -> 0 and b -> infinity.
+
+    The image of the geodesic (a, b) is the imaginary axis oriented upward.
+    """
     if a == INF:
         return _mobius(0.0, -1.0, 1.0, -b)
     if b == INF:
@@ -162,12 +155,19 @@ def _to_standard(a: float, b: float) -> tuple:
 _FLIP = _mobius(0.0, -1.0, 1.0, 0.0)
 
 
-def _triangle_median(v: tuple, edge: int) -> tuple[float, float]:
+def triangle_median(v: tuple, edge: int) -> tuple[float, float]:
+    """Tangency point ``(x, y)`` of the incircle of the ideal triangle ``v``
+    on its edge ``edge`` in 1..3.
+
+    The edge is normalized to the imaginary axis; in that frame the
+    triangle is (0, w, inf) and the incircle touches the axis at height
+    |w|, which is mapped back.  Mobius equivariance is automatic.
+    """
     ga, gb = _edge(v, edge)
     # the vertex off the edge (the vertices are distinct)
     w = v[(edge + 1) % 3]
     m = _to_standard(ga, gb)
-    w_std = _apply_ideal(m, w)
+    w_std = mobius_apply(m, w)
     if w_std == INF or w_std == 0.0:
         raise GeometryError("degenerate triangle")
     return _apply_point(_inverse(m), 0.0, abs(w_std))
@@ -191,7 +191,7 @@ def _median_height_toward_axis(v: tuple) -> float:
     if lo < 0.0 < hi:
         raise GeometryError("geodesic does not separate the triangle interiors")
     near = hi if hi <= 0.0 else lo
-    return _triangle_median(v, k + 1 if near == nxt else (k + 2) % 3 + 1)[1]
+    return triangle_median(v, k + 1 if near == nxt else (k + 2) % 3 + 1)[1]
 
 
 def _snap_vertex(v: tuple, target: float) -> tuple[float, float, float]:
@@ -221,7 +221,7 @@ def _to_axis(m: tuple, v: tuple, ga: float, gb: float) -> tuple[float, float, fl
     normalized matrix alone can leave them off by a rounding error when
     both endpoints are finite.
     """
-    return _distinct(*[0.0 if u == ga else INF if u == gb else _apply_ideal(m, u) for u in v])
+    return _distinct(*[0.0 if u == ga else INF if u == gb else mobius_apply(m, u) for u in v])
 
 
 def _far_height(s: tuple) -> float:
@@ -248,7 +248,17 @@ def _near_height(s: tuple) -> float:
     return 1.0 / _far_height(_apply_triangle(_FLIP, s))
 
 
-def _shear(v1: tuple, v2: tuple, ga: float, gb: float) -> float:
+def shear(v1: tuple, v2: tuple, ga: float, gb: float) -> float:
+    """Signed shear between the ideal triangles ``v1`` and ``v2`` across the
+    geodesic from ``ga`` to ``gb``.
+
+    The geodesic must run from a vertex of ``v1`` to a vertex of ``v2``
+    (within ``DEFAULT_TOL``) and separate the two interiors, with ``v1`` on
+    its left.  For each triangle the incircle median on the edge facing
+    the geodesic is moved onto it by the parabolic isometry fixing the
+    shared ideal vertex, and the result is the signed distance between the
+    two transported points (positive in the direction of the geodesic).
+    """
     v1 = _snap_vertex(v1, ga)
     v2 = _snap_vertex(v2, gb)
     m = _to_standard(ga, gb)
@@ -257,12 +267,20 @@ def _shear(v1: tuple, v2: tuple, ga: float, gb: float) -> float:
     return math.log(_far_height(s2)) - math.log(_near_height(s1))
 
 
-def _orthofoot(a1: float, b1: float, a2: float, b2: float) -> tuple[float, float]:
+def orthofoot(a1: float, b1: float, a2: float, b2: float) -> tuple[float, float]:
+    """Foot ``(x, y)`` on the geodesic (a1, b1) of the common perpendicular
+    to the geodesic (a2, b2).
+
+    In the frame where the first geodesic is the standard axis, the second
+    spans (a, b) and the perpendicular is the circle about 0 orthogonal to
+    it, of radius sqrt(a*b).  Intersecting or asymptotic inputs are
+    rejected.
+    """
     if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
         raise GeometryError("geodesics share an ideal endpoint")
     m = _to_standard(a1, b1)
-    a = _apply_ideal(m, a2)
-    b = _apply_ideal(m, b2)
+    a = mobius_apply(m, a2)
+    b = mobius_apply(m, b2)
     if a == INF or b == INF:
         raise GeometryError("geodesics intersect (image endpoint at infinity)")
     if a * b <= 0.0:
@@ -270,251 +288,28 @@ def _orthofoot(a1: float, b1: float, a2: float, b2: float) -> tuple[float, float
     return _apply_point(_inverse(m), 0.0, math.sqrt(a * b))
 
 
-def _orthofoot_to_ideal(a1: float, b1: float, p: float) -> tuple[float, float]:
+def orthofoot_to_ideal(a1: float, b1: float, p: float) -> tuple[float, float]:
+    """Foot ``(x, y)`` on the geodesic (a1, b1) of the perpendicular
+    geodesic landing at the canonical ideal point ``p``.
+
+    This is the degenerate (parabolic) limit of :func:`orthofoot` where the
+    second geodesic collapses to a boundary point.
+    """
     if p == a1 or p == b1:
         raise GeometryError("ideal point is an endpoint of the geodesic")
     m = _to_standard(a1, b1)
-    a = _apply_ideal(m, p)
+    a = mobius_apply(m, p)
     if a == INF:
         raise GeometryError("ideal point is an endpoint of the geodesic")
     # the perpendicular through the ideal point a is the half-circle |z| = |a|
     return _apply_point(_inverse(m), 0.0, abs(a))
 
 
-def _axis_translation(a: float, b: float, length: float) -> tuple:
+def axis_translation(a: float, b: float, length: float) -> tuple:
+    """Hyperbolic isometry with axis the geodesic (a, b), translating by
+    ``length`` along it in the direction of its orientation."""
     if not length > 0:
         raise GeometryError("translation length must be positive")
     m = _to_standard(a, b)
     t = _mobius(math.exp(length / 2.0), 0.0, 0.0, math.exp(-length / 2.0))
     return _compose(_compose(_inverse(m), t), m)
-
-
-# ---------------------------------------------------------------------------
-# public values and operations
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class H2Point:
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        _upper(self.x, self.y)
-
-
-@dataclass(frozen=True, slots=True)
-class Geodesic:
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        a, b = _geodesic(self.a, self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def reversed(self) -> "Geodesic":
-        return Geodesic(self.b, self.a)
-
-
-@dataclass(frozen=True, slots=True)
-class IdealTriangle:
-    v1: float
-    v2: float
-    v3: float
-
-    def __post_init__(self) -> None:
-        v1, v2, v3 = _triangle(self.v1, self.v2, self.v3)
-        object.__setattr__(self, "v1", v1)
-        object.__setattr__(self, "v2", v2)
-        object.__setattr__(self, "v3", v3)
-
-    @property
-    def vertices(self) -> tuple[float, float, float]:
-        return (self.v1, self.v2, self.v3)
-
-    def edge(self, index: int) -> Geodesic:
-        """Edge ``index`` in 1..3: (v1,v2), (v2,v3), (v3,v1)."""
-        return Geodesic(*_edge(self.vertices, index))
-
-
-@dataclass(frozen=True, slots=True)
-class Circle:
-    """Euclidean circle data (used for incircles and horocycles)."""
-
-    cx: float
-    cy: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise GeometryError("circle radius must be positive")
-
-
-@dataclass(frozen=True, slots=True)
-class MobiusMap:
-    """z -> (a z + b) / (c z + d) with a d - b c = 1 after normalization."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip("abcd", _mobius(self.a, self.b, self.c, self.d)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def _of(cls, m: tuple) -> "MobiusMap":
-        """Wrap a normalized kernel tuple as it is (no second normalization)."""
-        out = object.__new__(cls)
-        for name, value in zip("abcd", m):
-            object.__setattr__(out, name, value)
-        return out
-
-    def _tuple(self) -> tuple:
-        return (self.a, self.b, self.c, self.d)
-
-    @staticmethod
-    def identity() -> "MobiusMap":
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap._of(_inverse(self._tuple()))
-
-    def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap._of(_compose(self._tuple(), other._tuple()))
-
-    def trace(self) -> float:
-        return self.a + self.d
-
-    def det(self) -> float:
-        return self.a * self.d - self.b * self.c
-
-    def __call__(self, p):
-        return mobius_apply(self, p)
-
-
-def mobius_apply(m: MobiusMap, p):
-    """Apply the fractional linear action to an interior or ideal point.
-
-    Interior points map to interior points; ideal points map to ideal
-    points, with the pole of the map sent to infinity.
-    """
-    if isinstance(p, H2Point):
-        return H2Point(*_apply_point(m._tuple(), p.x, p.y))
-    return _apply_ideal(m._tuple(), ideal(p))
-
-
-def mobius_apply_geodesic(m: MobiusMap, g: Geodesic) -> Geodesic:
-    return Geodesic(mobius_apply(m, g.a), mobius_apply(m, g.b))
-
-
-def mobius_apply_triangle(m: MobiusMap, t: IdealTriangle) -> IdealTriangle:
-    return IdealTriangle(*_apply_triangle(m._tuple(), t.vertices))
-
-
-def geodesic_to_standard(g: Geodesic) -> MobiusMap:
-    """Orientation-preserving map sending g.a -> 0 and g.b -> infinity.
-
-    The image geodesic is the imaginary axis oriented upward.
-    """
-    return MobiusMap._of(_to_standard(g.a, g.b))
-
-
-def triangle_median(t: IdealTriangle, edge: int) -> H2Point:
-    """Tangency point of the incircle of ``t`` on the chosen edge.
-
-    The edge is normalized to the imaginary axis; in that frame the
-    triangle is (0, w, inf) and the incircle touches the axis at height
-    |w|, which is mapped back.  Mobius equivariance is automatic.
-    """
-    return H2Point(*_triangle_median(t.vertices, edge))
-
-
-def incircle(t: IdealTriangle) -> Circle:
-    """Incircle of an ideal triangle as a Euclidean circle.
-
-    Fitted through the three medians; a Mobius image of a circle inside
-    the half-plane is again a Euclidean circle.
-    """
-    p1 = triangle_median(t, 1)
-    p2 = triangle_median(t, 2)
-    p3 = triangle_median(t, 3)
-    return circle_through(p1, p2, p3)
-
-
-def circle_through(p1: H2Point, p2: H2Point, p3: H2Point) -> Circle:
-    ax, ay = p1.x, p1.y
-    bx, by = p2.x, p2.y
-    cx, cy = p3.x, p3.y
-    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
-    if d == 0.0:
-        raise GeometryError("collinear points do not define a circle")
-    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay) + (cx * cx + cy * cy) * (ay - by)) / d
-    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx) + (cx * cx + cy * cy) * (bx - ax)) / d
-    return Circle(ux, uy, math.hypot(ax - ux, ay - uy))
-
-
-def shear(t1: IdealTriangle, t2: IdealTriangle, g: Geodesic) -> float:
-    """Signed shear between two ideal triangles across an oriented geodesic.
-
-    ``g`` must run from a vertex of ``t1`` to a vertex of ``t2`` (within
-    ``DEFAULT_TOL``) and separate the two interiors, with ``t1`` on the left of
-    ``g``.  For each triangle the incircle median on the edge facing ``g``
-    is moved onto ``g`` by the parabolic isometry fixing the shared ideal
-    vertex, and the result is the signed distance between the two
-    transported points (positive in the direction of ``g``).
-    """
-    return _shear(t1.vertices, t2.vertices, g.a, g.b)
-
-
-def orthofoot(g1: Geodesic, g2: Geodesic) -> H2Point:
-    """Foot on ``g1`` of the common perpendicular between ``g1`` and ``g2``.
-
-    In the frame where ``g1`` is the standard axis, ``g2`` spans (a, b)
-    and the perpendicular is the circle about 0 orthogonal to it, of
-    radius sqrt(a*b).  Intersecting or asymptotic inputs are rejected.
-    """
-    return H2Point(*_orthofoot(g1.a, g1.b, g2.a, g2.b))
-
-
-def orthofoot_to_ideal(g1: Geodesic, p: float) -> H2Point:
-    """Foot on ``g1`` of the perpendicular geodesic landing at the ideal point ``p``.
-
-    This is the degenerate (parabolic) limit of :func:`orthofoot` where the
-    second geodesic collapses to a boundary point.
-    """
-    return H2Point(*_orthofoot_to_ideal(g1.a, g1.b, ideal(p)))
-
-
-def axis_translation(g: Geodesic, length: float) -> MobiusMap:
-    """Hyperbolic isometry with axis ``g`` translating by ``length`` along it.
-
-    Translation is in the direction of the orientation of ``g``.
-    """
-    return MobiusMap._of(_axis_translation(g.a, g.b, length))
-
-
-def signed_distance_along(g: Geodesic, p: H2Point, q: H2Point) -> float:
-    """Signed distance from ``p`` to ``q`` along ``g`` (both on ``g``),
-    positive in the direction of orientation."""
-    m = geodesic_to_standard(g)
-    hp = mobius_apply(m, p).y
-    hq = mobius_apply(m, q).y
-    return math.log(hq) - math.log(hp)
-
-
-def point_distance(p: H2Point, q: H2Point) -> float:
-    """Hyperbolic distance between interior points."""
-    dx = p.x - q.x
-    num = dx * dx + (p.y - q.y) ** 2
-    arg = 1.0 + num / (2.0 * p.y * q.y)
-    return math.acosh(arg if arg > 1.0 else 1.0)
-
-
-def maps_equal(m1: MobiusMap, m2: MobiusMap, tol: float = DEFAULT_TOL) -> bool:
-    """Equality of isometries as maps (determinant-one matrices up to sign)."""
-    same = all(abs(x - y) <= tol for x, y in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d)))
-    opp = all(abs(x + y) <= tol for x, y in ((m1.a, m2.a), (m1.b, m2.b), (m1.c, m2.c), (m1.d, m2.d)))
-    return same or opp

@@ -32,19 +32,18 @@ from typing import Callable
 from .h2 import (
     INF,
     GeometryError,
-    H2Point,
-    _apply_ideal,
-    _axis_translation,
     _far_height,
     _geodesic,
     _inverse,
     _mobius,
     _near_height,
-    _orthofoot,
-    _orthofoot_to_ideal,
     _triangle,
-    _triangle_median,
+    axis_translation,
     ideal,
+    mobius_apply,
+    orthofoot,
+    orthofoot_to_ideal,
+    triangle_median,
 )
 
 #: cuff lengths below this are rejected as singular (formulas blow up at 0)
@@ -287,12 +286,20 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
     exact, so the previous triangle's half of the shear is computed once
     and each secant step computes only the new triangle's half.  The
     condition is the float expression of the full shear minus sigma, so
-    the widths are bit-identical to solving with :func:`h2._shear`.
+    the widths are bit-identical to solving with :func:`h2.shear`.  A gap
+    whose log-width u leaves the float range (e^u overflows or underflows
+    to 0) raises a :class:`GeometryError` that names u.
     """
     log_h1 = math.log(_near_height(_triangle(-prev_gap, 0.0, INF)))
 
     def cond(u: float) -> float:
-        return math.log(_far_height(_triangle(0.0, math.exp(u), INF))) - log_h1 - sigma
+        try:
+            width = math.exp(u)
+        except OverflowError:
+            width = 0.0
+        if width == 0.0:
+            raise GeometryError(f"gap log-width {u} leaves the float range")
+        return math.log(_far_height(_triangle(0.0, width, INF))) - log_h1 - sigma
 
     return math.exp(_solve_monotone(cond, 0.0, 1.0))
 
@@ -316,7 +323,7 @@ def _deck_endpoint(length: float, sign: int, target: float) -> float:
 
     def image_of_zero(v: float) -> float:
         axis = (INF, v) if sign == 1 else (v, INF)
-        return _apply_ideal(_axis_translation(*axis, length), 0.0)
+        return mobius_apply(axis_translation(*axis, length), 0.0)
 
     f0 = image_of_zero(0.0) - target
     f1 = image_of_zero(1.0) - target
@@ -361,10 +368,10 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     # close the fan with the cuff's deck translation: deck(x) = x + width,
     # where deck translates along the axis by the cuff length (towards 0
     # for a left twist).  The condition is linear in x.
-    deck = _axis_translation(*((INF, 0.0) if e[cuff] == 1 else (0.0, INF)), l[cuff])
+    deck = axis_translation(*((INF, 0.0) if e[cuff] == 1 else (0.0, INF)), l[cuff])
 
     def closure(x: float) -> float:
-        return _apply_ideal(deck, x) - (x + width)
+        return mobius_apply(deck, x) - (x + width)
 
     c0, c1 = closure(0.0), closure(1.0)
     x = -c0 / (c1 - c0)
@@ -373,7 +380,7 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     # standard axis with the image of the fan triangle as (-1, 0, inf)
     phi = _mobius(-1.0, x, 1.0, -(x + 1.0))
     t1 = _triangle(x, x + 1.0, INF)
-    img = (_apply_ideal(phi, INF), _apply_ideal(phi, x), _apply_ideal(phi, x + 1.0))
+    img = (mobius_apply(phi, INF), mobius_apply(phi, x), mobius_apply(phi, x + 1.0))
     # projectively (-1, 0, inf): the pole image may round to a huge finite value
     if abs(img[0] + 1.0) > 1e-9 or abs(img[1]) > 1e-9 or (math.isfinite(img[2]) and abs(img[2]) < 1e9):
         raise GeometryError("fan frame normalization failed")
@@ -383,25 +390,25 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     # perpendicular cuff axis: second endpoint from its deck translation,
     # or the parabolic limit when that cuff is a puncture
     if l[j] < MIN_CUFF_LENGTH:
-        p_star = _apply_ideal(_inverse(phi), INF)
-        foot = _orthofoot_to_ideal(0.0, INF, p_star)
+        p_star = mobius_apply(_inverse(phi), INF)
+        foot = orthofoot_to_ideal(0.0, INF, p_star)
     else:
         v = _deck_endpoint(l[j], e[j], w)
-        p_star = _apply_ideal(_inverse(phi), ideal(v))
-        foot = _orthofoot(0.0, INF, *_geodesic(x + 1.0, p_star))
+        p_star = mobius_apply(_inverse(phi), ideal(v))
+        foot = orthofoot(0.0, INF, *_geodesic(x + 1.0, p_star))
 
     # shear reference point: incircle median of the first fan triangle on
     # its edge 3, (inf, x), transported to the axis along the horocycle
     # about infinity
-    q = (0.0, _triangle_median(t1, 3)[1])
+    q = (0.0, triangle_median(t1, 3)[1])
 
     return {
         "x": x,
         "fan_width": width,
         "period_width": w,
         "p_star": p_star,
-        "foot": H2Point(*foot),
-        "q": H2Point(*q),
+        "foot": foot,
+        "q": q,
         "delta": e[cuff] * (math.log(foot[1]) - math.log(q[1])),
     }
 

@@ -12,7 +12,7 @@ import pytest
 
 from thurston_kit import bounds, cube, reconcile, torus
 from thurston_kit.cli import main as cli_main
-from thurston_kit.h2 import INF, Geodesic, orthofoot
+from thurston_kit.h2 import INF, orthofoot
 from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
@@ -108,8 +108,8 @@ def test_criterion_3_orthogonal_circle_claim():
         b = a + float(rng.uniform(0.01, 10.0))
         if rng.rand() < 0.5:
             a, b = -b, -a
-        foot = orthofoot(Geodesic(0.0, INF), Geodesic(a, b))
-        worst = max(worst, abs(foot.y - math.sqrt(a * b)), abs(foot.x))
+        x, y = orthofoot(0.0, INF, a, b)
+        worst = max(worst, abs(y - math.sqrt(a * b)), abs(x))
     _report(3, "orthogonal-circle foot", worst <= 1e-12, f"max |height - sqrt(ab)| = {worst:.3e} over 10^4 samples")
     assert worst <= 1e-12
 

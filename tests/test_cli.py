@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from thurston_kit.cli import CONFIG_ENV, Config, ConfigError, load_config, main, t_grid
+from thurston_kit.pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -44,6 +45,17 @@ def test_delta_command_singular_cuff_exit_code(capsys):
     code = main(["delta", "--type", "3sym", "--l", "0,1,1", "--signs", "LLL", "--cuff", "1"])
     capsys.readouterr()
     assert code == 1
+
+
+def test_delta_command_states_an_oracle_gap_outside_the_float_range(capsys):
+    # the closed form has a value here; a spiral gap of the oracle has
+    # log-width -750, below the float range
+    tri = PantsTriangulation((2, 2, 2), TwistSigns(1, 1, 1))
+    assert repr(delta_closed(PantsMetric(0.01, 1500.0, 0.01), tri, 0)) == "4.605166019324902"
+    code = main(["delta", "--type", "3sym", "--l", "0.01,1500,0.01", "--signs", "LLL", "--cuff", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: gap log-width -750.0 leaves the float range\n"
 
 
 def test_usage_error_exit_code():
@@ -89,6 +101,24 @@ def test_benchmark_tracer_binds_every_layer(monkeypatch):
         for fn in funcs:
             assert callable(getattr(home, fn, None)), f"{module}.{fn}"
     tracer.Tracer().install()
+
+
+def test_benchmark_tracer_sees_the_oracle_in_h2(monkeypatch, capsys):
+    # one traced delta op: the h2 functions the tracer wraps are the ones
+    # the constructive oracle calls
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    tracer.set_active(True)
+    try:
+        code = main(["delta", "--type", "3sym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "2"])
+    finally:
+        tracer.set_active(False)
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.layer_metrics()
+    for fn in ("triangle_median", "mobius_apply", "axis_translation", "orthofoot"):
+        assert metrics[f"h2.{fn}.calls"] > 0, fn
 
 
 def test_help_exits_zero():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from thurston_kit.h2 import INF, GeometryError, _shear, _triangle
+from thurston_kit.h2 import INF, GeometryError, _triangle, shear
 from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
@@ -253,7 +253,7 @@ def test_oracle_right_twist_uses_expanding_translate():
 
 def test_oracle_reference_point_transports_to_unit_height():
     det = oracle_details(PantsMetric(1.0, 1.0, 1.0), PantsTriangulation((2, 2, 2), LLL), 0)
-    assert det["q"].y == pytest.approx(1.0, abs=1e-12)
+    assert det["q"][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oracle_handles_puncture_on_perpendicular_cuff():
@@ -358,6 +358,13 @@ def test_gap_solve_raises_when_the_secant_stalls():
         _solve_monotone(lambda u: 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [800.0, -800.0])
+def test_gap_solve_names_a_log_width_outside_the_float_range(sigma):
+    # e^800 overflows and e^-800 underflows to 0
+    with pytest.raises(GeometryError, match=rf"^gap log-width {sigma} leaves the float range$"):
+        _next_gap(1.0, sigma)
+
+
 def test_gap_solve_matches_the_full_shear_bit_for_bit():
     # _next_gap computes t_prev's half of the shear once per solve; the
     # reference re-evaluates the whole shear at every secant step
@@ -378,7 +385,7 @@ def test_gap_solve_matches_the_full_shear_bit_for_bit():
 
         def reference():
             def cond(u):
-                return _shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
+                return shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
 
             return math.exp(_solve_monotone(cond, 0.0, 1.0))
 
