@@ -20,7 +20,6 @@ from .pants import (
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
-    delta_scaled,
     enumerate_triangulations,
     shear_coords,
 )
@@ -60,7 +59,6 @@ from .bounds import (
     run_sweep,
 )
 from .cube import (
-    TwistVector,
     chamfered_cube_check,
     cloud,
     enumerate_completions,

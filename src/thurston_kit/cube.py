@@ -29,22 +29,6 @@ HULL_TOL = 1e-9
 EXTREME_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
-class TwistVector:
-    """Time derivatives at 0 of the three twist coordinates."""
-
-    da: float
-    db: float
-    dc: float
-
-    def __post_init__(self) -> None:
-        if any(not math.isfinite(v) for v in (self.da, self.db, self.dc)):
-            raise ValueError("twist vector components must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.da, self.db, self.dc])
-
-
 def enumerate_completions() -> list[StretchSpec]:
     """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types)."""
     out = []
@@ -60,12 +44,16 @@ def _label(spec: StretchSpec) -> str:
     return "-".join([letters, *("".join(map(str, t.ends)) for t in spec.triangulations)])
 
 
-def cloud(x: FNPoint) -> list[tuple[StretchSpec, TwistVector]]:
-    """All 128 labeled candidate stretch vectors, in enumeration order."""
+def cloud(x: FNPoint) -> list[tuple[StretchSpec, tuple[float, float, float]]]:
+    """All 128 candidates paired with their stretch vectors (the time
+    derivatives at 0 of the three twist coordinates), in enumeration order."""
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
     specs = enumerate_completions()
-    return [(spec, TwistVector(*v)) for spec, v in zip(specs, stretch_vectors(x, specs))]
+    vectors = stretch_vectors(x, specs)
+    if not all(math.isfinite(c) for v in vectors for c in v):
+        raise ValueError("twist vector components must be finite")
+    return list(zip(specs, vectors))
 
 
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -232,8 +220,8 @@ def symmetric_base_point() -> FNPoint:
     return FNPoint("S2", (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
 
 
-def chamfered_cube_check(x: FNPoint | None = None) -> dict:
-    """Full pipeline: cloud, dedupe, hull counts, certificates of the vertices.
+def chamfered_cube_check(x: FNPoint) -> dict:
+    """Full pipeline at ``x``: cloud, dedupe, hull counts, certificates of the vertices.
 
     Returns the counts, the hull vertices (as indices of the unique points),
     ``agree``: whether :func:`_certified` verifies them as the extreme set
@@ -241,16 +229,14 @@ def chamfered_cube_check(x: FNPoint | None = None) -> dict:
     enumeration order: its label, its twist vector and whether its point
     is a hull vertex.
     """
-    if x is None:
-        x = symmetric_base_point()
     labeled = cloud(x)
-    raw = np.array([tv.as_array() for _, tv in labeled])
+    raw = np.array([v for _, v in labeled])
     uniq, group = dedupe_points(raw)
     summary = hull(uniq)
     hull_set = set(summary.vertex_indices)
     entries = [
-        {"completion": _label(comp), "d_twist": [tv.da, tv.db, tv.dc], "extreme": group[i] in hull_set}
-        for i, (comp, tv) in enumerate(labeled)
+        {"completion": _label(comp), "d_twist": list(v), "extreme": group[i] in hull_set}
+        for i, (comp, v) in enumerate(labeled)
     ]
     return {
         "n_candidates": len(labeled),

@@ -159,31 +159,16 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
 
 
-def _roles(t: PantsTriangulation, cuff: int, partner: int | None) -> tuple[str, int, int]:
+def _roles(t: PantsTriangulation, cuff: int) -> tuple[str, int, int]:
     """Resolve (symmetry class, perpendicular cuff j, remaining cuff k).
 
-    The perpendicular is dropped from cuff ``j``'s axis.  Default is the
-    cyclically next cuff; for an asymmetric cuff the 4-end cuff is forced.
-    For a 3-symmetric cuff the other choice is exposed via ``partner``
-    (the two choices differ by half the cuff length).
+    The perpendicular is dropped from cuff ``j``'s axis: the 4-end cuff
+    for an asymmetric cuff, else the cyclically next cuff.
     """
     if cuff not in (0, 1, 2):
         raise ValueError("cuff index must be 0, 1 or 2")
     sym = t.symmetry_at(cuff)
-    if sym == "asym":
-        j = t.ends.index(4)
-        if partner is not None and partner != j:
-            raise ValueError("asymmetric cuff: the perpendicular cuff is forced to the 4-end cuff")
-        return sym, j, 3 - cuff - j
-    default_j = (cuff + 1) % 3
-    if partner is None:
-        j = default_j
-    else:
-        if partner == cuff or partner not in (0, 1, 2):
-            raise ValueError("partner must be one of the other two cuffs")
-        if sym == "2sym" and partner != default_j:
-            raise ValueError("alternate partner is only supported at a 3-symmetric cuff")
-        j = partner
+    j = t.ends.index(4) if sym == "asym" else (cuff + 1) % 3
     return sym, j, 3 - cuff - j
 
 
@@ -198,17 +183,9 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
 
     ec, lc = e[cuff], l[cuff]
     if sym == "3sym":
-        nxt = (cuff + 1) % 3
-        x = (1 + exp(sc(cuff, nxt))) / (exp(-ec * lc) - 1)
-        if j == nxt:
-            frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
-            g = (x + 1) * (x + frac)
-        else:
-            # perpendicular from the cyclically previous cuff: its axis
-            # shares the fan endpoint x, and the mirrored spiral period has
-            # gaps 1 and e^{s_cj}
-            v = (1 + exp(sc(cuff, j))) / (1 - exp(-e[j] * l[j]))
-            g = x * (x + 1 / (1 - v))
+        x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
+        frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
+        g = (x + 1) * (x + frac)
     elif sym == "2sym":
         s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
         num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
@@ -220,6 +197,9 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
         num = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + exp(-e[j] * l[j])
         den = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + 1
         g = (x + 1) * (x + num / den)
+    if not g.real > 0:  # cancelled in floats: its log would drop an i*pi
+        raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "
+                         f"g = {g.real!r} <= 0 at lengths {tuple(v.real for v in l)}")
     return ec * 0.5 * log(g)
 
 
@@ -228,28 +208,25 @@ def _check_cuff(p: PantsMetric, cuff: int) -> None:
         raise SingularCuffError(f"cuff {cuff} has length {p.lengths[cuff]}; twist offset is singular")
 
 
-def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int, partner: int | None = None) -> float:
-    """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``."""
-    sym, j, k = _roles(t, cuff, partner)
+def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
+    """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
+    ``ValueError`` names the cuff where the log argument cancels to <= 0 (long cuffs)."""
+    sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
     return _delta_core(p.lengths, t.signs.signs, t.ends, cuff, j, k, sym).real
 
 
-def delta_scaled(p: PantsMetric, t: PantsTriangulation, cuff: int, s: float) -> float:
-    """Twist offset with every cuff length (hence every shear) scaled by e^s."""
-    return delta_closed(p.scaled(math.exp(s)), t, cuff)
-
-
-def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int, s: float = 0.0) -> float:
-    """d/ds of :func:`delta_scaled` at ``s``, by complex-step differentiation.
+def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
+    """d/ds at s = 0 of ``delta_closed(p.scaled(e^s), t, cuff)``, by
+    complex-step differentiation.
 
     The offset is analytic in the scale, so an infinitesimal imaginary
     perturbation gives the exact derivative (no cancellation error).
     """
-    sym, j, k = _roles(t, cuff, None)
+    sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
     h = 1e-100
-    scale = cmath.exp(complex(s, h))
+    scale = cmath.exp(complex(0.0, h))
     lc = tuple(x * scale for x in p.lengths)
     return _delta_core(lc, t.signs.signs, t.ends, cuff, j, k, sym).imag / h
 
@@ -342,7 +319,7 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     cuff's axis from its deck translation, and measures the signed distance
     from the transported incircle median to the perpendicular foot.
     """
-    sym, j, k = _roles(t, cuff, None)
+    sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
     l = p.lengths
     e = t.signs.signs

@@ -20,17 +20,19 @@ from .pants import PantsMetric, delta_closed, delta_oracle, enumerate_triangulat
 from .stretch import left_spec, right_spec, twist_width, twist_width_closed, width_point
 
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
+#: l0 values and times of the twist-width check
+WIDTH_GRID = (0.25, 0.5, 1.0, 2.0)
 ORACLE_TOL = 1e-9
 
 
-def oracle_residuals(grid: tuple[float, ...] = DEFAULT_GRID) -> list[dict]:
-    """Max |closed - oracle| per triangulation type and cuff over the grid."""
+def oracle_residuals() -> list[dict]:
+    """Max |closed - oracle| per triangulation type and cuff over ``DEFAULT_GRID``."""
     rows = []
     for tri in enumerate_triangulations():
         for cuff in range(3):
             worst = -1.0
             arg = None
-            for lengths in itertools.product(grid, repeat=3):
+            for lengths in itertools.product(DEFAULT_GRID, repeat=3):
                 pm = PantsMetric(*lengths)
                 resid = abs(delta_closed(pm, tri, cuff) - delta_oracle(pm, tri, cuff))
                 if resid > worst:
@@ -47,20 +49,20 @@ def oracle_residuals(grid: tuple[float, ...] = DEFAULT_GRID) -> list[dict]:
     return rows
 
 
-def twist_width_conventions(l0_values=(0.25, 0.5, 1.0, 2.0), t_values=(0.25, 0.5, 1.0, 2.0)) -> dict:
+def twist_width_conventions() -> dict:
     """Compare both closed-form width conventions against the offset-built width.
 
     The width is rebuilt from the twist offsets of the left and right
-    completions on both supported surfaces; the convention whose maximal
-    residual is small is chosen.
+    completions on both supported surfaces, at every l0 and t of
+    ``WIDTH_GRID``; the convention whose maximal residual is small is chosen.
     """
     out = {}
     for surface in ("S11", "S04"):
         worst = {"reconciled": 0.0, "printed": 0.0}
-        for l0 in l0_values:
+        for l0 in WIDTH_GRID:
             x = width_point(surface, l0)
             lam, nu = left_spec(surface), right_spec(surface)
-            for t in t_values:
+            for t in WIDTH_GRID:
                 built = twist_width(x, lam, nu, 0, t)
                 for conv in worst:
                     worst[conv] = max(worst[conv], abs(built - twist_width_closed(l0, t, conv)))
@@ -76,8 +78,8 @@ def twist_width_conventions(l0_values=(0.25, 0.5, 1.0, 2.0), t_values=(0.25, 0.5
     }
 
 
-def build_report(grid: tuple[float, ...] = DEFAULT_GRID) -> dict:
-    rows = oracle_residuals(grid)
+def build_report() -> dict:
+    rows = oracle_residuals()
     width = twist_width_conventions()
     max_resid = max(r["max_residual"] for r in rows)
     corrections = [
@@ -88,7 +90,7 @@ def build_report(grid: tuple[float, ...] = DEFAULT_GRID) -> dict:
     ]
     return {
         "offset_formulas": {
-            "grid": list(grid),
+            "grid": list(DEFAULT_GRID),
             "max_residual": max_resid,
             "all_within_tolerance": all(r["within_tolerance"] for r in rows),
             "tolerance": ORACLE_TOL,

@@ -80,6 +80,8 @@ class FNPoint:
             raise ValueError(f"{self.surface} needs {n} length/twist pairs")
         if any(not (math.isfinite(v) and v > 0) for v in self.lengths):
             raise ValueError("curve lengths must be finite and positive")
+        if not all(math.isfinite(v) for v in self.twists):
+            raise ValueError("twists must be finite")
 
 
 def width_point(surface: str, l0: float) -> FNPoint:

@@ -223,17 +223,15 @@ def candidate_slopes(max_q: int) -> list[Slope]:
     return sorted(out, key=lambda s: (s.q, s.p))
 
 
-def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30, slopes: list[Slope] | None = None) -> float:
+def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30) -> float:
     """Lower estimate of the Thurston distance: max over the slope family
-    of log(l_s(y)/l_s(x)).
+    ``candidate_slopes(max_q)`` of log(l_s(y)/l_s(x)).
 
-    The family is ``candidate_slopes(max_q)`` unless ``slopes`` is given.  Monotone
-    non-decreasing in max_q (the families nest).  This is a raw max-ratio
+    Monotone non-decreasing in max_q (the families nest).  This is a raw max-ratio
     report over a finite family; no additive marking constant is claimed
     and no exactness: the estimate certifies lower bounds only.
     """
-    plan = _family(max_q)[1] if slopes is None else _plan(slopes)
-    ll = _log_lengths((x, y), plan)
+    ll = _log_lengths((x, y), _family(max_q)[1])
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
 

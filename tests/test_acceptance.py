@@ -19,7 +19,6 @@ from thurston_kit.pants import (
     TwistSigns,
     delta_closed,
     delta_oracle,
-    delta_scaled,
     enumerate_triangulations,
     shear_coords,
 )
@@ -130,7 +129,7 @@ def test_criterion_4_twist_width_basics():
     tri = PantsTriangulation((2, 2, 2), TwistSigns(1, 1, 1))
     for k in (-2.0, 0.5):
         for t in (0.6, 2.0):
-            d0, dt = delta_scaled(pm, tri, 0, 0.0), delta_scaled(pm, tri, 0, t)
+            d0, dt = delta_closed(pm.scaled(math.exp(0.0)), tri, 0), delta_closed(pm.scaled(math.exp(t)), tri, 0)
             base = math.exp(t) * d0 - dt
             shifted = math.exp(t) * (d0 + 0.5 * k * pm.l1) - (dt + 0.5 * k * pm.l1 * math.exp(t))
             worst = max(worst, abs(base - shifted))
@@ -249,7 +248,7 @@ def test_criterion_7_earthquake_bound():
 
 def test_criterion_8_chamfered_cube():
     start = time.perf_counter()
-    result = cube.chamfered_cube_check()
+    result = cube.chamfered_cube_check(cube.symmetric_base_point())
     elapsed = time.perf_counter() - start
     ok = (
         result["n_candidates"] == 128

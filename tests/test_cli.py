@@ -170,6 +170,23 @@ def test_stretch_command_reads_one_value_per_curve(capsys, surface, values):
     assert capsys.readouterr().err.startswith("error: expected ")
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_stretch_command_rejects_non_finite_twists(capsys, tau):
+    assert main(["stretch", "--l", "1", "--tau", tau, "--t", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: twists must be finite"]
+
+
+def test_delta_command_states_a_cancelled_closed_form(capsys):
+    # g rounds below zero here; the closed form used to print -33.022336972275966
+    # where 60 digits give -44.99999999999986
+    assert main(["delta", "--type", "3sym", "--l", "60,60,60", "--signs", "LRR", "--cuff", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: twist offset at cuff 0 is out of float reach: g = -")
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("no_such_key=1\n")

@@ -13,7 +13,6 @@ import pytest
 from thurston_kit import cube, stretch
 from thurston_kit.cli import main
 from thurston_kit.cube import (
-    TwistVector,
     chamfered_cube_check,
     cloud,
     dedupe_points,
@@ -40,7 +39,7 @@ def _spec(signs, ends1, ends2):
 
 
 def _projection(x, spec):
-    return TwistVector(*stretch_vectors(x, [spec])[0])
+    return stretch_vectors(x, [spec])[0]
 
 
 def test_enumeration_has_128_distinct_candidates():
@@ -52,8 +51,8 @@ def test_enumeration_has_128_distinct_candidates():
 def test_projection_antipodal_under_full_sign_flip():
     x = symmetric_base_point()
     for e1, e2 in (((2, 2, 2), (2, 2, 2)), ((4, 1, 1), (1, 4, 1))):
-        v = _projection(x, _spec(TwistSigns(1, 1, 1), e1, e2)).as_array()
-        w = _projection(x, _spec(TwistSigns(-1, -1, -1), e1, e2)).as_array()
+        v = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), e1, e2)))
+        w = np.array(_projection(x, _spec(TwistSigns(-1, -1, -1), e1, e2)))
         assert np.max(np.abs(v + w)) <= 1e-9
 
 
@@ -61,8 +60,8 @@ def test_projection_equivariant_under_curve_relabeling():
     # at the symmetric base point, cyclically permuting the pants types
     # permutes the coordinates
     x = symmetric_base_point()
-    v = _projection(x, _spec(TwistSigns(1, 1, 1), (4, 1, 1), (4, 1, 1))).as_array()
-    w = _projection(x, _spec(TwistSigns(1, 1, 1), (1, 4, 1), (1, 4, 1))).as_array()
+    v = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), (4, 1, 1), (4, 1, 1))))
+    w = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), (1, 4, 1), (1, 4, 1))))
     assert np.allclose(np.roll(v, 1), w, atol=1e-9)
 
 
@@ -70,8 +69,8 @@ def test_projection_includes_initial_twist():
     x0 = symmetric_base_point()
     x1 = FNPoint("S2", (1.0, 1.0, 1.0), (0.3, -0.1, 0.2))
     comp = _spec(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
-    v0 = _projection(x0, comp).as_array()
-    v1 = _projection(x1, comp).as_array()
+    v0 = np.array(_projection(x0, comp))
+    v1 = np.array(_projection(x1, comp))
     assert np.allclose(v1 - v0, [0.3, -0.1, 0.2], atol=1e-12)
 
 
@@ -79,14 +78,14 @@ def test_projection_derivative_cross_check_runs():
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.0, 0.0, 0.0))
     for comp in (_spec(TwistSigns(1, -1, 1), (2, 2, 2), (1, 1, 4)),):
         v = _projection(x, comp)
-        assert all(math.isfinite(c) for c in (v.da, v.db, v.dc))
+        assert all(math.isfinite(c) for c in v)
 
 
 def test_cloud_size_and_central_symmetry():
     x = symmetric_base_point()
     labeled = cloud(x)
     assert len(labeled) == 128
-    pts = np.array([tv.as_array() for _, tv in labeled])
+    pts = np.array([v for _, v in labeled])
     centroid = pts.mean(axis=0)
     assert np.max(np.abs(centroid)) <= 1e-9
     # the sign-flip pairing mirrors the cloud through the centroid
@@ -144,7 +143,7 @@ def test_brute_force_extremes_of_square_with_midpoint():
 
 
 def test_chamfered_cube_at_symmetric_base_point():
-    result = chamfered_cube_check()
+    result = chamfered_cube_check(symmetric_base_point())
     assert result["n_candidates"] == 128
     assert result["hull_counts"] == (32, 48, 18)
     assert result["agree"]
@@ -154,7 +153,7 @@ def test_chamfered_cube_at_symmetric_base_point():
 def test_extreme_completions_pair_types_across_the_curve():
     # the hull vertices are exactly the sign patterns combined with equal
     # pants types on both sides
-    result = chamfered_cube_check()
+    result = chamfered_cube_check(symmetric_base_point())
     labels = set(result["extreme_completions"])
     expected = set()
     for bits in itertools.product("LR", repeat=3):
@@ -202,11 +201,11 @@ def _reference_projection(x, spec):
             total0 += delta_closed(metric, tri, curve)
             dtotal += delta_scale_derivative(metric, tri, curve)
         rates.append(x.twists[curve] + total0 - dtotal)
-    return TwistVector(*rates)
+    return tuple(rates)
 
 
 def _bits(vectors):
-    return [(tv.da.hex(), tv.db.hex(), tv.dc.hex()) for tv in vectors]
+    return [tuple(c.hex() for c in v) for v in vectors]
 
 
 def test_cloud_matches_per_completion_projection_bit_for_bit():
@@ -222,7 +221,7 @@ def test_cloud_matches_per_completion_projection_bit_for_bit():
         comps = enumerate_completions()
         labeled = cloud(x)
         assert [c for c, _ in labeled] == comps
-        got = _bits(tv for _, tv in labeled)
+        got = _bits(v for _, v in labeled)
         assert got == _bits(_projection(x, c) for c in comps)
         assert got == _bits(_reference_projection(x, c) for c in comps)
 
@@ -271,7 +270,7 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
 def test_dedupe_and_certificates_match_references():
     rng = np.random.default_rng(20261018)
     for _ in range(20):
-        raw = np.array([tv.as_array() for _, tv in cloud(_random_base_point(rng))])
+        raw = np.array([v for _, v in cloud(_random_base_point(rng))])
         uniq, group = dedupe_points(raw)
         ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
         assert group == ref_group
@@ -288,6 +287,12 @@ def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
         cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
 
 
+def test_cloud_rejects_a_non_finite_vector(monkeypatch):
+    monkeypatch.setattr(cube, "stretch_vectors", lambda x, specs: [(0.0, math.nan, 0.0)] * len(specs))
+    with pytest.raises(ValueError, match="^twist vector components must be finite$"):
+        cloud(symmetric_base_point())
+
+
 def test_lone_point_is_extreme():
     x, res = nnls(np.zeros((4, 0)), np.array([0.0, 0.0, 3.0, 4.0]))
     assert x.shape == (0,) and res == 5.0
@@ -295,7 +300,7 @@ def test_lone_point_is_extreme():
 
 
 def test_chamfered_cube_check_entries_follow_enumeration():
-    result = chamfered_cube_check()
+    result = chamfered_cube_check(symmetric_base_point())
     entries = result["entries"]
     assert [e["completion"] for e in entries] == [cube._label(c) for c in enumerate_completions()]
     assert sorted(e["completion"] for e in entries if e["extreme"]) == result["extreme_completions"]
@@ -324,7 +329,7 @@ def test_points_on_hull_edges_are_not_vertices(lengths, twists):
 
 
 def _unique_cloud(lengths, twists):
-    return dedupe_points(np.array([tv.as_array() for _, tv in cloud(FNPoint("S2", lengths, twists))]))[0]
+    return dedupe_points(np.array([v for _, v in cloud(FNPoint("S2", lengths, twists))]))[0]
 
 
 CERTIFICATE_CASES = {

@@ -15,7 +15,6 @@ from thurston_kit.pants import (
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
-    delta_scaled,
     enumerate_triangulations,
     oracle_details,
     shear_coords,
@@ -110,49 +109,6 @@ def test_delta_3sym_flipping_first_sign_uses_opposite_translate():
     assert delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0) == pytest.approx(by_hand, abs=1e-12)
 
 
-def test_delta_3sym_partner_relabeling_shifts_by_half_length():
-    for signs in all_sign_patterns():
-        for l in itertools.product((0.5, 1.0, 3.0), repeat=3):
-            pm = PantsMetric(*l)
-            d2 = delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0, partner=1)
-            d3 = delta_closed(pm, PantsTriangulation((2, 2, 2), signs), 0, partner=2)
-            assert d2 - d3 == pytest.approx(-signs.e1 * l[0] / 2.0, abs=1e-10) or d2 - d3 == pytest.approx(
-                signs.e1 * l[0] / 2.0, abs=1e-10
-            )
-            assert abs(d2 - d3) == pytest.approx(l[0] / 2.0, abs=1e-10)
-
-
-def _pants_holonomy_gamma3_endpoint(l):
-    """Fixed point (other than the fan corner) of the third cuff's deck map,
-    built from the left-twisting fan picture; ground truth for the partner
-    formula."""
-    l1, l2, l3 = l
-    s12 = 0.5 * (l3 - l1 - l2)
-    s23 = 0.5 * (l1 - l2 - l3)
-    x = (1 + math.exp(s12)) / (math.exp(-l1) - 1)
-    w = math.exp(s23) * (1 + math.exp(s12))
-    v = w / (1 - math.exp(-l2))
-    phi = np.array([[-1.0, x], [1.0, -(x + 1.0)]])
-    g1 = np.array([[math.exp(l1 / 2), 0.0], [0.0, math.exp(-l1 / 2)]])
-    tr = np.array([[math.exp(-l2 / 2), v * (math.exp(l2 / 2) - math.exp(-l2 / 2))], [0.0, math.exp(l2 / 2)]])
-    g2 = np.linalg.inv(phi) @ tr @ phi
-    g3 = g2 @ np.linalg.inv(g1)
-    a, b, c, d = g3[0, 0], g3[0, 1], g3[1, 0], g3[1, 1]
-    r = math.sqrt((a - d) ** 2 + 4 * b * c)
-    fps = (((a - d) - r) / (2 * c), ((a - d) + r) / (2 * c))
-    assert abs(np.trace(g3)) == pytest.approx(2 * math.cosh(l3 / 2), rel=1e-9)
-    return x, max(fps, key=lambda p: abs(p - x))
-
-
-def test_partner_formula_against_holonomy_fixed_points():
-    rng = np.random.RandomState(5)
-    for _ in range(15):
-        l = tuple(rng.uniform(0.3, 3.5, 3))
-        x, p3 = _pants_holonomy_gamma3_endpoint(l)
-        d3 = delta_closed(PantsMetric(*l), PantsTriangulation((2, 2, 2), LLL), 0, partner=2)
-        assert d3 == pytest.approx(0.5 * math.log(x * p3), abs=1e-9)
-
-
 def test_delta_2sym_puncture_case_is_log_coth_quarter_length():
     for l1 in GRID:
         pm = PantsMetric(l1, 0.0, 0.0)
@@ -215,8 +171,8 @@ def test_normalization_freedom_shifts_delta_but_not_width_combination():
     tri = PantsTriangulation((2, 2, 2), LLL)
     k = -1.3
     for t in (0.0, 0.4, 1.7):
-        d0 = delta_scaled(pm, tri, 0, 0.0)
-        dt = delta_scaled(pm, tri, 0, t)
+        d0 = delta_closed(pm.scaled(math.exp(0.0)), tri, 0)
+        dt = delta_closed(pm.scaled(math.exp(t)), tri, 0)
         d0_norm = d0 + 0.5 * k * pm.l1
         dt_norm = dt + 0.5 * k * pm.l1 * math.exp(t)
         assert math.exp(t) * d0 - dt == pytest.approx(math.exp(t) * d0_norm - dt_norm, abs=1e-10)
@@ -280,29 +236,34 @@ def test_scale_derivative_matches_central_difference():
         for cuff in range(3):
             analytic = delta_scale_derivative(pm, tri, cuff)
             h = 1e-6
-            numeric = (delta_scaled(pm, tri, cuff, h) - delta_scaled(pm, tri, cuff, -h)) / (2 * h)
+            up, down = pm.scaled(math.exp(h)), pm.scaled(math.exp(-h))
+            numeric = (delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)) / (2 * h)
             assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
 
 def test_scaled_delta_scales_lengths():
     pm = PantsMetric(1.0, 2.0, 0.7)
     tri = PantsTriangulation((2, 2, 2), LLL)
-    assert delta_scaled(pm, tri, 0, 0.3) == pytest.approx(
+    assert delta_closed(pm.scaled(math.exp(0.3)), tri, 0) == pytest.approx(
         delta_closed(PantsMetric(*(v * math.exp(0.3) for v in pm.lengths)), tri, 0), abs=1e-12
     )
 
 
-def test_role_resolution_rejects_bad_partners():
+def test_role_resolution_rejects_bad_cuffs():
     tri_2sym = PantsTriangulation((4, 1, 1), LLL)
-    with pytest.raises(ValueError):
-        delta_closed(PantsMetric(1, 1, 1), tri_2sym, 0, partner=2)
-    tri_asym = PantsTriangulation((1, 4, 1), LLL)
-    with pytest.raises(ValueError):
-        delta_closed(PantsMetric(1, 1, 1), tri_asym, 0, partner=2)
-    # the forced partner is accepted
-    assert delta_closed(PantsMetric(1, 1, 1), tri_asym, 0, partner=1) == delta_closed(PantsMetric(1, 1, 1), tri_asym, 0)
-    with pytest.raises(ValueError):
-        delta_closed(PantsMetric(1, 1, 1), tri_2sym, 3)
+    for cuff in (-1, 3):
+        with pytest.raises(ValueError, match="^cuff index must be 0, 1 or 2$"):
+            delta_closed(PantsMetric(1, 1, 1), tri_2sym, cuff)
+
+
+@pytest.mark.parametrize("signs, cuff", [("LRR", 0), ("RLR", 1), ("RRL", 2)])
+def test_offset_whose_log_argument_cancels_is_rejected(signs, cuff):
+    # at these long cuffs g rounds below zero, and cmath.log would return
+    # log|g| + i pi, whose real part is -33.02 where 60 digits give -44.99999999999986
+    tri = PantsTriangulation((2, 2, 2), TwistSigns(*(1 if ch == "L" else -1 for ch in signs)))
+    message = rf"^twist offset at cuff {cuff} is out of float reach: g = -\S+ <= 0 at lengths \(60.0, 60.0, 60.0\)$"
+    with pytest.raises(ValueError, match=message):
+        delta_closed(PantsMetric(60.0, 60.0, 60.0), tri, cuff)
 
 
 def test_oracle_matches_closed_form_random_lengths_and_signs():

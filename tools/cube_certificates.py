@@ -35,7 +35,7 @@ SEEDS = range(1, 11)
 
 def check(lengths, twists, pick: random.Random) -> list[str]:
     """Disagreements between the certificates and the reference at one input."""
-    raw = np.array([tv.as_array() for _, tv in cube.cloud(FNPoint("S2", lengths, twists))])
+    raw = np.array([v for _, v in cube.cloud(FNPoint("S2", lengths, twists))])
     uniq, _ = cube.dedupe_points(raw)
     summary = cube.hull(uniq)
     vertices = set(summary.vertex_indices)

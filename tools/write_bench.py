@@ -13,8 +13,9 @@ digest of each side as its records give them (a checkout without
 ``.git`` has no sha, and one with uncommitted changes reports HEAD; the
 digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
-one ``pants._next_gap`` solve, one ``torus.envelope_cells`` cell and one
-``cube.chamfered_cube_check``: the best of several repeats per fresh
+one ``pants._next_gap`` solve, one ``torus.envelope_cells`` cell, one
+``cube.chamfered_cube_check`` and one ``bounds.run_sweep`` of the default
+``sweep`` grid: the best of several repeats per fresh
 process, in processes that import each root's ``src`` in turn, with the
 median over rounds of the change's time over the parent's in the same
 round.
@@ -40,7 +41,7 @@ LAYER_ROUNDS = 5
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
 import json, timeit
-from thurston_kit import cube, pants, stretch, torus
+from thurston_kit import bounds, cli, cube, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
 cases = [(t, cuff) for t in pants.enumerate_triangulations() for cuff in range(3)]
 def oracle():
@@ -54,22 +55,32 @@ def gap():
 cell = ((stretch.width_point("S11", 1.0), 4.0),)
 def envelope_cell():
     torus.envelope_cells(cell, 30)
+base = cube.symmetric_base_point()
+def cube_check():
+    cube.chamfered_cube_check(base)
+cfg = cli.Config()
+grid = bounds.SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+def sweep():
+    bounds.run_sweep(grid)
 # calls per repeat: about 1,000 for the pants layers, and about 0.15 s of
-# work for the envelope cell (about 1.2 ms each) and the cube (about 10 ms)
+# work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
+# and the sweep (about 1.6 ms)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
                                 ("pants._next_gap", gap, 1, 1000),
                                 ("torus.envelope_cells", envelope_cell, 1, 100),
-                                ("cube.chamfered_cube_check", cube.chamfered_cube_check, 1, 15)):
+                                ("cube.chamfered_cube_check", cube_check, 1, 15),
+                                ("bounds.run_sweep", sweep, 1, 100)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 print(json.dumps(out))
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
     "_next_gap: prev_gap 1, sigma 0.7; envelope_cells: the one cell (width_point('S11', 1.0), t = 4) "
-    "at max_q 30; chamfered_cube_check: the symmetric base point; microseconds per call, best of 5 "
-    "repeats per process of about 1,000 calls (pants), 100 calls (envelope cell) or 15 calls (cube); "
+    "at max_q 30; chamfered_cube_check: the symmetric base point; run_sweep: the default sweep grid "
+    "(the defaults of cli.Config); microseconds per call, best of 5 repeats per process of about 1,000 "
+    "calls (pants), 100 calls (envelope cell, sweep) or 15 calls (cube); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
 
