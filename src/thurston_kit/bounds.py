@@ -63,11 +63,9 @@ def decay_factor(u: float) -> float:
     return scaled_log_coth(2.0, u)
 
 
-def decay_factor_unbounded(u: float, delta: float = 0.1) -> float:
-    """e^{(2+delta)u} log coth(u); grows without bound for any delta > 0."""
-    if not delta > 0:
-        raise RegimeError("delta must be positive")
-    return scaled_log_coth(2.0 + delta, u)
+def decay_factor_unbounded(u: float) -> float:
+    """e^{(2+delta)u} log coth(u) at delta = 0.1; it grows without bound for any delta > 0."""
+    return scaled_log_coth(2.1, u)
 
 
 def scaled_log_coth(a: float, u: float) -> float:
@@ -89,11 +87,15 @@ def thick_bound(l0: float, t: float) -> float:
 
     This is the log-argument fed to the earthquake bound on the thick
     part; its uniform boundedness reduces to that of e^{2u} log coth u.
+    Past u = 708.4, where 4 e^u overflows, a :class:`RegimeError` names u.
     """
     u = l0 * math.exp(-t)
     if not u > 1.0:
         raise RegimeError(f"thick bound needs l0 e^-t > 1, got u = {u}")
-    return 4.0 * math.exp(u) * (math.exp(-t) * log_coth(l0) + log_coth(u))
+    scale = 4.0 * math.exp(u) if u < 709.0 else math.inf
+    if scale == math.inf:
+        raise RegimeError(f"thick bound is out of float reach: 4 e^u overflows at u = {u!r} (l0 = {l0!r}, t = {t!r})")
+    return scale * (math.exp(-t) * log_coth(l0) + log_coth(u))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +104,8 @@ class SweepGrid:
 
     l0_values: tuple[float, ...]
     t_values: tuple[float, ...]
-    epsilon: float = DEFAULT_EPSILON
-    max_q: int = 30
+    epsilon: float
+    max_q: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "l0_values", tuple(float(v) for v in self.l0_values))

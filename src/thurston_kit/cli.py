@@ -67,6 +67,12 @@ class Config:
             raise ConfigError("base lengths must be positive")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        # the checks above already keep epsilon, t_max and t_step finite
+        floats = {"l0_values": self.l0_values, "base_lengths": self.base_lengths,
+                  "base_twists": self.base_twists, "tolerance": (self.tolerance,)}
+        for key, values in floats.items():
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"{key} must be finite")
 
     def t_values(self) -> tuple[float, ...]:
         return t_grid(self.t_max, self.t_step)

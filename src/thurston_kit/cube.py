@@ -34,7 +34,7 @@ def enumerate_completions() -> list[StretchSpec]:
     out = []
     for bits in itertools.product((1, -1), repeat=3):
         tris = [PantsTriangulation(ends, TwistSigns(*bits)) for ends in LEAF_DISTRIBUTIONS]
-        out.extend(StretchSpec("S2", pair) for pair in itertools.product(tris, repeat=2))
+        out.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
     return out
 
 

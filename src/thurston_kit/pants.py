@@ -182,24 +182,28 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
     sc = functools.partial(_shear_coord, l, e, ends)
 
     ec, lc = e[cuff], l[cuff]
-    if sym == "3sym":
-        x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
-        frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
-        g = (x + 1) * (x + frac)
-    elif sym == "2sym":
-        s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
-        num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
-        x = num / (exp(-ec * lc) - 1)
-        g = (x + 1) * (x + exp(-e[j] * l[j]))
-    else:
-        s_jj, s_jk, s_cj = sc(j, j), sc(j, k), sc(cuff, j)
-        x = 1 / (exp(-ec * lc) - 1)
-        num = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + exp(-e[j] * l[j])
-        den = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + 1
-        g = (x + 1) * (x + num / den)
-    if not g.real > 0:  # cancelled in floats: its log would drop an i*pi
+    try:
+        if sym == "3sym":
+            x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
+            frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
+            g = (x + 1) * (x + frac)
+        elif sym == "2sym":
+            s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
+            num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
+            x = num / (exp(-ec * lc) - 1)
+            g = (x + 1) * (x + exp(-e[j] * l[j]))
+        else:
+            s_jj, s_jk, s_cj = sc(j, j), sc(j, k), sc(cuff, j)
+            x = 1 / (exp(-ec * lc) - 1)
+            num = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + exp(-e[j] * l[j])
+            den = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + 1
+            g = (x + 1) * (x + num / den)
+    except OverflowError:  # an exponential of a long cuff
+        g = complex(math.inf)
+    if not 0 < g.real < math.inf:  # overflowed, or cancelled: its log would drop an i*pi
+        what = "g overflows" if g.real == math.inf else f"g = {g.real!r} <= 0"
         raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "
-                         f"g = {g.real!r} <= 0 at lengths {tuple(v.real for v in l)}")
+                         f"{what} at lengths {tuple(v.real for v in l)}")
     return ec * 0.5 * log(g)
 
 
@@ -210,7 +214,7 @@ def _check_cuff(p: PantsMetric, cuff: int) -> None:
 
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
-    ``ValueError`` names the cuff where the log argument cancels to <= 0 (long cuffs)."""
+    ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
     sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
     return _delta_core(p.lengths, t.signs.signs, t.ends, cuff, j, k, sym).real

@@ -104,7 +104,7 @@ class StretchSpec:
 
     surface: str
     triangulations: tuple[PantsTriangulation, ...]
-    direction: str = "forward"
+    direction: str
 
     def __post_init__(self) -> None:
         row = _surface(self.surface)

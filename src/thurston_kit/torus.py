@@ -223,7 +223,7 @@ def candidate_slopes(max_q: int) -> list[Slope]:
     return sorted(out, key=lambda s: (s.q, s.p))
 
 
-def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30) -> float:
+def dth_estimate(x: FNPoint, y: FNPoint, max_q: int) -> float:
     """Lower estimate of the Thurston distance: max over the slope family
     ``candidate_slopes(max_q)`` of log(l_s(y)/l_s(x)).
 
@@ -235,7 +235,7 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int = 30) -> float:
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
 
-def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float]:
+def envelope_widths(y: FNPoint, t: float, max_q: int) -> tuple[float, float]:
     """(d(YL, YR), d(YR, YL)) estimates between the backward stretch endpoints.
 
     One cell of :func:`envelope_cells`, which batches many cells.
@@ -243,7 +243,7 @@ def envelope_widths(y: FNPoint, t: float, max_q: int = 30) -> tuple[float, float
     return envelope_cells(((y, t),), max_q)[0]
 
 
-def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int = 30) -> list[tuple[float, float]]:
+def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[tuple[float, float]]:
     """:func:`envelope_widths` of every (y, t) cell, in order.
 
     The backward stretch endpoints of all cells are the columns of
@@ -277,7 +277,7 @@ def earthquake(x: FNPoint, t: float) -> FNPoint:
     return FNPoint(x.surface, x.lengths, (x.twists[0] + t,) + x.twists[1:])
 
 
-def short_marking(x: FNPoint, max_q: int = 30) -> tuple[Slope, Slope]:
+def short_marking(x: FNPoint, max_q: int) -> tuple[Slope, Slope]:
     """(beta, beta'): the shortest slope and the shortest slope crossing it.
 
     Ties are broken by smaller q, then smaller |p|, then positive p.

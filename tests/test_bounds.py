@@ -124,8 +124,17 @@ def test_thick_bound_regime():
         thick_bound(0.5, 0.0)
 
 
+@pytest.mark.parametrize("l0", [708.4, 709.0, 800.0, 1e6])
+def test_thick_bound_states_where_4_e_u_overflows(l0):
+    # math.exp raised a bare "math range error" past u = 709.78; below
+    # that, from u = 708.4, 4 e^u was inf and the bound inf * 0 = nan
+    assert thick_bound(708.3, 0.0) == 0.0
+    with pytest.raises(RegimeError, match=rf"^thick bound is out of float reach: 4 e\^u overflows at u = {l0!r} "):
+        thick_bound(l0, 0.0)
+
+
 def test_classification_is_a_partition():
-    grid = SweepGrid((0.1, 0.5, 1.0, 2.0, 5.0), tuple(0.5 * i for i in range(13)))
+    grid = SweepGrid((0.1, 0.5, 1.0, 2.0, 5.0), tuple(0.5 * i for i in range(13)), DEFAULT_EPSILON, 30)
     for l0 in grid.l0_values:
         for t in grid.t_values:
             assert classify(l0, t, grid.epsilon) in ("thin", "middle", "thick")
@@ -133,21 +142,21 @@ def test_classification_is_a_partition():
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        SweepGrid((), (0.0,))
+        SweepGrid((), (0.0,), DEFAULT_EPSILON, 30)
     with pytest.raises(ValueError):
-        SweepGrid((1.0,), (0.0,), epsilon=1.0)
+        SweepGrid((1.0,), (0.0,), 1.0, 30)
     with pytest.raises(ValueError):
-        SweepGrid((2.0, 1.0), (0.0,))
+        SweepGrid((2.0, 1.0), (0.0,), DEFAULT_EPSILON, 30)
 
 
 def test_sweep_single_cell_width_contribution_zero():
-    report = run_sweep(SweepGrid((1.0,), (0.0,), max_q=5))
+    report = run_sweep(SweepGrid((1.0,), (0.0,), DEFAULT_EPSILON, 5))
     assert len(report.rows) == 1
     assert report.rows[0][3] == 0.0
 
 
 def test_sweep_thick_cells_finite():
-    report = run_sweep(SweepGrid((5.0,), (0.0, 0.25, 0.5), max_q=5))
+    report = run_sweep(SweepGrid((5.0,), (0.0, 0.25, 0.5), DEFAULT_EPSILON, 5))
     regimes = {row[2] for row in report.rows}
     assert regimes == {"thick"}
     assert report.global_bounded
@@ -155,7 +164,7 @@ def test_sweep_thick_cells_finite():
 
 
 def test_sweep_default_grid_bounded_and_partitioned():
-    grid = SweepGrid((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), max_q=8)
+    grid = SweepGrid((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), DEFAULT_EPSILON, 8)
     report = run_sweep(grid)
     assert report.global_bounded
     assert set(report.regime_sup) <= {"thin", "middle", "thick"}
@@ -164,7 +173,7 @@ def test_sweep_default_grid_bounded_and_partitioned():
 
 
 def test_sweep_outputs_are_deterministic_and_well_formed():
-    grid = SweepGrid((0.5, 1.0), (0.0, 1.0, 2.0), max_q=6)
+    grid = SweepGrid((0.5, 1.0), (0.0, 1.0, 2.0), DEFAULT_EPSILON, 6)
     r1, r2 = run_sweep(grid), run_sweep(grid)
     assert sweep_csv(r1) == sweep_csv(r2)
     assert sweep_json(r1) == sweep_json(r2)

@@ -83,11 +83,21 @@ def test_cuff_out_of_range_is_usage_error(capsys, command, cuff):
 def test_cli_import_leaves_scipy_spatial_unloaded():
     code = (
         "import sys, thurston_kit.cli, thurston_kit; "
-        "print('scipy.spatial' in sys.modules, callable(thurston_kit.hull))"
+        "print('scipy.spatial' in sys.modules, callable(thurston_kit.cube.hull))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
+
+
+@pytest.mark.parametrize("module", ["thurston_kit.pants", "thurston_kit.stretch"])
+def test_pure_python_modules_import_without_numpy(module):
+    # the package namespace re-exports nothing, so importing one module
+    # loads only it and what it imports
+    code = f"import sys, {module}; print([m for m in ('numpy', 'thurston_kit.torus') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_benchmark_tracer_binds_every_layer(monkeypatch):
@@ -185,6 +195,67 @@ def test_delta_command_states_a_cancelled_closed_form(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: twist offset at cuff 0 is out of float reach: g = -")
+
+
+def test_delta_command_states_an_overflowing_closed_form(capsys):
+    # an exponential of the long cuff used to raise a bare "math range error"
+    assert main(["delta", "--type", "3sym", "--l", "1000000,1,1", "--signs", "LLL", "--cuff", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: twist offset at cuff 0 is out of float reach: g overflows at lengths (1000000.0, 1.0, 1.0)\n"
+    )
+
+
+def test_cube_command_states_an_overflowing_closed_form(tmp_path, capsys):
+    cfg = write_config(tmp_path, base_lengths="1e6,1,1")
+    assert main(["--config", str(cfg), "cube"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: twist offset at cuff 0 is out of float reach: g overflows at lengths (1000000.0, 1.0, 1.0)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_command_states_an_overflowing_thick_bound(tmp_path, capsys):
+    # e^u at u = 1000 e^-0.25 used to raise a bare "math range error"
+    cfg = write_config(tmp_path, l0_values="1000", t_max="0.25", t_step="0.25")
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: thick bound is out of float reach: 4 e^u overflows at u = 778.8007830714049 (l0 = 1000.0, t = 0.25)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("tolerance", "nan"),
+        ("tolerance", "inf"),
+        ("l0_values", "0.5,nan"),
+        ("l0_values", "0.5,inf"),
+        ("base_lengths", "1,inf,1"),
+        ("base_lengths", "nan,1,1"),
+        ("base_twists", "0,nan,0"),
+        ("base_twists", "0,0,-inf"),
+    ],
+)
+def test_non_finite_config_values_are_usage_errors(tmp_path, capsys, key, value):
+    # before, tolerance=nan failed every delta, tolerance=inf passed every
+    # delta, and the non-finite lists failed as computations (exit 1) or
+    # were never read
+    cfg = write_config(tmp_path, **{key: value})
+    for argv in (["delta", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1"], ["sweep"], ["cube"]):
+        assert main(["--config", str(cfg), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key} must be finite\n"
+    with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+        load_config(str(cfg))
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -35,7 +35,7 @@ from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, stretc
 
 def _spec(signs, ends1, ends2):
     """The forward genus-two completion with shared ``signs`` and the given pants types."""
-    return StretchSpec("S2", (PantsTriangulation(ends1, signs), PantsTriangulation(ends2, signs)))
+    return StretchSpec("S2", (PantsTriangulation(ends1, signs), PantsTriangulation(ends2, signs)), "forward")
 
 
 def _projection(x, spec):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,17 @@ def test_offset_whose_log_argument_cancels_is_rejected(signs, cuff):
     message = rf"^twist offset at cuff {cuff} is out of float reach: g = -\S+ <= 0 at lengths \(60.0, 60.0, 60.0\)$"
     with pytest.raises(ValueError, match=message):
         delta_closed(PantsMetric(60.0, 60.0, 60.0), tri, cuff)
+
+
+@pytest.mark.parametrize("lengths", [(1e6, 1.0, 1.0), (1.0, 1.0, 800.0)])
+def test_offset_whose_log_argument_overflows_is_rejected(lengths):
+    # an exponential overflowed at the first lengths (a bare "math range
+    # error"); at the second g overflowed to inf, and the offset was inf
+    # and its scale derivative nan
+    message = rf"^twist offset at cuff 0 is out of float reach: g overflows at lengths {re.escape(str(lengths))}$"
+    for offset in (delta_closed, delta_scale_derivative):
+        with pytest.raises(ValueError, match=message):
+            offset(PantsMetric(*lengths), PantsTriangulation((2, 2, 2), LLL), 0)
 
 
 def test_oracle_matches_closed_form_random_lengths_and_signs():

@@ -79,9 +79,9 @@ def test_spec_validation():
     with pytest.raises(SpecMismatchError):
         # S11 glues the first two cuffs of one pair of pants; their twist
         # signs must agree
-        StretchSpec("S11", (PantsTriangulation((2, 2, 2), TwistSigns(1, -1, 1)),))
+        StretchSpec("S11", (PantsTriangulation((2, 2, 2), TwistSigns(1, -1, 1)),), "forward")
     with pytest.raises(ValueError):
-        StretchSpec("S04", (PantsTriangulation((4, 1, 1), TwistSigns(1, 1, 1)),))
+        StretchSpec("S04", (PantsTriangulation((4, 1, 1), TwistSigns(1, 1, 1)),), "forward")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])

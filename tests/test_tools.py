@@ -1,10 +1,12 @@
 """Tests for the scripts under ``tools/``."""
 
+import ast
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import source_stats  # noqa: E402
 import write_bench  # noqa: E402
 
 DECLARED = [
@@ -32,3 +34,26 @@ def test_write_bench_counts_pairs_by_seed_in_the_better_direction():
     assert oracle["op_p50_ms"]["parent"]["median"] == 0.55
     assert oracle["op_p50_ms"]["change"]["by_seed"] == {"1": 0.3, "2": 0.6, "3": 0.5, "5": 0.1}
     assert (oracle["op_p50_ms"]["parent"]["q1"], oracle["op_p50_ms"]["parent"]["q3"]) == (0.475, 0.625)
+
+
+def test_source_stats_counts_only_fields_and_parameters_with_defaults():
+    source = """
+from dataclasses import dataclass, field
+import dataclasses
+
+@dataclass(frozen=True)
+class Summary:
+    counts: int
+    planes: list = field(repr=False, compare=False)
+    names: list = dataclasses.field(default_factory=list)
+    scale: float = field(default=1.0)
+    tag: str = "x"
+
+class Plain:
+    size: int = 3
+
+def f(a, b=1, *, c, d=2):
+    return lambda x, y=0: x
+"""
+    # names, scale and tag in the dataclass; b, d and y in the functions
+    assert source_stats.settable_options(ast.parse(source)) == 6

@@ -5,7 +5,8 @@
 For every module of ``src/thurston_kit`` prints its line count, then the
 total, then the number of settable keyword options: function, method and
 lambda parameters that have a default, plus fields with a default in
-classes decorated with ``dataclass``.  Reads the files next to this
+classes decorated with ``dataclass`` (a ``field(...)`` without
+``default`` or ``default_factory`` sets none).  Reads the files next to this
 script; imports nothing from the package.
 """
 
@@ -17,13 +18,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "thurston_kit"
 
 
+def _called_name(node: ast.expr) -> str | None:
+    """``f`` for ``f``, ``m.f``, ``f(...)`` and ``m.f(...)``."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+    return any(_called_name(deco) == "dataclass" for deco in node.decorator_list)
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a dataclass field's right-hand side gives it a default: any
+    value but a ``field(...)`` call without ``default`` or ``default_factory``."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and _called_name(value) == "field":
+        return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+    return True
 
 
 def settable_options(tree: ast.AST) -> int:
@@ -33,7 +45,7 @@ def settable_options(tree: ast.AST) -> int:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None for s in node.body)
+            count += sum(isinstance(s, ast.AnnAssign) and _has_default(s.value) for s in node.body)
     return count
 
 
