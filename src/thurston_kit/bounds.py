@@ -10,7 +10,6 @@ boolean at an unknown constant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -206,18 +205,3 @@ def _middle_constants(grid: SweepGrid) -> dict[float, float]:
     cells = [(y, math.log(y.lengths[0])) for y in (width_point("S11", l0) for l0 in l0s)]
     return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, grid.max_q))}
 
-
-def format_float(x: float) -> str:
-    return format(x, ".17g")
-
-
-def sweep_csv(report: SweepReport) -> str:
-    """CSV with header l0,t,regime,bound_value; '.' decimals, LF endings."""
-    lines = ["l0,t,regime,bound_value"]
-    for l0, t, regime, val in report.rows:
-        lines.append(f"{format_float(l0)},{format_float(t)},{regime},{format_float(val)}")
-    return "\n".join(lines) + "\n"
-
-
-def sweep_json(report: SweepReport) -> str:
-    return json.dumps(report.summary(), indent=2, sort_keys=True) + "\n"

@@ -16,19 +16,13 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bounds, cube, reconcile, stretch, torus
-from .bounds import SweepGrid, format_float, run_sweep, sweep_csv, sweep_json
-from .pants import (
-    PantsMetric,
-    PantsTriangulation,
-    TwistSigns,
-    delta_closed,
-    delta_oracle,
-    shear_coords,
-)
+from .bounds import SweepGrid, run_sweep
+from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_oracle, shear_coords
 from .stretch import FNPoint, left_spec, right_spec, stretch_point, twist_width_closed
 
 CONFIG_ENV = "THURSTON_KIT_CONFIG"
@@ -127,10 +121,10 @@ def _read_config(path: str, cfg: Config) -> None:
         setattr(cfg, key, parsed)
 
 
-def _parse_signs(text: str) -> TwistSigns:
+def _parse_signs(text: str) -> tuple[int, ...]:
     if len(text) != 3 or any(ch not in "LR" for ch in text):
         raise ConfigError("signs must be three letters from {L, R}, e.g. LLR")
-    return TwistSigns(*(1 if ch == "L" else -1 for ch in text))
+    return tuple(1 if ch == "L" else -1 for ch in text)
 
 
 def _parse_lengths(text: str, n: int = 3) -> tuple[float, ...]:
@@ -143,7 +137,7 @@ def _parse_lengths(text: str, n: int = 3) -> tuple[float, ...]:
     return vals
 
 
-def _triangulation(kind: str, cuff: int, signs: TwistSigns) -> PantsTriangulation:
+def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangulation:
     """Type for the distinguished cuff: 3sym = (2,2,2); 2sym puts the four
     leaf ends at the cuff; asym puts one end there and four at the
     cyclically next cuff.  ``cuff`` is 0-based."""
@@ -163,17 +157,36 @@ def _triangulation(kind: str, cuff: int, signs: TwistSigns) -> PantsTriangulatio
     return PantsTriangulation(tuple(ends), signs)
 
 
+def _pants_args(args: argparse.Namespace) -> tuple[PantsMetric, PantsTriangulation, int]:
+    """The cuff lengths, triangulation and 0-based cuff of ``delta`` and ``shear``."""
+    cuff = args.cuff - 1
+    tri = _triangulation(args.type, cuff, _parse_signs(args.signs))
+    return PantsMetric(*_parse_lengths(args.l)), tri, cuff
+
+
+def format_float(x: float) -> str:
+    return format(x, ".17g")
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
 
 
+def _write_json(path: Path, data: object) -> None:
+    _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+    """One line per row: a string value as is, a number by :func:`format_float`."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else format_float(v) for v in row) for row in rows)
+    _write(path, "\n".join(lines) + "\n")
+
+
 def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
-    signs = _parse_signs(args.signs)
-    cuff = args.cuff - 1
-    tri = _triangulation(args.type, cuff, signs)
-    pm = PantsMetric(*_parse_lengths(args.l))
+    pm, tri, cuff = _pants_args(args)
     closed = delta_closed(pm, tri, cuff)
     oracle = delta_oracle(pm, tri, cuff)
     print(f"delta_closed={format_float(closed)}")
@@ -183,10 +196,7 @@ def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_shear(args: argparse.Namespace, cfg: Config) -> int:
-    signs = _parse_signs(args.signs)
-    cuff = args.cuff - 1
-    tri = _triangulation(args.type, cuff, signs)
-    pm = PantsMetric(*_parse_lengths(args.l))
+    pm, tri, _ = _pants_args(args)
     for key, value in sorted(shear_coords(pm, tri).items()):
         print(f"{key}={format_float(value)}")
     return 0
@@ -203,7 +213,9 @@ def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
-    val = twist_width_closed(args.l0, args.t, args.convention)
+    # the printed convention halves both coth arguments
+    l0 = args.l0 / 2.0 if args.convention == "printed" else args.l0
+    val = twist_width_closed(l0, args.t)
     print(f"twist_width={format_float(val)}")
     return 0
 
@@ -215,8 +227,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
         raise ConfigError(str(exc)) from exc
     report = run_sweep(grid)
     out = Path(cfg.out_dir)
-    _write(out / "sweep.csv", sweep_csv(report))
-    _write(out / "sweep_summary.json", sweep_json(report))
+    _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", report.rows)
+    _write_json(out / "sweep_summary.json", report.summary())
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.json'}")
     return 0 if report.global_bounded else 1
 
@@ -224,13 +236,13 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     cells = [(l0, t) for l0 in cfg.l0_values for t in cfg.t_values()]
     widths = torus.envelope_cells([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
-    lines = ["l0,t,d_lr,d_rl"]
+    rows = []
     sup = -math.inf
     for (l0, t), (d_lr, d_rl) in zip(cells, widths):
         sup = max(sup, d_lr, d_rl)
-        lines.append(f"{format_float(l0)},{format_float(t)},{format_float(d_lr)},{format_float(d_rl)}")
+        rows.append((l0, t, d_lr, d_rl))
     out = Path(cfg.out_dir)
-    _write(out / "envelope.csv", "\n".join(lines) + "\n")
+    _write_csv(out / "envelope.csv", "l0,t,d_lr,d_rl", rows)
     summary = {
         "empirical_bound": sup,
         "l0_values": list(cfg.l0_values),
@@ -239,7 +251,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
         "max_q": cfg.max_q,
         "bounded": math.isfinite(sup),
     }
-    _write(out / "envelope_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "envelope_summary.json", summary)
     print(f"wrote {out / 'envelope.csv'} and {out / 'envelope_summary.json'}")
     return 0 if math.isfinite(sup) else 1
 
@@ -247,12 +259,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
     entries = result["entries"]
-    csv_lines = ["completion,d_twist_1,d_twist_2,d_twist_3,extreme"]
-    for ent in entries:
-        a, b, c = ent["d_twist"]
-        csv_lines.append(
-            f"{ent['completion']},{format_float(a)},{format_float(b)},{format_float(c)},{int(ent['extreme'])}"
-        )
+    rows = [(e["completion"], *e["d_twist"], int(e["extreme"])) for e in entries]
     n_vertices, n_edges, n_faces = result["hull_counts"]
     hull_info = {
         "n_vertices": n_vertices,
@@ -262,9 +269,9 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
         "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
-    _write(out / "cube_points.json", json.dumps(entries, indent=2, sort_keys=True) + "\n")
-    _write(out / "cube_points.csv", "\n".join(csv_lines) + "\n")
-    _write(out / "cube_hull.json", json.dumps(hull_info, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "cube_points.json", entries)
+    _write_csv(out / "cube_points.csv", "completion,d_twist_1,d_twist_2,d_twist_3,extreme", rows)
+    _write_json(out / "cube_hull.json", hull_info)
     print(f"wrote cube outputs to {out}")
     return 0 if hull_info["brute_force_agrees"] else 1
 
@@ -272,13 +279,15 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_oracle_check(args: argparse.Namespace, cfg: Config) -> int:
     report = reconcile.build_report()
     out = Path(cfg.out_dir)
-    _write(out / "reconciliation.json", reconcile.report_json(report))
+    _write_json(out / "reconciliation.json", report)
     _write(out / "reconciliation.txt", reconcile.report_text(report))
     print(reconcile.report_text(report), end="")
     return 0 if report["ok"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="thurston-kit",
         description="Shear and twist computations on hyperbolic pairs of pants, "
@@ -332,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="write the convention reconciliation report")
     p.set_defaults(func=cmd_oracle_check)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first :func:`main` call."""
-    return build_parser()
 
 
 def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .h2 import GeometryError
-from .pants import LEAF_DISTRIBUTIONS, PantsTriangulation, TwistSigns
+from .pants import LEAF_DISTRIBUTIONS, PantsTriangulation
 from .stretch import FNPoint, StretchSpec, stretch_vectors
 
 #: coplanarity tolerance for merging hull facets
@@ -33,14 +33,14 @@ def enumerate_completions() -> list[StretchSpec]:
     """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types)."""
     out = []
     for bits in itertools.product((1, -1), repeat=3):
-        tris = [PantsTriangulation(ends, TwistSigns(*bits)) for ends in LEAF_DISTRIBUTIONS]
+        tris = [PantsTriangulation(ends, bits) for ends in LEAF_DISTRIBUTIONS]
         out.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
     return out
 
 
 def _label(spec: StretchSpec) -> str:
     """The twist signs, then the leaf ends of each pair of pants: ``LLR-222-411``."""
-    letters = "".join("L" if e == 1 else "R" for e in spec.triangulations[0].signs.signs)
+    letters = "".join("L" if e == 1 else "R" for e in spec.triangulations[0].signs)
     return "-".join([letters, *("".join(map(str, t.ends)) for t in spec.triangulations)])
 
 

@@ -79,43 +79,27 @@ class PantsMetric:
 
 
 @dataclass(frozen=True, slots=True)
-class TwistSigns:
-    """Twist direction per cuff: +1 twists left, -1 twists right."""
-
-    e1: int
-    e2: int
-    e3: int
-
-    def __post_init__(self) -> None:
-        if any(e not in (1, -1) for e in (self.e1, self.e2, self.e3)):
-            raise ValueError("twist signs must be +1 or -1")
-
-    @property
-    def signs(self) -> tuple[int, int, int]:
-        return (self.e1, self.e2, self.e3)
-
-    def flipped(self) -> "TwistSigns":
-        return TwistSigns(-self.e1, -self.e2, -self.e3)
-
-
-@dataclass(frozen=True, slots=True)
 class PantsTriangulation:
     """One of the 32 geodesic triangulation types of a pair of pants."""
 
     ends: tuple[int, int, int]
-    signs: TwistSigns
+    #: twist direction per cuff: +1 twists left, -1 twists right
+    signs: tuple[int, int, int]
 
     def __post_init__(self) -> None:
         if tuple(self.ends) not in LEAF_DISTRIBUTIONS:
             raise ValueError(f"leaf-end distribution {self.ends} is not one of {LEAF_DISTRIBUTIONS}")
         object.__setattr__(self, "ends", tuple(self.ends))
+        object.__setattr__(self, "signs", tuple(self.signs))
+        if len(self.signs) != 3 or any(e not in (1, -1) for e in self.signs):
+            raise ValueError("twist signs must be +1 or -1")
 
     def symmetry_at(self, cuff: int) -> str:
         """'3sym', '2sym' or 'asym' depending on the leaf ends at ``cuff`` (0-based)."""
         return {2: "3sym", 4: "2sym", 1: "asym"}[self.ends[cuff]]
 
     def label(self) -> str:
-        letters = "".join("L" if e == 1 else "R" for e in self.signs.signs)
+        letters = "".join("L" if e == 1 else "R" for e in self.signs)
         return f"{''.join(map(str, self.ends))}-{letters}"
 
 
@@ -124,7 +108,7 @@ def enumerate_triangulations() -> list[PantsTriangulation]:
     out = []
     for ends in LEAF_DISTRIBUTIONS:
         for bits in range(8):
-            signs = TwistSigns(*(1 if (bits >> i) & 1 == 0 else -1 for i in range(3)))
+            signs = tuple(1 if (bits >> i) & 1 == 0 else -1 for i in range(3))
             out.append(PantsTriangulation(ends, signs))
     return out
 
@@ -155,7 +139,7 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     else:
         m = t.ends.index(4)
         pairs = [(m, m)] + [(m, i) for i in range(3) if i != m]
-    l, e = p.lengths, t.signs.signs
+    l, e = p.lengths, t.signs
     return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
 
 
@@ -217,7 +201,7 @@ def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
     sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
-    return _delta_core(p.lengths, t.signs.signs, t.ends, cuff, j, k, sym).real
+    return _delta_core(p.lengths, t.signs, t.ends, cuff, j, k, sym).real
 
 
 def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -232,7 +216,7 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     h = 1e-100
     scale = cmath.exp(complex(0.0, h))
     lc = tuple(x * scale for x in p.lengths)
-    return _delta_core(lc, t.signs.signs, t.ends, cuff, j, k, sym).imag / h
+    return _delta_core(lc, t.signs, t.ends, cuff, j, k, sym).imag / h
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +277,15 @@ def _gap_widths(first_gap: float, shears: list[float]) -> list[float]:
     return gaps
 
 
+def _linear_root(f: Callable[[float], float], what: str) -> float:
+    """Root of a condition f linear in its argument, from f(0) and f(1); a
+    :class:`GeometryError` names the condition when the two values are equal."""
+    f0, f1 = f(0.0), f(1.0)
+    if f1 == f0:
+        raise GeometryError(f"{what} condition is degenerate")
+    return -f0 / (f1 - f0)
+
+
 def _deck_endpoint(length: float, sign: int, target: float) -> float:
     """Axis endpoint v such that the deck translation of the given length
     along (v, inf) (contracting for left twists, expanding for right) carries
@@ -302,15 +295,11 @@ def _deck_endpoint(length: float, sign: int, target: float) -> float:
     actual isometry action.
     """
 
-    def image_of_zero(v: float) -> float:
+    def condition(v: float) -> float:
         axis = (INF, v) if sign == 1 else (v, INF)
-        return mobius_apply(axis_translation(*axis, length), 0.0)
+        return mobius_apply(axis_translation(*axis, length), 0.0) - target
 
-    f0 = image_of_zero(0.0) - target
-    f1 = image_of_zero(1.0) - target
-    if f1 == f0:
-        raise GeometryError("deck translation condition is degenerate")
-    return -f0 / (f1 - f0)
+    return _linear_root(condition, "deck translation")
 
 
 def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
@@ -326,7 +315,7 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     sym, j, k = _roles(t, cuff)
     _check_cuff(p, cuff)
     l = p.lengths
-    e = t.signs.signs
+    e = t.signs
 
     def sc(i: int, jj: int) -> float:
         # cuff pair in increasing order, as shear_coords reports the leaf;
@@ -354,8 +343,7 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     def closure(x: float) -> float:
         return mobius_apply(deck, x) - (x + width)
 
-    c0, c1 = closure(0.0), closure(1.0)
-    x = -c0 / (c1 - c0)
+    x = _linear_root(closure, "fan closure")
 
     # frame of the first fan leaf: phi maps the half-circle (x, x+1) to the
     # standard axis with the image of the fan triangle as (-1, 0, inf)

@@ -14,7 +14,6 @@ Two printed-formula issues are checked and recorded:
 from __future__ import annotations
 
 import itertools
-import json
 
 from .pants import PantsMetric, delta_closed, delta_oracle, enumerate_triangulations
 from .stretch import left_spec, right_spec, twist_width, twist_width_closed, width_point
@@ -64,8 +63,8 @@ def twist_width_conventions() -> dict:
             lam, nu = left_spec(surface), right_spec(surface)
             for t in WIDTH_GRID:
                 built = twist_width(x, lam, nu, 0, t)
-                for conv in worst:
-                    worst[conv] = max(worst[conv], abs(built - twist_width_closed(l0, t, conv)))
+                for conv, a in (("reconciled", l0), ("printed", l0 / 2.0)):
+                    worst[conv] = max(worst[conv], abs(built - twist_width_closed(a, t)))
         out[surface] = worst
     chosen = "reconciled" if max(v["reconciled"] for v in out.values()) <= 1e-9 else "printed"
     return {
@@ -101,10 +100,6 @@ def build_report() -> dict:
         "corrections": corrections,
         "ok": all(r["within_tolerance"] for r in rows),
     }
-
-
-def report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def report_text(report: dict) -> str:

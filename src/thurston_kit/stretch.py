@@ -31,7 +31,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed, delta_scale_derivative
+from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_scale_derivative
 
 
 class _Surface(NamedTuple):
@@ -114,7 +114,7 @@ class StretchSpec:
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
         for curve, ((p1, c1), (p2, c2)) in enumerate(row.sides):
-            if self.triangulations[p1].signs.signs[c1] != self.triangulations[p2].signs.signs[c2]:
+            if self.triangulations[p1].signs[c1] != self.triangulations[p2].signs[c2]:
                 raise SpecMismatchError(f"twist signs disagree across curve {curve}")
 
 
@@ -129,8 +129,7 @@ def right_spec(surface: str, direction: str = "backward") -> StretchSpec:
 
 
 def _signed_spec(surface: str, sign: int, direction: str) -> StretchSpec:
-    signs = TwistSigns(sign, sign, sign)
-    tris = tuple(PantsTriangulation(ends, signs) for ends in _surface(surface).ends)
+    tris = tuple(PantsTriangulation(ends, (sign, sign, sign)) for ends in _surface(surface).ends)
     return StretchSpec(surface, tris, direction)
 
 
@@ -258,7 +257,7 @@ def log_coth(u: float) -> float:
     return math.log1p(w) - math.log1p(-w)
 
 
-def twist_width_closed(l0: float, t: float, convention: str = "reconciled") -> float:
+def twist_width_closed(l0: float, t: float) -> float:
     """Closed-form twist width between the backward left and right stretches.
 
     At the point :func:`width_point` maps l0 to, on the once-punctured
@@ -267,10 +266,11 @@ def twist_width_closed(l0: float, t: float, convention: str = "reconciled") -> f
         theta(left, -t) - theta(right, -t)
             = 4 e^{-t} log coth(l0) - 4 log coth(l0 e^{-t})
 
-    This is the 'reconciled' convention: direct algebra on the twist-offset
-    closed forms produces coth(l0), and the constructive half-plane oracle
-    agrees.  The 'printed' convention halves both arguments and is kept
-    only for comparison; the reconciliation report records the difference.
+    Direct algebra on the twist-offset closed forms produces coth(l0), and
+    the constructive half-plane oracle agrees.  The printed convention
+    halves both arguments: it is ``twist_width_closed(l0 / 2, t)``, bit for
+    bit, kept only for comparison; the reconciliation report records the
+    difference.
     """
     if not l0 > 0:
         raise ValueError("l0 must be positive")
@@ -280,10 +280,4 @@ def twist_width_closed(l0: float, t: float, convention: str = "reconciled") -> f
         raise ValueError("l0 must be finite")
     if t == math.inf:
         raise ValueError("t must be finite")
-    if convention == "reconciled":
-        a = l0
-    elif convention == "printed":
-        a = l0 / 2.0
-    else:
-        raise ValueError("convention must be 'reconciled' or 'printed'")
-    return 4.0 * math.exp(-t) * log_coth(a) - 4.0 * log_coth(a * math.exp(-t))
+    return 4.0 * math.exp(-t) * log_coth(l0) - 4.0 * log_coth(l0 * math.exp(-t))

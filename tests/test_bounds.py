@@ -17,11 +17,9 @@ from thurston_kit.bounds import (
     intersection_bound,
     ratio_bound_thin,
     run_sweep,
-    sweep_csv,
-    sweep_json,
     thick_bound,
 )
-from thurston_kit.cli import Config
+from thurston_kit.cli import Config, main
 from thurston_kit.stretch import FNPoint, log_coth
 
 
@@ -172,15 +170,22 @@ def test_sweep_default_grid_bounded_and_partitioned():
         assert classify(l0, t, grid.epsilon) == regime
 
 
-def test_sweep_outputs_are_deterministic_and_well_formed():
+def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
+    # the sweep command writes the files, over this grid
     grid = SweepGrid((0.5, 1.0), (0.0, 1.0, 2.0), DEFAULT_EPSILON, 6)
-    r1, r2 = run_sweep(grid), run_sweep(grid)
-    assert sweep_csv(r1) == sweep_csv(r2)
-    assert sweep_json(r1) == sweep_json(r2)
-    lines = sweep_csv(r1).splitlines()
+    files = []
+    for run in ("a", "b"):
+        config = tmp_path / f"{run}.txt"
+        config.write_text(f"out_dir={tmp_path / run}\nl0_values=0.5,1\nt_max=2\nt_step=1\nmax_q=6\n")
+        assert main(["--config", str(config), "sweep"]) == 0
+        files.append([(tmp_path / run / name).read_text() for name in ("sweep.csv", "sweep_summary.json")])
+    (csv1, json1), (csv2, json2) = files
+    assert csv1 == csv2
+    assert json1 == json2
+    lines = csv1.splitlines()
     assert lines[0] == "l0,t,regime,bound_value"
-    assert len(lines) == 1 + len(r1.rows)
-    summary = json.loads(sweep_json(r1))
+    assert len(lines) == 1 + len(run_sweep(grid).rows)
+    summary = json.loads(json1)
     assert summary["global_bounded"] is True
     assert "regime_sup" in summary
 

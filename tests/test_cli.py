@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from thurston_kit.cli import CONFIG_ENV, Config, ConfigError, load_config, main, t_grid
-from thurston_kit.pants import PantsMetric, PantsTriangulation, TwistSigns, delta_closed
+from thurston_kit.pants import PantsMetric, PantsTriangulation, delta_closed
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -50,12 +50,24 @@ def test_delta_command_singular_cuff_exit_code(capsys):
 def test_delta_command_states_an_oracle_gap_outside_the_float_range(capsys):
     # the closed form has a value here; a spiral gap of the oracle has
     # log-width -750, below the float range
-    tri = PantsTriangulation((2, 2, 2), TwistSigns(1, 1, 1))
+    tri = PantsTriangulation((2, 2, 2), (1, 1, 1))
     assert repr(delta_closed(PantsMetric(0.01, 1500.0, 0.01), tri, 0)) == "4.605166019324902"
     code = main(["delta", "--type", "3sym", "--l", "0.01,1500,0.01", "--signs", "LLL", "--cuff", "1"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == "error: gap log-width -750.0 leaves the float range\n"
+
+
+def test_delta_command_states_a_degenerate_fan_closure(capsys):
+    # the closed form has a value here; the fan's second gap (about 1.9e21
+    # wide, shear 49) absorbs x in the closure condition x + width, so the
+    # condition takes one value at x = 0 and x = 1
+    tri = PantsTriangulation((2, 2, 2), (1, 1, 1))
+    assert repr(delta_closed(PantsMetric(100.0, 1.0, 1.0), tri, 1)) == "49.45867514538708"
+    code = main(["delta", "--type", "3sym", "--l", "100,1,1", "--signs", "LLL", "--cuff", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: fan closure condition is degenerate\n"
 
 
 def test_usage_error_exit_code():
@@ -146,7 +158,8 @@ def test_shear_command_output(capsys):
 def test_twist_width_command(capsys):
     code, out = run_cli(capsys, "twist-width", "--l0", "1", "--t", "1", "--convention", "printed")
     assert code == 0
-    assert float(out.split("=")[1]) == pytest.approx(-5.68142893628726, abs=1e-10)
+    # the printed convention is the reconciled form at l0 / 2, bit for bit
+    assert out == "twist_width=-5.6814289362872596\n"
 
 
 @pytest.mark.parametrize(

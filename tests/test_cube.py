@@ -26,7 +26,6 @@ from thurston_kit.h2 import GeometryError
 from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
-    TwistSigns,
     delta_closed,
     delta_scale_derivative,
 )
@@ -51,8 +50,8 @@ def test_enumeration_has_128_distinct_candidates():
 def test_projection_antipodal_under_full_sign_flip():
     x = symmetric_base_point()
     for e1, e2 in (((2, 2, 2), (2, 2, 2)), ((4, 1, 1), (1, 4, 1))):
-        v = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), e1, e2)))
-        w = np.array(_projection(x, _spec(TwistSigns(-1, -1, -1), e1, e2)))
+        v = np.array(_projection(x, _spec((1, 1, 1), e1, e2)))
+        w = np.array(_projection(x, _spec((-1, -1, -1), e1, e2)))
         assert np.max(np.abs(v + w)) <= 1e-9
 
 
@@ -60,15 +59,15 @@ def test_projection_equivariant_under_curve_relabeling():
     # at the symmetric base point, cyclically permuting the pants types
     # permutes the coordinates
     x = symmetric_base_point()
-    v = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), (4, 1, 1), (4, 1, 1))))
-    w = np.array(_projection(x, _spec(TwistSigns(1, 1, 1), (1, 4, 1), (1, 4, 1))))
+    v = np.array(_projection(x, _spec((1, 1, 1), (4, 1, 1), (4, 1, 1))))
+    w = np.array(_projection(x, _spec((1, 1, 1), (1, 4, 1), (1, 4, 1))))
     assert np.allclose(np.roll(v, 1), w, atol=1e-9)
 
 
 def test_projection_includes_initial_twist():
     x0 = symmetric_base_point()
     x1 = FNPoint("S2", (1.0, 1.0, 1.0), (0.3, -0.1, 0.2))
-    comp = _spec(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))
+    comp = _spec((1, 1, 1), (2, 2, 2), (2, 2, 2))
     v0 = np.array(_projection(x0, comp))
     v1 = np.array(_projection(x1, comp))
     assert np.allclose(v1 - v0, [0.3, -0.1, 0.2], atol=1e-12)
@@ -76,7 +75,7 @@ def test_projection_includes_initial_twist():
 
 def test_projection_derivative_cross_check_runs():
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.0, 0.0, 0.0))
-    for comp in (_spec(TwistSigns(1, -1, 1), (2, 2, 2), (1, 1, 4)),):
+    for comp in (_spec((1, -1, 1), (2, 2, 2), (1, 1, 4)),):
         v = _projection(x, comp)
         assert all(math.isfinite(c) for c in v)
 
@@ -166,7 +165,7 @@ def test_projection_requires_genus_two_point():
     with pytest.raises(ValueError, match="genus-two"):
         cloud(FNPoint("S11", (1.0,), (0.0,)))
     with pytest.raises(SpecMismatchError):
-        stretch_vectors(FNPoint("S11", (1.0,), (0.0,)), [_spec(TwistSigns(1, 1, 1), (2, 2, 2), (2, 2, 2))])
+        stretch_vectors(FNPoint("S11", (1.0,), (0.0,)), [_spec((1, 1, 1), (2, 2, 2), (2, 2, 2))])
 
 
 def _reference_dedupe(points, tol):

@@ -12,7 +12,6 @@ from thurston_kit.pants import (
     PantsMetric,
     PantsTriangulation,
     SingularCuffError,
-    TwistSigns,
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
@@ -23,14 +22,14 @@ from thurston_kit.pants import (
     _solve_monotone,
 )
 
-LLL = TwistSigns(1, 1, 1)
-RRR = TwistSigns(-1, -1, -1)
+LLL = (1, 1, 1)
+RRR = (-1, -1, -1)
 
 GRID = (0.5, 1.0, 2.0, 4.0)
 
 
 def all_sign_patterns():
-    return [TwistSigns(*bits) for bits in itertools.product((1, -1), repeat=3)]
+    return list(itertools.product((1, -1), repeat=3))
 
 
 # ------------------------------------------------------------- shear coords
@@ -65,7 +64,7 @@ def test_per_cuff_end_sum_rule_all_types():
                 for key, val in s.items():
                     i, j = int(key[1]) - 1, int(key[2]) - 1
                     total += val * ((i == cuff) + (j == cuff))
-                expected = -tri.signs.signs[cuff] * l[cuff]
+                expected = -tri.signs[cuff] * l[cuff]
                 assert total == pytest.approx(expected, abs=1e-12)
 
 
@@ -89,6 +88,12 @@ def test_invalid_distribution_rejected():
         PantsTriangulation((3, 2, 1), LLL)
 
 
+@pytest.mark.parametrize("signs", [(1, 0, 1), (1, -1)])
+def test_invalid_signs_rejected(signs):
+    with pytest.raises(ValueError, match=r"^twist signs must be \+1 or -1$"):
+        PantsTriangulation((2, 2, 2), signs)
+
+
 # ------------------------------------------------------------- closed forms
 
 
@@ -102,7 +107,7 @@ def test_delta_3sym_flipping_first_sign_uses_opposite_translate():
     # with the first sign flipped the closure uses e^{+l1} and the leading
     # factor negates; rebuild the printed expression by hand and compare
     pm = PantsMetric(1.3, 0.8, 2.1)
-    signs = TwistSigns(-1, 1, 1)
+    signs = (-1, 1, 1)
     s = shear_coords(pm, PantsTriangulation((2, 2, 2), signs))
     x = (1 + math.exp(s["s12"])) / (math.exp(+pm.l1) - 1)
     frac = (math.exp(s["s23"]) + math.exp(-pm.l2)) / (math.exp(s["s23"]) + 1)
@@ -134,7 +139,7 @@ def test_delta_asym_matches_oracle_at_unit_lengths():
 
 def test_delta_asym_leading_sign_flip():
     pm = PantsMetric(1.2, 0.9, 1.7)
-    signs = TwistSigns(-1, 1, 1)
+    signs = (-1, 1, 1)
     s = shear_coords(pm, PantsTriangulation((1, 4, 1), signs))
     x = 1.0 / (math.exp(+pm.l1) - 1)
     num = math.exp(s["s22"]) + math.exp(s["s22"] + s["s23"]) + math.exp(2 * s["s22"] + s["s23"]) + math.exp(-pm.l2)
@@ -150,7 +155,7 @@ def test_sign_flip_offsets_are_length_linear():
     for ends in ((2, 2, 2), (4, 1, 1), (1, 4, 1)):
         for signs in all_sign_patterns():
             tri = PantsTriangulation(ends, signs)
-            tri_f = PantsTriangulation(ends, signs.flipped())
+            tri_f = PantsTriangulation(ends, tuple(-e for e in signs))
 
             def offset(l):
                 pm = PantsMetric(*l)
@@ -202,7 +207,7 @@ def test_oracle_x_solves_incircle_relation():
 
 def test_oracle_right_twist_uses_expanding_translate():
     pm = PantsMetric(1.0, 2.0, 0.5)
-    tri = PantsTriangulation((2, 2, 2), TwistSigns(-1, 1, 1))
+    tri = PantsTriangulation((2, 2, 2), (-1, 1, 1))
     det = oracle_details(pm, tri, 0)
     # closure under the deck map with e^{+l1}
     assert math.exp(+pm.l1) * det["x"] == pytest.approx(det["x"] + det["fan_width"], abs=1e-10)
@@ -233,7 +238,7 @@ def test_oracle_matches_closed_form_every_type_spot_grid():
 
 def test_scale_derivative_matches_central_difference():
     pm = PantsMetric(1.0, 2.0, 0.7)
-    for tri in (PantsTriangulation((2, 2, 2), LLL), PantsTriangulation((1, 1, 4), TwistSigns(1, -1, 1))):
+    for tri in (PantsTriangulation((2, 2, 2), LLL), PantsTriangulation((1, 1, 4), (1, -1, 1))):
         for cuff in range(3):
             analytic = delta_scale_derivative(pm, tri, cuff)
             h = 1e-6
@@ -261,7 +266,7 @@ def test_role_resolution_rejects_bad_cuffs():
 def test_offset_whose_log_argument_cancels_is_rejected(signs, cuff):
     # at these long cuffs g rounds below zero, and cmath.log would return
     # log|g| + i pi, whose real part is -33.02 where 60 digits give -44.99999999999986
-    tri = PantsTriangulation((2, 2, 2), TwistSigns(*(1 if ch == "L" else -1 for ch in signs)))
+    tri = PantsTriangulation((2, 2, 2), tuple(1 if ch == "L" else -1 for ch in signs))
     message = rf"^twist offset at cuff {cuff} is out of float reach: g = -\S+ <= 0 at lengths \(60.0, 60.0, 60.0\)$"
     with pytest.raises(ValueError, match=message):
         delta_closed(PantsMetric(60.0, 60.0, 60.0), tri, cuff)
@@ -321,7 +326,7 @@ ORACLE_PINNED = [
 
 @pytest.mark.parametrize("ends, signs, cuff, lengths, expected", ORACLE_PINNED)
 def test_oracle_values_are_pinned_bit_for_bit(ends, signs, cuff, lengths, expected):
-    tri = PantsTriangulation(ends, TwistSigns(*(1 if ch == "L" else -1 for ch in signs)))
+    tri = PantsTriangulation(ends, tuple(1 if ch == "L" else -1 for ch in signs))
     assert repr(delta_oracle(PantsMetric(*lengths), tri, cuff)) == repr(expected)
 
 

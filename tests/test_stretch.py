@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from thurston_kit.pants import PantsTriangulation, TwistSigns
+from thurston_kit.pants import PantsTriangulation
 from thurston_kit.reconcile import twist_width_conventions
 from thurston_kit.stretch import (
     FNPoint,
@@ -79,9 +79,9 @@ def test_spec_validation():
     with pytest.raises(SpecMismatchError):
         # S11 glues the first two cuffs of one pair of pants; their twist
         # signs must agree
-        StretchSpec("S11", (PantsTriangulation((2, 2, 2), TwistSigns(1, -1, 1)),), "forward")
+        StretchSpec("S11", (PantsTriangulation((2, 2, 2), (1, -1, 1)),), "forward")
     with pytest.raises(ValueError):
-        StretchSpec("S04", (PantsTriangulation((4, 1, 1), TwistSigns(1, 1, 1)),), "forward")
+        StretchSpec("S04", (PantsTriangulation((4, 1, 1), (1, 1, 1)),), "forward")
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -165,11 +165,11 @@ def test_twist_width_rejects_mismatched_specs():
 
 def test_closed_width_vanishes_at_zero():
     assert twist_width_closed(1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
-    assert twist_width_closed(1.0, 0.0, "printed") == pytest.approx(0.0, abs=1e-12)
+    assert twist_width_closed(1.0 / 2, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_closed_width_printed_golden_value():
-    assert twist_width_closed(1.0, 1.0, "printed") == pytest.approx(PRINTED_GOLDEN, abs=1e-11)
+    assert twist_width_closed(1.0 / 2, 1.0) == pytest.approx(PRINTED_GOLDEN, abs=1e-11)
 
 
 def test_closed_width_rejects_bad_arguments():
@@ -177,8 +177,6 @@ def test_closed_width_rejects_bad_arguments():
         twist_width_closed(0.0, 1.0)
     with pytest.raises(ValueError):
         twist_width_closed(1.0, -0.5)
-    with pytest.raises(ValueError):
-        twist_width_closed(1.0, 1.0, "other")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -13,12 +13,13 @@ digest of each side as its records give them (a checkout without
 ``.git`` has no sha, and one with uncommitted changes reports HEAD; the
 digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
-one ``pants._next_gap`` solve, one ``torus.envelope_cells`` cell, one
-``cube.chamfered_cube_check`` and one ``bounds.run_sweep`` of the default
-``sweep`` grid: the best of several repeats per fresh
-process, in processes that import each root's ``src`` in turn, with the
-median over rounds of the change's time over the parent's in the same
-round.
+one ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
+one ``torus.curve_length`` (slope 3/2 at one S11 point), one
+``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and one
+``bounds.run_sweep`` of the default ``sweep`` grid: the best of several
+repeats per fresh process, in processes that import each root's ``src``
+in turn, with the median over rounds of the change's time over the
+parent's in the same round.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
@@ -41,7 +42,7 @@ LAYER_ROUNDS = 5
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
 import json, timeit
-from thurston_kit import bounds, cli, cube, pants, stretch, torus
+from thurston_kit import bounds, cli, cube, h2, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
 cases = [(t, cuff) for t in pants.enumerate_triangulations() for cuff in range(3)]
 def oracle():
@@ -52,6 +53,12 @@ def closed():
         pants.delta_closed(metric, t, cuff)
 def gap():
     pants._next_gap(1.0, 0.7)
+left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
+def shear():
+    h2.shear(left, right, 1.0, h2.INF)
+point, slope = stretch.FNPoint("S11", (1.0,), (0.3,)), torus.Slope(3, 2)
+def slope_length():
+    torus.curve_length(point, slope)
 cell = ((stretch.width_point("S11", 1.0), 4.0),)
 def envelope_cell():
     torus.envelope_cells(cell, 30)
@@ -62,13 +69,16 @@ cfg = cli.Config()
 grid = bounds.SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
 def sweep():
     bounds.run_sweep(grid)
-# calls per repeat: about 1,000 for the pants layers, and about 0.15 s of
+# calls per repeat: about 1,000 for the pants layers, the shear (about
+# 15 us each) and the slope length (about 110 us), and about 0.15 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
 # and the sweep (about 1.6 ms)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
                                 ("pants._next_gap", gap, 1, 1000),
+                                ("h2.shear", shear, 1, 1000),
+                                ("torus.curve_length", slope_length, 1, 1000),
                                 ("torus.envelope_cells", envelope_cell, 1, 100),
                                 ("cube.chamfered_cube_check", cube_check, 1, 15),
                                 ("bounds.run_sweep", sweep, 1, 100)):
@@ -77,10 +87,12 @@ print(json.dumps(out))
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
-    "_next_gap: prev_gap 1, sigma 0.7; envelope_cells: the one cell (width_point('S11', 1.0), t = 4) "
-    "at max_q 30; chamfered_cube_check: the symmetric base point; run_sweep: the default sweep grid "
-    "(the defaults of cli.Config); microseconds per call, best of 5 repeats per process of about 1,000 "
-    "calls (pants), 100 calls (envelope cell, sweep) or 15 calls (cube); "
+    "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
+    "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
+    "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
+    "chamfered_cube_check: the symmetric base point; run_sweep: the default sweep grid "
+    "(the defaults of cli.Config); microseconds per call, best of 5 repeats per process of "
+    "about 1,000 calls (pants, shear, curve_length), 100 calls (envelope cell, sweep) or 15 calls (cube); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
 
