@@ -1,11 +1,12 @@
 """Envelope-width bound expressions and grid sweeps certifying boundedness.
 
-Each evaluator implements one displayed bound with its validity regime
-enforced (no silent infinities); :func:`run_sweep` classifies a grid of
-(l0, t) cells into thin / middle / thick regimes by the size of
-u = l0 e^{-t} and evaluates the applicable bound.  Every inequality is
-reported as numbers (lhs, rhs, empirical constant), never as a bare
-boolean at an unknown constant.
+:func:`run_sweep` classifies a grid of (l0, t) cells into thin / middle /
+thick regimes by the size of u = l0 e^{-t} and evaluates the bound of
+each: :func:`ratio_bound_thin`, the distance-estimator bridge, or
+:func:`thick_bound`, whose boundedness reduces to that of
+:func:`decay_factor`.  Each evaluator enforces its validity regime (no
+silent infinities).  Every inequality is reported as numbers (lhs, rhs,
+empirical constant), never as a bare boolean at an unknown constant.
 """
 
 from __future__ import annotations
@@ -23,28 +24,6 @@ DEFAULT_EPSILON = min(0.3, 0.99 * math.log(2.0))
 
 class RegimeError(ValueError):
     """Bound evaluated outside its validity regime."""
-
-
-def earthquake_bound(l_alpha: float, t: float) -> float:
-    """log(e^{l_alpha/2} t): distance bound for the time-t earthquake,
-    up to an additive constant reported separately by calibration."""
-    if not t > 0:
-        raise RegimeError("earthquake bound needs t > 0")
-    return 0.5 * l_alpha + math.log(t)
-
-
-def intersection_bound(l_alpha: float, l_beta: float, eps: float) -> float:
-    """4 l_alpha l_beta / eps^2: intersection bound for arcs in the eps-thick part."""
-    if not eps > 0:
-        raise RegimeError("thickness eps must be positive")
-    return 4.0 * l_alpha * l_beta / (eps * eps)
-
-
-def collar_width(l: float) -> float:
-    """2 log(1/l): collar width lower bound, valid for 0 < l <= 1/e."""
-    if not 0.0 < l <= 1.0 / math.e:
-        raise RegimeError(f"collar bound is used only for 0 < l <= 1/e, got {l}")
-    return 2.0 * math.log(1.0 / l)
 
 
 def ratio_bound_thin(l0: float, t: float, eps: float) -> float:

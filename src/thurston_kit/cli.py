@@ -55,6 +55,8 @@ class Config:
             raise ConfigError("l0_values must be positive")
         if not (0.0 <= self.t_max < math.inf and 0.0 < self.t_step < math.inf):
             raise ConfigError("t_max must be finite and >= 0, and t_step finite and > 0")
+        if not math.isfinite(self.t_max / self.t_step):
+            raise ConfigError(f"t_max / t_step must be finite, got t_max = {self.t_max!r} and t_step = {self.t_step!r}")
         if len(self.base_lengths) != 3 or len(self.base_twists) != 3:
             raise ConfigError("base point needs three lengths and three twists")
         if any(v <= 0 for v in self.base_lengths):

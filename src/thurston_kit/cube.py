@@ -7,7 +7,7 @@ twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
 convex hull of the cloud at the symmetric base point is combinatorially
 a chamfered cube whose 32 vertices are found by qhull and certified by
 arithmetic on its merged faces.  The least-squares extremality test
-:func:`extreme_points_brute` is the tests' reference.
+:func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -166,35 +166,19 @@ def _certified(points: np.ndarray, summary: HullSummary) -> bool:
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Non-negative least squares (Lawson-Hanson active set, numpy ``lstsq``
-    subproblems), the solver of the reference :func:`extreme_points_brute`.
+    """Non-negative least squares by scipy's Lawson-Hanson solver: ``(x, ||a x - b||)``
+    with x >= 0 minimising the residual, the solver of :func:`extreme_points_brute`."""
+    # imported here, not at module level: scipy.optimize takes about 0.26 s
+    # to import and only the reference needs it
+    from scipy.optimize import nnls as solve
 
-    With no columns the solution is empty and the residual is ``||b||``.
-    """
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = a.shape
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    eps = np.finfo(float).eps
-    tol = 10.0 * max(m, n) * eps * max(float(np.abs(a).max(initial=0.0)), 1.0) * max(float(np.linalg.norm(b)), 1.0)
-    for _ in range(10 * n):
-        w = np.where(passive, -np.inf, a.T @ (b - a @ x))
-        j = int(np.argmax(w))
-        if float(w[j]) <= tol:
-            break
-        passive[j] = True
-        while True:
-            s = np.zeros(n)
-            s[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            blocking = passive & (s <= 0.0)
-            if not blocking.any():
-                x = s
-                break
-            alpha = float(np.min(x[blocking] / (x[blocking] - s[blocking])))
-            x = x + alpha * (s - x)
-            passive &= x > 1e-14
-    return x, float(np.linalg.norm(a @ x - b))
+    if a.shape[1] == 0:
+        # scipy 1.17.1 aborts the interpreter with "free(): double free detected"
+        # on a matrix with no columns, such as the rest of a lone point
+        return np.zeros(0), float(np.linalg.norm(b))
+    x, residual = solve(a, np.asarray(b, dtype=float))
+    return x, float(residual)
 
 
 def extreme_points_brute(points: np.ndarray) -> list[int]:

@@ -68,19 +68,6 @@ class Slope:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @staticmethod
-    def of(p: int, q: int) -> "Slope":
-        if q == 0:
-            return Slope(1, 0)
-        g = gcd(abs(p), abs(q))
-        return Slope(p // g, q // g) if q > 0 else Slope(-p // g, -q // g)
-
-    def intersection(self, other: "Slope") -> int:
-        return abs(self.p * other.q - other.p * self.q)
-
-    def __str__(self) -> str:
-        return "inf" if self.q == 0 else f"{self.p}/{self.q}"
-
 
 _LOG_HUGE = 30.0
 #: node x column budget of one batched length pass, about 0.8 MB of
@@ -277,36 +264,10 @@ def earthquake(x: FNPoint, t: float) -> FNPoint:
     return FNPoint(x.surface, x.lengths, (x.twists[0] + t,) + x.twists[1:])
 
 
-def short_marking(x: FNPoint, max_q: int) -> tuple[Slope, Slope]:
-    """(beta, beta'): the shortest slope and the shortest slope crossing it.
-
-    Ties are broken by smaller q, then smaller |p|, then positive p.
-    """
-    slopes, plan = _family(max_q)
-    lengths = dict(zip(slopes, np.exp(_log_lengths((x,), plan)[:, 0]).tolist()))
-
-    def pick(cands: list[Slope]) -> Slope:
-        lmin = min(lengths[s] for s in cands)
-        tied = [s for s in cands if lengths[s] <= lmin + 1e-12]
-        return min(tied, key=lambda s: (s.q, abs(s.p), s.p < 0))
-
-    beta = pick(slopes)
-    dual = pick([s for s in slopes if s.intersection(beta) >= 1])
-    return beta, dual
-
-
-def stretch_endpoints(y: FNPoint, t: float) -> tuple[FNPoint, FNPoint]:
-    """Backward stretch endpoints (left completion, right completion) at time t.
-
-    Both have alpha-length l_alpha(y) e^{-t}; their twist gap is the
-    closed-form twist width at l0 = l_alpha(y)/2.
-    """
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
-    return _endpoints_signed(y, t)
-
-
 def _endpoints_signed(y: FNPoint, t: float) -> tuple[FNPoint, FNPoint]:
+    """Backward stretch endpoints (left, right completion) at signed time t, both
+    of alpha-length l_alpha(y) e^{-t}; for t >= 0 their twist gap is the
+    closed-form twist width at l0 = l_alpha(y)/2."""
     yl = stretch_point(y, left_spec(y.surface), t)
     yr = stretch_point(y, right_spec(y.surface), t)
     return yl, yr

@@ -10,54 +10,14 @@ from thurston_kit.bounds import (
     RegimeError,
     SweepGrid,
     classify,
-    collar_width,
     decay_factor,
     decay_factor_unbounded,
-    earthquake_bound,
-    intersection_bound,
     ratio_bound_thin,
     run_sweep,
     thick_bound,
 )
 from thurston_kit.cli import Config, main
-from thurston_kit.stretch import FNPoint, log_coth
-
-
-def test_earthquake_bound_values():
-    assert earthquake_bound(0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert earthquake_bound(2.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert earthquake_bound(1.0, math.e) == pytest.approx(1.5, abs=1e-14)
-    with pytest.raises(RegimeError):
-        earthquake_bound(1.0, 0.0)
-
-
-def test_intersection_bound_values():
-    assert intersection_bound(1.0, 1.0, 2.0) == pytest.approx(1.0)
-    assert intersection_bound(0.0, 5.0, 1.0) == 0.0
-    with pytest.raises(RegimeError):
-        intersection_bound(1.0, 1.0, 0.0)
-
-
-def test_intersection_bound_dominates_actual_intersection_on_torus():
-    # slopes 0 and infinity intersect once; both lengths exceed the chosen
-    # thickness at this point
-    from thurston_kit.torus import Slope, curve_length
-
-    x = FNPoint("S11", (1.0,), (0.0,))
-    eps = 0.5
-    la = curve_length(x, Slope(1, 0))
-    lb = curve_length(x, Slope(0, 1))
-    assert min(la, lb) >= eps
-    assert Slope(1, 0).intersection(Slope(0, 1)) <= intersection_bound(la, lb, eps)
-
-
-def test_collar_width_values_and_regime():
-    assert collar_width(1.0 / math.e) == pytest.approx(2.0, abs=1e-14)
-    assert collar_width(math.exp(-2.0)) == pytest.approx(4.0, abs=1e-13)
-    with pytest.raises(RegimeError):
-        collar_width(0.5)
-    with pytest.raises(RegimeError):
-        collar_width(0.0)
+from thurston_kit.stretch import log_coth
 
 
 def test_thin_ratio_bound_small_length_limit():

@@ -92,14 +92,20 @@ def test_cuff_out_of_range_is_usage_error(capsys, command, cuff):
     assert captured.err.startswith("error: cuff must be 1, 2 or 3")
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
+def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
+    # scipy.optimize (cube.nnls, the tests' reference) stays unloaded even
+    # after a cube run, which needs scipy.spatial only
+    cfg = write_config(tmp_path)
     code = (
         "import sys, thurston_kit.cli, thurston_kit; "
-        "print('scipy.spatial' in sys.modules, callable(thurston_kit.cube.hull))"
+        "loaded = lambda: ['scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules]; "
+        "before = loaded(); "
+        f"code = thurston_kit.cli.main(['--config', {str(cfg)!r}, 'cube']); "
+        "print(*before, callable(thurston_kit.cube.hull), code, *loaded())"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.splitlines()[-1].split() == ["False", "False", "True", "0", "True", "False"]
 
 
 @pytest.mark.parametrize("module", ["thurston_kit.pants", "thurston_kit.stretch"])
@@ -429,6 +435,8 @@ def test_artifacts_match_pinned_bytes(tmp_path, capsys, command, config, sha256)
         ((), {"t_max": "inf"}),
         ((), {"t_step": "nan"}),
         ((), {"t_step": "inf"}),
+        # the step count t_max / t_step overflows to infinity
+        ((), {"t_max": "1e300", "t_step": "1e-300"}),
     ],
 )
 def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, flags, config):

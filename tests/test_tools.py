@@ -57,3 +57,13 @@ def f(a, b=1, *, c, d=2):
 """
     # names, scale and tag in the dataclass; b, d and y in the functions
     assert source_stats.settable_options(ast.parse(source)) == 6
+
+
+def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
+    (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "b.py").write_text("z = 3")
+    (tmp_path / "notes.txt").write_text("not python\n")
+    assert source_stats.line_total(tmp_path) == 3
+    source_stats.main()
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.split() == ["tests", str(source_stats.line_total(source_stats.TESTS)), "lines"]

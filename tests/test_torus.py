@@ -17,8 +17,6 @@ from thurston_kit.torus import (
     earthquake,
     envelope_cells,
     envelope_widths,
-    short_marking,
-    stretch_endpoints,
     _endpoints_signed,
     _family,
     _log_lengths,
@@ -32,8 +30,6 @@ DUAL_LENGTH_GOLDEN = 2.8136582274945905
 #: stabilized estimate of d(X, full twist of X) at l = 1, frozen after
 #: computing with max_q up to 30
 FULL_TWIST_GOLDEN = 0.20861035263064975
-
-SQUARE_LENGTH = 2.0 * math.log(1.0 + math.sqrt(2.0))
 
 
 def _block_product_length(l, tau, p, q):
@@ -77,17 +73,10 @@ def _engine_lengths(l, tau, slopes):
 def test_slope_canonicalization():
     assert Slope(-1, 0) == Slope(1, 0)
     assert Slope(2, -3) == Slope(-2, 3)
-    assert Slope.of(4, 6) == Slope(2, 3)
     with pytest.raises(ValueError):
         Slope(2, 4)
     with pytest.raises(ValueError):
         Slope(0, 0)
-
-
-def test_slope_intersection_number():
-    assert Slope(0, 1).intersection(Slope(1, 0)) == 1
-    assert Slope(1, 2).intersection(Slope(1, 2)) == 0
-    assert Slope(3, 5).intersection(Slope(1, 2)) == 1
 
 
 def test_candidate_families_nest():
@@ -181,7 +170,7 @@ def test_full_twist_relabelling_through_the_engine():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     slopes = [Slope(p, q) for q in range(1, 6) for p in range(-8, 9) if gcd(abs(p), q) == 1]
-    twisted, relabelled = _plan(slopes), _plan([Slope.of(s.p + s.q, s.q) for s in slopes])
+    twisted, relabelled = _plan(slopes), _plan([Slope(s.p + s.q, s.q) for s in slopes])
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(log_l=st.floats(math.log(1e-3), math.log(20.0)), tau=st.floats(-50.0, 50.0))
@@ -241,7 +230,7 @@ def test_full_twist_relabels_slopes():
             if gcd(abs(p), q) != 1:
                 continue
             a = curve_length(_point(l, tau + l), Slope(p, q))
-            b = curve_length(_point(l, tau), Slope.of(p + q, q))
+            b = curve_length(_point(l, tau), Slope(p + q, q))
             assert a == pytest.approx(b, abs=1e-8)
 
 
@@ -276,11 +265,9 @@ def test_huge_twist_stays_finite_and_relabels():
     x = FNPoint("S11", (1.0,), (0.0,))
     y = earthquake(x, 1500.0)
     assert math.isfinite(dth_estimate(x, y, 5))
-    beta, dual = short_marking(y, 5)
-    assert beta.intersection(dual) >= 1
     slopes = [Slope(0, 1), Slope(1, 2), Slope(-3, 5), Slope(7, 4), Slope(-11, 3)]
     a = _engine_lengths(1.0, 1500.0, slopes)
-    b = _engine_lengths(1.0, 0.0, [Slope.of(s.p + 1500 * s.q, s.q) for s in slopes])
+    b = _engine_lengths(1.0, 0.0, [Slope(s.p + 1500 * s.q, s.q) for s in slopes])
     assert np.all(np.isfinite(a))
     assert a == pytest.approx(b, rel=1e-12)
 
@@ -304,7 +291,6 @@ def test_every_entry_point_rejects_other_surfaces(x):
         lambda: curve_length(x, Slope(1, 0)),
         lambda: dth_estimate(s11, x, 5),
         lambda: dth_estimate(x, s11, 5),
-        lambda: short_marking(x, 5),
         lambda: envelope_cells([(x, 0.5)], 5),
         lambda: envelope_widths(x, 0.5, 5),
     )
@@ -379,55 +365,31 @@ def test_earthquake_distance_bounded_by_collar_estimate():
     assert worst < 3.0
 
 
-# ------------------------------------------------------------- markings
-
-
-def test_short_marking_small_length_picks_alpha():
-    beta, dual = short_marking(FNPoint("S11", (0.05,), (0.0,)), 12)
-    assert beta == Slope(1, 0)
-    assert beta.intersection(dual) >= 1
-
-
-def test_short_marking_square_torus_tie_break():
-    # slopes 0 and infinity tie; the smaller-q rule picks infinity
-    beta, dual = short_marking(FNPoint("S11", (SQUARE_LENGTH,), (0.0,)), 12)
-    assert beta == Slope(1, 0)
-    assert dual == Slope(0, 1)
-
-
-def test_short_marking_duality_properties():
-    beta, dual = short_marking(FNPoint("S11", (1.7,), (0.8,)), 12)
-    assert beta != dual
-    assert beta.intersection(dual) >= 1
-
-
 # ------------------------------------------------------------- stretch endpoints
 
 
 def test_stretch_endpoints_at_zero_coincide():
     y = FNPoint("S11", (2.0,), (0.45,))
-    yl, yr = stretch_endpoints(y, 0.0)
+    yl, yr = _endpoints_signed(y, 0.0)
     assert yl == y and yr == y
 
 
 def test_stretch_endpoints_lengths_scale():
+    # negative time stretches forward, as _middle_constants does for
+    # every l0 below 1/2
     y = FNPoint("S11", (2.0,), (0.0,))
-    yl, yr = stretch_endpoints(y, 1.5)
-    assert yl.lengths[0] == pytest.approx(2.0 * math.exp(-1.5), rel=1e-14)
-    assert yr.lengths[0] == yl.lengths[0]
+    for t in (1.5, -1.5):
+        yl, yr = _endpoints_signed(y, t)
+        assert yl.lengths[0] == pytest.approx(2.0 * math.exp(-t), rel=1e-14)
+        assert yr.lengths[0] == yl.lengths[0]
 
 
 def test_stretch_endpoints_twist_gap_matches_closed_width():
     for l0 in (0.3, 1.0, 2.5):
         y = FNPoint("S11", (2.0 * l0,), (0.7,))
         for t in (0.5, 1.0, 3.0):
-            yl, yr = stretch_endpoints(y, t)
+            yl, yr = _endpoints_signed(y, t)
             assert yl.twists[0] - yr.twists[0] == pytest.approx(twist_width_closed(l0, t), abs=1e-9)
-
-
-def test_stretch_endpoints_reject_negative_time():
-    with pytest.raises(ValueError):
-        stretch_endpoints(FNPoint("S11", (2.0,), (0.0,)), -1.0)
 
 
 def test_envelope_widths_nonnegative_and_zero_at_origin():

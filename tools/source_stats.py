@@ -6,8 +6,9 @@ For every module of ``src/thurston_kit`` prints its line count, then the
 total, then the number of settable keyword options: function, method and
 lambda parameters that have a default, plus fields with a default in
 classes decorated with ``dataclass`` (a ``field(...)`` without
-``default`` or ``default_factory`` sets none).  Reads the files next to this
-script; imports nothing from the package.
+``default`` or ``default_factory`` sets none).  Last comes the line total of
+``tests``, so one run gives a change's net lines on both sides.  Reads the
+files next to this script; imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "thurston_kit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "thurston_kit"
+TESTS = ROOT / "tests"
 
 
 def _called_name(node: ast.expr) -> str | None:
@@ -49,6 +52,11 @@ def settable_options(tree: ast.AST) -> int:
     return count
 
 
+def line_total(directory: Path) -> int:
+    """Lines of the ``*.py`` files directly in ``directory``."""
+    return sum(len(path.read_text().splitlines()) for path in directory.glob("*.py"))
+
+
 def main() -> None:
     total_lines = total_options = 0
     for path in sorted(SRC.glob("*.py")):
@@ -59,6 +67,7 @@ def main() -> None:
         total_lines += lines
         total_options += options
     print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options")
+    print(f"{'tests':<16}{line_total(TESTS):>6} lines")
 
 
 if __name__ == "__main__":
