@@ -1,18 +1,17 @@
 """Envelope-width bound expressions and grid sweeps certifying boundedness.
 
-:func:`run_sweep` classifies a grid of (l0, t) cells into thin / middle /
-thick regimes by the size of u = l0 e^{-t} and evaluates the bound of
-each: :func:`ratio_bound_thin`, the distance-estimator bridge, or
-:func:`thick_bound`, whose boundedness reduces to that of
-:func:`decay_factor`.  Each evaluator enforces its validity regime (no
-silent infinities).  Every inequality is reported as numbers (lhs, rhs,
-empirical constant), never as a bare boolean at an unknown constant.
+:func:`run_sweep` classifies each cell of a validated (l0, t) grid once by
+u = l0 e^{-t} into thin / middle / thick, evaluates the bound of each:
+:func:`ratio_bound_thin`, the distance-estimator bridge, or
+:func:`thick_bound` (bounded as :func:`decay_factor` is), and summarizes
+the rows.  Each evaluator enforces its validity regime (no silent
+infinities).  Every inequality is reported as numbers (lhs, rhs, empirical
+constant), never as a bare boolean at an unknown constant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .stretch import log_coth, width_point
 from .torus import envelope_cells
@@ -76,50 +75,6 @@ def thick_bound(l0: float, t: float) -> float:
     return scale * (math.exp(-t) * log_coth(l0) + log_coth(u))
 
 
-@dataclass(frozen=True, slots=True)
-class SweepGrid:
-    """Evaluation grid: l0 values, t values, and the thin threshold eps."""
-
-    l0_values: tuple[float, ...]
-    t_values: tuple[float, ...]
-    epsilon: float
-    max_q: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "l0_values", tuple(float(v) for v in self.l0_values))
-        object.__setattr__(self, "t_values", tuple(float(v) for v in self.t_values))
-        if not self.l0_values or not self.t_values:
-            raise ValueError("grid axes must be non-empty")
-        if any(not v > 0 for v in self.l0_values) or any(v < 0 for v in self.t_values):
-            raise ValueError("l0 values must be positive and t values non-negative")
-        if list(self.l0_values) != sorted(self.l0_values) or list(self.t_values) != sorted(self.t_values):
-            raise ValueError("grid axes must be sorted ascending")
-        if not 0.0 < self.epsilon <= math.log(2.0):
-            raise ValueError("epsilon must lie in (0, log 2]")
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    """Rows (l0, t, regime, bound value) plus per-regime summaries."""
-
-    rows: tuple[tuple[float, float, str, float], ...]
-    epsilon: float
-    regime_sup: dict
-    regime_argmax: dict
-    middle_constants: dict
-    global_bounded: bool
-
-    def summary(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "regime_sup": dict(sorted(self.regime_sup.items())),
-            "regime_argmax": {k: list(v) for k, v in sorted(self.regime_argmax.items())},
-            "middle_constants": {repr(k): v for k, v in sorted(self.middle_constants.items())},
-            "global_bounded": self.global_bounded,
-            "n_rows": len(self.rows),
-        }
-
-
 def classify(l0: float, t: float, eps: float) -> str:
     """Regime of a grid cell: thin (u <= eps), thick (u > 1), middle otherwise."""
     u = l0 * math.exp(-t)
@@ -130,8 +85,8 @@ def classify(l0: float, t: float, eps: float) -> str:
     return "middle"
 
 
-def run_sweep(grid: SweepGrid) -> SweepReport:
-    """Evaluate the applicable bound on every cell and summarize suprema.
+def run_sweep(l0_values: tuple[float, ...], t_values: tuple[float, ...], eps: float, max_q: int) -> tuple[list, dict]:
+    """Rows (l0, t, regime, bound value) of the grid, and their summary.
 
     Thin cells use the dual-ratio bound, thick cells the decay-based
     expression, and middle cells the triangle-inequality bridge
@@ -139,48 +94,37 @@ def run_sweep(grid: SweepGrid) -> SweepReport:
     the cross-section where the curve has length one (one constant per
     l0, all from one batched pass).
     """
-    middle = _middle_constants(grid)
-    rows: list[tuple[float, float, str, float]] = []
-    sup: dict[str, float] = {}
-    argmax: dict[str, tuple[float, float]] = {}
-    bounded = True
-    for l0 in grid.l0_values:
-        for t in grid.t_values:
-            regime = classify(l0, t, grid.epsilon)
-            if t == 0.0:
-                # the two endpoints coincide and the twist width vanishes
-                val = 0.0
-            elif regime == "thin":
-                val = ratio_bound_thin(l0, t, grid.epsilon)
-            elif regime == "thick":
-                val = thick_bound(l0, t)
-            else:
-                val = 2.0 * (1.0 - grid.epsilon) + middle[l0]
-            rows.append((l0, t, regime, val))
-            if not math.isfinite(val):
-                bounded = False
-            if regime not in sup or val > sup[regime]:
-                sup[regime] = val
-                argmax[regime] = (l0, t)
-    return SweepReport(
-        rows=tuple(rows),
-        epsilon=grid.epsilon,
-        regime_sup=sup,
-        regime_argmax=argmax,
-        middle_constants=middle,
-        global_bounded=bounded,
-    )
+    cells = [(l0, t, classify(l0, t, eps)) for l0 in l0_values for t in t_values]
+    bridged = dict.fromkeys(l0 for l0, t, regime in cells if t != 0.0 and regime == "middle")
+    middle = _middle_constants(list(bridged), max_q)
+    rows = []
+    for l0, t, regime in cells:
+        if t == 0.0:
+            # the two endpoints coincide and the twist width vanishes
+            val = 0.0
+        elif regime == "thin":
+            val = ratio_bound_thin(l0, t, eps)
+        elif regime == "thick":
+            val = thick_bound(l0, t)
+        else:
+            val = 2.0 * (1.0 - eps) + middle[l0]
+        rows.append((l0, t, regime, val))
+    sup, argmax = {}, {}  # per regime: the largest value and the first cell reaching it
+    for l0, t, regime, val in rows:
+        if regime not in sup or val > sup[regime]:
+            sup[regime], argmax[regime] = val, [l0, t]
+    return rows, {
+        "epsilon": eps,
+        "regime_sup": dict(sorted(sup.items())),
+        "regime_argmax": dict(sorted(argmax.items())),
+        "middle_constants": {repr(k): v for k, v in sorted(middle.items())},
+        "global_bounded": all(math.isfinite(row[3]) for row in rows),
+        "n_rows": len(rows),
+    }
 
 
-def _middle_constants(grid: SweepGrid) -> dict[float, float]:
+def _middle_constants(l0s: list[float], max_q: int) -> dict[float, float]:
     """{l0: max of both direction estimates at the length-one cross-section
-    (signed stretch time log l_alpha of the :func:`width_point` of l0)} for
-    every l0 with a middle cell at t > 0."""
-    l0s = [
-        l0
-        for l0 in dict.fromkeys(grid.l0_values)
-        if any(t != 0.0 and classify(l0, t, grid.epsilon) == "middle" for t in grid.t_values)
-    ]
+    (signed stretch time log l_alpha of the :func:`width_point` of l0)}."""
     cells = [(y, math.log(y.lengths[0])) for y in (width_point("S11", l0) for l0 in l0s)]
-    return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, grid.max_q))}
-
+    return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, max_q))}

@@ -21,11 +21,12 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import bounds, cube, reconcile, stretch, torus
-from .bounds import SweepGrid, run_sweep
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_oracle, shear_coords
 from .stretch import FNPoint, left_spec, right_spec, stretch_point, twist_width_closed
 
 CONFIG_ENV = "THURSTON_KIT_CONFIG"
+#: most t values a grid may hold; a finite but huge t_max / t_step would exhaust memory
+MAX_T_VALUES = 10**6
 
 
 class ConfigError(ValueError):
@@ -55,8 +56,9 @@ class Config:
             raise ConfigError("l0_values must be positive")
         if not (0.0 <= self.t_max < math.inf and 0.0 < self.t_step < math.inf):
             raise ConfigError("t_max must be finite and >= 0, and t_step finite and > 0")
-        if not math.isfinite(self.t_max / self.t_step):
-            raise ConfigError(f"t_max / t_step must be finite, got t_max = {self.t_max!r} and t_step = {self.t_step!r}")
+        # the first test keeps the count finite, the second is exact
+        if not (self.t_max / self.t_step < MAX_T_VALUES and t_count(self.t_max, self.t_step) <= MAX_T_VALUES):
+            raise ConfigError(f"t grid exceeds {MAX_T_VALUES} values: t_max = {self.t_max!r}, t_step = {self.t_step!r}")
         if len(self.base_lengths) != 3 or len(self.base_twists) != 3:
             raise ConfigError("base point needs three lengths and three twists")
         if any(v <= 0 for v in self.base_lengths):
@@ -74,14 +76,16 @@ class Config:
         return t_grid(self.t_max, self.t_step)
 
 
-def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
-    """0, t_step, 2 t_step, ... up to t_max.
+def t_count(t_max: float, t_step: float) -> int:
+    """Number of t values of :func:`t_grid`: the step count rounds down, with
+    a relative slack of 1e-9 that keeps a t_max that is a multiple of t_step
+    up to round-off (0.3 / 0.1)."""
+    return math.floor(t_max / t_step * (1.0 + 1e-9)) + 1
 
-    The step count rounds down, with a relative slack of 1e-9 so that a
-    t_max that is a multiple of t_step up to round-off (0.3 / 0.1) is kept.
-    """
-    n = math.floor(t_max / t_step * (1.0 + 1e-9))
-    return tuple(i * t_step for i in range(n + 1))
+
+def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
+    """0, t_step, 2 t_step, ... up to t_max."""
+    return tuple(i * t_step for i in range(t_count(t_max, t_step)))
 
 
 def load_config(path: str | None, **overrides: object) -> Config:
@@ -223,26 +227,23 @@ def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
-    try:
-        grid = SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    report = run_sweep(grid)
+    # only the sweep needs sorted l0 values; the envelope takes any order
+    if list(cfg.l0_values) != sorted(cfg.l0_values):
+        raise ConfigError("grid axes must be sorted ascending")
+    rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
     out = Path(cfg.out_dir)
-    _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", report.rows)
-    _write_json(out / "sweep_summary.json", report.summary())
+    _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", rows)
+    _write_json(out / "sweep_summary.json", summary)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.json'}")
-    return 0 if report.global_bounded else 1
+    return 0 if summary["global_bounded"] else 1
 
 
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
-    cells = [(l0, t) for l0 in cfg.l0_values for t in cfg.t_values()]
+    t_values = cfg.t_values()
+    cells = [(l0, t) for l0 in cfg.l0_values for t in t_values]
     widths = torus.envelope_cells([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
-    rows = []
-    sup = -math.inf
-    for (l0, t), (d_lr, d_rl) in zip(cells, widths):
-        sup = max(sup, d_lr, d_rl)
-        rows.append((l0, t, d_lr, d_rl))
+    rows = [(l0, t, d_lr, d_rl) for (l0, t), (d_lr, d_rl) in zip(cells, widths)]
+    sup = max([-math.inf, *(d for pair in widths for d in pair)])
     out = Path(cfg.out_dir)
     _write_csv(out / "envelope.csv", "l0,t,d_lr,d_rl", rows)
     summary = {

@@ -8,7 +8,6 @@ import pytest
 from thurston_kit.bounds import (
     DEFAULT_EPSILON,
     RegimeError,
-    SweepGrid,
     classify,
     decay_factor,
     decay_factor_unbounded,
@@ -92,47 +91,35 @@ def test_thick_bound_states_where_4_e_u_overflows(l0):
 
 
 def test_classification_is_a_partition():
-    grid = SweepGrid((0.1, 0.5, 1.0, 2.0, 5.0), tuple(0.5 * i for i in range(13)), DEFAULT_EPSILON, 30)
-    for l0 in grid.l0_values:
-        for t in grid.t_values:
-            assert classify(l0, t, grid.epsilon) in ("thin", "middle", "thick")
-
-
-def test_grid_validation():
-    with pytest.raises(ValueError):
-        SweepGrid((), (0.0,), DEFAULT_EPSILON, 30)
-    with pytest.raises(ValueError):
-        SweepGrid((1.0,), (0.0,), 1.0, 30)
-    with pytest.raises(ValueError):
-        SweepGrid((2.0, 1.0), (0.0,), DEFAULT_EPSILON, 30)
+    for l0 in (0.1, 0.5, 1.0, 2.0, 5.0):
+        for t in (0.5 * i for i in range(13)):
+            assert classify(l0, t, DEFAULT_EPSILON) in ("thin", "middle", "thick")
 
 
 def test_sweep_single_cell_width_contribution_zero():
-    report = run_sweep(SweepGrid((1.0,), (0.0,), DEFAULT_EPSILON, 5))
-    assert len(report.rows) == 1
-    assert report.rows[0][3] == 0.0
+    rows, _ = run_sweep((1.0,), (0.0,), DEFAULT_EPSILON, 5)
+    assert len(rows) == 1
+    assert rows[0][3] == 0.0
 
 
 def test_sweep_thick_cells_finite():
-    report = run_sweep(SweepGrid((5.0,), (0.0, 0.25, 0.5), DEFAULT_EPSILON, 5))
-    regimes = {row[2] for row in report.rows}
+    rows, summary = run_sweep((5.0,), (0.0, 0.25, 0.5), DEFAULT_EPSILON, 5)
+    regimes = {row[2] for row in rows}
     assert regimes == {"thick"}
-    assert report.global_bounded
-    assert all(math.isfinite(row[3]) for row in report.rows)
+    assert summary["global_bounded"]
+    assert all(math.isfinite(row[3]) for row in rows)
 
 
 def test_sweep_default_grid_bounded_and_partitioned():
-    grid = SweepGrid((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), DEFAULT_EPSILON, 8)
-    report = run_sweep(grid)
-    assert report.global_bounded
-    assert set(report.regime_sup) <= {"thin", "middle", "thick"}
-    for regime, (l0, t) in report.regime_argmax.items():
-        assert classify(l0, t, grid.epsilon) == regime
+    _, summary = run_sweep((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), DEFAULT_EPSILON, 8)
+    assert summary["global_bounded"]
+    assert set(summary["regime_sup"]) <= {"thin", "middle", "thick"}
+    for regime, (l0, t) in summary["regime_argmax"].items():
+        assert classify(l0, t, DEFAULT_EPSILON) == regime
 
 
 def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
-    # the sweep command writes the files, over this grid
-    grid = SweepGrid((0.5, 1.0), (0.0, 1.0, 2.0), DEFAULT_EPSILON, 6)
+    # the sweep command writes the files, over the grid of the config below
     files = []
     for run in ("a", "b"):
         config = tmp_path / f"{run}.txt"
@@ -144,7 +131,8 @@ def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
     assert json1 == json2
     lines = csv1.splitlines()
     assert lines[0] == "l0,t,regime,bound_value"
-    assert len(lines) == 1 + len(run_sweep(grid).rows)
+    rows, _ = run_sweep((0.5, 1.0), (0.0, 1.0, 2.0), DEFAULT_EPSILON, 6)
+    assert len(lines) == 1 + len(rows)
     summary = json.loads(json1)
     assert summary["global_bounded"] is True
     assert "regime_sup" in summary
@@ -152,10 +140,10 @@ def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
 
 def test_default_grid_sweep_globally_bounded():
     cfg = Config()
-    report = run_sweep(SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q))
-    assert report.global_bounded
-    assert set(row[2] for row in report.rows) == {"thin", "middle", "thick"}
-    assert all(math.isfinite(row[3]) for row in report.rows)
+    rows, summary = run_sweep(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+    assert summary["global_bounded"]
+    assert set(row[2] for row in rows) == {"thin", "middle", "thick"}
+    assert all(math.isfinite(row[3]) for row in rows)
 
 
 def test_thin_ratio_bound_decreasing_in_t():

@@ -237,15 +237,30 @@ def test_cube_command_states_an_overflowing_closed_form(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_command_states_an_overflowing_thick_bound(tmp_path, capsys):
-    # e^u at u = 1000 e^-0.25 used to raise a bare "math range error"
-    cfg = write_config(tmp_path, l0_values="1000", t_max="0.25", t_step="0.25")
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        # e^u at u = 1000 e^-0.25 used to raise a bare "math range error"
+        pytest.param(
+            {"l0_values": "1000", "t_max": "0.25", "t_step": "0.25"},
+            "thick bound is out of float reach: 4 e^u overflows at u = 778.8007830714049 (l0 = 1000.0, t = 0.25)",
+            id="thick-bound",
+        ),
+        # the middle constant of l0 = 800 fails in the closed forms, on the default t grid
+        pytest.param(
+            {"l0_values": "800", "t_max": "8", "t_step": "0.25"},
+            "twist offset at cuff 0 is out of float reach: g = -0.0 <= 0 at lengths (1600.0, 1600.0, 0.0)",
+            id="middle-constant",
+        ),
+    ],
+)
+def test_sweep_command_states_a_failing_computation(tmp_path, capsys, config, message):
+    # a failure inside the sweep is exit 1, not a usage error
+    cfg = write_config(tmp_path, **config)
     assert main(["--config", str(cfg), "sweep"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: thick bound is out of float reach: 4 e^u overflows at u = 778.8007830714049 (l0 = 1000.0, t = 0.25)\n"
-    )
+    assert captured.err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -437,6 +452,8 @@ def test_artifacts_match_pinned_bytes(tmp_path, capsys, command, config, sha256)
         ((), {"t_step": "inf"}),
         # the step count t_max / t_step overflows to infinity
         ((), {"t_max": "1e300", "t_step": "1e-300"}),
+        # a finite but huge step count
+        ((), {"t_max": "1e300"}),
     ],
 )
 def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, flags, config):
@@ -470,6 +487,17 @@ def test_t_grid_stops_at_t_max(tmp_path, capsys):
     assert env["t_max"] == 1.0
     rows = [row.split(",") for row in (out / "envelope.csv").read_text().splitlines()[1:]]
     assert env["empirical_bound"] == max(float(v) for row in rows for v in row[2:])
+
+
+def test_config_caps_the_number_of_t_values():
+    # validate counts the t values without building the grid
+    Config(t_max=999_999.0, t_step=1.0).validate()
+    Config(t_max=249_999.75).validate()
+    # one step over the cap, at two steps, and the grid that used to exhaust memory
+    for t_max, t_step in ((1_000_000.0, 1.0), (250_000.0, 0.25), (1e300, 0.25)):
+        with pytest.raises(ConfigError) as info:
+            Config(t_max=t_max, t_step=t_step).validate()
+        assert str(info.value) == f"t grid exceeds 1000000 values: t_max = {t_max!r}, t_step = {t_step!r}"
 
 
 def test_t_grid_keeps_exact_multiples():

@@ -1,7 +1,9 @@
 """Tests for the scripts under ``tools/``."""
 
 import ast
+import json
 import sys
+import timeit
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -67,3 +69,14 @@ def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
     source_stats.main()
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.split() == ["tests", str(source_stats.line_total(source_stats.TESTS)), "lines"]
+
+
+def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsys):
+    # one call per layer in place of the timed repeats
+    monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
+    exec(write_bench.LAYER_SNIPPET, {})
+    layers = json.loads(capsys.readouterr().out)
+    assert set(layers) == {
+        "pants.delta_oracle", "pants.delta_closed", "pants._next_gap", "h2.shear", "torus.curve_length",
+        "torus.envelope_cells", "cube.chamfered_cube_check", "bounds.run_sweep",
+    }

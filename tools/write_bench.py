@@ -66,9 +66,12 @@ base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
 cfg = cli.Config()
-grid = bounds.SweepGrid(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+# a parent whose run_sweep still takes a bounds.SweepGrid; this shim can go once no parent has it
+if hasattr(bounds, "SweepGrid"):
+    sweep_args = (bounds.SweepGrid(*sweep_args),)
 def sweep():
-    bounds.run_sweep(grid)
+    bounds.run_sweep(*sweep_args)
 # calls per repeat: about 1,000 for the pants layers, the shear (about
 # 15 us each) and the slope length (about 110 us), and about 0.15 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
