@@ -12,6 +12,7 @@ constant), never as a bare boolean at an unknown constant.
 from __future__ import annotations
 
 import math
+import sys
 
 from .stretch import log_coth, width_point
 from .torus import envelope_cells
@@ -32,6 +33,9 @@ def ratio_bound_thin(l0: float, t: float, eps: float) -> float:
     u = l0 * math.exp(-t)
     if not (l0 > 0 and u <= eps):
         raise RegimeError(f"thin bound needs l0 e^-t <= eps, got u = {u}")
+    if u < sys.float_info.min:
+        # the correction term is below 1e-300, where log coth(u) may fail
+        return 1.0
     return 1.0 + (u / math.log(1.0 / eps)) * 4.0 * (math.exp(-t) * log_coth(l0) + log_coth(u))
 
 

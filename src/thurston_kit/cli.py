@@ -27,6 +27,8 @@ from .stretch import FNPoint, left_spec, right_spec, stretch_point, twist_width_
 CONFIG_ENV = "THURSTON_KIT_CONFIG"
 #: most t values a grid may hold; a finite but huge t_max / t_step would exhaust memory
 MAX_T_VALUES = 10**6
+#: largest slope denominator; the family has about 1.2 max_q^2 slopes, built in Python loops
+MAX_Q = 400
 
 
 class ConfigError(ValueError):
@@ -50,6 +52,8 @@ class Config:
     def validate(self) -> None:
         if self.max_q < 1:
             raise ConfigError("max_q must be at least 1")
+        if self.max_q > MAX_Q:
+            raise ConfigError(f"max_q exceeds {MAX_Q}: max_q = {self.max_q}")
         if not 0.0 < self.epsilon <= math.log(2.0):
             raise ConfigError("epsilon must lie in (0, log 2]")
         if any(v <= 0 for v in self.l0_values):

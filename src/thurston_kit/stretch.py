@@ -27,6 +27,7 @@ all three curves).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -154,7 +155,10 @@ def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
 def _signed_time(spec: StretchSpec, t: float) -> float:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    return -t if spec.direction == "backward" else t
+    s = -t if spec.direction == "backward" else t
+    if s > math.log(sys.float_info.max):
+        raise ValueError(f"stretch time is out of float reach: lengths scale by e^{s!r}, which overflows (t = {t!r})")
+    return s
 
 
 def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> float:
@@ -280,4 +284,10 @@ def twist_width_closed(l0: float, t: float) -> float:
         raise ValueError("l0 must be finite")
     if t == math.inf:
         raise ValueError("t must be finite")
-    return 4.0 * math.exp(-t) * log_coth(l0) - 4.0 * log_coth(l0 * math.exp(-t))
+    u = l0 * math.exp(-t)
+    # a subnormal u has lost digits, and log coth(u) = t - log(l0) + O(u^2) to far below one ulp
+    log_coth_u = log_coth(u) if u >= sys.float_info.min else t - math.log(l0)
+    width = 4.0 * math.exp(-t) * log_coth(l0) - 4.0 * log_coth_u
+    if not math.isfinite(width):
+        raise ValueError(f"twist width is out of float reach at t = {t!r}")
+    return width

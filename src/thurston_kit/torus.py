@@ -12,8 +12,9 @@ commutator trace -2, i.e. the cusp relation x^2 + y^2 + z^2 = xyz for
 (x, y, z) = (tr A, tr B, tr AB).  The matrices are never formed: the
 engine seeds its integer slopes from (l, tau) directly.
 
-Simple closed curves correspond to extended rationals p/q (slope of B is
-0, slope of A is infinity); the curve word is conjugate to the
+Simple closed curves correspond to extended rationals p/q, each written
+as the int pair (p, q) in lowest terms with q >= 0 (slope of B is
+(0, 1), slope of A is infinity, (1, 0)); the curve word is conjugate to the
 Christoffel block product prod_i diag(e^{u_i/2}, e^{-u_i/2}) B0, where
 u_i = k_i l + tau and the cutting-sequence exponents k_i sum to p.  One
 engine, :func:`_log_lengths`, sets each integer slope in closed form and
@@ -38,36 +39,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
 from .stretch import FNPoint, left_spec, right_spec, stretch_point
-
-@dataclass(frozen=True, slots=True)
-class Slope:
-    """Extended rational p/q in lowest terms; q = 0 (with p = 1) is infinity."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        p, q = self.p, self.q
-        if q < 0:
-            p, q = -p, -q
-        if q == 0:
-            if p == 0:
-                raise ValueError("slope 0/0 is not a curve")
-            p = 1
-        else:
-            g = gcd(abs(p), q)
-            if g != 1:
-                raise ValueError(f"slope {self.p}/{self.q} is not in lowest terms")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
 
 _LOG_HUGE = 30.0
 #: node x column budget of one batched length pass, about 0.8 MB of
@@ -77,7 +54,7 @@ _CHUNK_NODE_COLUMNS = 20_000
 _Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
 
 
-def _plan(slopes: Sequence[Slope]) -> _Plan:
+def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
     """(ints, levels, slope_node): the evaluation order of slopes on the Farey graph.
 
     Nodes 0 .. len(ints) - 1 are the integer slopes ``ints``.  Every other
@@ -87,9 +64,9 @@ def _plan(slopes: Sequence[Slope]) -> _Plan:
     the j-th slope, -1 for infinity.
     """
     by_q: dict[int, set[int]] = {1: set()}
-    for s in slopes:
-        if s.q:
-            by_q.setdefault(s.q, set()).add(s.p)
+    for p, q in slopes:
+        if q:
+            by_q.setdefault(q, set()).add(p)
     parents = {}
     for q in range(max(by_q), 1, -1):
         for p in by_q.get(q, ()):
@@ -105,15 +82,14 @@ def _plan(slopes: Sequence[Slope]) -> _Plan:
         tuple(np.array([index[parents[p, q][side]] for p in sorted(by_q[q])]) for side in (0, 1))
         for q in dens[1:]
     )
-    slope_node = np.array([index[s.p, s.q] if s.q else -1 for s in slopes], dtype=np.intp)
+    slope_node = np.array([index[p, q] if q else -1 for p, q in slopes], dtype=np.intp)
     return np.array(sorted(by_q[1]), dtype=float), levels, slope_node
 
 
 @lru_cache(maxsize=8)
-def _family(max_q: int) -> tuple[tuple[Slope, ...], _Plan]:
-    """The default slope family of :func:`candidate_slopes` with its plan, built on first use."""
-    slopes = tuple(candidate_slopes(max_q))
-    return slopes, _plan(slopes)
+def _family(max_q: int) -> _Plan:
+    """The plan of the default slope family :func:`candidate_slopes`, built on first use."""
+    return _plan(candidate_slopes(max_q))
 
 
 def _seed(x: FNPoint) -> tuple[float, float, tuple[tuple[float, float], tuple[float, float]]]:
@@ -181,33 +157,28 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     return out
 
 
-def curve_length(x: FNPoint, slope: Slope) -> float:
+def curve_length(x: FNPoint, slope: tuple[int, int]) -> float:
     """Length 2 arccosh(|tr W|/2) of the slope's curve word at the point x.
 
     The alpha-curve (slope infinity) is the coordinate l itself, exactly,
     not a trace, which would lose half the precision for very short
     curves.  Raises as :func:`_log_lengths` does.
     """
-    if slope.q == 0:
+    if slope[1] == 0:
         return _seed(x)[0]
     return math.exp(_log_lengths((x,), _plan((slope,)))[0, 0])
 
 
-def candidate_slopes(max_q: int) -> list[Slope]:
-    """Stern-Brocot slope family: every reduced p/q with q <= max_q and
-    |p| <= max_q, plus the infinite slope.
+def candidate_slopes(max_q: int) -> list[tuple[int, int]]:
+    """Stern-Brocot slope family: the infinite slope (1, 0), then every
+    reduced p/q with q <= max_q and |p| <= max_q, ordered by (q, p).
 
     Families nest as max_q grows, so estimators built on them are
     monotone in max_q.
     """
     if max_q < 1:
         raise ValueError("max_q must be at least 1")
-    out = {Slope(1, 0)}
-    for q in range(1, max_q + 1):
-        for p in range(-max_q, max_q + 1):
-            if gcd(abs(p), q) == 1:
-                out.add(Slope(p, q))
-    return sorted(out, key=lambda s: (s.q, s.p))
+    return [(1, 0)] + [(p, q) for q in range(1, max_q + 1) for p in range(-max_q, max_q + 1) if gcd(abs(p), q) == 1]
 
 
 def dth_estimate(x: FNPoint, y: FNPoint, max_q: int) -> float:
@@ -218,7 +189,7 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int) -> float:
     report over a finite family; no additive marking constant is claimed
     and no exactness: the estimate certifies lower bounds only.
     """
-    ll = _log_lengths((x, y), _family(max_q)[1])
+    ll = _log_lengths((x, y), _family(max_q))
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
 
@@ -241,9 +212,9 @@ def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[t
     fails is evaluated again cell by cell, so the error is the one its
     first failing cell raises on its own.
     """
-    slopes, plan = _family(max_q)
-    # the family's plan has one node per finite slope
-    step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(slopes)))
+    plan = _family(max_q)
+    # slope_node has one entry per slope, and the family's plan one node per finite slope
+    step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(plan[2])))
     out: list[tuple[float, float]] = []
     for i in range(0, len(cells), step):
         chunk = cells[i : i + step]

@@ -146,6 +146,26 @@ def test_default_grid_sweep_globally_bounded():
     assert all(math.isfinite(row[3]) for row in rows)
 
 
+@pytest.mark.parametrize("t", [740.0, 745.0, 750.0, 1000.0])
+def test_thin_ratio_bound_in_the_thin_limit_matches_mpmath_reference(t):
+    # u = e^-t is subnormal or zero here; log coth(0) raised at t = 1000
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        u = mpmath.exp(-mpmath.mpf(t))
+        logs = u * mpmath.log(mpmath.coth(1)) + mpmath.log(mpmath.coth(u))
+        ref = 1 + u / mpmath.log(1 / mpmath.mpf(DEFAULT_EPSILON)) * 4 * logs
+    assert ratio_bound_thin(1.0, t, DEFAULT_EPSILON) == float(ref) == 1.0
+
+
+def test_sweep_reaches_the_thin_limit(tmp_path, capsys):
+    # u = e^-800 is zero in floats, where the thin bound raised
+    config = tmp_path / "config.txt"
+    config.write_text(f"out_dir={tmp_path / 'out'}\nl0_values=1\nt_max=800\nt_step=100\n")
+    assert main(["--config", str(config), "sweep"]) == 0
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    assert rows[2:] == [f"1,{t},thin,1" for t in range(100, 900, 100)]
+
+
 def test_thin_ratio_bound_decreasing_in_t():
     # numerical observation on the grid, not claimed by the theory
     eps = DEFAULT_EPSILON

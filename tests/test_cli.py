@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thurston_kit.cli import CONFIG_ENV, Config, ConfigError, load_config, main, t_grid
+from thurston_kit import torus
+from thurston_kit.cli import CONFIG_ENV, MAX_Q, Config, ConfigError, load_config, main, t_grid
 from thurston_kit.pants import PantsMetric, PantsTriangulation, delta_closed
 
 
@@ -205,6 +206,23 @@ def test_stretch_command_rejects_non_finite_twists(capsys, tau):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: twists must be finite"]
+
+
+@pytest.mark.parametrize(
+    "argv,s,t",
+    [
+        (("--l", "1", "--tau", "0", "--t", "710", "--direction", "forward"), "710.0", "710.0"),
+        # the backward direction at a negative time stretches forward
+        (("--surface", "S2", "--l", "1,1,1", "--tau", "0,0,0", "--t", "-800"), "800.0", "-800.0"),
+    ],
+)
+def test_stretch_command_states_a_time_past_float_reach(capsys, argv, s, t):
+    # e^s overflowed with a bare "math range error" here
+    assert main(["stretch", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"error: stretch time is out of float reach: lengths scale by e^{s}, which overflows (t = {t})"
+    assert captured.err.splitlines() == [message]
 
 
 def test_delta_command_states_a_cancelled_closed_form(capsys):
@@ -498,6 +516,21 @@ def test_config_caps_the_number_of_t_values():
         with pytest.raises(ConfigError) as info:
             Config(t_max=t_max, t_step=t_step).validate()
         assert str(info.value) == f"t grid exceeds 1000000 values: t_max = {t_max!r}, t_step = {t_step!r}"
+
+
+def test_config_caps_max_q_without_building_a_family(capsys):
+    # the family has about 1.2 max_q^2 slopes; 10**9 would exhaust memory
+    before = torus._family.cache_info()
+    Config(max_q=MAX_Q).validate()
+    for max_q in (MAX_Q + 1, 10**9):
+        with pytest.raises(ConfigError) as info:
+            Config(max_q=max_q).validate()
+        assert str(info.value) == f"max_q exceeds {MAX_Q}: max_q = {max_q}"
+    assert main(["envelope", "--max-q", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: max_q exceeds {MAX_Q}: max_q = 1000000000"]
+    assert torus._family.cache_info() == before
 
 
 def test_t_grid_keeps_exact_multiples():

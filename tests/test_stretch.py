@@ -273,6 +273,25 @@ def test_log_coth_matches_mpmath_reference(u):
     assert rel <= 4 * sys.float_info.epsilon
 
 
+@pytest.mark.parametrize("t", [740.0, 745.0, 750.0, 1000.0])
+def test_twist_width_closed_in_the_thin_limit_matches_mpmath_reference(t):
+    # u = e^-t is subnormal or zero here, where log coth(u) gave
+    # -2959.98968 at t = 740 and raised at t = 1000
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        u = mpmath.exp(-mpmath.mpf(t))
+        ref = 4 * u * mpmath.log(mpmath.coth(1)) - 4 * mpmath.log(mpmath.coth(u))
+        rel = abs((mpmath.mpf(twist_width_closed(1.0, t)) - ref) / ref)
+    assert rel <= 4 * sys.float_info.epsilon
+
+
+def test_twist_width_closed_states_a_width_past_float_reach():
+    # 4 (t - log l0) overflows, where the thin-limit form would return -inf
+    with pytest.raises(ValueError, match=r"^twist width is out of float reach at t = 1e\+308$"):
+        twist_width_closed(1.0, 1e308)
+    assert twist_width_closed(1.0, 4e307) == -1.6e308
+
+
 #: twists of the pinned points, one per curve
 PIN_TWISTS = {"S11": (0.37,), "S04": (0.37,), "S2": (0.37, -1.25, 2.0)}
 

@@ -1,8 +1,10 @@
 """Tests for the once-punctured torus holonomy model and distance estimator."""
 
+import importlib
 import math
 import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import pytest
 from thurston_kit import torus
 from thurston_kit.stretch import FNPoint, twist_width_closed
 from thurston_kit.torus import (
-    Slope,
     candidate_slopes,
     curve_length,
     dth_estimate,
@@ -70,19 +71,19 @@ def _engine_lengths(l, tau, slopes):
 # ------------------------------------------------------------- slopes
 
 
-def test_slope_canonicalization():
-    assert Slope(-1, 0) == Slope(1, 0)
-    assert Slope(2, -3) == Slope(-2, 3)
-    with pytest.raises(ValueError):
-        Slope(2, 4)
-    with pytest.raises(ValueError):
-        Slope(0, 0)
-
-
 def test_candidate_families_nest():
     small = set(candidate_slopes(5))
     large = set(candidate_slopes(30))
     assert small <= large
+
+
+def test_candidate_slopes_are_the_benchmark_reference_family(monkeypatch):
+    # the benchmark's independent recomputation of an envelope cell walks
+    # its own family; the two must hold the same pairs in the same order
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    reference = importlib.import_module("reference")
+    for max_q in range(1, 46):
+        assert candidate_slopes(max_q) == reference.slope_family(max_q)
 
 
 # ------------------------------------------------------------- inputs
@@ -99,7 +100,7 @@ def test_point_rejects_non_positive_length():
 
 EPS = sys.float_info.epsilon
 
-_MARKOV_PLAN = _plan([Slope(1, 0), Slope(0, 1), Slope(1, 1)])
+_MARKOV_PLAN = _plan([(1, 0), (0, 1), (1, 1)])
 
 
 def _markov_residual(x):
@@ -169,8 +170,8 @@ def test_full_twist_relabelling_through_the_engine():
     # in a different order, so they differ by rounding in u = k l + tau
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    slopes = [Slope(p, q) for q in range(1, 6) for p in range(-8, 9) if gcd(abs(p), q) == 1]
-    twisted, relabelled = _plan(slopes), _plan([Slope(s.p + s.q, s.q) for s in slopes])
+    slopes = [(p, q) for q in range(1, 6) for p in range(-8, 9) if gcd(abs(p), q) == 1]
+    twisted, relabelled = _plan(slopes), _plan([(p + q, q) for p, q in slopes])
 
     @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
     @hypothesis.given(log_l=st.floats(math.log(1e-3), math.log(20.0)), tau=st.floats(-50.0, 50.0))
@@ -203,17 +204,17 @@ def test_estimate_monotone_in_max_q_property():
 
 def test_alpha_length_is_l_for_all_twists():
     for tau in (-3.0, 0.0, 5.0):
-        assert curve_length(_point(1.37, tau), Slope(1, 0)) == pytest.approx(1.37, rel=1e-12)
+        assert curve_length(_point(1.37, tau), (1, 0)) == pytest.approx(1.37, rel=1e-12)
 
 
 @pytest.mark.parametrize("l, tau", [(20.0, -7.0), (1e-3, 0.2)])
 def test_alpha_length_is_the_coordinate_exactly(l, tau):
     # not exp(log l), which is 19.999999999999996 at (20, -7)
-    assert curve_length(_point(l, tau), Slope(1, 0)) == l
+    assert curve_length(_point(l, tau), (1, 0)) == l
 
 
 def test_dual_length_golden_value():
-    assert curve_length(_point(1.0, 0.0), Slope(0, 1)) == pytest.approx(DUAL_LENGTH_GOLDEN, rel=1e-12)
+    assert curve_length(_point(1.0, 0.0), (0, 1)) == pytest.approx(DUAL_LENGTH_GOLDEN, rel=1e-12)
 
 
 def test_word_block_count_matches_slope():
@@ -229,24 +230,24 @@ def test_full_twist_relabels_slopes():
         for p in range(-12, 13):
             if gcd(abs(p), q) != 1:
                 continue
-            a = curve_length(_point(l, tau + l), Slope(p, q))
-            b = curve_length(_point(l, tau), Slope(p + q, q))
+            a = curve_length(_point(l, tau + l), (p, q))
+            b = curve_length(_point(l, tau), (p + q, q))
             assert a == pytest.approx(b, abs=1e-8)
 
 
 def test_engine_lengths_match_block_product():
     # the Farey engine against the block-product reference, from thin to
     # thick and heavily twisted
-    small = [Slope(1, 0)] + [Slope(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
+    small = [(1, 0)] + [(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
     # a window of p around -100 q, where the words are heavily twisted
-    windows = [Slope(p, q) for q in range(1, 7) for p in range(-100 * q - 8, -100 * q + 9) if gcd(abs(p), q) == 1]
+    windows = [(p, q) for q in range(1, 7) for p in range(-100 * q - 8, -100 * q + 9) if gcd(abs(p), q) == 1]
     points = [(1.0, 0.3), (2.5, -1.2), (0.2, 4.0), (1.3e-5, 23.8), (1.3e-5, -23.8), (20.0, -7.0)]
     points += [(l, 100.0) for l in (1.0, 2.0, 5.0)]
     for i, (l, tau) in enumerate(points):
-        ref = [_block_product_length(l, tau, s.p, s.q) for s in small]
+        ref = [_block_product_length(l, tau, p, q) for p, q in small]
         assert _engine_lengths(l, tau, small) == pytest.approx(ref, abs=1e-10)
         if i < 5:
-            ref = [_block_product_length(l, tau, s.p, s.q) for s in windows]
+            ref = [_block_product_length(l, tau, p, q) for p, q in windows]
             assert _engine_lengths(l, tau, windows) == pytest.approx(ref, abs=1e-10)
 
 
@@ -254,9 +255,9 @@ def test_heavy_twist_lengths_match_block_product():
     # the trace recursion tr W(n-1) = tr A tr W(n) - tr W(n+1), run from
     # slope 0 down to -30/1, misses that log length by 6e-5 at (1, 100)
     # and returns NaN at (2, 100)
-    slopes = [Slope(p, q) for q in (1, 2, 3) for p in range(-30 * q, 30 * q + 1) if gcd(p, q) == 1]
+    slopes = [(p, q) for q in (1, 2, 3) for p in range(-30 * q, 30 * q + 1) if gcd(p, q) == 1]
     for l in (1.0, 2.0):
-        ref = [math.log(_block_product_length(l, 100.0, s.p, s.q)) for s in slopes]
+        ref = [math.log(_block_product_length(l, 100.0, p, q)) for p, q in slopes]
         assert np.log(_engine_lengths(l, 100.0, slopes)) == pytest.approx(ref, rel=0, abs=1e-12)
 
 
@@ -265,9 +266,9 @@ def test_huge_twist_stays_finite_and_relabels():
     x = FNPoint("S11", (1.0,), (0.0,))
     y = earthquake(x, 1500.0)
     assert math.isfinite(dth_estimate(x, y, 5))
-    slopes = [Slope(0, 1), Slope(1, 2), Slope(-3, 5), Slope(7, 4), Slope(-11, 3)]
+    slopes = [(0, 1), (1, 2), (-3, 5), (7, 4), (-11, 3)]
     a = _engine_lengths(1.0, 1500.0, slopes)
-    b = _engine_lengths(1.0, 0.0, [Slope(s.p + 1500 * s.q, s.q) for s in slopes])
+    b = _engine_lengths(1.0, 0.0, [(p + 1500 * q, q) for p, q in slopes])
     assert np.all(np.isfinite(a))
     assert a == pytest.approx(b, rel=1e-12)
 
@@ -277,7 +278,7 @@ def test_flat_non_integer_slope_trips_the_guard(l, tau):
     # slope -1/2 has the blocks u = -l/2 and u = l/2; its |tr|/2 rounds to
     # within 1e-14 of 1, and unlike an integer slope it has no exact form
     with pytest.raises(ValueError, match=r"elliptic or parabolic \(\|tr\|/2 = 1\.00000000000000[0-9]+\): length below"):
-        curve_length(_point(l, tau), Slope(-1, 2))
+        curve_length(_point(l, tau), (-1, 2))
 
 
 @pytest.mark.parametrize(
@@ -287,8 +288,8 @@ def test_every_entry_point_rejects_other_surfaces(x):
     # the holonomy model reads curve 0 as alpha, which is right on S11 only
     s11 = _point(1.0, 0.0)
     calls = (
-        lambda: curve_length(x, Slope(0, 1)),
-        lambda: curve_length(x, Slope(1, 0)),
+        lambda: curve_length(x, (0, 1)),
+        lambda: curve_length(x, (1, 0)),
         lambda: dth_estimate(s11, x, 5),
         lambda: dth_estimate(x, s11, 5),
         lambda: envelope_cells([(x, 0.5)], 5),
@@ -407,7 +408,7 @@ def test_envelope_widths_nonnegative_and_zero_at_origin():
 def _per_cell_widths(y, t, max_q):
     """One length pass over the two endpoints of one cell, the loop that
     :func:`envelope_cells` batches."""
-    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q)[1])
+    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q))
     return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
 
@@ -421,7 +422,7 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     got = envelope_cells(cells, 30)
     monkeypatch.undo()
     assert sum(columns) == 2 * len(cells) and len(columns) > 1
-    assert max(columns) * len(_family(30)[0]) <= torus._CHUNK_NODE_COLUMNS
+    assert max(columns) * len(_family(30)[2]) <= torus._CHUNK_NODE_COLUMNS
     want = [_per_cell_widths(y, t, 30) for y, t in cells]
     assert [tuple(map(float.hex, w)) for w in got] == [tuple(map(float.hex, w)) for w in want]
     assert float.hex(got[0][1]) == "0x0.0p+0"
@@ -445,7 +446,7 @@ def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
     messages = []
     for y, t in bad:
         with pytest.raises(ValueError) as exc:
-            _log_lengths(endpoints(y, t), _family(30)[1])
+            _log_lengths(endpoints(y, t), _family(30))
         messages.append(str(exc.value))
     assert messages[0] != messages[1]
     for cells, first in ((ok * 5 + bad + ok, 0), (bad[::-1], 1)):
@@ -459,7 +460,7 @@ def test_long_alpha_integer_slopes_match_mpmath_reference(l, tau, n):
     # |tr|/2 = coth(l/2) cosh(u/2) rounds to within 1e-14 of 1 here, where
     # the elliptic guard fired before integer slopes had an exact form
     mpmath = pytest.importorskip("mpmath")
-    got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([Slope(n, 1)]))[0, 0])
+    got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(n, 1)]))[0, 0])
     with mpmath.workdps(60):
         u = n * mpmath.mpf(l) + mpmath.mpf(tau)
         ref = 2 * mpmath.acosh(mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2))

@@ -56,7 +56,9 @@ def gap():
 left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
 def shear():
     h2.shear(left, right, 1.0, h2.INF)
-point, slope = stretch.FNPoint("S11", (1.0,), (0.3,)), torus.Slope(3, 2)
+# entry 11 of the max_q = 3 family is slope 3/2, whatever type an older
+# checkout gives its slopes
+point, slope = stretch.FNPoint("S11", (1.0,), (0.3,)), torus.candidate_slopes(3)[11]
 def slope_length():
     torus.curve_length(point, slope)
 cell = ((stretch.width_point("S11", 1.0), 4.0),)
@@ -67,9 +69,6 @@ def cube_check():
     cube.chamfered_cube_check(base)
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
-# a parent whose run_sweep still takes a bounds.SweepGrid; this shim can go once no parent has it
-if hasattr(bounds, "SweepGrid"):
-    sweep_args = (bounds.SweepGrid(*sweep_args),)
 def sweep():
     bounds.run_sweep(*sweep_args)
 # calls per repeat: about 1,000 for the pants layers, the shear (about
