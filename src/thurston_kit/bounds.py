@@ -68,6 +68,8 @@ def thick_bound(l0: float, t: float) -> float:
 
     This is the log-argument fed to the earthquake bound on the thick
     part; its uniform boundedness reduces to that of e^{2u} log coth u.
+    Past u = 300, where log coth u nears the subnormal range, e^u is folded
+    into each term: e^{-t} e^{u - l0} S(l0) + S(u) with S(v) = e^v log coth v.
     Past u = 708.4, where 4 e^u overflows, a :class:`RegimeError` names u.
     """
     u = l0 * math.exp(-t)
@@ -76,6 +78,8 @@ def thick_bound(l0: float, t: float) -> float:
     scale = 4.0 * math.exp(u) if u < 709.0 else math.inf
     if scale == math.inf:
         raise RegimeError(f"thick bound is out of float reach: 4 e^u overflows at u = {u!r} (l0 = {l0!r}, t = {t!r})")
+    if u > 300.0:
+        return 4.0 * (math.exp(-t) * math.exp(u - l0) * scaled_log_coth(1.0, l0) + scaled_log_coth(1.0, u))
     return scale * (math.exp(-t) * log_coth(l0) + log_coth(u))
 
 

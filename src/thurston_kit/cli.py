@@ -137,7 +137,7 @@ def _parse_signs(text: str) -> tuple[int, ...]:
     return tuple(1 if ch == "L" else -1 for ch in text)
 
 
-def _parse_lengths(text: str, n: int = 3) -> tuple[float, ...]:
+def _parse_lengths(text: str, n: int) -> tuple[float, ...]:
     try:
         vals = tuple(float(v) for v in text.split(","))
     except ValueError as exc:
@@ -150,28 +150,20 @@ def _parse_lengths(text: str, n: int = 3) -> tuple[float, ...]:
 def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangulation:
     """Type for the distinguished cuff: 3sym = (2,2,2); 2sym puts the four
     leaf ends at the cuff; asym puts one end there and four at the
-    cyclically next cuff.  ``cuff`` is 0-based."""
+    cyclically next cuff.  ``cuff`` is 0-based; argparse checks ``kind``."""
     if cuff not in (0, 1, 2):
         raise ConfigError("cuff must be 1, 2 or 3")
-    ends = [0, 0, 0]
     if kind == "3sym":
-        ends = [2, 2, 2]
-    elif kind == "2sym":
-        ends = [1, 1, 1]
-        ends[cuff] = 4
-    elif kind == "asym":
-        ends = [1, 1, 1]
-        ends[(cuff + 1) % 3] = 4
-    else:
-        raise ConfigError("type must be one of 3sym, 2sym, asym")
-    return PantsTriangulation(tuple(ends), signs)
+        return PantsTriangulation((2, 2, 2), signs)
+    four = cuff if kind == "2sym" else (cuff + 1) % 3
+    return PantsTriangulation(tuple(4 if i == four else 1 for i in range(3)), signs)
 
 
 def _pants_args(args: argparse.Namespace) -> tuple[PantsMetric, PantsTriangulation, int]:
     """The cuff lengths, triangulation and 0-based cuff of ``delta`` and ``shear``."""
     cuff = args.cuff - 1
     tri = _triangulation(args.type, cuff, _parse_signs(args.signs))
-    return PantsMetric(*_parse_lengths(args.l)), tri, cuff
+    return PantsMetric(*_parse_lengths(args.l, 3)), tri, cuff
 
 
 def format_float(x: float) -> str:

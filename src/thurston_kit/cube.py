@@ -114,7 +114,8 @@ def hull(points: np.ndarray) -> HullSummary:
     try:
         h = ConvexHull(pts)
     except QhullError as exc:
-        raise GeometryError(f"degenerate point set: {exc}") from exc
+        # qhull's option dump after the first line carries a random run id
+        raise GeometryError(f"degenerate point set: {str(exc).splitlines()[0]}") from exc
 
     planes, face = dedupe_points(h.equations)
     edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}

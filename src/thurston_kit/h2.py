@@ -22,8 +22,9 @@ construct.  There is no wrapper layer: the constructive oracle in
 A shear is computed in two halves, one per triangle, once both are
 snapped to the geodesic's endpoints and mapped to the standard axis:
 :func:`_far_height` checks that the triangle at the far end lies on the
-right of the axis and returns its median height, and :func:`_near_height`
-does the same for the other triangle in the flipped frame z -> -1/z.  The
+right of the axis and returns the median height on its edge through the
+nearer finite vertex, and :func:`_near_height` calls it on the other
+triangle in the flipped frame z -> -1/z.  The
 shear is the log ratio of the two heights, so a caller whose one triangle
 stays fixed (the oracle's gap solve) computes that half once.
 :func:`mobius_apply`, the innermost call of the oracle, canonicalizes its
@@ -173,27 +174,6 @@ def triangle_median(v: tuple, edge: int) -> tuple[float, float]:
     return _apply_point(_inverse(m), 0.0, abs(w_std))
 
 
-def _median_height_toward_axis(v: tuple) -> float:
-    """Height on the standard axis of the parabolic transport of the median.
-
-    The triangle ``v`` has one vertex at infinity and two finite vertices
-    on one side of 0 (0 itself allowed as a shared vertex).  The median on
-    the vertical edge nearest the axis is carried to the axis by the
-    parabolic z -> z - near fixing infinity, which keeps its height.
-    """
-    if v.count(INF) != 1:
-        raise GeometryError("triangle must have exactly one vertex at infinity here")
-    k = v.index(INF)
-    # the finite vertices after infinity in cyclic order: edge k + 1 runs
-    # from infinity to ``nxt``, edge (k + 2) % 3 + 1 from ``prv`` to infinity
-    nxt, prv = v[k - 2], v[k - 1]
-    lo, hi = (nxt, prv) if nxt < prv else (prv, nxt)
-    if lo < 0.0 < hi:
-        raise GeometryError("geodesic does not separate the triangle interiors")
-    near = hi if hi <= 0.0 else lo
-    return triangle_median(v, k + 1 if near == nxt else (k + 2) % 3 + 1)[1]
-
-
 def _snap_vertex(v: tuple, target: float) -> tuple[float, float, float]:
     """Replace the vertex of ``v`` nearest ``target`` by ``target`` exactly.
 
@@ -229,12 +209,16 @@ def _far_height(s: tuple) -> float:
     and mapped to the axis, with its distinguished vertex at infinity.
 
     It must lie on the right of the upward axis (shared vertex at 0
-    allowed).
+    allowed).  The median on the vertical edge through the nearer, smaller
+    finite vertex is carried to the axis by the parabolic z -> z - near
+    fixing infinity, which keeps its height.
     """
     fin = [u for u in s if u != INF]
     if len(fin) != 2 or min(fin) < 0.0:
         raise GeometryError("g does not separate the triangles with t1 on the left")
-    return _median_height_toward_axis(s)
+    k = s.index(INF)
+    # edge k + 1 runs from infinity to s[k - 2], edge (k + 2) % 3 + 1 from s[k - 1] to infinity
+    return triangle_median(s, k + 1 if s[k - 2] < s[k - 1] else (k + 2) % 3 + 1)[1]
 
 
 def _near_height(s: tuple) -> float:

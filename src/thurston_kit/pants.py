@@ -7,11 +7,11 @@ right) at each cuff, giving 32 topological types.
 
 For a cuff ``c`` the twist offset ``delta`` is the signed distance along
 the cuff's axis lift from the shear reference point to the foot of the
-perpendicular dropped from a neighboring cuff's axis.  Closed forms are
-provided for the three symmetry classes of ``c`` (2, 4 or 1 leaf ends),
-and :func:`delta_oracle` recomputes the same quantity constructively in
-the upper half-plane from the lifted configuration; the closed forms are
-validated against it.
+perpendicular dropped from a neighboring cuff's axis.  The closed forms
+and :func:`delta_oracle`, which recomputes the same quantity
+constructively in the upper half-plane from the lifted configuration and
+validates the closed forms, branch on the number of leaf ends at ``c``
+(2, 4 or 1), which :func:`_roles` resolves once per call.
 
 Lift normalization used everywhere (and by the oracle): the cuff axis is
 the upward imaginary axis with the pants on its left, the fan of leaf
@@ -94,10 +94,6 @@ class PantsTriangulation:
         if len(self.signs) != 3 or any(e not in (1, -1) for e in self.signs):
             raise ValueError("twist signs must be +1 or -1")
 
-    def symmetry_at(self, cuff: int) -> str:
-        """'3sym', '2sym' or 'asym' depending on the leaf ends at ``cuff`` (0-based)."""
-        return {2: "3sym", 4: "2sym", 1: "asym"}[self.ends[cuff]]
-
     def label(self) -> str:
         letters = "".join("L" if e == 1 else "R" for e in self.signs)
         return f"{''.join(map(str, self.ends))}-{letters}"
@@ -143,20 +139,23 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
 
 
-def _roles(t: PantsTriangulation, cuff: int) -> tuple[str, int, int]:
-    """Resolve (symmetry class, perpendicular cuff j, remaining cuff k).
+def _roles(p: PantsMetric, t: PantsTriangulation, cuff: int) -> tuple[int, int, int]:
+    """Resolve (leaf ends n at the cuff, perpendicular cuff j, remaining cuff k)
+    for a cuff whose twist offset is defined.
 
     The perpendicular is dropped from cuff ``j``'s axis: the 4-end cuff
-    for an asymmetric cuff, else the cyclically next cuff.
+    when the cuff has one leaf end, else the cyclically next cuff.
     """
     if cuff not in (0, 1, 2):
         raise ValueError("cuff index must be 0, 1 or 2")
-    sym = t.symmetry_at(cuff)
-    j = t.ends.index(4) if sym == "asym" else (cuff + 1) % 3
-    return sym, j, 3 - cuff - j
+    if p.lengths[cuff] < MIN_CUFF_LENGTH:
+        raise SingularCuffError(f"cuff {cuff} has length {p.lengths[cuff]}; twist offset is singular")
+    n = t.ends[cuff]
+    j = t.ends.index(4) if n == 1 else (cuff + 1) % 3
+    return n, j, 3 - cuff - j
 
 
-def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym: str):
+def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, n: int):
     """Closed-form twist offset; complex-capable for analytic differentiation.
 
     ``l`` may carry complex entries (an infinitesimal imaginary part
@@ -167,11 +166,11 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
 
     ec, lc = e[cuff], l[cuff]
     try:
-        if sym == "3sym":
+        if n == 2:
             x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
             frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
             g = (x + 1) * (x + frac)
-        elif sym == "2sym":
+        elif n == 4:
             s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
             num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
             x = num / (exp(-ec * lc) - 1)
@@ -191,17 +190,11 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, sym
     return ec * 0.5 * log(g)
 
 
-def _check_cuff(p: PantsMetric, cuff: int) -> None:
-    if p.lengths[cuff] < MIN_CUFF_LENGTH:
-        raise SingularCuffError(f"cuff {cuff} has length {p.lengths[cuff]}; twist offset is singular")
-
-
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
     ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
-    sym, j, k = _roles(t, cuff)
-    _check_cuff(p, cuff)
-    return _delta_core(p.lengths, t.signs, t.ends, cuff, j, k, sym).real
+    n, j, k = _roles(p, t, cuff)
+    return _delta_core(p.lengths, t.signs, t.ends, cuff, j, k, n).real
 
 
 def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -211,12 +204,11 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     The offset is analytic in the scale, so an infinitesimal imaginary
     perturbation gives the exact derivative (no cancellation error).
     """
-    sym, j, k = _roles(t, cuff)
-    _check_cuff(p, cuff)
+    n, j, k = _roles(p, t, cuff)
     h = 1e-100
     scale = cmath.exp(complex(0.0, h))
     lc = tuple(x * scale for x in p.lengths)
-    return _delta_core(lc, t.signs, t.ends, cuff, j, k, sym).imag / h
+    return _delta_core(lc, t.signs, t.ends, cuff, j, k, n).imag / h
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +304,7 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     cuff's axis from its deck translation, and measures the signed distance
     from the transported incircle median to the perpendicular foot.
     """
-    sym, j, k = _roles(t, cuff)
-    _check_cuff(p, cuff)
+    n, j, k = _roles(p, t, cuff)
     l = p.lengths
     e = t.signs
 
@@ -322,10 +313,10 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
         # the order fixes the rounding of the (2,2,2) sum
         return _shear_coord(l, e, t.ends, min(i, jj), max(i, jj))
 
-    if sym == "3sym":
+    if n == 2:
         fan_shears = [sc(cuff, j)]
         spiral_shears = [sc(j, k), sc(cuff, j)]
-    elif sym == "2sym":
+    elif n == 4:
         fan_shears = [sc(cuff, j), sc(cuff, cuff), sc(cuff, k)]
         spiral_shears = [sc(cuff, j)]
     else:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -85,9 +86,39 @@ def test_thick_bound_regime():
 def test_thick_bound_states_where_4_e_u_overflows(l0):
     # math.exp raised a bare "math range error" past u = 709.78; below
     # that, from u = 708.4, 4 e^u was inf and the bound inf * 0 = nan
-    assert thick_bound(708.3, 0.0) == 0.0
+    assert 0.0 < thick_bound(708.3, 0.0) < math.inf
     with pytest.raises(RegimeError, match=rf"^thick bound is out of float reach: 4 e\^u overflows at u = {l0!r} "):
         thick_bound(l0, 0.0)
+
+
+@pytest.mark.parametrize("u", [350.0, 372.0, 400.0, 500.0, 708.0])
+def test_thick_bound_past_u_300_matches_mpmath_reference(u):
+    # log coth u is subnormal from about u = 354 and zero from u = 373,
+    # where the bound lost its digits and then read 0
+    mpmath = pytest.importorskip("mpmath")
+
+    def log_coth_ref(v):
+        # log1p keeps coth v - 1, which lies past the 50th digit of coth v here
+        return mpmath.log1p(2 / mpmath.expm1(2 * v))
+
+    l0, t = u * math.exp(0.25), 0.25
+    with mpmath.workdps(50):
+        l0_ref, t_ref = mpmath.mpf(l0), mpmath.mpf(t)
+        u_ref = l0_ref * mpmath.exp(-t_ref)
+        ref = 4 * mpmath.exp(u_ref) * (mpmath.exp(-t_ref) * log_coth_ref(l0_ref) + log_coth_ref(u_ref))
+        err = abs(thick_bound(l0, t) - ref) / ref
+    # e^-u carries the relative rounding error of u, about u eps
+    assert err <= 8 * (1 + u) * sys.float_info.epsilon
+
+
+def test_sweep_writes_the_thick_bound_past_u_300(tmp_path):
+    # u = 500 e^-0.25 = 389.4 at t = 0.25, where the bound was written as 0
+    config = tmp_path / "config.txt"
+    config.write_text(f"out_dir={tmp_path / 'out'}\nl0_values=500\nt_max=0.5\n")
+    assert main(["--config", str(config), "sweep"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(l0, t, regime) for l0, t, regime, _ in rows] == [("500", t, "thick") for t in ("0", "0.25", "0.5")]
+    assert float(rows[1][3]) == pytest.approx(6.1468e-169, rel=1e-4, abs=0.0)
 
 
 def test_classification_is_a_partition():

@@ -3,6 +3,7 @@
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,14 @@ def test_bad_signs_is_usage_error(capsys):
     code = main(["delta", "--type", "3sym", "--l", "1,1,1", "--signs", "XYZ", "--cuff", "1"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_bad_length_list_is_usage_error(capsys):
+    code = main(["delta", "--type", "3sym", "--l", "1,x,1", "--signs", "LLL", "--cuff", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: bad length list '1,x,1': could not convert string to float: 'x'\n"
 
 
 @pytest.mark.parametrize("command", ["delta", "shear"])
@@ -255,6 +264,18 @@ def test_cube_command_states_an_overflowing_closed_form(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cube_command_states_a_degenerate_hull_in_one_line(tmp_path, capsys):
+    # qhull's option dump after the first line of its message, with a
+    # random run id, used to follow on stderr
+    cfg = write_config(tmp_path, base_twists="1e16,0,0")
+    assert main(["--config", str(cfg), "cube"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: degenerate point set: QH6154")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "config,message",
     [
@@ -317,12 +338,25 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
-def test_config_rejects_invalid_values(tmp_path):
+def test_config_rejects_invalid_values(tmp_path, capsys):
     path = tmp_path / "bad.txt"
-    path.write_text("epsilon=0.9\n")  # above log 2
-    with pytest.raises(ConfigError):
-        load_config(str(path))
-    assert main(["--config", str(path), "twist-width", "--l0", "1", "--t", "1"]) == 2
+    cases = [
+        ("epsilon=0.9", "epsilon must lie in (0, log 2]"),  # above log 2
+        ("l0_values=1,0", "l0_values must be positive"),
+        ("base_lengths=1,1", "base point needs three lengths and three twists"),
+        ("base_lengths=1,-1,1", "base lengths must be positive"),
+        ("tolerance=0", "tolerance must be positive"),
+        ("t_max 3", f"{path}:2: expected key=value, got 't_max 3'"),
+    ]
+    for line, message in cases:
+        path.write_text(f"out_dir={tmp_path / 'out'}\n{line}\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path))
+        assert main(["--config", str(path), "sweep"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_config_parses_every_field_by_its_default_type(tmp_path):

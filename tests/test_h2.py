@@ -23,9 +23,9 @@ from thurston_kit.h2 import (
     _apply_triangle,
     _compose,
     _edge,
+    _far_height,
     _geodesic,
     _inverse,
-    _median_height_toward_axis,
     _mobius,
     _to_standard,
     _triangle,
@@ -144,13 +144,18 @@ def _set_search_edge(v):
 @pytest.mark.parametrize("a, b", [(0.5, 3.0), (0.0, 2.0), (-0.5, -3.0), (0.0, -2.0)])
 def test_median_height_edge_choice_matches_set_search(monkeypatch, a, b):
     # every vertex order of (a, b, inf), on both sides of 0 and with the
-    # shared vertex 0; the edge is recorded where the kernel passes it on
+    # shared vertex 0; the edge is recorded where the kernel passes it on.
+    # A triangle on the left of the axis is no far half and is rejected.
     kernel = h2.triangle_median
     edges = []
     monkeypatch.setattr(h2, "triangle_median", lambda v, edge: edges.append(edge) or kernel(v, edge))
     for v in itertools.permutations((a, b, INF)):
         edges.clear()
-        height = _median_height_toward_axis(v)
+        if min(a, b) < 0.0:
+            with pytest.raises(GeometryError):
+                _far_height(v)
+            continue
+        height = _far_height(v)
         assert edges == [_set_search_edge(v)]
         assert height == kernel(v, edges[0])[1]
 

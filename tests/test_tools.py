@@ -2,14 +2,17 @@
 
 import ast
 import json
+import random
 import sys
 import timeit
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
+import cube_certificates  # noqa: E402
 import source_stats  # noqa: E402
 import write_bench  # noqa: E402
+from test_cube import EDGE_POINT_BASES  # noqa: E402
 
 DECLARED = [
     {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -80,3 +83,8 @@ def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsy
         "pants.delta_oracle", "pants.delta_closed", "pants._next_gap", "h2.shear", "torus.curve_length",
         "torus.envelope_cells", "cube.chamfered_cube_check", "bounds.run_sweep",
     }
+
+
+def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():
+    for lengths, twists in [((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), EDGE_POINT_BASES[0]]:
+        assert cube_certificates.check(lengths, twists, random.Random(0)) == []
