@@ -92,17 +92,14 @@ def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
     return tuple(i * t_step for i in range(t_count(t_max, t_step)))
 
 
-def load_config(path: str | None, **overrides: object) -> Config:
+def load_config(path: str | None) -> Config:
     """The configuration in ``path`` (or ``$THURSTON_KIT_CONFIG``, or the
-    defaults) with the ``overrides`` of command-line flags applied,
-    validated as a whole."""
+    defaults), validated as a whole: the only source of the commands' settings."""
     cfg = Config()
     if path is None:
         path = os.environ.get(CONFIG_ENV)
     if path is not None:
         _read_config(path, cfg)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -215,9 +212,7 @@ def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
-    # the printed convention halves both coth arguments
-    l0 = args.l0 / 2.0 if args.convention == "printed" else args.l0
-    val = twist_width_closed(l0, args.t)
+    val = twist_width_closed(args.l0, args.t)
     print(f"twist_width={format_float(val)}")
     return 0
 
@@ -276,7 +271,7 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace, cfg: Config) -> int:
-    report = reconcile.build_report()
+    report = reconcile.build_report(cfg.tolerance)
     out = Path(cfg.out_dir)
     _write_json(out / "reconciliation.json", report)
     _write(out / "reconciliation.txt", reconcile.report_text(report))
@@ -322,16 +317,12 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("twist-width", help="closed-form twist width")
     p.add_argument("--l0", type=float, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--convention", choices=("reconciled", "printed"), default="reconciled")
     p.set_defaults(func=cmd_twist_width)
 
     p = sub.add_parser("sweep", help="bound-expression sweep over the (l0, t) grid")
-    p.add_argument("--grid", choices=("default", "config"), default="config")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("envelope", help="distance estimates between stretch endpoints")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--max-q", type=int, default=None)
     p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("cube", help="stretch-vector cloud and hull on the genus-two surface")
@@ -342,21 +333,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_overrides(args: argparse.Namespace) -> dict[str, object]:
-    """Config values that the subcommand's flags replace."""
-    if args.command == "envelope":
-        flags = {"t_max": args.t_max, "max_q": args.max_q}
-        return {key: value for key, value in flags.items() if value is not None}
-    if args.command == "sweep" and args.grid == "default":
-        grid_keys = ("l0_values", "t_max", "t_step", "epsilon")
-        return {f.name: f.default for f in fields(Config) if f.name in grid_keys}
-    return {}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, **_flag_overrides(args))
+        cfg = load_config(args.config)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

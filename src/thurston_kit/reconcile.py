@@ -21,11 +21,11 @@ from .stretch import left_spec, right_spec, twist_width, twist_width_closed, wid
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 #: l0 values and times of the twist-width check
 WIDTH_GRID = (0.25, 0.5, 1.0, 2.0)
-ORACLE_TOL = 1e-9
 
 
-def oracle_residuals() -> list[dict]:
-    """Max |closed - oracle| per triangulation type and cuff over ``DEFAULT_GRID``."""
+def oracle_residuals(tolerance: float) -> list[dict]:
+    """Max |closed - oracle| per triangulation type and cuff over
+    ``DEFAULT_GRID``, each marked within ``tolerance`` or not."""
     rows = []
     for tri in enumerate_triangulations():
         for cuff in range(3):
@@ -42,7 +42,7 @@ def oracle_residuals() -> list[dict]:
                     "cuff": cuff + 1,
                     "max_residual": worst,
                     "argmax_lengths": list(arg),
-                    "within_tolerance": worst <= ORACLE_TOL,
+                    "within_tolerance": worst <= tolerance,
                 }
             )
     return rows
@@ -77,8 +77,8 @@ def twist_width_conventions() -> dict:
     }
 
 
-def build_report() -> dict:
-    rows = oracle_residuals()
+def build_report(tolerance: float) -> dict:
+    rows = oracle_residuals(tolerance)
     width = twist_width_conventions()
     max_resid = max(r["max_residual"] for r in rows)
     corrections = [
@@ -92,7 +92,7 @@ def build_report() -> dict:
             "grid": list(DEFAULT_GRID),
             "max_residual": max_resid,
             "all_within_tolerance": all(r["within_tolerance"] for r in rows),
-            "tolerance": ORACLE_TOL,
+            "tolerance": tolerance,
             "per_type": rows,
             "corrections": [],
         },

@@ -168,7 +168,10 @@ def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> 
     if spec.surface != x.surface:
         raise SpecMismatchError("spec surface does not match the point")
     s = _signed_time(spec, t)
-    return x.twists[curve] * math.exp(s) + _offset_drift(x, spec, curve, s)
+    twist = x.twists[curve] * math.exp(s) + _offset_drift(x, spec, curve, s)
+    if not math.isfinite(twist):
+        raise ValueError(f"twist of curve {curve} is out of float reach after the stretch (t = {t!r})")
+    return twist
 
 
 def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:

@@ -59,6 +59,8 @@ def test_scalar_inequality_inverse_dominates_log_coth():
 def test_thin_bound_regime_guard():
     with pytest.raises(RegimeError):
         ratio_bound_thin(1.0, 0.0, 0.3)
+    with pytest.raises(RegimeError, match=r"^eps must lie in \(0, 1\)$"):
+        ratio_bound_thin(0.1, 8.0, 1.0)
 
 
 def test_decay_factor_limit_and_boundedness():

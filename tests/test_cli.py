@@ -72,6 +72,13 @@ def test_delta_command_states_a_degenerate_fan_closure(capsys):
     assert captured.err == "error: fan closure condition is degenerate\n"
 
 
+def test_delta_command_rejects_a_non_finite_cuff_length(capsys):
+    assert main(["delta", "--type", "3sym", "--l", "nan,1,1", "--signs", "LLL", "--cuff", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cuff length nan must be finite and non-negative\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["delta", "--type", "nope", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1"])
@@ -172,9 +179,9 @@ def test_shear_command_output(capsys):
 
 
 def test_twist_width_command(capsys):
-    code, out = run_cli(capsys, "twist-width", "--l0", "1", "--t", "1", "--convention", "printed")
+    # the printed convention at l0 = 1 is the reconciled form at l0 / 2, bit for bit
+    code, out = run_cli(capsys, "twist-width", "--l0", "0.5", "--t", "1")
     assert code == 0
-    # the printed convention is the reconciled form at l0 / 2, bit for bit
     assert out == "twist_width=-5.6814289362872596\n"
 
 
@@ -215,6 +222,14 @@ def test_stretch_command_rejects_non_finite_twists(capsys, tau):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == ["error: twists must be finite"]
+
+
+def test_stretch_command_states_a_twist_past_float_reach(capsys):
+    # the finite input twist was blamed for the overflowing result
+    assert main(["stretch", "--l", "1", "--tau", "1e308", "--t", "1", "--direction", "forward"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: twist of curve 0 is out of float reach after the stretch (t = 1.0)"]
 
 
 @pytest.mark.parametrize(
@@ -412,6 +427,17 @@ def test_sweep_and_envelope_and_cube_outputs(tmp_path, capsys):
     assert rec["twist_width"]["chosen_convention"] == "reconciled"
 
 
+def test_oracle_check_reads_the_configured_tolerance(tmp_path, capsys):
+    # the check held its own tolerance of 1e-9 and passed here, where
+    # delta --type 2sym --l 4,4,1 --signs LRL --cuff 1 fails
+    cfg = write_config(tmp_path, tolerance=1e-15)
+    code, out = run_cli(capsys, "--config", str(cfg), "oracle-check")
+    assert code == 1
+    assert "(FAIL at 1e-15)" in out
+    assert (tmp_path / "out" / "reconciliation.txt").read_text() == out
+    assert json.loads((tmp_path / "out" / "reconciliation.json").read_text())["offset_formulas"]["tolerance"] == 1e-15
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "thurston_kit.cli", "twist-width", "--l0", "1", "--t", "0"],
@@ -420,14 +446,6 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "twist_width=0"
-
-
-def test_sweep_default_grid_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path, max_q=10)
-    code, _ = run_cli(capsys, "--config", str(cfg), "sweep", "--grid", "default")
-    assert code == 0
-    lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 1 + 5 * 33
 
 
 def test_envelope_with_a_long_alpha_starts_at_zero_widths(tmp_path, capsys):
@@ -440,9 +458,9 @@ def test_envelope_with_a_long_alpha_starts_at_zero_widths(tmp_path, capsys):
     assert [row for row in rows if row[1] == "0"] == [["17", "0", "0", "0"]]
 
 
-def test_envelope_flags_and_csv_header(tmp_path, capsys):
-    cfg = write_config(tmp_path)
-    code, _ = run_cli(capsys, "--config", str(cfg), "envelope", "--t-max", "0.5", "--max-q", "4")
+def test_envelope_config_and_csv_header(tmp_path, capsys):
+    cfg = write_config(tmp_path, t_max=0.5, max_q=4)
+    code, _ = run_cli(capsys, "--config", str(cfg), "envelope")
     assert code == 0
     lines = (tmp_path / "out" / "envelope.csv").read_text().splitlines()
     assert lines[0] == "l0,t,d_lr,d_rl"
@@ -491,28 +509,48 @@ def test_artifacts_match_pinned_bytes(tmp_path, capsys, command, config, sha256)
 
 
 @pytest.mark.parametrize(
-    "flags,config",
+    "config",
     [
-        (("--t-max", "-1"), {}),
-        (("--t-max", "nan"), {}),
-        (("--t-max", "inf"), {}),
-        (("--max-q", "0"), {}),
-        ((), {"max_q": "0"}),
-        ((), {"t_max": "nan"}),
-        ((), {"t_max": "inf"}),
-        ((), {"t_step": "nan"}),
-        ((), {"t_step": "inf"}),
+        {"t_max": "-1"},
+        {"max_q": "0"},
+        {"t_max": "nan"},
+        {"t_max": "inf"},
+        {"t_step": "nan"},
+        {"t_step": "inf"},
         # the step count t_max / t_step overflows to infinity
-        ((), {"t_max": "1e300", "t_step": "1e-300"}),
+        {"t_max": "1e300", "t_step": "1e-300"},
         # a finite but huge step count
-        ((), {"t_max": "1e300"}),
+        {"t_max": "1e300"},
     ],
+    # each id names the case as it read when flags could also set t_max and max_q
+    ids=[f"flags{i}-config{i}" for i in (0, 4, 5, 6, 7, 8, 9, 10)],
 )
-def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, flags, config):
+def test_bad_envelope_flags_and_t_grid_are_usage_errors(tmp_path, capsys, config):
     cfg = write_config(tmp_path, **config)
-    assert main(["--config", str(cfg), "envelope", *flags]) == 2
+    assert main(["--config", str(cfg), "envelope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("envelope", "--t-max", "0.5"),
+        ("envelope", "--max-q", "4"),
+        ("sweep", "--grid", "default"),
+        ("twist-width", "--l0", "1.3", "--t", "2", "--convention", "printed"),
+    ],
+)
+def test_flags_that_duplicated_config_keys_are_unrecognized(tmp_path, capsys, argv):
+    # the config file, or the defaults, is the only source of settings
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
     assert not (tmp_path / "out").exists()
 
 
@@ -552,7 +590,7 @@ def test_config_caps_the_number_of_t_values():
         assert str(info.value) == f"t grid exceeds 1000000 values: t_max = {t_max!r}, t_step = {t_step!r}"
 
 
-def test_config_caps_max_q_without_building_a_family(capsys):
+def test_config_caps_max_q_without_building_a_family(tmp_path, capsys):
     # the family has about 1.2 max_q^2 slopes; 10**9 would exhaust memory
     before = torus._family.cache_info()
     Config(max_q=MAX_Q).validate()
@@ -560,7 +598,7 @@ def test_config_caps_max_q_without_building_a_family(capsys):
         with pytest.raises(ConfigError) as info:
             Config(max_q=max_q).validate()
         assert str(info.value) == f"max_q exceeds {MAX_Q}: max_q = {max_q}"
-    assert main(["envelope", "--max-q", "1000000000"]) == 2
+    assert main(["--config", str(write_config(tmp_path, max_q=10**9)), "envelope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: max_q exceeds {MAX_Q}: max_q = 1000000000"]

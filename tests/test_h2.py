@@ -130,6 +130,8 @@ def test_median_translation_equivariance():
 def test_median_rejects_degenerate_triangle():
     with pytest.raises(GeometryError):
         _triangle(1.0, 1.0, INF)
+    with pytest.raises(GeometryError, match="^edge index 4 not in 1..3$"):
+        triangle_median((0.0, 1.0, INF), 4)
 
 
 def _set_search_edge(v):
@@ -172,6 +174,8 @@ def test_apply_ideal_canonicalizes_its_image():
         mobius_apply((INF, 0.0, INF, 1.0), INF)
     with pytest.raises(GeometryError, match="^ideal point is NaN$"):
         mobius_apply((INF, -INF, 0.0, 1.0), 1.0)
+    with pytest.raises(GeometryError, match="^ideal point is NaN$"):
+        ideal(math.nan)
 
 
 def _circle_through(p1, p2, p3) -> tuple[float, float, float]:
@@ -253,6 +257,9 @@ def test_shear_checks_the_vertex_snap_before_the_separation():
     # no vertex at 0 either: the snap fails first
     with pytest.raises(GeometryError, match="geodesic endpoint is not a vertex of the triangle"):
         shear(_triangle(1.0, -1.0, -2.0), t2, 0.0, INF)
+    # nor at the endpoint infinity
+    with pytest.raises(GeometryError, match="^geodesic endpoint is not a vertex of the triangle$"):
+        shear((0.0, 1.0, 2.0), (1.0, 3.0, INF), INF, 1.0)
 
 
 def test_shear_on_non_adjacent_separated_triangles():

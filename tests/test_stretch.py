@@ -82,6 +82,10 @@ def test_spec_validation():
         StretchSpec("S11", (PantsTriangulation((2, 2, 2), (1, -1, 1)),), "forward")
     with pytest.raises(ValueError):
         StretchSpec("S04", (PantsTriangulation((4, 1, 1), (1, 1, 1)),), "forward")
+    with pytest.raises(ValueError, match="^direction must be 'forward' or 'backward'$"):
+        StretchSpec("S11", left_spec("S11").triangulations, "sideways")
+    with pytest.raises(ValueError, match="^S2 needs 3 length/twist pairs$"):
+        FNPoint("S2", (1.0, 1.0), (0.0, 0.0))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -161,6 +165,20 @@ def test_twist_width_rejects_mismatched_specs():
     x = FNPoint("S11", (2.0,), (0.0,))
     with pytest.raises(SpecMismatchError):
         twist_width(x, left_spec("S11", direction="forward"), right_spec("S11", direction="backward"), 0, 1.0)
+    with pytest.raises(SpecMismatchError, match="^specs must live on the surface of the point$"):
+        twist_width(x, left_spec("S04"), right_spec("S04"), 0, 1.0)
+    with pytest.raises(SpecMismatchError, match="^spec surface does not match the point$"):
+        twist_along_stretch(x, left_spec("S04"), 0, 1.0)
+
+
+def test_twist_along_stretch_states_a_twist_past_float_reach():
+    # 1e308 e^1 overflows; the result was inf, and stretch_point blamed the input twist
+    x = FNPoint("S11", (1.0,), (1e308,))
+    message = r"^twist of curve 0 is out of float reach after the stretch \(t = 1\.0\)$"
+    with pytest.raises(ValueError, match=message):
+        twist_along_stretch(x, left_spec("S11", "forward"), 0, 1.0)
+    with pytest.raises(ValueError, match=message):
+        stretch_point(x, left_spec("S11", "forward"), 1.0)
 
 
 def test_closed_width_vanishes_at_zero():
@@ -177,6 +195,8 @@ def test_closed_width_rejects_bad_arguments():
         twist_width_closed(0.0, 1.0)
     with pytest.raises(ValueError):
         twist_width_closed(1.0, -0.5)
+    with pytest.raises(ValueError, match="^log coth needs a positive argument$"):
+        log_coth(0.0)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -64,6 +64,20 @@ def f(a, b=1, *, c, d=2):
     assert source_stats.settable_options(ast.parse(source)) == 6
 
 
+def test_source_stats_counts_optional_cli_flags():
+    source = """
+parser.add_argument("--config", help="file")
+p.add_argument("--l", required=True)
+p.add_argument("--cuff", type=int, required=False)
+p.add_argument("--t", type=float, required=True)
+p.add_argument("command")
+p.add_argument("-v", action="store_true")
+p.set_defaults(func=main)
+"""
+    # --config and --cuff; a positional, a short flag and the required flags are not counted
+    assert source_stats.optional_flags(ast.parse(source)) == 2
+
+
 def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
     (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "b.py").write_text("z = 3")

@@ -75,6 +75,8 @@ def test_candidate_families_nest():
     small = set(candidate_slopes(5))
     large = set(candidate_slopes(30))
     assert small <= large
+    with pytest.raises(ValueError, match="^max_q must be at least 1$"):
+        candidate_slopes(0)
 
 
 def test_candidate_slopes_are_the_benchmark_reference_family(monkeypatch):
@@ -94,6 +96,9 @@ def test_point_rejects_non_positive_length():
     for l in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             _point(l, 1.0)
+    # a finite point whose word entries leave the float range; numpy warns on the way
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^word evaluation overflowed$"):
+        curve_length(_point(1.0, 1e308), (1, 4))
 
 
 # ------------------------------------------------------------- properties

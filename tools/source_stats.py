@@ -6,7 +6,9 @@ For every module of ``src/thurston_kit`` prints its line count, then the
 total, then the number of settable keyword options: function, method and
 lambda parameters that have a default, plus fields with a default in
 classes decorated with ``dataclass`` (a ``field(...)`` without
-``default`` or ``default_factory`` sets none).  Last comes the line total of
+``default`` or ``default_factory`` sets none).  Then the number of optional
+flags of ``cli.py``: ``add_argument`` calls whose name starts with ``--``
+and that do not pass ``required=True``.  Last comes the line total of
 ``tests``, so one run gives a change's net lines on both sides.  Reads the
 files next to this script; imports nothing from the package.
 """
@@ -52,6 +54,18 @@ def settable_options(tree: ast.AST) -> int:
     return count
 
 
+def optional_flags(tree: ast.AST) -> int:
+    """``add_argument`` calls whose name starts with ``--`` and that do not
+    pass ``required=True``."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node) == "add_argument" and node.args:
+            name = getattr(node.args[0], "value", None)
+            required = any(kw.arg == "required" and getattr(kw.value, "value", None) is True for kw in node.keywords)
+            count += isinstance(name, str) and name.startswith("--") and not required
+    return count
+
+
 def line_total(directory: Path) -> int:
     """Lines of the ``*.py`` files directly in ``directory``."""
     return sum(len(path.read_text().splitlines()) for path in directory.glob("*.py"))
@@ -67,6 +81,7 @@ def main() -> None:
         total_lines += lines
         total_options += options
     print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options")
+    print(f"{'cli flags':<16}{optional_flags(ast.parse((SRC / 'cli.py').read_text())):>6}")
     print(f"{'tests':<16}{line_total(TESTS):>6} lines")
 
 
