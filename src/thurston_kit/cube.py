@@ -12,6 +12,7 @@ arithmetic on its merged faces.  The least-squares extremality test
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,13 +30,22 @@ HULL_TOL = 1e-9
 EXTREME_TOL = 1e-8
 
 
-def enumerate_completions() -> list[StretchSpec]:
-    """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types)."""
-    out = []
+@functools.cache
+def _completions() -> tuple[tuple[StretchSpec, ...], tuple[str, ...]]:
+    specs = []
     for bits in itertools.product((1, -1), repeat=3):
         tris = [PantsTriangulation(ends, bits) for ends in LEAF_DISTRIBUTIONS]
-        out.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
-    return out
+        specs.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
+    return tuple(specs), tuple(map(_label, specs))
+
+
+def enumerate_completions() -> list[StretchSpec]:
+    """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types).
+
+    The specs and their labels are built once per process; each call
+    returns a fresh list of the shared specs.
+    """
+    return list(_completions()[0])
 
 
 def _label(spec: StretchSpec) -> str:
@@ -60,21 +70,24 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Representative subset with pairwise distance > HULL_TOL, plus group index per point.
 
     Each point joins the first representative within ``HULL_TOL`` (max norm) or
-    becomes a new one.
+    becomes a new one.  One pairwise test per column marks the close pairs;
+    walking the points in order, an unclaimed point becomes a representative
+    and claims every unclaimed point close to it.  A row with a NaN is close
+    to nothing, itself included.
     """
     pts = np.asarray(points, dtype=float)
-    reps = np.empty_like(pts)
-    n_reps = 0
-    group: list[int] = []
-    for p in pts:
-        near = np.flatnonzero(np.max(np.abs(reps[:n_reps] - p), axis=1) <= HULL_TOL)
-        if near.size:
-            group.append(int(near[0]))
-        else:
-            reps[n_reps] = p
-            group.append(n_reps)
-            n_reps += 1
-    return reps[:n_reps].copy(), group
+    close = np.ones((len(pts), len(pts)), dtype=bool)
+    for col in pts.T:
+        close &= np.abs(col[:, None] - col[None, :]) <= HULL_TOL
+    group = np.full(len(pts), -1)
+    reps: list[int] = []
+    for i in range(len(pts)):
+        if group[i] < 0:
+            claimed = close[i] & (group < 0)
+            claimed[i] = True
+            group[claimed] = len(reps)
+            reps.append(i)
+    return pts[reps], group.tolist()
 
 
 @dataclass(frozen=True)
@@ -220,8 +233,8 @@ def chamfered_cube_check(x: FNPoint) -> dict:
     summary = hull(uniq)
     hull_set = set(summary.vertex_indices)
     entries = [
-        {"completion": _label(comp), "d_twist": list(v), "extreme": group[i] in hull_set}
-        for i, (comp, v) in enumerate(labeled)
+        {"completion": label, "d_twist": list(v), "extreme": g in hull_set}
+        for label, (_, v), g in zip(_completions()[1], labeled, group)
     ]
     return {
         "n_candidates": len(labeled),

@@ -191,45 +191,60 @@ def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> list[tuple[floa
         theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
 
     with the offsets differentiated analytically (complex step); a central
-    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative.
-    Each (triangulation, cuff) side is evaluated once per call and shared
-    by every spec that contains it; the sums are formed in the order of
-    the per-spec formula, so the values are those of one spec at a time.
+    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative,
+    else the first failing (spec, curve) in order raises.  Each distinct
+    (triangulation, cuff) side is evaluated once per call into a table, in
+    order of first use; the vectors are assembled from the table by side
+    index with the sums in the order of the per-spec formula
+    (``0.0 + D1 + D2``, then ``theta + total - rate``), so the values are
+    those of one spec at a time.
     """
+    # imported here, not at module level: only the cube needs arrays
+    import numpy as np
+
     if any(spec.surface != x.surface or spec.direction != "forward" for spec in specs):
         raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)
     h = 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
-    # (offset, rate, central difference) per (triangulation, cuff) side
-    evaluated: dict[tuple[PantsTriangulation, int], tuple[float, float, float]] = {}
-    out = []
+    pants_cuffs = [side for pair in row.sides for side in pair]
+    tri_ids: dict[PantsTriangulation, int] = {}
+    # 3 * triangulation id + cuff -> side index, in order of first use
+    side_ids: dict[int, int] = {}
+    index: list[int] = []
     for spec in specs:
-        rates = []
-        for curve, adjacent in enumerate(row.sides):
-            total0 = dtotal = diff = 0.0
-            for pants, cuff in adjacent:
-                tri = spec.triangulations[pants]
-                key = (tri, cuff)
-                if key not in evaluated:
-                    evaluated[key] = (
-                        delta_closed(metric, tri, cuff),
-                        delta_scale_derivative(metric, tri, cuff),
-                        delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff),
-                    )
-                d0, rate, d = evaluated[key]
-                total0 += d0
-                dtotal += rate
-                diff += d
-            num = diff / (2.0 * h)
-            if abs(num - dtotal) > DERIVATIVE_CHECK_REL * max(1.0, abs(dtotal)):
-                raise ArithmeticError(
-                    f"analytic rate {dtotal} and central difference {num} disagree at curve {curve}"
-                )
-            rates.append(x.twists[curve] + total0 - dtotal)
-        out.append(tuple(rates))
-    return out
+        ids = [tri_ids.setdefault(tri, len(tri_ids)) for tri in spec.triangulations]
+        index.extend(side_ids.setdefault(3 * ids[pants] + cuff, len(side_ids)) for pants, cuff in pants_cuffs)
+    tris = list(tri_ids)
+    sides = [(tris[key // 3], key % 3) for key in side_ids]
+    # (offset, rate, central difference) per side, up to the first side that fails
+    table, failure = [], None
+    for tri, cuff in sides:
+        try:
+            d0, rate = delta_closed(metric, tri, cuff), delta_scale_derivative(metric, tri, cuff)
+            table.append((d0, rate, delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)))
+        except (ArithmeticError, ValueError) as exc:
+            failure = exc
+            break
+    # one spec at a time checks every (spec, curve) pair before the first use
+    # of a failing side; each pair sums its two sides from 0.0 in order
+    pairs = len(index) // 2 if failure is None else index.index(len(table)) // 2
+    at = np.array(index[: 2 * pairs], dtype=int).reshape(-1, 2)
+    values = np.array(table).reshape(-1, 3)
+    total0, dtotal, diff = (0.0 + values[at[:, 0]] + values[at[:, 1]]).T
+    num = diff / (2.0 * h)
+    bad = np.abs(num - dtotal) > DERIVATIVE_CHECK_REL * np.maximum(1.0, np.abs(dtotal))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ArithmeticError(
+            f"analytic rate {float(dtotal[k])} and central difference {float(num[k])} "
+            f"disagree at curve {k % len(row.sides)}"
+        )
+    if failure is not None:
+        raise failure
+    twists = np.tile(x.twists, len(specs))
+    return list(map(tuple, (twists + total0 - dtotal).reshape(len(specs), len(row.sides)).tolist()))
 
 
 def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: float) -> float:

@@ -119,14 +119,16 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     rows = np.stack((np.exp(np.minimum(u, 0.0)), np.exp(-np.maximum(u, 0.0))))
     M[:, :, :start] = core.transpose(1, 2, 0)[:, :, None] * rows[:, None]
     logscale[:start] = np.abs(u) / 2.0
-    for left, right in levels:
-        a, b = M.take(left, axis=2), M.take(right, axis=2)
-        prod = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
-        scale = np.abs(prod).max(axis=(0, 1))
-        stop = start + len(left)
-        M[:, :, start:stop] = prod / scale
-        logscale[start:stop] = logscale[left] + logscale[right] + np.log(scale)
-        start = stop
+    # a log scale past the float range becomes inf, which the check below reports
+    with np.errstate(over="ignore"):
+        for left, right in levels:
+            a, b = M.take(left, axis=2), M.take(right, axis=2)
+            prod = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
+            scale = np.abs(prod).max(axis=(0, 1))
+            stop = start + len(left)
+            M[:, :, start:stop] = prod / scale
+            logscale[start:stop] = logscale[left] + logscale[right] + np.log(scale)
+            start = stop
     node = slope_node[slope_node >= 0]
     with np.errstate(divide="ignore"):
         lh = logscale[node] + np.log(np.abs(M[0, 0, node] + M[1, 1, node]) / 2.0)

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import json
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -182,6 +184,47 @@ def _reference_dedupe(points, tol):
     return np.array(reps), group
 
 
+def _shuffled_duplicates():
+    rng = np.random.default_rng(7)
+    base = rng.normal(size=(12, 3))
+    pts = np.vstack([base, base, base + rng.uniform(-0.9, 0.9, size=base.shape) * cube.HULL_TOL])
+    return pts[rng.permutation(len(pts))]
+
+
+def _plane_equations():
+    # four columns, as qhull's facet equations: each facet of a cube split
+    # in two triangles whose planes agree to within HULL_TOL
+    planes = np.column_stack([np.vstack([np.eye(3), -np.eye(3)]), -np.ones(6)])
+    return np.repeat(planes, 2, axis=0) + np.tile([[0.0], [3e-10]], (6, 4))
+
+
+#: points and, where it is fixed by hand, the expected group of each point
+DEDUPE_CASES = {
+    # neighbours within HULL_TOL, ends not: a point joins the first
+    # representative within tol, which is not the transitive closure
+    "chain": (lambda: np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [1.2, 0.0, 0.0]]) * cube.HULL_TOL, [0, 0, 1]),
+    "no point": (lambda: np.empty((0, 3)), []),
+    "one point": (lambda: np.array([[0.5, -1.0, 2.0]]), [0]),
+    # a row with a NaN is close to nothing, itself included
+    "nan rows": (lambda: np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 1e-12]]),
+                 [0, 1, 2, 0]),
+    "shuffled exact and near duplicates": (_shuffled_duplicates, None),
+    "plane equations": (_plane_equations, [i // 2 for i in range(12)]),
+}
+
+
+@pytest.mark.parametrize("case", DEDUPE_CASES)
+def test_dedupe_matches_the_reference(case):
+    make, expected = DEDUPE_CASES[case]
+    points = make()
+    uniq, group = dedupe_points(points)
+    ref_uniq, ref_group = _reference_dedupe(points, cube.HULL_TOL)
+    assert group == ref_group
+    assert expected is None or group == expected
+    assert uniq.shape == (len(ref_uniq), points.shape[1])
+    assert np.array_equal(uniq, ref_uniq.reshape(uniq.shape), equal_nan=True)
+
+
 def _random_base_point(rng):
     lengths = tuple(float(v) for v in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
     twists = tuple(float(v) for v in rng.uniform(-2.0, 2.0, 3))
@@ -286,10 +329,57 @@ def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
         cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
 
 
+def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
+    # every rate is off, so the first spec's curve 0 fails first, with the
+    # values of the per-spec sums
+    exact = stretch.delta_scale_derivative
+    monkeypatch.setattr(stretch, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
+    x = FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3))
+    metric, h = PantsMetric(*x.lengths), 1e-6
+    up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
+    dtotal = diff = 0.0
+    for tri in enumerate_completions()[0].triangulations:
+        dtotal += exact(metric, tri, 0) + 1e-3
+        diff += delta_closed(up, tri, 0) - delta_closed(down, tri, 0)
+    message = f"analytic rate {dtotal} and central difference {diff / (2.0 * h)} disagree at curve 0"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        cloud(x)
+
+
+def test_derivative_check_comes_before_a_later_side_that_overflows():
+    # at this long cuff the check of an early (spec, curve) fails, and a side
+    # first used by a later spec overflows; checking one spec at a time
+    # reports the check, as recorded before the sides went into one table
+    x = FNPoint("S2", (0.08521070605009712, 51.031063889578974, 0.0007155106104479768), (0.0, 0.0, 0.0))
+    message = "analytic rate -50.94620056471497 and central difference -51.31231901955857 disagree at curve 1"
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        cloud(x)
+
+
 def test_cloud_rejects_a_non_finite_vector(monkeypatch):
     monkeypatch.setattr(cube, "stretch_vectors", lambda x, specs: [(0.0, math.nan, 0.0)] * len(specs))
     with pytest.raises(ValueError, match="^twist vector components must be finite$"):
         cloud(symmetric_base_point())
+
+
+def test_cloud_rejects_a_non_finite_offset_without_a_warning(monkeypatch):
+    # a NaN offset passes the derivative check (no comparison with NaN holds)
+    # and reaches the vectors, which the cloud rejects
+    monkeypatch.setattr(stretch, "delta_closed", lambda *args: math.nan)
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="^twist vector components must be finite$"):
+        warnings.simplefilter("error")
+        cloud(symmetric_base_point())
+
+
+def test_enumerate_completions_returns_a_fresh_list():
+    first = enumerate_completions()
+    snapshot = list(first)
+    first.reverse()
+    first.append(first[0])
+    assert enumerate_completions() == snapshot
+    assert enumerate_completions() is not enumerate_completions()
+    entries = chamfered_cube_check(symmetric_base_point())["entries"]
+    assert [e["completion"] for e in entries] == [cube._label(c) for c in snapshot]
 
 
 def test_lone_point_is_extreme():

@@ -3,6 +3,7 @@
 import importlib
 import math
 import sys
+import warnings
 from math import gcd
 from pathlib import Path
 
@@ -96,8 +97,9 @@ def test_point_rejects_non_positive_length():
     for l in (0.0, -1.0, math.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             _point(l, 1.0)
-    # a finite point whose word entries leave the float range; numpy warns on the way
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^word evaluation overflowed$"):
+    # a finite point whose word entries leave the float range: one error, no warning
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="^word evaluation overflowed$"):
+        warnings.simplefilter("error")
         curve_length(_point(1.0, 1e308), (1, 4))
 
 

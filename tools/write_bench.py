@@ -15,8 +15,10 @@ digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
 one ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
-``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and one
-``bounds.run_sweep`` of the default ``sweep`` grid: the best of several
+``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and its
+stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
+``cube.hull`` and ``cube._certified``, and one ``bounds.run_sweep`` of the
+default ``sweep`` grid: the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn, with the median over rounds of the change's time over the
 parent's in the same round.
@@ -42,6 +44,7 @@ LAYER_ROUNDS = 5
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
 import json, timeit
+import numpy as np
 from thurston_kit import bounds, cli, cube, h2, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
 cases = [(t, cuff) for t in pants.enumerate_triangulations() for cuff in range(3)]
@@ -67,6 +70,17 @@ def envelope_cell():
 base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
+raw = np.array([v for _, v in cube.cloud(base)])
+uniq = cube.dedupe_points(raw)[0]
+summary = cube.hull(uniq)
+def cube_cloud():
+    cube.cloud(base)
+def cube_dedupe():
+    cube.dedupe_points(raw)
+def cube_hull():
+    cube.hull(uniq)
+def cube_certified():
+    cube._certified(uniq, summary)
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
 def sweep():
@@ -74,7 +88,8 @@ def sweep():
 # calls per repeat: about 1,000 for the pants layers, the shear (about
 # 15 us each) and the slope length (about 110 us), and about 0.15 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
-# and the sweep (about 1.6 ms)
+# and the sweep (about 1.6 ms), and about 0.1 s for the cube stages
+# (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -83,6 +98,10 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("torus.curve_length", slope_length, 1, 1000),
                                 ("torus.envelope_cells", envelope_cell, 1, 100),
                                 ("cube.chamfered_cube_check", cube_check, 1, 15),
+                                ("cube.cloud", cube_cloud, 1, 30),
+                                ("cube.dedupe_points", cube_dedupe, 1, 100),
+                                ("cube.hull", cube_hull, 1, 100),
+                                ("cube._certified", cube_certified, 1, 60),
                                 ("bounds.run_sweep", sweep, 1, 100)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 print(json.dumps(out))
@@ -92,9 +111,11 @@ LAYER_INPUTS = (
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
-    "chamfered_cube_check: the symmetric base point; run_sweep: the default sweep grid "
+    "chamfered_cube_check and cloud: the symmetric base point; dedupe_points: its raw cloud of 128 "
+    "vectors; hull and _certified: the deduplicated cloud; run_sweep: the default sweep grid "
     "(the defaults of cli.Config); microseconds per call, best of 5 repeats per process of "
-    "about 1,000 calls (pants, shear, curve_length), 100 calls (envelope cell, sweep) or 15 calls (cube); "
+    "about 1,000 calls (pants, shear, curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), "
+    "60 calls (_certified), 30 calls (cloud) or 15 calls (chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
 
