@@ -3,9 +3,9 @@
 A candidate is a forward :class:`~thurston_kit.stretch.StretchSpec` on
 the genus-two surface: one triangulation type per pair of pants and one
 twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
-(:func:`~thurston_kit.stretch.stretch_vectors`) form the cloud; the
-convex hull of the cloud at the symmetric base point is combinatorially
-a chamfered cube whose 32 vertices are found by qhull and certified by
+(rows of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud;
+its convex hull at the symmetric base point is combinatorially a
+chamfered cube whose 32 vertices are found by qhull and certified by
 arithmetic on its merged faces.  The least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,20 +31,12 @@ EXTREME_TOL = 1e-8
 
 @functools.cache
 def _completions() -> tuple[tuple[StretchSpec, ...], tuple[str, ...]]:
+    """The 128 candidates in enumeration order and their labels, built once per process."""
     specs = []
     for bits in itertools.product((1, -1), repeat=3):
         tris = [PantsTriangulation(ends, bits) for ends in LEAF_DISTRIBUTIONS]
         specs.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
     return tuple(specs), tuple(map(_label, specs))
-
-
-def enumerate_completions() -> list[StretchSpec]:
-    """All 128 forward genus-two candidates (8 sign patterns x 4 x 4 pants types).
-
-    The specs and their labels are built once per process; each call
-    returns a fresh list of the shared specs.
-    """
-    return list(_completions()[0])
 
 
 def _label(spec: StretchSpec) -> str:
@@ -54,16 +45,15 @@ def _label(spec: StretchSpec) -> str:
     return "-".join([letters, *("".join(map(str, t.ends)) for t in spec.triangulations)])
 
 
-def cloud(x: FNPoint) -> list[tuple[StretchSpec, tuple[float, float, float]]]:
-    """All 128 candidates paired with their stretch vectors (the time
-    derivatives at 0 of the three twist coordinates), in enumeration order."""
+def cloud(x: FNPoint) -> np.ndarray:
+    """The (128, 3) array of stretch vectors (the time derivatives at 0 of
+    the three twist coordinates), one row per candidate in enumeration order."""
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
-    specs = enumerate_completions()
-    vectors = stretch_vectors(x, specs)
-    if not all(math.isfinite(c) for v in vectors for c in v):
+    vectors = stretch_vectors(x, _completions()[0])
+    if not np.all(np.isfinite(vectors)):
         raise ValueError("twist vector components must be finite")
-    return list(zip(specs, vectors))
+    return vectors
 
 
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -227,17 +217,16 @@ def chamfered_cube_check(x: FNPoint) -> dict:
     enumeration order: its label, its twist vector and whether its point
     is a hull vertex.
     """
-    labeled = cloud(x)
-    raw = np.array([v for _, v in labeled])
+    raw = cloud(x)
     uniq, group = dedupe_points(raw)
     summary = hull(uniq)
     hull_set = set(summary.vertex_indices)
     entries = [
-        {"completion": label, "d_twist": list(v), "extreme": g in hull_set}
-        for label, (_, v), g in zip(_completions()[1], labeled, group)
+        {"completion": label, "d_twist": v, "extreme": g in hull_set}
+        for label, v, g in zip(_completions()[1], raw.tolist(), group)
     ]
     return {
-        "n_candidates": len(labeled),
+        "n_candidates": len(raw),
         "n_unique": len(uniq),
         "hull_counts": summary.counts(),
         "hull_vertices": summary.vertex_indices,

@@ -30,9 +30,12 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_scale_derivative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _Surface(NamedTuple):
@@ -185,19 +188,18 @@ def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
 DERIVATIVE_CHECK_REL = 1e-6
 
 
-def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> list[tuple[float, ...]]:
-    """The stretch vector of each forward spec at ``x``: per curve c,
+def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> np.ndarray:
+    """The stretch vectors of the forward specs at ``x``, one row per spec
+    of a (len(specs), curves) float array: per curve c,
 
         theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
 
     with the offsets differentiated analytically (complex step); a central
     difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative,
     else the first failing (spec, curve) in order raises.  Each distinct
-    (triangulation, cuff) side is evaluated once per call into a table, in
-    order of first use; the vectors are assembled from the table by side
-    index with the sums in the order of the per-spec formula
-    (``0.0 + D1 + D2``, then ``theta + total - rate``), so the values are
-    those of one spec at a time.
+    (triangulation, cuff) side is evaluated once per call, in order of
+    first use, and each row sums its sides as the per-spec formula does
+    (``0.0 + D1 + D2``, then ``theta + total - rate``), bit for bit.
     """
     # imported here, not at module level: only the cube needs arrays
     import numpy as np
@@ -209,15 +211,9 @@ def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> list[tuple[floa
     h = 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
     pants_cuffs = [side for pair in row.sides for side in pair]
-    tri_ids: dict[PantsTriangulation, int] = {}
-    # 3 * triangulation id + cuff -> side index, in order of first use
-    side_ids: dict[int, int] = {}
-    index: list[int] = []
-    for spec in specs:
-        ids = [tri_ids.setdefault(tri, len(tri_ids)) for tri in spec.triangulations]
-        index.extend(side_ids.setdefault(3 * ids[pants] + cuff, len(side_ids)) for pants, cuff in pants_cuffs)
-    tris = list(tri_ids)
-    sides = [(tris[key // 3], key % 3) for key in side_ids]
+    # (triangulation, cuff) -> side index, in order of first use
+    sides: dict[tuple[PantsTriangulation, int], int] = {}
+    index = [sides.setdefault((spec.triangulations[p], c), len(sides)) for spec in specs for p, c in pants_cuffs]
     # (offset, rate, central difference) per side, up to the first side that fails
     table, failure = [], None
     for tri, cuff in sides:
@@ -244,7 +240,7 @@ def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> list[tuple[floa
     if failure is not None:
         raise failure
     twists = np.tile(x.twists, len(specs))
-    return list(map(tuple, (twists + total0 - dtotal).reshape(len(specs), len(row.sides)).tolist()))
+    return (twists + total0 - dtotal).reshape(len(specs), len(row.sides))
 
 
 def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: float) -> float:

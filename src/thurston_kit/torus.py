@@ -130,12 +130,12 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
             logscale[start:stop] = logscale[left] + logscale[right] + np.log(scale)
             start = stop
     node = slope_node[slope_node >= 0]
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         lh = logscale[node] + np.log(np.abs(M[0, 0, node] + M[1, 1, node]) / 2.0)
-    if not np.all(lh < np.inf):
+        # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
+        lengths = 2.0 * (lh + math.log(2.0))
+    if not np.all(lengths < np.inf):
         raise ValueError("word evaluation overflowed")
-    # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
-    lengths = 2.0 * (lh + math.log(2.0))
     small = lh <= _LOG_HUGE
     y = np.exp(lh[small])
     lengths[small] = 2.0 * np.arccosh(np.maximum(y, 1.0))

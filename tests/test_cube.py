@@ -18,7 +18,6 @@ from thurston_kit.cube import (
     chamfered_cube_check,
     cloud,
     dedupe_points,
-    enumerate_completions,
     extreme_points_brute,
     hull,
     nnls,
@@ -40,11 +39,11 @@ def _spec(signs, ends1, ends2):
 
 
 def _projection(x, spec):
-    return stretch_vectors(x, [spec])[0]
+    return tuple(stretch_vectors(x, [spec])[0])
 
 
 def test_enumeration_has_128_distinct_candidates():
-    comps = enumerate_completions()
+    comps = cube._completions()[0]
     assert len(comps) == 128
     assert len(set(comps)) == 128
 
@@ -84,9 +83,8 @@ def test_projection_derivative_cross_check_runs():
 
 def test_cloud_size_and_central_symmetry():
     x = symmetric_base_point()
-    labeled = cloud(x)
-    assert len(labeled) == 128
-    pts = np.array([v for _, v in labeled])
+    pts = cloud(x)
+    assert len(pts) == 128
     centroid = pts.mean(axis=0)
     assert np.max(np.abs(centroid)) <= 1e-9
     # the sign-flip pairing mirrors the cloud through the centroid
@@ -260,14 +258,25 @@ def test_cloud_matches_per_completion_projection_bit_for_bit():
     @hypothesis.given(l1=lengths, l2=lengths, l3=lengths, t1=twists, t2=twists, t3=twists)
     def check(l1, l2, l3, t1, t2, t3):
         x = FNPoint("S2", (l1, l2, l3), (t1, t2, t3))
-        comps = enumerate_completions()
-        labeled = cloud(x)
-        assert [c for c, _ in labeled] == comps
-        got = _bits(v for _, v in labeled)
+        comps = cube._completions()[0]
+        pts = cloud(x)
+        assert len(pts) == len(comps)
+        got = _bits(pts.tolist())
         assert got == _bits(_projection(x, c) for c in comps)
         assert got == _bits(_reference_projection(x, c) for c in comps)
 
     check()
+
+
+def test_cloud_is_the_stretch_vector_array_and_the_entries_carry_its_rows():
+    x = FNPoint("S2", (0.7, 1.9, 3.1), (0.3, -1.2, 0.5))
+    pts = cloud(x)
+    assert isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape == (128, 3)
+    rows = _bits(pts.tolist())
+    assert rows == _bits(stretch_vectors(x, cube._completions()[0]).tolist())
+    entries = chamfered_cube_check(x)["entries"]
+    assert all(type(e["d_twist"]) is list and all(type(c) is float for c in e["d_twist"]) for e in entries)
+    assert _bits(e["d_twist"] for e in entries) == rows
 
 
 # sha256 of cube_points.json and cube_hull.json, recorded before the cloud
@@ -312,7 +321,7 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
 def test_dedupe_and_certificates_match_references():
     rng = np.random.default_rng(20261018)
     for _ in range(20):
-        raw = np.array([v for _, v in cloud(_random_base_point(rng))])
+        raw = cloud(_random_base_point(rng))
         uniq, group = dedupe_points(raw)
         ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
         assert group == ref_group
@@ -338,7 +347,7 @@ def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
     metric, h = PantsMetric(*x.lengths), 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
     dtotal = diff = 0.0
-    for tri in enumerate_completions()[0].triangulations:
+    for tri in cube._completions()[0][0].triangulations:
         dtotal += exact(metric, tri, 0) + 1e-3
         diff += delta_closed(up, tri, 0) - delta_closed(down, tri, 0)
     message = f"analytic rate {dtotal} and central difference {diff / (2.0 * h)} disagree at curve 0"
@@ -357,7 +366,7 @@ def test_derivative_check_comes_before_a_later_side_that_overflows():
 
 
 def test_cloud_rejects_a_non_finite_vector(monkeypatch):
-    monkeypatch.setattr(cube, "stretch_vectors", lambda x, specs: [(0.0, math.nan, 0.0)] * len(specs))
+    monkeypatch.setattr(cube, "stretch_vectors", lambda x, specs: np.array([(0.0, math.nan, 0.0)] * len(specs)))
     with pytest.raises(ValueError, match="^twist vector components must be finite$"):
         cloud(symmetric_base_point())
 
@@ -371,17 +380,6 @@ def test_cloud_rejects_a_non_finite_offset_without_a_warning(monkeypatch):
         cloud(symmetric_base_point())
 
 
-def test_enumerate_completions_returns_a_fresh_list():
-    first = enumerate_completions()
-    snapshot = list(first)
-    first.reverse()
-    first.append(first[0])
-    assert enumerate_completions() == snapshot
-    assert enumerate_completions() is not enumerate_completions()
-    entries = chamfered_cube_check(symmetric_base_point())["entries"]
-    assert [e["completion"] for e in entries] == [cube._label(c) for c in snapshot]
-
-
 def test_lone_point_is_extreme():
     x, res = nnls(np.zeros((4, 0)), np.array([0.0, 0.0, 3.0, 4.0]))
     assert x.shape == (0,) and res == 5.0
@@ -391,7 +389,7 @@ def test_lone_point_is_extreme():
 def test_chamfered_cube_check_entries_follow_enumeration():
     result = chamfered_cube_check(symmetric_base_point())
     entries = result["entries"]
-    assert [e["completion"] for e in entries] == [cube._label(c) for c in enumerate_completions()]
+    assert [e["completion"] for e in entries] == [cube._label(c) for c in cube._completions()[0]]
     assert sorted(e["completion"] for e in entries if e["extreme"]) == result["extreme_completions"]
 
 
@@ -418,7 +416,7 @@ def test_points_on_hull_edges_are_not_vertices(lengths, twists):
 
 
 def _unique_cloud(lengths, twists):
-    return dedupe_points(np.array([v for _, v in cloud(FNPoint("S2", lengths, twists))]))[0]
+    return dedupe_points(cloud(FNPoint("S2", lengths, twists)))[0]
 
 
 CERTIFICATE_CASES = {

@@ -242,7 +242,7 @@ def test_stretch_vectors_are_the_time_derivative_of_the_twists(surface, lengths,
     x = FNPoint(surface, lengths, twists)
     specs = [left_spec(surface, direction="forward"), right_spec(surface, direction="forward")]
     h = 1e-5
-    for spec, vector in zip(specs, stretch_vectors(x, specs)):
+    for spec, vector in zip(specs, stretch_vectors(x, specs).tolist()):
         assert len(vector) == curve_count(surface)
         for curve, rate in enumerate(vector):
             num = (twist_along_stretch(x, spec, curve, h) - twist_along_stretch(x, spec, curve, -h)) / (2 * h)

@@ -103,6 +103,13 @@ def test_point_rejects_non_positive_length():
         curve_length(_point(1.0, 1e308), (1, 4))
 
 
+def test_a_length_past_the_float_range_raises_without_a_warning():
+    # the log half-trace of slope 5/2 is finite here, but the length, twice it, is not
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="^word evaluation overflowed$"):
+        warnings.simplefilter("error")
+        curve_length(_point(1.0, 1e308), (5, 2))
+
+
 # ------------------------------------------------------------- properties
 
 EPS = sys.float_info.epsilon
@@ -170,6 +177,32 @@ def test_markov_identity_through_the_engine():
             assert residual <= 8.0 * EPS * (1.0 + longest)
 
     check()
+
+
+#: (l, tau) points of the McShane check, from short to long alpha and with a large twist;
+#: thin points need slopes near -tau/l that the plain family lacks
+MCSHANE_POINTS = [(1.0, 0.0), (2.0, 0.5), (0.5, 0.3), (1.5, -2.0), (4.0, 1.0), (8.0, 3.0)]
+
+
+def _mcshane_deficit(x, max_q):
+    """1/2 minus the sum over ``candidate_slopes(max_q)`` of 1/(1 + e^L), each
+    term taken as e^{-L} / (1 + e^{-L}) so that no exponential overflows."""
+    lengths = np.exp(_log_lengths((x,), _family(max_q))[:, 0]).tolist()
+    return 0.5 - math.fsum(math.exp(-v) / (1.0 + math.exp(-v)) for v in lengths)
+
+
+@pytest.mark.parametrize("l, tau", MCSHANE_POINTS)
+def test_mcshane_identity_over_the_slope_family(l, tau):
+    # McShane (1998): on a once-punctured torus the sum over all simple closed
+    # geodesics of 1/(1 + e^L) is 1/2, so it checks the cusp normalisation of
+    # the seeds and every length at once, independently of the engine.  The
+    # family size is part of the check: the deficits at max_q = 100 were at
+    # most 1.7e-16, while at max_q = 30 the point (0.5, 0.3) misses 6.2e-8
+    assert abs(_mcshane_deficit(_point(l, tau), 100)) <= 1e-12
+
+
+def test_mcshane_deficit_exposes_a_family_that_is_too_small():
+    assert _mcshane_deficit(_point(0.5, 0.3), 30) > 1e-12
 
 
 def test_full_twist_relabelling_through_the_engine():

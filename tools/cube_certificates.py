@@ -20,8 +20,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
@@ -35,8 +33,7 @@ SEEDS = range(1, 11)
 
 def check(lengths, twists, pick: random.Random) -> list[str]:
     """Disagreements between the certificates and the reference at one input."""
-    raw = np.array([v for _, v in cube.cloud(FNPoint("S2", lengths, twists))])
-    uniq, _ = cube.dedupe_points(raw)
+    uniq, _ = cube.dedupe_points(cube.cloud(FNPoint("S2", lengths, twists)))
     summary = cube.hull(uniq)
     vertices = set(summary.vertex_indices)
     problems = []

@@ -17,8 +17,9 @@ one ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and its
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
-``cube.hull`` and ``cube._certified``, and one ``bounds.run_sweep`` of the
-default ``sweep`` grid: the best of several
+``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
+the 128 genus-two completions at the symmetric point, and one
+``bounds.run_sweep`` of the default ``sweep`` grid: the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn, with the median over rounds of the change's time over the
 parent's in the same round.
@@ -59,8 +60,7 @@ def gap():
 left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
 def shear():
     h2.shear(left, right, 1.0, h2.INF)
-# entry 11 of the max_q = 3 family is slope 3/2, whatever type an older
-# checkout gives its slopes
+# entry 11 of the max_q = 3 family is slope 3/2
 point, slope = stretch.FNPoint("S11", (1.0,), (0.3,)), torus.candidate_slopes(3)[11]
 def slope_length():
     torus.curve_length(point, slope)
@@ -70,11 +70,17 @@ def envelope_cell():
 base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
-raw = np.array([v for _, v in cube.cloud(base)])
+raw = cube.cloud(base)
+# a checkout from before the cloud became one array returns (spec, vector)
+# pairs; this line can go once both sides of a comparison return the array
+raw = raw if isinstance(raw, np.ndarray) else np.array([v for _, v in raw])
 uniq = cube.dedupe_points(raw)[0]
 summary = cube.hull(uniq)
 def cube_cloud():
     cube.cloud(base)
+specs = cube._completions()[0]
+def vectors():
+    stretch.stretch_vectors(base, specs)
 def cube_dedupe():
     cube.dedupe_points(raw)
 def cube_hull():
@@ -88,8 +94,8 @@ def sweep():
 # calls per repeat: about 1,000 for the pants layers, the shear (about
 # 15 us each) and the slope length (about 110 us), and about 0.15 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
-# and the sweep (about 1.6 ms), and about 0.1 s for the cube stages
-# (about 0.3 to 3 ms each)
+# and the sweep (about 1.6 ms), and about 0.1 s for the cube stages and
+# the stretch vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -99,6 +105,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("torus.envelope_cells", envelope_cell, 1, 100),
                                 ("cube.chamfered_cube_check", cube_check, 1, 15),
                                 ("cube.cloud", cube_cloud, 1, 30),
+                                ("stretch.stretch_vectors", vectors, 1, 30),
                                 ("cube.dedupe_points", cube_dedupe, 1, 100),
                                 ("cube.hull", cube_hull, 1, 100),
                                 ("cube._certified", cube_certified, 1, 60),
@@ -111,11 +118,12 @@ LAYER_INPUTS = (
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
-    "chamfered_cube_check and cloud: the symmetric base point; dedupe_points: its raw cloud of 128 "
-    "vectors; hull and _certified: the deduplicated cloud; run_sweep: the default sweep grid "
-    "(the defaults of cli.Config); microseconds per call, best of 5 repeats per process of "
-    "about 1,000 calls (pants, shear, curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), "
-    "60 calls (_certified), 30 calls (cloud) or 15 calls (chamfered_cube_check); "
+    "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
+    "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
+    "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); "
+    "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
+    "curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), 60 calls "
+    "(_certified), 30 calls (cloud, stretch_vectors) or 15 calls (chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
 
