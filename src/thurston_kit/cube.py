@@ -20,7 +20,7 @@ import numpy as np
 
 from .h2 import GeometryError
 from .pants import LEAF_DISTRIBUTIONS, PantsTriangulation
-from .stretch import FNPoint, StretchSpec, stretch_vectors
+from .stretch import FNPoint, SidePlan, StretchSpec, side_plan, stretch_vectors
 
 #: coplanarity tolerance for merging hull facets
 HULL_TOL = 1e-9
@@ -30,13 +30,14 @@ EXTREME_TOL = 1e-8
 
 
 @functools.cache
-def _completions() -> tuple[tuple[StretchSpec, ...], tuple[str, ...]]:
-    """The 128 candidates in enumeration order and their labels, built once per process."""
+def _completions() -> tuple[tuple[StretchSpec, ...], tuple[str, ...], SidePlan]:
+    """The 128 candidates in enumeration order, their labels and their side
+    plan, built once per process."""
     specs = []
     for bits in itertools.product((1, -1), repeat=3):
         tris = [PantsTriangulation(ends, bits) for ends in LEAF_DISTRIBUTIONS]
         specs.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
-    return tuple(specs), tuple(map(_label, specs))
+    return tuple(specs), tuple(map(_label, specs)), side_plan(specs)
 
 
 def _label(spec: StretchSpec) -> str:
@@ -50,7 +51,7 @@ def cloud(x: FNPoint) -> np.ndarray:
     the three twist coordinates), one row per candidate in enumeration order."""
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
-    vectors = stretch_vectors(x, _completions()[0])
+    vectors = stretch_vectors(x, _completions()[2])
     if not np.all(np.isfinite(vectors)):
         raise ValueError("twist vector components must be finite")
     return vectors

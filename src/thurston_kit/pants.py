@@ -11,7 +11,9 @@ perpendicular dropped from a neighboring cuff's axis.  The closed forms
 and :func:`delta_oracle`, which recomputes the same quantity
 constructively in the upper half-plane from the lifted configuration and
 validates the closed forms, branch on the number of leaf ends at ``c``
-(2, 4 or 1), which :func:`_roles` resolves once per call.
+(2, 4 or 1), which :func:`_roles` resolves once per call.  One side of a
+stretch vector, :func:`delta_side`, takes the offset, its complex-step
+rate and the offsets at the lengths scaled by e^{+-h} from one call.
 
 Lift normalization used everywhere (and by the oracle): the cuff axis is
 the upward imaginary axis with the pants on its left, the fan of leaf
@@ -24,7 +26,6 @@ horocycle about infinity.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -109,6 +110,10 @@ def enumerate_triangulations() -> list[PantsTriangulation]:
     return out
 
 
+#: the two other cuffs of each cuff, in increasing order
+_OTHER_CUFFS = ((1, 2), (0, 2), (0, 1))
+
+
 def _shear_coord(l, e, ends: tuple[int, int, int], i: int, j: int):
     """Shear coordinate of the leaf between cuffs ``i`` and ``j`` (0-based).
 
@@ -119,7 +124,7 @@ def _shear_coord(l, e, ends: tuple[int, int, int], i: int, j: int):
         return 0.5 * (e[k] * l[k] - e[i] * l[i] - e[j] * l[j])
     m = ends.index(4)
     if i == j == m:
-        a, b = (x for x in range(3) if x != m)
+        a, b = _OTHER_CUFFS[m]
         return 0.5 * (-e[m] * l[m] + e[a] * l[a] + e[b] * l[b])
     other = j if i == m else i
     return -e[other] * l[other]
@@ -139,6 +144,11 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
 
 
+def _check_length(lengths, cuff: int) -> None:
+    if lengths[cuff] < MIN_CUFF_LENGTH:
+        raise SingularCuffError(f"cuff {cuff} has length {lengths[cuff]}; twist offset is singular")
+
+
 def _roles(p: PantsMetric, t: PantsTriangulation, cuff: int) -> tuple[int, int, int]:
     """Resolve (leaf ends n at the cuff, perpendicular cuff j, remaining cuff k)
     for a cuff whose twist offset is defined.
@@ -148,8 +158,7 @@ def _roles(p: PantsMetric, t: PantsTriangulation, cuff: int) -> tuple[int, int, 
     """
     if cuff not in (0, 1, 2):
         raise ValueError("cuff index must be 0, 1 or 2")
-    if p.lengths[cuff] < MIN_CUFF_LENGTH:
-        raise SingularCuffError(f"cuff {cuff} has length {p.lengths[cuff]}; twist offset is singular")
+    _check_length(p.lengths, cuff)
     n = t.ends[cuff]
     j = t.ends.index(4) if n == 1 else (cuff + 1) % 3
     return n, j, 3 - cuff - j
@@ -160,27 +169,28 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, n: 
 
     ``l`` may carry complex entries (an infinitesimal imaginary part
     implements exact differentiation of the log-coth-type expressions).
+    Each exponential is computed once, in the order the expressions read.
     """
     exp, log = cmath.exp, cmath.log
-    sc = functools.partial(_shear_coord, l, e, ends)
-
     ec, lc = e[cuff], l[cuff]
     try:
         if n == 2:
-            x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
-            frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
+            x = (1 + exp(_shear_coord(l, e, ends, cuff, j))) / (exp(-ec * lc) - 1)
+            e_jk = exp(_shear_coord(l, e, ends, j, k))
+            frac = (e_jk + exp(-e[j] * l[j])) / (e_jk + 1)
             g = (x + 1) * (x + frac)
         elif n == 4:
-            s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
+            s_cj = _shear_coord(l, e, ends, cuff, j)
+            s_cc, s_ck = _shear_coord(l, e, ends, cuff, cuff), _shear_coord(l, e, ends, cuff, k)
             num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
             x = num / (exp(-ec * lc) - 1)
             g = (x + 1) * (x + exp(-e[j] * l[j]))
         else:
-            s_jj, s_jk, s_cj = sc(j, j), sc(j, k), sc(cuff, j)
+            s_jj, s_jk = _shear_coord(l, e, ends, j, j), _shear_coord(l, e, ends, j, k)
             x = 1 / (exp(-ec * lc) - 1)
-            num = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + exp(-e[j] * l[j])
-            den = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + 1
-            g = (x + 1) * (x + num / den)
+            # the common three-term sum of num and den, added left to right
+            three = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk)
+            g = (x + 1) * (x + (three + exp(-e[j] * l[j])) / (three + 1))
     except OverflowError:  # an exponential of a long cuff
         g = complex(math.inf)
     if not 0 < g.real < math.inf:  # overflowed, or cancelled: its log would drop an i*pi
@@ -188,6 +198,16 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, n: 
         raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "
                          f"{what} at lengths {tuple(v.real for v in l)}")
     return ec * 0.5 * log(g)
+
+
+#: the complex step of :func:`delta_scale_derivative` and the scale e^{i h} it applies
+_STEP = 1e-100
+_STEP_SCALE = cmath.exp(complex(0.0, _STEP))
+
+
+def _scale_rate(p: PantsMetric, t: PantsTriangulation, cuff: int, j: int, k: int, n: int) -> float:
+    lc = tuple(x * _STEP_SCALE for x in p.lengths)
+    return _delta_core(lc, t.signs, t.ends, cuff, j, k, n).imag / _STEP
 
 
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -205,10 +225,27 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     perturbation gives the exact derivative (no cancellation error).
     """
     n, j, k = _roles(p, t, cuff)
-    h = 1e-100
-    scale = cmath.exp(complex(0.0, h))
-    lc = tuple(x * scale for x in p.lengths)
-    return _delta_core(lc, t.signs, t.ends, cuff, j, k, n).imag / h
+    return _scale_rate(p, t, cuff, j, k, n)
+
+
+def delta_side(
+    p: PantsMetric, t: PantsTriangulation, cuff: int, up: PantsMetric, down: PantsMetric
+) -> tuple[float, float, float, float]:
+    """One side of a stretch vector: ``delta_closed`` at ``p``, its
+    ``delta_scale_derivative``, and ``delta_closed`` at ``up`` and ``down``
+    (``p`` scaled by e^h and e^-h), bit for bit.
+
+    The roles are resolved once; the four evaluations run in that order, and
+    the first that fails raises what the separate call would.
+    """
+    n, j, k = _roles(p, t, cuff)
+    e, ends = t.signs, t.ends
+    d0 = _delta_core(p.lengths, e, ends, cuff, j, k, n).real
+    rate = _scale_rate(p, t, cuff, j, k, n)
+    _check_length(up.lengths, cuff)
+    d_up = _delta_core(up.lengths, e, ends, cuff, j, k, n).real
+    _check_length(down.lengths, cuff)
+    return d0, rate, d_up, _delta_core(down.lengths, e, ends, cuff, j, k, n).real
 
 
 # ---------------------------------------------------------------------------

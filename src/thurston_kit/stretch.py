@@ -32,7 +32,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_scale_derivative
+from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_side
 
 if TYPE_CHECKING:
     import numpy as np
@@ -188,47 +188,76 @@ def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
 DERIVATIVE_CHECK_REL = 1e-6
 
 
-def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> np.ndarray:
-    """The stretch vectors of the forward specs at ``x``, one row per spec
-    of a (len(specs), curves) float array: per curve c,
+class SidePlan(NamedTuple):
+    """Forward specs reduced to the pants sides their stretch vectors sum."""
+
+    #: the surface of the specs; None when there are none
+    surface: str | None
+    #: each distinct (triangulation, cuff) side, in order of first use
+    sides: tuple[tuple[PantsTriangulation, int], ...]
+    #: (len(specs) * curves, 2) side indices: the two sides of each
+    #: (spec, curve) pair, spec by spec
+    index: np.ndarray
+
+
+def side_plan(specs: Sequence[StretchSpec]) -> SidePlan:
+    """The :class:`SidePlan` of forward specs on one surface, the input of
+    :func:`stretch_vectors`; a caller with fixed specs builds it once."""
+    # imported here, not at module level: only the cube needs arrays
+    import numpy as np
+
+    surfaces = {spec.surface for spec in specs}
+    if len(surfaces) > 1 or any(spec.direction != "forward" for spec in specs):
+        raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
+    surface = next(iter(surfaces), None)
+    pants_cuffs = [side for pair in _SURFACES[surface].sides for side in pair] if surface else []
+    sides: dict[tuple[PantsTriangulation, int], int] = {}
+    index = np.array(
+        [sides.setdefault((spec.triangulations[p], c), len(sides)) for spec in specs for p, c in pants_cuffs], dtype=int
+    ).reshape(-1, 2)
+    # a plan may be cached and shared, as the cube's is
+    index.setflags(write=False)
+    return SidePlan(surface, tuple(sides), index)
+
+
+def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
+    """The stretch vectors at ``x`` of the specs of ``plan`` (see
+    :func:`side_plan`), one row per spec of a (len(specs), curves) float
+    array: per curve c,
 
         theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
 
     with the offsets differentiated analytically (complex step); a central
     difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative,
-    else the first failing (spec, curve) in order raises.  Each distinct
-    (triangulation, cuff) side is evaluated once per call, in order of
-    first use, and each row sums its sides as the per-spec formula does
+    else the first failing (spec, curve) in order raises.  Each side of the
+    plan is evaluated once per call by :func:`~thurston_kit.pants.delta_side`,
+    in order, and each row sums its sides as the per-spec formula does
     (``0.0 + D1 + D2``, then ``theta + total - rate``), bit for bit.
     """
-    # imported here, not at module level: only the cube needs arrays
     import numpy as np
 
-    if any(spec.surface != x.surface or spec.direction != "forward" for spec in specs):
+    if plan.surface not in (None, x.surface):
         raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)
     h = 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
-    pants_cuffs = [side for pair in row.sides for side in pair]
-    # (triangulation, cuff) -> side index, in order of first use
-    sides: dict[tuple[PantsTriangulation, int], int] = {}
-    index = [sides.setdefault((spec.triangulations[p], c), len(sides)) for spec in specs for p, c in pants_cuffs]
-    # (offset, rate, central difference) per side, up to the first side that fails
+    # (offset, rate, offset at e^h, offset at e^-h) per side, up to the first side that fails
     table, failure = [], None
-    for tri, cuff in sides:
+    for tri, cuff in plan.sides:
         try:
-            d0, rate = delta_closed(metric, tri, cuff), delta_scale_derivative(metric, tri, cuff)
-            table.append((d0, rate, delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)))
+            table.append(delta_side(metric, tri, cuff, up, down))
         except (ArithmeticError, ValueError) as exc:
             failure = exc
             break
     # one spec at a time checks every (spec, curve) pair before the first use
     # of a failing side; each pair sums its two sides from 0.0 in order
-    pairs = len(index) // 2 if failure is None else index.index(len(table)) // 2
-    at = np.array(index[: 2 * pairs], dtype=int).reshape(-1, 2)
-    values = np.array(table).reshape(-1, 3)
-    total0, dtotal, diff = (0.0 + values[at[:, 0]] + values[at[:, 1]]).T
+    at = plan.index
+    if failure is not None:
+        at = at[: int(np.argmax((at == len(table)).any(axis=1)))]
+    values = np.array(table).reshape(-1, 4)
+    values[:, 2] -= values[:, 3]
+    total0, dtotal, diff = (0.0 + values[at[:, 0], :3] + values[at[:, 1], :3]).T
     num = diff / (2.0 * h)
     bad = np.abs(num - dtotal) > DERIVATIVE_CHECK_REL * np.maximum(1.0, np.abs(dtotal))
     if bad.any():
@@ -239,8 +268,8 @@ def stretch_vectors(x: FNPoint, specs: Sequence[StretchSpec]) -> np.ndarray:
         )
     if failure is not None:
         raise failure
-    twists = np.tile(x.twists, len(specs))
-    return (twists + total0 - dtotal).reshape(len(specs), len(row.sides))
+    count = len(plan.index) // len(row.sides)
+    return (np.tile(x.twists, count) + total0 - dtotal).reshape(count, len(row.sides))
 
 
 def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: float) -> float:

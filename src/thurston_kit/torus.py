@@ -47,6 +47,9 @@ import numpy as np
 from .stretch import FNPoint, left_spec, right_spec, stretch_point
 
 _LOG_HUGE = 30.0
+#: log 1.5: an integer slope whose log half-trace is below it takes the
+#: exact form of |tr|/2 - 1 in :func:`_log_lengths`
+_LOG_NEAR_ONE = math.log(1.5)
 #: node x column budget of one batched length pass, about 0.8 MB of
 #: matrices (8 envelope cells at max_q = 30); larger batches save
 #: little per column and grow the working set
@@ -108,7 +111,7 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     Fenchel-Nielsen point; slope infinity is log l.  Raises where a word's
     |trace|/2 rounds to within 1e-14 of 1, so its length is below working
     precision, except for integer slopes, whose |trace|/2 - 1 has an exact
-    form."""
+    form, taken wherever |trace|/2 < 1.5."""
     ints, levels, slope_node = plan
     lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
     start = len(ints)
@@ -139,20 +142,25 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     small = lh <= _LOG_HUGE
     y = np.exp(lh[small])
     lengths[small] = 2.0 * np.arccosh(np.maximum(y, 1.0))
-    flat = y <= 1.0 + 1e-14
-    if np.any(flat):
-        error = ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): length below working precision")
-        rows, cols = (i[flat] for i in np.nonzero(small))
-        if not np.all(node[rows] < len(ints)):
-            raise error
-        # an integer slope of a point with a long alpha:
-        # |tr|/2 = coth(l/2) cosh(u/2) rounds to 1, but |tr|/2 - 1 is
-        # 2 coth(l/2) sinh^2(u/4) + 2/expm1(l), a sum of positive terms
-        # (the second written so that no exponential overflows)
+
+    def elliptic() -> ValueError:
+        return ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): length below working precision")
+
+    # a short integer slope: |tr|/2 = coth(l/2) cosh(u/2) is near 1, where
+    # arccosh keeps only about eps / (length^2 / 4) relative digits, but
+    # |tr|/2 - 1 is 2 coth(l/2) sinh^2(u/4) + 2/expm1(l), a sum of positive
+    # terms (the second written so that no exponential overflows); any other
+    # word within 1e-14 of 1 raises
+    rows, cols = np.nonzero(lh < _LOG_NEAR_ONE)
+    if len(rows):
+        exact = node[rows] < len(ints)
+        if np.any(np.exp(lh[rows[~exact], cols[~exact]]) <= 1.0 + 1e-14):
+            raise elliptic()
+        rows, cols = rows[exact], cols[exact]
         l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
         w = 2.0 * np.sinh(u / 4.0) ** 2 / np.tanh(l / 2.0) - 2.0 * np.exp(-l) / np.expm1(-l)
         if not np.all(w > 0.0):
-            raise error
+            raise elliptic()
         lengths[rows, cols] = 2.0 * np.log1p(w + np.sqrt(w * (w + 2.0)))
     out = np.tile(np.log(lam), (len(slope_node), 1))
     out[slope_node >= 0] = np.log(lengths)

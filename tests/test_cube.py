@@ -30,7 +30,7 @@ from thurston_kit.pants import (
     delta_closed,
     delta_scale_derivative,
 )
-from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, stretch_vectors
+from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, side_plan, stretch_vectors
 
 
 def _spec(signs, ends1, ends2):
@@ -39,7 +39,7 @@ def _spec(signs, ends1, ends2):
 
 
 def _projection(x, spec):
-    return tuple(stretch_vectors(x, [spec])[0])
+    return tuple(stretch_vectors(x, side_plan([spec]))[0])
 
 
 def test_enumeration_has_128_distinct_candidates():
@@ -165,7 +165,7 @@ def test_projection_requires_genus_two_point():
     with pytest.raises(ValueError, match="genus-two"):
         cloud(FNPoint("S11", (1.0,), (0.0,)))
     with pytest.raises(SpecMismatchError):
-        stretch_vectors(FNPoint("S11", (1.0,), (0.0,)), [_spec((1, 1, 1), (2, 2, 2), (2, 2, 2))])
+        stretch_vectors(FNPoint("S11", (1.0,), (0.0,)), side_plan([_spec((1, 1, 1), (2, 2, 2), (2, 2, 2))]))
 
 
 def _reference_dedupe(points, tol):
@@ -273,10 +273,34 @@ def test_cloud_is_the_stretch_vector_array_and_the_entries_carry_its_rows():
     pts = cloud(x)
     assert isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape == (128, 3)
     rows = _bits(pts.tolist())
-    assert rows == _bits(stretch_vectors(x, cube._completions()[0]).tolist())
+    assert rows == _bits(stretch_vectors(x, side_plan(cube._completions()[0])).tolist())
     entries = chamfered_cube_check(x)["entries"]
     assert all(type(e["d_twist"]) is list and all(type(c) is float for c in e["d_twist"]) for e in entries)
     assert _bits(e["d_twist"] for e in entries) == rows
+
+
+def test_cloud_rows_depend_only_on_the_unordered_pair_of_triangulations():
+    # a row sums the two sides of each curve from 0.0, and float addition
+    # commutes, so (T1, T2) and (T2, T1) give the same bits; 8 sign patterns
+    # times 10 unordered pairs of leaf distributions leave 80 distinct rows
+    specs = cube._completions()[0]
+    position = {spec.triangulations: i for i, spec in enumerate(specs)}
+    swapped = [position[spec.triangulations[::-1]] for spec in specs]
+    assert sorted(swapped) == list(range(128)) and swapped != list(range(128))
+    rng = np.random.default_rng(23)
+    for x in [symmetric_base_point()] + [_random_base_point(rng) for _ in range(20)]:
+        rows = _bits(cloud(x).tolist())
+        assert [rows[i] for i in swapped] == rows
+        assert len(set(rows)) == 80
+
+
+def test_the_side_plan_of_the_completions_is_built_once():
+    specs, labels, plan = cube._completions()
+    assert cube._completions()[2] is plan
+    # 32 triangulation types with 3 cuffs each; two sides per (spec, curve)
+    assert plan.surface == "S2" and len(plan.sides) == 96 and plan.index.shape == (128 * 3, 2)
+    assert plan.sides == stretch.side_plan(specs).sides
+    assert not plan.index.flags.writeable
 
 
 # sha256 of cube_points.json and cube_hull.json, recorded before the cloud
@@ -331,9 +355,18 @@ def test_dedupe_and_certificates_match_references():
         assert list(summary.vertex_indices) == extreme_points_brute(uniq)
 
 
+def _rates_off_by_1e_3(side):
+    """``side`` (as ``pants.delta_side``) with every complex-step rate off by 1e-3."""
+
+    def off(*args):
+        d0, rate, d_up, d_down = side(*args)
+        return d0, rate + 1e-3, d_up, d_down
+
+    return off
+
+
 def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
-    exact = stretch.delta_scale_derivative
-    monkeypatch.setattr(stretch, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
+    monkeypatch.setattr(stretch, "delta_side", _rates_off_by_1e_3(stretch.delta_side))
     with pytest.raises(ArithmeticError, match="central difference"):
         cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
 
@@ -341,14 +374,13 @@ def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
 def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
     # every rate is off, so the first spec's curve 0 fails first, with the
     # values of the per-spec sums
-    exact = stretch.delta_scale_derivative
-    monkeypatch.setattr(stretch, "delta_scale_derivative", lambda *args: exact(*args) + 1e-3)
+    monkeypatch.setattr(stretch, "delta_side", _rates_off_by_1e_3(stretch.delta_side))
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3))
     metric, h = PantsMetric(*x.lengths), 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
     dtotal = diff = 0.0
     for tri in cube._completions()[0][0].triangulations:
-        dtotal += exact(metric, tri, 0) + 1e-3
+        dtotal += delta_scale_derivative(metric, tri, 0) + 1e-3
         diff += delta_closed(up, tri, 0) - delta_closed(down, tri, 0)
     message = f"analytic rate {dtotal} and central difference {diff / (2.0 * h)} disagree at curve 0"
     with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
@@ -366,7 +398,8 @@ def test_derivative_check_comes_before_a_later_side_that_overflows():
 
 
 def test_cloud_rejects_a_non_finite_vector(monkeypatch):
-    monkeypatch.setattr(cube, "stretch_vectors", lambda x, specs: np.array([(0.0, math.nan, 0.0)] * len(specs)))
+    rows = len(cube._completions()[0])
+    monkeypatch.setattr(cube, "stretch_vectors", lambda x, plan: np.array([(0.0, math.nan, 0.0)] * rows))
     with pytest.raises(ValueError, match="^twist vector components must be finite$"):
         cloud(symmetric_base_point())
 
@@ -374,7 +407,8 @@ def test_cloud_rejects_a_non_finite_vector(monkeypatch):
 def test_cloud_rejects_a_non_finite_offset_without_a_warning(monkeypatch):
     # a NaN offset passes the derivative check (no comparison with NaN holds)
     # and reaches the vectors, which the cloud rejects
-    monkeypatch.setattr(stretch, "delta_closed", lambda *args: math.nan)
+    side = stretch.delta_side
+    monkeypatch.setattr(stretch, "delta_side", lambda *args: (math.nan, side(*args)[1], math.nan, math.nan))
     with warnings.catch_warnings(), pytest.raises(ValueError, match="^twist vector components must be finite$"):
         warnings.simplefilter("error")
         cloud(symmetric_base_point())

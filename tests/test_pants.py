@@ -1,5 +1,7 @@
 """Tests for shear coordinates and the twist-offset functions."""
 
+import cmath
+import functools
 import itertools
 import math
 import re
@@ -15,10 +17,14 @@ from thurston_kit.pants import (
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
+    delta_side,
     enumerate_triangulations,
     oracle_details,
     shear_coords,
+    _delta_core,
     _next_gap,
+    _roles,
+    _shear_coord,
     _solve_monotone,
 )
 
@@ -368,5 +374,124 @@ def test_gap_solve_matches_the_full_shear_bit_for_bit():
             return math.exp(_solve_monotone(cond, 0.0, 1.0))
 
         assert outcome(lambda: _next_gap(prev_gap, sigma)) == outcome(reference)
+
+    check()
+
+
+# ------------------------------------------------- one side of a stretch vector
+
+
+def _outcome(f):
+    """f(), or its error's type and message."""
+    try:
+        return f()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _hex(value):
+    return (value.real.hex(), value.imag.hex()) if isinstance(value, complex) else value.hex()
+
+
+def _side_outcomes(pm, tri, cuff, h=1e-6):
+    """The outcomes of ``delta_side`` and of the four separate evaluations it
+    replaces, each as hex with the central difference appended."""
+    up, down = pm.scaled(math.exp(h)), pm.scaled(math.exp(-h))
+
+    def with_difference(values):
+        return tuple(map(_hex, (*values, values[2] - values[3])))
+
+    def separate():
+        return (delta_closed(pm, tri, cuff), delta_scale_derivative(pm, tri, cuff),
+                delta_closed(up, tri, cuff), delta_closed(down, tri, cuff))
+
+    return (_outcome(lambda: with_difference(delta_side(pm, tri, cuff, up, down))),
+            _outcome(lambda: with_difference(separate())))
+
+
+@pytest.mark.parametrize("lengths", [(0.7, 1.9, 3.1), (0.35, 0.8, 2.2), (4.2, 0.6, 1.3), (1.0, 1.0, 1.0)])
+def test_delta_side_is_the_four_separate_evaluations_bit_for_bit(lengths):
+    # the base lengths of the pinned cube artifacts and the symmetric point:
+    # all 96 (triangulation, cuff) sides
+    pm = PantsMetric(*lengths)
+    for tri in enumerate_triangulations():
+        for cuff in range(3):
+            side, separate = _side_outcomes(pm, tri, cuff)
+            assert side == separate
+            assert isinstance(side[0], str)
+
+
+@pytest.mark.parametrize(
+    "lengths, cuff",
+    [
+        # the first evaluation fails: a bad cuff index, a cancelled g
+        ((1.0, 1.0, 1.0), 3),
+        ((60.0, 60.0, 60.0), 0),
+        # the cuff passes at p and falls below MIN_CUFF_LENGTH at p e^{-h}
+        ((1e-12, 1.0, 1.0), 0),
+        # g overflows only at p e^{h} for some types
+        ((1.0, 1.0, 709.7827128933), 2),
+    ],
+)
+def test_delta_side_raises_what_the_first_failing_evaluation_raises(lengths, cuff):
+    pm = PantsMetric(*lengths)
+    failures = 0
+    for tri in enumerate_triangulations():
+        side, separate = _side_outcomes(pm, tri, cuff)
+        assert side == separate
+        failures += isinstance(side[0], type)
+    assert failures > 0
+
+
+def _reference_delta_core(l, e, ends, cuff, j, k, n):
+    """The offset kernel as written before each exponential was shared: a
+    ``functools.partial`` per call and every repeated exponential evaluated anew."""
+    exp, log = cmath.exp, cmath.log
+    sc = functools.partial(_shear_coord, l, e, ends)
+    ec, lc = e[cuff], l[cuff]
+    try:
+        if n == 2:
+            x = (1 + exp(sc(cuff, j))) / (exp(-ec * lc) - 1)
+            frac = (exp(sc(j, k)) + exp(-e[j] * l[j])) / (exp(sc(j, k)) + 1)
+            g = (x + 1) * (x + frac)
+        elif n == 4:
+            s_cj, s_cc, s_ck = sc(cuff, j), sc(cuff, cuff), sc(cuff, k)
+            num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
+            x = num / (exp(-ec * lc) - 1)
+            g = (x + 1) * (x + exp(-e[j] * l[j]))
+        else:
+            s_jj, s_jk = sc(j, j), sc(j, k)
+            x = 1 / (exp(-ec * lc) - 1)
+            num = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + exp(-e[j] * l[j])
+            den = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk) + 1
+            g = (x + 1) * (x + num / den)
+    except OverflowError:
+        g = complex(math.inf)
+    if not 0 < g.real < math.inf:
+        what = "g overflows" if g.real == math.inf else f"g = {g.real!r} <= 0"
+        raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "
+                         f"{what} at lengths {tuple(v.real for v in l)}")
+    return ec * 0.5 * log(g)
+
+
+def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
+    # real lengths (the offset) and complex-step lengths (the rate), all 32
+    # types and 3 cuffs, cuffs log-uniform from 1e-3 to 30 (long cuffs fail)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    log_length = st.floats(math.log(1e-3), math.log(30.0))
+    step = cmath.exp(complex(0.0, 1e-100))
+    tris = enumerate_triangulations()
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(a=log_length, b=log_length, c=log_length)
+    def check(a, b, c):
+        pm = PantsMetric(math.exp(a), math.exp(b), math.exp(c))
+        for lengths in (pm.lengths, tuple(v * step for v in pm.lengths)):
+            for tri in tris:
+                for cuff in range(3):
+                    n, j, k = _roles(pm, tri, cuff)
+                    args = (lengths, tri.signs, tri.ends, cuff, j, k, n)
+                    assert _outcome(lambda: _hex(_delta_core(*args))) == _outcome(lambda: _hex(_reference_delta_core(*args)))
 
     check()

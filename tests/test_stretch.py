@@ -16,6 +16,7 @@ from thurston_kit.stretch import (
     left_spec,
     log_coth,
     right_spec,
+    side_plan,
     stretch_lengths,
     stretch_point,
     stretch_vectors,
@@ -242,7 +243,7 @@ def test_stretch_vectors_are_the_time_derivative_of_the_twists(surface, lengths,
     x = FNPoint(surface, lengths, twists)
     specs = [left_spec(surface, direction="forward"), right_spec(surface, direction="forward")]
     h = 1e-5
-    for spec, vector in zip(specs, stretch_vectors(x, specs).tolist()):
+    for spec, vector in zip(specs, stretch_vectors(x, side_plan(specs)).tolist()):
         assert len(vector) == curve_count(surface)
         for curve, rate in enumerate(vector):
             num = (twist_along_stretch(x, spec, curve, h) - twist_along_stretch(x, spec, curve, -h)) / (2 * h)
@@ -252,9 +253,32 @@ def test_stretch_vectors_are_the_time_derivative_of_the_twists(surface, lengths,
 def test_stretch_vectors_reject_backward_and_foreign_specs():
     x = FNPoint("S11", (1.0,), (0.0,))
     with pytest.raises(SpecMismatchError):
-        stretch_vectors(x, [left_spec("S11", direction="forward"), left_spec("S11", direction="backward")])
+        stretch_vectors(x, side_plan([left_spec("S11", direction="forward"), left_spec("S11", direction="backward")]))
     with pytest.raises(SpecMismatchError):
-        stretch_vectors(x, [right_spec("S04", direction="forward")])
+        stretch_vectors(x, side_plan([right_spec("S04", direction="forward")]))
+
+
+def test_side_plan_lists_sides_in_order_of_first_use():
+    left, right = left_spec("S2", direction="forward"), right_spec("S2", direction="forward")
+    plan = side_plan([left, right, left])
+    l_tri, r_tri = left.triangulations[0], right.triangulations[0]
+    # both pants of a uniform completion share one triangulation type
+    assert plan.sides == ((l_tri, 0), (l_tri, 1), (l_tri, 2), (r_tri, 0), (r_tri, 1), (r_tri, 2))
+    assert plan.index.tolist() == [[0, 0], [1, 1], [2, 2], [3, 3], [4, 4], [5, 5], [0, 0], [1, 1], [2, 2]]
+    x = FNPoint("S2", (0.7, 1.9, 3.1), (0.3, -1.2, 0.5))
+    vectors = stretch_vectors(x, plan).tolist()
+    assert vectors[0] == vectors[2] == stretch_vectors(x, side_plan([left])).tolist()[0]
+    # mixed surfaces fail when the plan is built, as a backward spec does
+    with pytest.raises(SpecMismatchError, match="^stretch vectors need forward specs on the surface of the point$"):
+        side_plan([left, left_spec("S11", direction="forward")])
+
+
+@pytest.mark.parametrize("surface", ["S11", "S04", "S2"])
+def test_stretch_vectors_of_no_specs(surface):
+    x = FNPoint(surface, (1.0,) * curve_count(surface), (0.0,) * curve_count(surface))
+    plan = side_plan([])
+    assert plan.surface is None and plan.sides == ()
+    assert stretch_vectors(x, plan).shape == (0, curve_count(surface))
 
 
 def test_width_agreement_for_random_partial_sign_patterns():

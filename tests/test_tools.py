@@ -3,6 +3,7 @@
 import ast
 import json
 import random
+import subprocess
 import sys
 import timeit
 from pathlib import Path
@@ -93,11 +94,50 @@ def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsy
     monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
     exec(write_bench.LAYER_SNIPPET, {})
     layers = json.loads(capsys.readouterr().out)
-    assert set(layers) == {
-        "pants.delta_oracle", "pants.delta_closed", "pants._next_gap", "h2.shear", "torus.curve_length",
-        "torus.envelope_cells", "cube.chamfered_cube_check", "cube.cloud", "cube.dedupe_points", "cube.hull",
-        "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
-    }
+    assert set(layers) == LAYERS
+
+
+LAYERS = {
+    "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
+    "torus.curve_length", "torus.envelope_cells", "cube.chamfered_cube_check", "cube.cloud",
+    "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
+}
+
+
+def test_write_bench_layer_snippet_runs_without_the_side_plan(monkeypatch, capsys):
+    # a parent checkout from before pants.delta_side and stretch.side_plan:
+    # stretch_vectors takes the specs, and each side is four separate calls
+    from thurston_kit import cube, pants, stretch
+
+    plan_of = stretch.side_plan
+    monkeypatch.delattr(pants, "delta_side")
+    monkeypatch.delattr(stretch, "side_plan")
+    monkeypatch.setattr(stretch, "stretch_vectors", lambda x, specs: cube.stretch_vectors(x, plan_of(specs)))
+    monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
+    exec(write_bench.LAYER_SNIPPET, {})
+    assert set(json.loads(capsys.readouterr().out)) == LAYERS
+
+
+def test_write_bench_times_a_cli_command_in_fresh_processes():
+    timings = write_bench.cli_timings({side: write_bench.ROOT for side in write_bench.SIDES},
+                                      commands=(write_bench.CLI_COMMANDS[0],), rounds=1)
+    assert list(timings) == ["delta"]
+    assert set(timings["delta"]) == {"parent", "change", "change_over_parent"}
+    assert all(timings["delta"][side] > 0 for side in write_bench.SIDES)
+
+
+def test_write_bench_pairs_tier1_runs_by_round(monkeypatch):
+    runs = iter([2.0, 1.0, 4.0, 3.0, 3.0, 2.7])
+
+    def fake(cmd, root, cwd):
+        assert cmd[1:4] == ["-m", "pytest", "-q"] and cwd == root
+        return next(runs), subprocess.CompletedProcess(cmd, 0, stdout=f"...\n3 passed in {root.name}\n")
+
+    monkeypatch.setattr(write_bench, "wall_time", fake)
+    timings = write_bench.tier1_timings({"parent": Path("p"), "change": Path("c")}, rounds=3)
+    assert (timings["parent"], timings["change"]) == (3.0, 2.7)
+    assert timings["change_over_parent"] == 0.75
+    assert timings["summary"] == {"parent": "3 passed in p", "change": "3 passed in c"}
 
 
 def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():

@@ -506,3 +506,31 @@ def test_long_alpha_integer_slopes_match_mpmath_reference(l, tau, n):
         ref = 2 * mpmath.acosh(mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2))
         rel = abs((mpmath.mpf(got) - ref) / ref)
     assert rel <= 4 * sys.float_info.epsilon
+
+
+@pytest.mark.parametrize(
+    "l, tau, n",
+    [
+        # where the full-twist relabelling test drew its failing example:
+        # slope -1/1 at (e^2.1875, 1e-9 + e^2.1875) is 0.0464 long
+        (math.exp(2.1875), 1e-9 + math.exp(2.1875), -1),
+        (20.0, -20.0 + 1e-6, 1),
+        (12.0, 24.0 + 1e-4, -2),
+        (5.0, 0.3, 0),
+        (3.0, 2.5, -1),
+        (2.0, 0.0, 0),
+    ],
+)
+def test_short_integer_slopes_match_mpmath_reference(l, tau, n):
+    # |tr|/2 = coth(l/2) cosh(u/2) lies between 1 + 1e-14 and 1.5 here, where
+    # arccosh kept only about eps / (length^2 / 4) relative digits (6.1e-13
+    # relative at the first point); the reference takes u = n l + tau as the
+    # engine rounds it, so only the length formula is measured
+    mpmath = pytest.importorskip("mpmath")
+    got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(n, 1)]))[0, 0])
+    with mpmath.workdps(60):
+        u = mpmath.mpf(n * l + tau)
+        half_trace = mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2)
+        assert 1 + 1e-14 < half_trace < 1.5
+        rel = abs((mpmath.mpf(got) - 2 * mpmath.acosh(half_trace)) / (2 * mpmath.acosh(half_trace)))
+    assert rel <= 4 * sys.float_info.epsilon

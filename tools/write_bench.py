@@ -13,7 +13,9 @@ digest of each side as its records give them (a checkout without
 ``.git`` has no sha, and one with uncommitted changes reports HEAD; the
 digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
-one ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
+one ``pants.delta_side`` (the four offset evaluations of one side of a
+stretch vector, over the 96 sides at the genus-two symmetric point), one
+``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and its
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
@@ -22,7 +24,9 @@ the 128 genus-two completions at the symmetric point, and one
 ``bounds.run_sweep`` of the default ``sweep`` grid: the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn, with the median over rounds of the change's time over the
-parent's in the same round.
+parent's in the same round.  Last, the wall time of each ``CLI_COMMANDS``
+subcommand in a fresh process with the default config, and of the Tier-1
+suite (``python -m pytest -q`` in the root), alternating sides.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
@@ -35,16 +39,30 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 #: fresh processes per side for the layer timings, alternating sides
 LAYER_ROUNDS = 5
+#: the subcommands timed end to end, each run with the default config
+CLI_COMMANDS = (
+    ("delta", "--type", "3sym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "2"),
+    ("envelope",),
+    ("sweep",),
+    ("cube",),
+    ("oracle-check",),
+)
+#: fresh processes per side and subcommand, alternating sides
+CLI_ROUNDS = 5
+#: Tier-1 runs per side, alternating sides
+TIER1_ROUNDS = 2
 
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
-import json, timeit
+import json, math, timeit
 import numpy as np
 from thurston_kit import bounds, cli, cube, h2, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
@@ -55,6 +73,16 @@ def oracle():
 def closed():
     for t, cuff in cases:
         pants.delta_closed(metric, t, cuff)
+unit = pants.PantsMetric(1.0, 1.0, 1.0)
+up, down = unit.scaled(math.exp(1e-6)), unit.scaled(math.exp(-1e-6))
+def separate(p, t, cuff, up, down):
+    # the four calls a checkout from before pants.delta_side made per side
+    return (pants.delta_closed(p, t, cuff), pants.delta_scale_derivative(p, t, cuff),
+            pants.delta_closed(up, t, cuff), pants.delta_closed(down, t, cuff))
+delta_side = getattr(pants, "delta_side", separate)
+def side():
+    for t, cuff in cases:
+        delta_side(unit, t, cuff, up, down)
 def gap():
     pants._next_gap(1.0, 0.7)
 left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
@@ -79,8 +107,11 @@ summary = cube.hull(uniq)
 def cube_cloud():
     cube.cloud(base)
 specs = cube._completions()[0]
+# a checkout from before the side plan passes the specs themselves; this
+# line can go once both sides of a comparison have stretch.side_plan
+plan = stretch.side_plan(specs) if hasattr(stretch, "side_plan") else specs
 def vectors():
-    stretch.stretch_vectors(base, specs)
+    stretch.stretch_vectors(base, plan)
 def cube_dedupe():
     cube.dedupe_points(raw)
 def cube_hull():
@@ -91,14 +122,15 @@ cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
 def sweep():
     bounds.run_sweep(*sweep_args)
-# calls per repeat: about 1,000 for the pants layers, the shear (about
-# 15 us each) and the slope length (about 110 us), and about 0.15 s of
+# calls per repeat: about 1,000 for the pants layers (960 for the sides),
+# the shear (about 15 us each) and the slope length (about 110 us), and about 0.15 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
 # and the sweep (about 1.6 ms), and about 0.1 s for the cube stages and
 # the stretch vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
+                                ("pants.delta_side", side, len(cases), 1000 // len(cases)),
                                 ("pants._next_gap", gap, 1, 1000),
                                 ("h2.shear", shear, 1, 1000),
                                 ("torus.curve_length", slope_length, 1, 1000),
@@ -115,6 +147,8 @@ print(json.dumps(out))
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
+    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6} (a checkout "
+    "without it makes the four separate calls); "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
@@ -125,6 +159,14 @@ LAYER_INPUTS = (
     "curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), 60 calls "
     "(_certified), 30 calls (cloud, stretch_vectors) or 15 calls (chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side"
+)
+END_TO_END_INPUTS = (
+    "cli_seconds: each subcommand of CLI_COMMANDS in a fresh `python -m thurston_kit.cli` process "
+    "with the default config (no --config, THURSTON_KIT_CONFIG unset) in a temporary directory, "
+    f"median of {CLI_ROUNDS} runs per side; tier1_seconds: `python -m pytest -q "
+    f"--continue-on-collection-errors -p no:cacheprovider` in the root, median of {TIER1_ROUNDS} "
+    "runs per side, with the last line pytest printed; sides alternate, and change_over_parent "
+    "is the median over rounds of the change's time over the parent's in the same round"
 )
 
 
@@ -178,6 +220,23 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
     return out
 
 
+def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
+    """Seconds one fresh process of ``cmd`` takes, with ``root``'s ``src`` on
+    the path and no config file in the environment, and the finished process."""
+    env = {key: value for key, value in os.environ.items() if key != "THURSTON_KIT_CONFIG"}
+    env["PYTHONPATH"] = str(root / "src")
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=1200)
+    return time.perf_counter() - start, proc
+
+
+def paired(samples: dict[str, list[float]]) -> dict:
+    """Each side's median and the median over rounds of change / parent (the
+    host's speed drifts between rounds; the two runs of one round share it)."""
+    return {**{side: statistics.median(samples[side]) for side in SIDES},
+            "change_over_parent": statistics.median(c / p for p, c in zip(samples["parent"], samples["change"]))}
+
+
 def layer_timings(roots: dict[str, Path]) -> dict:
     samples = {side: [] for side in SIDES}
     for _ in range(LAYER_ROUNDS):
@@ -186,10 +245,34 @@ def layer_timings(roots: dict[str, Path]) -> dict:
             proc = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], env=env, capture_output=True,
                                   text=True, check=True, timeout=600)
             samples[side].append(json.loads(proc.stdout))
-    # the host's speed drifts between rounds; the two processes of one round share it
-    return {name: {**{side: statistics.median(s[name] for s in samples[side]) for side in SIDES},
-                   "change_over_parent": statistics.median(c[name] / p[name] for p, c in zip(*samples.values()))}
-            for name in samples["parent"][0]}
+    return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES}) for name in samples["parent"][0]}
+
+
+def cli_timings(roots: dict[str, Path], commands=CLI_COMMANDS, rounds: int = CLI_ROUNDS) -> dict:
+    """Wall seconds of each subcommand, run with the default config; a run
+    that exits non-zero stops the script."""
+    samples = {argv[0]: {side: [] for side in SIDES} for argv in commands}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(rounds):
+            for argv in commands:
+                for side in SIDES:
+                    seconds, proc = wall_time([sys.executable, "-m", "thurston_kit.cli", *argv], roots[side], Path(tmp))
+                    if proc.returncode != 0:
+                        raise SystemExit(f"error: {side} `{' '.join(argv)}` exited {proc.returncode}: {proc.stderr}")
+                    samples[argv[0]][side].append(seconds)
+    return {name: paired(by_side) for name, by_side in samples.items()}
+
+
+def tier1_timings(roots: dict[str, Path], rounds: int = TIER1_ROUNDS) -> dict:
+    """Wall seconds of the Tier-1 suite in each root, with its last output line."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+    samples, summary = {side: [] for side in SIDES}, {}
+    for _ in range(rounds):
+        for side in SIDES:
+            seconds, proc = wall_time(cmd, roots[side], roots[side])
+            samples[side].append(seconds)
+            summary[side] = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    return {**paired(samples), "summary": summary}
 
 
 def cpu_model() -> str | None:
@@ -218,6 +301,9 @@ def main(argv: list[str]) -> None:
         "end_to_end": compare(declared, records),
         "layers_us_per_call": layer_timings(roots),
         "layer_inputs": LAYER_INPUTS,
+        "cli_seconds": cli_timings(roots),
+        "tier1_seconds": tier1_timings(roots),
+        "end_to_end_inputs": END_TO_END_INPUTS,
     }
     Path(argv[2]).write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
