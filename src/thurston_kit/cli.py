@@ -106,6 +106,7 @@ def load_config(path: str | None) -> Config:
 
 def _read_config(path: str, cfg: Config) -> None:
     defaults = {f.name: f.default for f in fields(Config)}
+    seen: dict[str, int] = {}  # the line of each key read so far
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -116,6 +117,9 @@ def _read_config(path: str, cfg: Config) -> None:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         default = defaults[key]
         try:
             # a tuple default is a comma-separated list of floats
@@ -177,11 +181,26 @@ def _write_json(path: Path, data: object) -> None:
     _write(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
-    """One line per row: a string value as is, a number by :func:`format_float`."""
-    lines = [header]
-    lines.extend(",".join(v if isinstance(v, str) else format_float(v) for v in row) for row in rows)
-    _write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: str, row_format: str, rows: Iterable[tuple]) -> None:
+    """The header line, then ``row_format % row`` for each row: ``row_format``
+    ends in a newline and gives a number ``%.17g``, as :func:`format_float` does."""
+    _write(path, header + "\n" + "".join([row_format % row for row in rows]))
+
+
+#: one entry of cube_points.json as json.dumps(indent=2, sort_keys=True) lays it out
+_CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %r,\n      %r,\n      %r\n    ],\n    "extreme": %s\n  }'
+
+
+def _cube_points_json(entries: list[dict]) -> str:
+    """``json.dumps(entries, indent=2, sort_keys=True) + "\\n"`` for the cube's
+    entries, one :data:`_CUBE_POINT` each (the pure-Python encoder that
+    ``indent`` selects takes about four times as long).  Exact for a non-empty
+    list with labels of printable ASCII other than ``"`` and ``\\``, twist
+    vectors of three finite Python floats (``cube.cloud`` rejects any other)
+    and bool flags: json.dumps would escape other labels and write inf and
+    nan as Infinity and NaN."""
+    return "[\n" + ",\n".join([_CUBE_POINT % (e["completion"], *e["d_twist"], "true" if e["extreme"] else "false")
+                              for e in entries]) + "\n]\n"
 
 
 def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
@@ -223,7 +242,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
         raise ConfigError("grid axes must be sorted ascending")
     rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
     out = Path(cfg.out_dir)
-    _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", rows)
+    _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", "%.17g,%.17g,%s,%.17g\n", rows)
     _write_json(out / "sweep_summary.json", summary)
     print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.json'}")
     return 0 if summary["global_bounded"] else 1
@@ -236,7 +255,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     rows = [(l0, t, d_lr, d_rl) for (l0, t), (d_lr, d_rl) in zip(cells, widths)]
     sup = max([-math.inf, *(d for pair in widths for d in pair)])
     out = Path(cfg.out_dir)
-    _write_csv(out / "envelope.csv", "l0,t,d_lr,d_rl", rows)
+    _write_csv(out / "envelope.csv", "l0,t,d_lr,d_rl", "%.17g,%.17g,%.17g,%.17g\n", rows)
     summary = {
         "empirical_bound": sup,
         "l0_values": list(cfg.l0_values),
@@ -253,7 +272,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
     entries = result["entries"]
-    rows = [(e["completion"], *e["d_twist"], int(e["extreme"])) for e in entries]
+    rows = [(e["completion"], *e["d_twist"], e["extreme"]) for e in entries]
     n_vertices, n_edges, n_faces = result["hull_counts"]
     hull_info = {
         "n_vertices": n_vertices,
@@ -263,8 +282,9 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
         "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
-    _write_json(out / "cube_points.json", entries)
-    _write_csv(out / "cube_points.csv", "completion,d_twist_1,d_twist_2,d_twist_3,extreme", rows)
+    _write(out / "cube_points.json", _cube_points_json(entries))
+    _write_csv(out / "cube_points.csv", "completion,d_twist_1,d_twist_2,d_twist_3,extreme",
+               "%s,%.17g,%.17g,%.17g,%d\n", rows)
     _write_json(out / "cube_hull.json", hull_info)
     print(f"wrote cube outputs to {out}")
     return 0 if hull_info["brute_force_agrees"] else 1

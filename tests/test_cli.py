@@ -3,15 +3,28 @@
 import hashlib
 import importlib
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from thurston_kit import torus
-from thurston_kit.cli import CONFIG_ENV, MAX_Q, Config, ConfigError, load_config, main, t_grid
+from thurston_kit import cube, torus
+from thurston_kit.cli import (
+    CONFIG_ENV,
+    MAX_Q,
+    Config,
+    ConfigError,
+    _cube_points_json,
+    _write_csv,
+    format_float,
+    load_config,
+    main,
+    t_grid,
+)
 from thurston_kit.pants import PantsMetric, PantsTriangulation, delta_closed
 
 
@@ -353,6 +366,18 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(str(path))
 
 
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"out_dir={tmp_path / 'out'}\nmax_q=400\n# a comment\nmax_q=3\n")
+    message = f"{path}:4: key 'max_q' repeats line 2"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(str(path))
+    assert main(["--config", str(path), "envelope"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_invalid_values(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     cases = [
@@ -506,6 +531,59 @@ def test_artifacts_match_pinned_bytes(tmp_path, capsys, command, config, sha256)
     capsys.readouterr()
     out = tmp_path / "out"
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in sha256} == sha256
+
+
+def _per_value_csv(header, rows):
+    """The CSV text of the writer that formatted each value on its own, kept
+    as the reference for the row formats: a string as is, a number by format_float."""
+    lines = [header]
+    lines.extend(",".join(v if isinstance(v, str) else format_float(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_cube_points_template_is_json_dumps_on_finite_floats():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    labels = cube._completions()[1]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    edges = [(-0.0, 5e-324, 1e308), (-1e308, 3.0, 2.2250738585072014e-308), (0.0, -7.0, 1e16)]
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(twists=st.lists(st.tuples(finite, finite, finite), min_size=128, max_size=128),
+                      flags=st.lists(st.booleans(), min_size=128, max_size=128))
+    @hypothesis.example(twists=(edges * 43)[:128], flags=[True, False] * 64)
+    def check(twists, flags):
+        entries = [{"completion": label, "d_twist": list(v), "extreme": x}
+                   for label, v, x in zip(labels, twists, flags)]
+        assert _cube_points_json(entries) == json.dumps(entries, indent=2, sort_keys=True) + "\n"
+
+    check()
+
+
+def test_csv_row_formats_match_the_per_value_writer(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # per column kind: its row format and its values; %d matches format_float
+    # on the ints a float holds exactly (format_float rounds the others)
+    kinds = {
+        "float": ("%.17g", st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324])
+                  | st.floats().map(np.float64)),
+        "int": ("%d", st.integers(-2**53, 2**53) | st.booleans()),
+        "str": ("%s", st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E))),
+    }
+    columns = st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6)
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(data=st.data(), names=columns)
+    def check(data, names):
+        row = st.tuples(*(kinds[name][1] for name in names))
+        rows = data.draw(st.lists(row, max_size=20))
+        row_format = ",".join(kinds[name][0] for name in names) + "\n"
+        header = ",".join(names)
+        _write_csv(tmp_path / "rows.csv", header, row_format, rows)
+        assert (tmp_path / "rows.csv").read_bytes() == _per_value_csv(header, rows).encode()
+
+    check()
 
 
 @pytest.mark.parametrize(

@@ -304,31 +304,35 @@ def test_the_side_plan_of_the_completions_is_built_once():
 
 
 # sha256 of cube_points.json and cube_hull.json, recorded before the cloud
-# shared its pants offsets across completions
+# shared its pants offsets across completions, and of cube_points.csv,
+# recorded before the CSV rows came from one row format
 CUBE_ARTIFACT_SHA256 = [
     (
         (0.7, 1.9, 3.1),
         (0.3, -1.2, 0.5),
         "dc46ac935efa0aba9723dc43748533b0ebc28d49f60f0b0c338acc748ba2ed3e",
         "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+        "a66cfb723eaa293f6d7f1c5865a3954993d2ec860a74b94d1c3c068031482082",
     ),
     (
         (0.35, 0.8, 2.2),
         (-1.5, 0.1, 1.1),
         "6c65cba9c871507866f7be59efc9abefe01ef46bdcfd406740ad187e74b83c3a",
         "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+        "daaad2070a1910079d85a30cc59ca62bb428a792d6f09c97106456aeb225b52e",
     ),
     (
         (4.2, 0.6, 1.3),
         (0.9, 1.7, -0.4),
         "e2ff836056a64a6fec01cef4e530a6ddc2b1e313dc66ef4f457c2018835b3961",
         "91b3215bd7aa8e02d35eb60889b6211e74b2b6d9c92b1ed4df9396e84f649b6d",
+        "910c1741df7fd95e8ab1d0fd177795388473e698e412f2ea410c6deafe5e491d",
     ),
 ]
 
 
-@pytest.mark.parametrize("lengths, twists, points_sha, hull_sha", CUBE_ARTIFACT_SHA256)
-def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha, hull_sha):
+@pytest.mark.parametrize("lengths, twists, points_sha, hull_sha, csv_sha", CUBE_ARTIFACT_SHA256)
+def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha, hull_sha, csv_sha):
     cfg = tmp_path / "config.txt"
     cfg.write_text(
         f"out_dir={tmp_path / 'out'}\n"
@@ -339,6 +343,7 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
     out = tmp_path / "out"
     assert hashlib.sha256((out / "cube_points.json").read_bytes()).hexdigest() == points_sha
     assert hashlib.sha256((out / "cube_hull.json").read_bytes()).hexdigest() == hull_sha
+    assert hashlib.sha256((out / "cube_points.csv").read_bytes()).hexdigest() == csv_sha
     assert json.loads((out / "cube_hull.json").read_text())["brute_force_agrees"] is True
 
 

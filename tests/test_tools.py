@@ -101,21 +101,8 @@ LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_cells", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
+    "cli.cube",
 }
-
-
-def test_write_bench_layer_snippet_runs_without_the_side_plan(monkeypatch, capsys):
-    # a parent checkout from before pants.delta_side and stretch.side_plan:
-    # stretch_vectors takes the specs, and each side is four separate calls
-    from thurston_kit import cube, pants, stretch
-
-    plan_of = stretch.side_plan
-    monkeypatch.delattr(pants, "delta_side")
-    monkeypatch.delattr(stretch, "side_plan")
-    monkeypatch.setattr(stretch, "stretch_vectors", lambda x, specs: cube.stretch_vectors(x, plan_of(specs)))
-    monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
-    exec(write_bench.LAYER_SNIPPET, {})
-    assert set(json.loads(capsys.readouterr().out)) == LAYERS
 
 
 def test_write_bench_times_a_cli_command_in_fresh_processes():

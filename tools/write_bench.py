@@ -20,8 +20,10 @@ one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and its
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
 ``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
-the 128 genus-two completions at the symmetric point, and one
-``bounds.run_sweep`` of the default ``sweep`` grid: the best of several
+the 128 genus-two completions at the symmetric point, one
+``bounds.run_sweep`` of the default ``sweep`` grid, and one ``cli.cube``
+(``cli.main`` running ``cube`` at the symmetric point, artifacts written
+to a temporary directory): the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn, with the median over rounds of the change's time over the
 parent's in the same round.  Last, the wall time of each ``CLI_COMMANDS``
@@ -62,8 +64,8 @@ TIER1_ROUNDS = 2
 
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
-import json, math, timeit
-import numpy as np
+import contextlib, io, json, math, tempfile, timeit
+from pathlib import Path
 from thurston_kit import bounds, cli, cube, h2, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
 cases = [(t, cuff) for t in pants.enumerate_triangulations() for cuff in range(3)]
@@ -75,14 +77,9 @@ def closed():
         pants.delta_closed(metric, t, cuff)
 unit = pants.PantsMetric(1.0, 1.0, 1.0)
 up, down = unit.scaled(math.exp(1e-6)), unit.scaled(math.exp(-1e-6))
-def separate(p, t, cuff, up, down):
-    # the four calls a checkout from before pants.delta_side made per side
-    return (pants.delta_closed(p, t, cuff), pants.delta_scale_derivative(p, t, cuff),
-            pants.delta_closed(up, t, cuff), pants.delta_closed(down, t, cuff))
-delta_side = getattr(pants, "delta_side", separate)
 def side():
     for t, cuff in cases:
-        delta_side(unit, t, cuff, up, down)
+        pants.delta_side(unit, t, cuff, up, down)
 def gap():
     pants._next_gap(1.0, 0.7)
 left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
@@ -99,17 +96,11 @@ base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
 raw = cube.cloud(base)
-# a checkout from before the cloud became one array returns (spec, vector)
-# pairs; this line can go once both sides of a comparison return the array
-raw = raw if isinstance(raw, np.ndarray) else np.array([v for _, v in raw])
 uniq = cube.dedupe_points(raw)[0]
 summary = cube.hull(uniq)
 def cube_cloud():
     cube.cloud(base)
-specs = cube._completions()[0]
-# a checkout from before the side plan passes the specs themselves; this
-# line can go once both sides of a comparison have stretch.side_plan
-plan = stretch.side_plan(specs) if hasattr(stretch, "side_plan") else specs
+plan = stretch.side_plan(cube._completions()[0])
 def vectors():
     stretch.stretch_vectors(base, plan)
 def cube_dedupe():
@@ -122,11 +113,18 @@ cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
 def sweep():
     bounds.run_sweep(*sweep_args)
+# the default config's base point is the symmetric point
+tmp = tempfile.TemporaryDirectory()
+cube_config = Path(tmp.name) / "config.txt"
+cube_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\n")
+def cli_cube():
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--config", str(cube_config), "cube"])
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
-# the shear (about 15 us each) and the slope length (about 110 us), and about 0.15 s of
-# work for the envelope cell (about 1.2 ms each), the cube (about 10 ms)
-# and the sweep (about 1.6 ms), and about 0.1 s for the cube stages and
-# the stretch vectors (about 0.3 to 3 ms each)
+# the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
+# work for the envelope cell (about 1.2 ms each), the cube (about 4.5 ms), the CLI
+# cube (about 7 ms) and the sweep (about 1.6 ms), the cube stages and the stretch
+# vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -141,23 +139,26 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("cube.dedupe_points", cube_dedupe, 1, 100),
                                 ("cube.hull", cube_hull, 1, 100),
                                 ("cube._certified", cube_certified, 1, 60),
-                                ("bounds.run_sweep", sweep, 1, 100)):
+                                ("bounds.run_sweep", sweep, 1, 100),
+                                ("cli.cube", cli_cube, 1, 20)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 print(json.dumps(out))
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
-    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6} (a checkout "
-    "without it makes the four separate calls); "
+    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6}; "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
     "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
-    "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); "
+    "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
+    "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
+    "(the symmetric base point), its stdout discarded; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
     "curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), 60 calls "
-    "(_certified), 30 calls (cloud, stretch_vectors) or 15 calls (chamfered_cube_check); "
+    "(_certified), 30 calls (cloud, stretch_vectors), 20 calls (cli.cube) or 15 calls "
+    "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
 END_TO_END_INPUTS = (
