@@ -107,7 +107,10 @@ def load_config(path: str | None) -> Config:
 def _read_config(path: str, cfg: Config) -> None:
     defaults = {f.name: f.default for f in fields(Config)}
     seen: dict[str, int] = {}  # the line of each key read so far
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+        raise ConfigError(f"{path}: cannot read the configuration: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

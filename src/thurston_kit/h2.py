@@ -1,9 +1,9 @@
 """Upper half-plane hyperbolic geometry kernel.
 
-Every value is a plain float or tuple:
+Every value is a scalar (a float, or an mpmath number) or a tuple:
 
 * An interior point is a pair ``(x, y)`` with ``y > 0``.
-* An ideal boundary point is a canonical float: ``math.inf`` is the
+* An ideal boundary point is a canonical scalar: ``math.inf`` is the
   single point at infinity (``-inf`` is the same ideal point and
   :func:`ideal` canonicalizes it to ``+inf``), and NaN is rejected.
 * A geodesic is its two distinct ideal endpoints, passed as two
@@ -27,8 +27,6 @@ nearer finite vertex, and :func:`_near_height` calls it on the other
 triangle in the flipped frame z -> -1/z.  The
 shear is the log ratio of the two heights, so a caller whose one triangle
 stays fixed (the oracle's gap solve) computes that half once.
-:func:`mobius_apply`, the innermost call of the oracle, canonicalizes its
-image inline as :func:`ideal` does: NaN raises and -inf becomes inf.
 
 Every operation is a pure function on immutable values, so concurrent
 use needs no synchronization.
@@ -36,7 +34,7 @@ use needs no synchronization.
 
 from __future__ import annotations
 
-import math
+import math  # the only scalar namespace: no "from math import", no float()/complex() coercion, so mpmath can stand in
 
 INF = math.inf
 
@@ -52,7 +50,7 @@ def ideal(p: float) -> float:
     """Canonicalize an ideal point (both ends of the real axis are one point)."""
     if math.isnan(p):
         raise GeometryError("ideal point is NaN")
-    return INF if math.isinf(p) else float(p)
+    return INF if math.isinf(p) else p
 
 
 def _upper(x: float, y: float) -> tuple[float, float]:
@@ -130,7 +128,7 @@ def mobius_apply(m: tuple, t: float) -> float:
 
 def _apply_point(m: tuple, x: float, y: float) -> tuple[float, float]:
     a, b, c, d = m
-    z = complex(*_upper(x, y))
+    z = x + 1j * _upper(x, y)[1]
     w = (a * z + b) / (c * z + d)
     return _upper(w.real, w.imag)
 

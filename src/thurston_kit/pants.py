@@ -25,7 +25,7 @@ horocycle about infinity.
 
 from __future__ import annotations
 
-import cmath
+import cmath  # with math, the only scalar namespaces: no "from math import", no float()/complex() coercion (for mpmath)
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -169,30 +169,29 @@ def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, n: 
 
     ``l`` may carry complex entries (an infinitesimal imaginary part
     implements exact differentiation of the log-coth-type expressions).
-    Each exponential is computed once, in the order the expressions read.
+    Each exponential is computed once; the leaf-end cases share one tail.
     """
     exp, log = cmath.exp, cmath.log
     ec, lc = e[cuff], l[cuff]
     try:
         if n == 2:
-            x = (1 + exp(_shear_coord(l, e, ends, cuff, j))) / (exp(-ec * lc) - 1)
+            num = 1 + exp(_shear_coord(l, e, ends, cuff, j))
             e_jk = exp(_shear_coord(l, e, ends, j, k))
             frac = (e_jk + exp(-e[j] * l[j])) / (e_jk + 1)
-            g = (x + 1) * (x + frac)
         elif n == 4:
             s_cj = _shear_coord(l, e, ends, cuff, j)
             s_cc, s_ck = _shear_coord(l, e, ends, cuff, cuff), _shear_coord(l, e, ends, cuff, k)
             num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
-            x = num / (exp(-ec * lc) - 1)
-            g = (x + 1) * (x + exp(-e[j] * l[j]))
+            frac = exp(-e[j] * l[j])
         else:
             s_jj, s_jk = _shear_coord(l, e, ends, j, j), _shear_coord(l, e, ends, j, k)
-            x = 1 / (exp(-ec * lc) - 1)
-            # the common three-term sum of num and den, added left to right
+            # the common three-term sum of frac's numerator and denominator, added left to right
             three = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk)
-            g = (x + 1) * (x + (three + exp(-e[j] * l[j])) / (three + 1))
+            num, frac = 1, (three + exp(-e[j] * l[j])) / (three + 1)
+        x = num / (exp(-ec * lc) - 1)
+        g = (x + 1) * (x + frac)
     except OverflowError:  # an exponential of a long cuff
-        g = complex(math.inf)
+        g = math.inf
     if not 0 < g.real < math.inf:  # overflowed, or cancelled: its log would drop an i*pi
         what = "g overflows" if g.real == math.inf else f"g = {g.real!r} <= 0"
         raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "

@@ -691,3 +691,32 @@ def test_t_grid_keeps_exact_multiples():
     assert len(t_grid(0.3, 0.1)) == 4
     assert t_grid(1.0, 0.6) == (0.0, 0.6)
     assert Config(t_max=1.0, t_step=0.6).t_values() == (0.0, 0.6)
+
+
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize(
+    "content, reason",
+    [(None, "No such file or directory"), ("max_q=3  # caf\xe9\n".encode("latin-1"), "can't decode byte 0xe9")],
+    ids=["missing", "not-utf-8"],
+)
+def test_a_config_that_cannot_be_read_is_a_configuration_error(tmp_path, monkeypatch, capsys, via_env, content, reason):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "thurston.cfg"
+    if content is not None:
+        path.write_bytes(content)
+    if via_env:
+        monkeypatch.setenv(CONFIG_ENV, str(path))
+    assert main(["sweep"] if via_env else ["--config", str(path), "sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: cannot read the configuration: ")
+    assert reason in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failed_artifact_write_is_a_computational_failure(tmp_path, capsys):
+    # out_dir lies under a regular file, so creating it fails
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, out_dir=tmp_path / "file" / "out")
+    assert main(["--config", str(cfg), "sweep"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")

@@ -495,3 +495,41 @@ def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
                     assert _outcome(lambda: _hex(_delta_core(*args))) == _outcome(lambda: _hex(_reference_delta_core(*args)))
 
     check()
+
+
+# ------------------------------------------------------- 50-digit references
+
+
+def _offsets(lengths):
+    """``(delta_closed, delta_oracle)`` at every (type, cuff) pair."""
+    pm = PantsMetric(*lengths)
+    return [(delta_closed(pm, tri, cuff), delta_oracle(pm, tri, cuff))
+            for tri in enumerate_triangulations() for cuff in range(3)]
+
+
+# criterion 1's triple with the largest float residual, and one of three distinct lengths
+@pytest.mark.parametrize("lengths", [(4.0, 1.0, 4.0), (0.5, 2.0, 1.0)])
+def test_closed_form_and_oracle_at_fifty_digits(lengths, request):
+    floats = _offsets(lengths)
+    mp = request.getfixturevalue("fifty_digits")
+    exact = _offsets(tuple(map(mp.mpf, lengths)))
+    # the two kernels agree at 50 digits (5.1e-49 over criterion 1's grid);
+    # a step left in float anywhere would leave about 1e-14
+    assert max(abs(closed - oracle) for closed, oracle in exact) <= 1e-30
+    # the float kernels are within 1e-13 of them (4.5e-14 and 4.6e-14 over the grid)
+    assert max(abs(f - closed) for (f, _), (closed, _) in zip(floats, exact)) <= 1e-13
+    assert max(abs(f - closed) for (_, f), (closed, _) in zip(floats, exact)) <= 1e-13
+
+
+def test_complex_step_rate_matches_a_fifty_digit_central_difference(request):
+    # the 96 sides of the genus-two surface at its symmetric point, lengths (1, 1, 1)
+    sides = [(tri, cuff) for tri in enumerate_triangulations() for cuff in range(3)]
+    rates = [delta_scale_derivative(PantsMetric(1.0, 1.0, 1.0), tri, cuff) for tri, cuff in sides]
+    mp = request.getfixturevalue("fifty_digits")
+    h = mp.mpf("1e-20")
+    pm = PantsMetric(mp.mpf(1), mp.mpf(1), mp.mpf(1))
+    up, down = pm.scaled(mp.exp(h)), pm.scaled(mp.exp(-h))
+    for (tri, cuff), rate in zip(sides, rates):
+        reference = (delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)) / (2 * h)
+        # 1.8e-15 measured
+        assert abs(rate - reference) <= 1e-14 * abs(reference), (tri.label(), cuff)

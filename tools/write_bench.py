@@ -142,6 +142,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("bounds.run_sweep", sweep, 1, 100),
                                 ("cli.cube", cli_cube, 1, 20)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
+tmp.cleanup()
 print(json.dumps(out))
 """
 LAYER_INPUTS = (
