@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import re
@@ -227,6 +228,30 @@ def test_stretch_command_reads_one_value_per_curve(capsys, surface, values):
     assert [line.split(":")[0] for line in out.splitlines()] == [f"curve{i + 1}" for i in range(values.count(",") + 1)]
     assert main(["stretch", "--surface", surface, "--l", "1,1", "--tau", "1,1", "--t", "0.5"]) == 2
     assert capsys.readouterr().err.startswith("error: expected ")
+
+
+#: sha256 of the `stretch` stdout at one point per surface, both
+#: completions, both --direction values and --t in (0, 0.7, -0.4), each
+#: run headed by "<completion> <direction> <t>"; recorded while the
+#: direction was a field of the stretch spec, before it became the sign
+#: of the time
+STRETCH_CLI_SHA256 = {
+    ("S11", "0.8", "0.3"): "34c29b01ef4aa63253dd67506a85fa25f1fc89a1e7fae39d584168447f431375",
+    ("S04", "1.7", "-0.6"): "0f8782748d26d8a6b64f55000e5785752b2ad83fd49cf8545dacda76a7b56a3c",
+    ("S2", "0.5,1.2,2.5", "0.4,-1.1,2"): "7d539d2e335d066621564cdb8f41a30d6370e41df8d745eac3ecc8c9f8be4ee3",
+}
+
+
+@pytest.mark.parametrize("point,sha256", STRETCH_CLI_SHA256.items())
+def test_stretch_command_matches_pinned_bytes(capsys, point, sha256):
+    surface, lengths, twists = point
+    runs = []
+    for completion, direction, t in itertools.product("LR", ("forward", "backward"), ("0", "0.7", "-0.4")):
+        argv = ("--surface", surface, "--l", lengths, "--tau", twists, "--t", t)
+        code, out = run_cli(capsys, "stretch", *argv, "--completion", completion, "--direction", direction)
+        assert code == 0
+        runs.append(f"{completion} {direction} {t}\n{out}")
+    assert hashlib.sha256("".join(runs).encode()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])
