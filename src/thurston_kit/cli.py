@@ -227,7 +227,7 @@ def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
     n = stretch.curve_count(args.surface)
     x = FNPoint(args.surface, _parse_lengths(args.l, n), _parse_lengths(args.tau, n))
     completion = left_spec if args.completion == "L" else right_spec
-    y = stretch_point(x, completion(args.surface, direction=args.direction), args.t)
+    y = stretch_point(x, completion(args.surface), -args.t if args.direction == "forward" else args.t)
     for i, (l, th) in enumerate(zip(y.lengths, y.twists)):
         print(f"curve{i + 1}: length={format_float(l)} twist={format_float(th)}")
     return 0

@@ -1,7 +1,7 @@
 """The hull of the genus-two stretch vectors: faces, vertices and their certificates.
 
-A candidate is a forward :class:`~thurston_kit.stretch.StretchSpec` on
-the genus-two surface: one triangulation type per pair of pants and one
+A candidate is a :class:`~thurston_kit.stretch.StretchSpec` on the
+genus-two surface: one triangulation type per pair of pants and one
 twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
 (rows of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud;
 its convex hull at the symmetric base point is combinatorially a
@@ -36,7 +36,7 @@ def _completions() -> tuple[tuple[StretchSpec, ...], tuple[str, ...], SidePlan]:
     specs = []
     for bits in itertools.product((1, -1), repeat=3):
         tris = [PantsTriangulation(ends, bits) for ends in LEAF_DISTRIBUTIONS]
-        specs.extend(StretchSpec("S2", pair, "forward") for pair in itertools.product(tris, repeat=2))
+        specs.extend(StretchSpec("S2", pair) for pair in itertools.product(tris, repeat=2))
     return tuple(specs), tuple(map(_label, specs)), side_plan(specs)
 
 

@@ -1,18 +1,18 @@
 """Twist evolution along stretch paths and twist widths between them.
 
-Along a stretch path every curve of the stretched decomposition scales
-its length by e^t, and the twist coordinate of a decomposition curve c
-evolves as
+A stretch for time t scales every decomposition curve by e^s, s = -t, so
+positive t runs backward (as the envelope and the twist widths do) and
+negative t forward; the twist coordinate of curve c evolves as
 
-    theta_c(t) = theta_c(0) e^t + (D1(0) + D2(0)) e^t - D1(t) - D2(t)
+    theta_c = theta_c(0) e^s + (D1(0) + D2(0)) e^s - D1(s) - D2(s)
 
 where D_i(s) is the twist offset of the pair of pants on side i of c,
 evaluated with every length scaled by e^s (offsets are 1/2 log of
 rational expressions in exponentials of lengths, so scaling the shear
-coordinates and scaling the lengths agree).  Negative s gives the
-backward path.  The stretch vector of a forward completion is the
-derivative at t = 0 of every twist coordinate (:func:`stretch_vectors`),
-the quantity whose convex hull ``cube`` studies on the genus-two surface.
+coordinates and scaling the lengths agree).  The stretch vector of a
+completion is the derivative in s at s = 0 of every twist coordinate
+(:func:`stretch_vectors`), the quantity whose convex hull ``cube``
+studies on the genus-two surface.
 
 Each surface is one row of ``_SURFACES``: the (pants, cuff) pair on each
 side of each decomposition curve, the leaf ends of each pair of pants in
@@ -108,33 +108,30 @@ class StretchSpec:
 
     surface: str
     triangulations: tuple[PantsTriangulation, ...]
-    direction: str
 
     def __post_init__(self) -> None:
         row = _surface(self.surface)
         object.__setattr__(self, "triangulations", tuple(self.triangulations))
         if len(self.triangulations) != len(row.ends):
             raise ValueError(f"{self.surface} needs {len(row.ends)} pants triangulations")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
         for curve, ((p1, c1), (p2, c2)) in enumerate(row.sides):
             if self.triangulations[p1].signs[c1] != self.triangulations[p2].signs[c2]:
                 raise SpecMismatchError(f"twist signs disagree across curve {curve}")
 
 
-def left_spec(surface: str, direction: str = "backward") -> StretchSpec:
+def left_spec(surface: str) -> StretchSpec:
     """The left-twisting completion (all twist signs +1)."""
-    return _signed_spec(surface, 1, direction)
+    return _signed_spec(surface, 1)
 
 
-def right_spec(surface: str, direction: str = "backward") -> StretchSpec:
+def right_spec(surface: str) -> StretchSpec:
     """The right-twisting completion (all twist signs -1)."""
-    return _signed_spec(surface, -1, direction)
+    return _signed_spec(surface, -1)
 
 
-def _signed_spec(surface: str, sign: int, direction: str) -> StretchSpec:
+def _signed_spec(surface: str, sign: int) -> StretchSpec:
     tris = tuple(PantsTriangulation(ends, (sign, sign, sign)) for ends in _surface(surface).ends)
-    return StretchSpec(surface, tris, direction)
+    return StretchSpec(surface, tris)
 
 
 def stretch_lengths(x: FNPoint, t: float) -> FNPoint:
@@ -155,31 +152,30 @@ def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
     return d0 * math.exp(s) - ds
 
 
-def _signed_time(spec: StretchSpec, t: float) -> float:
+def _signed_time(t: float) -> float:
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    s = -t if spec.direction == "backward" else t
+    s = -t
     if s > math.log(sys.float_info.max):
-        raise ValueError(f"stretch time is out of float reach: lengths scale by e^{s!r}, which overflows (t = {t!r})")
+        raise ValueError(f"stretch time is out of float reach: lengths scale by e^{s!r}, which overflows")
     return s
 
 
 def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> float:
     """Twist coordinate of ``curve`` after stretching ``x`` along ``spec``
-    for time ``t``; the spec's direction selects the forward (s = +t) or
-    backward (s = -t) evolution."""
+    for time ``t``."""
     if spec.surface != x.surface:
         raise SpecMismatchError("spec surface does not match the point")
-    s = _signed_time(spec, t)
+    s = _signed_time(t)
     twist = x.twists[curve] * math.exp(s) + _offset_drift(x, spec, curve, s)
     if not math.isfinite(twist):
-        raise ValueError(f"twist of curve {curve} is out of float reach after the stretch (t = {t!r})")
+        raise ValueError(f"twist of curve {curve} is out of float reach after the stretch (lengths scale by e^{s!r})")
     return twist
 
 
 def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
-    """Full Fenchel-Nielsen image of ``x`` under the stretch."""
-    s = _signed_time(spec, t)
+    """Full Fenchel-Nielsen image of ``x`` under the stretch for time ``t``."""
+    s = _signed_time(t)
     twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
     return FNPoint(x.surface, stretch_lengths(x, s).lengths, twists)
 
@@ -189,7 +185,7 @@ DERIVATIVE_CHECK_REL = 1e-6
 
 
 class SidePlan(NamedTuple):
-    """Forward specs reduced to the pants sides their stretch vectors sum."""
+    """Specs reduced to the pants sides their stretch vectors sum."""
 
     #: the surface of the specs; None when there are none
     surface: str | None
@@ -201,13 +197,13 @@ class SidePlan(NamedTuple):
 
 
 def side_plan(specs: Sequence[StretchSpec]) -> SidePlan:
-    """The :class:`SidePlan` of forward specs on one surface, the input of
+    """The :class:`SidePlan` of specs on one surface, the input of
     :func:`stretch_vectors`; a caller with fixed specs builds it once."""
     # imported here, not at module level: only the cube needs arrays
     import numpy as np
 
     surfaces = {spec.surface for spec in specs}
-    if len(surfaces) > 1 or any(spec.direction != "forward" for spec in specs):
+    if len(surfaces) > 1:
         raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
     surface = next(iter(surfaces), None)
     pants_cuffs = [side for pair in _SURFACES[surface].sides for side in pair] if surface else []
@@ -280,9 +276,7 @@ def twist_width(x: FNPoint, lam: StretchSpec, nu: StretchSpec, curve: int, t: fl
     """
     if lam.surface != nu.surface or lam.surface != x.surface:
         raise SpecMismatchError("specs must live on the surface of the point")
-    if lam.direction != nu.direction:
-        raise SpecMismatchError("specs must share a direction")
-    s = _signed_time(lam, t)
+    s = _signed_time(t)
     return _offset_drift(x, lam, curve, s) - _offset_drift(x, nu, curve, s)
 
 
@@ -308,9 +302,9 @@ def twist_width_closed(l0: float, t: float) -> float:
     """Closed-form twist width between the backward left and right stretches.
 
     At the point :func:`width_point` maps l0 to, on the once-punctured
-    torus or the four-times punctured sphere,
+    torus or the four-times punctured sphere, the twists at time t differ by
 
-        theta(left, -t) - theta(right, -t)
+        theta(left, t) - theta(right, t)
             = 4 e^{-t} log coth(l0) - 4 log coth(l0 e^{-t})
 
     Direct algebra on the twist-offset closed forms produces coth(l0), and

@@ -64,10 +64,14 @@ def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
     node is the product of its Stern-Brocot parents, which have smaller
     denominators; ``levels`` holds their (left, right) node indices for
     the denominators 2, 3, ... in turn, and ``slope_node[j]`` is the node of
-    the j-th slope, -1 for infinity.
+    the j-th slope, -1 for infinity.  A malformed slope (module docstring) raises.
     """
     by_q: dict[int, set[int]] = {1: set()}
-    for p, q in slopes:
+    for slope in slopes:
+        # anything but a pair fails as (0, 0) does
+        p, q = slope if isinstance(slope, tuple) and len(slope) == 2 else (0, 0)
+        if not (isinstance(p, int) and isinstance(q, int) and q >= 0 and gcd(p, q) == 1 and (q or p == 1)):
+            raise ValueError(f"slope {slope!r} is not an int pair (p, q) in lowest terms, q >= 0, infinity (1, 0)")
         if q:
             by_q.setdefault(q, set()).add(p)
     parents = {}
@@ -172,11 +176,12 @@ def curve_length(x: FNPoint, slope: tuple[int, int]) -> float:
 
     The alpha-curve (slope infinity) is the coordinate l itself, exactly,
     not a trace, which would lose half the precision for very short
-    curves.  Raises as :func:`_log_lengths` does.
+    curves.  Raises as :func:`_plan` and :func:`_log_lengths` do.
     """
+    plan = _plan((slope,))
     if slope[1] == 0:
         return _seed(x)[0]
-    return math.exp(_log_lengths((x,), _plan((slope,)))[0, 0])
+    return math.exp(_log_lengths((x,), plan)[0, 0])
 
 
 def candidate_slopes(max_q: int) -> list[tuple[int, int]]:

@@ -34,8 +34,8 @@ from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, side_p
 
 
 def _spec(signs, ends1, ends2):
-    """The forward genus-two completion with shared ``signs`` and the given pants types."""
-    return StretchSpec("S2", (PantsTriangulation(ends1, signs), PantsTriangulation(ends2, signs)), "forward")
+    """The genus-two completion with shared ``signs`` and the given pants types."""
+    return StretchSpec("S2", (PantsTriangulation(ends1, signs), PantsTriangulation(ends2, signs)))
 
 
 def _projection(x, spec):

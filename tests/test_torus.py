@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 import sys
 import warnings
 from math import gcd
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from thurston_kit import torus
-from thurston_kit.stretch import FNPoint, twist_width_closed
+from thurston_kit.stretch import FNPoint, twist_width_closed, width_point
 from thurston_kit.torus import (
     candidate_slopes,
     curve_length,
@@ -87,6 +88,24 @@ def test_candidate_slopes_are_the_benchmark_reference_family(monkeypatch):
     reference = importlib.import_module("reference")
     for max_q in range(1, 46):
         assert candidate_slopes(max_q) == reference.slope_family(max_q)
+
+
+@pytest.mark.parametrize("l0, t", [(5.0, 4.0), (0.05, 3.0), (1.3, 0.7)])
+def test_envelope_widths_are_the_benchmark_reference_cell(monkeypatch, l0, t):
+    # the benchmark's recomputation stretches with the default time sense
+    # (positive t runs backward); the two agreed to 4.4e-16 when recorded
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    reference = importlib.import_module("reference")
+    got = envelope_widths(width_point("S11", l0), t, 30)
+    assert np.max(np.abs(np.subtract(got, reference.envelope_cell(l0, t, 30)))) <= 1e-9
+
+
+@pytest.mark.parametrize("slope", [(0, 0), (2, 0), (-1, 0), (1, -2), (2, 4), (0, 2), (1.0, 2), (1, 2, 3), [1, 2]])
+def test_malformed_slopes_are_rejected(slope):
+    # (0, 0), (2, 0) and (-1, 0) read as infinity, (1, -2) raised a numpy
+    # cast error, and (2, 4) and (0, 2) a modular-inverse error
+    with pytest.raises(ValueError, match=rf"^slope {re.escape(repr(slope))} is not an int pair \(p, q\) in lowest"):
+        curve_length(_point(1.0, 0.3), slope)
 
 
 # ------------------------------------------------------------- inputs
