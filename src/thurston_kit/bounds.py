@@ -133,6 +133,6 @@ def run_sweep(l0_values: tuple[float, ...], t_values: tuple[float, ...], eps: fl
 
 def _middle_constants(l0s: list[float], max_q: int) -> dict[float, float]:
     """{l0: max of both direction estimates at the length-one cross-section
-    (signed stretch time log l_alpha of the :func:`width_point` of l0)}."""
+    (stretch time log l_alpha of the :func:`width_point` of l0)}."""
     cells = [(y, math.log(y.lengths[0])) for y in (width_point("S11", l0) for l0 in l0s)]
     return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, max_q))}

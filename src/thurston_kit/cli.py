@@ -5,7 +5,8 @@ oracle-check.  Numeric output uses 17 significant digits, CSV files use
 '.' decimals and LF line endings, JSON keys are snake_case and sorted;
 repeated runs with the same configuration are byte-identical.
 
-Exit codes: 0 success, 1 computational failure, 2 usage error.
+Exit codes: 0 success, 1 computational failure, 2 usage error.  A value
+may start with '-', with or without '=': ``stretch --t -1e-05`` runs forward.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
     n = stretch.curve_count(args.surface)
     x = FNPoint(args.surface, _parse_lengths(args.l, n), _parse_lengths(args.tau, n))
     completion = left_spec if args.completion == "L" else right_spec
-    y = stretch_point(x, completion(args.surface), -args.t if args.direction == "forward" else args.t)
+    y = stretch_point(x, completion(args.surface), args.t)
     for i, (l, th) in enumerate(zip(y.lengths, y.twists)):
         print(f"curve{i + 1}: length={format_float(l)} twist={format_float(th)}")
     return 0
@@ -334,7 +335,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--completion", choices=("L", "R"), default="L")
-    p.add_argument("--direction", choices=("forward", "backward"), default="backward")
     p.set_defaults(func=cmd_stretch)
 
     p = sub.add_parser("twist-width", help="closed-form twist width")
@@ -357,7 +357,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    # argparse takes a value that starts with one "-" (-1e-05, -1,0,0) for an option; every long
+    # option but --help takes a value, so such a token joins the one before it: --t=-1e-05
+    tokens: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        prev = tokens[-1] if tokens else ""
+        if arg[:1] == "-" and arg[:2] != "--" and prev[:2] == "--" and "=" not in prev and not "--help".startswith(prev):
+            tokens[-1] += "=" + arg
+        else:
+            tokens.append(arg)
+    args = _parser().parse_args(tokens)
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)

@@ -86,15 +86,13 @@ class HullSummary:
     """Merged-face combinatorics of a 3D convex hull, with the plane equation
     (unit outward normal, offset) of each face and the faces through each point."""
 
-    n_vertices: int
     n_edges: int
-    n_faces: int
     vertex_indices: tuple[int, ...]
     planes: np.ndarray = field(repr=False, compare=False)
     point_faces: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def counts(self) -> tuple[int, int, int]:
-        return (self.n_vertices, self.n_edges, self.n_faces)
+        return (len(self.vertex_indices), self.n_edges, len(self.planes))
 
 
 def hull(points: np.ndarray) -> HullSummary:
@@ -131,7 +129,7 @@ def hull(points: np.ndarray) -> HullSummary:
     v, e, f = len(vertices), len(edges), len(planes)
     if v - e + f != 2:
         raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(v, e, f, vertices, planes, tuple(tuple(sorted(fs)) for fs in faces_at))
+    return HullSummary(e, vertices, planes, tuple(tuple(sorted(fs)) for fs in faces_at))
 
 
 def _certified(points: np.ndarray, summary: HullSummary) -> bool:

@@ -2,7 +2,7 @@
 
 A stretch for time t scales every decomposition curve by e^s, s = -t, so
 positive t runs backward (as the envelope and the twist widths do) and
-negative t forward; the twist coordinate of curve c evolves as
+negative t forward, in every function here; the twist of curve c evolves as
 
     theta_c = theta_c(0) e^s + (D1(0) + D2(0)) e^s - D1(s) - D2(s)
 
@@ -134,12 +134,6 @@ def _signed_spec(surface: str, sign: int) -> StretchSpec:
     return StretchSpec(surface, tris)
 
 
-def stretch_lengths(x: FNPoint, t: float) -> FNPoint:
-    """Scale every decomposition-curve length by e^t; twists untouched."""
-    f = math.exp(t)
-    return FNPoint(x.surface, tuple(v * f for v in x.lengths), x.twists)
-
-
 def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
     """(D1(0) + D2(0)) e^s - (D1(s) + D2(s)) for the two pants adjacent to the
     curve, grouped so that it cancels exactly at s = 0."""
@@ -175,9 +169,9 @@ def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> 
 
 def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
     """Full Fenchel-Nielsen image of ``x`` under the stretch for time ``t``."""
-    s = _signed_time(t)
+    f = math.exp(_signed_time(t))
     twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
-    return FNPoint(x.surface, stretch_lengths(x, s).lengths, twists)
+    return FNPoint(x.surface, tuple(v * f for v in x.lengths), twists)
 
 
 #: relative agreement required between analytic and central-difference rates
@@ -204,7 +198,7 @@ def side_plan(specs: Sequence[StretchSpec]) -> SidePlan:
 
     surfaces = {spec.surface for spec in specs}
     if len(surfaces) > 1:
-        raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
+        raise SpecMismatchError("stretch vectors need specs on one surface")
     surface = next(iter(surfaces), None)
     pants_cuffs = [side for pair in _SURFACES[surface].sides for side in pair] if surface else []
     sides: dict[tuple[PantsTriangulation, int], int] = {}
@@ -233,7 +227,7 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
     import numpy as np
 
     if plan.surface not in (None, x.surface):
-        raise SpecMismatchError("stretch vectors need forward specs on the surface of the point")
+        raise SpecMismatchError("stretch vectors need specs on the surface of the point")
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)
     h = 1e-6

@@ -234,9 +234,9 @@ def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[t
     for i in range(0, len(cells), step):
         chunk = cells[i : i + step]
         try:
-            ll = _log_lengths([p for y, t in chunk for p in _endpoints_signed(y, t)], plan)
+            ll = _log_lengths([p for y, t in chunk for p in _endpoints(y, t)], plan)
         except (ValueError, ArithmeticError):
-            ll = np.hstack([_log_lengths(_endpoints_signed(y, t), plan) for y, t in chunk])
+            ll = np.hstack([_log_lengths(_endpoints(y, t), plan) for y, t in chunk])
         # the reverse direction is not the negated forward one, which
         # would give -0.0 where the endpoints coincide
         d_lr = np.max(ll[:, 1::2] - ll[:, 0::2], axis=0)
@@ -250,10 +250,8 @@ def earthquake(x: FNPoint, t: float) -> FNPoint:
     return FNPoint(x.surface, x.lengths, (x.twists[0] + t,) + x.twists[1:])
 
 
-def _endpoints_signed(y: FNPoint, t: float) -> tuple[FNPoint, FNPoint]:
-    """Backward stretch endpoints (left, right completion) at signed time t, both
-    of alpha-length l_alpha(y) e^{-t}; for t >= 0 their twist gap is the
-    closed-form twist width at l0 = l_alpha(y)/2."""
-    yl = stretch_point(y, left_spec(y.surface), t)
-    yr = stretch_point(y, right_spec(y.surface), t)
-    return yl, yr
+def _endpoints(y: FNPoint, t: float) -> tuple[FNPoint, FNPoint]:
+    """Stretch endpoints (left, right completion) at time t, both of alpha-length
+    l_alpha(y) e^{-t}; for t >= 0 their twist gap is the closed-form twist width
+    at l0 = l_alpha(y)/2."""
+    return stretch_point(y, left_spec(y.surface), t), stretch_point(y, right_spec(y.surface), t)

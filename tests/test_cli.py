@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from thurston_kit.cli import (
     Config,
     ConfigError,
     _cube_points_json,
+    _parser,
     _write_csv,
     format_float,
     load_config,
@@ -231,9 +233,9 @@ def test_stretch_command_reads_one_value_per_curve(capsys, surface, values):
 
 
 #: sha256 of the `stretch` stdout at one point per surface, both
-#: completions, both --direction values and --t in (0, 0.7, -0.4), each
-#: run headed by "<completion> <direction> <t>"; recorded before the
-#: direction became the sign of the time
+#: completions, both directions and --t in (0, 0.7, -0.4), each run headed
+#: by "<completion> <direction> <t>"; recorded with a --direction flag, before
+#: the direction became the sign of the time
 STRETCH_CLI_SHA256 = {
     ("S11", "0.8", "0.3"): "34c29b01ef4aa63253dd67506a85fa25f1fc89a1e7fae39d584168447f431375",
     ("S04", "1.7", "-0.6"): "0f8782748d26d8a6b64f55000e5785752b2ad83fd49cf8545dacda76a7b56a3c",
@@ -246,11 +248,55 @@ def test_stretch_command_matches_pinned_bytes(capsys, point, sha256):
     surface, lengths, twists = point
     runs = []
     for completion, direction, t in itertools.product("LR", ("forward", "backward"), ("0", "0.7", "-0.4")):
-        argv = ("--surface", surface, "--l", lengths, "--tau", twists, "--t", t)
-        code, out = run_cli(capsys, "stretch", *argv, "--completion", completion, "--direction", direction)
+        # a forward stretch for time t is the stretch for time -t
+        time = (t[1:] if t.startswith("-") else f"-{t}") if direction == "forward" else t
+        argv = ("--surface", surface, "--l", lengths, "--tau", twists, f"--t={time}")
+        code, out = run_cli(capsys, "stretch", *argv, "--completion", completion)
         assert code == 0
         runs.append(f"{completion} {direction} {t}\n{out}")
     assert hashlib.sha256("".join(runs).encode()).hexdigest() == sha256
+
+
+def _run_to_exit(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)``, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stretch", "--l", "1", "--tau", "0", "--t", "-1e-05"],
+        ["stretch", "--surface", "S2", "--l", "1,1,1", "--tau", "-1,0,0", "--t", "1"],
+        ["twist-width", "--l0", "1", "--t", "-1e-3"],
+        ["delta", "--type", "3sym", "--l", "-1,1,1", "--signs", "LLL", "--cuff", "1"],
+    ],
+)
+def test_negative_values_parse_with_or_without_equals(capsys, argv):
+    # argparse read -1e-05 and -1,0,0 after an option as options and exited 2
+    negative = next(i for i, arg in enumerate(argv) if arg.startswith("-") and not arg.startswith("--"))
+    joined = [*argv[: negative - 1], f"{argv[negative - 1]}={argv[negative]}", *argv[negative + 1 :]]
+    spaced = _run_to_exit(capsys, argv)
+    assert spaced == _run_to_exit(capsys, joined)
+    assert "expected one argument" not in spaced[2]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # the sign of --t is the direction
+        (["--t", "1", "--direction", "forward"], "unrecognized arguments: --direction forward"),
+        (["--t", "-x"], "argument --t: invalid float value: '-x'"),
+    ],
+)
+def test_stretch_usage_errors_after_dash_values(capsys, argv, message):
+    code, out, err = _run_to_exit(capsys, ["stretch", "--l", "1", "--tau", "0", *argv])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])
@@ -263,7 +309,7 @@ def test_stretch_command_rejects_non_finite_twists(capsys, tau):
 
 def test_stretch_command_states_a_twist_past_float_reach(capsys):
     # the finite input twist was blamed for the overflowing result
-    assert main(["stretch", "--l", "1", "--tau", "1e308", "--t", "1", "--direction", "forward"]) == 1
+    assert main(["stretch", "--l", "1", "--tau", "1e308", "--t", "-1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     message = "error: twist of curve 0 is out of float reach after the stretch (lengths scale by e^1.0)"
@@ -273,8 +319,8 @@ def test_stretch_command_states_a_twist_past_float_reach(capsys):
 @pytest.mark.parametrize(
     "argv,s",
     [
-        (("--l", "1", "--tau", "0", "--t", "710", "--direction", "forward"), "710.0"),
-        # the backward direction at a negative time stretches forward
+        # a negative time stretches forward
+        (("--l", "1", "--tau", "0", "--t", "-710"), "710.0"),
         (("--surface", "S2", "--l", "1,1,1", "--tau", "0,0,0", "--t", "-800"), "800.0"),
     ],
 )
@@ -745,3 +791,26 @@ def test_a_failed_artifact_write_is_a_computational_failure(tmp_path, capsys):
     cfg = write_config(tmp_path, out_dir=tmp_path / "file" / "out")
     assert main(["--config", str(cfg), "sweep"]) == 1
     assert capsys.readouterr().err.startswith("error: [Errno 20] Not a directory")
+
+
+def _readme_commands() -> list[list[str]]:
+    """The arguments of each ``thurston-kit`` line in the sh block under
+    ``## Command line`` in README.md."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("thurston-kit ")]
+
+
+def test_readme_command_lines_parse_and_the_quick_ones_run(capsys):
+    # a README example that names a removed flag fails here
+    quick = ("delta", "shear", "stretch", "twist-width")
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} >= set(quick)
+    for argv in commands:
+        try:
+            _parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: thurston-kit {shlex.join(argv)}")
+        if argv[0] in quick:
+            assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -104,6 +104,8 @@ def test_hull_of_unit_cube():
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
     summary = hull(corners)
     assert summary.counts() == (8, 12, 6)
+    # the vertex count is read off the vertex set, so a replaced set keeps no stale count
+    assert replace(summary, vertex_indices=summary.vertex_indices[:-1]).counts() == (7, 12, 6)
 
 
 UNIT_CUBE_WITH_CENTRE = np.array(list(itertools.product((0.0, 1.0), repeat=3)) + [(0.5, 0.5, 0.5)])

@@ -17,7 +17,6 @@ from thurston_kit.stretch import (
     log_coth,
     right_spec,
     side_plan,
-    stretch_lengths,
     stretch_point,
     stretch_vectors,
     twist_along_stretch,
@@ -30,20 +29,17 @@ from thurston_kit.stretch import (
 PRINTED_GOLDEN = -5.68142893628726
 
 
-def test_stretch_lengths_identity_at_zero():
+def test_stretch_point_is_the_identity_at_time_zero():
     x = FNPoint("S2", (1.0, 2.0, 0.5), (0.1, -0.2, 0.3))
-    assert stretch_lengths(x, 0.0) == x
+    for spec in (left_spec("S2"), right_spec("S2")):
+        assert stretch_point(x, spec, 0.0) == x
 
 
-def test_stretch_lengths_scaling():
-    x = FNPoint("S11", (1.0,), (0.0,))
-    assert stretch_lengths(x, math.log(2.0)).lengths[0] == pytest.approx(2.0, rel=1e-15)
-
-
-def test_stretch_lengths_compose():
-    x = FNPoint("S11", (1.3,), (0.4,))
-    y = stretch_lengths(stretch_lengths(x, 0.7), 0.5)
-    assert y.lengths[0] == pytest.approx(stretch_lengths(x, 1.2).lengths[0], rel=1e-14)
+def test_stretch_point_scales_lengths_by_e_to_minus_t():
+    x = FNPoint("S2", (1.3, 0.2, 4.0), (0.4, -1.0, 2.5))
+    for t in (-math.log(2.0), -0.7, 0.5, 1.2, 3.0):
+        y = stretch_point(x, left_spec("S2"), t)
+        assert y.lengths == tuple(v * math.exp(-t) for v in x.lengths), t
 
 
 def test_twist_at_time_zero_is_initial_twist():
@@ -272,7 +268,7 @@ def test_stretch_vectors_are_the_time_derivative_of_the_twists(surface, lengths,
 
 def test_stretch_vectors_reject_foreign_specs():
     x = FNPoint("S11", (1.0,), (0.0,))
-    with pytest.raises(SpecMismatchError):
+    with pytest.raises(SpecMismatchError, match="^stretch vectors need specs on the surface of the point$"):
         stretch_vectors(x, side_plan([right_spec("S04")]))
 
 
@@ -287,7 +283,7 @@ def test_side_plan_lists_sides_in_order_of_first_use():
     vectors = stretch_vectors(x, plan).tolist()
     assert vectors[0] == vectors[2] == stretch_vectors(x, side_plan([left])).tolist()[0]
     # mixed surfaces fail when the plan is built
-    with pytest.raises(SpecMismatchError, match="^stretch vectors need forward specs on the surface of the point$"):
+    with pytest.raises(SpecMismatchError, match="^stretch vectors need specs on one surface$"):
         side_plan([left, left_spec("S11")])
 
 

@@ -65,6 +65,43 @@ def f(a, b=1, *, c, d=2):
     assert source_stats.settable_options(ast.parse(source)) == 6
 
 
+def test_source_stats_counts_public_top_level_names():
+    source = """
+import math
+from typing import TYPE_CHECKING
+
+SURFACES = ("S11",)
+LIMIT: int = 3
+_private = 1
+a, (b, _c) = 1, (2, 3)
+__all__ = ["f"]
+Holder.attr = 1
+table[key] = 2
+
+def f(x):
+    inner = x
+    return inner
+
+async def g():
+    pass
+
+def _h():
+    pass
+
+class Point:
+    size = 1
+
+class _Row:
+    pass
+
+if TYPE_CHECKING:
+    hidden = 1
+"""
+    # SURFACES, LIMIT, a, b, f, g and Point; imports, nested names, underscored
+    # names and the objects of attribute and item assignments are not counted
+    assert source_stats.public_names(ast.parse(source)) == 7
+
+
 def test_source_stats_counts_optional_cli_flags():
     source = """
 parser.add_argument("--config", help="file")

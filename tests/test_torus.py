@@ -20,7 +20,7 @@ from thurston_kit.torus import (
     earthquake,
     envelope_cells,
     envelope_widths,
-    _endpoints_signed,
+    _endpoints,
     _family,
     _log_lengths,
     _plan,
@@ -430,7 +430,7 @@ def test_earthquake_distance_bounded_by_collar_estimate():
 
 def test_stretch_endpoints_at_zero_coincide():
     y = FNPoint("S11", (2.0,), (0.45,))
-    yl, yr = _endpoints_signed(y, 0.0)
+    yl, yr = _endpoints(y, 0.0)
     assert yl == y and yr == y
 
 
@@ -439,7 +439,7 @@ def test_stretch_endpoints_lengths_scale():
     # every l0 below 1/2
     y = FNPoint("S11", (2.0,), (0.0,))
     for t in (1.5, -1.5):
-        yl, yr = _endpoints_signed(y, t)
+        yl, yr = _endpoints(y, t)
         assert yl.lengths[0] == pytest.approx(2.0 * math.exp(-t), rel=1e-14)
         assert yr.lengths[0] == yl.lengths[0]
 
@@ -448,7 +448,7 @@ def test_stretch_endpoints_twist_gap_matches_closed_width():
     for l0 in (0.3, 1.0, 2.5):
         y = FNPoint("S11", (2.0 * l0,), (0.7,))
         for t in (0.5, 1.0, 3.0):
-            yl, yr = _endpoints_signed(y, t)
+            yl, yr = _endpoints(y, t)
             assert yl.twists[0] - yr.twists[0] == pytest.approx(twist_width_closed(l0, t), abs=1e-9)
 
 
@@ -467,7 +467,7 @@ def test_envelope_widths_nonnegative_and_zero_at_origin():
 def _per_cell_widths(y, t, max_q):
     """One length pass over the two endpoints of one cell, the loop that
     :func:`envelope_cells` batches."""
-    ll = _log_lengths(_endpoints_signed(y, t), _family(max_q))
+    ll = _log_lengths(_endpoints(y, t), _family(max_q))
     return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
 
@@ -496,10 +496,10 @@ def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
     # the closed-form offsets fail at cuff length 70
     def endpoints(y, t):
         if y.lengths[0] < 60.0:
-            return _endpoints_signed(y, t)
+            return _endpoints(y, t)
         return y, y
 
-    monkeypatch.setattr(torus, "_endpoints_signed", endpoints)
+    monkeypatch.setattr(torus, "_endpoints", endpoints)
     ok = [(FNPoint("S11", (2.0,), (0.0,)), t) for t in (0.0, 1.0)]
     bad = [(_point(l, tau), 0.0) for l, tau in ((70.0, 35.0), (72.0, 36.0))]
     messages = []

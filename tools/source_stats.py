@@ -2,11 +2,14 @@
 
     python3 tools/source_stats.py
 
-For every module of ``src/thurston_kit`` prints its line count, then the
-total, then the number of settable keyword options: function, method and
-lambda parameters that have a default, plus fields with a default in
-classes decorated with ``dataclass`` (a ``field(...)`` without
-``default`` or ``default_factory`` sets none).  Then the number of optional
+For every module of ``src/thurston_kit`` prints its line count, its
+number of settable keyword options and its number of public names, then
+the totals.  The options are function, method and lambda parameters that
+have a default, plus fields with a default in classes decorated with
+``dataclass`` (a ``field(...)`` without ``default`` or
+``default_factory`` sets none).  The public names are the module's
+top-level ``def``, ``class`` and assigned names that do not start with
+``_``.  Then the number of optional
 flags of ``cli.py``: ``add_argument`` calls whose name starts with ``--``
 and that do not pass ``required=True``.  Last comes the line total of
 ``tests``, so one run gives a change's net lines on both sides.  Reads the
@@ -54,6 +57,19 @@ def settable_options(tree: ast.AST) -> int:
     return count
 
 
+def public_names(tree: ast.Module) -> int:
+    """Top-level functions, classes and assigned names not starting with ``_``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = (n for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+            names.update(n.id for n in stored if isinstance(n.ctx, ast.Store))
+    return sum(not name.startswith("_") for name in names)
+
+
 def optional_flags(tree: ast.AST) -> int:
     """``add_argument`` calls whose name starts with ``--`` and that do not
     pass ``required=True``."""
@@ -72,15 +88,16 @@ def line_total(directory: Path) -> int:
 
 
 def main() -> None:
-    total_lines = total_options = 0
+    total_lines = total_options = total_names = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        lines = len(text.splitlines())
-        options = settable_options(ast.parse(text))
-        print(f"{path.name:<16}{lines:>6} lines{options:>6} options")
+        tree = ast.parse(text)
+        lines, options, names = len(text.splitlines()), settable_options(tree), public_names(tree)
+        print(f"{path.name:<16}{lines:>6} lines{options:>6} options{names:>6} names")
         total_lines += lines
         total_options += options
-    print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options")
+        total_names += names
+    print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options{total_names:>6} names")
     print(f"{'cli flags':<16}{optional_flags(ast.parse((SRC / 'cli.py').read_text())):>6}")
     print(f"{'tests':<16}{line_total(TESTS):>6} lines")
 
