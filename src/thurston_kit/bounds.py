@@ -15,7 +15,7 @@ import math
 import sys
 
 from .stretch import log_coth, width_point
-from .torus import envelope_cells
+from .torus import envelope_widths
 
 #: systole threshold is never quantified by the theory; the artifact picks a
 #: number, caps it at log 2, and records it in every report
@@ -135,4 +135,4 @@ def _middle_constants(l0s: list[float], max_q: int) -> dict[float, float]:
     """{l0: max of both direction estimates at the length-one cross-section
     (stretch time log l_alpha of the :func:`width_point` of l0)}."""
     cells = [(y, math.log(y.lengths[0])) for y in (width_point("S11", l0) for l0 in l0s)]
-    return {l0: max(widths) for l0, widths in zip(l0s, envelope_cells(cells, max_q))}
+    return {l0: max(widths) for l0, widths in zip(l0s, envelope_widths(cells, max_q))}

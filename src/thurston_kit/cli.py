@@ -255,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
 def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     t_values = cfg.t_values()
     cells = [(l0, t) for l0 in cfg.l0_values for t in t_values]
-    widths = torus.envelope_cells([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
+    widths = torus.envelope_widths([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
     rows = [(l0, t, d_lr, d_rl) for (l0, t), (d_lr, d_rl) in zip(cells, widths)]
     sup = max([-math.inf, *(d for pair in widths for d in pair)])
     out = Path(cfg.out_dir)

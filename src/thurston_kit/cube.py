@@ -15,12 +15,15 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .h2 import GeometryError
 from .pants import LEAF_DISTRIBUTIONS, PantsTriangulation
 from .stretch import FNPoint, SidePlan, StretchSpec, side_plan, stretch_vectors
+
+# numpy is imported where it is used, so importing this module loads none
+if TYPE_CHECKING:
+    import numpy as np
 
 #: coplanarity tolerance for merging hull facets
 HULL_TOL = 1e-9
@@ -49,6 +52,8 @@ def _label(spec: StretchSpec) -> str:
 def cloud(x: FNPoint) -> np.ndarray:
     """The (128, 3) array of stretch vectors (the time derivatives at 0 of
     the three twist coordinates), one row per candidate in enumeration order."""
+    import numpy as np
+
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
     vectors = stretch_vectors(x, _completions()[2])
@@ -66,6 +71,8 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
     and claims every unclaimed point close to it.  A row with a NaN is close
     to nothing, itself included.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     close = np.ones((len(pts), len(pts)), dtype=bool)
     for col in pts.T:
@@ -108,6 +115,7 @@ def hull(points: np.ndarray) -> HullSummary:
     """
     # imported here, not at module level: scipy.spatial takes about 0.45 s
     # to import and no other command needs it
+    import numpy as np
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -141,6 +149,7 @@ def _certified(points: np.ndarray, summary: HullSummary) -> bool:
     weights, clipped to >= 0 and renormalised, of the simplex that a
     Delaunay triangulation of the vertices finds for it.
     """
+    import numpy as np
     from scipy.spatial import Delaunay, QhullError
 
     pts = np.asarray(points, dtype=float)
@@ -173,6 +182,7 @@ def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     with x >= 0 minimising the residual, the solver of :func:`extreme_points_brute`."""
     # imported here, not at module level: scipy.optimize takes about 0.26 s
     # to import and only the reference needs it
+    import numpy as np
     from scipy.optimize import nnls as solve
 
     a = np.asarray(a, dtype=float)
@@ -192,6 +202,8 @@ def extreme_points_brute(points: np.ndarray) -> list[int]:
     appended as an extra row) has residual above ``EXTREME_TOL``.  A lone point is
     extreme.  The reference the hull certificates are tested against.
     """
+    import numpy as np
+
     pts = np.asarray(points, dtype=float)
     augmented = np.vstack([pts.T, np.ones(len(pts))])
     out = []
@@ -210,11 +222,11 @@ def symmetric_base_point() -> FNPoint:
 def chamfered_cube_check(x: FNPoint) -> dict:
     """Full pipeline at ``x``: cloud, dedupe, hull counts, certificates of the vertices.
 
-    Returns the counts, the hull vertices (as indices of the unique points),
-    ``agree``: whether :func:`_certified` verifies them as the extreme set
-    (the CLI's ``brute_force_agrees``), and one entry per candidate in
-    enumeration order: its label, its twist vector and whether its point
-    is a hull vertex.
+    Returns the number of candidates, the hull counts, ``agree``: whether
+    :func:`_certified` verifies the hull vertices as the extreme set (the
+    CLI's ``brute_force_agrees``), the sorted labels of the extreme
+    candidates, and one entry per candidate in enumeration order: its
+    label, its twist vector and whether its point is a hull vertex.
     """
     raw = cloud(x)
     uniq, group = dedupe_points(raw)
@@ -226,9 +238,7 @@ def chamfered_cube_check(x: FNPoint) -> dict:
     ]
     return {
         "n_candidates": len(raw),
-        "n_unique": len(uniq),
         "hull_counts": summary.counts(),
-        "hull_vertices": summary.vertex_indices,
         "agree": _certified(uniq, summary),
         "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
         "entries": entries,

@@ -29,7 +29,7 @@ The distance estimator is the maximum of log(l_s(Y)/l_s(X)) over a
 finite Stern-Brocot slope family (every reduced slope with q <= max_q
 and |p| <= max_q).  It is a lower bound for the sup over all simple
 closed curves, monotone in max_q, and reports raw max ratios without
-any additive constant.  Envelope widths are batched: :func:`envelope_cells`
+any additive constant.  Envelope widths are batched: :func:`envelope_widths`
 evaluates the backward stretch endpoints of many (y, t) cells as the
 columns of shared passes, since a pass costs mostly its fixed per-level
 overhead and little per column.
@@ -41,10 +41,14 @@ import math
 from collections.abc import Sequence
 from functools import lru_cache
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .stretch import FNPoint, left_spec, right_spec, stretch_point
+
+# numpy is imported where it is used, so importing this module loads none
+if TYPE_CHECKING:
+    import numpy as np
+    _Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
 
 _LOG_HUGE = 30.0
 #: log 1.5: an integer slope whose log half-trace is below it takes the
@@ -54,7 +58,6 @@ _LOG_NEAR_ONE = math.log(1.5)
 #: matrices (8 envelope cells at max_q = 30); larger batches save
 #: little per column and grow the working set
 _CHUNK_NODE_COLUMNS = 20_000
-_Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
 
 
 def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
@@ -66,6 +69,8 @@ def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
     the denominators 2, 3, ... in turn, and ``slope_node[j]`` is the node of
     the j-th slope, -1 for infinity.  A malformed slope (module docstring) raises.
     """
+    import numpy as np
+
     by_q: dict[int, set[int]] = {1: set()}
     for slope in slopes:
         # anything but a pair fails as (0, 0) does
@@ -112,10 +117,14 @@ def _seed(x: FNPoint) -> tuple[float, float, tuple[tuple[float, float], tuple[fl
 
 def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     """log curve lengths, one row per slope of the plan and one column per
-    Fenchel-Nielsen point; slope infinity is log l.  Raises where a word's
-    |trace|/2 rounds to within 1e-14 of 1, so its length is below working
-    precision, except for integer slopes, whose |trace|/2 - 1 has an exact
-    form, taken wherever |trace|/2 < 1.5."""
+    Fenchel-Nielsen point; slope infinity is log l.  Raises where a length
+    overflows, or where a word's |trace|/2 rounds to within 1e-14 of 1, so
+    its length is below working precision, except for integer slopes,
+    whose |trace|/2 - 1 has an exact form, taken wherever |trace|/2 < 1.5.
+    The first column that holds such a word names the error, so a batch
+    fails as its first failing point does on its own."""
+    import numpy as np
+
     ints, levels, slope_node = plan
     lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
     start = len(ints)
@@ -141,31 +150,31 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
         lh = logscale[node] + np.log(np.abs(M[0, 0, node] + M[1, 1, node]) / 2.0)
         # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
         lengths = 2.0 * (lh + math.log(2.0))
-    if not np.all(lengths < np.inf):
-        raise ValueError("word evaluation overflowed")
+    ok = lengths < np.inf
     small = lh <= _LOG_HUGE
-    y = np.exp(lh[small])
-    lengths[small] = 2.0 * np.arccosh(np.maximum(y, 1.0))
-
-    def elliptic() -> ValueError:
-        return ValueError(f"word is elliptic or parabolic (|tr|/2 = {y.min()}): length below working precision")
-
+    lengths[small] = 2.0 * np.arccosh(np.maximum(np.exp(lh[small]), 1.0))
     # a short integer slope: |tr|/2 = coth(l/2) cosh(u/2) is near 1, where
     # arccosh keeps only about eps / (length^2 / 4) relative digits, but
-    # |tr|/2 - 1 is 2 coth(l/2) sinh^2(u/4) + 2/expm1(l), a sum of positive
-    # terms (the second written so that no exponential overflows); any other
-    # word within 1e-14 of 1 raises
+    # |tr|/2 - 1 = 2 r^2 with r = hypot(sinh(u/4) / sqrt(tanh(l/2)),
+    # e^{-l/2} / sqrt(1 - e^{-l})), whose second term stays normal up to
+    # l = 1416 (e^{-l} does up to 708), and the length is 4 asinh(r); any
+    # other word within 1e-14 of 1 fails
     rows, cols = np.nonzero(lh < _LOG_NEAR_ONE)
-    if len(rows):
-        exact = node[rows] < len(ints)
-        if np.any(np.exp(lh[rows[~exact], cols[~exact]]) <= 1.0 + 1e-14):
-            raise elliptic()
-        rows, cols = rows[exact], cols[exact]
-        l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
-        w = 2.0 * np.sinh(u / 4.0) ** 2 / np.tanh(l / 2.0) - 2.0 * np.exp(-l) / np.expm1(-l)
-        if not np.all(w > 0.0):
-            raise elliptic()
-        lengths[rows, cols] = 2.0 * np.log1p(w + np.sqrt(w * (w + 2.0)))
+    exact = node[rows] < len(ints)
+    ok[rows[~exact], cols[~exact]] = np.exp(lh[rows[~exact], cols[~exact]]) > 1.0 + 1e-14
+    rows, cols = rows[exact], cols[exact]
+    l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
+    r = np.hypot(np.sinh(u / 4.0) / np.sqrt(np.tanh(l / 2.0)), np.exp(-l / 2.0) / np.sqrt(-np.expm1(-l)))
+    ok[rows, cols] = r > 0.0
+    if not ok.all():
+        # the first column that holds a failing word names the error
+        j = np.argmin(ok.all(axis=0))
+        bad = ~ok[:, j]
+        if not np.all(lengths[bad, j] < np.inf):
+            raise ValueError("word evaluation overflowed")
+        y = np.exp(lh[bad, j]).min()
+        raise ValueError(f"word is elliptic or parabolic (|tr|/2 = {y}): length below working precision")
+    lengths[rows, cols] = 4.0 * np.arcsinh(r)
     out = np.tile(np.log(lam), (len(slope_node), 1))
     out[slope_node >= 0] = np.log(lengths)
     return out
@@ -204,39 +213,33 @@ def dth_estimate(x: FNPoint, y: FNPoint, max_q: int) -> float:
     report over a finite family; no additive marking constant is claimed
     and no exactness: the estimate certifies lower bounds only.
     """
+    import numpy as np
+
     ll = _log_lengths((x, y), _family(max_q))
     return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
 
 
-def envelope_widths(y: FNPoint, t: float, max_q: int) -> tuple[float, float]:
-    """(d(YL, YR), d(YR, YL)) estimates between the backward stretch endpoints.
+def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[tuple[float, float]]:
+    """(d(YL, YR), d(YR, YL)) estimates between the backward stretch
+    endpoints of every (y, t) cell, in order.
 
-    One cell of :func:`envelope_cells`, which batches many cells.
+    The endpoints of all cells are the columns of :func:`_log_lengths`
+    passes over the default slope family of :func:`dth_estimate`, in
+    chunks of at most ``_CHUNK_NODE_COLUMNS`` plan nodes times columns, so
+    the working set stays bounded; each endpoint's lengths serve both
+    directions.  A chunk builds its endpoints in cell order, then runs one
+    pass: a length error is the one its first failing cell raises alone,
+    but a stretch error of any cell of the chunk comes first.  The CLI's
+    cells are untwisted, where no length failure is known.
     """
-    return envelope_cells(((y, t),), max_q)[0]
+    import numpy as np
 
-
-def envelope_cells(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[tuple[float, float]]:
-    """:func:`envelope_widths` of every (y, t) cell, in order.
-
-    The backward stretch endpoints of all cells are the columns of
-    :func:`_log_lengths` passes over the default slope family of
-    :func:`dth_estimate`, in chunks of at most ``_CHUNK_NODE_COLUMNS``
-    plan nodes times columns, so the working set stays bounded.  Each
-    endpoint's lengths are shared by the two directions.  A chunk that
-    fails is evaluated again cell by cell, so the error is the one its
-    first failing cell raises on its own.
-    """
     plan = _family(max_q)
     # slope_node has one entry per slope, and the family's plan one node per finite slope
     step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(plan[2])))
     out: list[tuple[float, float]] = []
     for i in range(0, len(cells), step):
-        chunk = cells[i : i + step]
-        try:
-            ll = _log_lengths([p for y, t in chunk for p in _endpoints(y, t)], plan)
-        except (ValueError, ArithmeticError):
-            ll = np.hstack([_log_lengths(_endpoints(y, t), plan) for y, t in chunk])
+        ll = _log_lengths([p for y, t in cells[i : i + step] for p in _endpoints(y, t)], plan)
         # the reverse direction is not the negated forward one, which
         # would give -0.0 where the endpoints coincide
         d_lr = np.max(ll[:, 1::2] - ll[:, 0::2], axis=0)

@@ -174,7 +174,7 @@ def _envelope_grid_rows():
     for l0 in (0.1, 0.5, 1.0, 2.0, 5.0):
         y = FNPoint("S11", (2.0 * l0,), (0.0,))
         for t in ts:
-            d_lr, d_rl = torus.envelope_widths(y, t, 30)
+            d_lr, d_rl = torus.envelope_widths([(y, t)], 30)[0]
             rows.append((l0, t, d_lr, d_rl))
     return rows
 

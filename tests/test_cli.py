@@ -182,6 +182,38 @@ def test_benchmark_tracer_sees_the_oracle_in_h2(monkeypatch, capsys):
         assert metrics[f"h2.{fn}.calls"] > 0, fn
 
 
+@pytest.mark.parametrize("command", ["envelope", "sweep"])
+def test_benchmark_tracer_sees_the_envelope_passes(tmp_path, monkeypatch, capsys, command):
+    # one traced op each: the envelope grid and the sweep's middle
+    # constants (l0 = 0.5 at t = 0.5 is a middle cell) pass through the
+    # one entry point the tracer wraps, in torus and in bounds
+    cfg = write_config(tmp_path)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    tracer.set_active(True)
+    try:
+        code = main(["--config", str(cfg), command])
+    finally:
+        tracer.set_active(False)
+    capsys.readouterr()
+    assert code == 0
+    assert tracer.layer_metrics()["torus.envelope_widths.calls"] >= 1
+
+
+def test_delta_command_loads_no_numpy():
+    # the CLI imports torus and cube at module level; both import numpy
+    # only inside the functions that use arrays
+    code = (
+        "import sys, thurston_kit.cli; "
+        "code = thurston_kit.cli.main(['delta', '--type', '3sym', '--l', '1,2,3', '--signs', 'LRL', '--cuff', '2']); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["delta", "--help"])

@@ -18,7 +18,6 @@ from thurston_kit.torus import (
     curve_length,
     dth_estimate,
     earthquake,
-    envelope_cells,
     envelope_widths,
     _endpoints,
     _family,
@@ -96,7 +95,7 @@ def test_envelope_widths_are_the_benchmark_reference_cell(monkeypatch, l0, t):
     # (positive t runs backward); the two agreed to 4.4e-16 when recorded
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     reference = importlib.import_module("reference")
-    got = envelope_widths(width_point("S11", l0), t, 30)
+    got = envelope_widths([(width_point("S11", l0), t)], 30)[0]
     assert np.max(np.abs(np.subtract(got, reference.envelope_cell(l0, t, 30)))) <= 1e-9
 
 
@@ -351,8 +350,8 @@ def test_every_entry_point_rejects_other_surfaces(x):
         lambda: curve_length(x, (1, 0)),
         lambda: dth_estimate(s11, x, 5),
         lambda: dth_estimate(x, s11, 5),
-        lambda: envelope_cells([(x, 0.5)], 5),
-        lambda: envelope_widths(x, 0.5, 5),
+        lambda: envelope_widths([(x, 0.5)], 5),
+        lambda: envelope_widths([(x, 0.5)], 5)[0],
     )
     for call in calls:
         with pytest.raises(ValueError, match="covers the once-punctured torus only"):
@@ -454,19 +453,19 @@ def test_stretch_endpoints_twist_gap_matches_closed_width():
 
 def test_envelope_widths_nonnegative_and_zero_at_origin():
     y = FNPoint("S11", (2.0,), (0.0,))
-    d1, d2 = envelope_widths(y, 0.0, 10)
+    d1, d2 = envelope_widths([(y, 0.0)], 10)[0]
     assert d1 == 0.0 and d2 == 0.0
     for l0 in (0.02, 1.0, 10.0):
         # exactly +0.0: the envelope artifacts print the t = 0 cells
-        d = envelope_widths(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0, 30)
+        d = envelope_widths([(FNPoint("S11", (2.0 * l0,), (0.0,)), 0.0)], 30)[0]
         assert [repr(v) for v in d] == ["0.0", "0.0"]
-    d1, d2 = envelope_widths(y, 2.0, 10)
+    d1, d2 = envelope_widths([(y, 2.0)], 10)[0]
     assert d1 > 0.0 and d2 > 0.0
 
 
 def _per_cell_widths(y, t, max_q):
     """One length pass over the two endpoints of one cell, the loop that
-    :func:`envelope_cells` batches."""
+    :func:`envelope_widths` batches."""
     ll = _log_lengths(_endpoints(y, t), _family(max_q))
     return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
@@ -478,15 +477,15 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     cells = [(FNPoint("S11", (2.0 * l0,), (0.0,)), t) for l0 in l0s for t in (0.0, 0.5, 3.0, 8.0, math.log(2.0 * l0))]
     columns = []
     monkeypatch.setattr(torus, "_log_lengths", lambda ends, plan: columns.append(len(ends)) or _log_lengths(ends, plan))
-    got = envelope_cells(cells, 30)
+    got = envelope_widths(cells, 30)
     monkeypatch.undo()
     assert sum(columns) == 2 * len(cells) and len(columns) > 1
     assert max(columns) * len(_family(30)[2]) <= torus._CHUNK_NODE_COLUMNS
     want = [_per_cell_widths(y, t, 30) for y, t in cells]
     assert [tuple(map(float.hex, w)) for w in got] == [tuple(map(float.hex, w)) for w in want]
     assert float.hex(got[0][1]) == "0x0.0p+0"
-    assert [envelope_widths(y, t, 30) for y, t in cells] == got
-    assert envelope_cells([], 30) == []
+    assert [envelope_widths([(y, t)], 30)[0] for y, t in cells] == got
+    assert envelope_widths([], 30) == []
 
 
 def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
@@ -510,8 +509,38 @@ def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
     assert messages[0] != messages[1]
     for cells, first in ((ok * 5 + bad + ok, 0), (bad[::-1], 1)):
         with pytest.raises(ValueError) as exc:
-            envelope_cells(cells, 30)
+            envelope_widths(cells, 30)
         assert str(exc.value) == messages[first]
+
+
+def test_a_batch_fails_on_its_first_failing_column():
+    # (70, 0) holds a valid integer word with |tr|/2 = 1.0, which the
+    # message of a batch with (70, 35) must not name, in either order
+    good, bad = _point(70.0, 0.0), _point(70.0, 35.0)
+    with pytest.raises(ValueError) as alone:
+        _log_lengths([bad], _family(30))
+    assert "1.0000000000000022" in str(alone.value)
+    for batch in ([good, bad], [bad, good]):
+        with pytest.raises(ValueError) as exc:
+            _log_lengths(batch, _family(30))
+        assert str(exc.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("l", [700.0, 730.0, 745.0, 750.0, 1000.0])
+@pytest.mark.parametrize("u", [0.0, 1e-3])
+def test_integer_slopes_at_very_long_alpha_match_mpmath_reference(l, u):
+    # slope 1/1 at tau = u - l is about 4 e^{-l/2} + u long; the term
+    # e^{-l} of |tr|/2 - 1 left the normal range from l = 708, and from
+    # l = 750 it rounded to zero; the reference takes u as the engine rounds it
+    mpmath = pytest.importorskip("mpmath")
+    tau = u - l
+    got = _log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(1, 1)]))[0, 0]
+    # |tr|/2 - 1 is about e^{-l}, so the reference keeps 60 digits past it
+    with mpmath.workdps(60 + int(l / 2.3)):
+        half_trace = mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh((mpmath.mpf(l) + mpmath.mpf(tau)) / 2)
+        ref = mpmath.log(2 * mpmath.acosh(half_trace))
+        rel = abs((mpmath.mpf(got) - ref) / ref)
+    assert rel <= sys.float_info.epsilon
 
 
 @pytest.mark.parametrize("l, tau, n", [(34.0, 0.0, 0), (36.0, -36.0, 1), (40.0, 3e-8, 0), (50.0, 100.0, -2)])

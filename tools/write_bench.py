@@ -17,7 +17,7 @@ one ``pants.delta_side`` (the four offset evaluations of one side of a
 stretch vector, over the 96 sides at the genus-two symmetric point), one
 ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
-``torus.envelope_cells`` cell, one ``cube.chamfered_cube_check`` and its
+``torus.envelope_widths`` cell, one ``cube.chamfered_cube_check`` and its
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
 ``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
@@ -91,7 +91,7 @@ def slope_length():
     torus.curve_length(point, slope)
 cell = ((stretch.width_point("S11", 1.0), 4.0),)
 def envelope_cell():
-    torus.envelope_cells(cell, 30)
+    torus.envelope_widths(cell, 30)
 base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
@@ -132,7 +132,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("pants._next_gap", gap, 1, 1000),
                                 ("h2.shear", shear, 1, 1000),
                                 ("torus.curve_length", slope_length, 1, 1000),
-                                ("torus.envelope_cells", envelope_cell, 1, 100),
+                                ("torus.envelope_widths", envelope_cell, 1, 100),
                                 ("cube.chamfered_cube_check", cube_check, 1, 15),
                                 ("cube.cloud", cube_cloud, 1, 30),
                                 ("stretch.stretch_vectors", vectors, 1, 30),
@@ -150,7 +150,7 @@ LAYER_INPUTS = (
     "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6}; "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
-    "envelope_cells: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
+    "envelope_widths: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
     "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
     "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
