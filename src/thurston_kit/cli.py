@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
@@ -25,7 +24,6 @@ from . import bounds, cube, reconcile, stretch, torus
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_oracle, shear_coords
 from .stretch import FNPoint, left_spec, right_spec, stretch_point, twist_width_closed
 
-CONFIG_ENV = "THURSTON_KIT_CONFIG"
 #: most t values a grid may hold; a finite but huge t_max / t_step would exhaust memory
 MAX_T_VALUES = 10**6
 #: largest slope denominator; the family has about 1.2 max_q^2 slopes, built in Python loops
@@ -42,21 +40,19 @@ class Config:
 
     out_dir: str = "out"
     max_q: int = 30
-    epsilon: float = bounds.DEFAULT_EPSILON
     l0_values: tuple[float, ...] = (0.1, 0.5, 1.0, 2.0, 5.0)
     t_max: float = 8.0
     t_step: float = 0.25
     base_lengths: tuple[float, ...] = (1.0, 1.0, 1.0)
     base_twists: tuple[float, ...] = (0.0, 0.0, 0.0)
-    tolerance: float = 1e-9
 
     def validate(self) -> None:
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.max_q < 1:
             raise ConfigError("max_q must be at least 1")
         if self.max_q > MAX_Q:
             raise ConfigError(f"max_q exceeds {MAX_Q}: max_q = {self.max_q}")
-        if not 0.0 < self.epsilon <= math.log(2.0):
-            raise ConfigError("epsilon must lie in (0, log 2]")
         if any(v <= 0 for v in self.l0_values):
             raise ConfigError("l0_values must be positive")
         if not (0.0 <= self.t_max < math.inf and 0.0 < self.t_step < math.inf):
@@ -68,11 +64,8 @@ class Config:
             raise ConfigError("base point needs three lengths and three twists")
         if any(v <= 0 for v in self.base_lengths):
             raise ConfigError("base lengths must be positive")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        # the checks above already keep epsilon, t_max and t_step finite
-        floats = {"l0_values": self.l0_values, "base_lengths": self.base_lengths,
-                  "base_twists": self.base_twists, "tolerance": (self.tolerance,)}
+        # the checks above already keep t_max and t_step finite
+        floats = {"l0_values": self.l0_values, "base_lengths": self.base_lengths, "base_twists": self.base_twists}
         for key, values in floats.items():
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{key} must be finite")
@@ -94,11 +87,9 @@ def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
 
 
 def load_config(path: str | None) -> Config:
-    """The configuration in ``path`` (or ``$THURSTON_KIT_CONFIG``, or the
-    defaults), validated as a whole: the only source of the commands' settings."""
+    """The configuration in ``path`` (or the defaults), validated as a whole:
+    the only source of the commands' settings."""
     cfg = Config()
-    if path is None:
-        path = os.environ.get(CONFIG_ENV)
     if path is not None:
         _read_config(path, cfg)
     cfg.validate()
@@ -214,7 +205,7 @@ def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
     print(f"delta_closed={format_float(closed)}")
     print(f"delta_oracle={format_float(oracle)}")
     print(f"abs_diff={format_float(abs(closed - oracle))}")
-    return 0 if abs(closed - oracle) <= cfg.tolerance else 1
+    return 0 if abs(closed - oracle) <= reconcile.TOLERANCE else 1
 
 
 def cmd_shear(args: argparse.Namespace, cfg: Config) -> int:
@@ -244,7 +235,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
     # only the sweep needs sorted l0 values; the envelope takes any order
     if list(cfg.l0_values) != sorted(cfg.l0_values):
         raise ConfigError("grid axes must be sorted ascending")
-    rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+    rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), bounds.DEFAULT_EPSILON, cfg.max_q)
     out = Path(cfg.out_dir)
     _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", "%.17g,%.17g,%s,%.17g\n", rows)
     _write_json(out / "sweep_summary.json", summary)
@@ -295,7 +286,7 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_oracle_check(args: argparse.Namespace, cfg: Config) -> int:
-    report = reconcile.build_report(cfg.tolerance)
+    report = reconcile.build_report()
     out = Path(cfg.out_dir)
     _write_json(out / "reconciliation.json", report)
     _write(out / "reconciliation.txt", reconcile.report_text(report))
@@ -312,7 +303,7 @@ def _parser() -> argparse.ArgumentParser:
         "stretch-path twist evolution, envelope bound sweeps, and the "
         "stretch-vector hull.",
     )
-    parser.add_argument("--config", help=f"key=value config file (or ${CONFIG_ENV})")
+    parser.add_argument("--config", help="key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("delta", help="closed-form vs constructive twist offset")

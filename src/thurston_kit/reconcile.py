@@ -21,11 +21,13 @@ from .stretch import left_spec, right_spec, twist_width, twist_width_closed, wid
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 #: l0 values and times of the twist-width check
 WIDTH_GRID = (0.25, 0.5, 1.0, 2.0)
+#: largest residual that counts as agreement: in `delta`, the offset report and the width convention
+TOLERANCE = 1e-9
 
 
-def oracle_residuals(tolerance: float) -> list[dict]:
+def oracle_residuals() -> list[dict]:
     """Max |closed - oracle| per triangulation type and cuff over
-    ``DEFAULT_GRID``, each marked within ``tolerance`` or not."""
+    ``DEFAULT_GRID``, each marked within ``TOLERANCE`` or not."""
     rows = []
     for tri in enumerate_triangulations():
         for cuff in range(3):
@@ -42,7 +44,7 @@ def oracle_residuals(tolerance: float) -> list[dict]:
                     "cuff": cuff + 1,
                     "max_residual": worst,
                     "argmax_lengths": list(arg),
-                    "within_tolerance": worst <= tolerance,
+                    "within_tolerance": worst <= TOLERANCE,
                 }
             )
     return rows
@@ -66,7 +68,7 @@ def twist_width_conventions() -> dict:
                 for conv, a in (("reconciled", l0), ("printed", l0 / 2.0)):
                     worst[conv] = max(worst[conv], abs(built - twist_width_closed(a, t)))
         out[surface] = worst
-    chosen = "reconciled" if max(v["reconciled"] for v in out.values()) <= 1e-9 else "printed"
+    chosen = "reconciled" if max(v["reconciled"] for v in out.values()) <= TOLERANCE else "printed"
     return {
         "surfaces": out,
         "chosen_convention": chosen,
@@ -77,8 +79,8 @@ def twist_width_conventions() -> dict:
     }
 
 
-def build_report(tolerance: float) -> dict:
-    rows = oracle_residuals(tolerance)
+def build_report() -> dict:
+    rows = oracle_residuals()
     width = twist_width_conventions()
     max_resid = max(r["max_residual"] for r in rows)
     corrections = [
@@ -92,7 +94,7 @@ def build_report(tolerance: float) -> dict:
             "grid": list(DEFAULT_GRID),
             "max_residual": max_resid,
             "all_within_tolerance": all(r["within_tolerance"] for r in rows),
-            "tolerance": tolerance,
+            "tolerance": TOLERANCE,
             "per_type": rows,
             "corrections": [],
         },

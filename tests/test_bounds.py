@@ -173,7 +173,7 @@ def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
 
 def test_default_grid_sweep_globally_bounded():
     cfg = Config()
-    rows, summary = run_sweep(cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+    rows, summary = run_sweep(cfg.l0_values, cfg.t_values(), DEFAULT_EPSILON, cfg.max_q)
     assert summary["global_bounded"]
     assert set(row[2] for row in rows) == {"thin", "middle", "thick"}
     assert all(math.isfinite(row[3]) for row in rows)

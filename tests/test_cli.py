@@ -14,9 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thurston_kit import cube, torus
+from thurston_kit import cube, reconcile, torus
 from thurston_kit.cli import (
-    CONFIG_ENV,
     MAX_Q,
     Config,
     ConfigError,
@@ -437,8 +436,6 @@ def test_sweep_command_states_a_failing_computation(tmp_path, capsys, config, me
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("tolerance", "nan"),
-        ("tolerance", "inf"),
         ("l0_values", "0.5,nan"),
         ("l0_values", "0.5,inf"),
         ("base_lengths", "1,inf,1"),
@@ -448,9 +445,8 @@ def test_sweep_command_states_a_failing_computation(tmp_path, capsys, config, me
     ],
 )
 def test_non_finite_config_values_are_usage_errors(tmp_path, capsys, key, value):
-    # before, tolerance=nan failed every delta, tolerance=inf passed every
-    # delta, and the non-finite lists failed as computations (exit 1) or
-    # were never read
+    # before, the non-finite lists failed as computations (exit 1) or were
+    # never read
     cfg = write_config(tmp_path, **{key: value})
     for argv in (["delta", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1"], ["sweep"], ["cube"]):
         assert main(["--config", str(cfg), *argv]) == 2
@@ -462,11 +458,18 @@ def test_non_finite_config_values_are_usage_errors(tmp_path, capsys, key, value)
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    # the thin-part threshold is bounds.DEFAULT_EPSILON and the agreement
+    # threshold reconcile.TOLERANCE; no workload set either key
     path = tmp_path / "bad.txt"
-    path.write_text("no_such_key=1\n")
-    with pytest.raises(ConfigError):
-        load_config(str(path))
+    for key, value in (("no_such_key", "1"), ("epsilon", "0.2"), ("tolerance", "1e-7")):
+        path.write_text(f"out_dir={tmp_path / 'out'}\n{key}={value}\n")
+        message = f"{path}:2: unknown key {key!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(str(path))
+        assert main(["--config", str(path), "delta", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_config_rejects_a_repeated_key(tmp_path, capsys):
@@ -481,34 +484,38 @@ def test_config_rejects_a_repeated_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_invalid_values(tmp_path, capsys):
+def test_config_rejects_invalid_values(tmp_path, monkeypatch, capsys):
+    # an empty out_dir wrote every artifact into the working directory
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.txt"
     cases = [
-        ("epsilon=0.9", "epsilon must lie in (0, log 2]"),  # above log 2
         ("l0_values=1,0", "l0_values must be positive"),
         ("base_lengths=1,1", "base point needs three lengths and three twists"),
         ("base_lengths=1,-1,1", "base lengths must be positive"),
-        ("tolerance=0", "tolerance must be positive"),
         ("t_max 3", f"{path}:2: expected key=value, got 't_max 3'"),
+        ("out_dir=", "out_dir must not be empty"),
+        ("out_dir=  # note", "out_dir must not be empty"),
     ]
     for line, message in cases:
-        path.write_text(f"out_dir={tmp_path / 'out'}\n{line}\n")
+        head = "" if line.startswith("out_dir=") else f"out_dir={tmp_path / 'out'}\n"
+        path.write_text(f"{head}{line}\n")
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             load_config(str(path))
-        assert main(["--config", str(path), "sweep"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
+        for command in ("sweep", "envelope"):
+            assert main(["--config", str(path), command]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.txt"]
 
 
 def test_config_parses_every_field_by_its_default_type(tmp_path):
     path = tmp_path / "c.txt"
     path.write_text(
-        "out_dir=o\nmax_q=7\nepsilon=0.2\nl0_values=1, 2\nt_max=3\nt_step=0.5\n"
-        "base_lengths=1,2,3\nbase_twists=0,0,1\ntolerance=1e-7\n"
+        "out_dir=o\nmax_q=7\nl0_values=1, 2\nt_max=3\nt_step=0.5\n"
+        "base_lengths=1,2,3\nbase_twists=0,0,1\n"
     )
-    expected = Config("o", 7, 0.2, (1.0, 2.0), 3.0, 0.5, (1.0, 2.0, 3.0), (0.0, 0.0, 1.0), 1e-7)
+    expected = Config("o", 7, (1.0, 2.0), 3.0, 0.5, (1.0, 2.0, 3.0), (0.0, 0.0, 1.0))
     assert load_config(str(path)) == expected
     path.write_text("max_q=3.5\n")
     with pytest.raises(ConfigError, match="bad value for max_q"):
@@ -518,12 +525,14 @@ def test_config_parses_every_field_by_its_default_type(tmp_path):
         load_config(str(path))
 
 
-def test_config_env_variable(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path)
-    monkeypatch.setenv(CONFIG_ENV, str(cfg))
-    code, _ = run_cli(capsys, "sweep")
-    assert code == 0
-    assert (tmp_path / "out" / "sweep.csv").exists()
+def test_an_exported_config_variable_is_ignored(tmp_path, monkeypatch, capsys):
+    # settings come from --config or the defaults; the variable used to name a config file
+    argv = ("delta", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1")
+    before = run_cli(capsys, *argv)
+    monkeypatch.setenv("THURSTON_KIT_CONFIG", str(write_config(tmp_path, tolerance=1e-300, max_q=2)))
+    assert run_cli(capsys, *argv) == before
+    assert before[0] == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_comments_and_validation(tmp_path):
@@ -555,15 +564,18 @@ def test_sweep_and_envelope_and_cube_outputs(tmp_path, capsys):
     assert rec["twist_width"]["chosen_convention"] == "reconciled"
 
 
-def test_oracle_check_reads_the_configured_tolerance(tmp_path, capsys):
-    # the check held its own tolerance of 1e-9 and passed here, where
-    # delta --type 2sym --l 4,4,1 --signs LRL --cuff 1 fails
-    cfg = write_config(tmp_path, tolerance=1e-15)
+def test_one_tolerance_governs_oracle_check_and_delta(tmp_path, monkeypatch, capsys):
+    # the residual of 2sym 4,4,1 LRL at cuff 1 is 4.5e-14: both commands fail at 1e-15
+    monkeypatch.setattr(reconcile, "TOLERANCE", 1e-15)
+    cfg = write_config(tmp_path)
     code, out = run_cli(capsys, "--config", str(cfg), "oracle-check")
     assert code == 1
     assert "(FAIL at 1e-15)" in out
     assert (tmp_path / "out" / "reconciliation.txt").read_text() == out
     assert json.loads((tmp_path / "out" / "reconciliation.json").read_text())["offset_formulas"]["tolerance"] == 1e-15
+    code, out = run_cli(capsys, "delta", "--type", "2sym", "--l", "4,4,1", "--signs", "LRL", "--cuff", "1")
+    assert code == 1
+    assert 1e-15 < float(out.splitlines()[-1].split("=")[1]) <= 1e-9
 
 
 def test_console_script_entry_point():
@@ -796,20 +808,17 @@ def test_t_grid_keeps_exact_multiples():
     assert Config(t_max=1.0, t_step=0.6).t_values() == (0.0, 0.6)
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
 @pytest.mark.parametrize(
     "content, reason",
     [(None, "No such file or directory"), ("max_q=3  # caf\xe9\n".encode("latin-1"), "can't decode byte 0xe9")],
-    ids=["missing", "not-utf-8"],
+    ids=["missing-flag", "not-utf-8-flag"],
 )
-def test_a_config_that_cannot_be_read_is_a_configuration_error(tmp_path, monkeypatch, capsys, via_env, content, reason):
+def test_a_config_that_cannot_be_read_is_a_configuration_error(tmp_path, monkeypatch, capsys, content, reason):
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "thurston.cfg"
     if content is not None:
         path.write_bytes(content)
-    if via_env:
-        monkeypatch.setenv(CONFIG_ENV, str(path))
-    assert main(["sweep"] if via_env else ["--config", str(path), "sweep"]) == 2
+    assert main(["--config", str(path), "sweep"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: cannot read the configuration: ")

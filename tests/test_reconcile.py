@@ -11,7 +11,7 @@ from thurston_kit.reconcile import (
 
 def test_oracle_residuals_small_grid(monkeypatch):
     monkeypatch.setattr(reconcile, "DEFAULT_GRID", (1.0,))
-    rows = oracle_residuals(1e-9)
+    rows = oracle_residuals()
     assert len(rows) == 32 * 3
     assert all(r["within_tolerance"] for r in rows)
     assert max(r["max_residual"] for r in rows) <= 1e-9
@@ -28,7 +28,7 @@ def test_twist_width_convention_choice(monkeypatch):
 
 def test_report_structure_and_text(monkeypatch):
     monkeypatch.setattr(reconcile, "DEFAULT_GRID", (1.0,))
-    report = build_report(1e-9)
+    report = build_report()
     assert report["ok"]
     assert report["offset_formulas"]["grid"] == [1.0]
     assert report["offset_formulas"]["corrections"] == []

@@ -116,6 +116,28 @@ p.set_defaults(func=main)
     assert source_stats.optional_flags(ast.parse(source)) == 2
 
 
+def test_source_stats_counts_environment_reads():
+    source = """
+import os
+from os import environ
+
+a = os.environ.get("A")
+b = os.getenv("B", "x")
+c = os.environ["C"]
+os.environ["D"] = "1"
+d = environ.get("E")
+e = cfg.get("F")
+f = getenv("G")
+g = os.path.join("a", "b")
+"""
+    # the get, the getenv and the loading subscript of os.environ; an assignment, a bare
+    # environ or getenv and another object's get are not counted
+    assert source_stats.environment_reads(ast.parse(source)) == 3
+    # every setting of the package comes from the --config file or the defaults
+    for path in source_stats.SRC.glob("*.py"):
+        assert source_stats.environment_reads(ast.parse(path.read_text())) == 0, path.name
+
+
 def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
     (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "b.py").write_text("z = 3")

@@ -9,11 +9,14 @@ have a default, plus fields with a default in classes decorated with
 ``dataclass`` (a ``field(...)`` without ``default`` or
 ``default_factory`` sets none).  The public names are the module's
 top-level ``def``, ``class`` and assigned names that do not start with
-``_``.  Then the number of optional
-flags of ``cli.py``: ``add_argument`` calls whose name starts with ``--``
-and that do not pass ``required=True``.  Last comes the line total of
-``tests``, so one run gives a change's net lines on both sides.  Reads the
-files next to this script; imports nothing from the package.
+``_``.  Then the number of optional flags of ``cli.py``: ``add_argument``
+calls whose name starts with ``--`` and that do not pass
+``required=True``.  Then the package's environment reads: calls of
+``os.environ.get`` and ``os.getenv``, and loading subscripts of
+``os.environ``; the options count covers every setting only while this
+reads 0.  Last comes the line total of ``tests``, so one run gives a
+change's net lines on both sides.  Reads the files next to this script;
+imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -82,13 +85,32 @@ def optional_flags(tree: ast.AST) -> int:
     return count
 
 
+def _is_environ(node: ast.expr) -> bool:
+    """Whether ``node`` is ``os.environ``."""
+    return isinstance(node, ast.Attribute) and node.attr == "environ" and getattr(node.value, "id", None) == "os"
+
+
+def environment_reads(tree: ast.AST) -> int:
+    """Calls of ``os.environ.get`` and ``os.getenv``, and subscripts of
+    ``os.environ`` that load a value (an assignment to one is not a read)."""
+    count = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func
+            count += ((target.attr == "get" and _is_environ(target.value))
+                      or (target.attr == "getenv" and getattr(target.value, "id", None) == "os"))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            count += _is_environ(node.value)
+    return count
+
+
 def line_total(directory: Path) -> int:
     """Lines of the ``*.py`` files directly in ``directory``."""
     return sum(len(path.read_text().splitlines()) for path in directory.glob("*.py"))
 
 
 def main() -> None:
-    total_lines = total_options = total_names = 0
+    total_lines = total_options = total_names = total_reads = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -97,8 +119,10 @@ def main() -> None:
         total_lines += lines
         total_options += options
         total_names += names
+        total_reads += environment_reads(tree)
     print(f"{'total':<16}{total_lines:>6} lines{total_options:>6} options{total_names:>6} names")
     print(f"{'cli flags':<16}{optional_flags(ast.parse((SRC / 'cli.py').read_text())):>6}")
+    print(f"{'env reads':<16}{total_reads:>6}")
     print(f"{'tests':<16}{line_total(TESTS):>6} lines")
 
 

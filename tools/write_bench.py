@@ -110,7 +110,7 @@ def cube_hull():
 def cube_certified():
     cube._certified(uniq, summary)
 cfg = cli.Config()
-sweep_args = (cfg.l0_values, cfg.t_values(), cfg.epsilon, cfg.max_q)
+sweep_args = (cfg.l0_values, cfg.t_values(), bounds.DEFAULT_EPSILON, cfg.max_q)
 def sweep():
     bounds.run_sweep(*sweep_args)
 # the default config's base point is the symmetric point
@@ -224,7 +224,9 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
 
 def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
     """Seconds one fresh process of ``cmd`` takes, with ``root``'s ``src`` on
-    the path and no config file in the environment, and the finished process."""
+    the path, and the finished process.  ``THURSTON_KIT_CONFIG`` is dropped from
+    the environment: the CLI no longer reads it, but a parent checkout from
+    before that change does, and would then run with another config."""
     env = {key: value for key, value in os.environ.items() if key != "THURSTON_KIT_CONFIG"}
     env["PYTHONPATH"] = str(root / "src")
     start = time.perf_counter()
