@@ -30,6 +30,7 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_side
@@ -129,6 +130,7 @@ def right_spec(surface: str) -> StretchSpec:
     return _signed_spec(surface, -1)
 
 
+@lru_cache(maxsize=None)
 def _signed_spec(surface: str, sign: int) -> StretchSpec:
     tris = tuple(PantsTriangulation(ends, (sign, sign, sign)) for ends in _surface(surface).ends)
     return StretchSpec(surface, tris)
@@ -168,8 +170,11 @@ def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> 
 
 
 def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
-    """Full Fenchel-Nielsen image of ``x`` under the stretch for time ``t``."""
+    """Full Fenchel-Nielsen image of ``x`` under the stretch for time ``t``;
+    time 0 evaluates no offset and adds to every twist the +0.0 of a zero drift."""
     f = math.exp(_signed_time(t))
+    if t == 0.0 and spec.surface == x.surface:
+        return FNPoint(x.surface, x.lengths, tuple(v + 0.0 for v in x.twists))
     twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
     return FNPoint(x.surface, tuple(v * f for v in x.lengths), twists)
 

@@ -20,8 +20,9 @@ u_i = k_i l + tau and the cutting-sequence exponents k_i sum to p.  One
 engine, :func:`_log_lengths`, sets each integer slope in closed form and
 every other slope as M(left parent) M(right parent) over its Stern-Brocot
 parents: one 2x2 product per slope, in at most max_q - 1 levels that are
-vectorised over endpoints.  All entries are positive, so nothing
-cancels, and a log scale keeps huge words in range.
+vectorised over endpoints, each level one gather from a flat state and a
+few array operations.  All entries are positive, so nothing cancels, and
+a log scale keeps huge words in range.
 The trace form tr W(a+b) = tr a tr b - tr W(a-b) is not used: it runs a
 decaying recurrence forward and loses all digits at large twist.
 
@@ -32,7 +33,7 @@ closed curves, monotone in max_q, and reports raw max ratios without
 any additive constant.  Envelope widths are batched: :func:`envelope_widths`
 evaluates the backward stretch endpoints of many (y, t) cells as the
 columns of shared passes, since a pass costs mostly its fixed per-level
-overhead and little per column.
+overhead and little per column; a cell at t = 0 is (0, 0) with no pass.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .stretch import FNPoint, left_spec, right_spec, stretch_point
 # numpy is imported where it is used, so importing this module loads none
 if TYPE_CHECKING:
     import numpy as np
-    _Plan = tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]
+    _Plan = tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]
 
 _LOG_HUGE = 30.0
 #: log 1.5: an integer slope whose log half-trace is below it takes the
@@ -65,9 +66,13 @@ def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
 
     Nodes 0 .. len(ints) - 1 are the integer slopes ``ints``.  Every other
     node is the product of its Stern-Brocot parents, which have smaller
-    denominators; ``levels`` holds their (left, right) node indices for
-    the denominators 2, 3, ... in turn, and ``slope_node[j]`` is the node of
-    the j-th slope, -1 for infinity.  A malformed slope (module docstring) raises.
+    denominators, one level per denominator 2, 3, ... in turn.  A level of
+    n nodes is the 18 n row indices of its one gather from the state of
+    :func:`_log_lengths`, five blocks of one row per node (m00, m01, m10,
+    m11, log scale): [a_i0 | a_i1] of the left parents, [b_0j | b_1j] of
+    the right ones, each for (i, j) = 00, 01, 10, 11, then [ls_left |
+    ls_right].  ``slope_node[j]`` is the node of the j-th slope, -1 for
+    infinity.  A malformed slope (module docstring) raises.
     """
     import numpy as np
 
@@ -90,8 +95,11 @@ def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
             by_q.setdefault(q - b, set()).add(p - a)
     dens = sorted(by_q)
     index = {node: i for i, node in enumerate((p, q) for q in dens for p in sorted(by_q[q]))}
+    # the block and the parent (0 left, 1 right) of each of the 18 row groups of a gather
+    block = np.array([0, 0, 2, 2, 1, 1, 3, 3, 0, 1, 0, 1, 2, 3, 2, 3, 4, 4])[:, None] * len(index)
+    parent = np.array([0] * 8 + [1] * 8 + [0, 1])
     levels = tuple(
-        tuple(np.array([index[parents[p, q][side]] for p in sorted(by_q[q])]) for side in (0, 1))
+        (block + np.array([[index[parents[p, q][side]] for p in sorted(by_q[q])] for side in (0, 1)])[parent]).ravel()
         for q in dens[1:]
     )
     slope_node = np.array([index[p, q] if q else -1 for p, q in slopes], dtype=np.intp)
@@ -128,8 +136,9 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     ints, levels, slope_node = plan
     lam, tau, core = (np.array(v) for v in zip(*map(_seed, endpoints)))
     start = len(ints)
-    size = start + sum(len(left) for left, _ in levels)
-    M, logscale = np.empty((2, 2, size, len(lam))), np.empty((size, len(lam)))
+    size = start + sum(len(rows) for rows in levels) // 18
+    state = np.empty((5, size, len(lam)))  # m00, m01, m10, m11 and the log scale (see _plan)
+    flat, M, logscale = state.reshape(5 * size, len(lam)), state[:4].reshape(2, 2, size, len(lam)), state[4]
     # diag(e^{u/2}, e^{-u/2}) scaled by e^{-|u|/2}, so no exp overflows
     u = ints[:, None] * lam + tau
     rows = np.stack((np.exp(np.minimum(u, 0.0)), np.exp(-np.maximum(u, 0.0))))
@@ -137,17 +146,20 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     logscale[:start] = np.abs(u) / 2.0
     # a log scale past the float range becomes inf, which the check below reports
     with np.errstate(over="ignore"):
-        for left, right in levels:
-            a, b = M.take(left, axis=2), M.take(right, axis=2)
-            prod = a[:, 0, None] * b[0] + a[:, 1, None] * b[1]
-            scale = np.abs(prod).max(axis=(0, 1))
-            stop = start + len(left)
-            M[:, :, start:stop] = prod / scale
-            logscale[start:stop] = logscale[left] + logscale[right] + np.log(scale)
+        for rows in levels:
+            n = len(rows) // 18
+            gathered = flat.take(rows, axis=0)
+            # a_i0 b_0j + a_i1 b_1j; every entry is positive, so the scale needs no abs
+            prod = gathered[: 8 * n] * gathered[8 * n : 16 * n]
+            prod = (prod[: 4 * n] + prod[4 * n :]).reshape(4, n, len(lam))
+            scale = prod.max(axis=0)
+            stop = start + n
+            np.divide(prod, scale, out=state[:4, start:stop])
+            np.add(gathered[16 * n : 17 * n] + gathered[17 * n :], np.log(scale), out=logscale[start:stop])
             start = stop
     node = slope_node[slope_node >= 0]
     with np.errstate(divide="ignore", over="ignore"):
-        lh = logscale[node] + np.log(np.abs(M[0, 0, node] + M[1, 1, node]) / 2.0)
+        lh = logscale.take(node, axis=0) + np.log((state[0].take(node, axis=0) + state[3].take(node, axis=0)) / 2.0)
         # arccosh(y) = log(2y) - 1/(4y^2) - ...; the correction is below 1e-26
         lengths = 2.0 * (lh + math.log(2.0))
     ok = lengths < np.inf
@@ -223,28 +235,34 @@ def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[
     """(d(YL, YR), d(YR, YL)) estimates between the backward stretch
     endpoints of every (y, t) cell, in order.
 
-    The endpoints of all cells are the columns of :func:`_log_lengths`
-    passes over the default slope family of :func:`dth_estimate`, in
-    chunks of at most ``_CHUNK_NODE_COLUMNS`` plan nodes times columns, so
-    the working set stays bounded; each endpoint's lengths serve both
-    directions.  A chunk builds its endpoints in cell order, then runs one
-    pass: a length error is the one its first failing cell raises alone,
-    but a stretch error of any cell of the chunk comes first.  The CLI's
-    cells are untwisted, where no length failure is known.
+    A cell with t = 0 on S11 is (0.0, 0.0), since d(Y, Y) = 0: it runs no
+    stretch and no length pass, so it never fails.  The endpoints of the
+    other cells are the columns of :func:`_log_lengths` passes over the
+    default slope family of :func:`dth_estimate`, in chunks of at most
+    ``_CHUNK_NODE_COLUMNS`` plan nodes times columns, so the working set
+    stays bounded; each endpoint's lengths serve both directions.  A chunk
+    builds its endpoints in cell order, then runs one pass: a length error
+    is the one its first failing cell raises alone, but a stretch error of
+    any cell of the chunk comes first.  The CLI's cells are untwisted,
+    where no length failure is known.
     """
     import numpy as np
 
     plan = _family(max_q)
     # slope_node has one entry per slope, and the family's plan one node per finite slope
     step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(plan[2])))
-    out: list[tuple[float, float]] = []
-    for i in range(0, len(cells), step):
-        ll = _log_lengths([p for y, t in cells[i : i + step] for p in _endpoints(y, t)], plan)
+    out = [(0.0, 0.0)] * len(cells)
+    # a t = 0 cell off S11 still takes the pass, which rejects its surface
+    live = [i for i, (y, t) in enumerate(cells) if t != 0.0 or y.surface != "S11"]
+    for k in range(0, len(live), step):
+        chunk = live[k : k + step]
+        ll = _log_lengths([p for i in chunk for p in _endpoints(*cells[i])], plan)
         # the reverse direction is not the negated forward one, which
         # would give -0.0 where the endpoints coincide
         d_lr = np.max(ll[:, 1::2] - ll[:, 0::2], axis=0)
         d_rl = np.max(ll[:, 0::2] - ll[:, 1::2], axis=0)
-        out.extend(zip(d_lr.tolist(), d_rl.tolist()))
+        for i, d in zip(chunk, zip(d_lr.tolist(), d_rl.tolist())):
+            out[i] = d
     return out
 
 

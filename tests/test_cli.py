@@ -254,6 +254,12 @@ def test_stretch_command(capsys):
     assert out.startswith("curve1: length=")
 
 
+def test_stretch_command_at_time_zero_is_the_identity(capsys):
+    # the left completion's closed-form offsets fail at length 40
+    code, out = run_cli(capsys, "stretch", "--l", "40", "--tau", "0", "--t", "0")
+    assert (code, out) == (0, "curve1: length=40 twist=0\n")
+
+
 @pytest.mark.parametrize("surface,values", [("S04", "2"), ("S2", "1,1,1")])
 def test_stretch_command_reads_one_value_per_curve(capsys, surface, values):
     code, out = run_cli(capsys, "stretch", "--surface", surface, "--l", values, "--tau", values, "--t", "0.5")
@@ -596,6 +602,14 @@ def test_envelope_with_a_long_alpha_starts_at_zero_widths(tmp_path, capsys):
     assert code == 0
     rows = [line.split(",") for line in (tmp_path / "out" / "envelope.csv").read_text().splitlines()[1:]]
     assert [row for row in rows if row[1] == "0"] == [["17", "0", "0", "0"]]
+
+
+def test_envelope_cells_at_time_zero_run_no_stretch(tmp_path, capsys):
+    # at l_alpha = 70 the left completion's closed-form offsets fail
+    cfg = write_config(tmp_path, l0_values=35, t_max=0)
+    code, _ = run_cli(capsys, "--config", str(cfg), "envelope")
+    assert code == 0
+    assert (tmp_path / "out" / "envelope.csv").read_text().splitlines()[1:] == ["35,0,0,0"]
 
 
 def test_envelope_config_and_csv_header(tmp_path, capsys):

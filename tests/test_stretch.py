@@ -33,6 +33,11 @@ def test_stretch_point_is_the_identity_at_time_zero():
     x = FNPoint("S2", (1.0, 2.0, 0.5), (0.1, -0.2, 0.3))
     for spec in (left_spec("S2"), right_spec("S2")):
         assert stretch_point(x, spec, 0.0) == x
+    # at l = 70 the left completion's closed-form offsets fail; the twist -0.0 becomes +0.0
+    y = FNPoint("S11", (70.0,), (-0.0,))
+    for spec in (left_spec("S11"), right_spec("S11")):
+        z = stretch_point(y, spec, 0.0)
+        assert z == y and repr(z.twists[0]) == "0.0"
 
 
 def test_stretch_point_scales_lengths_by_e_to_minus_t():

@@ -160,7 +160,7 @@ LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_widths", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
-    "cli.cube",
+    "cli.cube", "cli.envelope",
 }
 
 

@@ -242,6 +242,24 @@ def test_full_twist_relabelling_through_the_engine():
     check()
 
 
+def test_a_plan_evaluates_each_slope_as_the_family_does():
+    # a shuffled subset puts the plan's nodes out of slope order, and a
+    # subset without the parents of its slopes gives levels of parents only
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    family = candidate_slopes(12)
+    points = st.tuples(st.floats(math.log(1e-3), math.log(20.0)), st.floats(-50.0, 50.0))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(points=st.lists(points.map(lambda v: _point(math.exp(v[0]), v[1])), min_size=1, max_size=3),
+                      subset=st.lists(st.sampled_from(family), min_size=1, unique=True))
+    def check(points, subset):
+        want = _log_lengths(points, _family(12))[[family.index(slope) for slope in subset]]
+        assert _log_lengths(points, _plan(subset)).tobytes() == want.tobytes()
+
+    check()
+
+
 def test_estimate_monotone_in_max_q_property():
     # the families nest and each slope's length does not depend on the
     # family, so the estimate never decreases, not even by rounding
@@ -352,6 +370,7 @@ def test_every_entry_point_rejects_other_surfaces(x):
         lambda: dth_estimate(x, s11, 5),
         lambda: envelope_widths([(x, 0.5)], 5),
         lambda: envelope_widths([(x, 0.5)], 5)[0],
+        lambda: envelope_widths([(s11, 0.0), (x, 0.0)], 5),
     )
     for call in calls:
         with pytest.raises(ValueError, match="covers the once-punctured torus only"):
@@ -479,7 +498,7 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     monkeypatch.setattr(torus, "_log_lengths", lambda ends, plan: columns.append(len(ends)) or _log_lengths(ends, plan))
     got = envelope_widths(cells, 30)
     monkeypatch.undo()
-    assert sum(columns) == 2 * len(cells) and len(columns) > 1
+    assert sum(columns) == 2 * sum(t != 0.0 for _, t in cells) and len(columns) > 1
     assert max(columns) * len(_family(30)[2]) <= torus._CHUNK_NODE_COLUMNS
     want = [_per_cell_widths(y, t, 30) for y, t in cells]
     assert [tuple(map(float.hex, w)) for w in got] == [tuple(map(float.hex, w)) for w in want]
@@ -488,11 +507,22 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     assert envelope_widths([], 30) == []
 
 
+def test_envelope_cells_at_time_zero_run_no_stretch_and_no_pass(monkeypatch):
+    # d(Y, Y) = 0, also at (70, 35), whose lengths and left stretch fail
+    def fail(*args):
+        raise AssertionError("a t = 0 cell was evaluated")
+
+    monkeypatch.setattr(torus, "_endpoints", fail)
+    monkeypatch.setattr(torus, "_log_lengths", fail)
+    cells = [(_point(l, tau), t) for l, tau in ((2.0, 0.0), (0.04, 1.5), (70.0, 35.0)) for t in (0.0, -0.0)]
+    assert [[repr(v) for v in d] for d in envelope_widths(cells, 30)] == [["0.0", "0.0"]] * len(cells)
+
+
 def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
     # the points (70, 35) and (72, 36) trip the engine's elliptic guard on
-    # slope -1/2 with a message that depends on the point; as t = 0 cells
-    # their endpoints are the points themselves, set here directly because
-    # the closed-form offsets fail at cuff length 70
+    # slope -1/2 with a message that depends on the point; their endpoints
+    # are set here to the points themselves, because the closed-form
+    # offsets fail at cuff length 70
     def endpoints(y, t):
         if y.lengths[0] < 60.0:
             return _endpoints(y, t)
@@ -500,7 +530,7 @@ def test_envelope_cells_raise_the_first_failing_cells_error(monkeypatch):
 
     monkeypatch.setattr(torus, "_endpoints", endpoints)
     ok = [(FNPoint("S11", (2.0,), (0.0,)), t) for t in (0.0, 1.0)]
-    bad = [(_point(l, tau), 0.0) for l, tau in ((70.0, 35.0), (72.0, 36.0))]
+    bad = [(_point(l, tau), 1.0) for l, tau in ((70.0, 35.0), (72.0, 36.0))]
     messages = []
     for y, t in bad:
         with pytest.raises(ValueError) as exc:

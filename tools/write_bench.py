@@ -21,9 +21,11 @@ one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
 ``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
-``bounds.run_sweep`` of the default ``sweep`` grid, and one ``cli.cube``
-(``cli.main`` running ``cube`` at the symmetric point, artifacts written
-to a temporary directory): the best of several
+``bounds.run_sweep`` of the default ``sweep`` grid, one ``cli.cube``
+(``cli.main`` running ``cube`` at the symmetric point) and one
+``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
+``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
+written to a temporary directory: the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn, with the median over rounds of the change's time over the
 parent's in the same round.  Last, the wall time of each ``CLI_COMMANDS``
@@ -120,11 +122,17 @@ cube_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\n")
 def cli_cube():
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--config", str(cube_config), "cube"])
+# the shape of an envelope benchmark op: one l0 and the cells t = 0 and t = t_max
+envelope_config = Path(tmp.name) / "envelope.txt"
+envelope_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\nl0_values=1.0\nt_max=4.0\nt_step=4.0\nmax_q=30\n")
+def cli_envelope():
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--config", str(envelope_config), "envelope"])
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
 # work for the envelope cell (about 1.2 ms each), the cube (about 4.5 ms), the CLI
-# cube (about 7 ms) and the sweep (about 1.6 ms), the cube stages and the stretch
-# vectors (about 0.3 to 3 ms each)
+# cube (about 7 ms), the CLI envelope (about 2 ms) and the sweep (about 1.6 ms), the
+# cube stages and the stretch vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -140,7 +148,8 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("cube.hull", cube_hull, 1, 100),
                                 ("cube._certified", cube_certified, 1, 60),
                                 ("bounds.run_sweep", sweep, 1, 100),
-                                ("cli.cube", cli_cube, 1, 20)):
+                                ("cli.cube", cli_cube, 1, 20),
+                                ("cli.envelope", cli_envelope, 1, 50)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 tmp.cleanup()
 print(json.dumps(out))
@@ -155,10 +164,13 @@ LAYER_INPUTS = (
     "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
     "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
-    "(the symmetric base point), its stdout discarded; "
+    "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
+    "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
+    "same directory, its stdout discarded; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
     "curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), 60 calls "
-    "(_certified), 30 calls (cloud, stretch_vectors), 20 calls (cli.cube) or 15 calls "
+    "(_certified), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
+    "(cli.cube) or 15 calls "
     "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side"
 )
