@@ -298,32 +298,29 @@ def log_coth(u: float) -> float:
 
 
 def twist_width_closed(l0: float, t: float) -> float:
-    """Closed-form twist width between the backward left and right stretches.
+    """Closed-form twist width between the left and right stretches.
 
-    At the point :func:`width_point` maps l0 to, on the once-punctured
-    torus or the four-times punctured sphere, the twists at time t differ by
+    At the point :func:`width_point` maps l0 to, on the once-punctured torus
+    or the four-times punctured sphere, the twists at time t (backward for
+    t > 0, forward for t < 0) differ by
 
         theta(left, t) - theta(right, t)
-            = 4 e^{-t} log coth(l0) - 4 log coth(l0 e^{-t})
+            = 4 e^s log coth(l0) - 4 log coth(l0 e^s),    s = -t
 
-    Direct algebra on the twist-offset closed forms produces coth(l0), and
-    the constructive half-plane oracle agrees.  The printed convention
-    halves both arguments: it is ``twist_width_closed(l0 / 2, t)``, bit for
-    bit, kept only for comparison; the reconciliation report records the
-    difference.
+    Direct algebra on the twist-offset closed forms produces coth(l0), and the
+    constructive half-plane oracle agrees.  The printed convention halves both
+    arguments: it is ``twist_width_closed(l0 / 2, t)``, bit for bit, kept only
+    for comparison; the reconciliation report records the difference.
     """
     if not l0 > 0:
         raise ValueError("l0 must be positive")
-    if not t >= 0:
-        raise ValueError("t must be non-negative")
     if l0 == math.inf:
         raise ValueError("l0 must be finite")
-    if t == math.inf:
-        raise ValueError("t must be finite")
-    u = l0 * math.exp(-t)
+    f = math.exp(_signed_time(t))
+    u = l0 * f
     # a subnormal u has lost digits, and log coth(u) = t - log(l0) + O(u^2) to far below one ulp
     log_coth_u = log_coth(u) if u >= sys.float_info.min else t - math.log(l0)
-    width = 4.0 * math.exp(-t) * log_coth(l0) - 4.0 * log_coth_u
+    width = 4.0 * f * log_coth(l0) - 4.0 * log_coth_u
     if not math.isfinite(width):
         raise ValueError(f"twist width is out of float reach at t = {t!r}")
     return width

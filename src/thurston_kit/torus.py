@@ -273,6 +273,6 @@ def earthquake(x: FNPoint, t: float) -> FNPoint:
 
 def _endpoints(y: FNPoint, t: float) -> tuple[FNPoint, FNPoint]:
     """Stretch endpoints (left, right completion) at time t, both of alpha-length
-    l_alpha(y) e^{-t}; for t >= 0 their twist gap is the closed-form twist width
-    at l0 = l_alpha(y)/2."""
+    l_alpha(y) e^{-t}; their twist gap is the closed-form twist width at l0 =
+    l_alpha(y)/2, up to the digits the left offsets lose at long alpha."""
     return stretch_point(y, left_spec(y.surface), t), stretch_point(y, right_spec(y.surface), t)

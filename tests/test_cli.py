@@ -238,7 +238,8 @@ def test_twist_width_command(capsys):
         ("inf", "1", "l0 must be finite"),
         ("nan", "1", "l0 must be positive"),
         ("1", "inf", "t must be finite"),
-        ("1", "nan", "t must be non-negative"),
+        ("1", "nan", "t must be finite"),
+        ("1", "-inf", "t must be finite"),
     ],
 )
 def test_twist_width_command_rejects_non_finite_input(capsys, l0, t, message):
@@ -246,6 +247,20 @@ def test_twist_width_command_rejects_non_finite_input(capsys, l0, t, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_twist_width_command_runs_forward_for_negative_t(capsys):
+    # 4 e log coth(1) - 4 log coth(e) at 50 digits
+    code, out = run_cli(capsys, "twist-width", "--l0", "1", "--t", "-1")
+    assert code == 0 and out.startswith("twist_width=")
+    value, reference = float(out.split("=")[1]), 2.9263678771443076
+    assert abs(value - reference) <= 2 * math.ulp(reference)
+    # the stretch's one time check states a forward time whose e^s overflows
+    assert main(["twist-width", "--l0", "1", "--t", "-800"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "error: stretch time is out of float reach: lengths scale by e^800.0, which overflows"
+    assert captured.err.splitlines() == [message]
 
 
 def test_stretch_command(capsys):
@@ -761,13 +776,22 @@ def test_flags_that_duplicated_config_keys_are_unrecognized(tmp_path, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
-def test_unsorted_sweep_grid_is_usage_error(tmp_path, capsys):
-    cfg = write_config(tmp_path, l0_values="2,1")
-    assert main(["--config", str(cfg), "sweep"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == ["error: grid axes must be sorted ascending"]
-    assert not (tmp_path / "out").exists()
+def test_sweep_takes_l0_values_in_any_order(tmp_path, capsys):
+    # rows follow the config; the summary is keyed by l0 and sorted
+    runs = {}
+    for order in ("1,2", "2,1"):
+        (tmp_path / order).mkdir()
+        cfg = write_config(tmp_path / order, l0_values=order)
+        assert run_cli(capsys, "--config", str(cfg), "sweep")[0] == 0
+        out = tmp_path / order / "out"
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        by_l0 = {l0: [row for row in rows if row.split(",")[0] == l0] for l0 in ("1", "2")}
+        runs[order] = by_l0, json.loads((out / "sweep_summary.json").read_text())
+    (sorted_rows, sorted_summary), (rows, summary) = runs["1,2"], runs["2,1"]
+    assert rows == sorted_rows and all(len(r) == 3 for r in rows.values())
+    assert list(summary["middle_constants"]) == ["1.0", "2.0"]
+    for key in ("middle_constants", "regime_sup"):
+        assert summary[key] == sorted_summary[key]
 
 
 def test_t_grid_stops_at_t_max(tmp_path, capsys):

@@ -482,6 +482,17 @@ def test_envelope_widths_nonnegative_and_zero_at_origin():
     assert d1 > 0.0 and d2 > 0.0
 
 
+def test_envelope_widths_are_mirror_symmetric_on_untwisted_cells():
+    # at tau = 0 the reflection swaps the two endpoints and maps the slope
+    # family to itself, so d_lr = d_rl; measured at most 5.5e-13, at
+    # (0.02, 8).  l0 = 10 is left out: there the left completion's offsets
+    # lose digits and the two read 2.4e-10 apart
+    t_values = [0.25 * i for i in range(33)]
+    for l0 in (0.02, 0.1, 0.3, 0.5, 1.0, 2.0, 5.0):
+        for d_lr, d_rl in envelope_widths([(width_point("S11", l0), t) for t in t_values], 30):
+            assert abs(d_lr - d_rl) <= 1e-12
+
+
 def _per_cell_widths(y, t, max_q):
     """One length pass over the two endpoints of one cell, the loop that
     :func:`envelope_widths` batches."""

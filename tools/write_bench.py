@@ -176,7 +176,7 @@ LAYER_INPUTS = (
 )
 END_TO_END_INPUTS = (
     "cli_seconds: each subcommand of CLI_COMMANDS in a fresh `python -m thurston_kit.cli` process "
-    "with the default config (no --config, THURSTON_KIT_CONFIG unset) in a temporary directory, "
+    "with the default config (no --config) in a temporary directory, "
     f"median of {CLI_ROUNDS} runs per side; tier1_seconds: `python -m pytest -q "
     f"--continue-on-collection-errors -p no:cacheprovider` in the root, median of {TIER1_ROUNDS} "
     "runs per side, with the last line pytest printed; sides alternate, and change_over_parent "
@@ -236,11 +236,8 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
 
 def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.CompletedProcess]:
     """Seconds one fresh process of ``cmd`` takes, with ``root``'s ``src`` on
-    the path, and the finished process.  ``THURSTON_KIT_CONFIG`` is dropped from
-    the environment: the CLI no longer reads it, but a parent checkout from
-    before that change does, and would then run with another config."""
-    env = {key: value for key, value in os.environ.items() if key != "THURSTON_KIT_CONFIG"}
-    env["PYTHONPATH"] = str(root / "src")
+    the path, and the finished process."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=1200)
     return time.perf_counter() - start, proc
