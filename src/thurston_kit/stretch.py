@@ -138,7 +138,9 @@ def _signed_spec(surface: str, sign: int) -> StretchSpec:
 
 def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
     """(D1(0) + D2(0)) e^s - (D1(s) + D2(s)) for the two pants adjacent to the
-    curve, grouped so that it cancels exactly at s = 0."""
+    curve; at s = 0 it is 0.0 and evaluates no offset."""
+    if s == 0.0:
+        return 0.0
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)
     d0, ds = (
@@ -159,7 +161,7 @@ def _signed_time(t: float) -> float:
 
 def twist_along_stretch(x: FNPoint, spec: StretchSpec, curve: int, t: float) -> float:
     """Twist coordinate of ``curve`` after stretching ``x`` along ``spec``
-    for time ``t``."""
+    for time ``t``; time 0 evaluates no offset and adds +0.0 to the twist."""
     if spec.surface != x.surface:
         raise SpecMismatchError("spec surface does not match the point")
     s = _signed_time(t)
@@ -173,8 +175,6 @@ def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
     """Full Fenchel-Nielsen image of ``x`` under the stretch for time ``t``;
     time 0 evaluates no offset and adds to every twist the +0.0 of a zero drift."""
     f = math.exp(_signed_time(t))
-    if t == 0.0 and spec.surface == x.surface:
-        return FNPoint(x.surface, x.lengths, tuple(v + 0.0 for v in x.twists))
     twists = tuple(twist_along_stretch(x, spec, c, t) for c in range(len(x.twists)))
     return FNPoint(x.surface, tuple(v * f for v in x.lengths), twists)
 
@@ -223,11 +223,11 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
         theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
 
     with the offsets differentiated analytically (complex step); a central
-    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative,
-    else the first failing (spec, curve) in order raises.  Each side of the
-    plan is evaluated once per call by :func:`~thurston_kit.pants.delta_side`,
-    in order, and each row sums its sides as the per-spec formula does
-    (``0.0 + D1 + D2``, then ``theta + total - rate``), bit for bit.
+    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative.
+    Each side of the plan goes once through :func:`~thurston_kit.pants.delta_side`,
+    in order of first use, and the first that fails raises before any check.
+    Each row sums its sides as the per-spec formula does (``0.0 + D1 + D2``,
+    then ``theta + total - rate``), bit for bit.
     """
     import numpy as np
 
@@ -237,22 +237,12 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
     metric = row.metric(x.lengths)
     h = 1e-6
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
-    # (offset, rate, offset at e^h, offset at e^-h) per side, up to the first side that fails
-    table, failure = [], None
-    for tri, cuff in plan.sides:
-        try:
-            table.append(delta_side(metric, tri, cuff, up, down))
-        except (ArithmeticError, ValueError) as exc:
-            failure = exc
-            break
-    # one spec at a time checks every (spec, curve) pair before the first use
-    # of a failing side; each pair sums its two sides from 0.0 in order
-    at = plan.index
-    if failure is not None:
-        at = at[: int(np.argmax((at == len(table)).any(axis=1)))]
+    # (offset, rate, offset at e^h, offset at e^-h) per side; the first side that fails raises
+    table = [delta_side(metric, tri, cuff, up, down) for tri, cuff in plan.sides]
     values = np.array(table).reshape(-1, 4)
     values[:, 2] -= values[:, 3]
-    total0, dtotal, diff = (0.0 + values[at[:, 0], :3] + values[at[:, 1], :3]).T
+    # each (spec, curve) pair sums its two sides from 0.0 in order
+    total0, dtotal, diff = (0.0 + values[plan.index[:, 0], :3] + values[plan.index[:, 1], :3]).T
     num = diff / (2.0 * h)
     bad = np.abs(num - dtotal) > DERIVATIVE_CHECK_REL * np.maximum(1.0, np.abs(dtotal))
     if bad.any():
@@ -261,8 +251,6 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
             f"analytic rate {float(dtotal[k])} and central difference {float(num[k])} "
             f"disagree at curve {k % len(row.sides)}"
         )
-    if failure is not None:
-        raise failure
     count = len(plan.index) // len(row.sides)
     return (np.tile(x.twists, count) + total0 - dtotal).reshape(count, len(row.sides))
 

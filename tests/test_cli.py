@@ -405,14 +405,18 @@ def test_delta_command_states_an_overflowing_closed_form(capsys):
 
 
 def test_cube_command_states_an_overflowing_closed_form(tmp_path, capsys):
-    cfg = write_config(tmp_path, base_lengths="1e6,1,1")
-    assert main(["--config", str(cfg), "cube"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: twist offset at cuff 0 is out of float reach: g overflows at lengths (1000000.0, 1.0, 1.0)\n"
-    )
-    assert not (tmp_path / "out").exists()
+    # at 1,1,38 the offset of a side cancels to g <= 0 and raises before the
+    # derivative check, which would fail there too
+    for lengths, message in (
+        ("1e6,1,1", "twist offset at cuff 0 is out of float reach: g overflows at lengths (1000000.0, 1.0, 1.0)"),
+        ("1,1,38", "twist offset at cuff 2 is out of float reach: g = -0.0 <= 0 at lengths (1.0, 1.0, 38.0)"),
+    ):
+        cfg = write_config(tmp_path, base_lengths=lengths)
+        assert main(["--config", str(cfg), "cube"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_cube_command_states_a_degenerate_hull_in_one_line(tmp_path, capsys):

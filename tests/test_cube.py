@@ -394,13 +394,16 @@ def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
         cloud(x)
 
 
-def test_derivative_check_comes_before_a_later_side_that_overflows():
+def test_a_failing_side_raises_before_the_derivative_check():
     # at this long cuff the check of an early (spec, curve) fails, and a side
-    # first used by a later spec overflows; checking one spec at a time
-    # reports the check, as recorded before the sides went into one table
+    # first used by a later spec cancels to g <= 0; the side table is built
+    # before any check, so its first failing side raises
     x = FNPoint("S2", (0.08521070605009712, 51.031063889578974, 0.0007155106104479768), (0.0, 0.0, 0.0))
-    message = "analytic rate -50.94620056471497 and central difference -51.31231901955857 disagree at curve 1"
-    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+    message = (
+        "twist offset at cuff 1 is out of float reach: g = 0.0 <= 0 at lengths "
+        "(0.08521070605009712, 51.031063889578974, 0.0007155106104479768)"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cloud(x)
 
 

@@ -49,8 +49,11 @@ def test_stretch_point_scales_lengths_by_e_to_minus_t():
 
 def test_twist_at_time_zero_is_initial_twist():
     x = FNPoint("S11", (2.0,), (0.37,))
+    # at l = 70 the left completion's closed-form offsets fail; time 0 evaluates none
+    y = FNPoint("S11", (70.0,), (-0.0,))
     for t in (0.0, -0.0):
         assert twist_along_stretch(x, left_spec("S11"), 0, t) == pytest.approx(0.37, abs=1e-12)
+        assert repr(twist_along_stretch(y, left_spec("S11"), 0, t)) == "0.0"
 
 
 def test_twist_linear_in_initial_twist():
@@ -111,6 +114,9 @@ def test_twist_width_same_spec_is_zero():
 def test_twist_width_zero_at_time_zero():
     x = FNPoint("S11", (2.0,), (0.1,))
     assert twist_width(x, left_spec("S11"), right_spec("S11"), 0, 0.0) == pytest.approx(0.0, abs=1e-12)
+    # the left completion's offsets fail at l = 70, and time 0 evaluates none
+    y = FNPoint("S11", (70.0,), (-0.0,))
+    assert repr(twist_width(y, left_spec("S11"), right_spec("S11"), 0, 0.0)) == "0.0"
 
 
 def test_twist_width_antisymmetric_and_twist_independent():
