@@ -83,26 +83,26 @@ def thick_bound(l0: float, t: float) -> float:
     return scale * (math.exp(-t) * log_coth(l0) + log_coth(u))
 
 
-def classify(l0: float, t: float, eps: float) -> str:
-    """Regime of a grid cell: thin (u <= eps), thick (u > 1), middle otherwise."""
+def classify(l0: float, t: float) -> str:
+    """Regime of a grid cell: thin (u <= ``DEFAULT_EPSILON``), thick (u > 1), middle otherwise."""
     u = l0 * math.exp(-t)
-    if u <= eps:
+    if u <= DEFAULT_EPSILON:
         return "thin"
     if u > 1.0:
         return "thick"
     return "middle"
 
 
-def run_sweep(l0_values: tuple[float, ...], t_values: tuple[float, ...], eps: float, max_q: int) -> tuple[list, dict]:
+def run_sweep(l0_values: tuple[float, ...], t_values: tuple[float, ...], max_q: int) -> tuple[list, dict]:
     """Rows (l0, t, regime, bound value) of the grid, and their summary.
 
     Thin cells use the dual-ratio bound, thick cells the decay-based
     expression, and middle cells the triangle-inequality bridge
     2(1 - eps) + d(Y0^R, Y0^L) measured with the distance estimator at
     the cross-section where the curve has length one (one constant per
-    l0, all from one batched pass).
+    l0, all from one batched pass); eps is ``DEFAULT_EPSILON`` throughout.
     """
-    cells = [(l0, t, classify(l0, t, eps)) for l0 in l0_values for t in t_values]
+    cells = [(l0, t, classify(l0, t)) for l0 in l0_values for t in t_values]
     bridged = dict.fromkeys(l0 for l0, t, regime in cells if t != 0.0 and regime == "middle")
     middle = _middle_constants(list(bridged), max_q)
     rows = []
@@ -111,18 +111,18 @@ def run_sweep(l0_values: tuple[float, ...], t_values: tuple[float, ...], eps: fl
             # the two endpoints coincide and the twist width vanishes
             val = 0.0
         elif regime == "thin":
-            val = ratio_bound_thin(l0, t, eps)
+            val = ratio_bound_thin(l0, t, DEFAULT_EPSILON)
         elif regime == "thick":
             val = thick_bound(l0, t)
         else:
-            val = 2.0 * (1.0 - eps) + middle[l0]
+            val = 2.0 * (1.0 - DEFAULT_EPSILON) + middle[l0]
         rows.append((l0, t, regime, val))
     sup, argmax = {}, {}  # per regime: the largest value and the first cell reaching it
     for l0, t, regime, val in rows:
         if regime not in sup or val > sup[regime]:
             sup[regime], argmax[regime] = val, [l0, t]
     return rows, {
-        "epsilon": eps,
+        "epsilon": DEFAULT_EPSILON,
         "regime_sup": dict(sorted(sup.items())),
         "regime_argmax": dict(sorted(argmax.items())),
         "middle_constants": {repr(k): v for k, v in sorted(middle.items())},

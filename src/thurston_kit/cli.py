@@ -232,7 +232,7 @@ def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
-    rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), bounds.DEFAULT_EPSILON, cfg.max_q)
+    rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), cfg.max_q)
     out = Path(cfg.out_dir)
     _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", "%.17g,%.17g,%s,%.17g\n", rows)
     _write_json(out / "sweep_summary.json", summary)

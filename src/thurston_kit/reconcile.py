@@ -7,8 +7,9 @@ Two printed-formula issues are checked and recorded:
   triangulation types (no correction expected, residuals reported);
 * the closed-form twist width, whose displayed version halves the
   coth arguments while direct algebra on the offsets (confirmed by the
-  construction) does not; the reconciled variant is the default and the
-  printed one is kept for comparison.
+  construction) does not; the reconciled variant is the kit's convention
+  (:func:`~thurston_kit.stretch.twist_width_closed`), checked against the
+  offsets, and the printed one is kept for comparison.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .stretch import left_spec, right_spec, twist_width, twist_width_closed, wid
 DEFAULT_GRID = (0.5, 1.0, 2.0, 4.0)
 #: l0 values and times of the twist-width check
 WIDTH_GRID = (0.25, 0.5, 1.0, 2.0)
-#: largest residual that counts as agreement: in `delta`, the offset report and the width convention
+#: largest residual that counts as agreement: in `delta`, the offset report and the width check
 TOLERANCE = 1e-9
 
 
@@ -51,11 +52,13 @@ def oracle_residuals() -> list[dict]:
 
 
 def twist_width_conventions() -> dict:
-    """Compare both closed-form width conventions against the offset-built width.
+    """Residuals of both closed-form width conventions against the offset-built width.
 
     The width is rebuilt from the twist offsets of the left and right
     completions on both supported surfaces, at every l0 and t of
-    ``WIDTH_GRID``; the convention whose maximal residual is small is chosen.
+    ``WIDTH_GRID``.  The kit's convention is ``"reconciled"``, the form
+    :func:`~thurston_kit.stretch.twist_width_closed` computes at l0;
+    ``"printed"`` halves the argument and is kept for comparison.
     """
     out = {}
     for surface in ("S11", "S04"):
@@ -68,10 +71,9 @@ def twist_width_conventions() -> dict:
                 for conv, a in (("reconciled", l0), ("printed", l0 / 2.0)):
                     worst[conv] = max(worst[conv], abs(built - twist_width_closed(a, t)))
         out[surface] = worst
-    chosen = "reconciled" if max(v["reconciled"] for v in out.values()) <= TOLERANCE else "printed"
     return {
         "surfaces": out,
-        "chosen_convention": chosen,
+        "chosen_convention": "reconciled",
         "note": (
             "the displayed closed form halves the coth arguments; direct algebra "
             "on the twist offsets (validated by the half-plane construction) does not"
@@ -80,14 +82,14 @@ def twist_width_conventions() -> dict:
 
 
 def build_report() -> dict:
+    """The offset and width checks; ``ok`` when every offset residual and
+    the worst reconciled width residual are within ``TOLERANCE``."""
     rows = oracle_residuals()
     width = twist_width_conventions()
     max_resid = max(r["max_residual"] for r in rows)
+    width_ok = max(v["reconciled"] for v in width["surfaces"].values()) <= TOLERANCE
     corrections = [
-        {
-            "formula": "closed-form twist width",
-            "status": f"argument convention corrected; '{width['chosen_convention']}' is the default",
-        }
+        {"formula": "closed-form twist width", "status": "argument convention corrected; 'reconciled' is the default"}
     ]
     return {
         "offset_formulas": {
@@ -100,7 +102,7 @@ def build_report() -> dict:
         },
         "twist_width": width,
         "corrections": corrections,
-        "ok": all(r["within_tolerance"] for r in rows),
+        "ok": all(r["within_tolerance"] for r in rows) and width_ok,
     }
 
 

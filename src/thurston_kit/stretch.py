@@ -186,8 +186,8 @@ DERIVATIVE_CHECK_REL = 1e-6
 class SidePlan(NamedTuple):
     """Specs reduced to the pants sides their stretch vectors sum."""
 
-    #: the surface of the specs; None when there are none
-    surface: str | None
+    #: the one surface of the specs
+    surface: str
     #: each distinct (triangulation, cuff) side, in order of first use
     sides: tuple[tuple[PantsTriangulation, int], ...]
     #: (len(specs) * curves, 2) side indices: the two sides of each
@@ -196,16 +196,16 @@ class SidePlan(NamedTuple):
 
 
 def side_plan(specs: Sequence[StretchSpec]) -> SidePlan:
-    """The :class:`SidePlan` of specs on one surface, the input of
+    """The :class:`SidePlan` of specs on exactly one surface, the input of
     :func:`stretch_vectors`; a caller with fixed specs builds it once."""
     # imported here, not at module level: only the cube needs arrays
     import numpy as np
 
     surfaces = {spec.surface for spec in specs}
-    if len(surfaces) > 1:
+    if len(surfaces) != 1:
         raise SpecMismatchError("stretch vectors need specs on one surface")
-    surface = next(iter(surfaces), None)
-    pants_cuffs = [side for pair in _SURFACES[surface].sides for side in pair] if surface else []
+    (surface,) = surfaces
+    pants_cuffs = [side for pair in _SURFACES[surface].sides for side in pair]
     sides: dict[tuple[PantsTriangulation, int], int] = {}
     index = np.array(
         [sides.setdefault((spec.triangulations[p], c), len(sides)) for spec in specs for p, c in pants_cuffs], dtype=int
@@ -231,7 +231,7 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
     """
     import numpy as np
 
-    if plan.surface not in (None, x.surface):
+    if plan.surface != x.surface:
         raise SpecMismatchError("stretch vectors need specs on the surface of the point")
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)

@@ -126,17 +126,17 @@ def test_sweep_writes_the_thick_bound_past_u_300(tmp_path):
 def test_classification_is_a_partition():
     for l0 in (0.1, 0.5, 1.0, 2.0, 5.0):
         for t in (0.5 * i for i in range(13)):
-            assert classify(l0, t, DEFAULT_EPSILON) in ("thin", "middle", "thick")
+            assert classify(l0, t) in ("thin", "middle", "thick")
 
 
 def test_sweep_single_cell_width_contribution_zero():
-    rows, _ = run_sweep((1.0,), (0.0,), DEFAULT_EPSILON, 5)
+    rows, _ = run_sweep((1.0,), (0.0,), 5)
     assert len(rows) == 1
     assert rows[0][3] == 0.0
 
 
 def test_sweep_thick_cells_finite():
-    rows, summary = run_sweep((5.0,), (0.0, 0.25, 0.5), DEFAULT_EPSILON, 5)
+    rows, summary = run_sweep((5.0,), (0.0, 0.25, 0.5), 5)
     regimes = {row[2] for row in rows}
     assert regimes == {"thick"}
     assert summary["global_bounded"]
@@ -144,11 +144,11 @@ def test_sweep_thick_cells_finite():
 
 
 def test_sweep_default_grid_bounded_and_partitioned():
-    _, summary = run_sweep((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), DEFAULT_EPSILON, 8)
+    _, summary = run_sweep((0.1, 1.0, 5.0), tuple(0.5 * i for i in range(9)), 8)
     assert summary["global_bounded"]
     assert set(summary["regime_sup"]) <= {"thin", "middle", "thick"}
     for regime, (l0, t) in summary["regime_argmax"].items():
-        assert classify(l0, t, DEFAULT_EPSILON) == regime
+        assert classify(l0, t) == regime
 
 
 def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
@@ -164,7 +164,7 @@ def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
     assert json1 == json2
     lines = csv1.splitlines()
     assert lines[0] == "l0,t,regime,bound_value"
-    rows, _ = run_sweep((0.5, 1.0), (0.0, 1.0, 2.0), DEFAULT_EPSILON, 6)
+    rows, _ = run_sweep((0.5, 1.0), (0.0, 1.0, 2.0), 6)
     assert len(lines) == 1 + len(rows)
     summary = json.loads(json1)
     assert summary["global_bounded"] is True
@@ -173,7 +173,7 @@ def test_sweep_outputs_are_deterministic_and_well_formed(tmp_path):
 
 def test_default_grid_sweep_globally_bounded():
     cfg = Config()
-    rows, summary = run_sweep(cfg.l0_values, cfg.t_values(), DEFAULT_EPSILON, cfg.max_q)
+    rows, summary = run_sweep(cfg.l0_values, cfg.t_values(), cfg.max_q)
     assert summary["global_bounded"]
     assert set(row[2] for row in rows) == {"thin", "middle", "thick"}
     assert all(math.isfinite(row[3]) for row in rows)

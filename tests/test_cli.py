@@ -598,9 +598,32 @@ def test_one_tolerance_governs_oracle_check_and_delta(tmp_path, monkeypatch, cap
     assert "(FAIL at 1e-15)" in out
     assert (tmp_path / "out" / "reconciliation.txt").read_text() == out
     assert json.loads((tmp_path / "out" / "reconciliation.json").read_text())["offset_formulas"]["tolerance"] == 1e-15
+    # the kit's width convention is checked, not chosen: a failing check keeps it
+    assert "chosen twist-width convention: reconciled" in out
     code, out = run_cli(capsys, "delta", "--type", "2sym", "--l", "4,4,1", "--signs", "LRL", "--cuff", "1")
     assert code == 1
     assert 1e-15 < float(out.splitlines()[-1].split("=")[1]) <= 1e-9
+
+
+def test_oracle_check_fails_when_the_closed_form_width_misses_the_offsets(tmp_path, monkeypatch, capsys):
+    # the report keeps the kit's width convention and fails its check; it picks no other
+    closed = reconcile.twist_width_closed
+    monkeypatch.setattr(reconcile, "twist_width_closed", lambda l0, t: closed(l0, t) + 1e-3)
+    cfg = write_config(tmp_path)
+    code, out = run_cli(capsys, "--config", str(cfg), "oracle-check")
+    assert code == 1
+    text = (tmp_path / "out" / "reconciliation.txt").read_text()
+    raw = (tmp_path / "out" / "reconciliation.json").read_text()
+    assert text == out
+    rec = json.loads(raw)
+    assert rec["ok"] is False
+    assert rec["offset_formulas"]["all_within_tolerance"] is True
+    assert rec["twist_width"]["chosen_convention"] == "reconciled"
+    assert all(v["reconciled"] > 1e-4 for v in rec["twist_width"]["surfaces"].values())
+    assert "chosen twist-width convention: reconciled" in text
+    for artifact in (text, raw):
+        assert "convention: printed" not in artifact
+        assert "'printed' is the default" not in artifact
 
 
 def test_console_script_entry_point():

@@ -295,6 +295,9 @@ def test_orthofoot_cross_checked_by_orthogonality_solve():
 def test_orthofoot_rejects_intersecting_geodesics():
     with pytest.raises(GeometryError):
         orthofoot(0.0, INF, -2.0, 2.0)
+    # a2 is the float after b1: the endpoints differ, but the normalizing map sends a2 to infinity
+    with pytest.raises(GeometryError, match=r"^geodesics intersect \(image endpoint at infinity\)$"):
+        orthofoot(-5.382669169180314, -5.624379253246228, -5.624379253246227, -4.624379253246227)
 
 
 def test_orthofoot_rejects_asymptotic_geodesics():
@@ -395,6 +398,9 @@ def test_orthofoot_to_ideal_rejects_endpoint():
         orthofoot_to_ideal(0.0, INF, 0.0)
     with pytest.raises(GeometryError):
         orthofoot_to_ideal(0.0, INF, INF)
+    # p is the float after b1: it passes the endpoint comparison, and its image is infinite
+    with pytest.raises(GeometryError, match="^ideal point is an endpoint of the geodesic$"):
+        orthofoot_to_ideal(-5.382669169180314, -5.624379253246228, -5.624379253246227)
 
 
 def _point_distance(p, q) -> float:

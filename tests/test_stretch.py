@@ -301,10 +301,13 @@ def test_side_plan_lists_sides_in_order_of_first_use():
 
 @pytest.mark.parametrize("surface", ["S11", "S04", "S2"])
 def test_stretch_vectors_of_no_specs(surface):
+    # a plan needs specs on exactly one surface: an empty list has none
+    with pytest.raises(SpecMismatchError, match="^stretch vectors need specs on one surface$"):
+        side_plan([])
+    plan = side_plan([left_spec(surface)])
+    assert plan.surface == surface
     x = FNPoint(surface, (1.0,) * curve_count(surface), (0.0,) * curve_count(surface))
-    plan = side_plan([])
-    assert plan.surface is None and plan.sides == ()
-    assert stretch_vectors(x, plan).shape == (0, curve_count(surface))
+    assert stretch_vectors(x, plan).shape == (1, curve_count(surface))
 
 
 def test_width_agreement_for_random_partial_sign_patterns():

@@ -112,7 +112,7 @@ def cube_hull():
 def cube_certified():
     cube._certified(uniq, summary)
 cfg = cli.Config()
-sweep_args = (cfg.l0_values, cfg.t_values(), bounds.DEFAULT_EPSILON, cfg.max_q)
+sweep_args = (cfg.l0_values, cfg.t_values(), cfg.max_q)
 def sweep():
     bounds.run_sweep(*sweep_args)
 # the default config's base point is the symmetric point
