@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import math
+import struct
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
@@ -183,19 +184,32 @@ def _write_csv(path: Path, header: str, row_format: str, rows: Iterable[tuple]) 
 
 
 #: one entry of cube_points.json as json.dumps(indent=2, sort_keys=True) lays it out
-_CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %r,\n      %r,\n      %r\n    ],\n    "extreme": %s\n  }'
+_CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %s\n    ],\n    "extreme": %s\n  }'
+#: the bytes of a twist vector, which tell 0.0 from -0.0
+_TWIST_BYTES = struct.Struct("3d")
 
 
-def _cube_points_json(entries: list[dict]) -> str:
-    """``json.dumps(entries, indent=2, sort_keys=True) + "\\n"`` for the cube's
-    entries, one :data:`_CUBE_POINT` each (the pure-Python encoder that
-    ``indent`` selects takes about four times as long).  Exact for a non-empty
-    list with labels of printable ASCII other than ``"`` and ``\\``, twist
-    vectors of three finite Python floats (``cube.cloud`` rejects any other)
-    and bool flags: json.dumps would escape other labels and write inf and
-    nan as Infinity and NaN."""
-    return "[\n" + ",\n".join([_CUBE_POINT % (e["completion"], *e["d_twist"], "true" if e["extreme"] else "false")
-                              for e in entries]) + "\n]\n"
+def _cube_points(entries: list[dict]) -> tuple[str, str]:
+    """cube_points.json and cube_points.csv of the cube's entries, each
+    distinct twist vector (80 of the cloud's 128) formatted once.
+
+    The JSON is ``json.dumps(entries, indent=2, sort_keys=True) + "\\n"``,
+    one :data:`_CUBE_POINT` each (the pure-Python encoder that ``indent``
+    selects takes about four times as long).  Exact for a non-empty list with
+    labels of printable ASCII other than ``"`` and ``\\``, twist vectors of
+    three finite Python floats (``cube.cloud`` rejects any other) and bool
+    flags: json.dumps would escape other labels and write inf and nan as
+    Infinity and NaN.  The CSV writes each component ``%.17g``, as
+    :func:`format_float`.
+    """
+    keys = [_TWIST_BYTES.pack(*e["d_twist"]) for e in entries]
+    texts = {key: ("%r,\n      %r,\n      %r" % tuple(e["d_twist"]), "%.17g,%.17g,%.17g" % tuple(e["d_twist"]))
+             for key, e in dict(zip(keys, entries)).items()}
+    rows = [(e["completion"], texts[key], e["extreme"]) for e, key in zip(entries, keys)]
+    points_json = ",\n".join([_CUBE_POINT % (label, twist, "true" if flag else "false")
+                              for label, (twist, _), flag in rows])
+    points_csv = "".join(["%s,%s,%d\n" % (label, twist, flag) for label, (_, twist), flag in rows])
+    return "[\n" + points_json + "\n]\n", "completion,d_twist_1,d_twist_2,d_twist_3,extreme\n" + points_csv
 
 
 def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
@@ -263,8 +277,6 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
 
 def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
-    entries = result["entries"]
-    rows = [(e["completion"], *e["d_twist"], e["extreme"]) for e in entries]
     n_vertices, n_edges, n_faces = result["hull_counts"]
     hull_info = {
         "n_vertices": n_vertices,
@@ -274,9 +286,9 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
         "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
-    _write(out / "cube_points.json", _cube_points_json(entries))
-    _write_csv(out / "cube_points.csv", "completion,d_twist_1,d_twist_2,d_twist_3,extreme",
-               "%s,%.17g,%.17g,%.17g,%d\n", rows)
+    points_json, points_csv = _cube_points(result["entries"])
+    _write(out / "cube_points.json", points_json)
+    _write(out / "cube_points.csv", points_csv)
     _write_json(out / "cube_hull.json", hull_info)
     print(f"wrote cube outputs to {out}")
     return 0 if hull_info["brute_force_agrees"] else 1

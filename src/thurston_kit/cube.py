@@ -5,8 +5,10 @@ genus-two surface: one triangulation type per pair of pants and one
 twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
 (rows of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud;
 its convex hull at the symmetric base point is combinatorially a
-chamfered cube whose 32 vertices are found by qhull and certified by
-arithmetic on its merged faces.  The least-squares extremality test
+chamfered cube whose 32 vertices are found by one qhull run and certified
+by arithmetic on its merged faces, which a fan of tetrahedra from one vertex
+covers.  Near-equal points and facet planes merge after one sort on the
+first column.  The least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -66,26 +69,38 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Representative subset with pairwise distance > HULL_TOL, plus group index per point.
 
     Each point joins the first representative within ``HULL_TOL`` (max norm) or
-    becomes a new one.  One pairwise test per column marks the close pairs;
-    walking the points in order, an unclaimed point becomes a representative
-    and claims every unclaimed point close to it.  A row with a NaN is close
-    to nothing, itself included.
+    becomes a new one; a row equal to an earlier one joins its group unexamined.
+    Close rows are close in the first column, so one sort on it cuts the
+    distinct rows into runs, split where neighbours differ by more than
+    ``HULL_TOL``, and only rows of one run are compared, every column in plain
+    Python.  A row with a NaN is close to nothing, itself included.
     """
     import numpy as np
 
     pts = np.asarray(points, dtype=float)
-    close = np.ones((len(pts), len(pts)), dtype=bool)
-    for col in pts.T:
-        close &= np.abs(col[:, None] - col[None, :]) <= HULL_TOL
-    group = np.full(len(pts), -1)
-    reps: list[int] = []
-    for i in range(len(pts)):
-        if group[i] < 0:
-            claimed = close[i] & (group < 0)
-            claimed[i] = True
-            group[claimed] = len(reps)
-            reps.append(i)
-    return pts[reps], group.tolist()
+    rows = pts.tolist()
+    first: dict[tuple[float, ...], int] = {}
+    twin = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
+    distinct = list(first.values())
+    xs = pts[distinct, 0]
+    order = np.argsort(xs, kind="stable")
+    cuts = (np.flatnonzero(~(np.abs(np.diff(xs[order])) <= HULL_TOL)) + 1).tolist()
+    order = order.tolist()
+    rep = list(range(len(rows)))
+    close = HULL_TOL.__ge__
+    for start, stop in zip([0, *cuts], [*cuts, len(distinct)]):
+        heads: list[int] = []
+        for i in sorted(distinct[k] for k in order[start:stop]):
+            for h in heads:
+                if all(map(close, map(abs, map(operator.sub, rows[h], rows[i])))):
+                    rep[i] = h
+                    break
+            else:
+                heads.append(i)
+    # every representative precedes the points it claims, so this numbers them in input order
+    number: dict[int, int] = {}
+    group = [number.setdefault(rep[t], len(number)) for t in twin]
+    return pts[list(number)], group
 
 
 @dataclass(frozen=True)
@@ -146,34 +161,51 @@ def _certified(points: np.ndarray, summary: HullSummary) -> bool:
     Each vertex v is strictly supported: with c_v the sum of the normals
     of its faces, c_v.p_v - c_v.q > EXTREME_TOL |c_v| for every other point
     q.  Every other point is rebuilt to within EXTREME_TOL by the barycentric
-    weights, clipped to >= 0 and renormalised, of the simplex that a
-    Delaunay triangulation of the vertices finds for it.
+    weights, clipped to >= 0 and renormalised, of a tetrahedron of vertices,
+    the one whose least weight for the point is largest.  The tetrahedra are
+    the fan from the first vertex over the merged faces that avoid it, each
+    face covered by the triangles from its first vertex to every pair of its
+    others: a face is convex, so these lie in it and include a triangulation
+    of it, and the tetrahedra cover conv(vertices) with no angular order.
     """
     import numpy as np
-    from scipy.spatial import Delaunay, QhullError
 
     pts = np.asarray(points, dtype=float)
     verts = list(summary.vertex_indices)
-    c = np.array([summary.planes[list(summary.point_faces[v]), :3].sum(axis=0) for v in verts])
+    faces = [summary.point_faces[v] for v in verts]
+    # the normals of each vertex's faces in one gather, padded with a zero normal
+    pad, width = len(summary.planes), max(map(len, faces))
+    normals = np.vstack([summary.planes[:, :3], np.zeros((1, 3))])
+    c = normals[[f for fs in faces for f in fs + (pad,) * (width - len(fs))]].reshape(len(verts), width, 3).sum(axis=1)
     scores = c @ pts.T
     rows = np.arange(len(verts))
     own = scores[rows, verts]
     scores[rows, verts] = -np.inf
     if not np.all(own - scores.max(axis=1) > EXTREME_TOL * np.linalg.norm(c, axis=1)):
         return False
-    rest = np.delete(pts, verts, axis=0)
-    try:
-        tri = Delaunay(pts[verts])
-    except QhullError:  # vertices that span no solid
+    rest = pts[sorted(set(range(len(pts))).difference(verts))]
+    # the vertices of each face that avoids the apex verts[0]
+    rings: dict[int, list[int]] = {}
+    for v, fs in zip(verts, faces):
+        for f in set(fs).difference(faces[0]):
+            rings.setdefault(f, []).append(v)
+    # the tetrahedra (apex, first, i, j) over every pair i, j of a face's other vertices
+    tets = [(verts[0], r[0], i, j) for r in rings.values() for i, j in itertools.combinations(r[1:], 2)]
+    if not tets:  # vertices that span no solid
         return False
-    simplex = tri.find_simplex(rest, tol=EXTREME_TOL)
-    if np.any(simplex < 0):
-        return False
-    affine = tri.transform[simplex]
-    bary = np.einsum("nij,nj->ni", affine[:, :3], rest - affine[:, 3])
-    weights = np.clip(np.column_stack([bary, 1.0 - bary.sum(axis=1)]), 0.0, None)
+    corners = pts[[v for tet in tets for v in tet]].reshape(-1, 4, 3)
+    # rows of the inverse of the edge matrix [e1 e2 e3]: e2 x e3, e3 x e1, e1 x e2 over its determinant
+    e = corners[:, 1:] - corners[:, :1]
+    a, b = e[:, [1, 2, 0]], e[:, [2, 0, 1]]
+    inverse = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+    inverse /= np.einsum("ij,ij->i", e[:, 0], inverse[:, 0])[:, None, None]
+    bary = inverse @ (rest - pts[verts[0]]).T
+    first = 1.0 - bary.sum(axis=1)
+    best = np.minimum(first, bary.min(axis=1)).argmax(axis=0)
+    n = np.arange(len(rest))
+    weights = np.clip(np.column_stack([first[best, n], bary[best, :, n]]), 0.0, None)
     weights /= weights.sum(axis=1, keepdims=True)
-    rebuilt = np.einsum("ni,nij->nj", weights, tri.points[tri.simplices[simplex]])
+    rebuilt = np.einsum("ni,nij->nj", weights, corners[best])
     return bool(np.all(np.linalg.norm(rebuilt - rest, axis=1) <= EXTREME_TOL))
 
 

@@ -149,16 +149,16 @@ def _check_length(lengths, cuff: int) -> None:
         raise SingularCuffError(f"cuff {cuff} has length {lengths[cuff]}; twist offset is singular")
 
 
-def _roles(p: PantsMetric, t: PantsTriangulation, cuff: int) -> tuple[int, int, int]:
+def _roles(lengths: tuple[float, float, float], t: PantsTriangulation, cuff: int) -> tuple[int, int, int]:
     """Resolve (leaf ends n at the cuff, perpendicular cuff j, remaining cuff k)
-    for a cuff whose twist offset is defined.
+    for a cuff whose twist offset is defined at the cuff ``lengths``.
 
     The perpendicular is dropped from cuff ``j``'s axis: the 4-end cuff
     when the cuff has one leaf end, else the cyclically next cuff.
     """
     if cuff not in (0, 1, 2):
         raise ValueError("cuff index must be 0, 1 or 2")
-    _check_length(p.lengths, cuff)
+    _check_length(lengths, cuff)
     n = t.ends[cuff]
     j = t.ends.index(4) if n == 1 else (cuff + 1) % 3
     return n, j, 3 - cuff - j
@@ -204,15 +204,15 @@ _STEP = 1e-100
 _STEP_SCALE = cmath.exp(complex(0.0, _STEP))
 
 
-def _scale_rate(p: PantsMetric, t: PantsTriangulation, cuff: int, j: int, k: int, n: int) -> float:
-    lc = tuple(x * _STEP_SCALE for x in p.lengths)
+def _scale_rate(lengths: tuple[float, float, float], t: PantsTriangulation, cuff: int, j: int, k: int, n: int) -> float:
+    lc = tuple(x * _STEP_SCALE for x in lengths)
     return _delta_core(lc, t.signs, t.ends, cuff, j, k, n).imag / _STEP
 
 
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
     ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
-    n, j, k = _roles(p, t, cuff)
+    n, j, k = _roles(p.lengths, t, cuff)
     return _delta_core(p.lengths, t.signs, t.ends, cuff, j, k, n).real
 
 
@@ -223,8 +223,8 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     The offset is analytic in the scale, so an infinitesimal imaginary
     perturbation gives the exact derivative (no cancellation error).
     """
-    n, j, k = _roles(p, t, cuff)
-    return _scale_rate(p, t, cuff, j, k, n)
+    n, j, k = _roles(p.lengths, t, cuff)
+    return _scale_rate(p.lengths, t, cuff, j, k, n)
 
 
 def delta_side(
@@ -234,17 +234,19 @@ def delta_side(
     ``delta_scale_derivative``, and ``delta_closed`` at ``up`` and ``down``
     (``p`` scaled by e^h and e^-h), bit for bit.
 
-    The roles are resolved once; the four evaluations run in that order, and
-    the first that fails raises what the separate call would.
+    The roles are resolved once and each metric's lengths are read once; the
+    four evaluations run in that order, and the first that fails raises what
+    the separate call would.
     """
-    n, j, k = _roles(p, t, cuff)
+    l, l_up, l_down = p.lengths, up.lengths, down.lengths
+    n, j, k = _roles(l, t, cuff)
     e, ends = t.signs, t.ends
-    d0 = _delta_core(p.lengths, e, ends, cuff, j, k, n).real
-    rate = _scale_rate(p, t, cuff, j, k, n)
-    _check_length(up.lengths, cuff)
-    d_up = _delta_core(up.lengths, e, ends, cuff, j, k, n).real
-    _check_length(down.lengths, cuff)
-    return d0, rate, d_up, _delta_core(down.lengths, e, ends, cuff, j, k, n).real
+    d0 = _delta_core(l, e, ends, cuff, j, k, n).real
+    rate = _scale_rate(l, t, cuff, j, k, n)
+    _check_length(l_up, cuff)
+    d_up = _delta_core(l_up, e, ends, cuff, j, k, n).real
+    _check_length(l_down, cuff)
+    return d0, rate, d_up, _delta_core(l_down, e, ends, cuff, j, k, n).real
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +342,8 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     cuff's axis from its deck translation, and measures the signed distance
     from the transported incircle median to the perpendicular foot.
     """
-    n, j, k = _roles(p, t, cuff)
     l = p.lengths
+    n, j, k = _roles(l, t, cuff)
     e = t.signs
 
     def sc(i: int, jj: int) -> float:

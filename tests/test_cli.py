@@ -19,7 +19,7 @@ from thurston_kit.cli import (
     MAX_Q,
     Config,
     ConfigError,
-    _cube_points_json,
+    _cube_points,
     _parser,
     _write_csv,
     format_float,
@@ -712,6 +712,11 @@ def _per_value_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+#: repeated twist vectors that differ only in the sign of a zero: equal as
+#: floats, so a writer that formats each distinct vector once must key on bytes
+SIGNED_ZERO_TWISTS = [(0.0, 1.5, -0.0), (-0.0, 1.5, 0.0), (0.0, 1.5, 0.0), (-0.0, 1.5, -0.0)] * 32
+
+
 def test_cube_points_template_is_json_dumps_on_finite_floats():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -723,10 +728,11 @@ def test_cube_points_template_is_json_dumps_on_finite_floats():
     @hypothesis.given(twists=st.lists(st.tuples(finite, finite, finite), min_size=128, max_size=128),
                       flags=st.lists(st.booleans(), min_size=128, max_size=128))
     @hypothesis.example(twists=(edges * 43)[:128], flags=[True, False] * 64)
+    @hypothesis.example(twists=SIGNED_ZERO_TWISTS, flags=[True, False, False] * 42 + [True, True])
     def check(twists, flags):
         entries = [{"completion": label, "d_twist": list(v), "extreme": x}
                    for label, v, x in zip(labels, twists, flags)]
-        assert _cube_points_json(entries) == json.dumps(entries, indent=2, sort_keys=True) + "\n"
+        assert _cube_points(entries)[0] == json.dumps(entries, indent=2, sort_keys=True) + "\n"
 
     check()
 
@@ -755,6 +761,11 @@ def test_csv_row_formats_match_the_per_value_writer(tmp_path):
         assert (tmp_path / "rows.csv").read_bytes() == _per_value_csv(header, rows).encode()
 
     check()
+    # the cube's writer, on repeated vectors that differ only in the sign of a zero
+    entries = [{"completion": label, "d_twist": list(v), "extreme": i % 3 == 0}
+               for i, (label, v) in enumerate(zip(cube._completions()[1], SIGNED_ZERO_TWISTS))]
+    rows = [(e["completion"], *e["d_twist"], e["extreme"]) for e in entries]
+    assert _cube_points(entries)[1] == _per_value_csv("completion,d_twist_1,d_twist_2,d_twist_3,extreme", rows)
 
 
 @pytest.mark.parametrize(

@@ -120,6 +120,17 @@ def test_hull_ignores_interior_point():
     assert 8 not in summary.vertex_indices
 
 
+def test_hull_rejects_faces_merged_across_a_flat_cap():
+    # five points on the cap z = -a (x^2 + y^2), a = 5.4e-10, above (0, 0, -1):
+    # of the cap's four facets the first and last agree to HULL_TOL but meet
+    # only at a point, so their merged face is not a disk and the counts
+    # break Euler's formula (6 - 10 + 7 = 3)
+    xy = np.array([[-0.25, 0.75], [0.25, -0.75], [0.5, 0.5], [0.75, 1.0], [1.0, 0.75]])
+    pts = np.vstack([np.column_stack([xy, -5.4e-10 * (xy**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+    with pytest.raises(GeometryError, match=r"^face merging produced inconsistent counts V=6 E=10 F=7$"):
+        hull(pts)
+
+
 def test_hull_rejects_degenerate_input():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     with pytest.raises(GeometryError):
@@ -210,6 +221,9 @@ DEDUPE_CASES = {
                  [0, 1, 2, 0]),
     "shuffled exact and near duplicates": (_shuffled_duplicates, None),
     "plane equations": (_plane_equations, [i // 2 for i in range(12)]),
+    # four columns, the first tied: rows 0 and 1 differ beyond HULL_TOL only in the last
+    "tied first column, far last": (lambda: np.array([[0.5, 1.0, -2.0, 3.0], [0.5, 1.0, -2.0, 3.0 + 2e-9],
+                                                      [0.5, 1.0, -2.0, 3.0 + 5e-10]]), [0, 1, 0]),
 }
 
 
@@ -464,11 +478,33 @@ def _unique_cloud(lengths, twists):
 
 
 CERTIFICATE_CASES = {
+    "unit cube": lambda: UNIT_CUBE_WITH_CENTRE[:8],
     "unit cube with centre": lambda: UNIT_CUBE_WITH_CENTRE,
     "square pyramid with base midpoint": lambda: SQUARE_PYRAMID_WITH_BASE_MIDPOINT,
     "symmetric cloud": lambda: _unique_cloud((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)),
     **{f"edge-point cloud {i}": functools.partial(_unique_cloud, *base) for i, base in enumerate(EDGE_POINT_BASES)},
 }
+
+
+def test_the_cube_check_runs_qhull_once(monkeypatch):
+    # the certificates reuse the hull's merged faces: no second qhull run
+    import scipy.spatial
+
+    calls = {"ConvexHull": 0, "Delaunay": 0}
+
+    def counted(name):
+        original = getattr(scipy.spatial, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, name, wrapper)
+
+    counted("ConvexHull")
+    counted("Delaunay")
+    assert chamfered_cube_check(symmetric_base_point())["agree"]
+    assert calls == {"ConvexHull": 1, "Delaunay": 0}
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)

@@ -490,7 +490,7 @@ def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
         for lengths in (pm.lengths, tuple(v * step for v in pm.lengths)):
             for tri in tris:
                 for cuff in range(3):
-                    n, j, k = _roles(pm, tri, cuff)
+                    n, j, k = _roles(pm.lengths, tri, cuff)
                     args = (lengths, tri.signs, tri.ends, cuff, j, k, n)
                     assert _outcome(lambda: _hex(_delta_core(*args))) == _outcome(lambda: _hex(_reference_delta_core(*args)))
 
