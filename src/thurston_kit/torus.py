@@ -30,10 +30,20 @@ The distance estimator is the maximum of log(l_s(Y)/l_s(X)) over a
 finite Stern-Brocot slope family (every reduced slope with q <= max_q
 and |p| <= max_q).  It is a lower bound for the sup over all simple
 closed curves, monotone in max_q, and reports raw max ratios without
-any additive constant.  Envelope widths are batched: :func:`envelope_widths`
-evaluates the backward stretch endpoints of many (y, t) cells as the
-columns of shared passes, since a pass costs mostly its fixed per-level
-overhead and little per column; a cell at t = 0 is (0, 0) with no pass.
+any additive constant.  The maximum is taken at infinity and the integer
+slopes first, in a pass with no Farey level.  Simple-curve length
+extends to a norm on R^2, so the ratio on each cone between n/1 and
+(n + 1)/1 has an upper bound from those lengths alone: a chord over the
+triangle inequality, against secants and the collar bound
+(:func:`_cone_bounds`).  The integer slopes decide the maximum when every
+cone's bound lies below it by ``_SLACK`` = 1e-12 in the log, far above
+the lengths' float error; only the other pairs take the family pass.
+The answer is the family maximum bit for bit either way, since a slope's
+length has the same bits in every plan.  Envelope widths are batched:
+:func:`envelope_widths` evaluates the backward stretch endpoints of many
+(y, t) cells as the columns of shared passes, since a pass costs mostly
+its fixed per-level overhead and little per column; a cell at t = 0 is
+(0, 0) with no pass.
 """
 
 from __future__ import annotations
@@ -112,6 +122,18 @@ def _family(max_q: int) -> _Plan:
     return _plan(candidate_slopes(max_q))
 
 
+@lru_cache(maxsize=8)
+def _integers(max_q: int) -> tuple[_Plan, np.ndarray]:
+    """(plan, cones): the plan of the family's slope infinity and integer
+    slopes -max_q .. max_q, seeds only and no Farey level, and the rows of
+    n - 1, n, n + 1 and n + 2 in its lengths for each cone (n, n + 1) that
+    holds a family slope, i.e. whose mediant (2n + 1)/2 is one."""
+    import numpy as np
+
+    n = np.array([n for n in range(-max_q, max_q) if max_q > 1 and abs(2 * n + 1) <= max_q], dtype=np.intp)
+    return _plan([slope for slope in candidate_slopes(max_q) if slope[1] <= 1]), n + max_q + np.arange(4)[:, None]
+
+
 def _seed(x: FNPoint) -> tuple[float, float, tuple[tuple[float, float], tuple[float, float]]]:
     """(l, tau, B0): up to conjugacy the slope n/1 has the word
     diag(e^{u/2}, e^{-u/2}) B0, u = n l + tau."""
@@ -172,12 +194,14 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
     # l = 1416 (e^{-l} does up to 708), and the length is 4 asinh(r); any
     # other word within 1e-14 of 1 fails
     rows, cols = np.nonzero(lh < _LOG_NEAR_ONE)
-    exact = node[rows] < len(ints)
-    ok[rows[~exact], cols[~exact]] = np.exp(lh[rows[~exact], cols[~exact]]) > 1.0 + 1e-14
-    rows, cols = rows[exact], cols[exact]
-    l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
-    r = np.hypot(np.sinh(u / 4.0) / np.sqrt(np.tanh(l / 2.0)), np.exp(-l / 2.0) / np.sqrt(-np.expm1(-l)))
-    ok[rows, cols] = r > 0.0
+    if rows.size:
+        exact = node[rows] < len(ints)
+        ok[rows[~exact], cols[~exact]] = np.exp(lh[rows[~exact], cols[~exact]]) > 1.0 + 1e-14
+        rows, cols = rows[exact], cols[exact]
+        l, u = lam[cols], ints[node[rows]] * lam[cols] + tau[cols]
+        r = np.hypot(np.sinh(u / 4.0) / np.sqrt(np.tanh(l / 2.0)), np.exp(-l / 2.0) / np.sqrt(-np.expm1(-l)))
+        ok[rows, cols] = r > 0.0
+        lengths[rows, cols] = 4.0 * np.arcsinh(r)
     if not ok.all():
         # the first column that holds a failing word names the error
         j = np.argmin(ok.all(axis=0))
@@ -186,7 +210,6 @@ def _log_lengths(endpoints: Sequence[FNPoint], plan: _Plan) -> np.ndarray:
             raise ValueError("word evaluation overflowed")
         y = np.exp(lh[bad, j]).min()
         raise ValueError(f"word is elliptic or parabolic (|tr|/2 = {y}): length below working precision")
-    lengths[rows, cols] = 4.0 * np.arcsinh(r)
     out = np.tile(np.log(lam), (len(slope_node), 1))
     out[slope_node >= 0] = np.log(lengths)
     return out
@@ -217,18 +240,109 @@ def candidate_slopes(max_q: int) -> list[tuple[int, int]]:
     return [(1, 0)] + [(p, q) for q in range(1, max_q + 1) for p in range(-max_q, max_q + 1) if gcd(abs(p), q) == 1]
 
 
+#: log-ratio margin below the integer maximum that every cone bound of a
+#: column pair must clear before :func:`_family_max` skips the cones' slopes:
+#: far above the engine's relative length error, measured at 1.8e-15 to
+#: 3.5e-14 against a trace-recursion reference, so no skipped slope's float
+#: ratio can reach the maximum
+_SLACK = 1e-12
+
+
+def _cone_bounds(ll: np.ndarray, pairs: np.ndarray, cones: np.ndarray) -> np.ndarray:
+    """log of an upper bound, per column pair (i, j), on l_s(j) / l_s(i) over
+    the family slopes s strictly between two integers, from the lengths ``ll``
+    and the ``cones`` of :func:`_integers`.
+
+    Simple-curve length extends to a norm N on R^2 (McShane-Rivin 1995).  At
+    (n + s, 1), 0 <= s <= 1, in the cone between n/1 and (n + 1)/1:
+    - N_j is at most the chord (1 - s) N_j(n) + s N_j(n + 1), by the
+      triangle inequality;
+    - N_i is at least each of three lines in s: the secant through n - 1 and
+      n and the secant through n + 1 and n + 2, each extended into the cone
+      (convexity), and the collar bound 2 asinh(1 / sinh(l_alpha / 2)) per
+      crossing of alpha (Buser 1992, Thm 4.1.1).
+    Where one line is the largest the ratio is monotone, so its maximum lies
+    at s = 0, s = 1 or where two lines cross.  Each column is scaled by its
+    longest integer slope, so nothing overflows.  The collar bound keeps the
+    lower bound at or above zero; where it is zero the bound is +inf, or NaN
+    where the chord is zero too, and either leaves the pair open.
+    """
+    import numpy as np
+
+    lx, ly = ll[:, pairs[:, 0]], ll[:, pairs[:, 1]]
+    top_x, top_y = lx[1:].max(axis=0), ly[1:].max(axis=0)
+    x0, x1, x2, x3 = np.exp(lx[cones] - top_x)
+    y1, y2 = np.exp(ly[cones[1:3]] - top_y)
+    rise, fall = x1 - x0, x3 - x2
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the lines a + b s: the two secants and the collar bound
+        a, b = np.empty((2, 3) + x1.shape)
+        a[0], a[1], a[2] = x1, x2 - fall, 2.0 * np.arcsinh(1.0 / np.sinh(np.exp(lx[0]) / 2.0)) * np.exp(-top_x)
+        b[0], b[1], b[2] = rise, fall, 0.0
+        # s at the cone's ends and where two lines cross; parallel lines (NaN) take an end
+        s = np.empty((5,) + x1.shape)
+        s[0], s[1] = 0.0, 1.0
+        np.divide(a[1:] - a[0], b[0] - b[1:], out=s[2:4])
+        np.divide(a[2] - a[1], b[1] - b[2], out=s[4])
+        s = np.fmin(np.fmax(s, 0.0), 1.0)
+        lower = (a[:, None] + b[:, None] * s).max(axis=0)
+        ratio = (y1 + s * (y2 - y1)) / lower
+        return np.log(ratio.max(axis=(0, 1), initial=0.0)) + top_y - top_x
+
+
+def _family_max(points: Sequence[FNPoint], pairs: np.ndarray, max_q: int) -> np.ndarray:
+    """max over ``candidate_slopes(max_q)`` of log(l_s(points[j]) / l_s(points[i]))
+    for each column pair (i, j), a row of the int array ``pairs``.
+
+    One :func:`_log_lengths` pass takes every column's lengths at infinity and
+    the integer slopes.  A pair whose :func:`_cone_bounds` all fall below its
+    integer maximum by ``_SLACK`` takes that maximum: no other family slope
+    can reach it.  That needs the maximum at infinity or at an integer that
+    ends no cone of family slopes.  The columns of the other pairs, in
+    order, take one pass over the whole family.  Every slope's length has
+    the same bits in either pass, so each maximum is the full family's, bit
+    for bit.  An integer slope that fails raises from the first pass; a
+    Farey slope fails only in the second, so only for an open pair.
+    """
+    import numpy as np
+
+    plan, cones = _integers(max_q)
+    ll = _log_lengths(points, plan)
+    ratios = ll[:, pairs[:, 1]] - ll[:, pairs[:, 0]]
+    best = ratios.max(axis=0)
+    # a cone that ends at the integer argmax is bounded there by the maximum
+    # itself, so it cannot close and its pair skips the bounds
+    ends = np.zeros(len(ll), dtype=bool)
+    ends[cones[1:3]] = True
+    unsettled = ends[ratios.argmax(axis=0)]
+    if not unsettled.all():
+        rest = ~unsettled
+        # a NaN bound leaves its pair open
+        unsettled[rest] = ~(_cone_bounds(ll, pairs[rest], cones) <= best[rest] - _SLACK)
+    if unsettled.any():
+        columns = np.unique(pairs[unsettled])
+        ll = _log_lengths([points[c] for c in columns], _family(max_q))
+        i, j = np.searchsorted(columns, pairs[unsettled]).T
+        best[unsettled] = np.max(ll[:, j] - ll[:, i], axis=0)
+    return best
+
+
 def dth_estimate(x: FNPoint, y: FNPoint, max_q: int) -> float:
     """Lower estimate of the Thurston distance: max over the slope family
     ``candidate_slopes(max_q)`` of log(l_s(y)/l_s(x)).
 
     Monotone non-decreasing in max_q (the families nest).  This is a raw max-ratio
     report over a finite family; no additive marking constant is claimed
-    and no exactness: the estimate certifies lower bounds only.
+    and no exactness: the estimate certifies lower bounds only.  The integer
+    slopes decide it when every cone bound lies ``_SLACK`` = 1e-12 below
+    their maximum in the log, a margin far above the lengths' float error
+    (:func:`_family_max`).  Then no Farey word is evaluated, so one that
+    fails raises only for an open pair: at x = (70, 35), where slope -1/2
+    trips the elliptic guard, d(x, y) raises and d(y, x) does not.
     """
     import numpy as np
 
-    ll = _log_lengths((x, y), _family(max_q))
-    return float(np.max(ll[:, 1] - ll[:, 0], initial=-math.inf))
+    return float(_family_max((x, y), np.array([[0, 1]]), max_q)[0])
 
 
 def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[tuple[float, float]]:
@@ -237,14 +351,19 @@ def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[
 
     A cell with t = 0 on S11 is (0.0, 0.0), since d(Y, Y) = 0: it runs no
     stretch and no length pass, so it never fails.  The endpoints of the
-    other cells are the columns of :func:`_log_lengths` passes over the
-    default slope family of :func:`dth_estimate`, in chunks of at most
-    ``_CHUNK_NODE_COLUMNS`` plan nodes times columns, so the working set
+    other cells are the columns of :func:`_family_max` over the default
+    slope family of :func:`dth_estimate`, in chunks of at most
+    ``_CHUNK_NODE_COLUMNS`` family nodes times columns, so the working set
     stays bounded; each endpoint's lengths serve both directions.  A chunk
-    builds its endpoints in cell order, then runs one pass: a length error
-    is the one its first failing cell raises alone, but a stretch error of
-    any cell of the chunk comes first.  The CLI's cells are untwisted,
-    where no length failure is known.
+    builds its endpoints in cell order, then takes the integer pass: a cell
+    whose cone bounds in both directions lie ``_SLACK`` = 1e-12 below its
+    integer maxima in the log, a margin far above the lengths' float error,
+    takes those, and the others take one family pass (about 84% of the
+    benchmark's cells need none at max_q = 30).  A stretch error of any
+    cell of the chunk comes first, then an integer-slope error, then a
+    Farey-slope error of an open cell; within a pass the first failing
+    column names the error.  The CLI's cells are untwisted, where no
+    length failure is known.
     """
     import numpy as np
 
@@ -256,13 +375,12 @@ def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[
     live = [i for i, (y, t) in enumerate(cells) if t != 0.0 or y.surface != "S11"]
     for k in range(0, len(live), step):
         chunk = live[k : k + step]
-        ll = _log_lengths([p for i in chunk for p in _endpoints(*cells[i])], plan)
-        # the reverse direction is not the negated forward one, which
-        # would give -0.0 where the endpoints coincide
-        d_lr = np.max(ll[:, 1::2] - ll[:, 0::2], axis=0)
-        d_rl = np.max(ll[:, 0::2] - ll[:, 1::2], axis=0)
-        for i, d in zip(chunk, zip(d_lr.tolist(), d_rl.tolist())):
-            out[i] = d
+        # (left, right) and (right, left) of each cell: the reverse direction is
+        # not the negated forward one, which would give -0.0 where the endpoints coincide
+        pairs = 2 * np.arange(len(chunk))[:, None, None] + [[0, 1], [1, 0]]
+        widths = _family_max([p for i in chunk for p in _endpoints(*cells[i])], pairs.reshape(-1, 2), max_q)
+        for i, d in zip(chunk, widths.reshape(-1, 2).tolist()):
+            out[i] = tuple(d)
     return out
 
 

@@ -132,6 +132,29 @@ def test_median_rejects_degenerate_triangle():
         _triangle(1.0, 1.0, INF)
     with pytest.raises(GeometryError, match="^edge index 4 not in 1..3$"):
         triangle_median((0.0, 1.0, INF), 4)
+    # a repeated vertex: the vertex off the edge lands on an endpoint of the axis
+    for v in ((0.0, 1.0, 0.0), (0.0, 1.0, 1.0)):
+        with pytest.raises(GeometryError, match="^degenerate triangle$"):
+            triangle_median(v, 1)
+
+
+def test_points_off_the_upper_half_plane_are_rejected():
+    # on the way in, and on the way out where the image height underflows
+    for y in (0.0, -1.0, math.nan):
+        with pytest.raises(GeometryError, match=r"^point \(0\.0, .*\) not in the upper half-plane$"):
+            _apply_point(IDENTITY, 0.0, y)
+    with pytest.raises(GeometryError, match=r"^point \(0\.0, 0\.0\) not in the upper half-plane$"):
+        _apply_point(_mobius(1e-200, 0.0, 0.0, 1e200), 0.0, 1e-150)
+    # a public caller: the ideal point's image 1e-610 underflows to the axis endpoint 0
+    with pytest.raises(GeometryError, match=r"^point \(0\.0, 0\.0\) not in the upper half-plane$"):
+        orthofoot_to_ideal(1e-310, 1e300, 2e-310)
+
+
+def test_geodesic_endpoints_must_differ():
+    # -inf and inf are one ideal point
+    for a, b in ((2.0, 2.0), (INF, -INF)):
+        with pytest.raises(GeometryError, match="^geodesic endpoints coincide$"):
+            _geodesic(a, b)
 
 
 def _set_search_edge(v):

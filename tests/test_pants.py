@@ -231,6 +231,24 @@ def test_oracle_handles_puncture_on_perpendicular_cuff():
     assert val == pytest.approx(math.log(1.0 / math.tanh(0.5)), abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        # thin cuffs: the perpendicular from the deck endpoint's image lands at
+        # the fan leaf's own endpoint x + 1
+        ((1e-10, 1e-6, 1.0), "geodesic endpoints coincide"),
+        # the fan root x = 0x1.ffffffdffffffp+26 sits just below 2^27, so x + 1
+        # rounds, phi's determinant fl(x + 1) - x is not 1 and its normalised
+        # entries carry x to -1.5e-8, not to 0
+        ((1.5199184361103233e-08, 0.9215585622424687, 1.0), "fan frame normalization failed"),
+    ],
+)
+def test_oracle_rejects_a_degenerate_construction(lengths, message):
+    tri = PantsTriangulation((2, 2, 2), (-1, 1, 1))
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        delta_oracle(PantsMetric(*lengths), tri, 0)
+
+
 def test_oracle_matches_closed_form_every_type_spot_grid():
     for tri in enumerate_triangulations():
         for l in ((1.0, 1.0, 1.0), (2.0, 0.5, 4.0)):

@@ -358,6 +358,22 @@ def test_twist_width_closed_in_the_thin_limit_matches_mpmath_reference(t):
     assert rel <= 4 * sys.float_info.epsilon
 
 
+@pytest.mark.parametrize("l0", [10, 18])
+def test_fifty_digit_stretch_twists_are_half_the_closed_width(l0, request):
+    # at the untwisted S11 point the two completions' twists split the width
+    # w = theta(left) - theta(right) evenly: +w/2 and -w/2.  The float left
+    # twist is -2.155296e-5 at l0 = 10 and -1.323863e-2 at l0 = 18
+    mp = request.getfixturevalue("fifty_digits")
+    x, t = width_point("S11", mp.mpf(l0)), mp.mpf("0.5")
+    w = twist_width_closed(mp.mpf(l0), t)
+    left = twist_along_stretch(x, left_spec("S11"), 0, t)
+    right = twist_along_stretch(x, right_spec("S11"), 0, t)
+    # 6.2e-28 and 3.3e-42 relative at l0 = 18: the left offsets cancel about e^{-2 l0}
+    assert abs(left - w / 2) <= 1e-20 * abs(w) and abs(right + w / 2) <= 1e-20 * abs(w)
+    if l0 == 18:
+        assert abs(left - mp.mpf("-1.31581470423e-9")) <= 1e-20
+
+
 def test_twist_width_closed_states_a_width_past_float_reach():
     # 4 (t - log l0) overflows, where the thin-limit form would return -inf
     with pytest.raises(ValueError, match=r"^twist width is out of float reach at t = 1e\+308$"):

@@ -158,7 +158,7 @@ def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsy
 
 LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
-    "torus.curve_length", "torus.envelope_widths", "cube.chamfered_cube_check", "cube.cloud",
+    "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
     "cli.cube", "cli.envelope",
 }
@@ -168,8 +168,20 @@ def test_write_bench_times_a_cli_command_in_fresh_processes():
     timings = write_bench.cli_timings({side: write_bench.ROOT for side in write_bench.SIDES},
                                       commands=(write_bench.CLI_COMMANDS[0],), rounds=1)
     assert list(timings) == ["delta"]
-    assert set(timings["delta"]) == {"parent", "change", "change_over_parent"}
+    assert set(timings["delta"]) == {"parent", "change", "change_over_parent", "change_over_parent_quartiles"}
     assert all(timings["delta"][side] > 0 for side in write_bench.SIDES)
+
+
+def test_write_bench_times_the_default_grid_once_per_process():
+    # the layer runs at the CLI's cap, about 4 s; a small family keeps the check short
+    timings = write_bench.run_snippet(write_bench.ROOT, write_bench.GRID_SNIPPET, "3")
+    assert list(timings) == ["torus.envelope_widths[default grid]"] and timings["torus.envelope_widths[default grid]"] > 0
+
+
+def test_write_bench_reports_the_quartiles_of_the_round_ratios():
+    timings = write_bench.paired({"parent": [1.0, 2.0, 4.0, 1.0, 2.0], "change": [1.0, 1.0, 1.0, 2.0, 2.0]})
+    assert (timings["parent"], timings["change"], timings["change_over_parent"]) == (2.0, 1.0, 1.0)
+    assert timings["change_over_parent_quartiles"] == [0.5, 1.0]
 
 
 def test_write_bench_pairs_tier1_runs_by_round(monkeypatch):

@@ -21,6 +21,7 @@ from thurston_kit.torus import (
     envelope_widths,
     _endpoints,
     _family,
+    _integers,
     _log_lengths,
     _plan,
 )
@@ -500,22 +501,184 @@ def _per_cell_widths(y, t, max_q):
     return float(np.max(ll[:, 1] - ll[:, 0])), float(np.max(ll[:, 0] - ll[:, 1]))
 
 
+def _passes(monkeypatch):
+    """The (plan slopes, columns) of every length pass from here on."""
+    passes = []
+
+    def counted(ends, plan):
+        passes.append((len(plan[2]), len(ends)))
+        return _log_lengths(ends, plan)
+
+    monkeypatch.setattr(torus, "_log_lengths", counted)
+    return passes
+
+
 def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     # t = 0 (both widths +0.0), thin l0, the negative signed times of the
     # sweep's middle constants, and more cells than one chunk
     l0s = (0.02, 0.1, 1.0, 5.0, 10.0)
     cells = [(FNPoint("S11", (2.0 * l0,), (0.0,)), t) for l0 in l0s for t in (0.0, 0.5, 3.0, 8.0, math.log(2.0 * l0))]
-    columns = []
-    monkeypatch.setattr(torus, "_log_lengths", lambda ends, plan: columns.append(len(ends)) or _log_lengths(ends, plan))
+    passes = _passes(monkeypatch)
     got = envelope_widths(cells, 30)
     monkeypatch.undo()
-    assert sum(columns) == 2 * sum(t != 0.0 for _, t in cells) and len(columns) > 1
-    assert max(columns) * len(_family(30)[2]) <= torus._CHUNK_NODE_COLUMNS
+    # each chunk takes one integer pass over all its columns, then at most one
+    # family pass over the columns of its open cells, within the chunk budget
+    integers, family = len(_integers(30)[0][2]), len(_family(30)[2])
+    chunks = [k for k, (size, _) in enumerate(passes) if size == integers]
+    assert chunks[0] == 0 and len(chunks) > 1 and {size for size, _ in passes} == {integers, family}
+    assert sum(passes[k][1] for k in chunks) == 2 * sum(t != 0.0 for _, t in cells)
+    for k, end in zip(chunks, chunks[1:] + [len(passes)]):
+        assert end - k <= 2 and all(columns <= passes[k][1] for _, columns in passes[k + 1 : end])
+    assert max(columns for size, columns in passes if size == family) * family <= torus._CHUNK_NODE_COLUMNS
     want = [_per_cell_widths(y, t, 30) for y, t in cells]
     assert [tuple(map(float.hex, w)) for w in got] == [tuple(map(float.hex, w)) for w in want]
     assert float.hex(got[0][1]) == "0x0.0p+0"
     assert [envelope_widths([(y, t)], 30)[0] for y, t in cells] == got
     assert envelope_widths([], 30) == []
+
+
+def test_a_cell_settled_at_the_integers_runs_no_family_pass(monkeypatch):
+    # (1, 4): both maxima at the family's edge slope (30, 1), every cone bound
+    # below; (5, 1): the maximum sits at (1, 4), so its cone stays open
+    passes = _passes(monkeypatch)
+    integers, family = len(_integers(30)[0][2]), len(_family(30)[2])
+    envelope_widths([(width_point("S11", 1.0), 4.0)], 30)
+    assert passes == [(integers, 2)]
+    passes.clear()
+    envelope_widths([(width_point("S11", 5.0), 1.0)], 30)
+    assert passes == [(integers, 2), (family, 2)]
+    passes.clear()
+    dth_estimate(*_endpoints(width_point("S11", 1.0), 4.0), 30)
+    assert passes == [(integers, 2)]
+
+
+def _mismatches(y, t, p, max_q):
+    """The estimates that differ in any bit from one pass over the whole
+    family: both widths of the cell (y, t), and dth_estimate between its
+    left endpoint and the point p, both ways."""
+    left, right = _endpoints(y, t)
+    ll = _log_lengths((left, right, p), _family(max_q))
+    want = {
+        "cell": tuple(map(float.hex, _per_cell_widths(y, t, max_q))),
+        "to p": float.hex(float(np.max(ll[:, 2] - ll[:, 0]))),
+        "from p": float.hex(float(np.max(ll[:, 0] - ll[:, 2]))),
+    }
+    got = {
+        "cell": tuple(map(float.hex, envelope_widths([(y, t)], max_q)[0])),
+        "to p": float.hex(dth_estimate(left, p, max_q)),
+        "from p": float.hex(dth_estimate(p, left, max_q)),
+    }
+    return {key: (got[key], want[key]) for key in want if got[key] != want[key]}
+
+
+def test_family_maximum_is_the_full_family_pass_bit_for_bit():
+    # the cone bound only skips slopes that cannot reach the integer maximum,
+    # so every estimate keeps its bits, for every family size
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(log_l0=st.floats(math.log(0.01), math.log(10.0)), log_t=st.floats(math.log(0.01), math.log(10.0)),
+                      tau=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)), log_l=st.floats(math.log(1e-3), math.log(40.0)),
+                      tau_p=st.floats(-50.0, 50.0), max_q=st.integers(1, 60))
+    @hypothesis.example(log_l0=math.log(5.0), log_t=math.log(4.0), tau=0.0, log_l=0.0, tau_p=0.0, max_q=30)
+    @hypothesis.example(log_l0=math.log(5.0), log_t=0.0, tau=0.0, log_l=0.0, tau_p=0.0, max_q=30)
+    def check(log_l0, log_t, tau, log_l, tau_p, max_q):
+        y = FNPoint("S11", (2.0 * math.exp(log_l0),), (tau,))
+        assert not _mismatches(y, math.exp(log_t), _point(math.exp(log_l), tau_p), max_q)
+
+    check()
+
+
+def test_cone_bounds_hold_every_farey_slope():
+    # the bound is the length norm's, so it must hold every slope strictly
+    # between two integers, also where it decides nothing; it sat at least
+    # 8.9e-16 above the largest such log ratio over 16,000 random pairs
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    points = st.tuples(st.floats(math.log(1e-6), math.log(200.0)), st.floats(-1e4, 1e4))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(x=points, y=points, near=st.booleans(), max_q=st.integers(2, 40))
+    def check(x, y, near, max_q):
+        x = _point(math.exp(x[0]), x[1])
+        # a nearby point, where the ratio is close to 1 on every slope
+        y = _point(x.lengths[0] * math.exp(y[0] * 1e-4), x.twists[0] + y[1] * 1e-6) if near else _point(math.exp(y[0]), y[1])
+        pairs = np.array([[0, 1], [1, 0]])
+        farey = np.array([q >= 2 for _, q in candidate_slopes(max_q)])
+        ll = _log_lengths((x, y), _family(max_q))[farey]
+        plan, cones = _integers(max_q)
+        bounds = torus._cone_bounds(_log_lengths((x, y), plan), pairs, cones)
+        assert np.all(np.max(ll[:, pairs[:, 1]] - ll[:, pairs[:, 0]], axis=0) <= bounds + 1e-13)
+
+    check()
+
+
+def _grid_bound(ll, i, j, max_q):
+    """log of the largest ratio of column j's chord to column i's lower bound
+    (the two extended secants and the collar bound) on 2,001 points of each
+    cone (n, n + 1) with |2n + 1| <= max_q: the cone bound by its definition."""
+    s = np.linspace(0.0, 1.0, 2001)
+    lengths, l = np.exp(ll[1:]), math.exp(ll[0, i])
+    collar = 2.0 * math.asinh(1.0 / math.sinh(l / 2.0)) if l < 1400.0 else 0.0
+    best = 0.0
+    for n in range(-max_q, max_q):
+        if abs(2 * n + 1) <= max_q:
+            x0, x1, x2, x3 = lengths[n + max_q - 1 : n + max_q + 3, i]
+            y1, y2 = lengths[n + max_q : n + max_q + 2, j]
+            lower = np.maximum(np.maximum(x1 + s * (x1 - x0), x2 - (1.0 - s) * (x3 - x2)), collar)
+            chord = y1 + s * (y2 - y1)
+            best = max(best, float(np.max(chord / lower)))
+    return math.log(best)
+
+
+def test_cone_bounds_are_the_largest_ratio_on_each_cone():
+    # the ratio's maximum lies at an end of its cone or where two lower
+    # bounds cross, so the bound is never below its value on a grid (it can
+    # be far above, where the lower bound has a sharp kink between two grid
+    # points); at thin points the collar bound is the largest
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    points = st.tuples(st.floats(math.log(1e-6), math.log(200.0)), st.floats(-1e3, 1e3))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(x=points, y=points, max_q=st.integers(2, 12))
+    def check(x, y, max_q):
+        ends = (_point(math.exp(x[0]), x[1]), _point(math.exp(y[0]), y[1]))
+        plan, cones = _integers(max_q)
+        ll = _log_lengths(ends, plan)
+        bounds = torus._cone_bounds(ll, np.array([[0, 1], [1, 0]]), cones)
+        for bound, (i, j) in zip(bounds, ((0, 1), (1, 0))):
+            grid = _grid_bound(ll, i, j, max_q)
+            assert grid <= bound + 1e-12
+
+    check()
+
+
+def test_the_comparison_catches_a_prune_of_every_cone(monkeypatch):
+    # at (5, 1) the maximum sits at the Farey slope (1, 4): with no cone to
+    # bound, every cone is pruned and the integer maximum returned, which
+    # the comparison sees
+    y, p = width_point("S11", 5.0), _point(1.0, 0.0)
+    assert not _mismatches(y, 1.0, p, 30)
+    monkeypatch.setattr(torus, "_integers", lambda max_q: (_integers(max_q)[0], _integers(max_q)[1][:, :0]))
+    assert "cell" in _mismatches(y, 1.0, p, 30)
+
+
+def test_estimate_at_the_long_alpha_point_70_35():
+    # slope -1/2 of x = (70, 35) is about 1e-7 long and trips the elliptic
+    # guard, which the whole family pass raised in both directions
+    x, y = _point(70.0, 35.0), _point(1.0, 0.0)
+    for pair in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match=r"\(\|tr\|/2 = 1\.0000000000000022\)"):
+            _log_lengths(pair, _family(30))
+    # as the denominator the short word keeps its cone open: the family pass still raises
+    with pytest.raises(ValueError, match=r"\(\|tr\|/2 = 1\.0000000000000022\)"):
+        dth_estimate(x, y, 30)
+    # as the numerator it cannot win: every cone falls below the integer maximum,
+    # so no Farey word is evaluated and the estimate is that maximum
+    ll = _log_lengths((y, x), _integers(30)[0])
+    assert dth_estimate(y, x, 30) == float(np.max(ll[:, 1] - ll[:, 0])) == 4.248495242049359
 
 
 def test_envelope_cells_at_time_zero_run_no_stretch_and_no_pass(monkeypatch):

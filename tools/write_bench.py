@@ -17,7 +17,8 @@ one ``pants.delta_side`` (the four offset evaluations of one side of a
 stretch vector, over the 96 sides at the genus-two symmetric point), one
 ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
-``torus.envelope_widths`` cell, one ``cube.chamfered_cube_check`` and its
+``torus.envelope_widths`` cell that the integer slopes decide and one
+that needs the Farey pass, one ``cube.chamfered_cube_check`` and its
 stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
 ``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
@@ -27,10 +28,15 @@ the 128 genus-two completions at the symmetric point, one
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
 written to a temporary directory: the best of several
 repeats per fresh process, in processes that import each root's ``src``
-in turn, with the median over rounds of the change's time over the
-parent's in the same round.  Last, the wall time of each ``CLI_COMMANDS``
-subcommand in a fresh process with the default config, and of the Tier-1
-suite (``python -m pytest -q`` in the root), alternating sides.
+in turn.  In a second fresh process per round and side,
+``torus.envelope_widths`` runs once on the default ``envelope`` grid at
+``GRID_MAX_Q``, the CLI's cap, first-use plan builds included.  Each
+layer reports the median over rounds of the change's time over the
+parent's in the same round, with the quartiles of those ratios: a median
+of 5 does not resolve 20% on a noisy host.  Last, the wall time of each
+``CLI_COMMANDS`` subcommand in a fresh process with the default config,
+and of the Tier-1 suite (``python -m pytest -q`` in the root),
+alternating sides, with the same ratio quartiles.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
@@ -63,6 +69,8 @@ CLI_COMMANDS = (
 CLI_ROUNDS = 5
 #: Tier-1 runs per side, alternating sides
 TIER1_ROUNDS = 2
+#: max_q of the default-grid layer, the CLI's cap
+GRID_MAX_Q = 400
 
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
@@ -94,6 +102,10 @@ def slope_length():
 cell = ((stretch.width_point("S11", 1.0), 4.0),)
 def envelope_cell():
     torus.envelope_widths(cell, 30)
+# the family maximum at (5, 1) sits at slope (1, 4), so its cone stays open
+farey_cell = ((stretch.width_point("S11", 5.0), 1.0),)
+def envelope_farey_cell():
+    torus.envelope_widths(farey_cell, 30)
 base = cube.symmetric_base_point()
 def cube_check():
     cube.chamfered_cube_check(base)
@@ -130,7 +142,7 @@ def cli_envelope():
         cli.main(["--config", str(envelope_config), "envelope"])
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
-# work for the envelope cell (about 1.2 ms each), the cube (about 4.5 ms), the CLI
+# work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the CLI
 # cube (about 7 ms), the CLI envelope (about 2 ms) and the sweep (about 1.6 ms), the
 # cube stages and the stretch vectors (about 0.3 to 3 ms each)
 out = {}
@@ -141,6 +153,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("h2.shear", shear, 1, 1000),
                                 ("torus.curve_length", slope_length, 1, 1000),
                                 ("torus.envelope_widths", envelope_cell, 1, 100),
+                                ("torus.envelope_widths[5,1]", envelope_farey_cell, 1, 100),
                                 ("cube.chamfered_cube_check", cube_check, 1, 15),
                                 ("cube.cloud", cube_cloud, 1, 30),
                                 ("stretch.stretch_vectors", vectors, 1, 30),
@@ -154,12 +167,27 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
 tmp.cleanup()
 print(json.dumps(out))
 """
+#: times torus.envelope_widths once on the default envelope grid at max_q = argv[1],
+#: first-use plan builds included, and prints microseconds as JSON
+GRID_SNIPPET = r"""
+import json, sys, time
+from thurston_kit import cli, stretch, torus
+cfg = cli.Config()
+cells = [(stretch.width_point("S11", l0), t) for l0 in cfg.l0_values for t in cfg.t_values()]
+start = time.perf_counter()
+torus.envelope_widths(cells, int(sys.argv[1]))
+print(json.dumps({"torus.envelope_widths[default grid]": (time.perf_counter() - start) * 1e6}))
+"""
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
     "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6}; "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
-    "envelope_widths: the one cell (width_point('S11', 1.0), t = 4) at max_q 30; "
+    "envelope_widths: the one cell (width_point('S11', 1.0), t = 4) at max_q 30, which the integer "
+    "slopes decide; envelope_widths[5,1]: the one cell (width_point('S11', 5.0), t = 1) at max_q 30, "
+    "whose maximum sits at slope (1, 4) and takes the family pass; envelope_widths[default grid]: the "
+    f"165 cells of the default envelope grid (cli.Config) at max_q {GRID_MAX_Q}, timed once in a fresh "
+    "process, plan builds included; "
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
     "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
     "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
@@ -168,11 +196,12 @@ LAYER_INPUTS = (
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
     "same directory, its stdout discarded; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
-    "curve_length), 100 calls (envelope cell, sweep, dedupe_points, hull), 60 calls "
+    "curve_length), 100 calls (envelope cells, sweep, dedupe_points, hull), 60 calls "
     "(_certified), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
     "(cli.cube) or 15 calls "
     "(chamfered_cube_check); "
-    f"medians over {LAYER_ROUNDS} processes per side"
+    f"medians over {LAYER_ROUNDS} processes per side, and the median and quartiles of the "
+    "per-round change/parent ratios"
 )
 END_TO_END_INPUTS = (
     "cli_seconds: each subcommand of CLI_COMMANDS in a fresh `python -m thurston_kit.cli` process "
@@ -180,7 +209,8 @@ END_TO_END_INPUTS = (
     f"median of {CLI_ROUNDS} runs per side; tier1_seconds: `python -m pytest -q "
     f"--continue-on-collection-errors -p no:cacheprovider` in the root, median of {TIER1_ROUNDS} "
     "runs per side, with the last line pytest printed; sides alternate, and change_over_parent "
-    "is the median over rounds of the change's time over the parent's in the same round"
+    "is the median over rounds of the change's time over the parent's in the same round, "
+    "change_over_parent_quartiles the quartiles of those ratios"
 )
 
 
@@ -244,20 +274,28 @@ def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.
 
 
 def paired(samples: dict[str, list[float]]) -> dict:
-    """Each side's median and the median over rounds of change / parent (the
-    host's speed drifts between rounds; the two runs of one round share it)."""
+    """Each side's median and the median and quartiles over rounds of change
+    / parent (the host's speed drifts between rounds; the two runs of one
+    round share it)."""
+    ratios = spread([c / p for p, c in zip(samples["parent"], samples["change"])])
     return {**{side: statistics.median(samples[side]) for side in SIDES},
-            "change_over_parent": statistics.median(c / p for p, c in zip(samples["parent"], samples["change"]))}
+            "change_over_parent": ratios["median"], "change_over_parent_quartiles": [ratios["q1"], ratios["q3"]]}
+
+
+def run_snippet(root: Path, code: str, *args: str) -> dict:
+    """The JSON that ``code`` prints in a fresh process with ``root``'s ``src`` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=600)
+    return json.loads(proc.stdout)
 
 
 def layer_timings(roots: dict[str, Path]) -> dict:
     samples = {side: [] for side in SIDES}
     for _ in range(LAYER_ROUNDS):
         for side in SIDES:
-            env = dict(os.environ, PYTHONPATH=str(roots[side] / "src"))
-            proc = subprocess.run([sys.executable, "-c", LAYER_SNIPPET], env=env, capture_output=True,
-                                  text=True, check=True, timeout=600)
-            samples[side].append(json.loads(proc.stdout))
+            samples[side].append({**run_snippet(roots[side], LAYER_SNIPPET),
+                                  **run_snippet(roots[side], GRID_SNIPPET, str(GRID_MAX_Q))})
     return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES}) for name in samples["parent"][0]}
 
 
