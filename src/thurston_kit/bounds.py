@@ -18,8 +18,8 @@ from .stretch import log_coth, width_point
 from .torus import envelope_widths
 
 #: systole threshold is never quantified by the theory; the artifact picks a
-#: number, caps it at log 2, and records it in every report
-DEFAULT_EPSILON = min(0.3, 0.99 * math.log(2.0))
+#: number below the thin part's cap of log 2 and records it in every report
+DEFAULT_EPSILON = 0.3
 
 
 class RegimeError(ValueError):

@@ -5,8 +5,9 @@ genus-two surface: one triangulation type per pair of pants and one
 twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
 (rows of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud;
 its convex hull at the symmetric base point is combinatorially a
-chamfered cube whose 32 vertices are found by one qhull run and certified
-by arithmetic on its merged faces, which a fan of tetrahedra from one vertex
+chamfered cube.  One qhull run gives its points-by-merged-faces incidence
+matrix; its 32 vertices, the rows on three or more faces, are certified by
+arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
 covers.  Near-equal points and facet planes merge after one sort on the
 first column.  The least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
@@ -105,13 +106,13 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class HullSummary:
-    """Merged-face combinatorics of a 3D convex hull, with the plane equation
-    (unit outward normal, offset) of each face and the faces through each point."""
+    """Merged-face combinatorics of a 3D convex hull, with the plane equation (unit outward
+    normal, offset) of each face and the boolean (points, faces) ``incidence`` matrix."""
 
     n_edges: int
     vertex_indices: tuple[int, ...]
     planes: np.ndarray = field(repr=False, compare=False)
-    point_faces: tuple[tuple[int, ...], ...] = field(repr=False)
+    incidence: np.ndarray = field(repr=False, compare=False)
 
     def counts(self) -> tuple[int, int, int]:
         return (len(self.vertex_indices), self.n_edges, len(self.planes))
@@ -124,9 +125,9 @@ def hull(points: np.ndarray) -> HullSummary:
     so the combinatorics are read off facet incidence: a face is a group of
     qhull facets whose plane equations agree to ``HULL_TOL`` (grouped by
     :func:`dedupe_points`), an edge is a pair of distinct faces sharing a
-    ridge, and a vertex is a point on at least three merged faces.
-    Degenerate input is rejected, and the counts must satisfy Euler's
-    formula.
+    ridge, and a vertex is a point whose incidence row holds at least three
+    merged faces.  Degenerate input is rejected, and the counts must satisfy
+    Euler's formula.
     """
     # imported here, not at module level: scipy.spatial takes about 0.45 s
     # to import and no other command needs it
@@ -144,39 +145,35 @@ def hull(points: np.ndarray) -> HullSummary:
 
     planes, face = dedupe_points(h.equations)
     edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
-    faces_at: list[set[int]] = [set() for _ in pts]
-    for simplex, group in zip(h.simplices.tolist(), face):
-        for p in simplex:
-            faces_at[p].add(group)
-    vertices = tuple(p for p, fs in enumerate(faces_at) if len(fs) >= 3)
+    incidence = np.zeros((len(pts), len(planes)), dtype=bool)
+    incidence[h.simplices, np.array(face)[:, None]] = True
+    vertices = tuple(np.flatnonzero(incidence.sum(axis=1) >= 3).tolist())
     v, e, f = len(vertices), len(edges), len(planes)
     if v - e + f != 2:
         raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(e, vertices, planes, tuple(tuple(sorted(fs)) for fs in faces_at))
+    return HullSummary(e, vertices, planes, incidence)
 
 
 def _certified(points: np.ndarray, summary: HullSummary) -> bool:
     """Whether the summary's vertices are exactly the extreme points of ``points``.
 
-    Each vertex v is strictly supported: with c_v the sum of the normals
-    of its faces, c_v.p_v - c_v.q > EXTREME_TOL |c_v| for every other point
+    Each vertex v is strictly supported: with c_v its incidence row times
+    the face normals, c_v.p_v - c_v.q > EXTREME_TOL |c_v| for every other point
     q.  Every other point is rebuilt to within EXTREME_TOL by the barycentric
     weights, clipped to >= 0 and renormalised, of a tetrahedron of vertices,
     the one whose least weight for the point is largest.  The tetrahedra are
-    the fan from the first vertex over the merged faces that avoid it, each
-    face covered by the triangles from its first vertex to every pair of its
-    others: a face is convex, so these lie in it and include a triangulation
-    of it, and the tetrahedra cover conv(vertices) with no angular order.
+    the fan from the first vertex over the merged faces that avoid it (the
+    columns of the vertices' rows), each face covered by the triangles from
+    its first vertex to every pair of its others: a face is convex, so these
+    lie in it and include a triangulation of it, and the tetrahedra cover
+    conv(vertices) with no angular order.
     """
     import numpy as np
 
     pts = np.asarray(points, dtype=float)
     verts = list(summary.vertex_indices)
-    faces = [summary.point_faces[v] for v in verts]
-    # the normals of each vertex's faces in one gather, padded with a zero normal
-    pad, width = len(summary.planes), max(map(len, faces))
-    normals = np.vstack([summary.planes[:, :3], np.zeros((1, 3))])
-    c = normals[[f for fs in faces for f in fs + (pad,) * (width - len(fs))]].reshape(len(verts), width, 3).sum(axis=1)
+    on = summary.incidence[verts]
+    c = on @ summary.planes[:, :3]
     scores = c @ pts.T
     rows = np.arange(len(verts))
     own = scores[rows, verts]
@@ -184,13 +181,12 @@ def _certified(points: np.ndarray, summary: HullSummary) -> bool:
     if not np.all(own - scores.max(axis=1) > EXTREME_TOL * np.linalg.norm(c, axis=1)):
         return False
     rest = pts[sorted(set(range(len(pts))).difference(verts))]
-    # the vertices of each face that avoids the apex verts[0]
-    rings: dict[int, list[int]] = {}
-    for v, fs in zip(verts, faces):
-        for f in set(fs).difference(faces[0]):
-            rings.setdefault(f, []).append(v)
+    # the vertices of each face that avoids the apex verts[0], face by face in claimed order
+    face, at = np.nonzero(on[:, ~on[0]].T)
+    split = itertools.groupby(zip(face.tolist(), np.take(verts, at).tolist()), operator.itemgetter(0))
+    rings = [[v for _, v in ring] for _, ring in split]
     # the tetrahedra (apex, first, i, j) over every pair i, j of a face's other vertices
-    tets = [(verts[0], r[0], i, j) for r in rings.values() for i, j in itertools.combinations(r[1:], 2)]
+    tets = [(verts[0], r[0], i, j) for r in rings for i, j in itertools.combinations(r[1:], 2)]
     if not tets:  # vertices that span no solid
         return False
     corners = pts[[v for tet in tets for v in tet]].reshape(-1, 4, 3)

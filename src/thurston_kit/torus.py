@@ -130,8 +130,10 @@ def _integers(max_q: int) -> tuple[_Plan, np.ndarray]:
     holds a family slope, i.e. whose mediant (2n + 1)/2 is one."""
     import numpy as np
 
+    if max_q < 1:
+        raise ValueError("max_q must be at least 1")
     n = np.array([n for n in range(-max_q, max_q) if max_q > 1 and abs(2 * n + 1) <= max_q], dtype=np.intp)
-    return _plan([slope for slope in candidate_slopes(max_q) if slope[1] <= 1]), n + max_q + np.arange(4)[:, None]
+    return _plan([(1, 0)] + [(p, 1) for p in range(-max_q, max_q + 1)]), n + max_q + np.arange(4)[:, None]
 
 
 def _seed(x: FNPoint) -> tuple[float, float, tuple[tuple[float, float], tuple[float, float]]]:

@@ -518,3 +518,53 @@ def test_certificates_accept_the_extreme_set_and_reject_one_off_sets(case):
         assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices - {v}))))
     for q in set(range(len(pts))) - vertices:
         assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices | {q}))))
+
+
+def _generic_polytope(seed, n_sphere, n_inner, n_mid):
+    """Points on the unit sphere (a hull of triangles), convex combinations
+    of them with positive weights (inside the hull) and midpoints of the
+    hull's edges, shuffled."""
+    import scipy.spatial
+
+    rng = np.random.default_rng(seed)
+    sphere = rng.normal(size=(n_sphere, 3))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    inner = rng.dirichlet(np.ones(n_sphere), size=n_inner) @ sphere
+    facets = scipy.spatial.ConvexHull(sphere).simplices
+    simplices = facets[rng.integers(0, len(facets), size=n_mid)]
+    ends = np.column_stack([simplices[:, 0], simplices[:, 1 + rng.integers(0, 2, size=n_mid)]])
+    mids = sphere[ends].mean(axis=1)
+    return np.vstack([sphere, inner, mids])[rng.permutation(n_sphere + n_inner + n_mid)]
+
+
+def test_certificates_and_incidence_on_generic_polytopes():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    import scipy.spatial
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), n_sphere=st.integers(4, 24), n_inner=st.integers(0, 4),
+                      n_mid=st.integers(0, 3))
+    def check(seed, n_sphere, n_inner, n_mid):
+        pts = _generic_polytope(seed, n_sphere, n_inner, n_mid)
+        summary = hull(pts)
+        vertices = set(summary.vertex_indices)
+        assert sorted(vertices) == extreme_points_brute(pts)
+        assert len(vertices) == n_sphere
+        # every qhull facet's points are on its merged face, and each point
+        # lies on the planes of the faces its row marks
+        h = scipy.spatial.ConvexHull(pts)
+        face = np.array(dedupe_points(h.equations)[1])
+        assert summary.incidence[h.simplices, face[:, None]].all()
+        points, faces = np.nonzero(summary.incidence)
+        assert np.all(np.abs(np.einsum("ij,ij->i", pts[points], summary.planes[faces, :3]) + summary.planes[faces, 3])
+                      <= cube.HULL_TOL)
+        # the vertices are the rows on three or more faces
+        assert set(np.flatnonzero(summary.incidence.sum(axis=1) >= 3).tolist()) == vertices
+        assert cube._certified(pts, summary)
+        for v in vertices:
+            assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices - {v}))))
+        for q in set(range(len(pts))) - vertices:
+            assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices | {q}))))
+
+    check()

@@ -151,16 +151,19 @@ def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
 def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsys):
     # one call per layer in place of the timed repeats
     monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
-    exec(write_bench.LAYER_SNIPPET, {})
+    namespace = {}
+    exec(write_bench.LAYER_SNIPPET, namespace)
     layers = json.loads(capsys.readouterr().out)
     assert set(layers) == LAYERS
+    # the control kernel reads builtins and math only, nothing of the package
+    assert set(namespace["control"].__code__.co_names) <= {"range", "abs", "math", "cosh", "sinh", "log"}
 
 
 LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
-    "cli.cube", "cli.envelope",
+    "cli.cube", "cli.envelope", "control.python_kernel",
 }
 
 

@@ -79,6 +79,9 @@ def test_candidate_families_nest():
     assert small <= large
     with pytest.raises(ValueError, match="^max_q must be at least 1$"):
         candidate_slopes(0)
+    # the integer pass, which builds its slopes without the family, rejects it too
+    with pytest.raises(ValueError, match="^max_q must be at least 1$"):
+        dth_estimate(_point(1.0, 0.0), _point(2.0, 0.0), 0)
 
 
 def test_candidate_slopes_are_the_benchmark_reference_family(monkeypatch):

@@ -26,7 +26,9 @@ the 128 genus-two completions at the symmetric point, one
 (``cli.main`` running ``cube`` at the symmetric point) and one
 ``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
-written to a temporary directory: the best of several
+written to a temporary directory, and one ``control.python_kernel``, a
+fixed loop that calls nothing of the package, so its ratio shows the
+host's own drift between sides: the best of several
 repeats per fresh process, in processes that import each root's ``src``
 in turn.  In a second fresh process per round and side,
 ``torus.envelope_widths`` runs once on the default ``envelope`` grid at
@@ -140,11 +142,24 @@ envelope_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\nl0_values=1.0\nt_
 def cli_envelope():
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--config", str(envelope_config), "envelope"])
+# the control: a fixed kernel of integer bytecode and 2x2 float products with
+# math calls, the kind of loop perfbench's calibration runs, that calls nothing
+# of the package, so its change/parent ratio is the host's own drift
+def control():
+    acc, m, logscale = 0, (1.0, 0.0, 0.0, 1.0), 0.0
+    for i in range(30_000):
+        acc += i * i % 7
+    c, s = math.cosh(0.3), math.sinh(0.3)
+    for _ in range(3_000):
+        m = (m[0] * c + m[1] * s, m[0] * s + m[1] * c, m[2] * c + m[3] * s, m[2] * s + m[3] * c)
+        scale = abs(m[0]) + abs(m[3])
+        m = (m[0] / scale, m[1] / scale, m[2] / scale, m[3] / scale)
+        logscale += math.log(scale)
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
 # work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the CLI
-# cube (about 7 ms), the CLI envelope (about 2 ms) and the sweep (about 1.6 ms), the
-# cube stages and the stretch vectors (about 0.3 to 3 ms each)
+# cube (about 7 ms), the CLI envelope (about 2 ms), the sweep (about 1.6 ms) and the
+# control (about 5 ms), the cube stages and the stretch vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -162,7 +177,8 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("cube._certified", cube_certified, 1, 60),
                                 ("bounds.run_sweep", sweep, 1, 100),
                                 ("cli.cube", cli_cube, 1, 20),
-                                ("cli.envelope", cli_envelope, 1, 50)):
+                                ("cli.envelope", cli_envelope, 1, 50),
+                                ("control.python_kernel", control, 1, 20)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 tmp.cleanup()
 print(json.dumps(out))
@@ -194,11 +210,12 @@ LAYER_INPUTS = (
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
-    "same directory, its stdout discarded; "
+    "same directory, its stdout discarded; control.python_kernel: 30,000 integer steps and 3,000 "
+    "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
     "curve_length), 100 calls (envelope cells, sweep, dedupe_points, hull), 60 calls "
     "(_certified), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
-    "(cli.cube) or 15 calls "
+    "(cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side, and the median and quartiles of the "
     "per-round change/parent ratios"
