@@ -11,9 +11,11 @@ perpendicular dropped from a neighboring cuff's axis.  The closed forms
 and :func:`delta_oracle`, which recomputes the same quantity
 constructively in the upper half-plane from the lifted configuration and
 validates the closed forms, branch on the number of leaf ends at ``c``
-(2, 4 or 1), which :func:`_roles` resolves once per call.  One side of a
-stretch vector, :func:`delta_side`, takes the offset, its complex-step
-rate and the offsets at the lengths scaled by e^{+-h} from one call.
+(2, 4 or 1), which :func:`_roles` resolves once per call.  The oracle's
+gap solve computes the shear halves that no gap changes once per scalar
+namespace (:func:`_fixed_heights`).  One side of a stretch vector,
+:func:`delta_side`, takes the offset, its complex-step rate and the
+offsets at the lengths scaled by e^{+-h} from one call.
 
 Lift normalization used everywhere (and by the oracle): the cuff axis is
 the upward imaginary axis with the pants on its left, the fan of leaf
@@ -26,6 +28,7 @@ horocycle about infinity.
 from __future__ import annotations
 
 import cmath  # with math, the only scalar namespaces: no "from math import", no float()/complex() coercion (for mpmath)
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -254,13 +257,13 @@ def delta_side(
 # ---------------------------------------------------------------------------
 
 
-def _solve_monotone(f: Callable[[float], float], u0: float, u1: float) -> float:
-    """Secant solve of f(u) = 0.
+def _solve_monotone(f: Callable[[float], float], f0: float, f1: float) -> float:
+    """Secant solve of f(u) = 0 from u = 0 and u = 1, where f is ``f0`` and ``f1``.
 
     The gap equations below are linear in the log-width parameter, so the
     secant step is exact; a stalled or non-converging secant raises.
     """
-    f0, f1 = f(u0), f(u1)
+    u0, u1 = 0.0, 1.0
     for _ in range(80):
         if abs(f1) <= 1e-13:
             return u1
@@ -271,6 +274,19 @@ def _solve_monotone(f: Callable[[float], float], u0: float, u1: float) -> float:
     raise GeometryError("gap equation did not converge")
 
 
+@functools.cache
+def _fixed_heights(num) -> tuple:
+    """Log heights that no gap solve changes, once per scalar namespace
+    ``num`` (float ``math``, or mpmath at its first call's precision): the
+    near half of the width-one gap (-1, 0, inf) that opens each period and
+    the far halves of (0, e^u, inf) at the secant's starts u = 0 and 1.
+    They are 0, 0 and 1 (exactly, in float) but come from the kernel like
+    every other height, so the oracle stays constructive at any precision.
+    """
+    near = num.log(_near_height(_triangle(-1.0, 0.0, INF)))
+    return (near, *(num.log(_far_height(_triangle(0.0, num.exp(u), INF))) for u in (0.0, 1.0)))
+
+
 def _next_gap(prev_gap: float, sigma: float) -> float:
     """Width of the next fan/spiral gap from the constructive shear condition.
 
@@ -279,13 +295,15 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
     gaps are not absorbed by large coordinates.  That line is the standard
     axis, on which both triangles already lie with their shared vertices
     exact, so the previous triangle's half of the shear is computed once
-    and each secant step computes only the new triangle's half.  The
-    condition is the float expression of the full shear minus sigma, so
-    the widths are bit-identical to solving with :func:`h2.shear`.  A gap
-    whose log-width u leaves the float range (e^u overflows or underflows
-    to 0) raises a :class:`GeometryError` that names u.
+    per solve (a width-one gap's, and the secant's start values, come from
+    :func:`_fixed_heights`) and each secant step computes only the new
+    triangle's half.  The condition is the float expression of the full
+    shear minus sigma, so the widths are bit-identical to solving with
+    :func:`h2.shear`.  A gap whose log-width u leaves the float range (e^u
+    overflows or underflows to 0) raises a :class:`GeometryError` that names u.
     """
-    log_h1 = math.log(_near_height(_triangle(-prev_gap, 0.0, INF)))
+    near_one, far_0, far_1 = _fixed_heights(math)
+    log_h1 = near_one if prev_gap == 1.0 else math.log(_near_height(_triangle(-prev_gap, 0.0, INF)))
 
     def cond(u: float) -> float:
         try:
@@ -296,7 +314,7 @@ def _next_gap(prev_gap: float, sigma: float) -> float:
             raise GeometryError(f"gap log-width {u} leaves the float range")
         return math.log(_far_height(_triangle(0.0, width, INF))) - log_h1 - sigma
 
-    return math.exp(_solve_monotone(cond, 0.0, 1.0))
+    return math.exp(_solve_monotone(cond, far_0 - log_h1 - sigma, far_1 - log_h1 - sigma))
 
 
 def _gap_widths(first_gap: float, shears: list[float]) -> list[float]:

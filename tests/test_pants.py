@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from thurston_kit import h2, pants
 from thurston_kit.h2 import INF, GeometryError, _triangle, shear
 from thurston_kit.pants import (
     PantsMetric,
@@ -350,14 +351,17 @@ ORACLE_PINNED = [
 
 @pytest.mark.parametrize("ends, signs, cuff, lengths, expected", ORACLE_PINNED)
 def test_oracle_values_are_pinned_bit_for_bit(ends, signs, cuff, lengths, expected):
-    tri = PantsTriangulation(ends, tuple(1 if ch == "L" else -1 for ch in signs))
-    assert repr(delta_oracle(PantsMetric(*lengths), tri, cuff)) == repr(expected)
+    assert repr(delta_oracle(PantsMetric(*lengths), _pinned_tri(ends, signs), cuff)) == repr(expected)
+
+
+def _pinned_tri(ends, signs):
+    return PantsTriangulation(ends, tuple(1 if ch == "L" else -1 for ch in signs))
 
 
 def test_gap_solve_raises_when_the_secant_stalls():
-    assert _solve_monotone(lambda u: 2.0 * u - 1.0, 0.0, 1.0) == 0.5
+    assert _solve_monotone(lambda u: 2.0 * u - 1.0, -1.0, 1.0) == 0.5
     with pytest.raises(GeometryError, match="gap equation did not converge"):
-        _solve_monotone(lambda u: 1.0, 0.0, 1.0)
+        _solve_monotone(lambda u: 1.0, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("sigma", [800.0, -800.0])
@@ -368,8 +372,9 @@ def test_gap_solve_names_a_log_width_outside_the_float_range(sigma):
 
 
 def test_gap_solve_matches_the_full_shear_bit_for_bit():
-    # _next_gap computes t_prev's half of the shear once per solve; the
-    # reference re-evaluates the whole shear at every secant step
+    # _next_gap computes t_prev's half of the shear once per solve, or reads
+    # it and the secant's start values from the fixed heights; the reference
+    # re-evaluates the whole shear at every secant step
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -389,11 +394,58 @@ def test_gap_solve_matches_the_full_shear_bit_for_bit():
             def cond(u):
                 return shear(t_prev, _triangle(0.0, math.exp(u), INF), 0.0, INF) - sigma
 
-            return math.exp(_solve_monotone(cond, 0.0, 1.0))
+            return math.exp(_solve_monotone(cond, cond(0.0), cond(1.0)))
 
         assert outcome(lambda: _next_gap(prev_gap, sigma)) == outcome(reference)
 
     check()
+
+
+@pytest.mark.parametrize("ends, calls", [((2, 2, 2), 4), ((4, 1, 1), 6), ((1, 4, 1), 6)])
+def test_gap_solve_evaluates_only_the_heights_that_change(ends, calls, monkeypatch):
+    # a warm oracle call evaluates one far height per secant step (one per
+    # gap, the linear equation's first step is exact) and one near height per
+    # gap that follows a gap of width other than one: 2g - p for g gaps in p
+    # non-empty periods, and one less for 141 at (1, 1, 1), whose third
+    # spiral gap is exactly one.  Recomputing the three fixed heights at
+    # every gap made 12, 16 and 16 calls.
+    far_height, count = h2._far_height, 0
+
+    def counted(s):
+        nonlocal count
+        count += 1
+        return far_height(s)
+
+    monkeypatch.setattr(h2, "_far_height", counted)
+    monkeypatch.setattr(pants, "_far_height", counted)
+    pm, tri = PantsMetric(1.0, 1.0, 1.0), PantsTriangulation(ends, LLL)
+    delta_oracle(pm, tri, 0)
+    count = 0
+    delta_oracle(pm, tri, 0)
+    assert count == calls
+
+
+def test_fixed_heights_never_cross_namespaces(monkeypatch, request):
+    # float, then 50 digits, then float again in one process: each namespace
+    # reads its own fixed heights.  The heights are 0, 0 and 1 (exactly so in
+    # float), so a float height in the 50-digit solve cannot show; the
+    # 50-digit entry is made first, so a cache not keyed by the namespace
+    # hands its mpf heights to the last float run, which changes a pin
+    def oracle_values(num):
+        return [delta_oracle(PantsMetric(*map(num, lengths)), _pinned_tri(ends, signs), cuff)
+                for ends, signs, cuff, lengths, _ in ORACLE_PINNED]
+
+    pins = [repr(expected) for *_, expected in ORACLE_PINNED]
+    assert list(map(repr, oracle_values(float))) == pins
+    pants._fixed_heights.cache_clear()
+    mp = request.getfixturevalue("fifty_digits")
+    for (ends, signs, cuff, lengths, _), oracle in zip(ORACLE_PINNED, oracle_values(mp.mpf)):
+        closed = delta_closed(PantsMetric(*map(mp.mpf, lengths)), _pinned_tri(ends, signs), cuff)
+        assert abs(closed - oracle) <= 1e-30
+    monkeypatch.undo()
+    again = oracle_values(float)
+    assert all(type(value) is float for value in again)
+    assert list(map(repr, again)) == pins
 
 
 # ------------------------------------------------- one side of a stretch vector

@@ -23,10 +23,12 @@ stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
 ``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
 ``bounds.run_sweep`` of the default ``sweep`` grid, one ``cli.cube``
-(``cli.main`` running ``cube`` at the symmetric point) and one
+(``cli.main`` running ``cube`` at the symmetric point), one
 ``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
-written to a temporary directory, and one ``control.python_kernel``, a
+written to a temporary directory, one ``cli.delta`` (``cli.main`` running
+``delta`` as an ``oracle`` benchmark op does, its stdout discarded), and
+one ``control.python_kernel``, a
 fixed loop that calls nothing of the package, so its ratio shows the
 host's own drift between sides: the best of several
 repeats per fresh process, in processes that import each root's ``src``
@@ -142,6 +144,10 @@ envelope_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\nl0_values=1.0\nt_
 def cli_envelope():
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--config", str(envelope_config), "envelope"])
+# the shape of an oracle benchmark op: one delta, closed form and oracle
+def cli_delta():
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["delta", "--type", "2sym", "--l", "0.5,1.3,2.2", "--signs", "LRL", "--cuff", "2"])
 # the control: a fixed kernel of integer bytecode and 2x2 float products with
 # math calls, the kind of loop perfbench's calibration runs, that calls nothing
 # of the package, so its change/parent ratio is the host's own drift
@@ -158,8 +164,9 @@ def control():
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
 # work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the CLI
-# cube (about 7 ms), the CLI envelope (about 2 ms), the sweep (about 1.6 ms) and the
-# control (about 5 ms), the cube stages and the stretch vectors (about 0.3 to 3 ms each)
+# cube (about 7 ms), the CLI envelope (about 2 ms), the CLI delta (about 0.2 ms), the
+# sweep (about 1.6 ms) and the control (about 5 ms), the cube stages and the stretch
+# vectors (about 0.3 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -178,6 +185,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("bounds.run_sweep", sweep, 1, 100),
                                 ("cli.cube", cli_cube, 1, 20),
                                 ("cli.envelope", cli_envelope, 1, 50),
+                                ("cli.delta", cli_delta, 1, 500),
                                 ("control.python_kernel", control, 1, 20)):
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 tmp.cleanup()
@@ -210,10 +218,12 @@ LAYER_INPUTS = (
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
-    "same directory, its stdout discarded; control.python_kernel: 30,000 integer steps and 3,000 "
+    "same directory, its stdout discarded; cli.delta: cli.main(['delta', '--type', '2sym', '--l', "
+    "'0.5,1.3,2.2', '--signs', 'LRL', '--cuff', '2']), its stdout discarded; "
+    "control.python_kernel: 30,000 integer steps and 3,000 "
     "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
-    "curve_length), 100 calls (envelope cells, sweep, dedupe_points, hull), 60 calls "
+    "curve_length), 500 calls (cli.delta), 100 calls (envelope cells, sweep, dedupe_points, hull), 60 calls "
     "(_certified), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
     "(cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
