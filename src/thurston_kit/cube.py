@@ -8,8 +8,8 @@ its convex hull at the symmetric base point is combinatorially a
 chamfered cube.  One qhull run gives its points-by-merged-faces incidence
 matrix; its 32 vertices, the rows on three or more faces, are certified by
 arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
-covers.  Near-equal points and facet planes merge after one sort on the
-first column.  The least-squares extremality test
+covers.  Near-equal points merge after one sort on the first column; the
+faces are qhull's merged facets.  The least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
 
@@ -29,7 +29,7 @@ from .stretch import FNPoint, SidePlan, StretchSpec, side_plan, stretch_vectors
 if TYPE_CHECKING:
     import numpy as np
 
-#: coplanarity tolerance for merging hull facets
+#: max-norm distance within which the cloud's points merge, and qhull's centrum radius for merging facets
 HULL_TOL = 1e-9
 
 #: tolerance for convex representability, by certificate or least squares
@@ -67,7 +67,7 @@ def cloud(x: FNPoint) -> np.ndarray:
 
 
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Representative subset with pairwise distance > HULL_TOL, plus group index per point.
+    """Representative subset of the cloud's points, pairwise farther than HULL_TOL apart, and each point's group.
 
     Each point joins the first representative within ``HULL_TOL`` (max norm) or
     becomes a new one; a row equal to an earlier one joins its group unexamined.
@@ -119,15 +119,15 @@ class HullSummary:
 
 
 def hull(points: np.ndarray) -> HullSummary:
-    """Convex hull combinatorics with coplanar facets merged within ``HULL_TOL``.
+    """Convex hull combinatorics with coplanar facets merged by qhull within ``HULL_TOL``.
 
-    Qhull triangulates the hull and may keep points that lie on a hull edge,
-    so the combinatorics are read off facet incidence: a face is a group of
-    qhull facets whose plane equations agree to ``HULL_TOL`` (grouped by
-    :func:`dedupe_points`), an edge is a pair of distinct faces sharing a
-    ridge, and a vertex is a point whose incidence row holds at least three
-    merged faces.  Degenerate input is rejected, and the counts must satisfy
-    Euler's formula.
+    Qhull merges neighbouring facets whose centrums lie within ``HULL_TOL``
+    of each other's planes, triangulates the hull and may keep points that
+    lie on a hull edge, so the combinatorics are read off facet incidence: a
+    face is one merged facet (the triangles that carry its equation row), an
+    edge is a pair of distinct faces sharing a ridge, and a vertex is a point
+    whose incidence row holds at least three faces.  Degenerate input is
+    rejected, and the counts must satisfy Euler's formula.
     """
     # imported here, not at module level: scipy.spatial takes about 0.45 s
     # to import and no other command needs it
@@ -138,20 +138,22 @@ def hull(points: np.ndarray) -> HullSummary:
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
         raise GeometryError("need at least four 3D points")
     try:
-        h = ConvexHull(pts)
+        h = ConvexHull(pts, qhull_options=f"C{HULL_TOL!r}")
     except QhullError as exc:
         # qhull's option dump after the first line carries a random run id
         raise GeometryError(f"degenerate point set: {str(exc).splitlines()[0]}") from exc
 
-    planes, face = dedupe_points(h.equations)
+    # scipy adds Qt, so every triangle of a merged facet carries its equation row bit for bit
+    number: dict[tuple[float, ...], int] = {}
+    face = [number.setdefault(tuple(row), len(number)) for row in h.equations.tolist()]
     edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
-    incidence = np.zeros((len(pts), len(planes)), dtype=bool)
+    incidence = np.zeros((len(pts), len(number)), dtype=bool)
     incidence[h.simplices, np.array(face)[:, None]] = True
     vertices = tuple(np.flatnonzero(incidence.sum(axis=1) >= 3).tolist())
-    v, e, f = len(vertices), len(edges), len(planes)
+    v, e, f = len(vertices), len(edges), len(number)
     if v - e + f != 2:
         raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(e, vertices, planes, incidence)
+    return HullSummary(e, vertices, np.array(list(number)), incidence)
 
 
 def _certified(points: np.ndarray, summary: HullSummary) -> bool:

@@ -181,6 +181,8 @@ def stretch_point(x: FNPoint, spec: StretchSpec, t: float) -> FNPoint:
 
 #: relative agreement required between analytic and central-difference rates
 DERIVATIVE_CHECK_REL = 1e-6
+#: the central difference's log-scale step: at cuffs of 7 to 9, 1e-6 loses more to rounding than 3e-4 to truncation
+_CHECK_STEP = 3e-4
 
 
 class SidePlan(NamedTuple):
@@ -223,7 +225,7 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
         theta_c'(0) = theta_c(0) + D1(0) + D2(0) - d/ds [D1 + D2](0),
 
     with the offsets differentiated analytically (complex step); a central
-    difference (h = 1e-6) must agree to ``DERIVATIVE_CHECK_REL`` relative.
+    difference (step ``_CHECK_STEP``) must agree to ``DERIVATIVE_CHECK_REL`` relative.
     Each side of the plan goes once through :func:`~thurston_kit.pants.delta_side`,
     in order of first use, and the first that fails raises before any check.
     Each row sums its sides as the per-spec formula does (``0.0 + D1 + D2``,
@@ -235,15 +237,14 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
         raise SpecMismatchError("stretch vectors need specs on the surface of the point")
     row = _SURFACES[x.surface]
     metric = row.metric(x.lengths)
-    h = 1e-6
-    up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
+    up, down = metric.scaled(math.exp(_CHECK_STEP)), metric.scaled(math.exp(-_CHECK_STEP))
     # (offset, rate, offset at e^h, offset at e^-h) per side; the first side that fails raises
     table = [delta_side(metric, tri, cuff, up, down) for tri, cuff in plan.sides]
     values = np.array(table).reshape(-1, 4)
     values[:, 2] -= values[:, 3]
     # each (spec, curve) pair sums its two sides from 0.0 in order
     total0, dtotal, diff = (0.0 + values[plan.index[:, 0], :3] + values[plan.index[:, 1], :3]).T
-    num = diff / (2.0 * h)
+    num = diff / (2.0 * _CHECK_STEP)
     bad = np.abs(num - dtotal) > DERIVATIVE_CHECK_REL * np.maximum(1.0, np.abs(dtotal))
     if bad.any():
         k = int(np.argmax(bad))

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thurston_kit import cube, stretch
+from thurston_kit import cube, pants, stretch
 from thurston_kit.cli import main
 from thurston_kit.cube import (
     chamfered_cube_check,
@@ -120,15 +120,35 @@ def test_hull_ignores_interior_point():
     assert 8 not in summary.vertex_indices
 
 
-def test_hull_rejects_faces_merged_across_a_flat_cap():
-    # five points on the cap z = -a (x^2 + y^2), a = 5.4e-10, above (0, 0, -1):
+#: five points on the cap z = -a (x^2 + y^2), a = 5.4e-10, and its apex (0, 0, -1)
+FLAT_CAP_XY = np.array([[-0.25, 0.75], [0.25, -0.75], [0.5, 0.5], [0.75, 1.0], [1.0, 0.75]])
+FLAT_CAP = np.vstack([np.column_stack([FLAT_CAP_XY, -5.4e-10 * (FLAT_CAP_XY**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+
+
+def test_hull_merges_only_neighbouring_facets_of_a_flat_cap():
     # of the cap's four facets the first and last agree to HULL_TOL but meet
-    # only at a point, so their merged face is not a disk and the counts
-    # break Euler's formula (6 - 10 + 7 = 3)
-    xy = np.array([[-0.25, 0.75], [0.25, -0.75], [0.5, 0.5], [0.75, 1.0], [1.0, 0.75]])
-    pts = np.vstack([np.column_stack([xy, -5.4e-10 * (xy**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
-    with pytest.raises(GeometryError, match=r"^face merging produced inconsistent counts V=6 E=10 F=7$"):
-        hull(pts)
+    # only at a point, so they are no one face: the hull is the square
+    # pyramid over the cap's four outer points
+    summary = hull(FLAT_CAP)
+    assert summary.counts() == (5, 8, 5)
+    assert list(summary.vertex_indices) == [0, 1, 3, 4, 5] == extreme_points_brute(FLAT_CAP)
+    assert cube._certified(FLAT_CAP, summary)
+
+
+def test_hull_of_random_flat_caps_satisfies_euler():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40),
+                      log_a=st.floats(math.log(1e-10), math.log(3e-8)))
+    def check(seed, n, log_a):
+        xy = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
+        pts = np.vstack([np.column_stack([xy, -math.exp(log_a) * (xy**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+        # the guard of Euler's formula raises nothing, and the apex is a vertex
+        assert n in hull(pts).vertex_indices
+
+    check()
 
 
 def test_hull_rejects_degenerate_input():
@@ -363,6 +383,69 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
     assert json.loads((out / "cube_hull.json").read_text())["brute_force_agrees"] is True
 
 
+def test_cube_command_counts_the_chamfered_cube_at_cuffs_of_6(tmp_path, capsys):
+    # qhull's unmerged triangles here lie on planes up to 1.4e-9 from their
+    # face's, more than HULL_TOL, and its centrum test merges them all the same
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\nbase_lengths=6,6,6\nbase_twists=0.3,-0.7,1.1\n")
+    assert main(["--config", str(cfg), "cube"]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "out" / "cube_hull.json").read_text())
+    assert (written["n_vertices"], written["n_edges"], written["n_faces"]) == (32, 48, 18)
+    assert written["brute_force_agrees"] is True
+
+
+def test_long_cuffs_give_a_certified_chamfered_cube():
+    # from cuffs of about 8.5 the float cloud's own error (2.0e-8 at 5, 9, 9)
+    # splits a face again, where the 50-digit cloud gives the cube
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lengths = st.floats(5.0, 8.0)
+    twists = st.floats(-2.0, 2.0)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(l1=lengths, l2=lengths, l3=lengths, t1=twists, t2=twists, t3=twists)
+    def check(l1, l2, l3, t1, t2, t3):
+        uniq = dedupe_points(cloud(FNPoint("S2", (l1, l2, l3), (t1, t2, t3))))[0]
+        summary = hull(uniq)
+        assert summary.counts() == (32, 48, 18)
+        assert cube._certified(uniq, summary)
+
+    check()
+
+
+def _fifty_digit_cloud(x, mp):
+    """The cloud at ``x`` with every offset and rate at 50 digits (under the
+    ``fifty_digits`` swap), one pass per side of the completions' plan,
+    rounded to float at the end."""
+    plan = cube._completions()[2]
+    lengths = stretch._SURFACES["S2"].metric(tuple(map(mp.mpf, x.lengths))).lengths
+    sides = []
+    for tri, c in plan.sides:
+        n, j, k = pants._roles(lengths, tri, c)
+        sides.append((pants._delta_core(lengths, tri.signs, tri.ends, c, j, k, n).real,
+                      pants._scale_rate(lengths, tri, c, j, k, n)))
+    curves = itertools.cycle(range(3))
+    rows = [x.twists[next(curves)] + sides[a][0] + sides[b][0] - sides[a][1] - sides[b][1]
+            for a, b in plan.index.tolist()]
+    return np.array([float(v) for v in rows]).reshape(-1, 3)
+
+
+#: errors of the float cloud against 50 digits: 9.5e-12, 6.4e-10 and 1.3e-9
+@pytest.mark.parametrize("lengths, twists", [
+    ((6.0, 6.0, 6.0), (0.3, -0.7, 1.1)),
+    ((6.5, 7.5, 8.5), (-1.2, 0.4, 1.9)),
+    ((9.0, 8.0, 7.0), (1.5, -1.8, -0.2)),
+])
+def test_long_cuff_cloud_matches_fifty_digits(lengths, twists, request):
+    x = FNPoint("S2", lengths, twists)
+    raw = cloud(x)
+    counts = hull(dedupe_points(raw)[0]).counts()
+    exact = _fifty_digit_cloud(x, request.getfixturevalue("fifty_digits"))
+    assert np.max(np.abs(raw - exact)) <= 5e-9
+    assert counts == hull(dedupe_points(exact)[0]).counts() == (32, 48, 18)
+
+
 def test_dedupe_and_certificates_match_references():
     rng = np.random.default_rng(20261018)
     for _ in range(20):
@@ -397,7 +480,7 @@ def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
     # values of the per-spec sums
     monkeypatch.setattr(stretch, "delta_side", _rates_off_by_1e_3(stretch.delta_side))
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3))
-    metric, h = PantsMetric(*x.lengths), 1e-6
+    metric, h = PantsMetric(*x.lengths), stretch._CHECK_STEP
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
     dtotal = diff = 0.0
     for tri in cube._completions()[0][0].triangulations:
@@ -551,11 +634,10 @@ def test_certificates_and_incidence_on_generic_polytopes():
         vertices = set(summary.vertex_indices)
         assert sorted(vertices) == extreme_points_brute(pts)
         assert len(vertices) == n_sphere
-        # every qhull facet's points are on its merged face, and each point
-        # lies on the planes of the faces its row marks
-        h = scipy.spatial.ConvexHull(pts)
-        face = np.array(dedupe_points(h.equations)[1])
-        assert summary.incidence[h.simplices, face[:, None]].all()
+        # the points of every facet of an unmerged qhull run are on one merged
+        # face, and each point lies on the planes of the faces its row marks
+        triangles = scipy.spatial.ConvexHull(pts).simplices
+        assert summary.incidence[triangles].all(axis=1).any(axis=1).all()
         points, faces = np.nonzero(summary.incidence)
         assert np.all(np.abs(np.einsum("ij,ij->i", pts[points], summary.planes[faces, :3]) + summary.planes[faces, 3])
                       <= cube.HULL_TOL)
