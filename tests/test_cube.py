@@ -120,9 +120,12 @@ def test_hull_ignores_interior_point():
     assert 8 not in summary.vertex_indices
 
 
-#: five points on the cap z = -a (x^2 + y^2), a = 5.4e-10, and its apex (0, 0, -1)
-FLAT_CAP_XY = np.array([[-0.25, 0.75], [0.25, -0.75], [0.5, 0.5], [0.75, 1.0], [1.0, 0.75]])
-FLAT_CAP = np.vstack([np.column_stack([FLAT_CAP_XY, -5.4e-10 * (FLAT_CAP_XY**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+def _cap(xy, a):
+    """The points of the cap z = -a (x^2 + y^2) over ``xy``, then its apex (0, 0, -1)."""
+    return np.vstack([np.column_stack([xy, -a * (xy**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+
+
+FLAT_CAP = _cap(np.array([[-0.25, 0.75], [0.25, -0.75], [0.5, 0.5], [0.75, 1.0], [1.0, 0.75]]), 5.4e-10)
 
 
 def test_hull_merges_only_neighbouring_facets_of_a_flat_cap():
@@ -143,8 +146,7 @@ def test_hull_of_random_flat_caps_satisfies_euler():
     @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40),
                       log_a=st.floats(math.log(1e-10), math.log(3e-8)))
     def check(seed, n, log_a):
-        xy = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2))
-        pts = np.vstack([np.column_stack([xy, -math.exp(log_a) * (xy**2).sum(axis=1)]), [[0.0, 0.0, -1.0]]])
+        pts = _cap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2)), math.exp(log_a))
         # the guard of Euler's formula raises nothing, and the apex is a vertex
         assert n in hull(pts).vertex_indices
 
@@ -425,9 +427,8 @@ def _fifty_digit_cloud(x, mp):
         n, j, k = pants._roles(lengths, tri, c)
         sides.append((pants._delta_core(lengths, tri.signs, tri.ends, c, j, k, n).real,
                       pants._scale_rate(lengths, tri, c, j, k, n)))
-    curves = itertools.cycle(range(3))
-    rows = [x.twists[next(curves)] + sides[a][0] + sides[b][0] - sides[a][1] - sides[b][1]
-            for a, b in plan.index.tolist()]
+    rows = [x.twists[i % 3] + sides[a][0] + sides[b][0] - sides[a][1] - sides[b][1]
+            for i, (a, b) in enumerate(plan.index.tolist())]
     return np.array([float(v) for v in rows]).reshape(-1, 3)
 
 
