@@ -11,11 +11,12 @@ perpendicular dropped from a neighboring cuff's axis.  The closed forms
 and :func:`delta_oracle`, which recomputes the same quantity
 constructively in the upper half-plane from the lifted configuration and
 validates the closed forms, branch on the number of leaf ends at ``c``
-(2, 4 or 1), which :func:`_roles` resolves once per call.  The oracle's
-gap solve computes the shear halves that no gap changes once per scalar
-namespace (:func:`_fixed_heights`).  One side of a stretch vector,
-:func:`delta_side`, takes the offset, its complex-step rate and the
-offsets at the lengths scaled by e^{+-h} from one call.
+(2, 4 or 1), which :func:`_side` resolves once per process with the
+shear terms of each side.  The oracle's gap solve computes the shear
+halves that no gap changes once per scalar namespace (:func:`_fixed_heights`).
+The sides of stretch vectors (one side: :func:`delta_side`) take the
+offset, its complex-step rate and the offsets at the lengths scaled by
+e^{+-h} in one pass.
 
 Lift normalization used everywhere (and by the oracle): the cuff axis is
 the upward imaginary axis with the pants on its left, the fan of leaf
@@ -31,7 +32,7 @@ import cmath  # with math, the only scalar namespaces: no "from math import", no
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .h2 import (
     INF,
@@ -117,20 +118,36 @@ def enumerate_triangulations() -> list[PantsTriangulation]:
 _OTHER_CUFFS = ((1, 2), (0, 2), (0, 1))
 
 
-def _shear_coord(l, e, ends: tuple[int, int, int], i: int, j: int):
-    """Shear coordinate of the leaf between cuffs ``i`` and ``j`` (0-based).
+def _signed(l) -> tuple:
+    """The signed lengths that shear terms index: 2 i is 1 * l[i] and 2 i + 1 is -1 * l[i]."""
+    a, b, c = l
+    return (1 * a, -1 * a, 1 * b, -1 * b, 1 * c, -1 * c)
 
-    ``l`` may carry complex entries, as in :func:`_delta_core`.
+
+@functools.cache
+def _shear_coord(ends: tuple[int, int, int], e: tuple[int, int, int], i: int, j: int) -> tuple[int, ...]:
+    """Terms of the shear coordinate of the leaf between cuffs ``i`` and ``j``
+    (0-based): one signed length, or three summed left to right and halved
+    (:func:`_shear`).  As x - y rounds as x + (-y), the (2,2,2) shear
+    0.5 (e_k l_k - e_i l_i - e_j l_j) adds the terms of -e_i l_i and -e_j l_j.
     """
     if ends == (2, 2, 2):
         k = 3 - i - j
-        return 0.5 * (e[k] * l[k] - e[i] * l[i] - e[j] * l[j])
+        return (2 * k + (e[k] < 0), 2 * i + (e[i] > 0), 2 * j + (e[j] > 0))
     m = ends.index(4)
     if i == j == m:
         a, b = _OTHER_CUFFS[m]
-        return 0.5 * (-e[m] * l[m] + e[a] * l[a] + e[b] * l[b])
+        return (2 * m + (e[m] > 0), 2 * a + (e[a] < 0), 2 * b + (e[b] < 0))
     other = j if i == m else i
-    return -e[other] * l[other]
+    return (2 * other + (e[other] > 0),)
+
+
+def _shear(signed, terms: tuple[int, ...]):
+    """The shear coordinate of the :func:`_shear_coord` ``terms`` at the :func:`_signed` lengths."""
+    if len(terms) == 1:
+        return signed[terms[0]]
+    a, b, c = terms
+    return 0.5 * (signed[a] + signed[b] + signed[c])
 
 
 def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
@@ -143,8 +160,8 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     else:
         m = t.ends.index(4)
         pairs = [(m, m)] + [(m, i) for i in range(3) if i != m]
-    l, e = p.lengths, t.signs
-    return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear_coord(l, e, t.ends, i, j) for i, j in pairs}
+    signed = _signed(p.lengths)
+    return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear(signed, _shear_coord(t.ends, t.signs, i, j)) for i, j in pairs}
 
 
 def _check_length(lengths, cuff: int) -> None:
@@ -152,53 +169,63 @@ def _check_length(lengths, cuff: int) -> None:
         raise SingularCuffError(f"cuff {cuff} has length {lengths[cuff]}; twist offset is singular")
 
 
-def _roles(lengths: tuple[float, float, float], t: PantsTriangulation, cuff: int) -> tuple[int, int, int]:
-    """Resolve (leaf ends n at the cuff, perpendicular cuff j, remaining cuff k)
-    for a cuff whose twist offset is defined at the cuff ``lengths``.
+@functools.cache
+def _side(ends: tuple[int, int, int], e: tuple[int, int, int], cuff: int) -> tuple:
+    """The side of ``cuff`` in the triangulation (``ends``, ``e``) as ints, which
+    serve every scalar namespace: (cuff, its leaf ends n, e_c, the terms of s_cj
+    and s_jk (n = 2), s_cc and s_ck (n = 4) or s_jj and s_jk (n = 1), the terms
+    -e_j l_j and -e_c l_c, j, k).  The perpendicular is dropped from cuff ``j``'s
+    axis: the 4-end cuff when the cuff has one leaf end, else the cyclically next."""
+    n = ends[cuff]
+    j = ends.index(4) if n == 1 else (cuff + 1) % 3
+    k = 3 - cuff - j
+    first, second = {2: ((cuff, j), (j, k)), 4: ((cuff, cuff), (cuff, k)), 1: ((j, j), (j, k))}[n]
+    return (cuff, n, e[cuff], _shear_coord(ends, e, *first), _shear_coord(ends, e, *second),
+            2 * j + (e[j] > 0), 2 * cuff + (e[cuff] > 0), j, k)
 
-    The perpendicular is dropped from cuff ``j``'s axis: the 4-end cuff
-    when the cuff has one leaf end, else the cyclically next cuff.
-    """
+
+def _roles(lengths, t: PantsTriangulation, cuff: int) -> tuple:
+    """The resolved side of a cuff whose twist offset is defined at the cuff
+    ``lengths``; the cuff index is checked first, then its length."""
     if cuff not in (0, 1, 2):
         raise ValueError("cuff index must be 0, 1 or 2")
     _check_length(lengths, cuff)
-    n = t.ends[cuff]
-    j = t.ends.index(4) if n == 1 else (cuff + 1) % 3
-    return n, j, 3 - cuff - j
+    return _side(t.ends, t.signs, cuff)
 
 
-def _delta_core(l, e, ends: tuple[int, int, int], cuff: int, j: int, k: int, n: int):
-    """Closed-form twist offset; complex-capable for analytic differentiation.
-
-    ``l`` may carry complex entries (an infinitesimal imaginary part
-    implements exact differentiation of the log-coth-type expressions).
-    Each exponential is computed once; the leaf-end cases share one tail.
+def _delta_core(signed, side: tuple):
+    """Closed-form twist offset of a resolved side at the :func:`_signed` lengths
+    ``signed``, which may be complex (an infinitesimal imaginary part implements
+    exact differentiation of the log-coth-type expressions).  The shears are summed
+    in place, each exponential is computed once, and the leaf-end cases share one tail.
     """
     exp, log = cmath.exp, cmath.log
-    ec, lc = e[cuff], l[cuff]
+    cuff, n, ec, (a, b, c), second, perp, neg, _, _ = side
     try:
+        first = 0.5 * (signed[a] + signed[b] + signed[c])
         if n == 2:
-            num = 1 + exp(_shear_coord(l, e, ends, cuff, j))
-            e_jk = exp(_shear_coord(l, e, ends, j, k))
-            frac = (e_jk + exp(-e[j] * l[j])) / (e_jk + 1)
+            num = 1 + exp(first)
+            a, b, c = second
+            e_jk = exp(0.5 * (signed[a] + signed[b] + signed[c]))
+            frac = (e_jk + exp(signed[perp])) / (e_jk + 1)
         elif n == 4:
-            s_cj = _shear_coord(l, e, ends, cuff, j)
-            s_cc, s_ck = _shear_coord(l, e, ends, cuff, cuff), _shear_coord(l, e, ends, cuff, k)
-            num = 1 + exp(s_cj) + exp(s_cj + s_cc) + exp(s_cj + s_cc + s_ck)
-            frac = exp(-e[j] * l[j])
+            # s_cj is -e_j l_j, the exponent of frac
+            s_cj = signed[perp]
+            frac = exp(s_cj)
+            num = 1 + frac + exp(s_cj + first) + exp(s_cj + first + signed[second[0]])
         else:
-            s_jj, s_jk = _shear_coord(l, e, ends, j, j), _shear_coord(l, e, ends, j, k)
+            s_jk = signed[second[0]]
             # the common three-term sum of frac's numerator and denominator, added left to right
-            three = exp(s_jj) + exp(s_jj + s_jk) + exp(2 * s_jj + s_jk)
-            num, frac = 1, (three + exp(-e[j] * l[j])) / (three + 1)
-        x = num / (exp(-ec * lc) - 1)
+            three = exp(first) + exp(first + s_jk) + exp(2 * first + s_jk)
+            num, frac = 1, (three + exp(signed[perp])) / (three + 1)
+        x = num / (exp(signed[neg]) - 1)
         g = (x + 1) * (x + frac)
     except OverflowError:  # an exponential of a long cuff
         g = math.inf
     if not 0 < g.real < math.inf:  # overflowed, or cancelled: its log would drop an i*pi
         what = "g overflows" if g.real == math.inf else f"g = {g.real!r} <= 0"
         raise ValueError(f"twist offset at cuff {cuff} is out of float reach: "
-                         f"{what} at lengths {tuple(v.real for v in l)}")
+                         f"{what} at lengths {tuple(v.real for v in signed[::2])}")
     return ec * 0.5 * log(g)
 
 
@@ -207,16 +234,15 @@ _STEP = 1e-100
 _STEP_SCALE = cmath.exp(complex(0.0, _STEP))
 
 
-def _scale_rate(lengths: tuple[float, float, float], t: PantsTriangulation, cuff: int, j: int, k: int, n: int) -> float:
-    lc = tuple(x * _STEP_SCALE for x in lengths)
-    return _delta_core(lc, t.signs, t.ends, cuff, j, k, n).imag / _STEP
+def _stepped(lengths) -> tuple:
+    """The signed lengths scaled by e^{i h}, at which the offset's imaginary part is h times its rate."""
+    return _signed(tuple(x * _STEP_SCALE for x in lengths))
 
 
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
     ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
-    n, j, k = _roles(p.lengths, t, cuff)
-    return _delta_core(p.lengths, t.signs, t.ends, cuff, j, k, n).real
+    return _delta_core(_signed(p.lengths), _roles(p.lengths, t, cuff)).real
 
 
 def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -226,30 +252,35 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     The offset is analytic in the scale, so an infinitesimal imaginary
     perturbation gives the exact derivative (no cancellation error).
     """
-    n, j, k = _roles(p.lengths, t, cuff)
-    return _scale_rate(p.lengths, t, cuff, j, k, n)
+    return _delta_core(_stepped(p.lengths), _roles(p.lengths, t, cuff)).imag / _STEP
+
+
+def _delta_sides(p: PantsMetric, up: PantsMetric, down: PantsMetric, sides: Iterable[tuple]) -> list[tuple]:
+    """Per (triangulation, cuff) side, in one pass: ``delta_closed`` at ``p``, its
+    ``delta_scale_derivative``, and ``delta_closed`` at ``up`` and ``down``, bit
+    for bit, each metric's signed lengths made once.  Each side checks its cuff
+    and runs the four in that order, so the first that fails raises."""
+    l, l_up, l_down = p.lengths, up.lengths, down.lengths
+    signed, stepped, signed_up, signed_down = _signed(l), _stepped(l), _signed(l_up), _signed(l_down)
+    table = []
+    for t, cuff in sides:
+        side = _roles(l, t, cuff)
+        d0 = _delta_core(signed, side).real
+        rate = _delta_core(stepped, side).imag / _STEP
+        _check_length(l_up, cuff)
+        d_up = _delta_core(signed_up, side).real
+        _check_length(l_down, cuff)
+        table.append((d0, rate, d_up, _delta_core(signed_down, side).real))
+    return table
 
 
 def delta_side(
     p: PantsMetric, t: PantsTriangulation, cuff: int, up: PantsMetric, down: PantsMetric
 ) -> tuple[float, float, float, float]:
-    """One side of a stretch vector: ``delta_closed`` at ``p``, its
-    ``delta_scale_derivative``, and ``delta_closed`` at ``up`` and ``down``
-    (``p`` scaled by e^h and e^-h), bit for bit.
-
-    The roles are resolved once and each metric's lengths are read once; the
-    four evaluations run in that order, and the first that fails raises what
-    the separate call would.
-    """
-    l, l_up, l_down = p.lengths, up.lengths, down.lengths
-    n, j, k = _roles(l, t, cuff)
-    e, ends = t.signs, t.ends
-    d0 = _delta_core(l, e, ends, cuff, j, k, n).real
-    rate = _scale_rate(l, t, cuff, j, k, n)
-    _check_length(l_up, cuff)
-    d_up = _delta_core(l_up, e, ends, cuff, j, k, n).real
-    _check_length(l_down, cuff)
-    return d0, rate, d_up, _delta_core(l_down, e, ends, cuff, j, k, n).real
+    """One side of a stretch vector (``p`` scaled by e^h and e^-h give ``up``
+    and ``down``): the row of ``(t, cuff)`` in the side table of
+    :func:`~thurston_kit.stretch.stretch_vectors`, or its first error."""
+    return _delta_sides(p, up, down, ((t, cuff),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +392,13 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     from the transported incircle median to the perpendicular foot.
     """
     l = p.lengths
-    n, j, k = _roles(l, t, cuff)
-    e = t.signs
+    _, n, *_, j, k = _roles(l, t, cuff)
+    e, signed = t.signs, _signed(l)
 
     def sc(i: int, jj: int) -> float:
         # cuff pair in increasing order, as shear_coords reports the leaf;
         # the order fixes the rounding of the (2,2,2) sum
-        return _shear_coord(l, e, t.ends, min(i, jj), max(i, jj))
+        return _shear(signed, _shear_coord(t.ends, e, min(i, jj), max(i, jj)))
 
     if n == 2:
         fan_shears = [sc(cuff, j)]

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_side
+from .pants import PantsMetric, PantsTriangulation, _delta_sides, delta_closed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -142,12 +142,12 @@ def _offset_drift(x: FNPoint, spec: StretchSpec, curve: int, s: float) -> float:
     if s == 0.0:
         return 0.0
     row = _SURFACES[x.surface]
-    metric = row.metric(x.lengths)
+    metric, f = row.metric(x.lengths), math.exp(s)
     d0, ds = (
         sum(delta_closed(m, spec.triangulations[pants], cuff) for pants, cuff in row.sides[curve])
-        for m in (metric, metric.scaled(math.exp(s)))
+        for m in (metric, metric.scaled(f))
     )
-    return d0 * math.exp(s) - ds
+    return d0 * f - ds
 
 
 def _signed_time(t: float) -> float:
@@ -226,8 +226,8 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
 
     with the offsets differentiated analytically (complex step); a central
     difference (step ``_CHECK_STEP``) must agree to ``DERIVATIVE_CHECK_REL`` relative.
-    Each side of the plan goes once through :func:`~thurston_kit.pants.delta_side`,
-    in order of first use, and the first that fails raises before any check.
+    The plan's sides go through the pants kernel in one pass, four evaluations
+    each in order of first use; the first that fails raises before any check.
     Each row sums its sides as the per-spec formula does (``0.0 + D1 + D2``,
     then ``theta + total - rate``), bit for bit.
     """
@@ -239,8 +239,7 @@ def stretch_vectors(x: FNPoint, plan: SidePlan) -> np.ndarray:
     metric = row.metric(x.lengths)
     up, down = metric.scaled(math.exp(_CHECK_STEP)), metric.scaled(math.exp(-_CHECK_STEP))
     # (offset, rate, offset at e^h, offset at e^-h) per side; the first side that fails raises
-    table = [delta_side(metric, tri, cuff, up, down) for tri, cuff in plan.sides]
-    values = np.array(table).reshape(-1, 4)
+    values = np.array(_delta_sides(metric, up, down, plan.sides)).reshape(-1, 4)
     values[:, 2] -= values[:, 3]
     # each (spec, curve) pair sums its two sides from 0.0 in order
     total0, dtotal, diff = (0.0 + values[plan.index[:, 0], :3] + values[plan.index[:, 1], :3]).T

@@ -418,15 +418,15 @@ def test_long_cuffs_give_a_certified_chamfered_cube():
 
 def _fifty_digit_cloud(x, mp):
     """The cloud at ``x`` with every offset and rate at 50 digits (under the
-    ``fifty_digits`` swap), one pass per side of the completions' plan,
-    rounded to float at the end."""
+    ``fifty_digits`` swap), one pass of the resolved kernel per side of the
+    completions' plan, rounded to float at the end."""
     plan = cube._completions()[2]
     lengths = stretch._SURFACES["S2"].metric(tuple(map(mp.mpf, x.lengths))).lengths
     sides = []
     for tri, c in plan.sides:
-        n, j, k = pants._roles(lengths, tri, c)
-        sides.append((pants._delta_core(lengths, tri.signs, tri.ends, c, j, k, n).real,
-                      pants._scale_rate(lengths, tri, c, j, k, n)))
+        side = pants._roles(lengths, tri, c)
+        sides.append((pants._delta_core(pants._signed(lengths), side).real,
+                      pants._delta_core(pants._stepped(lengths), side).imag / pants._STEP))
     rows = [x.twists[i % 3] + sides[a][0] + sides[b][0] - sides[a][1] - sides[b][1]
             for i, (a, b) in enumerate(plan.index.tolist())]
     return np.array([float(v) for v in rows]).reshape(-1, 3)
@@ -447,6 +447,83 @@ def test_long_cuff_cloud_matches_fifty_digits(lengths, twists, request):
     assert counts == hull(dedupe_points(exact)[0]).counts() == (32, 48, 18)
 
 
+def _cube_points_sha(tmp_path, lengths, twists):
+    """sha256 of the cube_points.json that ``cube`` writes at the base point."""
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\n"
+                   f"base_lengths={','.join(map(repr, lengths))}\nbase_twists={','.join(map(repr, twists))}\n")
+    assert main(["--config", str(cfg), "cube"]) == 0
+    return hashlib.sha256((tmp_path / "out" / "cube_points.json").read_bytes()).hexdigest()
+
+
+def test_resolved_sides_never_cross_namespaces(tmp_path, monkeypatch, request):
+    # float, then 50 digits, then float again in one process.  A resolved
+    # side holds only ints, so the 50-digit run, which makes the entries
+    # after a clear, stays within 5e-9 of the float cloud, and the last
+    # float run, which reads those entries, keeps every pinned bit
+    def clear():
+        pants._side.cache_clear()
+        pants._shear_coord.cache_clear()
+
+    lengths, twists, points_sha, _, _ = CUBE_ARTIFACT_SHA256[0]
+    x, specs = FNPoint("S2", lengths, twists), cube._completions()[0]
+    clear()
+    assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
+    floats = stretch_vectors(x, side_plan(specs))
+    clear()
+    exact = _fifty_digit_cloud(x, request.getfixturevalue("fifty_digits"))
+    assert np.max(np.abs(floats - exact)) <= 5e-9
+    monkeypatch.undo()
+    assert _bits(stretch_vectors(x, side_plan(specs)).tolist()) == _bits(floats.tolist())
+    assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
+
+
+def test_the_one_pass_side_table_is_the_per_side_loop_bit_for_bit(monkeypatch):
+    # stretch_vectors with its side table against the table as a loop of the
+    # four evaluations of each side, one call each, over random genus-two
+    # points: with cuffs where g cancels (from about 50), singular cuffs (one
+    # of 0.99995e-12 passes at p e^h) and a cuff of 1.0001e-12, which passes
+    # at p and fails at p e^{-h}; where one fails, both raise the same error
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    lengths = st.one_of(st.floats(math.log(1e-13), math.log(80.0)).map(math.exp),
+                        st.sampled_from([1.0001e-12, 0.99995e-12, 5e-13, 60.0]))
+    twists = st.floats(-2.0, 2.0)
+    plan = cube._completions()[2]
+    table = stretch._delta_sides
+
+    def per_side(p, up, down, sides):
+        return [(delta_closed(p, tri, cuff), delta_scale_derivative(p, tri, cuff),
+                 delta_closed(up, tri, cuff), delta_closed(down, tri, cuff)) for tri, cuff in sides]
+
+    def outcome(x):
+        try:
+            return _bits(stretch_vectors(x, plan).tolist())
+        except (ArithmeticError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    seen = set()
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(l1=lengths, l2=lengths, l3=lengths, t1=twists, t2=twists, t3=twists)
+    @hypothesis.example(l1=1.0001e-12, l2=1.0, l3=1.0, t1=0.0, t2=0.0, t3=0.0)
+    @hypothesis.example(l1=1.0, l2=0.99995e-12, l3=1.0, t1=0.0, t2=0.0, t3=0.0)
+    @hypothesis.example(l1=60.0, l2=60.0, l3=60.0, t1=0.0, t2=0.0, t3=0.0)
+    def check(l1, l2, l3, t1, t2, t3):
+        x = FNPoint("S2", (l1, l2, l3), (t1, t2, t3))
+        monkeypatch.setattr(stretch, "_delta_sides", table)
+        got = outcome(x)
+        monkeypatch.setattr(stretch, "_delta_sides", per_side)
+        assert outcome(x) == got
+        seen.add(got[0] if isinstance(got, tuple) else list)
+
+    check()
+    assert {list, ValueError, pants.SingularCuffError} <= seen
+    down = PantsMetric(1.0001e-12, 1.0, 1.0).scaled(math.exp(-stretch._CHECK_STEP)).l1
+    with pytest.raises(pants.SingularCuffError, match=f"^cuff 0 has length {re.escape(repr(down))};"):
+        stretch_vectors(FNPoint("S2", (1.0001e-12, 1.0, 1.0), (0.0, 0.0, 0.0)), plan)
+
+
 def test_dedupe_and_certificates_match_references():
     rng = np.random.default_rng(20261018)
     for _ in range(20):
@@ -460,18 +537,17 @@ def test_dedupe_and_certificates_match_references():
         assert list(summary.vertex_indices) == extreme_points_brute(uniq)
 
 
-def _rates_off_by_1e_3(side):
-    """``side`` (as ``pants.delta_side``) with every complex-step rate off by 1e-3."""
+def _rates_off_by_1e_3(table):
+    """``table`` (as ``pants._delta_sides``) with every complex-step rate off by 1e-3."""
 
     def off(*args):
-        d0, rate, d_up, d_down = side(*args)
-        return d0, rate + 1e-3, d_up, d_down
+        return [(d0, rate + 1e-3, d_up, d_down) for d0, rate, d_up, d_down in table(*args)]
 
     return off
 
 
 def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
-    monkeypatch.setattr(stretch, "delta_side", _rates_off_by_1e_3(stretch.delta_side))
+    monkeypatch.setattr(stretch, "_delta_sides", _rates_off_by_1e_3(stretch._delta_sides))
     with pytest.raises(ArithmeticError, match="central difference"):
         cloud(FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3)))
 
@@ -479,7 +555,7 @@ def test_cloud_derivative_check_catches_a_wrong_rate(monkeypatch):
 def test_derivative_check_names_the_first_failing_spec_and_curve(monkeypatch):
     # every rate is off, so the first spec's curve 0 fails first, with the
     # values of the per-spec sums
-    monkeypatch.setattr(stretch, "delta_side", _rates_off_by_1e_3(stretch.delta_side))
+    monkeypatch.setattr(stretch, "_delta_sides", _rates_off_by_1e_3(stretch._delta_sides))
     x = FNPoint("S2", (1.0, 0.7, 1.4), (0.2, 0.0, -0.3))
     metric, h = PantsMetric(*x.lengths), stretch._CHECK_STEP
     up, down = metric.scaled(math.exp(h)), metric.scaled(math.exp(-h))
@@ -515,8 +591,9 @@ def test_cloud_rejects_a_non_finite_vector(monkeypatch):
 def test_cloud_rejects_a_non_finite_offset_without_a_warning(monkeypatch):
     # a NaN offset passes the derivative check (no comparison with NaN holds)
     # and reaches the vectors, which the cloud rejects
-    side = stretch.delta_side
-    monkeypatch.setattr(stretch, "delta_side", lambda *args: (math.nan, side(*args)[1], math.nan, math.nan))
+    table = stretch._delta_sides
+    monkeypatch.setattr(stretch, "_delta_sides",
+                        lambda *args: [(math.nan, rate, math.nan, math.nan) for _, rate, _, _ in table(*args)])
     with warnings.catch_warnings(), pytest.raises(ValueError, match="^twist vector components must be finite$"):
         warnings.simplefilter("error")
         cloud(symmetric_base_point())

@@ -25,7 +25,7 @@ from thurston_kit.pants import (
     _delta_core,
     _next_gap,
     _roles,
-    _shear_coord,
+    _signed,
     _solve_monotone,
 )
 
@@ -513,11 +513,29 @@ def test_delta_side_raises_what_the_first_failing_evaluation_raises(lengths, cuf
     assert failures > 0
 
 
-def _reference_delta_core(l, e, ends, cuff, j, k, n):
-    """The offset kernel as written before each exponential was shared: a
-    ``functools.partial`` per call and every repeated exponential evaluated anew."""
+def _reference_shear(l, e, ends, i, j):
+    """The shear coordinate of the leaf between cuffs ``i`` and ``j``, as
+    written before its terms were resolved once per side."""
+    if ends == (2, 2, 2):
+        k = 3 - i - j
+        return 0.5 * (e[k] * l[k] - e[i] * l[i] - e[j] * l[j])
+    m = ends.index(4)
+    if i == j == m:
+        a, b = ((1, 2), (0, 2), (0, 1))[m]
+        return 0.5 * (-e[m] * l[m] + e[a] * l[a] + e[b] * l[b])
+    other = j if i == m else i
+    return -e[other] * l[other]
+
+
+def _reference_delta_core(l, e, ends, cuff):
+    """The offset kernel as written before each exponential was shared and
+    each side resolved once: the roles and a ``functools.partial`` per call,
+    and every repeated exponential evaluated anew."""
     exp, log = cmath.exp, cmath.log
-    sc = functools.partial(_shear_coord, l, e, ends)
+    n = ends[cuff]
+    j = ends.index(4) if n == 1 else (cuff + 1) % 3
+    k = 3 - cuff - j
+    sc = functools.partial(_reference_shear, l, e, ends)
     ec, lc = e[cuff], l[cuff]
     try:
         if n == 2:
@@ -545,8 +563,9 @@ def _reference_delta_core(l, e, ends, cuff, j, k, n):
 
 
 def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
-    # real lengths (the offset) and complex-step lengths (the rate), all 32
-    # types and 3 cuffs, cuffs log-uniform from 1e-3 to 30 (long cuffs fail)
+    # the resolved kernel against the kernel as first written: real lengths
+    # (the offset) and complex-step lengths (the rate), all 32 types and 3
+    # cuffs, cuffs log-uniform from 1e-3 to 30 (long cuffs fail)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     log_length = st.floats(math.log(1e-3), math.log(30.0))
@@ -560,11 +579,20 @@ def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
         for lengths in (pm.lengths, tuple(v * step for v in pm.lengths)):
             for tri in tris:
                 for cuff in range(3):
-                    n, j, k = _roles(pm.lengths, tri, cuff)
-                    args = (lengths, tri.signs, tri.ends, cuff, j, k, n)
-                    assert _outcome(lambda: _hex(_delta_core(*args))) == _outcome(lambda: _hex(_reference_delta_core(*args)))
+                    side = _roles(pm.lengths, tri, cuff)
+                    assert (_outcome(lambda: _hex(_delta_core(_signed(lengths), side)))
+                            == _outcome(lambda: _hex(_reference_delta_core(lengths, tri.signs, tri.ends, cuff))))
 
     check()
+
+
+def test_shear_coords_match_the_unresolved_formula_bit_for_bit():
+    # every leaf of every type, at lengths with punctures and at distinct lengths
+    for lengths in ((0.7, 1.9, 3.1), (1.0, 0.0, 0.0), (2.5, 2.5, 0.0), (1e-13, 800.0, 3.0)):
+        for tri in enumerate_triangulations():
+            for label, value in shear_coords(PantsMetric(*lengths), tri).items():
+                i, j = int(label[1]) - 1, int(label[2]) - 1
+                assert value.hex() == _reference_shear(lengths, tri.signs, tri.ends, i, j).hex()
 
 
 # ------------------------------------------------------- 50-digit references

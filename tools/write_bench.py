@@ -14,7 +14,8 @@ digest of each side as its records give them (a checkout without
 digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
 one ``pants.delta_side`` (the four offset evaluations of one side of a
-stretch vector, over the 96 sides at the genus-two symmetric point), one
+stretch vector, over the 96 sides at the genus-two symmetric point, scaled
+by the derivative check's step ``stretch._CHECK_STEP``), one
 ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_widths`` cell that the integer slopes decide and one
@@ -90,7 +91,8 @@ def closed():
     for t, cuff in cases:
         pants.delta_closed(metric, t, cuff)
 unit = pants.PantsMetric(1.0, 1.0, 1.0)
-up, down = unit.scaled(math.exp(1e-6)), unit.scaled(math.exp(-1e-6))
+# the derivative check's step, which the stretch vectors scale by
+up, down = unit.scaled(math.exp(stretch._CHECK_STEP)), unit.scaled(math.exp(-stretch._CHECK_STEP))
 def side():
     for t, cuff in cases:
         pants.delta_side(unit, t, cuff, up, down)
@@ -204,7 +206,8 @@ print(json.dumps({"torus.envelope_widths[default grid]": (time.perf_counter() - 
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
-    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-1e-6}; "
+    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-h} with h the derivative "
+    "check's step stretch._CHECK_STEP (3e-4); "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_widths: the one cell (width_point('S11', 1.0), t = 4) at max_q 30, which the integer "
