@@ -8,8 +8,8 @@ its convex hull at the symmetric base point is combinatorially a
 chamfered cube.  One qhull run gives its points-by-merged-faces incidence
 matrix; its 32 vertices, the rows on three or more faces, are certified by
 arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
-covers.  Near-equal points merge after one sort on the first column; the
-faces are qhull's merged facets.  The least-squares extremality test
+covers.  Near-equal points merge by one all-pairs comparison; the faces
+are qhull's merged facets.  The least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
 
@@ -71,33 +71,22 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
     Each point joins the first representative within ``HULL_TOL`` (max norm) or
     becomes a new one; a row equal to an earlier one joins its group unexamined.
-    Close rows are close in the first column, so one sort on it cuts the
-    distinct rows into runs, split where neighbours differ by more than
-    ``HULL_TOL``, and only rows of one run are compared, every column in plain
-    Python.  A row with a NaN is close to nothing, itself included.
+    A row with a NaN is close to nothing, itself included.
     """
     import numpy as np
 
     pts = np.asarray(points, dtype=float)
-    rows = pts.tolist()
     first: dict[tuple[float, ...], int] = {}
-    twin = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
+    twin = [first.setdefault(tuple(row), i) for i, row in enumerate(pts.tolist())]
     distinct = list(first.values())
-    xs = pts[distinct, 0]
-    order = np.argsort(xs, kind="stable")
-    cuts = (np.flatnonzero(~(np.abs(np.diff(xs[order])) <= HULL_TOL)) + 1).tolist()
-    order = order.tolist()
-    rep = list(range(len(rows)))
-    close = HULL_TOL.__ge__
-    for start, stop in zip([0, *cuts], [*cuts, len(distinct)]):
-        heads: list[int] = []
-        for i in sorted(distinct[k] for k in order[start:stop]):
-            for h in heads:
-                if all(map(close, map(abs, map(operator.sub, rows[h], rows[i])))):
-                    rep[i] = h
-                    break
-            else:
-                heads.append(i)
+    close = np.tri(len(distinct), k=-1, dtype=bool)
+    for column in pts[distinct].T:
+        close &= np.abs(column[:, None] - column) <= HULL_TOL
+    rep = list(range(len(pts)))
+    # the close (later, earlier) pairs in row-major order: each row meets the earlier ones in input order
+    for later, earlier in np.take(distinct, np.argwhere(close)).tolist():
+        if rep[later] == later and rep[earlier] == earlier:
+            rep[later] = earlier
     # every representative precedes the points it claims, so this numbers them in input order
     number: dict[int, int] = {}
     group = [number.setdefault(rep[t], len(number)) for t in twin]

@@ -261,6 +261,43 @@ def test_dedupe_matches_the_reference(case):
     assert np.array_equal(uniq, ref_uniq.reshape(uniq.shape), equal_nan=True)
 
 
+def _near_copies(rng, n, d):
+    """n rows in d columns drawn from a few base rows, shuffled: exact copies, near
+    copies 1e-12 to 3e-9 away, chains of steps of 6e-10, rows with a NaN and zero
+    rows of mixed signs."""
+    base = rng.normal(size=(int(rng.integers(1, n + 1)), d))
+    rows = []
+    while len(rows) < n:
+        row, kind = base[rng.integers(len(base))], rng.integers(5)
+        if kind == 0:
+            rows.append(row)
+        elif kind == 1:
+            rows.append(row + rng.uniform(-1.0, 1.0, d) * 10 ** rng.uniform(-12.0, math.log10(3e-9)))
+        elif kind == 2:
+            rows.extend(row + k * 6e-10 for k in range(int(rng.integers(2, 6))))
+        elif kind == 3:
+            rows.append(np.where(np.arange(d) == rng.integers(d), math.nan, row))
+        else:
+            rows.append(np.copysign(np.zeros(d), rng.choice([-1.0, 1.0], d)))
+    return np.array(rows[:n])[rng.permutation(n)]
+
+
+def test_dedupe_matches_the_reference_on_random_near_copies():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 4))
+    def check(seed, n, d):
+        points = _near_copies(np.random.default_rng(seed), n, d)
+        uniq, group = dedupe_points(points)
+        ref_uniq, ref_group = _reference_dedupe(points, cube.HULL_TOL)
+        assert group == ref_group
+        assert np.array_equal(uniq, ref_uniq, equal_nan=True)
+
+    check()
+
+
 def _random_base_point(rng):
     lengths = tuple(float(v) for v in np.exp(rng.uniform(math.log(0.2), math.log(5.0), 3)))
     twists = tuple(float(v) for v in rng.uniform(-2.0, 2.0, 3))

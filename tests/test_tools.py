@@ -36,10 +36,10 @@ def test_write_bench_counts_pairs_by_seed_in_the_better_direction():
     assert oracle["seeds"] == {"parent": [1, 2, 3, 4], "change": [1, 2, 3, 5]}
     assert oracle["op_p50_ms"]["pairs"] == {"count": 3, "change_wins": 1, "ties": 1, "parent_wins": 1}
     assert oracle["ok_frac"]["pairs"] == {"count": 3, "change_wins": 1, "ties": 1, "parent_wins": 1}
-    # the spread covers every run of a side, paired or not
-    assert oracle["op_p50_ms"]["parent"]["median"] == 0.55
-    assert oracle["op_p50_ms"]["change"]["by_seed"] == {"1": 0.3, "2": 0.6, "3": 0.5, "5": 0.1}
-    assert (oracle["op_p50_ms"]["parent"]["q1"], oracle["op_p50_ms"]["parent"]["q3"]) == (0.475, 0.625)
+    # the spread covers the paired seeds only; the unpaired ones stay listed in "seeds"
+    assert oracle["op_p50_ms"]["parent"]["median"] == 0.5
+    assert oracle["op_p50_ms"]["change"]["by_seed"] == {"1": 0.3, "2": 0.6, "3": 0.5}
+    assert (oracle["op_p50_ms"]["parent"]["q1"], oracle["op_p50_ms"]["parent"]["q3"]) == (0.45, 0.55)
 
 
 def test_source_stats_counts_only_fields_and_parameters_with_defaults():
@@ -188,17 +188,52 @@ def test_write_bench_reports_the_quartiles_of_the_round_ratios():
 
 
 def test_write_bench_pairs_tier1_runs_by_round(monkeypatch):
-    runs = iter([2.0, 1.0, 4.0, 3.0, 3.0, 2.7])
+    runs = {Path("p"): iter([2.0, 4.0, 3.0]), Path("c"): iter([1.0, 3.0, 2.7])}
 
     def fake(cmd, root, cwd):
         assert cmd[1:4] == ["-m", "pytest", "-q"] and cwd == root
-        return next(runs), subprocess.CompletedProcess(cmd, 0, stdout=f"...\n3 passed in {root.name}\n")
+        return next(runs[root]), subprocess.CompletedProcess(cmd, 0, stdout=f"...\n3 passed in {root.name}\n")
 
     monkeypatch.setattr(write_bench, "wall_time", fake)
     timings = write_bench.tier1_timings({"parent": Path("p"), "change": Path("c")}, rounds=3)
     assert (timings["parent"], timings["change"]) == (3.0, 2.7)
     assert timings["change_over_parent"] == 0.75
     assert timings["summary"] == {"parent": "3 passed in p", "change": "3 passed in c"}
+
+
+def test_write_bench_alternates_which_side_runs_first(monkeypatch):
+    roots = {"parent": Path("p"), "change": Path("c")}
+    calls = []
+
+    def fake_snippet(root, code, *args):
+        calls.append((root.name, code is write_bench.LAYER_SNIPPET))
+        return {"layer" if code is write_bench.LAYER_SNIPPET else "grid": 2.0 if root.name == "c" else 1.0}
+
+    monkeypatch.setattr(write_bench, "run_snippet", fake_snippet)
+    timings = write_bench.layer_timings(roots)
+    # the parent leads the even rounds, the change the odd ones; each side runs
+    # the layer snippet, then the default-grid one
+    expected = []
+    for r in range(write_bench.LAYER_ROUNDS):
+        for side in ("p", "c") if r % 2 == 0 else ("c", "p"):
+            expected += [(side, True), (side, False)]
+    assert calls == expected
+    assert timings["layer"]["change_over_parent"] == timings["grid"]["change_over_parent"] == 2.0
+
+    order = []
+
+    def fake_wall_time(cmd, root, cwd):
+        order.append(root.name)
+        return 1.0, subprocess.CompletedProcess(cmd, 0, stdout="")
+
+    monkeypatch.setattr(write_bench, "wall_time", fake_wall_time)
+    write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:2], rounds=4)
+    assert order == list("pcpc" "cpcp" "pcpc" "cpcp")
+    order.clear()
+    write_bench.tier1_timings(roots, rounds=2)
+    assert order == list("pccp")
+    # an even number of rounds, so each side runs first equally often
+    assert write_bench.LAYER_ROUNDS % 2 == write_bench.CLI_ROUNDS % 2 == write_bench.TIER1_ROUNDS % 2 == 0
 
 
 def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():

@@ -5,13 +5,14 @@
 Each root is a source checkout in which ``perfbench/run.py`` ran with
 ``--trace 0``; its records are ``<root>/.perfbench_out/result-<workload>-
 seed<n>-trace0.json``.  For each workload recorded on both sides, OUT
-holds, per end-to-end metric declared in ``BENCHMARK.json``, each side's
-median, quartiles and per-seed values, and, over the seeds run on both
-sides, how many of those pairs the change wins, ties and loses in the
-metric's ``better`` direction.  It also holds the git sha and source
-digest of each side as its records give them (a checkout without
-``.git`` has no sha, and one with uncommitted changes reports HEAD; the
-digest identifies the source), the machine the records report, and
+holds, per end-to-end metric declared in ``BENCHMARK.json`` and over the
+seeds run on both sides only, each side's median, quartiles and per-seed
+values and how many of those pairs the change wins, ties and loses in the
+metric's ``better`` direction; a seed run on one side only is listed in
+that side's ``seeds`` and counts in nothing else.  It also holds the git
+sha and source digest of each side as its records give them (a checkout
+without ``.git`` has no sha, and one with uncommitted changes reports
+HEAD; the digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
 one ``pants.delta_side`` (the four offset evaluations of one side of a
 stretch vector, over the 96 sides at the genus-two symmetric point, scaled
@@ -33,15 +34,19 @@ one ``control.python_kernel``, a
 fixed loop that calls nothing of the package, so its ratio shows the
 host's own drift between sides: the best of several
 repeats per fresh process, in processes that import each root's ``src``
-in turn.  In a second fresh process per round and side,
-``torus.envelope_widths`` runs once on the default ``envelope`` grid at
-``GRID_MAX_Q``, the CLI's cap, first-use plan builds included.  Each
+in turn.  The timings run in rounds of one process per side, and the
+sides alternate: the parent runs first in even rounds and the change in
+odd ones (``round_order``), so with an even number of rounds a drift of
+the host's speed within a round favours neither side.  In a second fresh
+process per round and side, ``torus.envelope_widths`` runs once on the
+default ``envelope`` grid at ``GRID_MAX_Q``, the CLI's cap, first-use
+plan builds included.  Each
 layer reports the median over rounds of the change's time over the
 parent's in the same round, with the quartiles of those ratios: a median
-of 5 does not resolve 20% on a noisy host.  Last, the wall time of each
+of 6 does not resolve 20% on a noisy host.  Last, the wall time of each
 ``CLI_COMMANDS`` subcommand in a fresh process with the default config,
-and of the Tier-1 suite (``python -m pytest -q`` in the root),
-alternating sides, with the same ratio quartiles.
+and of the Tier-1 suite (``python -m pytest -q`` in the root), in
+the same alternating rounds, with the same ratio quartiles.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
@@ -60,8 +65,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-#: fresh processes per side for the layer timings, alternating sides
-LAYER_ROUNDS = 5
+#: fresh processes per side for the layer timings, one per round; even, so
+#: that each side runs first in half the rounds (see ``round_order``)
+LAYER_ROUNDS = 6
 #: the subcommands timed end to end, each run with the default config
 CLI_COMMANDS = (
     ("delta", "--type", "3sym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "2"),
@@ -70,9 +76,9 @@ CLI_COMMANDS = (
     ("cube",),
     ("oracle-check",),
 )
-#: fresh processes per side and subcommand, alternating sides
-CLI_ROUNDS = 5
-#: Tier-1 runs per side, alternating sides
+#: fresh processes per side and subcommand, one per round; even, as LAYER_ROUNDS
+CLI_ROUNDS = 6
+#: Tier-1 runs per side, one per round; even, as LAYER_ROUNDS
 TIER1_ROUNDS = 2
 #: max_q of the default-grid layer, the CLI's cap
 GRID_MAX_Q = 400
@@ -238,7 +244,8 @@ END_TO_END_INPUTS = (
     "with the default config (no --config) in a temporary directory, "
     f"median of {CLI_ROUNDS} runs per side; tier1_seconds: `python -m pytest -q "
     f"--continue-on-collection-errors -p no:cacheprovider` in the root, median of {TIER1_ROUNDS} "
-    "runs per side, with the last line pytest printed; sides alternate, and change_over_parent "
+    "runs per side, with the last line pytest printed; the side that runs first alternates by round "
+    "(the parent in even rounds, the change in odd ones), and change_over_parent "
     "is the median over rounds of the change's time over the parent's in the same round, "
     "change_over_parent_quartiles the quartiles of those ratios"
 )
@@ -257,7 +264,8 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
-    """Per workload and metric: each side's spread and per-seed values, and the pair counts."""
+    """Per workload and metric: each side's spread and per-seed values over the
+    seeds both sides ran, and the pair counts; ``seeds`` lists every seed of a side."""
     by_side = {side: {} for side in SIDES}
     for side in SIDES:
         for record in records[side]:
@@ -265,10 +273,10 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
             by_side[side].setdefault(info["workload"], {})[info["seed"]] = record
     out = {}
     for workload in sorted(set(by_side["parent"]) & set(by_side["change"])):
-        runs = {side: by_side[side][workload] for side in SIDES}
-        seeds = sorted(set(runs["parent"]) & set(runs["change"]))
+        seeds = sorted(set(by_side["parent"][workload]) & set(by_side["change"][workload]))
+        runs = {side: {seed: by_side[side][workload][seed] for seed in seeds} for side in SIDES}
         entry = {
-            "seeds": {side: sorted(runs[side]) for side in SIDES},
+            "seeds": {side: sorted(by_side[side][workload]) for side in SIDES},
             "run_seconds": {side: sorted({r["info"]["seconds"] for r in runs[side].values()}) for side in SIDES},
         }
         for metric in declared:
@@ -312,6 +320,13 @@ def paired(samples: dict[str, list[float]]) -> dict:
             "change_over_parent": ratios["median"], "change_over_parent_quartiles": [ratios["q1"], ratios["q3"]]}
 
 
+def round_order(r: int) -> tuple[str, ...]:
+    """The sides in the order they run in round ``r``: the parent first in even
+    rounds, the change first in odd ones, so neither always runs first on a host
+    whose speed drifts."""
+    return SIDES if r % 2 == 0 else SIDES[::-1]
+
+
 def run_snippet(root: Path, code: str, *args: str) -> dict:
     """The JSON that ``code`` prints in a fresh process with ``root``'s ``src`` on the path."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -322,8 +337,8 @@ def run_snippet(root: Path, code: str, *args: str) -> dict:
 
 def layer_timings(roots: dict[str, Path]) -> dict:
     samples = {side: [] for side in SIDES}
-    for _ in range(LAYER_ROUNDS):
-        for side in SIDES:
+    for r in range(LAYER_ROUNDS):
+        for side in round_order(r):
             samples[side].append({**run_snippet(roots[side], LAYER_SNIPPET),
                                   **run_snippet(roots[side], GRID_SNIPPET, str(GRID_MAX_Q))})
     return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES}) for name in samples["parent"][0]}
@@ -334,9 +349,9 @@ def cli_timings(roots: dict[str, Path], commands=CLI_COMMANDS, rounds: int = CLI
     that exits non-zero stops the script."""
     samples = {argv[0]: {side: [] for side in SIDES} for argv in commands}
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(rounds):
+        for r in range(rounds):
             for argv in commands:
-                for side in SIDES:
+                for side in round_order(r):
                     seconds, proc = wall_time([sys.executable, "-m", "thurston_kit.cli", *argv], roots[side], Path(tmp))
                     if proc.returncode != 0:
                         raise SystemExit(f"error: {side} `{' '.join(argv)}` exited {proc.returncode}: {proc.stderr}")
@@ -348,8 +363,8 @@ def tier1_timings(roots: dict[str, Path], rounds: int = TIER1_ROUNDS) -> dict:
     """Wall seconds of the Tier-1 suite in each root, with its last output line."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
     samples, summary = {side: [] for side in SIDES}, {}
-    for _ in range(rounds):
-        for side in SIDES:
+    for r in range(rounds):
+        for side in round_order(r):
             seconds, proc = wall_time(cmd, roots[side], roots[side])
             samples[side].append(seconds)
             summary[side] = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
