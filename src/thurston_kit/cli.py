@@ -5,21 +5,24 @@ oracle-check.  Numeric output uses 17 significant digits, CSV files use
 '.' decimals and LF line endings, JSON keys are snake_case and sorted;
 repeated runs with the same configuration are byte-identical.
 
-Exit codes: 0 success, 1 computational failure, 2 usage error.  A value
-may start with '-', with or without '=': ``stretch --t -1e-05`` runs forward.
+Exit codes: 0 success, 1 computational failure, 2 usage error.  The
+arguments are read from the command table :data:`_COMMANDS` by argparse's
+rules, and a value may start with one '-', with or without '=':
+``stretch --t -1e-05`` runs forward.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import math
+import re
 import struct
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import bounds, cube, reconcile, stretch, torus
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_oracle, shear_coords
@@ -147,7 +150,7 @@ def _parse_lengths(text: str, n: int) -> tuple[float, ...]:
 def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangulation:
     """Type for the distinguished cuff: 3sym = (2,2,2); 2sym puts the four
     leaf ends at the cuff; asym puts one end there and four at the
-    cyclically next cuff.  ``cuff`` is 0-based; argparse checks ``kind``."""
+    cyclically next cuff.  ``cuff`` is 0-based; the parser checks ``kind``."""
     if cuff not in (0, 1, 2):
         raise ConfigError("cuff must be 1, 2 or 3")
     if kind == "3sym":
@@ -156,7 +159,7 @@ def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangu
     return PantsTriangulation(tuple(4 if i == four else 1 for i in range(3)), signs)
 
 
-def _pants_args(args: argparse.Namespace) -> tuple[PantsMetric, PantsTriangulation, int]:
+def _pants_args(args: SimpleNamespace) -> tuple[PantsMetric, PantsTriangulation, int]:
     """The cuff lengths, triangulation and 0-based cuff of ``delta`` and ``shear``."""
     cuff = args.cuff - 1
     tri = _triangulation(args.type, cuff, _parse_signs(args.signs))
@@ -212,7 +215,7 @@ def _cube_points(entries: list[dict]) -> tuple[str, str]:
     return "[\n" + points_json + "\n]\n", "completion,d_twist_1,d_twist_2,d_twist_3,extreme\n" + points_csv
 
 
-def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_delta(args: SimpleNamespace, cfg: Config) -> int:
     pm, tri, cuff = _pants_args(args)
     closed = delta_closed(pm, tri, cuff)
     oracle = delta_oracle(pm, tri, cuff)
@@ -222,14 +225,14 @@ def cmd_delta(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if abs(closed - oracle) <= reconcile.TOLERANCE else 1
 
 
-def cmd_shear(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_shear(args: SimpleNamespace, cfg: Config) -> int:
     pm, tri, _ = _pants_args(args)
     for key, value in sorted(shear_coords(pm, tri).items()):
         print(f"{key}={format_float(value)}")
     return 0
 
 
-def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_stretch(args: SimpleNamespace, cfg: Config) -> int:
     n = stretch.curve_count(args.surface)
     x = FNPoint(args.surface, _parse_lengths(args.l, n), _parse_lengths(args.tau, n))
     completion = left_spec if args.completion == "L" else right_spec
@@ -239,13 +242,13 @@ def cmd_stretch(args: argparse.Namespace, cfg: Config) -> int:
     return 0
 
 
-def cmd_twist_width(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_twist_width(args: SimpleNamespace, cfg: Config) -> int:
     val = twist_width_closed(args.l0, args.t)
     print(f"twist_width={format_float(val)}")
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_sweep(args: SimpleNamespace, cfg: Config) -> int:
     rows, summary = bounds.run_sweep(cfg.l0_values, cfg.t_values(), cfg.max_q)
     out = Path(cfg.out_dir)
     _write_csv(out / "sweep.csv", "l0,t,regime,bound_value", "%.17g,%.17g,%s,%.17g\n", rows)
@@ -254,7 +257,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if summary["global_bounded"] else 1
 
 
-def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_envelope(args: SimpleNamespace, cfg: Config) -> int:
     t_values = cfg.t_values()
     cells = [(l0, t) for l0 in cfg.l0_values for t in t_values]
     widths = torus.envelope_widths([(stretch.width_point("S11", l0), t) for l0, t in cells], cfg.max_q)
@@ -275,7 +278,7 @@ def cmd_envelope(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if math.isfinite(sup) else 1
 
 
-def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_cube(args: SimpleNamespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
     n_vertices, n_edges, n_faces = result["hull_counts"]
     hull_info = {
@@ -294,7 +297,7 @@ def cmd_cube(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if hull_info["brute_force_agrees"] else 1
 
 
-def cmd_oracle_check(args: argparse.Namespace, cfg: Config) -> int:
+def cmd_oracle_check(args: SimpleNamespace, cfg: Config) -> int:
     report = reconcile.build_report()
     out = Path(cfg.out_dir)
     _write_json(out / "reconciliation.json", report)
@@ -303,70 +306,216 @@ def cmd_oracle_check(args: argparse.Namespace, cfg: Config) -> int:
     return 0 if report["ok"] else 1
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first :func:`main` call."""
-    parser = argparse.ArgumentParser(
-        prog="thurston-kit",
-        description="Shear and twist computations on hyperbolic pairs of pants, "
-        "stretch-path twist evolution, envelope bound sweeps, and the "
-        "stretch-vector hull.",
-    )
-    parser.add_argument("--config", help="key=value config file")
-    sub = parser.add_subparsers(dest="command", required=True)
+#: marks an option of the command table that has no default
+_REQUIRED = object()
+_DESCRIPTION = ("Shear and twist computations on hyperbolic pairs of pants, stretch-path twist "
+                "evolution, envelope bound sweeps, and the stretch-vector hull.")
+_KINDS = ("3sym", "2sym", "asym")
+#: the options before the command; each maps to (converter, default, help line), where a
+#: converter is str, int, float or a tuple of choices and the default _REQUIRED makes it required
+_TOP_OPTIONS = {"config": (str, None, "key=value config file")}
+#: name -> (function, help line, options), the options as in _TOP_OPTIONS
+_COMMANDS = {
+    "delta": (cmd_delta, "closed-form vs constructive twist offset", {
+        "type": (_KINDS, _REQUIRED, "triangulation type"),
+        "l": (str, _REQUIRED, "three cuff lengths, e.g. 1,1,1"),
+        "signs": (str, _REQUIRED, "twist directions, e.g. LLL"),
+        "cuff": (int, _REQUIRED, "distinguished cuff (1-3)"),
+    }),
+    "shear": (cmd_shear, "shear coordinates of a triangulation", {
+        "type": (_KINDS, _REQUIRED, "triangulation type"),
+        "l": (str, _REQUIRED, "three cuff lengths, e.g. 1,1,1"),
+        "signs": (str, _REQUIRED, "twist directions, e.g. LLL"),
+        "cuff": (int, 1, "distinguished cuff (1-3)"),
+    }),
+    "stretch": (cmd_stretch, "stretch a Fenchel-Nielsen point", {
+        "surface": (stretch.SURFACES, "S11", "surface"),
+        "l": (str, _REQUIRED, "one length per curve, comma-separated"),
+        "tau": (str, _REQUIRED, "one twist per curve, comma-separated"),
+        "t": (float, _REQUIRED, "time; a negative t runs forward"),
+        "completion": (("L", "R"), "L", "left or right completion"),
+    }),
+    "twist-width": (cmd_twist_width, "closed-form twist width", {
+        "l0": (float, _REQUIRED, "alpha-length parameter"),
+        "t": (float, _REQUIRED, "time; a negative t runs forward"),
+    }),
+    "sweep": (cmd_sweep, "bound-expression sweep over the (l0, t) grid", {}),
+    "envelope": (cmd_envelope, "distance estimates between stretch endpoints", {}),
+    "cube": (cmd_cube, "stretch-vector cloud and hull on the genus-two surface", {}),
+    "oracle-check": (cmd_oracle_check, "write the convention reconciliation report", {}),
+}
+#: argparse's negative-number pattern: such a token is a positional argument
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p = sub.add_parser("delta", help="closed-form vs constructive twist offset")
-    p.add_argument("--type", required=True, choices=("3sym", "2sym", "asym"))
-    p.add_argument("--l", required=True, help="three cuff lengths, e.g. 1,1,1")
-    p.add_argument("--signs", required=True, help="twist directions, e.g. LLL")
-    p.add_argument("--cuff", required=True, type=int, help="distinguished cuff (1-3)")
-    p.set_defaults(func=cmd_delta)
 
-    p = sub.add_parser("shear", help="shear coordinates of a triangulation")
-    p.add_argument("--type", required=True, choices=("3sym", "2sym", "asym"))
-    p.add_argument("--l", required=True)
-    p.add_argument("--signs", required=True)
-    p.add_argument("--cuff", type=int, default=1)
-    p.set_defaults(func=cmd_shear)
+def _flag(name: str, converter: object) -> str:
+    """``--name`` and its value's placeholder: the choices, or the name in capitals."""
+    return f"--{name} " + ("{%s}" % ",".join(converter) if isinstance(converter, tuple) else name.upper())
 
-    p = sub.add_parser("stretch", help="stretch a Fenchel-Nielsen point")
-    p.add_argument("--surface", choices=stretch.SURFACES, default="S11")
-    p.add_argument("--l", required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.add_argument("--completion", choices=("L", "R"), default="L")
-    p.set_defaults(func=cmd_stretch)
 
-    p = sub.add_parser("twist-width", help="closed-form twist width")
-    p.add_argument("--l0", type=float, required=True)
-    p.add_argument("--t", type=float, required=True)
-    p.set_defaults(func=cmd_twist_width)
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: thurston-kit [-h] [--config CONFIG] {%s} ..." % ",".join(_COMMANDS)
+    words = [f"usage: thurston-kit {command} [-h]"]
+    for name, (converter, default, _) in _COMMANDS[command][2].items():
+        flag = _flag(name, converter)
+        words.append(flag if default is _REQUIRED else f"[{flag}]")
+    return " ".join(words)
 
-    p = sub.add_parser("sweep", help="bound-expression sweep over the (l0, t) grid")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("envelope", help="distance estimates between stretch endpoints")
-    p.set_defaults(func=cmd_envelope)
+def _help(command: str | None) -> str:
+    """The usage line, the description or the command's help line, then the
+    commands (before a command) and the options, one a line with its help line."""
+    if command is None:
+        about, options = _DESCRIPTION, _TOP_OPTIONS
+        lines = ["commands:", *(f"  {name:<26}{spec[1]}" for name, spec in _COMMANDS.items()), ""]
+    else:
+        _, about, options = _COMMANDS[command]
+        lines = []
+    lines += ["options:", f"  {'-h, --help':<26}show this help message and exit"]
+    for name, (converter, default, line) in options.items():
+        lines.append(f"  {_flag(name, converter):<26}{line}" + " (required)" * (default is _REQUIRED))
+    return "\n".join([_usage(command), "", about, "", *lines, ""])
 
-    p = sub.add_parser("cube", help="stretch-vector cloud and hull on the genus-two surface")
-    p.set_defaults(func=cmd_cube)
 
-    p = sub.add_parser("oracle-check", help="write the convention reconciliation report")
-    p.set_defaults(func=cmd_oracle_check)
-    return parser
+def _fail(command: str | None, message: str) -> NoReturn:
+    """A usage error as argparse reports it: the usage, the error line, exit 2."""
+    prog = "thurston-kit" if command is None else f"thurston-kit {command}"
+    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _prefixes(options: dict) -> dict[str, list[str]]:
+    """Each prefix of the name of an option of ``options`` or of ``help`` ->
+    the names it is a prefix of, ``help`` first; an exact name gives itself only."""
+    names = ("help", *options)
+    prefixes: dict[str, list[str]] = {}
+    for name in names:
+        for k in range(len(name)):
+            prefixes.setdefault(name[:k], []).append(name)
+    return prefixes | {name: [name] for name in names}
+
+
+#: the prefixes of the options before the command (None) and of each command's
+_PREFIXES = {None: _prefixes(_TOP_OPTIONS)} | {name: _prefixes(spec[2]) for name, spec in _COMMANDS.items()}
+
+
+def _read(token: str, command: str | None) -> tuple[str | None, str | None] | None:
+    """argparse's reading of one token before the command (``command`` None) or
+    after it: None for a positional argument, else (option name, explicit
+    value or None), the name None for an unknown option.
+
+    A long option is its exact name or a unique prefix of it, with an
+    optional ``=value``; an ambiguous prefix is a usage error.  ``-h`` may
+    carry more letters: ``-hh`` is -h twice, and ``-hx`` or ``-h=x`` gives it
+    the explicit value ``x``.  A lone ``-``, a negative number and a token
+    with a space that names no option are positional.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    if token[1] == "-":
+        flag, equals, value = token[2:].partition("=")
+        matches = _PREFIXES[command].get(flag)
+        if matches is None:
+            return None if " " in token else (None, None)
+        if len(matches) > 1:
+            _fail(command, f"ambiguous option: {token} could match {', '.join('--' + m for m in matches)}")
+        return matches[0], value if equals else None
+    if token == "-h":
+        return "help", None
+    if token[:2] == "-h":
+        value = token[3:] if token[2] == "=" else token[2:]
+        rest = value.lstrip("h")
+        return "help", None if value and not rest else rest
+    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
+
+
+def _options(tokens: list[str], command: str | None, values: dict, extras: list[str]) -> int:
+    """Read ``tokens`` before the command (``command`` None) or after it into
+    ``values`` and return the index of the first positional token; before
+    the command that token is the command, after it every token is read.
+
+    Every token up to the first ``--`` is read before any is taken, so an
+    ambiguous prefix fails first.  Tokens are taken in order, and a value is
+    converted when taken.  An option takes the token after it as its value
+    unless that token is ``--`` or an option that starts with ``--``.
+    Unknown options and, after the command, positional tokens go to
+    ``extras`` in order.  When an option repeats, the last value wins.  A
+    ``--`` ends the options: the command is the token after it, and after
+    the command the ``--`` and every token after it are unknown.
+    """
+    options = _TOP_OPTIONS if command is None else _COMMANDS[command][2]
+    end = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_read(token, command) for token in tokens[:end]]
+    i = 0
+    while i < end:
+        read = reads[i]
+        if read is None and command is None:
+            return i
+        if read is None or read[0] is None:
+            extras.append(tokens[i])
+            i += 1
+            continue
+        name, value = read
+        if name == "help":
+            if value is not None:
+                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_help(command))
+            raise SystemExit(0)
+        if value is None:
+            if i + 1 == end or reads[i + 1] is not None and tokens[i + 1][1] == "-":
+                _fail(command, f"argument --{name}: expected one argument")
+            i += 1
+            value = tokens[i]
+        converter = options[name][0]
+        if isinstance(converter, tuple):
+            if value not in converter:
+                choices = ", ".join(map(repr, converter))
+                _fail(command, f"argument --{name}: invalid choice: {value!r} (choose from {choices})")
+            values[name] = value
+        else:
+            try:
+                values[name] = converter(value)
+            except ValueError:
+                _fail(command, f"argument --{name}: invalid {converter.__name__} value: {value!r}")
+        i += 1
+    if command is not None:
+        extras.extend(tokens[end:])
+    return end if end + 1 < len(tokens) else len(tokens)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace that the ``cmd_*`` functions read: ``config``,
+    ``command``, ``func`` and one value per option of the command.
+
+    The rules are argparse's: ``--config`` and ``-h/--help`` come before the
+    command, ``-h/--help`` also after it, and a value may start with one
+    ``-``.  A usage error prints the usage and argparse's error line to
+    stderr and raises SystemExit(2); help goes to stdout with SystemExit(0).
+    """
+    values: dict = {}
+    extras: list[str] = []
+    i = _options(argv, None, values, extras)
+    if i == len(argv):
+        _fail(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    func, _, options = _COMMANDS[command]
+    _options(argv[i + 1 :], command, values, extras)
+    missing = [f"--{name}" for name, spec in options.items() if spec[1] is _REQUIRED and name not in values]
+    if missing:
+        _fail(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    for name, (_, default, _) in [*_TOP_OPTIONS.items(), *options.items()]:
+        values.setdefault(name, default)
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # argparse takes a value that starts with one "-" (-1e-05, -1,0,0) for an option; every long
-    # option but --help takes a value, so such a token joins the one before it: --t=-1e-05
-    tokens: list[str] = []
-    for arg in sys.argv[1:] if argv is None else argv:
-        prev = tokens[-1] if tokens else ""
-        if arg[:1] == "-" and arg[:2] != "--" and prev[:2] == "--" and "=" not in prev and not "--help".startswith(prev):
-            tokens[-1] += "=" + arg
-        else:
-            tokens.append(arg)
-    args = _parser().parse_args(tokens)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)

@@ -123,6 +123,12 @@ def _family(max_q: int) -> _Plan:
 
 
 @lru_cache(maxsize=8)
+def _family_size(max_q: int) -> int:
+    """``len(candidate_slopes(max_q))``, counted once per ``max_q``."""
+    return len(candidate_slopes(max_q))
+
+
+@lru_cache(maxsize=8)
 def _integers(max_q: int) -> tuple[_Plan, np.ndarray]:
     """(plan, cones): the plan of the family's slope infinity and integer
     slopes -max_q .. max_q, seeds only and no Farey level, and the rows of
@@ -369,9 +375,8 @@ def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[
     """
     import numpy as np
 
-    plan = _family(max_q)
-    # slope_node has one entry per slope, and the family's plan one node per finite slope
-    step = max(1, _CHUNK_NODE_COLUMNS // (2 * len(plan[2])))
+    # the family's plan has one node per finite slope, and is built only for an open cell
+    step = max(1, _CHUNK_NODE_COLUMNS // (2 * _family_size(max_q)))
     out = [(0.0, 0.0)] * len(cells)
     # a t = 0 cell off S11 still takes the pass, which rejects its surface
     live = [i for i, (y, t) in enumerate(cells) if t != 0.0 or y.surface != "S11"]

@@ -1,10 +1,13 @@
 """Tests for the command-line front end."""
 
+import argparse
+import functools
 import hashlib
 import importlib
 import itertools
 import json
 import math
+import random
 import re
 import shlex
 import subprocess
@@ -14,13 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thurston_kit import cube, reconcile, torus
+from thurston_kit import cli, cube, reconcile, stretch, torus
 from thurston_kit.cli import (
     MAX_Q,
     Config,
     ConfigError,
     _cube_points,
-    _parser,
+    _parse,
     _write_csv,
     format_float,
     load_config,
@@ -213,10 +216,21 @@ def test_delta_command_loads_no_numpy():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
-def test_help_exits_zero():
-    with pytest.raises(SystemExit) as exc:
-        main(["delta", "--help"])
-    assert exc.value.code == 0
+def test_help_exits_zero(capsys):
+    listings = {
+        ("--help",): ["delta", "shear", "stretch", "twist-width", "sweep", "envelope", "cube", "oracle-check", "--config"],
+        ("delta", "--help"): ["--type", "--l", "--signs", "--cuff"],
+        ("stretch", "-h"): ["--surface", "--l", "--tau", "--t", "--completion"],
+    }
+    for argv, names in listings.items():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        # each name starts an indented line of its own, its help line after it
+        listed = {line.split()[0] for line in captured.out.splitlines() if line.startswith("  ")}
+        assert listed >= set(names), argv
 
 
 def test_shear_command_output(capsys):
@@ -925,9 +939,161 @@ def test_readme_command_lines_parse_and_the_quick_ones_run(capsys):
     assert {argv[0] for argv in commands} >= set(quick)
     for argv in commands:
         try:
-            _parser().parse_args(argv)
+            _parse(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: thurston-kit {shlex.join(argv)}")
         if argv[0] in quick:
             assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+@functools.cache
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI read its arguments with before the command
+    table: the reference of :func:`test_parse_matches_argparse`."""
+    parser = argparse.ArgumentParser(
+        prog="thurston-kit",
+        description="Shear and twist computations on hyperbolic pairs of pants, "
+        "stretch-path twist evolution, envelope bound sweeps, and the "
+        "stretch-vector hull.",
+    )
+    parser.add_argument("--config", help="key=value config file")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("delta", help="closed-form vs constructive twist offset")
+    p.add_argument("--type", required=True, choices=("3sym", "2sym", "asym"))
+    p.add_argument("--l", required=True, help="three cuff lengths, e.g. 1,1,1")
+    p.add_argument("--signs", required=True, help="twist directions, e.g. LLL")
+    p.add_argument("--cuff", required=True, type=int, help="distinguished cuff (1-3)")
+    p.set_defaults(func=cli.cmd_delta)
+
+    p = sub.add_parser("shear", help="shear coordinates of a triangulation")
+    p.add_argument("--type", required=True, choices=("3sym", "2sym", "asym"))
+    p.add_argument("--l", required=True)
+    p.add_argument("--signs", required=True)
+    p.add_argument("--cuff", type=int, default=1)
+    p.set_defaults(func=cli.cmd_shear)
+
+    p = sub.add_parser("stretch", help="stretch a Fenchel-Nielsen point")
+    p.add_argument("--surface", choices=stretch.SURFACES, default="S11")
+    p.add_argument("--l", required=True)
+    p.add_argument("--tau", required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--completion", choices=("L", "R"), default="L")
+    p.set_defaults(func=cli.cmd_stretch)
+
+    p = sub.add_parser("twist-width", help="closed-form twist width")
+    p.add_argument("--l0", type=float, required=True)
+    p.add_argument("--t", type=float, required=True)
+    p.set_defaults(func=cli.cmd_twist_width)
+
+    p = sub.add_parser("sweep", help="bound-expression sweep over the (l0, t) grid")
+    p.set_defaults(func=cli.cmd_sweep)
+
+    p = sub.add_parser("envelope", help="distance estimates between stretch endpoints")
+    p.set_defaults(func=cli.cmd_envelope)
+
+    p = sub.add_parser("cube", help="stretch-vector cloud and hull on the genus-two surface")
+    p.set_defaults(func=cli.cmd_cube)
+
+    p = sub.add_parser("oracle-check", help="write the convention reconciliation report")
+    p.set_defaults(func=cli.cmd_oracle_check)
+    return parser
+
+
+#: the values drawn for each kind of option: valid ones, negative ones and bad ones
+_DRAWS = {
+    "type": ("3sym", "2sym", "asym", "4sym", "-x", ""),
+    "surface": ("S11", "S2", "S04", "s2", "-1"),
+    "completion": ("L", "R", "l", "-R"),
+    "str": ("1,1,1", "2", "-1,0,0", "LRL", "-0.5", "", "a b", "-", "-h"),
+    "int": ("1", "3", "-1", "x", "1.5", " 2", "-x", "-1e-05"),
+    "float": ("1.5", "-1e-05", "-0.5", "-.5", "x", "-x", "inf", "1e999", "1_0"),
+    "config": ("cfg.txt", "-x", "", "delta", "a b"),
+}
+#: the options of each command and the kind of value each takes
+_OPTION_KINDS = {
+    "delta": {"type": "type", "l": "str", "signs": "str", "cuff": "int"},
+    "shear": {"type": "type", "l": "str", "signs": "str", "cuff": "int"},
+    "stretch": {"surface": "surface", "l": "str", "tau": "str", "t": "float", "completion": "completion"},
+    "twist-width": {"l0": "float", "t": "float"},
+    **{name: {} for name in ("sweep", "envelope", "cube", "oracle-check")},
+}
+#: tokens that stand on their own: unknown options, positionals, help forms, -- and an ambiguous prefix
+_STRAYS = ("forward", "3", "-1", "-1e-05", "-x", "-", "--direction", "--t-max", "--config", "-v", "a b", "-x y", "--x y",
+           "--", "--=x", "-h", "--help", "--he", "-hh", "-hx", "-h=", "--help=x")
+
+
+def _takes_a_value(token: str, names: tuple[str, ...]) -> bool:
+    """Whether ``token`` names a value option of ``names``, exactly or by a
+    prefix that matches no other option and not --help, with no ``=value``."""
+    matches = [name for name in ("help", *names) if name.startswith(token[2:])]
+    unique = len(matches) == 1 and matches[0] != "help"
+    return token[:2] == "--" and "=" not in token and (token[2:] in names or unique)
+
+
+def _draw_argv(rng: random.Random) -> tuple[list[str], list[str]]:
+    """A random argv, and the same argv as argparse needs it to read what the
+    CLI reads: argparse takes a value that starts with one '-' (-x, -1e-05,
+    -1,0,0) for an option, so there such a value joins its option with '='."""
+
+    def option(name: str, kind: str) -> list[str]:
+        # the name or a prefix of it, then its value after a space or '=', or no value
+        flag = "--" + (name[: rng.randint(1, len(name))] if rng.random() < 0.3 else name)
+        value = rng.choice(_DRAWS[kind])
+        return rng.choices(([flag, value], [f"{flag}={value}"], [flag]), (9, 9, 2))[0]
+
+    top = [option("config", "config") for _ in range(rng.choice((0, 0, 1, 2)))]
+    top += [[rng.choice(("-h", "--help", "--foo", "-x", "-1", "-x y"))] for _ in range(rng.random() < 0.1)]
+    rng.shuffle(top)
+    command = rng.choice([*_OPTION_KINDS] * 6 + ["foo", "del", None])
+    options = _OPTION_KINDS.get(command, {})
+    rest = [option(name, kind) for name, kind in options.items() if rng.random() < 0.9]
+    if options and rng.random() < 0.3:
+        rest.append(option(*rng.choice(list(options.items()))))
+    rest += [[rng.choice(_STRAYS)] for _ in range(rng.choice((0, 0, 0, 1, 2)))]
+    rng.shuffle(rest)
+    top_tokens = [token for part in top for token in part]
+    rest_tokens = [token for part in rest for token in part]
+    # the options each token is read against: a --config with no value takes
+    # the command for its value, and then the command's tokens are read at the top
+    if command in _OPTION_KINDS and not (top_tokens and _takes_a_value(top_tokens[-1], ("config",))):
+        names = [("config",)] * len(top_tokens) + [()] + [tuple(options)] * len(rest_tokens)
+    else:
+        names = [("config",)] * (len(top_tokens) + len(rest_tokens) + (command is not None))
+    argv = top_tokens + [command] * (command is not None) + rest_tokens
+    reference: list[str] = []
+    for token, read_as in zip(argv, names):
+        joins = reference and "--" not in reference and token[:1] == "-" != token[1:2]
+        if joins and _takes_a_value(reference[-1], read_as):
+            reference[-1] += "=" + token
+        else:
+            reference.append(token)
+    return argv, reference
+
+
+def _parse_outcome(parse, argv: list[str], capsys) -> tuple:
+    """(exit code, parsed values, last stderr line) of ``parse(argv)``; an
+    invalid choice keeps only its prefix, whose text changed across Python versions."""
+    try:
+        values = vars(parse(argv))
+        code = 0
+    except SystemExit as exc:
+        values, code = None, exc.code
+    lines = capsys.readouterr().err.splitlines()
+    return code, values, re.sub("(invalid choice:).*", r"\1", lines[-1] if lines else "")
+
+
+def test_parse_matches_argparse(capsys):
+    # derandomized: a fixed seed draws every command and option, both value
+    # forms, negative and bad values, prefixes, repeats, unknown options,
+    # stray positionals, missing values, commands and required options, help and --
+    rng = random.Random(20240)
+    mismatches = []
+    for _ in range(4000):
+        argv, reference = _draw_argv(rng)
+        got = _parse_outcome(_parse, argv, capsys)
+        want = _parse_outcome(_reference_parser().parse_args, reference, capsys)
+        if got != want:
+            mismatches.append((argv, got, want))
+    assert not mismatches, mismatches[:5]

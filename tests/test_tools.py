@@ -104,16 +104,18 @@ if TYPE_CHECKING:
 
 def test_source_stats_counts_optional_cli_flags():
     source = """
-parser.add_argument("--config", help="file")
-p.add_argument("--l", required=True)
-p.add_argument("--cuff", type=int, required=False)
-p.add_argument("--t", type=float, required=True)
-p.add_argument("command")
-p.add_argument("-v", action="store_true")
-p.set_defaults(func=main)
+_REQUIRED = object()
+_TOP_OPTIONS = {"config": (str, None, "file")}
+_COMMANDS = {
+    "delta": (cmd_delta, "help", {"l": (str, _REQUIRED, ""), "cuff": (int, 1, "")}),
+    "stretch": (cmd_stretch, "help", {"t": (float, _REQUIRED, ""), "completion": (("L", "R"), "L", "")}),
+    "sweep": (cmd_sweep, "help", {}),
+}
+_OTHER = {"x": (int, 1, "")}
 """
-    # --config and --cuff; a positional, a short flag and the required flags are not counted
-    assert source_stats.optional_flags(ast.parse(source)) == 2
+    # --config, --cuff and --completion; the required options and another table are not counted
+    assert source_stats.optional_flags(ast.parse(source)) == 3
+    assert source_stats.optional_flags(ast.parse((source_stats.SRC / "cli.py").read_text())) == 4
 
 
 def test_source_stats_counts_environment_reads():

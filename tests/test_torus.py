@@ -21,6 +21,7 @@ from thurston_kit.torus import (
     envelope_widths,
     _endpoints,
     _family,
+    _family_max,
     _integers,
     _log_lengths,
     _plan,
@@ -554,6 +555,17 @@ def test_a_cell_settled_at_the_integers_runs_no_family_pass(monkeypatch):
     dth_estimate(*_endpoints(width_point("S11", 1.0), 4.0), 30)
     assert passes == [(integers, 2)]
 
+
+
+def test_a_settled_cell_builds_no_family_plan_at_the_cap():
+    # the chunk size comes from the slope count, so a cell that the integers
+    # settle builds no plan of the 194,712 slopes at max_q = 400
+    y, t = width_point("S11", 1.0), 4.0
+    before = _family.cache_info()
+    got = envelope_widths([(y, t)], 400)
+    assert _family.cache_info() == before
+    assert got == [tuple(_family_max(_endpoints(y, t), np.array([[0, 1], [1, 0]]), 400).tolist())]
+    assert _family.cache_info() == before
 
 def _mismatches(y, t, p, max_q):
     """The estimates that differ in any bit from one pass over the whole

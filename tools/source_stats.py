@@ -9,9 +9,9 @@ have a default, plus fields with a default in classes decorated with
 ``dataclass`` (a ``field(...)`` without ``default`` or
 ``default_factory`` sets none).  The public names are the module's
 top-level ``def``, ``class`` and assigned names that do not start with
-``_``.  Then the number of optional flags of ``cli.py``: ``add_argument``
-calls whose name starts with ``--`` and that do not pass
-``required=True``.  Then the package's environment reads: calls of
+``_``.  Then the number of optional flags of ``cli.py``: the options of
+``_TOP_OPTIONS`` and of each command of ``_COMMANDS`` whose default is
+not ``_REQUIRED``.  Then the package's environment reads: calls of
 ``os.environ.get`` and ``os.getenv``, and loading subscripts of
 ``os.environ``; the options count covers every setting only while this
 reads 0.  Last comes the line total of ``tests``, so one run gives a
@@ -73,16 +73,20 @@ def public_names(tree: ast.Module) -> int:
     return sum(not name.startswith("_") for name in names)
 
 
-def optional_flags(tree: ast.AST) -> int:
-    """``add_argument`` calls whose name starts with ``--`` and that do not
-    pass ``required=True``."""
-    count = 0
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _called_name(node) == "add_argument" and node.args:
-            name = getattr(node.args[0], "value", None)
-            required = any(kw.arg == "required" and getattr(kw.value, "value", None) is True for kw in node.keywords)
-            count += isinstance(name, str) and name.startswith("--") and not required
-    return count
+def optional_flags(tree: ast.Module) -> int:
+    """Options with a default in the command table: entries of the
+    ``_TOP_OPTIONS`` dict and of the options dict, the third item, of each
+    ``_COMMANDS`` entry whose default, the second item, is not ``_REQUIRED``."""
+    tables: list[ast.expr] = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            names = {getattr(target, "id", None) for target in node.targets}
+            if "_TOP_OPTIONS" in names:
+                tables.append(node.value)
+            if "_COMMANDS" in names:
+                tables += [entry.elts[2] for entry in node.value.values if isinstance(entry, ast.Tuple)]
+    specs = [spec for table in tables if isinstance(table, ast.Dict) for spec in table.values]
+    return sum(isinstance(spec, ast.Tuple) and getattr(spec.elts[1], "id", None) != "_REQUIRED" for spec in specs)
 
 
 def _is_environ(node: ast.expr) -> bool:
