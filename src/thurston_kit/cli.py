@@ -6,23 +6,24 @@ oracle-check.  Numeric output uses 17 significant digits, CSV files use
 repeated runs with the same configuration are byte-identical.
 
 Exit codes: 0 success, 1 computational failure, 2 usage error.  The
-arguments are read from the command table :data:`_COMMANDS` by argparse's
-rules, and a value may start with one '-', with or without '=':
-``stretch --t -1e-05`` runs forward.
+arguments follow argparse's rules, and a value may start with one '-', with
+or without '=': ``stretch --t -1e-05`` runs forward.  The command table
+:data:`_COMMANDS` is their one description: an argv of exact option names
+is read from it directly, and argparse, built from it, reads every other
+and lays out the help and the usage errors.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import re
 import struct
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NoReturn
 
 from . import bounds, cube, reconcile, stretch, torus
 from .pants import PantsMetric, PantsTriangulation, delta_closed, delta_oracle, shear_coords
@@ -344,174 +345,106 @@ _COMMANDS = {
     "cube": (cmd_cube, "stretch-vector cloud and hull on the genus-two surface", {}),
     "oracle-check": (cmd_oracle_check, "write the convention reconciliation report", {}),
 }
-#: argparse's negative-number pattern: such a token is a positional argument
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _flag(name: str, converter: object) -> str:
-    """``--name`` and its value's placeholder: the choices, or the name in capitals."""
-    return f"--{name} " + ("{%s}" % ",".join(converter) if isinstance(converter, tuple) else name.upper())
+def _exact(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace of a canonical argv, which every argparse version reads
+    alike, else None.
 
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return "usage: thurston-kit [-h] [--config CONFIG] {%s} ..." % ",".join(_COMMANDS)
-    words = [f"usage: thurston-kit {command} [-h]"]
-    for name, (converter, default, _) in _COMMANDS[command][2].items():
-        flag = _flag(name, converter)
-        words.append(flag if default is _REQUIRED else f"[{flag}]")
-    return " ".join(words)
-
-
-def _help(command: str | None) -> str:
-    """The usage line, the description or the command's help line, then the
-    commands (before a command) and the options, one a line with its help line."""
-    if command is None:
-        about, options = _DESCRIPTION, _TOP_OPTIONS
-        lines = ["commands:", *(f"  {name:<26}{spec[1]}" for name, spec in _COMMANDS.items()), ""]
-    else:
-        _, about, options = _COMMANDS[command]
-        lines = []
-    lines += ["options:", f"  {'-h, --help':<26}show this help message and exit"]
-    for name, (converter, default, line) in options.items():
-        lines.append(f"  {_flag(name, converter):<26}{line}" + " (required)" * (default is _REQUIRED))
-    return "\n".join([_usage(command), "", about, "", *lines, ""])
-
-
-def _fail(command: str | None, message: str) -> NoReturn:
-    """A usage error as argparse reports it: the usage, the error line, exit 2."""
-    prog = "thurston-kit" if command is None else f"thurston-kit {command}"
-    sys.stderr.write(f"{_usage(command)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _prefixes(options: dict) -> dict[str, list[str]]:
-    """Each prefix of the name of an option of ``options`` or of ``help`` ->
-    the names it is a prefix of, ``help`` first; an exact name gives itself only."""
-    names = ("help", *options)
-    prefixes: dict[str, list[str]] = {}
-    for name in names:
-        for k in range(len(name)):
-            prefixes.setdefault(name[:k], []).append(name)
-    return prefixes | {name: [name] for name in names}
-
-
-#: the prefixes of the options before the command (None) and of each command's
-_PREFIXES = {None: _prefixes(_TOP_OPTIONS)} | {name: _prefixes(spec[2]) for name, spec in _COMMANDS.items()}
-
-
-def _read(token: str, command: str | None) -> tuple[str | None, str | None] | None:
-    """argparse's reading of one token before the command (``command`` None) or
-    after it: None for a positional argument, else (option name, explicit
-    value or None), the name None for an unknown option.
-
-    A long option is its exact name or a unique prefix of it, with an
-    optional ``=value``; an ambiguous prefix is a usage error.  ``-h`` may
-    carry more letters: ``-hh`` is -h twice, and ``-hx`` or ``-h=x`` gives it
-    the explicit value ``x``.  A lone ``-``, a negative number and a token
-    with a space that names no option are positional.
+    A canonical argv is ``--config`` options, the command, then the
+    command's options.  Each option is its exact name, as ``--opt value`` or
+    ``--opt=value``; its value does not start with ``--`` and converts, or is
+    one of its choices.  Every required option is given, and a repeated
+    option keeps its last value.
     """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token[1] == "-":
-        flag, equals, value = token[2:].partition("=")
-        matches = _PREFIXES[command].get(flag)
-        if matches is None:
-            return None if " " in token else (None, None)
-        if len(matches) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join('--' + m for m in matches)}")
-        return matches[0], value if equals else None
-    if token == "-h":
-        return "help", None
-    if token[:2] == "-h":
-        value = token[3:] if token[2] == "=" else token[2:]
-        rest = value.lstrip("h")
-        return "help", None if value and not rest else rest
-    return None if _NEGATIVE_NUMBER.match(token) or " " in token else (None, None)
-
-
-def _options(tokens: list[str], command: str | None, values: dict, extras: list[str]) -> int:
-    """Read ``tokens`` before the command (``command`` None) or after it into
-    ``values`` and return the index of the first positional token; before
-    the command that token is the command, after it every token is read.
-
-    Every token up to the first ``--`` is read before any is taken, so an
-    ambiguous prefix fails first.  Tokens are taken in order, and a value is
-    converted when taken.  An option takes the token after it as its value
-    unless that token is ``--`` or an option that starts with ``--``.
-    Unknown options and, after the command, positional tokens go to
-    ``extras`` in order.  When an option repeats, the last value wins.  A
-    ``--`` ends the options: the command is the token after it, and after
-    the command the ``--`` and every token after it are unknown.
-    """
-    options = _TOP_OPTIONS if command is None else _COMMANDS[command][2]
-    end = tokens.index("--") if "--" in tokens else len(tokens)
-    reads = [_read(token, command) for token in tokens[:end]]
-    i = 0
-    while i < end:
-        read = reads[i]
-        if read is None and command is None:
-            return i
-        if read is None or read[0] is None:
-            extras.append(tokens[i])
-            i += 1
+    values = {name: spec[1] for name, spec in _TOP_OPTIONS.items()}
+    options = _TOP_OPTIONS
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:2] != "--":
+            if command is not None or token not in _COMMANDS:
+                return None
+            command, options = token, _COMMANDS[token][2]
+            values.update((name, spec[1]) for name, spec in options.items())
             continue
-        name, value = read
-        if name == "help":
-            if value is not None:
-                _fail(command, f"argument -h/--help: ignored explicit argument {value!r}")
-            sys.stdout.write(_help(command))
-            raise SystemExit(0)
-        if value is None:
-            if i + 1 == end or reads[i + 1] is not None and tokens[i + 1][1] == "-":
-                _fail(command, f"argument --{name}: expected one argument")
-            i += 1
-            value = tokens[i]
+        name, equals, value = token[2:].partition("=")
+        if not equals:
+            value = next(tokens, "--")  # a missing value reads as a non-canonical one
+        if name not in options or value[:2] == "--":
+            return None
         converter = options[name][0]
         if isinstance(converter, tuple):
             if value not in converter:
-                choices = ", ".join(map(repr, converter))
-                _fail(command, f"argument --{name}: invalid choice: {value!r} (choose from {choices})")
-            values[name] = value
+                return None
         else:
             try:
-                values[name] = converter(value)
+                value = converter(value)
             except ValueError:
-                _fail(command, f"argument --{name}: invalid {converter.__name__} value: {value!r}")
-        i += 1
-    if command is not None:
-        extras.extend(tokens[end:])
-    return end if end + 1 < len(tokens) else len(tokens)
+                return None
+        values[name] = value
+    if command is None or _REQUIRED in values.values():
+        return None
+    return SimpleNamespace(command=command, func=_COMMANDS[command][0], **values)
+
+
+@functools.cache
+def _parser():
+    """argparse's parser of the command table, built for the first argv that
+    :func:`_exact` does not read."""
+    import argparse
+
+    top = argparse.ArgumentParser(prog="thurston-kit", description=_DESCRIPTION)
+    commands = top.add_subparsers(dest="command", required=True)
+    parsers = [(top, _TOP_OPTIONS)]
+    for command, (func, line, options) in _COMMANDS.items():
+        parser = commands.add_parser(command, help=line, description=line)
+        parser.set_defaults(func=func)
+        parsers.append((parser, options))
+    for parser, options in parsers:
+        for name, (converter, default, line) in options.items():
+            kind = {"choices": converter} if isinstance(converter, tuple) else {"type": converter}
+            required = default is _REQUIRED
+            parser.add_argument(f"--{name}", required=required, default=None if required else default, help=line, **kind)
+    return top
+
+
+def _takes_a_value(token: str, options: dict) -> bool:
+    """Whether argparse reads ``token`` as an option of ``options`` that takes
+    the next token for its value: its exact name, or a prefix of it that
+    matches no other option and not ``--help``, with no ``=value``."""
+    if token[:2] != "--" or "=" in token:
+        return False
+    matches = [name for name in ("help", *options) if name.startswith(token[2:])]
+    return token[2:] in options or len(matches) == 1 and matches[0] != "help"
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
     """The namespace that the ``cmd_*`` functions read: ``config``,
     ``command``, ``func`` and one value per option of the command.
 
-    The rules are argparse's: ``--config`` and ``-h/--help`` come before the
-    command, ``-h/--help`` also after it, and a value may start with one
-    ``-``.  A usage error prints the usage and argparse's error line to
-    stderr and raises SystemExit(2); help goes to stdout with SystemExit(0).
+    :func:`_exact` reads a canonical argv and :func:`_parser` every other,
+    so the rules, the help and the usage errors are argparse's, with one
+    addition: a value may start with one ``-`` (``--t -1e-05``).  argparse
+    takes such a token for an option, so it is first joined onto the option
+    before it with ``=`` when that option takes a value.  The options are
+    those of ``_TOP_OPTIONS`` up to the first command name that is not a
+    value, then the command's; nothing is joined after a ``--``.
     """
-    values: dict = {}
-    extras: list[str] = []
-    i = _options(argv, None, values, extras)
-    if i == len(argv):
-        _fail(None, "the following arguments are required: command")
-    command = argv[i]
-    if command not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _fail(None, f"argument command: invalid choice: {command!r} (choose from {choices})")
-    func, _, options = _COMMANDS[command]
-    _options(argv[i + 1 :], command, values, extras)
-    missing = [f"--{name}" for name, spec in options.items() if spec[1] is _REQUIRED and name not in values]
-    if missing:
-        _fail(command, f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
-    for name, (_, default, _) in [*_TOP_OPTIONS.items(), *options.items()]:
-        values.setdefault(name, default)
-    return SimpleNamespace(command=command, func=func, **values)
+    args = _exact(argv)
+    if args is not None:
+        return args
+    tokens: list[str] = []
+    options = _TOP_OPTIONS
+    for arg in argv:
+        if arg[:1] == "-" != arg[1:2]:
+            if tokens and "--" not in tokens and _takes_a_value(tokens[-1], options):
+                tokens[-1] += "=" + arg
+                continue
+        elif options is _TOP_OPTIONS and arg in _COMMANDS and not (tokens and _takes_a_value(tokens[-1], options)):
+            options = _COMMANDS[arg][2]
+        tokens.append(arg)
+    return SimpleNamespace(**vars(_parser().parse_args(tokens)))
 
 
 def main(argv: list[str] | None = None) -> int:

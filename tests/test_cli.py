@@ -216,6 +216,23 @@ def test_delta_command_loads_no_numpy():
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_benchmark_argv_shapes_load_no_argparse(tmp_path):
+    # a delta argv and --config <file> <command>, the benchmark's shapes, are
+    # canonical: the exact reader answers them and argparse is never imported,
+    # so its parse (about 60 us) stays out of an oracle op (about 150 us)
+    cfg = write_config(tmp_path)
+    code = (
+        "import sys, thurston_kit.cli; "
+        "imported = 'argparse' in sys.modules; "
+        "delta = thurston_kit.cli.main(['delta', '--type', '3sym', '--l', '1,2,3', '--signs', 'LRL', '--cuff', '2']); "
+        f"envelope = thurston_kit.cli.main(['--config', {str(cfg)!r}, 'envelope']); "
+        "print(imported, delta, envelope, 'argparse' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0 0 False"
+
+
 def test_help_exits_zero(capsys):
     listings = {
         ("--help",): ["delta", "shear", "stretch", "twist-width", "sweep", "envelope", "cube", "oracle-check", "--config"],
@@ -1088,14 +1105,26 @@ def test_parse_matches_argparse(capsys):
     # derandomized: a fixed seed draws every command and option, both value
     # forms, negative and bad values, prefixes, repeats, unknown options,
     # stray positionals, missing values, commands and required options, help and --.
-    # The rules are argparse's up to Python 3.12; 3.13's prints help for -hx
-    # where the older ones report "ignored explicit argument 'x'"
+    # No draw differs under Pythons 3.10.13, 3.11.7, 3.12.1 and 3.13.0, whose
+    # argparse versions read -hx apart: 3.13 prints help where the older
+    # ones report "ignored explicit argument 'x'"
     rng = random.Random(20240)
     mismatches = []
+    exact = 0
     for _ in range(4000):
         argv, reference = _draw_argv(rng)
+        exact += cli._exact(argv) is not None
         got = _parse_outcome(_parse, argv, capsys)
         want = _parse_outcome(_reference_parser().parse_args, reference, capsys)
         if got != want:
             mismatches.append((argv, got, want))
     assert not mismatches, mismatches[:5]
+    # the exact reader answers 873 draws; with none it would check argparse against argparse
+    assert exact >= 850
+
+
+def test_nothing_joins_after_a_double_dash(capsys):
+    # after --, -x is no value of --t, and argparse names every token from -- on
+    code, out, err = _run_to_exit(capsys, ["twist-width", "--l0", "1", "--t", "2", "--", "--t", "-x"])
+    assert (code, out) == (2, "")
+    assert err.endswith("thurston-kit: error: unrecognized arguments: -- --t -x\n")
