@@ -39,7 +39,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     """Validated key=value configuration."""
 
@@ -94,16 +94,23 @@ def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
 def load_config(path: str | None) -> Config:
     """The configuration in ``path`` (or the defaults), validated as a whole:
     the only source of the commands' settings."""
-    cfg = Config()
-    if path is not None:
-        _read_config(path, cfg)
+    if path is None:
+        return _DEFAULT_CONFIG
+    cfg = Config(**_read_config(path))
     cfg.validate()
     return cfg
 
 
-def _read_config(path: str, cfg: Config) -> None:
+#: the defaults, validated once: a Config is frozen, so every command may share it
+_DEFAULT_CONFIG = Config()
+_DEFAULT_CONFIG.validate()
+
+
+def _read_config(path: str) -> dict[str, object]:
+    """The values of the keys that ``path`` sets, parsed as their defaults' types."""
     defaults = {f.name: f.default for f in fields(Config)}
     seen: dict[str, int] = {}  # the line of each key read so far
+    values: dict[str, object] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
@@ -129,7 +136,8 @@ def _read_config(path: str, cfg: Config) -> None:
                 parsed = type(default)(value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
-        setattr(cfg, key, parsed)
+        values[key] = parsed
+    return values
 
 
 def _parse_signs(text: str) -> tuple[int, ...]:
@@ -148,10 +156,14 @@ def _parse_lengths(text: str, n: int) -> tuple[float, ...]:
     return vals
 
 
-def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangulation:
+@functools.cache
+def _triangulation(kind: str, cuff: int, signs: str) -> PantsTriangulation:
     """Type for the distinguished cuff: 3sym = (2,2,2); 2sym puts the four
     leaf ends at the cuff; asym puts one end there and four at the
-    cyclically next cuff.  ``cuff`` is 0-based; the parser checks ``kind``."""
+    cyclically next cuff.  ``cuff`` is 0-based; the parser checks ``kind``.
+    The ``signs`` text is read first, then the cuff; each valid argument
+    triple is built once per process."""
+    signs = _parse_signs(signs)
     if cuff not in (0, 1, 2):
         raise ConfigError("cuff must be 1, 2 or 3")
     if kind == "3sym":
@@ -163,7 +175,7 @@ def _triangulation(kind: str, cuff: int, signs: tuple[int, ...]) -> PantsTriangu
 def _pants_args(args: SimpleNamespace) -> tuple[PantsMetric, PantsTriangulation, int]:
     """The cuff lengths, triangulation and 0-based cuff of ``delta`` and ``shear``."""
     cuff = args.cuff - 1
-    tri = _triangulation(args.type, cuff, _parse_signs(args.signs))
+    tri = _triangulation(args.type, cuff, args.signs)
     return PantsMetric(*_parse_lengths(args.l, 3)), tri, cuff
 
 
@@ -220,9 +232,8 @@ def cmd_delta(args: SimpleNamespace, cfg: Config) -> int:
     pm, tri, cuff = _pants_args(args)
     closed = delta_closed(pm, tri, cuff)
     oracle = delta_oracle(pm, tri, cuff)
-    print(f"delta_closed={format_float(closed)}")
-    print(f"delta_oracle={format_float(oracle)}")
-    print(f"abs_diff={format_float(abs(closed - oracle))}")
+    print(f"delta_closed={format_float(closed)}\ndelta_oracle={format_float(oracle)}\n"
+          f"abs_diff={format_float(abs(closed - oracle))}")
     return 0 if abs(closed - oracle) <= reconcile.TOLERANCE else 1
 
 
@@ -345,6 +356,10 @@ _COMMANDS = {
     "cube": (cmd_cube, "stretch-vector cloud and hull on the genus-two surface", {}),
     "oracle-check": (cmd_oracle_check, "write the convention reconciliation report", {}),
 }
+#: the defaults of the options before the command, and of each command's options
+_TOP_DEFAULTS = {name: spec[1] for name, spec in _TOP_OPTIONS.items()}
+_COMMAND_DEFAULTS = {command: {name: spec[1] for name, spec in options.items()}
+                     for command, (_, _, options) in _COMMANDS.items()}
 
 
 def _exact(argv: list[str]) -> SimpleNamespace | None:
@@ -357,7 +372,7 @@ def _exact(argv: list[str]) -> SimpleNamespace | None:
     one of its choices.  Every required option is given, and a repeated
     option keeps its last value.
     """
-    values = {name: spec[1] for name, spec in _TOP_OPTIONS.items()}
+    values = _TOP_DEFAULTS.copy()
     options = _TOP_OPTIONS
     command = None
     tokens = iter(argv)
@@ -366,7 +381,7 @@ def _exact(argv: list[str]) -> SimpleNamespace | None:
             if command is not None or token not in _COMMANDS:
                 return None
             command, options = token, _COMMANDS[token][2]
-            values.update((name, spec[1]) for name, spec in options.items())
+            values.update(_COMMAND_DEFAULTS[token])
             continue
         name, equals, value = token[2:].partition("=")
         if not equals:

@@ -9,8 +9,10 @@ chamfered cube.  One qhull run gives its points-by-merged-faces incidence
 matrix; its 32 vertices, the rows on three or more faces, are certified by
 arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
 covers.  Near-equal points merge by one all-pairs comparison; the faces
-are qhull's merged facets.  The least-squares extremality test
-:func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
+are qhull's merged facets, and a hull with two faces whose normals lie
+within ``FACE_SEPARATION`` is refused as a face left split.  The
+least-squares extremality test :func:`extreme_points_brute`, over
+scipy's NNLS, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -34,6 +36,15 @@ HULL_TOL = 1e-9
 
 #: tolerance for convex representability, by certificate or least squares
 EXTREME_TOL = 1e-8
+
+#: least max-norm distance between the unit normals of two faces of a chamfered
+#: cube: 1/sqrt(2) at the symmetric point, at 60 points of the genus2 range
+#: (cuffs on [0.2, 5], twists on [-2, 2]) and to 6 digits at 502 cubes with cuffs
+#: on [0.2, 12]; two halves of a face that qhull leaves split in two measured
+#: 3.3e-7 at base lengths (1, 1, 15), 2.7e-6 at (10, 10, 10), 2.8e-5 at
+#: (5, 9, 9), at most 4.0e-4 over 75 split hulls with cuffs on [7, 12] and at
+#: most 9.6e-4 over a second sample of 76 with cuffs on [9, 12]
+FACE_SEPARATION = 1e-2
 
 
 @functools.cache
@@ -145,6 +156,20 @@ def hull(points: np.ndarray) -> HullSummary:
     return HullSummary(e, vertices, np.array(list(number)), incidence)
 
 
+def _closest_faces(planes: np.ndarray) -> tuple[int, int, float]:
+    """The two distinct faces ``i < j`` whose unit normals (the first three
+    columns of ``planes``) are closest in the max norm, and that distance;
+    the first such pair in row-major order."""
+    import numpy as np
+
+    normals = planes[:, :3]
+    distance = np.abs(normals[:, None] - normals).max(axis=2)
+    np.fill_diagonal(distance, np.inf)
+    # the distances are symmetric, so the first least one in row-major order has i < j
+    i, j = divmod(int(distance.argmin()), len(distance))
+    return i, j, float(distance[i, j])
+
+
 def _certified(points: np.ndarray, summary: HullSummary) -> bool:
     """Whether the summary's vertices are exactly the extreme points of ``points``.
 
@@ -246,10 +271,18 @@ def chamfered_cube_check(x: FNPoint) -> dict:
     CLI's ``brute_force_agrees``), the sorted labels of the extreme
     candidates, and one entry per candidate in enumeration order: its
     label, its twist vector and whether its point is a hull vertex.
+
+    Two faces whose normals lie within :data:`FACE_SEPARATION` are one face
+    of the cube that qhull left split, so its counts would be wrong: that
+    raises a :class:`GeometryError` naming the two faces.
     """
     raw = cloud(x)
     uniq, group = dedupe_points(raw)
     summary = hull(uniq)
+    i, j, separation = _closest_faces(summary.planes)
+    if separation <= FACE_SEPARATION:
+        raise GeometryError(f"hull faces {i} and {j} are {separation:.2g} apart, "
+                            f"within the face separation {FACE_SEPARATION}: a face is split in two")
     hull_set = set(summary.vertex_indices)
     entries = [
         {"completion": label, "d_twist": v, "extreme": g in hull_set}

@@ -13,7 +13,10 @@ Every value is a scalar (a float, or an mpmath number) or a tuple:
   ``(v1, v2, v3)``; its edges 1, 2, 3 are (v1,v2), (v2,v3), (v3,v1).
 * An orientation-preserving isometry is a 4-tuple ``(a, b, c, d)``
   acting by z -> (a z + b) / (c z + d), normalized to determinant one
-  by dividing every entry by ``sqrt(a d - b c)``.
+  by dividing every entry by ``sqrt(a d - b c)``, except when that
+  determinant is exactly 1: then the entries are already normalized
+  (the square root is 1 and x / 1 is x, for a float and an mpmath
+  number alike), so they are kept as they are.
 
 The functions take validated inputs and validate everything they
 construct.  There is no wrapper layer: the constructive oracle in
@@ -48,9 +51,9 @@ class GeometryError(ValueError):
 
 def ideal(p: float) -> float:
     """Canonicalize an ideal point (both ends of the real axis are one point)."""
-    if math.isnan(p):
+    if p != p:
         raise GeometryError("ideal point is NaN")
-    return INF if math.isinf(p) else p
+    return INF if p == INF or p == -INF else p
 
 
 def _upper(x: float, y: float) -> tuple[float, float]:
@@ -86,6 +89,8 @@ def _edge(v: tuple, index: int) -> tuple[float, float]:
 
 def _mobius(a: float, b: float, c: float, d: float) -> tuple:
     det = a * d - b * c
+    if det == 1.0:
+        return a, b, c, d
     if not det > 0:
         raise GeometryError(f"Mobius matrix determinant {det} is not positive")
     s = math.sqrt(det)
@@ -211,10 +216,10 @@ def _far_height(s: tuple) -> float:
     finite vertex is carried to the axis by the parabolic z -> z - near
     fixing infinity, which keeps its height.
     """
-    fin = [u for u in s if u != INF]
-    if len(fin) != 2 or min(fin) < 0.0:
+    # the vertices are distinct, so one at infinity leaves the other two finite
+    k = s.index(INF) if INF in s else None
+    if k is None or s[k - 2] < 0.0 or s[k - 1] < 0.0:
         raise GeometryError("g does not separate the triangles with t1 on the left")
-    k = s.index(INF)
     # edge k + 1 runs from infinity to s[k - 2], edge (k + 2) % 3 + 1 from s[k - 1] to infinity
     return triangle_median(s, k + 1 if s[k - 2] < s[k - 1] else (k + 2) % 3 + 1)[1]
 

@@ -12,8 +12,9 @@ and :func:`delta_oracle`, which recomputes the same quantity
 constructively in the upper half-plane from the lifted configuration and
 validates the closed forms, branch on the number of leaf ends at ``c``
 (2, 4 or 1), which :func:`_side` resolves once per process with the
-shear terms of each side.  The oracle's gap solve computes the shear
-halves that no gap changes once per scalar namespace (:func:`_fixed_heights`).
+shear terms of each side, as :func:`_oracle_leaves` does the oracle's
+leaves.  The oracle's gap solve computes the shear halves that no gap
+changes once per scalar namespace (:func:`_fixed_heights`).
 The sides of stretch vectors (one side: :func:`delta_side`) take the
 offset, its complex-step rate and the offsets at the lengths scaled by
 e^{+-h} in one pass.
@@ -381,6 +382,22 @@ def _deck_endpoint(length: float, sign: int, target: float) -> float:
     return _linear_root(condition, "deck translation")
 
 
+@functools.cache
+def _oracle_leaves(ends: tuple[int, int, int], e: tuple[int, int, int], cuff: int) -> tuple:
+    """The :func:`_shear_coord` terms of the oracle's fan leaves about ``cuff``
+    and of its spiral leaves about the perpendicular cuff j of :func:`_side`,
+    once per side.  Each leaf's cuff pair is in increasing order, as
+    :func:`shear_coords` reports the leaf; the order fixes the rounding of
+    the (2,2,2) sum."""
+    _, n, *_, j, k = _side(ends, e, cuff)
+    fan, spiral = {
+        2: (((cuff, j),), ((j, k), (cuff, j))),
+        4: (((cuff, j), (cuff, cuff), (cuff, k)), ((cuff, j),)),
+        1: ((), ((j, j), (j, k), (j, j), (cuff, j))),
+    }[n]
+    return tuple(tuple(_shear_coord(ends, e, min(pair), max(pair)) for pair in leaves) for leaves in (fan, spiral))
+
+
 def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     """Constructive computation of the twist offset; returns intermediates.
 
@@ -392,23 +409,11 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     from the transported incircle median to the perpendicular foot.
     """
     l = p.lengths
-    _, n, *_, j, k = _roles(l, t, cuff)
+    *_, j, _ = _roles(l, t, cuff)
     e, signed = t.signs, _signed(l)
-
-    def sc(i: int, jj: int) -> float:
-        # cuff pair in increasing order, as shear_coords reports the leaf;
-        # the order fixes the rounding of the (2,2,2) sum
-        return _shear(signed, _shear_coord(t.ends, e, min(i, jj), max(i, jj)))
-
-    if n == 2:
-        fan_shears = [sc(cuff, j)]
-        spiral_shears = [sc(j, k), sc(cuff, j)]
-    elif n == 4:
-        fan_shears = [sc(cuff, j), sc(cuff, cuff), sc(cuff, k)]
-        spiral_shears = [sc(cuff, j)]
-    else:
-        fan_shears = []
-        spiral_shears = [sc(j, j), sc(j, k), sc(j, j), sc(cuff, j)]
+    fan, spiral = _oracle_leaves(t.ends, e, cuff)
+    fan_shears = [_shear(signed, terms) for terms in fan]
+    spiral_shears = [_shear(signed, terms) for terms in spiral]
 
     # fan period width from constructive shears (first gap normalized to 1)
     width = math.fsum(_gap_widths(1.0, fan_shears))

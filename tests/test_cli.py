@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import importlib
@@ -125,6 +126,37 @@ def test_cuff_out_of_range_is_usage_error(capsys, command, cuff):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: cuff must be 1, 2 or 3")
+
+
+def test_cached_triangulations_keep_the_order_of_the_usage_errors(capsys):
+    # the signs are read before the cuff, and the lengths last
+    for lengths, signs, cuff, message in (
+        ("1,1,1", "LLX", "4", "signs must be three letters from {L, R}, e.g. LLR"),
+        ("1,1", "LLX", "4", "signs must be three letters from {L, R}, e.g. LLR"),
+        ("1,1", "LLR", "4", "cuff must be 1, 2 or 3"),
+        ("1,1", "LLR", "1", "expected 3 comma-separated values, got 2"),
+    ):
+        for _ in range(2):  # the second run meets the cached triangulation, if any
+            assert main(["delta", "--type", "3sym", "--l", lengths, "--signs", signs, "--cuff", cuff]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {message}\n"
+
+
+def test_pants_args_build_each_triangulation_once():
+    args = _parse(["delta", "--type", "asym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "3"])
+    pm, tri, cuff = cli._pants_args(args)
+    assert (pm, tri, cuff) == (PantsMetric(1.0, 2.0, 3.0), PantsTriangulation((4, 1, 1), (1, -1, 1)), 2)
+    assert cli._pants_args(args)[1] is tri
+
+
+def test_the_default_config_is_one_frozen_validated_value():
+    cfg = load_config(None)
+    assert cfg == Config()
+    assert load_config(None) is cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_q = 2
+    assert load_config(None).max_q == 30
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):

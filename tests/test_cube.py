@@ -434,6 +434,48 @@ def test_cube_command_counts_the_chamfered_cube_at_cuffs_of_6(tmp_path, capsys):
     assert written["brute_force_agrees"] is True
 
 
+# past the float cloud's reach qhull leaves a face of the cube split in two,
+# and the certificate, which checks only the vertex set, still passes
+SPLIT_FACE_CASES = [
+    ("1,1,15", (3, 19), "3.3e-07"),
+    ("10,10,10", (14, 22), "2.7e-06"),
+    ("5,9,9", (0, 14), "2.8e-05"),
+]
+
+
+@pytest.mark.parametrize("lengths, faces, separation", SPLIT_FACE_CASES)
+def test_cube_command_refuses_a_split_face(tmp_path, capsys, lengths, faces, separation):
+    # qhull's hulls here count (32, 52, 22), (32, 60, 30) and (32, 50, 20)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\nbase_lengths={lengths}\n")
+    assert main(["--config", str(cfg), "cube"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: hull faces {faces[0]} and {faces[1]} are {separation} apart, "
+                            f"within the face separation 0.01: a face is split in two\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_chamfered_cube_faces_lie_far_apart():
+    # the smallest separation of the cube's faces is 1/sqrt(2) at the
+    # symmetric point and on sampled genus2 points; a split face is closer
+    # than 1e-3 wherever one was seen
+    for lengths, twists in (((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), ((4.2, 0.6, 1.3), (0.9, 1.7, -0.4))):
+        summary = hull(dedupe_points(cloud(FNPoint("S2", lengths, twists)))[0])
+        i, j, separation = cube._closest_faces(summary.planes)
+        assert i < j and abs(separation - 2 ** -0.5) <= 1e-9
+    with pytest.raises(GeometryError, match=r"^hull faces 3 and 19 are 3.3e-07 apart"):
+        chamfered_cube_check(FNPoint("S2", (1.0, 1.0, 15.0), (0.0, 0.0, 0.0)))
+
+
+def test_closest_faces_is_the_least_max_norm_distance_of_the_normals():
+    planes = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.6, 0.8, 1.0], [1.0, 0.0, 0.0, 2.0]])
+    # faces 0 and 3 share a normal: distinct faces, separation 0
+    assert cube._closest_faces(planes) == (0, 3, 0.0)
+    i, j, separation = cube._closest_faces(planes[:3])
+    assert (i, j) == (1, 2) and separation == pytest.approx(0.8)
+
+
 def test_long_cuffs_give_a_certified_chamfered_cube():
     # from cuffs of about 8.5 the float cloud's own error (2.0e-8 at 5, 9, 9)
     # splits a face again, where the 50-digit cloud gives the cube

@@ -104,6 +104,71 @@ def test_negative_determinant_rejected():
         _mobius(0.0, 1.0, 1.0, 0.0)
 
 
+def reference_mobius(a, b, c, d) -> tuple:
+    """``_mobius`` as it divides every matrix by the square root of its
+    determinant, which is 1 for a matrix already normalized."""
+    det = a * d - b * c
+    if not det > 0:
+        raise GeometryError(f"Mobius matrix determinant {det} is not positive")
+    s = h2.math.sqrt(det)  # through h2's namespace, so the fifty_digits swap reaches it
+    return a / s, b / s, c / s, d / s
+
+
+def _mobius_outcome(entries):
+    """repr of ``_mobius`` and of the reference on ``entries`` (which tells
+    0.0 from -0.0), or each one's error message."""
+    def outcome(f):
+        try:
+            return repr(f(*entries))
+        except GeometryError as exc:
+            return str(exc)
+
+    return outcome(_mobius), outcome(reference_mobius)
+
+
+def test_mobius_keeps_a_determinant_one_matrix_as_the_reference_divides_it():
+    # the matrices that _to_standard builds (det exactly 1 when an endpoint
+    # is infinite), their normalized inverses and compositions, which may
+    # land on det 1 exactly, the flip, and random matrices of either sign
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    end = st.one_of(st.just(INF), st.floats(-1e3, 1e3), st.floats(-1.0, 1.0))
+    entry = st.floats(-4.0, 4.0)
+    exact_one = 0
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(a=end, b=end, c=end, d=end, m=st.tuples(entry, entry, entry, entry))
+    def check(a, b, c, d, m):
+        nonlocal exact_one
+        raw = [m]
+        normalized = []
+        for ga, gb in ((a, b), (c, d)):
+            if ga == gb:
+                continue
+            if ga == INF:
+                matrix = (0.0, -1.0, 1.0, -gb)
+            elif gb == INF:
+                matrix = (1.0, -ga, 0.0, 1.0)
+            else:
+                s = 1.0 if ga > gb else -1.0
+                matrix = (s, -s * ga, 1.0, -gb)
+            assert _to_standard(ga, gb) == reference_mobius(*matrix)
+            raw.append(matrix)
+            normalized.append(reference_mobius(*matrix))
+        for p, q, r, t in normalized:
+            raw.append((t, -q, -r, p))
+        for (p, q, r, t), (e, f, g, h) in itertools.product(normalized, repeat=2):
+            raw.append((p * e + q * g, p * f + q * h, r * e + t * g, r * f + t * h))
+        for entries in raw:
+            kept, divided = _mobius_outcome(entries)
+            assert kept == divided
+            exact_one += det(entries) == 1.0
+
+    check()
+    assert exact_one >= 300
+    assert h2._FLIP == reference_mobius(0.0, -1.0, 1.0, 0.0)
+
+
 # ---------------------------------------------------------------- medians
 
 

@@ -448,6 +448,60 @@ def test_fixed_heights_never_cross_namespaces(monkeypatch, request):
     assert list(map(repr, again)) == pins
 
 
+def _details_outcomes(cases):
+    """repr of each case's ``oracle_details``, or its error's type and message."""
+    outcomes = []
+    for lengths, tri, cuff in cases:
+        try:
+            outcomes.append(repr(sorted(oracle_details(PantsMetric(*lengths), tri, cuff).items())))
+        except (ArithmeticError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _with_reference_mobius(cases):
+    """The outcomes of ``cases`` with every Mobius matrix divided by the
+    square root of its determinant, determinant one included (``pants``
+    imports the name, so it is patched there too)."""
+    from test_h2 import reference_mobius
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(h2, "_mobius", reference_mobius)
+        patch.setattr(pants, "_mobius", reference_mobius)
+        pants._fixed_heights.cache_clear()
+        try:
+            return _details_outcomes(cases)
+        finally:
+            pants._fixed_heights.cache_clear()
+
+
+def test_oracle_details_are_the_reference_normalization_bit_for_bit():
+    # every type and cuff, cuffs log-uniform on [1e-12, 80] and 5% punctures,
+    # so that the singular cuffs, the degenerate constructions and the gaps
+    # out of float range raise
+    rng = np.random.RandomState(48)
+    tris = enumerate_triangulations()
+    cases = []
+    for i in range(2016):
+        lengths = [0.0 if rng.rand() < 0.05 else math.exp(rng.uniform(math.log(1e-12), math.log(80.0)))
+                   for _ in range(3)]
+        cases.append((lengths, tris[i % 32], i // 32 % 3))
+    outcomes = _details_outcomes(cases)
+    assert outcomes == _with_reference_mobius(cases)
+    raised = sum(isinstance(outcome, tuple) for outcome in outcomes)
+    assert 200 <= raised <= 800
+
+
+def test_fifty_digit_oracle_details_are_the_reference_normalization(request):
+    mp = request.getfixturevalue("fifty_digits")
+    cases = [(tuple(map(mp.mpf, lengths)), tri, cuff)
+             for lengths in ((1.0, 1.0, 1.0), (0.5, 2.0, 1.0), (4.0, 0.3, 7.0))
+             for tri in enumerate_triangulations()[::5] for cuff in range(3)]
+    outcomes = _details_outcomes(cases)
+    assert all(isinstance(outcome, str) and "mpf(" in outcome for outcome in outcomes)
+    assert outcomes == _with_reference_mobius(cases)
+
+
 # ------------------------------------------------- one side of a stretch vector
 
 
