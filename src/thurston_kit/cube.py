@@ -8,11 +8,12 @@ its convex hull at the symmetric base point is combinatorially a
 chamfered cube.  One qhull run gives its points-by-merged-faces incidence
 matrix; its 32 vertices, the rows on three or more faces, are certified by
 arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
-covers.  Near-equal points merge by one all-pairs comparison; the faces
-are qhull's merged facets, and a hull with two faces whose normals lie
-within ``FACE_SEPARATION`` is refused as a face left split.  The
-least-squares extremality test :func:`extreme_points_brute`, over
-scipy's NNLS, is the tests' reference.
+covers.  Only equal points merge: a merge within ``HULL_TOL`` changed no
+float cloud and certified wrong cubes from 50-digit clouds with cuffs of
+16 to 20.  The faces are qhull's merged facets, and a hull with two
+faces whose normals lie within ``FACE_SEPARATION`` is refused as a face
+left split.  The least-squares extremality test
+:func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .stretch import FNPoint, SidePlan, StretchSpec, side_plan, stretch_vectors
 if TYPE_CHECKING:
     import numpy as np
 
-#: max-norm distance within which the cloud's points merge, and qhull's centrum radius for merging facets
+#: qhull's centrum radius for merging facets
 HULL_TOL = 1e-9
 
 #: tolerance for convex representability, by certificate or least squares
@@ -78,30 +79,18 @@ def cloud(x: FNPoint) -> np.ndarray:
 
 
 def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Representative subset of the cloud's points, pairwise farther than HULL_TOL apart, and each point's group.
+    """The distinct rows of the cloud, in order of first appearance, and each row's group.
 
-    Each point joins the first representative within ``HULL_TOL`` (max norm) or
-    becomes a new one; a row equal to an earlier one joins its group unexamined.
-    A row with a NaN is close to nothing, itself included.
+    Each row joins the first earlier row equal to it or becomes a new one:
+    0.0 equals -0.0, and a row with a NaN equals no row.
     """
     import numpy as np
 
     pts = np.asarray(points, dtype=float)
     first: dict[tuple[float, ...], int] = {}
     twin = [first.setdefault(tuple(row), i) for i, row in enumerate(pts.tolist())]
-    distinct = list(first.values())
-    close = np.tri(len(distinct), k=-1, dtype=bool)
-    for column in pts[distinct].T:
-        close &= np.abs(column[:, None] - column) <= HULL_TOL
-    rep = list(range(len(pts)))
-    # the close (later, earlier) pairs in row-major order: each row meets the earlier ones in input order
-    for later, earlier in np.take(distinct, np.argwhere(close)).tolist():
-        if rep[later] == later and rep[earlier] == earlier:
-            rep[later] = earlier
-    # every representative precedes the points it claims, so this numbers them in input order
-    number: dict[int, int] = {}
-    group = [number.setdefault(rep[t], len(number)) for t in twin]
-    return pts[list(number)], group
+    number = {i: n for n, i in enumerate(first.values())}
+    return pts[list(number)], [number[i] for i in twin]
 
 
 @dataclass(frozen=True)

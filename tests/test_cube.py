@@ -94,10 +94,11 @@ def test_cloud_size_and_central_symmetry():
 
 
 def test_dedupe_groups_points():
-    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-12], [1.0, 0.0, 0.0]])
+    # only equal rows merge: 1e-12 apart is two groups, and -0.0 equals 0.0
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-12], [1.0, 0.0, 0.0], [-0.0, 0.0, -0.0]])
     uniq, group = dedupe_points(pts)
-    assert len(uniq) == 2
-    assert group == [0, 0, 1]
+    assert _bits(uniq.tolist()) == _bits(pts[:3].tolist())
+    assert group == [0, 1, 2, 0]
 
 
 def test_hull_of_unit_cube():
@@ -204,7 +205,7 @@ def test_projection_requires_genus_two_point():
 
 
 def _reference_dedupe(points, tol):
-    """Reference dedupe: one max-norm comparison per (point, representative) pair."""
+    """Reference tolerance merge: one max-norm comparison per (point, representative) pair."""
     reps, group = [], []
     for p in points:
         for i, r in enumerate(reps):
@@ -217,6 +218,20 @@ def _reference_dedupe(points, tol):
     return np.array(reps), group
 
 
+def _reference_exact_dedupe(points):
+    """Reference exact merge: each row joins the group of the first earlier row
+    equal to it, compared pair by pair (0.0 equals -0.0, NaN equals nothing)."""
+    reps, group = [], []
+    for i, p in enumerate(points):
+        j = next((j for j in range(i) if np.all(points[j] == p)), None)
+        if j is None:
+            group.append(len(reps))
+            reps.append(p)
+        else:
+            group.append(group[j])
+    return np.array(reps), group
+
+
 def _shuffled_duplicates():
     rng = np.random.default_rng(7)
     base = rng.normal(size=(12, 3))
@@ -225,27 +240,29 @@ def _shuffled_duplicates():
 
 
 def _plane_equations():
-    # four columns, as qhull's facet equations: each facet of a cube split
-    # in two triangles whose planes agree to within HULL_TOL
+    # four columns, as qhull's facet equations: each facet of a cube split in
+    # two triangles, the second with its zeros negated, then six planes 3e-10 off
     planes = np.column_stack([np.vstack([np.eye(3), -np.eye(3)]), -np.ones(6)])
-    return np.repeat(planes, 2, axis=0) + np.tile([[0.0], [3e-10]], (6, 4))
+    pairs = np.repeat(planes, 2, axis=0)
+    pairs[1::2] = np.where(planes == 0.0, -planes, planes)
+    return np.vstack([pairs, planes + 3e-10])
 
 
 #: points and, where it is fixed by hand, the expected group of each point
 DEDUPE_CASES = {
-    # neighbours within HULL_TOL, ends not: a point joins the first
-    # representative within tol, which is not the transitive closure
-    "chain": (lambda: np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [1.2, 0.0, 0.0]]) * cube.HULL_TOL, [0, 0, 1]),
+    # neighbours within HULL_TOL are distinct rows, so none merge
+    "chain": (lambda: np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [1.2, 0.0, 0.0]]) * cube.HULL_TOL, [0, 1, 2]),
     "no point": (lambda: np.empty((0, 3)), []),
     "one point": (lambda: np.array([[0.5, -1.0, 2.0]]), [0]),
-    # a row with a NaN is close to nothing, itself included
-    "nan rows": (lambda: np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 1e-12]]),
-                 [0, 1, 2, 0]),
+    # a row with a NaN equals no row, and -0.0 equals 0.0
+    "nan rows": (lambda: np.array([[0.0, 0.0, 0.0], [math.nan, 0.0, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 1e-12],
+                                   [-0.0, -0.0, 0.0]]), [0, 1, 2, 3, 0]),
     "shuffled exact and near duplicates": (_shuffled_duplicates, None),
-    "plane equations": (_plane_equations, [i // 2 for i in range(12)]),
-    # four columns, the first tied: rows 0 and 1 differ beyond HULL_TOL only in the last
+    "plane equations": (_plane_equations, [i // 2 for i in range(12)] + list(range(6, 12))),
+    # four columns, the first three tied: the rows differ only in the last
     "tied first column, far last": (lambda: np.array([[0.5, 1.0, -2.0, 3.0], [0.5, 1.0, -2.0, 3.0 + 2e-9],
-                                                      [0.5, 1.0, -2.0, 3.0 + 5e-10]]), [0, 1, 0]),
+                                                      [0.5, 1.0, -2.0, 3.0 + 5e-10], [0.5, 1.0, -2.0, 3.0 + 2e-9]]),
+                                    [0, 1, 2, 1]),
 }
 
 
@@ -254,11 +271,11 @@ def test_dedupe_matches_the_reference(case):
     make, expected = DEDUPE_CASES[case]
     points = make()
     uniq, group = dedupe_points(points)
-    ref_uniq, ref_group = _reference_dedupe(points, cube.HULL_TOL)
+    ref_uniq, ref_group = _reference_exact_dedupe(points)
     assert group == ref_group
     assert expected is None or group == expected
     assert uniq.shape == (len(ref_uniq), points.shape[1])
-    assert np.array_equal(uniq, ref_uniq.reshape(uniq.shape), equal_nan=True)
+    assert _bits(uniq.tolist()) == _bits(ref_uniq.reshape(uniq.shape).tolist())
 
 
 def _near_copies(rng, n, d):
@@ -291,9 +308,9 @@ def test_dedupe_matches_the_reference_on_random_near_copies():
     def check(seed, n, d):
         points = _near_copies(np.random.default_rng(seed), n, d)
         uniq, group = dedupe_points(points)
-        ref_uniq, ref_group = _reference_dedupe(points, cube.HULL_TOL)
+        ref_uniq, ref_group = _reference_exact_dedupe(points)
         assert group == ref_group
-        assert np.array_equal(uniq, ref_uniq, equal_nan=True)
+        assert _bits(uniq.tolist()) == _bits(ref_uniq.tolist())
 
     check()
 
@@ -495,20 +512,17 @@ def test_long_cuffs_give_a_certified_chamfered_cube():
     check()
 
 
-def _fifty_digit_cloud(x, mp):
-    """The cloud at ``x`` with every offset and rate at 50 digits (under the
-    ``fifty_digits`` swap), one pass of the resolved kernel per side of the
-    completions' plan, rounded to float at the end."""
-    plan = cube._completions()[2]
-    lengths = stretch._SURFACES["S2"].metric(tuple(map(mp.mpf, x.lengths))).lengths
-    sides = []
-    for tri, c in plan.sides:
-        side = pants._roles(lengths, tri, c)
-        sides.append((pants._delta_core(pants._signed(lengths), side).real,
-                      pants._delta_core(pants._stepped(lengths), side).imag / pants._STEP))
-    rows = [x.twists[i % 3] + sides[a][0] + sides[b][0] - sides[a][1] - sides[b][1]
-            for i, (a, b) in enumerate(plan.index.tolist())]
-    return np.array([float(v) for v in rows]).reshape(-1, 3)
+def test_no_certified_wrong_cube_at_fifty_digits(request):
+    # with cuffs of 16 to 20 the 50-digit cloud has distinct points within
+    # HULL_TOL of each other; merging them certified (26, 42, 18) here, 0.707
+    # between faces, where the distinct points give (27, 43, 18) and no certificate
+    x = FNPoint("S2", (17.809518214039276, 18.239089544321985, 19.696842336094917),
+                (-0.1373997196009067, 0.03136509224908446, 0.3495393153995878))
+    request.getfixturevalue("fifty_digits")
+    raw = np.asarray(stretch_vectors(x, cube._completions()[2]), dtype=float)
+    uniq = dedupe_points(raw)[0]
+    summary = hull(uniq)
+    assert summary.counts() == (32, 48, 18) or not cube._certified(uniq, summary)
 
 
 #: errors of the float cloud against 50 digits: 9.5e-12, 6.4e-10 and 1.3e-9
@@ -521,7 +535,8 @@ def test_long_cuff_cloud_matches_fifty_digits(lengths, twists, request):
     x = FNPoint("S2", lengths, twists)
     raw = cloud(x)
     counts = hull(dedupe_points(raw)[0]).counts()
-    exact = _fifty_digit_cloud(x, request.getfixturevalue("fifty_digits"))
+    request.getfixturevalue("fifty_digits")
+    exact = np.asarray(stretch_vectors(x, cube._completions()[2]), dtype=float)
     assert np.max(np.abs(raw - exact)) <= 5e-9
     assert counts == hull(dedupe_points(exact)[0]).counts() == (32, 48, 18)
 
@@ -550,7 +565,8 @@ def test_resolved_sides_never_cross_namespaces(tmp_path, monkeypatch, request):
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
     floats = stretch_vectors(x, side_plan(specs))
     clear()
-    exact = _fifty_digit_cloud(x, request.getfixturevalue("fifty_digits"))
+    request.getfixturevalue("fifty_digits")
+    exact = np.asarray(stretch_vectors(x, side_plan(specs)), dtype=float)
     assert np.max(np.abs(floats - exact)) <= 5e-9
     monkeypatch.undo()
     assert _bits(stretch_vectors(x, side_plan(specs)).tolist()) == _bits(floats.tolist())
@@ -604,9 +620,14 @@ def test_the_one_pass_side_table_is_the_per_side_loop_bit_for_bit(monkeypatch):
 
 
 def test_dedupe_and_certificates_match_references():
+    # on reachable clouds the exact merge is the tolerance merge: 20 points of
+    # the genus2 range, then 10 with cuffs on [5, 9]
     rng = np.random.default_rng(20261018)
-    for _ in range(20):
-        raw = cloud(_random_base_point(rng))
+    points = [_random_base_point(rng) for _ in range(20)]
+    points += [FNPoint("S2", tuple(rng.uniform(5.0, 9.0, 3).tolist()), tuple(rng.uniform(-2.0, 2.0, 3).tolist()))
+               for _ in range(10)]
+    for x in points:
+        raw = cloud(x)
         uniq, group = dedupe_points(raw)
         ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
         assert group == ref_group
