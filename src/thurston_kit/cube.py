@@ -73,7 +73,7 @@ def cloud(x: FNPoint) -> np.ndarray:
     if x.surface != "S2":
         raise ValueError("stretch-vector projections are computed on the genus-two surface")
     vectors = stretch_vectors(x, _completions()[2])
-    if not np.all(np.isfinite(vectors)):
+    if not np.all(np.abs(vectors) < np.inf):  # not np.isfinite, which reads no array of mpf
         raise ValueError("twist vector components must be finite")
     return vectors
 

@@ -230,14 +230,14 @@ def _delta_core(signed, side: tuple):
     return ec * 0.5 * log(g)
 
 
-#: the complex step of :func:`delta_scale_derivative` and the scale e^{i h} it applies
+#: the complex step of :func:`delta_scale_derivative`
 _STEP = 1e-100
-_STEP_SCALE = cmath.exp(complex(0.0, _STEP))
 
 
 def _stepped(lengths) -> tuple:
-    """The signed lengths scaled by e^{i h}, at which the offset's imaginary part is h times its rate."""
-    return _signed(tuple(x * _STEP_SCALE for x in lengths))
+    """The signed lengths scaled by e^{i h} from ``cmath``, float or mpmath, where the offset's imaginary part is h times its rate."""
+    scale = cmath.exp(1j * _STEP)
+    return _signed(tuple(x * scale for x in lengths))
 
 
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -247,11 +247,9 @@ def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
 
 
 def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
-    """d/ds at s = 0 of ``delta_closed(p.scaled(e^s), t, cuff)``, by
-    complex-step differentiation.
-
-    The offset is analytic in the scale, so an infinitesimal imaginary
-    perturbation gives the exact derivative (no cancellation error).
+    """d/ds at s = 0 of ``delta_closed(p.scaled(e^s), t, cuff)``, by complex-step
+    differentiation at the precision of the lengths: the offset is analytic in the scale, so
+    an infinitesimal imaginary perturbation gives the exact derivative (no cancellation error).
     """
     return _delta_core(_stepped(p.lengths), _roles(p.lengths, t, cuff)).imag / _STEP
 
@@ -308,12 +306,12 @@ def _solve_monotone(f: Callable[[float], float], f0: float, f1: float) -> float:
 
 @functools.cache
 def _fixed_heights(num) -> tuple:
-    """Log heights that no gap solve changes, once per scalar namespace
-    ``num`` (float ``math``, or mpmath at its first call's precision): the
-    near half of the width-one gap (-1, 0, inf) that opens each period and
-    the far halves of (0, e^u, inf) at the secant's starts u = 0 and 1.
-    They are 0, 0 and 1 (exactly, in float) but come from the kernel like
-    every other height, so the oracle stays constructive at any precision.
+    """Log heights that no gap solve changes, once per scalar namespace ``num``
+    (float ``math``, or mpmath at its first call's precision, which a precision
+    change must clear): the near half of the width-one gap (-1, 0, inf) that opens
+    each period and the far halves of (0, e^u, inf) at the secant's starts u = 0 and 1.
+    They are 0, 0 and 1 (exactly in float; at 50 digits the last is one ulp below 1) but
+    come from the kernel like every other height, so the oracle stays constructive at any precision.
     """
     near = num.log(_near_height(_triangle(-1.0, 0.0, INF)))
     return (near, *(num.log(_far_height(_triangle(0.0, num.exp(u), INF))) for u in (0.0, 1.0)))

@@ -71,7 +71,7 @@ class SpecMismatchError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class FNPoint:
-    """Fenchel-Nielsen coordinates for a supported surface."""
+    """Fenchel-Nielsen coordinates for a supported surface, kept as given (floats, or ``mpmath.mpf`` at any precision)."""
 
     surface: str
     lengths: tuple[float, ...]
@@ -79,8 +79,8 @@ class FNPoint:
 
     def __post_init__(self) -> None:
         n = curve_count(self.surface)
-        object.__setattr__(self, "lengths", tuple(float(v) for v in self.lengths))
-        object.__setattr__(self, "twists", tuple(float(v) for v in self.twists))
+        object.__setattr__(self, "lengths", tuple(self.lengths))
+        object.__setattr__(self, "twists", tuple(self.twists))
         if len(self.lengths) != n or len(self.twists) != n:
             raise ValueError(f"{self.surface} needs {n} length/twist pairs")
         if any(not (math.isfinite(v) and v > 0) for v in self.lengths):

@@ -32,6 +32,8 @@ from thurston_kit.pants import (
 )
 from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, side_plan, stretch_vectors
 
+from conftest import scalars
+
 
 def _spec(signs, ends1, ends2):
     """The genus-two completion with shared ``signs`` and the given pants types."""
@@ -512,14 +514,18 @@ def test_long_cuffs_give_a_certified_chamfered_cube():
     check()
 
 
-def test_no_certified_wrong_cube_at_fifty_digits(request):
+def _exact_cloud(lengths, twists):
+    """``cube.cloud`` under ``scalars(50)`` at the lengths and twists taken as ``mpf``: 50-digit ``mpf``."""
+    with scalars(50) as mp:
+        return cloud(FNPoint("S2", tuple(map(mp.mpf, lengths)), tuple(map(mp.mpf, twists))))
+
+
+def test_no_certified_wrong_cube_at_fifty_digits():
     # with cuffs of 16 to 20 the 50-digit cloud has distinct points within
     # HULL_TOL of each other; merging them certified (26, 42, 18) here, 0.707
-    # between faces, where the distinct points give (27, 43, 18) and no certificate
-    x = FNPoint("S2", (17.809518214039276, 18.239089544321985, 19.696842336094917),
-                (-0.1373997196009067, 0.03136509224908446, 0.3495393153995878))
-    request.getfixturevalue("fifty_digits")
-    raw = np.asarray(stretch_vectors(x, cube._completions()[2]), dtype=float)
+    # between faces, where the distinct points give (32, 48, 18) and no certificate
+    raw = np.asarray(_exact_cloud((17.809518214039276, 18.239089544321985, 19.696842336094917),
+                                  (-0.1373997196009067, 0.03136509224908446, 0.3495393153995878)), dtype=float)
     uniq = dedupe_points(raw)[0]
     summary = hull(uniq)
     assert summary.counts() == (32, 48, 18) or not cube._certified(uniq, summary)
@@ -531,14 +537,35 @@ def test_no_certified_wrong_cube_at_fifty_digits(request):
     ((6.5, 7.5, 8.5), (-1.2, 0.4, 1.9)),
     ((9.0, 8.0, 7.0), (1.5, -1.8, -0.2)),
 ])
-def test_long_cuff_cloud_matches_fifty_digits(lengths, twists, request):
-    x = FNPoint("S2", lengths, twists)
-    raw = cloud(x)
+def test_long_cuff_cloud_matches_fifty_digits(lengths, twists):
+    raw = cloud(FNPoint("S2", lengths, twists))
     counts = hull(dedupe_points(raw)[0]).counts()
-    request.getfixturevalue("fifty_digits")
-    exact = np.asarray(stretch_vectors(x, cube._completions()[2]), dtype=float)
+    exact = np.asarray(_exact_cloud(lengths, twists), dtype=float)
     assert np.max(np.abs(raw - exact)) <= 5e-9
     assert counts == hull(dedupe_points(exact)[0]).counts() == (32, 48, 18)
+
+
+# 3.4e-45 and 3.0e-37 measured; lengths held as floats, whose complex step and
+# shear sums round to double, left 7.9e-14 and 1.5e-9
+@pytest.mark.parametrize("lengths, twists, tol", [
+    ((6.5, 7.5, 8.5), (-1.2, 0.4, 1.9), 1e-40),
+    ((17.8, 18.2, 19.7), (-0.1, 0.03, 0.35), 1e-30),
+])
+def test_fifty_digit_cloud_matches_a_hundred_digit_reference(lengths, twists, tol):
+    # the reference differentiates with no complex step: per (triangulation,
+    # cuff) side, delta_closed at the metric and the central difference of
+    # delta_closed at the metric scaled by e^{+-h}, h = 1e-40, summed per
+    # (completion, curve) as stretch_vectors sums them
+    got = _exact_cloud(lengths, twists)
+    plan = cube._completions()[2]
+    with scalars(100) as mp:
+        metric, h = PantsMetric(*map(mp.mpf, lengths)), mp.mpf("1e-40")
+        up, down = metric.scaled(mp.exp(h)), metric.scaled(mp.exp(-h))
+        sides = [(delta_closed(metric, tri, cuff),
+                  (delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)) / (2 * h)) for tri, cuff in plan.sides]
+        reference = [mp.mpf(twists[k % 3]) + sides[i][0] + sides[j][0] - (sides[i][1] + sides[j][1])
+                     for k, (i, j) in enumerate(plan.index.tolist())]
+        assert max(abs(a - b) for a, b in zip(got.flat, reference)) <= tol
 
 
 def _cube_points_sha(tmp_path, lengths, twists):
@@ -550,7 +577,7 @@ def _cube_points_sha(tmp_path, lengths, twists):
     return hashlib.sha256((tmp_path / "out" / "cube_points.json").read_bytes()).hexdigest()
 
 
-def test_resolved_sides_never_cross_namespaces(tmp_path, monkeypatch, request):
+def test_resolved_sides_never_cross_namespaces(tmp_path):
     # float, then 50 digits, then float again in one process.  A resolved
     # side holds only ints, so the 50-digit run, which makes the entries
     # after a clear, stays within 5e-9 of the float cloud, and the last
@@ -565,10 +592,9 @@ def test_resolved_sides_never_cross_namespaces(tmp_path, monkeypatch, request):
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
     floats = stretch_vectors(x, side_plan(specs))
     clear()
-    request.getfixturevalue("fifty_digits")
-    exact = np.asarray(stretch_vectors(x, side_plan(specs)), dtype=float)
+    with scalars(50):
+        exact = np.asarray(stretch_vectors(x, side_plan(specs)), dtype=float)
     assert np.max(np.abs(floats - exact)) <= 5e-9
-    monkeypatch.undo()
     assert _bits(stretch_vectors(x, side_plan(specs)).tolist()) == _bits(floats.tolist())
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
 

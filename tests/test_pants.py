@@ -1,10 +1,12 @@
 """Tests for shear coordinates and the twist-offset functions."""
 
+import ast
 import cmath
 import functools
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from thurston_kit.pants import (
     _signed,
     _solve_monotone,
 )
+
+from conftest import SWAPPED, scalars
 
 LLL = (1, 1, 1)
 RRR = (-1, -1, -1)
@@ -425,27 +429,45 @@ def test_gap_solve_evaluates_only_the_heights_that_change(ends, calls, monkeypat
     assert count == calls
 
 
-def test_fixed_heights_never_cross_namespaces(monkeypatch, request):
+def test_fixed_heights_never_cross_namespaces():
     # float, then 50 digits, then float again in one process: each namespace
     # reads its own fixed heights.  The heights are 0, 0 and 1 (exactly so in
-    # float), so a float height in the 50-digit solve cannot show; the
-    # 50-digit entry is made first, so a cache not keyed by the namespace
-    # hands its mpf heights to the last float run, which changes a pin
+    # float), so a float height in the 50-digit solve cannot show.  The switch
+    # clears the cache on entry and on exit, so only inside it can a cache not
+    # keyed by the namespace show: there the float namespace still gets floats
     def oracle_values(num):
         return [delta_oracle(PantsMetric(*map(num, lengths)), _pinned_tri(ends, signs), cuff)
                 for ends, signs, cuff, lengths, _ in ORACLE_PINNED]
 
     pins = [repr(expected) for *_, expected in ORACLE_PINNED]
     assert list(map(repr, oracle_values(float))) == pins
-    pants._fixed_heights.cache_clear()
-    mp = request.getfixturevalue("fifty_digits")
-    for (ends, signs, cuff, lengths, _), oracle in zip(ORACLE_PINNED, oracle_values(mp.mpf)):
-        closed = delta_closed(PantsMetric(*map(mp.mpf, lengths)), _pinned_tri(ends, signs), cuff)
-        assert abs(closed - oracle) <= 1e-30
-    monkeypatch.undo()
+    with scalars(50) as mp:
+        for (ends, signs, cuff, lengths, _), oracle in zip(ORACLE_PINNED, oracle_values(mp.mpf)):
+            closed = delta_closed(PantsMetric(*map(mp.mpf, lengths)), _pinned_tri(ends, signs), cuff)
+            assert abs(closed - oracle) <= 1e-30
+        assert all(type(height) is float for height in pants._fixed_heights(math))
     again = oracle_values(float)
     assert all(type(value) is float for value in again)
     assert list(map(repr, again)) == pins
+
+
+def test_oracle_results_never_depend_on_an_earlier_precision():
+    # at 50 digits the last fixed height is one ulp below 1; a 100-digit run
+    # that read the 50-digit heights was 1.8e-51 off here
+    tri, lengths = PantsTriangulation((2, 2, 2), (1, -1, 1)), (1.0, 1.5, 0.7)
+
+    def oracle(mp):
+        return delta_oracle(PantsMetric(*map(mp.mpf, lengths)), tri, 0)
+
+    with scalars(100) as mp:
+        fresh = oracle(mp)
+        with scalars(50) as inner:
+            fifty = oracle(inner)
+        assert oracle(mp) == fresh
+    with scalars(50) as mp:
+        assert oracle(mp) == fifty
+        with scalars(100) as inner:
+            assert oracle(inner) == fresh
 
 
 def _details_outcomes(cases):
@@ -685,3 +707,35 @@ def test_complex_step_rate_matches_a_fifty_digit_central_difference(request):
         reference = (delta_closed(up, tri, cuff) - delta_closed(down, tri, cuff)) / (2 * h)
         # 1.8e-15 measured
         assert abs(rate - reference) <= 1e-14 * abs(reference), (tri.label(), cuff)
+
+
+def _import_time(node):
+    """``node`` and the nodes under it that run when its module is imported:
+    of a function, only its decorators and defaults (annotations are strings)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        for part in (*getattr(node, "decorator_list", ()), *node.args.defaults, *node.args.kw_defaults):
+            if part is not None:
+                yield from _import_time(part)
+        return
+    yield node
+    for child in ast.iter_child_nodes(node):
+        yield from _import_time(child)
+
+
+@pytest.mark.parametrize("module", dict.fromkeys(module for module, _ in SWAPPED), ids=lambda m: m.__name__)
+def test_kernels_reach_scalars_only_through_the_swapped_names(module):
+    # the README's precision rule, which scalars() relies on: no value coerced
+    # with float() or complex() (an f-string may format one), no math or cmath
+    # function bound under another name, and no module-level call into math
+    # or cmath, whose value the switch could not reach
+    tree = ast.parse(Path(module.__file__).read_text())
+    formatted = {id(node) for f in ast.walk(tree) if isinstance(f, ast.JoinedStr) for node in ast.walk(f)}
+    coerced = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and id(node) not in formatted
+               and isinstance(node.func, ast.Name) and node.func.id in ("float", "complex")]
+    renamed = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module in ("math", "cmath")
+               or isinstance(node, ast.Import) and any(a.name in ("math", "cmath") and a.asname for a in node.names)]
+    at_import = [node.lineno for statement in tree.body for node in _import_time(statement)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id in ("math", "cmath")]
+    assert (coerced, renamed, at_import) == ([], [], [])
