@@ -1,26 +1,40 @@
-"""The hull of the genus-two stretch vectors: faces, vertices and their certificates.
+"""The hull of the genus-two stretch vectors: the labelled chamfered cube and its certificate.
 
 A candidate is a :class:`~thurston_kit.stretch.StretchSpec` on the
 genus-two surface: one triangulation type per pair of pants and one
-twist sign per curve, 8 x 4 x 4 = 128 candidates.  Their stretch vectors
-(rows of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud;
-its convex hull at the symmetric base point is combinatorially a
-chamfered cube.  One qhull run gives its points-by-merged-faces incidence
-matrix; its 32 vertices, the rows on three or more faces, are certified by
-arithmetic on their rows' faces, which a fan of tetrahedra from one vertex
-covers.  Only equal points merge: a merge within ``HULL_TOL`` changed no
-float cloud and certified wrong cubes from 50-digit clouds with cuffs of
-16 to 20.  The faces are qhull's merged facets, and a hull with two
-faces whose normals lie within ``FACE_SEPARATION`` is refused as a face
-left split.  The least-squares extremality test
-:func:`extreme_points_brute`, over scipy's NNLS, is the tests' reference.
+twist sign per curve, 8 x 4 x 4 = 128 candidates, labelled ``s-X-Y`` by
+the signs and the two leaf distributions.  Their stretch vectors (rows
+of :func:`~thurston_kit.stretch.stretch_vectors`) form the cloud.  Both
+pairs of pants see the same three lengths, so ``s-X-Y`` is ``s-Y-X`` and
+the midpoint of the diagonal candidates ``s-X-X`` and ``s-Y-Y``, and the
+hull is that of the 32 diagonal vectors.  It is the chamfered cube of
+:func:`chamfered_cube`, whose 18 faces are named by cuffs and signs: six
+squares and twelve hexagons, with 48 edges.
+
+:func:`certify` checks that claim on the cloud with no hull search.  It
+fits one least-squares plane per named face and measures every distance
+in units of the cloud's extent: each face's vertices lie within
+``FACE_TOL`` (epsilon) of its plane, all 128 rows lie on the inner side of
+all 18 planes within ``FACE_TOL``, and each vertex lies at least
+``VERTEX_GAP`` (delta) inside every plane not its own.  A failure raises
+:class:`~thurston_kit.h2.GeometryError` naming the face and its margin.
+Epsilon and delta sit between the faces' planarity and their least
+off-face margin as measured on the benchmark's inputs and at base
+lengths (1, 1, 15), (10, 10, 10) and (5, 9, 9), where qhull split a face
+of the float cloud's cube; the certificate holds at all of them.  In
+process it takes about a sixth of a check, :func:`dedupe_points` (whose
+size the benchmark reads) about a twentieth, and the cloud about two
+thirds.  The qhull
+hull :func:`hull` and the least-squares extremality test
+:func:`extreme_points_brute`, over scipy's NNLS, are the tests'
+independent references; the ``cube`` command imports neither scipy
+module.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -35,17 +49,22 @@ if TYPE_CHECKING:
 #: qhull's centrum radius for merging facets
 HULL_TOL = 1e-9
 
-#: tolerance for convex representability, by certificate or least squares
+#: tolerance for convex representability by least squares
 EXTREME_TOL = 1e-8
 
-#: least max-norm distance between the unit normals of two faces of a chamfered
-#: cube: 1/sqrt(2) at the symmetric point, at 60 points of the genus2 range
-#: (cuffs on [0.2, 5], twists on [-2, 2]) and to 6 digits at 502 cubes with cuffs
-#: on [0.2, 12]; two halves of a face that qhull leaves split in two measured
-#: 3.3e-7 at base lengths (1, 1, 15), 2.7e-6 at (10, 10, 10), 2.8e-5 at
-#: (5, 9, 9), at most 4.0e-4 over 75 split hulls with cuffs on [7, 12] and at
-#: most 9.6e-4 over a second sample of 76 with cuffs on [9, 12]
-FACE_SEPARATION = 1e-2
+#: epsilon: the most, in units of the extent, that a face's vertex may lie
+#: off the face's plane or any point outside it.  The labelled faces measured
+#: planar to at most 8.1e-13 over the 1,880 genus2 cube inputs of seeds 1-10,
+#: and to 1.4e-9, 2.6e-8 and 1.3e-8 at base lengths (1, 1, 15), (10, 10, 10)
+#: and (5, 9, 9), where the float cloud's own error is largest
+FACE_TOL = 1e-7
+
+#: delta: the least, in units of the extent, that a vertex must lie inside
+#: each face plane that is not its own.  The least such margin measured at
+#: least 1.8e-2 over the 1,880 genus2 cube inputs, and 6.6e-6, 8.1e-5 and
+#: 4.0e-4 at (1, 1, 15), (10, 10, 10) and (5, 9, 9); it falls as e^-L with
+#: the cuff length L
+VERTEX_GAP = 1e-6
 
 
 @functools.cache
@@ -63,6 +82,29 @@ def _label(spec: StretchSpec) -> str:
     """The twist signs, then the leaf ends of each pair of pants: ``LLR-222-411``."""
     letters = "".join("L" if e == 1 else "R" for e in spec.triangulations[0].signs)
     return "-".join([letters, *("".join(map(str, t.ends)) for t in spec.triangulations)])
+
+
+@functools.cache
+def chamfered_cube() -> Polytope:
+    """The chamfered cube by the rule on the labels, as rows of the cloud.
+
+    Its vertices are the 32 diagonal candidates ``s-X-X``.  A face is named
+    by its signs at one or two cuffs, with a dot at each other cuff.  The
+    square ``L..`` is (cuff 0, sign L): the diagonals whose 4-end is at cuff
+    0 and whose sign there is L.  The hexagon ``LR.`` is (cuffs 0 and 1,
+    signs L and R): the diagonals with those signs whose distribution is
+    222 or has its 4-end at cuff 0 or 1.
+    """
+    diagonal = [(k, t) for k, (t, u) in enumerate(spec.triangulations for spec in _completions()[0]) if t == u]
+    faces = []
+    for cuffs in [*itertools.combinations(range(3), 1), *itertools.combinations(range(3), 2)]:
+        for signs in itertools.product((1, -1), repeat=len(cuffs)):
+            letters = dict(zip(cuffs, ["L" if e == 1 else "R" for e in signs]))
+            rows = tuple(k for k, t in diagonal if all(t.signs[i] == e for i, e in zip(cuffs, signs))
+                         and (t.ends.index(4) in cuffs if 4 in t.ends else len(cuffs) == 2))
+            shape = "square" if len(cuffs) == 1 else "hexagon"
+            faces.append((f"{shape} {''.join(letters.get(i, '.') for i in range(3))}", rows))
+    return polytope([k for k, _ in diagonal], faces)
 
 
 def cloud(x: FNPoint) -> np.ndarray:
@@ -91,6 +133,97 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
     twin = [first.setdefault(tuple(row), i) for i, row in enumerate(pts.tolist())]
     number = {i: n for n, i in enumerate(first.values())}
     return pts[list(number)], [number[i] for i in twin]
+
+
+@dataclass(frozen=True)
+class Polytope:
+    """A claimed convex polytope in 3D: its vertices as rows of a point
+    array, its named faces (each the tuple of its vertex rows) and its edge
+    count, the pairs of faces that share two vertices.  ``incidence`` is the
+    boolean (vertices, faces) matrix."""
+
+    vertices: tuple[int, ...]
+    faces: tuple[tuple[str, tuple[int, ...]], ...]
+    n_edges: int
+    incidence: np.ndarray = field(repr=False, compare=False)
+
+    def counts(self) -> tuple[int, int, int]:
+        return (len(self.vertices), self.n_edges, len(self.faces))
+
+
+def polytope(vertices, faces) -> Polytope:
+    """The polytope with ``vertices`` and the named ``faces``, each cut to those vertices.
+
+    Raises :class:`GeometryError` unless the faces close up a surface: a
+    face with fewer than three vertices and counts that break Euler's
+    formula V - E + F = 2 are refused.  One vertex dropped breaks the
+    formula, and so does one point added on none of the faces.
+    """
+    import numpy as np
+
+    vertices = tuple(vertices)
+    kept = set(vertices)
+    faces = tuple((name, tuple(r for r in rows if r in kept)) for name, rows in faces)
+    position = {v: i for i, v in enumerate(vertices)}
+    incidence = np.zeros((len(vertices), len(faces)), dtype=bool)
+    for f, (name, rows) in enumerate(faces):
+        if len(rows) < 3:
+            raise GeometryError(f"face {name} has {len(rows)} vertices, fewer than three")
+        incidence[[position[r] for r in rows], f] = True
+    shared = incidence.T.astype(int) @ incidence
+    n_edges = int(np.triu(shared == 2, 1).sum())
+    if len(vertices) - n_edges + len(faces) != 2:
+        raise GeometryError(f"V={len(vertices)} E={n_edges} F={len(faces)} break Euler's formula")
+    return Polytope(vertices, faces, n_edges, incidence)
+
+
+def certify(points: np.ndarray, claim: Polytope) -> tuple[float, float, float]:
+    """Check that the convex hull of ``points`` is ``claim``; its margins, in units of the extent.
+
+    The extent is the max-norm distance of the vertices from their centroid.
+    Each face gets the least-squares plane of its vertices, the one that an
+    SVD of their offsets from their centroid gives, oriented away from the
+    centroid of all vertices.  The claim holds when each face's vertices lie
+    within ``FACE_TOL`` of its plane, every point lies on the inner side of
+    every plane within ``FACE_TOL``, and every vertex lies at least
+    ``VERTEX_GAP`` inside each plane that is not one of its own faces'.
+    Returns the most a face's vertex lies off its plane, the most a point
+    lies outside a plane, and the least a vertex lies inside a plane not its
+    own.  The first face where a check fails raises :class:`GeometryError`
+    with the face's name and margin, the planarity of every face checked
+    first, then the points outside, then the vertices too close.
+    """
+    import numpy as np
+
+    pts, rows = np.asarray(points, dtype=float), list(claim.vertices)
+    centre = pts[rows].mean(axis=0)
+    extent = np.abs(pts[rows] - centre).max()
+    if not extent > 0.0:
+        raise GeometryError(f"the vertices span an extent of {extent}")
+    rel = (pts - centre) / extent
+    # each face's least-squares plane passes through the centroid of its
+    # vertices, normal to the least eigenvector of their scatter about it
+    on, corners = claim.incidence.T, rel[rows]
+    middle = on @ corners / on.sum(axis=1)[:, None]
+    spread = (corners - middle[:, None]) * on[:, :, None]
+    normals = np.linalg.eigh(spread.transpose(0, 2, 1) @ spread)[1][:, :, 0]
+    offsets = np.einsum("ij,ij->i", normals, middle)
+    normals[offsets < 0.0] *= -1.0
+    offsets = np.abs(offsets)
+    heights = rel @ normals.T - offsets
+    own = heights[rows]
+    off_plane = np.where(claim.incidence, np.abs(own), 0.0).max(axis=0)
+    outside = heights.max(axis=0)
+    gap = np.where(claim.incidence, np.inf, -own).min(axis=0)
+    for margins, holds, what in (
+        (off_plane, off_plane <= FACE_TOL, f"a vertex lies {{:.2g}} off its plane, more than {FACE_TOL}"),
+        (outside, outside <= FACE_TOL, f"a point lies {{:.2g}} outside its plane, more than {FACE_TOL}"),
+        (gap, gap >= VERTEX_GAP, f"a vertex off the face lies {{:.2g}} inside its plane, less than {VERTEX_GAP}"),
+    ):
+        if not holds.all():
+            f = int(holds.argmin())
+            raise GeometryError(f"face {claim.faces[f][0]}: {what.format(margins[f])} of the extent")
+    return float(off_plane.max()), float(outside.max()), float(gap.min())
 
 
 @dataclass(frozen=True)
@@ -145,71 +278,6 @@ def hull(points: np.ndarray) -> HullSummary:
     return HullSummary(e, vertices, np.array(list(number)), incidence)
 
 
-def _closest_faces(planes: np.ndarray) -> tuple[int, int, float]:
-    """The two distinct faces ``i < j`` whose unit normals (the first three
-    columns of ``planes``) are closest in the max norm, and that distance;
-    the first such pair in row-major order."""
-    import numpy as np
-
-    normals = planes[:, :3]
-    distance = np.abs(normals[:, None] - normals).max(axis=2)
-    np.fill_diagonal(distance, np.inf)
-    # the distances are symmetric, so the first least one in row-major order has i < j
-    i, j = divmod(int(distance.argmin()), len(distance))
-    return i, j, float(distance[i, j])
-
-
-def _certified(points: np.ndarray, summary: HullSummary) -> bool:
-    """Whether the summary's vertices are exactly the extreme points of ``points``.
-
-    Each vertex v is strictly supported: with c_v its incidence row times
-    the face normals, c_v.p_v - c_v.q > EXTREME_TOL |c_v| for every other point
-    q.  Every other point is rebuilt to within EXTREME_TOL by the barycentric
-    weights, clipped to >= 0 and renormalised, of a tetrahedron of vertices,
-    the one whose least weight for the point is largest.  The tetrahedra are
-    the fan from the first vertex over the merged faces that avoid it (the
-    columns of the vertices' rows), each face covered by the triangles from
-    its first vertex to every pair of its others: a face is convex, so these
-    lie in it and include a triangulation of it, and the tetrahedra cover
-    conv(vertices) with no angular order.
-    """
-    import numpy as np
-
-    pts = np.asarray(points, dtype=float)
-    verts = list(summary.vertex_indices)
-    on = summary.incidence[verts]
-    c = on @ summary.planes[:, :3]
-    scores = c @ pts.T
-    rows = np.arange(len(verts))
-    own = scores[rows, verts]
-    scores[rows, verts] = -np.inf
-    if not np.all(own - scores.max(axis=1) > EXTREME_TOL * np.linalg.norm(c, axis=1)):
-        return False
-    rest = pts[sorted(set(range(len(pts))).difference(verts))]
-    # the vertices of each face that avoids the apex verts[0], face by face in claimed order
-    face, at = np.nonzero(on[:, ~on[0]].T)
-    split = itertools.groupby(zip(face.tolist(), np.take(verts, at).tolist()), operator.itemgetter(0))
-    rings = [[v for _, v in ring] for _, ring in split]
-    # the tetrahedra (apex, first, i, j) over every pair i, j of a face's other vertices
-    tets = [(verts[0], r[0], i, j) for r in rings for i, j in itertools.combinations(r[1:], 2)]
-    if not tets:  # vertices that span no solid
-        return False
-    corners = pts[[v for tet in tets for v in tet]].reshape(-1, 4, 3)
-    # rows of the inverse of the edge matrix [e1 e2 e3]: e2 x e3, e3 x e1, e1 x e2 over its determinant
-    e = corners[:, 1:] - corners[:, :1]
-    a, b = e[:, [1, 2, 0]], e[:, [2, 0, 1]]
-    inverse = a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
-    inverse /= np.einsum("ij,ij->i", e[:, 0], inverse[:, 0])[:, None, None]
-    bary = inverse @ (rest - pts[verts[0]]).T
-    first = 1.0 - bary.sum(axis=1)
-    best = np.minimum(first, bary.min(axis=1)).argmax(axis=0)
-    n = np.arange(len(rest))
-    weights = np.clip(np.column_stack([first[best, n], bary[best, :, n]]), 0.0, None)
-    weights /= weights.sum(axis=1, keepdims=True)
-    rebuilt = np.einsum("ni,nij->nj", weights, corners[best])
-    return bool(np.all(np.linalg.norm(rebuilt - rest, axis=1) <= EXTREME_TOL))
-
-
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Non-negative least squares by scipy's Lawson-Hanson solver: ``(x, ||a x - b||)``
     with x >= 0 minimising the residual, the solver of :func:`extreme_points_brute`."""
@@ -233,7 +301,7 @@ def extreme_points_brute(points: np.ndarray) -> list[int]:
     A point is extreme iff the least-squares feasibility problem
     min ||sum_j w_j p_j - p_i|| with w >= 0, sum w = 1 (the constraint
     appended as an extra row) has residual above ``EXTREME_TOL``.  A lone point is
-    extreme.  The reference the hull certificates are tested against.
+    extreme.  The reference the labelled certificate is tested against.
     """
     import numpy as np
 
@@ -253,34 +321,28 @@ def symmetric_base_point() -> FNPoint:
 
 
 def chamfered_cube_check(x: FNPoint) -> dict:
-    """Full pipeline at ``x``: cloud, dedupe, hull counts, certificates of the vertices.
+    """Full pipeline at ``x``: the cloud, its distinct rows, and the labelled cube certified on it.
 
-    Returns the number of candidates, the hull counts, ``agree``: whether
-    :func:`_certified` verifies the hull vertices as the extreme set (the
-    CLI's ``brute_force_agrees``), the sorted labels of the extreme
-    candidates, and one entry per candidate in enumeration order: its
-    label, its twist vector and whether its point is a hull vertex.
-
-    Two faces whose normals lie within :data:`FACE_SEPARATION` are one face
-    of the cube that qhull left split, so its counts would be wrong: that
-    raises a :class:`GeometryError` naming the two faces.
+    Returns the number of candidates, the counts of :func:`chamfered_cube`,
+    ``agree``: the verdict of :func:`certify` (the CLI's
+    ``brute_force_agrees``), which raises a :class:`GeometryError` where
+    the claim fails, the sorted labels of the extreme candidates, and one
+    entry per candidate in enumeration order: its label, its twist vector
+    and whether its point is a vertex of the cube.
     """
     raw = cloud(x)
-    uniq, group = dedupe_points(raw)
-    summary = hull(uniq)
-    i, j, separation = _closest_faces(summary.planes)
-    if separation <= FACE_SEPARATION:
-        raise GeometryError(f"hull faces {i} and {j} are {separation:.2g} apart, "
-                            f"within the face separation {FACE_SEPARATION}: a face is split in two")
-    hull_set = set(summary.vertex_indices)
+    _, group = dedupe_points(raw)
+    claim = chamfered_cube()
+    certify(raw, claim)
+    vertices = {group[v] for v in claim.vertices}
     entries = [
-        {"completion": label, "d_twist": v, "extreme": g in hull_set}
+        {"completion": label, "d_twist": v, "extreme": g in vertices}
         for label, v, g in zip(_completions()[1], raw.tolist(), group)
     ]
     return {
         "n_candidates": len(raw),
-        "hull_counts": summary.counts(),
-        "agree": _certified(uniq, summary),
+        "hull_counts": claim.counts(),
+        "agree": True,
         "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
         "entries": entries,
     }

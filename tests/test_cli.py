@@ -160,8 +160,8 @@ def test_the_default_config_is_one_frozen_validated_value():
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
-    # scipy.optimize (cube.nnls, the tests' reference) stays unloaded even
-    # after a cube run, which needs scipy.spatial only
+    # scipy.spatial (cube.hull) and scipy.optimize (cube.nnls), the tests'
+    # references, stay unloaded even after a cube run
     cfg = write_config(tmp_path)
     code = (
         "import sys, thurston_kit.cli, thurston_kit; "
@@ -172,7 +172,7 @@ def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["False", "False", "True", "0", "True", "False"]
+    assert proc.stdout.splitlines()[-1].split() == ["False", "False", "True", "0", "False", "False"]
 
 
 @pytest.mark.parametrize("module", ["thurston_kit.pants", "thurston_kit.stretch"])
@@ -483,14 +483,14 @@ def test_cube_command_states_an_overflowing_closed_form(tmp_path, capsys):
 
 
 def test_cube_command_states_a_degenerate_hull_in_one_line(tmp_path, capsys):
-    # qhull's option dump after the first line of its message, with a
-    # random run id, used to follow on stderr
+    # a twist of 1e16 rounds the first coordinate of every row to a step of
+    # 2, the float spacing there, so the labelled faces are far from planar
     cfg = write_config(tmp_path, base_twists="1e16,0,0")
     assert main(["--config", str(cfg), "cube"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("error: degenerate point set: QH6154")
+    assert line == "error: face hexagon LL.: a vertex lies 0.11 off its plane, more than 1e-07 of the extent"
     assert not (tmp_path / "out").exists()
 
 

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -138,7 +140,7 @@ def test_hull_merges_only_neighbouring_facets_of_a_flat_cap():
     summary = hull(FLAT_CAP)
     assert summary.counts() == (5, 8, 5)
     assert list(summary.vertex_indices) == [0, 1, 3, 4, 5] == extreme_points_brute(FLAT_CAP)
-    assert cube._certified(FLAT_CAP, summary)
+    cube.certify(FLAT_CAP, _hull_polytope(summary))
 
 
 def test_hull_of_random_flat_caps_satisfies_euler():
@@ -442,8 +444,8 @@ def test_cube_artifacts_are_pinned(tmp_path, capsys, lengths, twists, points_sha
 
 
 def test_cube_command_counts_the_chamfered_cube_at_cuffs_of_6(tmp_path, capsys):
-    # qhull's unmerged triangles here lie on planes up to 1.4e-9 from their
-    # face's, more than HULL_TOL, and its centrum test merges them all the same
+    # the labelled faces are planar to 6.3e-12 of the extent here, and the
+    # least off-face margin is 4.1e-3
     cfg = tmp_path / "config.txt"
     cfg.write_text(f"out_dir={tmp_path / 'out'}\nbase_lengths=6,6,6\nbase_twists=0.3,-0.7,1.1\n")
     assert main(["--config", str(cfg), "cube"]) == 0
@@ -453,46 +455,90 @@ def test_cube_command_counts_the_chamfered_cube_at_cuffs_of_6(tmp_path, capsys):
     assert written["brute_force_agrees"] is True
 
 
-# past the float cloud's reach qhull leaves a face of the cube split in two,
-# and the certificate, which checks only the vertex set, still passes
-SPLIT_FACE_CASES = [
-    ("1,1,15", (3, 19), "3.3e-07"),
-    ("10,10,10", (14, 22), "2.7e-06"),
-    ("5,9,9", (0, 14), "2.8e-05"),
-]
+def _hull_polytope(summary, vertices=None):
+    """The polytope of qhull's hull: its faces are the incidence columns, named by number."""
+    faces = [(str(f), tuple(np.flatnonzero(column).tolist())) for f, column in enumerate(summary.incidence.T)]
+    return cube.polytope(summary.vertex_indices if vertices is None else sorted(vertices), faces)
 
 
-@pytest.mark.parametrize("lengths, faces, separation", SPLIT_FACE_CASES)
-def test_cube_command_refuses_a_split_face(tmp_path, capsys, lengths, faces, separation):
-    # qhull's hulls here count (32, 52, 22), (32, 60, 30) and (32, 50, 20)
+#: base lengths where qhull leaves a face of the float cloud's cube split in
+#: two, counting (32, 52, 22), (32, 60, 30) and (32, 50, 20); the labelled
+#: faces are planar to 1.4e-9, 2.6e-8 and 1.3e-8 of the extent there, and
+#: the least off-face margins are 6.6e-6, 8.1e-5 and 4.0e-4
+LONG_CUFF_LENGTHS = ["1,1,15", "10,10,10", "5,9,9"]
+
+
+@pytest.mark.parametrize("lengths", LONG_CUFF_LENGTHS)
+def test_cube_command_writes_the_certified_cube_at_long_cuffs(tmp_path, capsys, lengths):
     cfg = tmp_path / "config.txt"
     cfg.write_text(f"out_dir={tmp_path / 'out'}\nbase_lengths={lengths}\n")
-    assert main(["--config", str(cfg), "cube"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (f"error: hull faces {faces[0]} and {faces[1]} are {separation} apart, "
-                            f"within the face separation 0.01: a face is split in two\n")
-    assert not (tmp_path / "out").exists()
+    assert main(["--config", str(cfg), "cube"]) == 0
+    capsys.readouterr()
+    written = json.loads((tmp_path / "out" / "cube_hull.json").read_text())
+    assert (written["n_vertices"], written["n_edges"], written["n_faces"]) == (32, 48, 18)
+    assert written["brute_force_agrees"] is True
+    assert written["extreme_completions"] == sorted(cube._completions()[1][r] for r in cube.chamfered_cube().vertices)
 
 
-def test_chamfered_cube_faces_lie_far_apart():
-    # the smallest separation of the cube's faces is 1/sqrt(2) at the
-    # symmetric point and on sampled genus2 points; a split face is closer
-    # than 1e-3 wherever one was seen
-    for lengths, twists in (((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), ((4.2, 0.6, 1.3), (0.9, 1.7, -0.4))):
-        summary = hull(dedupe_points(cloud(FNPoint("S2", lengths, twists)))[0])
-        i, j, separation = cube._closest_faces(summary.planes)
-        assert i < j and abs(separation - 2 ** -0.5) <= 1e-9
-    with pytest.raises(GeometryError, match=r"^hull faces 3 and 19 are 3.3e-07 apart"):
-        chamfered_cube_check(FNPoint("S2", (1.0, 1.0, 15.0), (0.0, 0.0, 0.0)))
+def test_labelled_faces_are_qhulls_faces_at_the_symmetric_point():
+    uniq, group = dedupe_points(cloud(symmetric_base_point()))
+    summary = hull(uniq)
+    claim = cube.chamfered_cube()
+    assert summary.counts() == claim.counts() == (32, 48, 18)
+    # qhull's vertices and faces in the labels of the diagonal rows they are
+    label = {group[r]: cube._completions()[1][r] for r in claim.vertices}
+    assert sorted(label) == list(summary.vertex_indices)
+    qhull_faces = {frozenset(label[g] for g in np.flatnonzero(column) if g in label) for column in summary.incidence.T}
+    assert qhull_faces == {frozenset(label[group[r]] for r in rows) for _, rows in claim.faces}
+    assert sorted((name.split()[0], len(rows)) for name, rows in claim.faces) == [("hexagon", 6)] * 12 + [("square", 4)] * 6
 
 
-def test_closest_faces_is_the_least_max_norm_distance_of_the_normals():
-    planes = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.6, 0.8, 1.0], [1.0, 0.0, 0.0, 2.0]])
-    # faces 0 and 3 share a normal: distinct faces, separation 0
-    assert cube._closest_faces(planes) == (0, 3, 0.0)
-    i, j, separation = cube._closest_faces(planes[:3])
-    assert (i, j) == (1, 2) and separation == pytest.approx(0.8)
+def test_labelled_vertices_are_the_least_squares_extremes():
+    rng = np.random.default_rng(20261020)
+    claim = cube.chamfered_cube()
+    for _ in range(6):
+        raw = cloud(_random_base_point(rng))
+        uniq, group = dedupe_points(raw)
+        cube.certify(raw, claim)
+        assert sorted(group[r] for r in claim.vertices) == extreme_points_brute(uniq)
+
+
+def test_a_point_moved_off_the_cube_names_its_face():
+    # the vertex LLL-411-411 is on the square L.. and the hexagons LL. and
+    # L.L; moved along the edge of the two hexagons it stays on both planes
+    raw = cloud(symmetric_base_point())
+    claim = cube.chamfered_cube()
+    faces = dict(claim.faces)
+    v = cube._completions()[1].index("LLL-411-411")
+    assert [name for name, rows in claim.faces if v in rows] == ["square L..", "hexagon LL.", "hexagon L.L"]
+    (w,) = set(faces["hexagon LL."]) & set(faces["hexagon L.L"]) - {v}
+    moved = raw.copy()
+    moved[v] += 1e-3 * (raw[v] - raw[w])
+    with pytest.raises(GeometryError, match=r"^face square L\.\.: a vertex lies 7\.3e-05 off its plane, more than 1e-07 of the extent$"):
+        cube.certify(moved, claim)
+    # the midpoint LLL-411-222 of LLL-411-411 and LLL-222-222 lies on the
+    # edge of the same two hexagons; pushed out from the centre, it leaves
+    # the first of them
+    q = cube._completions()[1].index("LLL-411-222")
+    centre = raw[list(claim.vertices)].mean(axis=0)
+    moved = raw.copy()
+    moved[q] = centre + (1.0 + 1e-3) * (raw[q] - centre)
+    with pytest.raises(GeometryError, match=r"^face hexagon LL\.: a point lies 0\.001 outside its plane, more than 1e-07"):
+        cube.certify(moved, claim)
+
+
+def test_labelled_margins_hold_at_fifty_digits():
+    # at 10,10,10 the 50-digit cloud's faces are planar to the rounding of
+    # its rows to float, and its off-face margin is the float cloud's
+    with scalars(50) as mp:
+        x = FNPoint("S2", (mp.mpf(10),) * 3, (mp.mpf(0),) * 3)
+        raw = cloud(x)
+        assert chamfered_cube_check(x)["hull_counts"] == (32, 48, 18)
+    off_plane, outside, gap = cube.certify(raw, cube.chamfered_cube())
+    assert off_plane <= 1e-13 and outside <= 1e-13
+    assert gap >= cube.VERTEX_GAP
+    assert gap == pytest.approx(cube.certify(cloud(FNPoint("S2", (10.0,) * 3, (0.0,) * 3)), cube.chamfered_cube())[2],
+                                rel=1e-5)
 
 
 def test_long_cuffs_give_a_certified_chamfered_cube():
@@ -506,10 +552,9 @@ def test_long_cuffs_give_a_certified_chamfered_cube():
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
     @hypothesis.given(l1=lengths, l2=lengths, l3=lengths, t1=twists, t2=twists, t3=twists)
     def check(l1, l2, l3, t1, t2, t3):
-        uniq = dedupe_points(cloud(FNPoint("S2", (l1, l2, l3), (t1, t2, t3))))[0]
-        summary = hull(uniq)
-        assert summary.counts() == (32, 48, 18)
-        assert cube._certified(uniq, summary)
+        raw = cloud(FNPoint("S2", (l1, l2, l3), (t1, t2, t3)))
+        assert hull(dedupe_points(raw)[0]).counts() == (32, 48, 18)
+        cube.certify(raw, cube.chamfered_cube())
 
     check()
 
@@ -522,13 +567,15 @@ def _exact_cloud(lengths, twists):
 
 def test_no_certified_wrong_cube_at_fifty_digits():
     # with cuffs of 16 to 20 the 50-digit cloud has distinct points within
-    # HULL_TOL of each other; merging them certified (26, 42, 18) here, 0.707
-    # between faces, where the distinct points give (32, 48, 18) and no certificate
+    # HULL_TOL of each other; merging them certified (26, 42, 18) here, where
+    # the distinct points give (32, 48, 18).  The labelled faces are planar to
+    # the rounding of the rows, but a vertex lies 1.2e-8 of the extent inside
+    # a plane not its own, within VERTEX_GAP, so the certificate refuses
     raw = np.asarray(_exact_cloud((17.809518214039276, 18.239089544321985, 19.696842336094917),
                                   (-0.1373997196009067, 0.03136509224908446, 0.3495393153995878)), dtype=float)
-    uniq = dedupe_points(raw)[0]
-    summary = hull(uniq)
-    assert summary.counts() == (32, 48, 18) or not cube._certified(uniq, summary)
+    assert hull(dedupe_points(raw)[0]).counts() == (32, 48, 18)
+    with pytest.raises(GeometryError, match=r"^face square L\.\.: a vertex off the face lies 1\.2e-08 inside"):
+        cube.certify(raw, cube.chamfered_cube())
 
 
 #: errors of the float cloud against 50 digits: 9.5e-12, 6.4e-10 and 1.3e-9
@@ -579,9 +626,10 @@ def _cube_points_sha(tmp_path, lengths, twists):
 
 def test_resolved_sides_never_cross_namespaces(tmp_path):
     # float, then 50 digits, then float again in one process.  A resolved
-    # side holds only ints, so the 50-digit run, which makes the entries
-    # after a clear, stays within 5e-9 of the float cloud, and the last
-    # float run, which reads those entries, keeps every pinned bit
+    # side holds only ints, so the 50-digit run from the lengths and twists
+    # as mpf, which makes the entries after a clear, stays within 1e-12 of
+    # the float cloud (8.1e-14 measured), and the last float run, which reads
+    # those entries, keeps every pinned bit
     def clear():
         pants._side.cache_clear()
         pants._shear_coord.cache_clear()
@@ -592,9 +640,10 @@ def test_resolved_sides_never_cross_namespaces(tmp_path):
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
     floats = stretch_vectors(x, side_plan(specs))
     clear()
-    with scalars(50):
-        exact = np.asarray(stretch_vectors(x, side_plan(specs)), dtype=float)
-    assert np.max(np.abs(floats - exact)) <= 5e-9
+    with scalars(50) as mp:
+        exact_x = FNPoint("S2", tuple(map(mp.mpf, lengths)), tuple(map(mp.mpf, twists)))
+        exact = np.asarray(stretch_vectors(exact_x, side_plan(specs)), dtype=float)
+    assert np.max(np.abs(floats - exact)) <= 1e-12
     assert _bits(stretch_vectors(x, side_plan(specs)).tolist()) == _bits(floats.tolist())
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
 
@@ -658,9 +707,8 @@ def test_dedupe_and_certificates_match_references():
         ref_uniq, ref_group = _reference_dedupe(raw, cube.HULL_TOL)
         assert group == ref_group
         assert np.array_equal(uniq, ref_uniq)
-        summary = hull(uniq)
-        assert cube._certified(uniq, summary)
-        assert list(summary.vertex_indices) == extreme_points_brute(uniq)
+        cube.certify(raw, cube.chamfered_cube())
+        assert list(hull(uniq).vertex_indices) == extreme_points_brute(uniq)
 
 
 def _rates_off_by_1e_3(table):
@@ -773,25 +821,22 @@ CERTIFICATE_CASES = {
 }
 
 
-def test_the_cube_check_runs_qhull_once(monkeypatch):
-    # the certificates reuse the hull's merged faces: no second qhull run
-    import scipy.spatial
-
-    calls = {"ConvexHull": 0, "Delaunay": 0}
-
-    def counted(name):
-        original = getattr(scipy.spatial, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.spatial, name, wrapper)
-
-    counted("ConvexHull")
-    counted("Delaunay")
-    assert chamfered_cube_check(symmetric_base_point())["agree"]
-    assert calls == {"ConvexHull": 1, "Delaunay": 0}
+def test_the_cube_command_runs_no_qhull(tmp_path):
+    # a fresh process: the cube command leaves scipy.spatial unloaded, and
+    # with scipy.spatial loaded it calls ConvexHull not once
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\n")
+    code = (
+        "import sys; from thurston_kit.cli import main; "
+        f"cube = lambda: main(['--config', {str(cfg)!r}, 'cube']); "
+        "code, loaded = cube(), 'scipy.spatial' in sys.modules; "
+        "import scipy.spatial; calls = []; original = scipy.spatial.ConvexHull; "
+        "scipy.spatial.ConvexHull = lambda *a, **k: calls.append(1) or original(*a, **k); "
+        "print(code, loaded, cube(), len(calls))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", "False", "0", "0"]
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)
@@ -800,11 +845,20 @@ def test_certificates_accept_the_extreme_set_and_reject_one_off_sets(case):
     summary = hull(pts)
     vertices = set(summary.vertex_indices)
     assert sorted(vertices) == extreme_points_brute(pts)
-    assert cube._certified(pts, summary)
+    _assert_certified_and_one_off_sets_refused(pts, summary)
+
+
+def _assert_certified_and_one_off_sets_refused(pts, summary):
+    """``cube.certify`` accepts qhull's polytope, and refuses it with one
+    vertex dropped or one other point added to its vertices."""
+    vertices = set(summary.vertex_indices)
+    cube.certify(pts, _hull_polytope(summary))
     for v in vertices:
-        assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices - {v}))))
+        with pytest.raises(GeometryError):
+            cube.certify(pts, _hull_polytope(summary, vertices - {v}))
     for q in set(range(len(pts))) - vertices:
-        assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices | {q}))))
+        with pytest.raises(GeometryError):
+            cube.certify(pts, _hull_polytope(summary, vertices | {q}))
 
 
 def _generic_polytope(seed, n_sphere, n_inner, n_mid):
@@ -847,10 +901,6 @@ def test_certificates_and_incidence_on_generic_polytopes():
                       <= cube.HULL_TOL)
         # the vertices are the rows on three or more faces
         assert set(np.flatnonzero(summary.incidence.sum(axis=1) >= 3).tolist()) == vertices
-        assert cube._certified(pts, summary)
-        for v in vertices:
-            assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices - {v}))))
-        for q in set(range(len(pts))) - vertices:
-            assert not cube._certified(pts, replace(summary, vertex_indices=tuple(sorted(vertices | {q}))))
+        _assert_certified_and_one_off_sets_refused(pts, summary)
 
     check()

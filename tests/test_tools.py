@@ -164,7 +164,7 @@ def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsy
 LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
-    "cube.dedupe_points", "cube.hull", "cube._certified", "bounds.run_sweep", "stretch.stretch_vectors",
+    "cube.dedupe_points", "cube.hull", "cube.certify", "bounds.run_sweep", "stretch.stretch_vectors",
     "cli.cube", "cli.envelope", "cli.delta", "control.python_kernel",
 }
 
@@ -236,6 +236,18 @@ def test_write_bench_alternates_which_side_runs_first(monkeypatch):
     assert order == list("pccp")
     # an even number of rounds, so each side runs first equally often
     assert write_bench.LAYER_ROUNDS % 2 == write_bench.CLI_ROUNDS % 2 == write_bench.TIER1_ROUNDS % 2 == 0
+
+
+def test_write_bench_reports_a_layer_of_one_side_alone(monkeypatch):
+    # a layer that only the change has (cube.certify) or only the parent had
+    # gets that side's median and no ratio
+    def fake_snippet(root, code, *args):
+        return {"shared": 1.0, root.name: 3.0}
+
+    monkeypatch.setattr(write_bench, "run_snippet", fake_snippet)
+    timings = write_bench.layer_timings({"parent": Path("p"), "change": Path("c")})
+    assert timings["p"] == {"parent": 3.0} and timings["c"] == {"change": 3.0}
+    assert timings["shared"]["change_over_parent"] == 1.0
 
 
 def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():

@@ -1,14 +1,16 @@
-"""Check the cube hull certificates against the least-squares reference.
+"""Check the labelled cube certificate against the qhull and least-squares references.
 
     PYTHONPATH=src python3 tools/cube_certificates.py
 
 Regenerates every ``cube`` input of the ``genus2`` benchmark workload for
 seeds 1-10 (the ops of one benchmark run per seed) and, at each, checks
-that the hull's vertex set passes ``cube._certified``, equals
-``cube.extreme_points_brute`` of the unique points, and is rejected by
-the certificates once one vertex is dropped or one non-vertex is added
-(both chosen by a seeded generator).  Prints one line per seed and a
-total; exits 1 on any disagreement.
+that ``cube.certify`` certifies the labelled chamfered cube
+(``cube.chamfered_cube``) on the cloud, that its vertices are
+``cube.extreme_points_brute`` of the distinct points, that its vertices,
+faces and counts are those of qhull's hull (``cube.hull``), and that the
+certificate refuses the cube's vertex set once one vertex is dropped or
+one non-vertex is added (both chosen by a seeded generator).  Prints one
+line per seed and a total; exits 1 on any disagreement.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -26,29 +29,45 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 from thurston_kit import cube  # noqa: E402
+from thurston_kit.h2 import GeometryError  # noqa: E402
 from thurston_kit.stretch import FNPoint  # noqa: E402
 
 SEEDS = range(1, 11)
 
 
+def refused(raw: np.ndarray, vertices: set[int]) -> bool:
+    """Whether the certificate refuses the labelled faces with ``vertices`` claimed."""
+    try:
+        cube.certify(raw, cube.polytope(sorted(vertices), cube.chamfered_cube().faces))
+    except GeometryError:
+        return True
+    return False
+
+
 def check(lengths, twists, pick: random.Random) -> list[str]:
-    """Disagreements between the certificates and the reference at one input."""
-    uniq, _ = cube.dedupe_points(cube.cloud(FNPoint("S2", lengths, twists)))
-    summary = cube.hull(uniq)
-    vertices = set(summary.vertex_indices)
+    """Disagreements between the labelled certificate and the references at one input."""
+    raw = cube.cloud(FNPoint("S2", lengths, twists))
+    uniq, group = cube.dedupe_points(raw)
+    claim = cube.chamfered_cube()
     problems = []
-    if not cube._certified(uniq, summary):
-        problems.append("hull vertex set not certified")
-    if sorted(vertices) != cube.extreme_points_brute(uniq):
-        problems.append("hull vertex set differs from the least-squares extremes")
-    dropped = vertices - {pick.choice(sorted(vertices))}
-    if cube._certified(uniq, replace(summary, vertex_indices=tuple(sorted(dropped)))):
+    try:
+        cube.certify(raw, claim)
+    except GeometryError as exc:
+        problems.append(f"labelled cube not certified: {exc}")
+    # the labelled vertices and faces as rows of the distinct points
+    vertices = sorted(group[r] for r in claim.vertices)
+    faces = {frozenset(group[r] for r in rows) for _, rows in claim.faces}
+    if vertices != cube.extreme_points_brute(uniq):
+        problems.append("labelled vertices differ from the least-squares extremes")
+    summary = cube.hull(uniq)
+    qhull_faces = {frozenset(np.flatnonzero(column).tolist()) & set(vertices) for column in summary.incidence.T}
+    if (summary.counts(), list(summary.vertex_indices), qhull_faces) != (claim.counts(), vertices, faces):
+        problems.append("labelled cube differs from qhull's hull")
+    if not refused(raw, set(claim.vertices) - {pick.choice(claim.vertices)}):
         problems.append("certified with a vertex dropped")
-    others = sorted(set(range(len(uniq))) - vertices)
-    if others:
-        added = vertices | {pick.choice(others)}
-        if cube._certified(uniq, replace(summary, vertex_indices=tuple(sorted(added)))):
-            problems.append("certified with a non-vertex added")
+    others = sorted(set(range(len(raw))) - set(claim.vertices))
+    if not refused(raw, set(claim.vertices) | {pick.choice(others)}):
+        problems.append("certified with a non-vertex added")
     return problems
 
 

@@ -21,8 +21,10 @@ by the derivative check's step ``stretch._CHECK_STEP``), one
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_widths`` cell that the integer slopes decide and one
 that needs the Farey pass, one ``cube.chamfered_cube_check`` and its
-stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud),
-``cube.hull`` and ``cube._certified``, one ``stretch.stretch_vectors`` of
+stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud) and
+``cube.certify`` (the labelled certificate, on the raw cloud), one
+``cube.hull`` of the deduplicated cloud (the tests' qhull reference,
+which the ``cube`` command does not run), one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
 ``bounds.run_sweep`` of the default ``sweep`` grid, one ``cli.cube``
 (``cli.main`` running ``cube`` at the symmetric point), one
@@ -34,10 +36,12 @@ one ``control.python_kernel``, a
 fixed loop that calls nothing of the package, so its ratio shows the
 host's own drift between sides: the best of several
 repeats per fresh process, in processes that import each root's ``src``
-in turn.  The timings run in rounds of one process per side, and the
-sides alternate: the parent runs first in even rounds and the change in
-odd ones (``round_order``), so with an even number of rounds a drift of
-the host's speed within a round favours neither side.  In a second fresh
+in turn.  A layer whose function a root lacks is not timed there, and
+is reported with the other side's median alone.  The timings run in
+rounds of one process per side, and the sides alternate: the parent
+runs first in even rounds and the change in odd ones (``round_order``),
+so with an even number of rounds a drift of the host's speed within a
+round favours neither side.  In a second fresh
 process per round and side, ``torus.envelope_widths`` runs once on the
 default ``envelope`` grid at ``GRID_MAX_Q``, the CLI's cap, first-use
 plan builds included.  Each
@@ -123,7 +127,6 @@ def cube_check():
     cube.chamfered_cube_check(base)
 raw = cube.cloud(base)
 uniq = cube.dedupe_points(raw)[0]
-summary = cube.hull(uniq)
 def cube_cloud():
     cube.cloud(base)
 plan = stretch.side_plan(cube._completions()[0])
@@ -133,8 +136,10 @@ def cube_dedupe():
     cube.dedupe_points(raw)
 def cube_hull():
     cube.hull(uniq)
-def cube_certified():
-    cube._certified(uniq, summary)
+# the labelled certificate, on roots that have it
+certify = getattr(cube, "certify", None)
+def cube_certify():
+    certify(raw, cube.chamfered_cube())
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.max_q)
 def sweep():
@@ -174,7 +179,7 @@ def control():
 # work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the CLI
 # cube (about 7 ms), the CLI envelope (about 2 ms), the CLI delta (about 0.2 ms), the
 # sweep (about 1.6 ms) and the control (about 5 ms), the cube stages and the stretch
-# vectors (about 0.3 to 3 ms each)
+# vectors (about 0.05 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -189,12 +194,14 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("stretch.stretch_vectors", vectors, 1, 30),
                                 ("cube.dedupe_points", cube_dedupe, 1, 100),
                                 ("cube.hull", cube_hull, 1, 100),
-                                ("cube._certified", cube_certified, 1, 60),
+                                ("cube.certify", cube_certify if certify else None, 1, 300),
                                 ("bounds.run_sweep", sweep, 1, 100),
                                 ("cli.cube", cli_cube, 1, 20),
                                 ("cli.envelope", cli_envelope, 1, 50),
                                 ("cli.delta", cli_delta, 1, 500),
                                 ("control.python_kernel", control, 1, 20)):
+    if fn is None:
+        continue
     out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
 tmp.cleanup()
 print(json.dumps(out))
@@ -222,8 +229,8 @@ LAYER_INPUTS = (
     f"165 cells of the default envelope grid (cli.Config) at max_q {GRID_MAX_Q}, timed once in a fresh "
     "process, plan builds included; "
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
-    "base point; dedupe_points: its raw cloud of 128 vectors; hull and _certified: the "
-    "deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
+    "base point; dedupe_points and certify (with cube.chamfered_cube()): its raw cloud of 128 "
+    "vectors; hull: the deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
@@ -232,8 +239,8 @@ LAYER_INPUTS = (
     "control.python_kernel: 30,000 integer steps and 3,000 "
     "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
-    "curve_length), 500 calls (cli.delta), 100 calls (envelope cells, sweep, dedupe_points, hull), 60 calls "
-    "(_certified), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
+    "curve_length), 500 calls (cli.delta), 300 calls (certify), 100 calls (envelope cells, sweep, "
+    "dedupe_points, hull), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
     "(cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side, and the median and quartiles of the "
@@ -341,7 +348,11 @@ def layer_timings(roots: dict[str, Path]) -> dict:
         for side in round_order(r):
             samples[side].append({**run_snippet(roots[side], LAYER_SNIPPET),
                                   **run_snippet(roots[side], GRID_SNIPPET, str(GRID_MAX_Q))})
-    return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES}) for name in samples["parent"][0]}
+    names = dict.fromkeys(name for side in SIDES for name in samples[side][0])
+    return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES})
+            if all(name in samples[side][0] for side in SIDES)
+            else {side: statistics.median(s[name] for s in samples[side]) for side in SIDES if name in samples[side][0]}
+            for name in names}
 
 
 def cli_timings(roots: dict[str, Path], commands=CLI_COMMANDS, rounds: int = CLI_ROUNDS) -> dict:
