@@ -25,7 +25,8 @@ of the float cloud's cube; the certificate holds at all of them.  In
 process it takes about a sixth of a check, :func:`dedupe_points` (whose
 size the benchmark reads) about a twentieth, and the cloud about two
 thirds.  The qhull
-hull :func:`hull` and the least-squares extremality test
+hull :func:`hull`, which returns the same :class:`Polytope` type that
+:func:`certify` reads, and the least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, are the tests'
 independent references; the ``cube`` command imports neither scipy
 module.
@@ -137,7 +138,8 @@ def dedupe_points(points: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 @dataclass(frozen=True)
 class Polytope:
-    """A claimed convex polytope in 3D: its vertices as rows of a point
+    """A convex polytope in 3D, as the labels claim it (:func:`chamfered_cube`)
+    or as qhull finds it (:func:`hull`): its vertices as rows of a point
     array, its named faces (each the tuple of its vertex rows) and its edge
     count, the pairs of faces that share two vertices.  ``incidence`` is the
     boolean (vertices, faces) matrix."""
@@ -226,30 +228,16 @@ def certify(points: np.ndarray, claim: Polytope) -> tuple[float, float, float]:
     return float(off_plane.max()), float(outside.max()), float(gap.min())
 
 
-@dataclass(frozen=True)
-class HullSummary:
-    """Merged-face combinatorics of a 3D convex hull, with the plane equation (unit outward
-    normal, offset) of each face and the boolean (points, faces) ``incidence`` matrix."""
-
-    n_edges: int
-    vertex_indices: tuple[int, ...]
-    planes: np.ndarray = field(repr=False, compare=False)
-    incidence: np.ndarray = field(repr=False, compare=False)
-
-    def counts(self) -> tuple[int, int, int]:
-        return (len(self.vertex_indices), self.n_edges, len(self.planes))
-
-
-def hull(points: np.ndarray) -> HullSummary:
-    """Convex hull combinatorics with coplanar facets merged by qhull within ``HULL_TOL``.
+def hull(points: np.ndarray) -> Polytope:
+    """The convex hull of ``points`` as a :class:`Polytope`, with facets merged by qhull within ``HULL_TOL``.
 
     Qhull merges neighbouring facets whose centrums lie within ``HULL_TOL``
     of each other's planes, triangulates the hull and may keep points that
-    lie on a hull edge, so the combinatorics are read off facet incidence: a
-    face is one merged facet (the triangles that carry its equation row), an
-    edge is a pair of distinct faces sharing a ridge, and a vertex is a point
-    whose incidence row holds at least three faces.  Degenerate input is
-    rejected, and the counts must satisfy Euler's formula.
+    lie on a hull edge.  A face is one merged facet: the triangles that
+    carry one distinct equation row, numbered by :func:`dedupe_points` and
+    named by that number.  A vertex is a point on three or more faces.
+    Degenerate input is rejected, and :func:`polytope` checks Euler's
+    formula.
     """
     # imported here, not at module level: scipy.spatial takes about 0.45 s
     # to import and no other command needs it
@@ -266,16 +254,11 @@ def hull(points: np.ndarray) -> HullSummary:
         raise GeometryError(f"degenerate point set: {str(exc).splitlines()[0]}") from exc
 
     # scipy adds Qt, so every triangle of a merged facet carries its equation row bit for bit
-    number: dict[tuple[float, ...], int] = {}
-    face = [number.setdefault(tuple(row), len(number)) for row in h.equations.tolist()]
-    edges = {(face[i], face[j]) for i, nbrs in enumerate(h.neighbors.tolist()) for j in nbrs if face[i] < face[j]}
-    incidence = np.zeros((len(pts), len(number)), dtype=bool)
-    incidence[h.simplices, np.array(face)[:, None]] = True
-    vertices = tuple(np.flatnonzero(incidence.sum(axis=1) >= 3).tolist())
-    v, e, f = len(vertices), len(edges), len(number)
-    if v - e + f != 2:
-        raise GeometryError(f"face merging produced inconsistent counts V={v} E={e} F={f}")
-    return HullSummary(e, vertices, np.array(list(number)), incidence)
+    planes, face = dedupe_points(h.equations)
+    on = np.zeros((len(pts), len(planes)), dtype=bool)
+    on[h.simplices, np.array(face)[:, None]] = True
+    vertices = np.flatnonzero(on.sum(axis=1) >= 3).tolist()
+    return polytope(vertices, [(str(f), np.flatnonzero(column).tolist()) for f, column in enumerate(on.T)])
 
 
 def nnls(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

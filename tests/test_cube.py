@@ -107,10 +107,10 @@ def test_dedupe_groups_points():
 
 def test_hull_of_unit_cube():
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=3)))
-    summary = hull(corners)
-    assert summary.counts() == (8, 12, 6)
+    p = hull(corners)
+    assert p.counts() == (8, 12, 6)
     # the vertex count is read off the vertex set, so a replaced set keeps no stale count
-    assert replace(summary, vertex_indices=summary.vertex_indices[:-1]).counts() == (7, 12, 6)
+    assert replace(p, vertices=p.vertices[:-1]).counts() == (7, 12, 6)
 
 
 UNIT_CUBE_WITH_CENTRE = np.array(list(itertools.product((0.0, 1.0), repeat=3)) + [(0.5, 0.5, 0.5)])
@@ -120,9 +120,9 @@ SQUARE_PYRAMID_WITH_BASE_MIDPOINT = np.array(
 
 
 def test_hull_ignores_interior_point():
-    summary = hull(UNIT_CUBE_WITH_CENTRE)
-    assert summary.counts() == (8, 12, 6)
-    assert 8 not in summary.vertex_indices
+    p = hull(UNIT_CUBE_WITH_CENTRE)
+    assert p.counts() == (8, 12, 6)
+    assert 8 not in p.vertices
 
 
 def _cap(xy, a):
@@ -137,10 +137,10 @@ def test_hull_merges_only_neighbouring_facets_of_a_flat_cap():
     # of the cap's four facets the first and last agree to HULL_TOL but meet
     # only at a point, so they are no one face: the hull is the square
     # pyramid over the cap's four outer points
-    summary = hull(FLAT_CAP)
-    assert summary.counts() == (5, 8, 5)
-    assert list(summary.vertex_indices) == [0, 1, 3, 4, 5] == extreme_points_brute(FLAT_CAP)
-    cube.certify(FLAT_CAP, _hull_polytope(summary))
+    p = hull(FLAT_CAP)
+    assert p.counts() == (5, 8, 5)
+    assert list(p.vertices) == [0, 1, 3, 4, 5] == extreme_points_brute(FLAT_CAP)
+    cube.certify(FLAT_CAP, p)
 
 
 def test_hull_of_random_flat_caps_satisfies_euler():
@@ -153,7 +153,7 @@ def test_hull_of_random_flat_caps_satisfies_euler():
     def check(seed, n, log_a):
         pts = _cap(np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 2)), math.exp(log_a))
         # the guard of Euler's formula raises nothing, and the apex is a vertex
-        assert n in hull(pts).vertex_indices
+        assert n in hull(pts).vertices
 
     check()
 
@@ -455,12 +455,6 @@ def test_cube_command_counts_the_chamfered_cube_at_cuffs_of_6(tmp_path, capsys):
     assert written["brute_force_agrees"] is True
 
 
-def _hull_polytope(summary, vertices=None):
-    """The polytope of qhull's hull: its faces are the incidence columns, named by number."""
-    faces = [(str(f), tuple(np.flatnonzero(column).tolist())) for f, column in enumerate(summary.incidence.T)]
-    return cube.polytope(summary.vertex_indices if vertices is None else sorted(vertices), faces)
-
-
 #: base lengths where qhull leaves a face of the float cloud's cube split in
 #: two, counting (32, 52, 22), (32, 60, 30) and (32, 50, 20); the labelled
 #: faces are planar to 1.4e-9, 2.6e-8 and 1.3e-8 of the extent there, and
@@ -480,15 +474,30 @@ def test_cube_command_writes_the_certified_cube_at_long_cuffs(tmp_path, capsys, 
     assert written["extreme_completions"] == sorted(cube._completions()[1][r] for r in cube.chamfered_cube().vertices)
 
 
+@pytest.mark.parametrize("lengths, counts", zip(LONG_CUFF_LENGTHS, [(32, 52, 22), (32, 60, 30), (32, 50, 20)]))
+def test_qhull_splits_labelled_faces_at_long_cuffs(lengths, counts):
+    # qhull's hull of the distinct float points has the labelled vertices, and
+    # each of its faces lies in one labelled face, while the certificate
+    # accepts the labelled cube
+    raw = cloud(FNPoint("S2", tuple(map(float, lengths.split(","))), (0.0, 0.0, 0.0)))
+    uniq, group = dedupe_points(raw)
+    p, claim = hull(uniq), cube.chamfered_cube()
+    assert p.counts() == counts
+    assert list(p.vertices) == sorted(group[r] for r in claim.vertices)
+    labelled = [{group[r] for r in rows} for _, rows in claim.faces]
+    assert all(any(set(rows) <= face for face in labelled) for _, rows in p.faces)
+    cube.certify(raw, claim)
+
+
 def test_labelled_faces_are_qhulls_faces_at_the_symmetric_point():
     uniq, group = dedupe_points(cloud(symmetric_base_point()))
-    summary = hull(uniq)
+    p = hull(uniq)
     claim = cube.chamfered_cube()
-    assert summary.counts() == claim.counts() == (32, 48, 18)
+    assert p.counts() == claim.counts() == (32, 48, 18)
     # qhull's vertices and faces in the labels of the diagonal rows they are
     label = {group[r]: cube._completions()[1][r] for r in claim.vertices}
-    assert sorted(label) == list(summary.vertex_indices)
-    qhull_faces = {frozenset(label[g] for g in np.flatnonzero(column) if g in label) for column in summary.incidence.T}
+    assert sorted(label) == list(p.vertices)
+    qhull_faces = {frozenset(label[g] for g in rows) for _, rows in p.faces}
     assert qhull_faces == {frozenset(label[group[r]] for r in rows) for _, rows in claim.faces}
     assert sorted((name.split()[0], len(rows)) for name, rows in claim.faces) == [("hexagon", 6)] * 12 + [("square", 4)] * 6
 
@@ -708,7 +717,7 @@ def test_dedupe_and_certificates_match_references():
         assert group == ref_group
         assert np.array_equal(uniq, ref_uniq)
         cube.certify(raw, cube.chamfered_cube())
-        assert list(hull(uniq).vertex_indices) == extreme_points_brute(uniq)
+        assert list(hull(uniq).vertices) == extreme_points_brute(uniq)
 
 
 def _rates_off_by_1e_3(table):
@@ -842,23 +851,22 @@ def test_the_cube_command_runs_no_qhull(tmp_path):
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)
 def test_certificates_accept_the_extreme_set_and_reject_one_off_sets(case):
     pts = CERTIFICATE_CASES[case]()
-    summary = hull(pts)
-    vertices = set(summary.vertex_indices)
-    assert sorted(vertices) == extreme_points_brute(pts)
-    _assert_certified_and_one_off_sets_refused(pts, summary)
+    p = hull(pts)
+    assert list(p.vertices) == extreme_points_brute(pts)
+    _assert_certified_and_one_off_sets_refused(pts, p)
 
 
-def _assert_certified_and_one_off_sets_refused(pts, summary):
-    """``cube.certify`` accepts qhull's polytope, and refuses it with one
-    vertex dropped or one other point added to its vertices."""
-    vertices = set(summary.vertex_indices)
-    cube.certify(pts, _hull_polytope(summary))
+def _assert_certified_and_one_off_sets_refused(pts, p):
+    """``cube.certify`` accepts qhull's polytope, and refuses its faces with
+    one vertex dropped or one other point added to its vertices."""
+    vertices = set(p.vertices)
+    cube.certify(pts, p)
     for v in vertices:
         with pytest.raises(GeometryError):
-            cube.certify(pts, _hull_polytope(summary, vertices - {v}))
+            cube.certify(pts, cube.polytope(sorted(vertices - {v}), p.faces))
     for q in set(range(len(pts))) - vertices:
         with pytest.raises(GeometryError):
-            cube.certify(pts, _hull_polytope(summary, vertices | {q}))
+            cube.certify(pts, cube.polytope(sorted(vertices | {q}), p.faces))
 
 
 def _generic_polytope(seed, n_sphere, n_inner, n_mid):
@@ -888,19 +896,15 @@ def test_certificates_and_incidence_on_generic_polytopes():
                       n_mid=st.integers(0, 3))
     def check(seed, n_sphere, n_inner, n_mid):
         pts = _generic_polytope(seed, n_sphere, n_inner, n_mid)
-        summary = hull(pts)
-        vertices = set(summary.vertex_indices)
+        p = hull(pts)
+        vertices = set(p.vertices)
         assert sorted(vertices) == extreme_points_brute(pts)
         assert len(vertices) == n_sphere
-        # the points of every facet of an unmerged qhull run are on one merged
-        # face, and each point lies on the planes of the faces its row marks
-        triangles = scipy.spatial.ConvexHull(pts).simplices
-        assert summary.incidence[triangles].all(axis=1).any(axis=1).all()
-        points, faces = np.nonzero(summary.incidence)
-        assert np.all(np.abs(np.einsum("ij,ij->i", pts[points], summary.planes[faces, :3]) + summary.planes[faces, 3])
-                      <= cube.HULL_TOL)
-        # the vertices are the rows on three or more faces
-        assert set(np.flatnonzero(summary.incidence.sum(axis=1) >= 3).tolist()) == vertices
-        _assert_certified_and_one_off_sets_refused(pts, summary)
+        # the points of every facet of an unmerged qhull run are vertices of one merged face
+        faces = [set(rows) for _, rows in p.faces]
+        assert all(any(set(t) <= face for face in faces) for t in scipy.spatial.ConvexHull(pts).simplices.tolist())
+        # each vertex is on three or more faces
+        assert (p.incidence.sum(axis=1) >= 3).all()
+        _assert_certified_and_one_off_sets_refused(pts, p)
 
     check()

@@ -59,9 +59,9 @@ def check(lengths, twists, pick: random.Random) -> list[str]:
     faces = {frozenset(group[r] for r in rows) for _, rows in claim.faces}
     if vertices != cube.extreme_points_brute(uniq):
         problems.append("labelled vertices differ from the least-squares extremes")
-    summary = cube.hull(uniq)
-    qhull_faces = {frozenset(np.flatnonzero(column).tolist()) & set(vertices) for column in summary.incidence.T}
-    if (summary.counts(), list(summary.vertex_indices), qhull_faces) != (claim.counts(), vertices, faces):
+    qhull = cube.hull(uniq)
+    if (qhull.counts(), list(qhull.vertices), {frozenset(rows) for _, rows in qhull.faces}) != (
+            claim.counts(), vertices, faces):
         problems.append("labelled cube differs from qhull's hull")
     if not refused(raw, set(claim.vertices) - {pick.choice(claim.vertices)}):
         problems.append("certified with a vertex dropped")
