@@ -112,7 +112,8 @@ def _read_config(path: str) -> dict[str, object]:
     seen: dict[str, int] = {}  # the line of each key read so far
     values: dict[str, object] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            text = fh.read().decode()
     except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
         raise ConfigError(f"{path}: cannot read the configuration: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -184,9 +185,17 @@ def format_float(x: float) -> str:
 
 
 def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    """Write the UTF-8 bytes of ``text`` to ``path``, making its directory only
+    when the open fails for want of it, so a directory that cannot be made
+    raises what ``mkdir`` raises."""
+    data = text.encode()
+    try:
+        fh = open(path, "wb")
+    except (FileNotFoundError, NotADirectoryError):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "wb")
+    with fh:
+        fh.write(data)
 
 
 def _write_json(path: Path, data: object) -> None:
@@ -201,13 +210,20 @@ def _write_csv(path: Path, header: str, row_format: str, rows: Iterable[tuple]) 
 
 #: one entry of cube_points.json as json.dumps(indent=2, sort_keys=True) lays it out
 _CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %s\n    ],\n    "extreme": %s\n  }'
+#: cube_hull.json as json.dumps(indent=2, sort_keys=True) lays it out
+_CUBE_HULL = ('{\n  "brute_force_agrees": %s,\n  "extreme_completions": [\n%s\n  ],\n'
+              '  "n_edges": %d,\n  "n_faces": %d,\n  "n_vertices": %d\n}\n')
+#: the JSON and CSV texts of one twist vector, each ended by a NUL, which neither text holds
+_TWIST_JSON = "%r,\n      %r,\n      %r\0"
+_TWIST_CSV = "%.17g,%.17g,%.17g\0"
 #: the bytes of a twist vector, which tell 0.0 from -0.0
 _TWIST_BYTES = struct.Struct("3d")
 
 
 def _cube_points(entries: list[dict]) -> tuple[str, str]:
-    """cube_points.json and cube_points.csv of the cube's entries, each
-    distinct twist vector (80 of the cloud's 128) formatted once.
+    """cube_points.json and cube_points.csv of the cube's entries: the
+    distinct twist vectors (80 of the cloud's 128) formatted by one ``%`` per
+    file, then each file built by one ``%``.
 
     The JSON is ``json.dumps(entries, indent=2, sort_keys=True) + "\\n"``,
     one :data:`_CUBE_POINT` each (the pure-Python encoder that ``indent``
@@ -219,13 +235,28 @@ def _cube_points(entries: list[dict]) -> tuple[str, str]:
     :func:`format_float`.
     """
     keys = [_TWIST_BYTES.pack(*e["d_twist"]) for e in entries]
-    texts = {key: ("%r,\n      %r,\n      %r" % tuple(e["d_twist"]), "%.17g,%.17g,%.17g" % tuple(e["d_twist"]))
-             for key, e in dict(zip(keys, entries)).items()}
-    rows = [(e["completion"], texts[key], e["extreme"]) for e, key in zip(entries, keys)]
-    points_json = ",\n".join([_CUBE_POINT % (label, twist, "true" if flag else "false")
-                              for label, (twist, _), flag in rows])
-    points_csv = "".join(["%s,%s,%d\n" % (label, twist, flag) for label, (_, twist), flag in rows])
-    return "[\n" + points_json + "\n]\n", "completion,d_twist_1,d_twist_2,d_twist_3,extreme\n" + points_csv
+    distinct = dict(zip(keys, [e["d_twist"] for e in entries]))
+    n, components = len(distinct), tuple([c for twist in distinct.values() for c in twist])
+    texts = dict(zip(distinct, zip((_TWIST_JSON * n % components).split("\0"),
+                                   (_TWIST_CSV * n % components).split("\0"))))
+    json_args, csv_args = [], []
+    for e, key in zip(entries, keys):
+        label, flag, (json_twist, csv_twist) = e["completion"], e["extreme"], texts[key]
+        json_args += (label, json_twist, "true" if flag else "false")
+        csv_args += (label, csv_twist, flag)
+    points_json = "[\n" + ",\n".join([_CUBE_POINT] * len(entries)) + "\n]\n"
+    points_csv = "completion,d_twist_1,d_twist_2,d_twist_3,extreme\n" + "%s,%s,%d\n" * len(entries)
+    return points_json % tuple(json_args), points_csv % tuple(csv_args)
+
+
+def _cube_hull(result: dict) -> str:
+    """cube_hull.json of a cube check: its counts, its extreme labels and its
+    verdict as ``brute_force_agrees``, by one :data:`_CUBE_HULL`.  It is
+    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` for one or more
+    labels as :func:`_cube_points` takes them."""
+    n_vertices, n_edges, n_faces = result["hull_counts"]
+    labels = ",\n".join(['    "%s"' % label for label in result["extreme_completions"]])
+    return _CUBE_HULL % ("true" if result["agree"] else "false", labels, n_edges, n_faces, n_vertices)
 
 
 def cmd_delta(args: SimpleNamespace, cfg: Config) -> int:
@@ -292,19 +323,11 @@ def cmd_envelope(args: SimpleNamespace, cfg: Config) -> int:
 
 def cmd_cube(args: SimpleNamespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
-    n_vertices, n_edges, n_faces = result["hull_counts"]
-    hull_info = {
-        "n_vertices": n_vertices,
-        "n_edges": n_edges,
-        "n_faces": n_faces,
-        "extreme_completions": result["extreme_completions"],
-        "brute_force_agrees": result["agree"],
-    }
     out = Path(cfg.out_dir)
     points_json, points_csv = _cube_points(result["entries"])
     _write(out / "cube_points.json", points_json)
     _write(out / "cube_points.csv", points_csv)
-    _write_json(out / "cube_hull.json", hull_info)
+    _write(out / "cube_hull.json", _cube_hull(result))
     print(f"wrote cube outputs to {out}")
     return 0
 

@@ -194,13 +194,30 @@ def _roles(lengths, t: PantsTriangulation, cuff: int) -> tuple:
     return _side(t.ends, t.signs, cuff)
 
 
-def _delta_core(signed, side: tuple):
+#: the sum of the cuff lengths below which :func:`_delta_core` runs in float.
+#: Below it every exponent is under 300, where ``math.exp`` is ``cmath.exp``'s
+#: real part (cmath scales arguments above 708.39 by e), and every value stays
+#: finite, where float and complex arithmetic round alike (they part at inf and nan)
+_FLOAT_REACH = 150.0
+
+
+def _exp(signed):
+    """The exponential of :func:`_delta_core` at the :func:`_signed` lengths
+    ``signed``: ``math.exp`` for float lengths summing below :data:`_FLOAT_REACH`,
+    so that the offset runs in float, else ``cmath.exp``."""
+    short = type(signed[0]) is float and signed[0] + signed[2] + signed[4] < _FLOAT_REACH
+    return math.exp if short else cmath.exp
+
+
+def _delta_core(signed, side: tuple, exp):
     """Closed-form twist offset of a resolved side at the :func:`_signed` lengths
     ``signed``, which may be complex (an infinitesimal imaginary part implements
-    exact differentiation of the log-coth-type expressions).  The shears are summed
-    in place, each exponential is computed once, and the leaf-end cases share one tail.
+    exact differentiation of the log-coth-type expressions), with their :func:`_exp`.
+    The shears are summed in place, each exponential is computed once, and the
+    leaf-end cases share one tail.  The log is ``cmath.log`` at float lengths too:
+    its real part rounds unlike ``math.log``'s.
     """
-    exp, log = cmath.exp, cmath.log
+    log = cmath.log
     cuff, n, ec, (a, b, c), second, perp, neg, _, _ = side
     try:
         first = 0.5 * (signed[a] + signed[b] + signed[c])
@@ -243,7 +260,8 @@ def _stepped(lengths) -> tuple:
 def delta_closed(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
     """Closed-form twist offset at ``cuff`` (0-based) for triangulation ``t``; a
     ``ValueError`` names the cuff where the log argument cancels to <= 0 or overflows (long cuffs)."""
-    return _delta_core(_signed(p.lengths), _roles(p.lengths, t, cuff)).real
+    signed = _signed(p.lengths)
+    return _delta_core(signed, _roles(p.lengths, t, cuff), _exp(signed)).real
 
 
 def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> float:
@@ -251,25 +269,27 @@ def delta_scale_derivative(p: PantsMetric, t: PantsTriangulation, cuff: int) -> 
     differentiation at the precision of the lengths: the offset is analytic in the scale, so
     an infinitesimal imaginary perturbation gives the exact derivative (no cancellation error).
     """
-    return _delta_core(_stepped(p.lengths), _roles(p.lengths, t, cuff)).imag / _STEP
+    stepped = _stepped(p.lengths)
+    return _delta_core(stepped, _roles(p.lengths, t, cuff), _exp(stepped)).imag / _STEP
 
 
 def _delta_sides(p: PantsMetric, up: PantsMetric, down: PantsMetric, sides: Iterable[tuple]) -> list[tuple]:
     """Per (triangulation, cuff) side, in one pass: ``delta_closed`` at ``p``, its
     ``delta_scale_derivative``, and ``delta_closed`` at ``up`` and ``down``, bit
-    for bit, each metric's signed lengths made once.  Each side checks its cuff
-    and runs the four in that order, so the first that fails raises."""
+    for bit, each metric's signed lengths and :func:`_exp` made once.  Each side
+    checks its cuff and runs the four in that order, so the first that fails raises."""
     l, l_up, l_down = p.lengths, up.lengths, down.lengths
     signed, stepped, signed_up, signed_down = _signed(l), _stepped(l), _signed(l_up), _signed(l_down)
+    exp, exp_stepped, exp_up, exp_down = map(_exp, (signed, stepped, signed_up, signed_down))
     table = []
     for t, cuff in sides:
         side = _roles(l, t, cuff)
-        d0 = _delta_core(signed, side).real
-        rate = _delta_core(stepped, side).imag / _STEP
+        d0 = _delta_core(signed, side, exp).real
+        rate = _delta_core(stepped, side, exp_stepped).imag / _STEP
         _check_length(l_up, cuff)
-        d_up = _delta_core(signed_up, side).real
+        d_up = _delta_core(signed_up, side, exp_up).real
         _check_length(l_down, cuff)
-        table.append((d0, rate, d_up, _delta_core(signed_down, side).real))
+        table.append((d0, rate, d_up, _delta_core(signed_down, side, exp_down).real))
     return table
 
 

@@ -800,6 +800,16 @@ def test_cube_points_template_is_json_dumps_on_finite_floats():
     check()
 
 
+def test_cube_hull_template_is_json_dumps():
+    result = cube.chamfered_cube_check(cube.symmetric_base_point())
+    n_vertices, n_edges, n_faces = result["hull_counts"]
+    for agree, labels in ((True, result["extreme_completions"]), (False, ["LLR-411-141"])):
+        hull_info = {"n_vertices": n_vertices, "n_edges": n_edges, "n_faces": n_faces,
+                     "extreme_completions": labels, "brute_force_agrees": agree}
+        text = cli._cube_hull({**result, "agree": agree, "extreme_completions": labels})
+        assert text == json.dumps(hull_info, indent=2, sort_keys=True) + "\n"
+
+
 def test_csv_row_formats_match_the_per_value_writer(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -949,8 +959,12 @@ def test_t_grid_keeps_exact_multiples():
 
 @pytest.mark.parametrize(
     "content, reason",
-    [(None, "No such file or directory"), ("max_q=3  # caf\xe9\n".encode("latin-1"), "can't decode byte 0xe9")],
-    ids=["missing-flag", "not-utf-8-flag"],
+    [
+        (None, "No such file or directory"),
+        ("max_q=3  # caf\xe9\n".encode("latin-1"), "can't decode byte 0xe9"),
+        (b"max_q=3\r\nt_max=1.0  # caf\xe9\r\n", "can't decode byte 0xe9 in position 25: invalid continuation byte"),
+    ],
+    ids=["missing-flag", "not-utf-8-flag", "not-utf-8-crlf-flag"],
 )
 def test_a_config_that_cannot_be_read_is_a_configuration_error(tmp_path, monkeypatch, capsys, content, reason):
     monkeypatch.chdir(tmp_path)
@@ -963,6 +977,41 @@ def test_a_config_that_cannot_be_read_is_a_configuration_error(tmp_path, monkeyp
     assert captured.err.startswith(f"error: {path}: cannot read the configuration: ")
     assert reason in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_the_writer_makes_a_missing_nested_directory_and_writes_the_text_bytes(tmp_path, capsys):
+    # the first write of a command makes the nested out_dir
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["--config", str(write_config(tmp_path, out_dir=out)), "sweep"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["sweep.csv", "sweep_summary.json"]
+    # the bytes are the text's UTF-8, its LF and CRLF line ends as given, and a
+    # rewrite truncates the file
+    path = out / "text.txt"
+    text = "x,y\n1,2\r\n\ncaf\xe9\n"
+    cli._write(path, text)
+    assert path.read_bytes() == text.encode() == b"x,y\n1,2\r\n\ncaf\xc3\xa9\n"
+    cli._write(path, "z\n")
+    assert path.read_bytes() == b"z\n"
+
+
+CONFIG_LINES = ["# a comment", "out_dir = out", "", "max_q=7  # trailing", "l0_values=0.5,1", "t_max=2.0"]
+
+
+def test_a_crlf_config_reads_as_its_lf_twin(tmp_path):
+    lf, crlf = tmp_path / "lf.cfg", tmp_path / "crlf.cfg"
+    lf.write_bytes("\n".join(CONFIG_LINES).encode() + b"\n")
+    crlf.write_bytes("\r\n".join(CONFIG_LINES).encode() + b"\r\n")
+    assert cli._read_config(str(crlf)) == cli._read_config(str(lf)) == {
+        "out_dir": "out", "max_q": 7, "l0_values": (0.5, 1.0), "t_max": 2.0}
+    # an error names the same line, with no carriage return in the line it quotes
+    errors = []
+    for path, end in ((lf, b"\n"), (crlf, b"\r\n")):
+        path.write_bytes(end.join(line.encode() for line in [*CONFIG_LINES, "bogus"]) + end)
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        errors.append(str(exc.value).removeprefix(str(path)))
+    assert errors == [":7: expected key=value, got 'bogus'"] * 2
 
 
 def test_a_failed_artifact_write_is_a_computational_failure(tmp_path, capsys):

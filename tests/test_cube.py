@@ -166,6 +166,39 @@ def test_hull_rejects_degenerate_input():
         hull(np.zeros((3, 3)))
 
 
+class _EdgePointHull:
+    """A stand-in for qhull's hull of the unit cube (corner 4x + 2y + z) and
+    the midpoint 8 of its edge from corner 0 to corner 4: the faces y = 0 and
+    z = 0 are each triangulated through point 8, which so lies on exactly two
+    faces.  One outward equation per triangle, as qhull gives."""
+
+    FACES = {
+        (0.0, -1.0, 0.0, 0.0): ((0, 8, 1), (8, 5, 1), (8, 4, 5)),
+        (0.0, 0.0, -1.0, 0.0): ((0, 8, 2), (8, 6, 2), (8, 4, 6)),
+        (-1.0, 0.0, 0.0, 0.0): ((0, 1, 3), (0, 3, 2)),
+        (1.0, 0.0, 0.0, -1.0): ((4, 5, 7), (4, 7, 6)),
+        (0.0, 1.0, 0.0, -1.0): ((2, 3, 7), (2, 7, 6)),
+        (0.0, 0.0, 1.0, -1.0): ((1, 3, 7), (1, 7, 5)),
+    }
+
+    def __init__(self, points, qhull_options=None):
+        self.simplices = np.array([t for triangles in self.FACES.values() for t in triangles])
+        self.equations = np.array([e for e, triangles in self.FACES.items() for _ in triangles])
+
+
+def test_a_point_on_two_faces_is_no_vertex(monkeypatch):
+    # a vertex lies on three or more faces: the edge midpoint, on two, is
+    # none, and counting it would break Euler's formula (V 9, E 11, F 6)
+    import scipy.spatial
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", _EdgePointHull)
+    points = np.vstack([UNIT_CUBE_WITH_CENTRE[:8], [(0.5, 0.0, 0.0)]])
+    p = hull(points)
+    assert list(p.vertices) == list(range(8))
+    assert p.counts() == (8, 12, 6)
+    assert sorted(len(rows) for _, rows in p.faces) == [4] * 6
+
+
 def test_nnls_solves_simple_feasibility():
     a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     x, res = nnls(a, np.array([0.5, 0.5, 1.0]))

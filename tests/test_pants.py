@@ -7,6 +7,7 @@ import itertools
 import math
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -638,10 +639,17 @@ def _reference_delta_core(l, e, ends, cuff):
     return ec * 0.5 * log(g)
 
 
+def _real_hex(value):
+    """The real part's hex of a zero-imaginary offset: its imaginary part's sign no caller reads."""
+    assert value.imag == 0.0
+    return value.real.hex()
+
+
 def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
     # the resolved kernel against the kernel as first written: real lengths
-    # (the offset) and complex-step lengths (the rate), all 32 types and 3
-    # cuffs, cuffs log-uniform from 1e-3 to 30 (long cuffs fail)
+    # (the offset, its real part; the float path leaves a zero imaginary part
+    # of either sign) and complex-step lengths (the rate, both parts), all 32
+    # types and 3 cuffs, cuffs log-uniform from 1e-3 to 30 (long cuffs fail)
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     log_length = st.floats(math.log(1e-3), math.log(30.0))
@@ -652,12 +660,44 @@ def test_offset_kernel_matches_the_unshared_exponentials_bit_for_bit():
     @hypothesis.given(a=log_length, b=log_length, c=log_length)
     def check(a, b, c):
         pm = PantsMetric(math.exp(a), math.exp(b), math.exp(c))
-        for lengths in (pm.lengths, tuple(v * step for v in pm.lengths)):
+        for lengths, form in ((pm.lengths, _real_hex), (tuple(v * step for v in pm.lengths), _hex)):
             for tri in tris:
                 for cuff in range(3):
                     side = _roles(pm.lengths, tri, cuff)
-                    assert (_outcome(lambda: _hex(_delta_core(_signed(lengths), side)))
-                            == _outcome(lambda: _hex(_reference_delta_core(lengths, tri.signs, tri.ends, cuff))))
+                    signed = _signed(lengths)
+                    assert (_outcome(lambda: form(_delta_core(signed, side, pants._exp(signed))))
+                            == _outcome(lambda: form(_reference_delta_core(lengths, tri.signs, tri.ends, cuff))))
+
+    check()
+
+
+def test_float_path_is_the_complex_evaluation_bit_for_bit(monkeypatch):
+    # the kernel at float lengths against the same lengths as Python complex
+    # numbers, which take cmath.exp and complex arithmetic: the real part bit
+    # for bit, or the same error type and message.  All 32 types and
+    # 3 cuffs, cuffs log-uniform on [1e-12, 40], on [45, 55], where the sum
+    # crosses _FLOAT_REACH, and on [700, 720], where cmath.exp scales by e and
+    # the exponentials overflow.  The float path (math.exp) runs exactly when
+    # the lengths sum below the reach
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    length = (st.floats(math.log(1e-12), math.log(40.0)).map(math.exp)
+              | st.floats(45.0, 55.0) | st.floats(700.0, 720.0))
+    float_exps = []
+    monkeypatch.setattr(pants, "math", SimpleNamespace(**{**vars(math), "exp": lambda x: float_exps.append(x) or math.exp(x)}))
+    tris = enumerate_triangulations()
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(lengths=st.tuples(length, length, length))
+    def check(lengths):
+        real, as_complex = _signed(lengths), _signed(tuple(complex(v) for v in lengths))
+        for tri in tris:
+            for cuff in range(3):
+                side = _roles(lengths, tri, cuff)
+                before = len(float_exps)
+                got = _outcome(lambda: _delta_core(real, side, pants._exp(real)).real.hex())
+                assert (len(float_exps) > before) == (sum(lengths) < pants._FLOAT_REACH)
+                assert got == _outcome(lambda: _delta_core(as_complex, side, pants._exp(as_complex)).real.hex())
 
     check()
 

@@ -165,7 +165,7 @@ LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube.certify", "bounds.run_sweep", "stretch.stretch_vectors",
-    "cli.cube", "cli.envelope", "cli.delta", "control.python_kernel",
+    "cli.cube_points", "cli.cube", "cli.envelope", "cli.delta", "control.python_kernel",
 }
 
 

@@ -26,8 +26,10 @@ stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud) and
 ``cube.hull`` of the deduplicated cloud (the tests' qhull reference,
 which the ``cube`` command does not run), one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
-``bounds.run_sweep`` of the default ``sweep`` grid, one ``cli.cube``
-(``cli.main`` running ``cube`` at the symmetric point), one
+``bounds.run_sweep`` of the default ``sweep`` grid, one
+``cli.cube_points`` (the text of ``cube_points.json`` and
+``cube_points.csv`` from the cube's entries at the symmetric point), one
+``cli.cube`` (``cli.main`` running ``cube`` at the symmetric point), one
 ``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
 written to a temporary directory, one ``cli.delta`` (``cli.main`` running
@@ -140,6 +142,9 @@ def cube_hull():
 certify = getattr(cube, "certify", None)
 def cube_certify():
     certify(raw, cube.chamfered_cube())
+entries = cube.chamfered_cube_check(base)["entries"]
+def cube_points():
+    cli._cube_points(entries)
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.max_q)
 def sweep():
@@ -176,10 +181,10 @@ def control():
         logscale += math.log(scale)
 # calls per repeat: about 1,000 for the pants layers (960 for the sides),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
-# work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the CLI
-# cube (about 7 ms), the CLI envelope (about 2 ms), the CLI delta (about 0.2 ms), the
-# sweep (about 1.6 ms) and the control (about 5 ms), the cube stages and the stretch
-# vectors (about 0.05 to 3 ms each)
+# work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the
+# cube points (about 0.4 ms), the CLI cube (about 7 ms), the CLI envelope (about 2 ms),
+# the CLI delta (about 0.2 ms), the sweep (about 1.6 ms) and the control (about 5 ms),
+# the cube stages and the stretch vectors (about 0.05 to 3 ms each)
 out = {}
 for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                 ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
@@ -196,6 +201,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("cube.hull", cube_hull, 1, 100),
                                 ("cube.certify", cube_certify if certify else None, 1, 300),
                                 ("bounds.run_sweep", sweep, 1, 100),
+                                ("cli.cube_points", cube_points, 1, 100),
                                 ("cli.cube", cli_cube, 1, 20),
                                 ("cli.envelope", cli_envelope, 1, 50),
                                 ("cli.delta", cli_delta, 1, 500),
@@ -230,7 +236,8 @@ LAYER_INPUTS = (
     "process, plan builds included; "
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
     "base point; dedupe_points and certify (with cube.chamfered_cube()): its raw cloud of 128 "
-    "vectors; hull: the deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); cli.cube: "
+    "vectors; hull: the deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); "
+    "cli.cube_points: the 128 entries of chamfered_cube_check at the symmetric base point; cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
@@ -240,7 +247,7 @@ LAYER_INPUTS = (
     "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
     "curve_length), 500 calls (cli.delta), 300 calls (certify), 100 calls (envelope cells, sweep, "
-    "dedupe_points, hull), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
+    "dedupe_points, hull, cli.cube_points), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
     "(cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side, and the median and quartiles of the "
