@@ -210,9 +210,6 @@ def _write_csv(path: Path, header: str, row_format: str, rows: Iterable[tuple]) 
 
 #: one entry of cube_points.json as json.dumps(indent=2, sort_keys=True) lays it out
 _CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %s\n    ],\n    "extreme": %s\n  }'
-#: cube_hull.json as json.dumps(indent=2, sort_keys=True) lays it out
-_CUBE_HULL = ('{\n  "brute_force_agrees": %s,\n  "extreme_completions": [\n%s\n  ],\n'
-              '  "n_edges": %d,\n  "n_faces": %d,\n  "n_vertices": %d\n}\n')
 #: the JSON and CSV texts of one twist vector, each ended by a NUL, which neither text holds
 _TWIST_JSON = "%r,\n      %r,\n      %r\0"
 _TWIST_CSV = "%.17g,%.17g,%.17g\0"
@@ -247,16 +244,6 @@ def _cube_points(entries: list[dict]) -> tuple[str, str]:
     points_json = "[\n" + ",\n".join([_CUBE_POINT] * len(entries)) + "\n]\n"
     points_csv = "completion,d_twist_1,d_twist_2,d_twist_3,extreme\n" + "%s,%s,%d\n" * len(entries)
     return points_json % tuple(json_args), points_csv % tuple(csv_args)
-
-
-def _cube_hull(result: dict) -> str:
-    """cube_hull.json of a cube check: its counts, its extreme labels and its
-    verdict as ``brute_force_agrees``, by one :data:`_CUBE_HULL`.  It is
-    ``json.dumps(..., indent=2, sort_keys=True) + "\\n"`` for one or more
-    labels as :func:`_cube_points` takes them."""
-    n_vertices, n_edges, n_faces = result["hull_counts"]
-    labels = ",\n".join(['    "%s"' % label for label in result["extreme_completions"]])
-    return _CUBE_HULL % ("true" if result["agree"] else "false", labels, n_edges, n_faces, n_vertices)
 
 
 def cmd_delta(args: SimpleNamespace, cfg: Config) -> int:
@@ -323,11 +310,19 @@ def cmd_envelope(args: SimpleNamespace, cfg: Config) -> int:
 
 def cmd_cube(args: SimpleNamespace, cfg: Config) -> int:
     result = cube.chamfered_cube_check(FNPoint("S2", cfg.base_lengths, cfg.base_twists))
+    n_vertices, n_edges, n_faces = result["hull_counts"]
+    hull_info = {
+        "n_vertices": n_vertices,
+        "n_edges": n_edges,
+        "n_faces": n_faces,
+        "extreme_completions": result["extreme_completions"],
+        "brute_force_agrees": result["agree"],
+    }
     out = Path(cfg.out_dir)
     points_json, points_csv = _cube_points(result["entries"])
     _write(out / "cube_points.json", points_json)
     _write(out / "cube_points.csv", points_csv)
-    _write(out / "cube_hull.json", _cube_hull(result))
+    _write_json(out / "cube_hull.json", hull_info)
     print(f"wrote cube outputs to {out}")
     return 0
 

@@ -23,8 +23,9 @@ off-face margin as measured on the benchmark's inputs and at base
 lengths (1, 1, 15), (10, 10, 10) and (5, 9, 9), where qhull split a face
 of the float cloud's cube; the certificate holds at all of them.  In
 process, of a check at the symmetric point (about 0.8 ms on a 2-vCPU
-Xeon), it takes 0.15, :func:`dedupe_points` (whose size the benchmark
-reads) 0.06 and the cloud 0.66, its float offsets on ``math.exp``.  The
+Xeon), it takes about a sixth, :func:`dedupe_points` (whose size the
+benchmark reads) about a sixteenth and the cloud, its float offsets on
+``math.exp``, about two thirds.  The
 qhull hull :func:`hull`, which returns the same :class:`Polytope` type that
 :func:`certify` reads, and the least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, are the tests'

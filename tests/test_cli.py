@@ -800,16 +800,6 @@ def test_cube_points_template_is_json_dumps_on_finite_floats():
     check()
 
 
-def test_cube_hull_template_is_json_dumps():
-    result = cube.chamfered_cube_check(cube.symmetric_base_point())
-    n_vertices, n_edges, n_faces = result["hull_counts"]
-    for agree, labels in ((True, result["extreme_completions"]), (False, ["LLR-411-141"])):
-        hull_info = {"n_vertices": n_vertices, "n_edges": n_edges, "n_faces": n_faces,
-                     "extreme_completions": labels, "brute_force_agrees": agree}
-        text = cli._cube_hull({**result, "agree": agree, "extreme_completions": labels})
-        assert text == json.dumps(hull_info, indent=2, sort_keys=True) + "\n"
-
-
 def test_csv_row_formats_match_the_per_value_writer(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
