@@ -34,7 +34,7 @@ from thurston_kit.pants import (
 )
 from thurston_kit.stretch import FNPoint, SpecMismatchError, StretchSpec, side_plan, stretch_vectors
 
-from conftest import scalars
+from mp_reference import mpf_point, scalars
 
 
 def _spec(signs, ends1, ends2):
@@ -572,8 +572,8 @@ def test_a_point_moved_off_the_cube_names_its_face():
 def test_labelled_margins_hold_at_fifty_digits():
     # at 10,10,10 the 50-digit cloud's faces are planar to the rounding of
     # its rows to float, and its off-face margin is the float cloud's
-    with scalars(50) as mp:
-        x = FNPoint("S2", (mp.mpf(10),) * 3, (mp.mpf(0),) * 3)
+    with scalars(50):
+        x = mpf_point(FNPoint("S2", (10.0,) * 3, (0.0,) * 3))
         raw = cloud(x)
         assert chamfered_cube_check(x)["hull_counts"] == (32, 48, 18)
     off_plane, outside, gap = cube.certify(raw, cube.chamfered_cube())
@@ -602,9 +602,9 @@ def test_long_cuffs_give_a_certified_chamfered_cube():
 
 
 def _exact_cloud(lengths, twists):
-    """``cube.cloud`` under ``scalars(50)`` at the lengths and twists taken as ``mpf``: 50-digit ``mpf``."""
-    with scalars(50) as mp:
-        return cloud(FNPoint("S2", tuple(map(mp.mpf, lengths)), tuple(map(mp.mpf, twists))))
+    """``cube.cloud`` under ``scalars(50)`` at the ``mpf_point`` of the lengths and twists: 50-digit ``mpf``."""
+    with scalars(50):
+        return cloud(mpf_point(FNPoint("S2", lengths, twists)))
 
 
 def test_no_certified_wrong_cube_at_fifty_digits():
@@ -682,9 +682,8 @@ def test_resolved_sides_never_cross_namespaces(tmp_path):
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
     floats = stretch_vectors(x, side_plan(specs))
     clear()
-    with scalars(50) as mp:
-        exact_x = FNPoint("S2", tuple(map(mp.mpf, lengths)), tuple(map(mp.mpf, twists)))
-        exact = np.asarray(stretch_vectors(exact_x, side_plan(specs)), dtype=float)
+    with scalars(50):
+        exact = np.asarray(stretch_vectors(mpf_point(x), side_plan(specs)), dtype=float)
     assert np.max(np.abs(floats - exact)) <= 1e-12
     assert _bits(stretch_vectors(x, side_plan(specs)).tolist()) == _bits(floats.tolist())
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha

@@ -32,7 +32,7 @@ from thurston_kit.pants import (
     _solve_monotone,
 )
 
-from conftest import SWAPPED, scalars
+from mp_reference import SWAPPED, scalars
 
 LLL = (1, 1, 1)
 RRR = (-1, -1, -1)

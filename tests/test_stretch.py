@@ -25,6 +25,8 @@ from thurston_kit.stretch import (
     width_point,
 )
 
+from mp_reference import endpoints
+
 #: printed-convention value at (l0, t) = (1, 1), recomputed then frozen
 PRINTED_GOLDEN = -5.68142893628726
 
@@ -364,10 +366,9 @@ def test_fifty_digit_stretch_twists_are_half_the_closed_width(l0, request):
     # w = theta(left) - theta(right) evenly: +w/2 and -w/2.  The float left
     # twist is -2.155296e-5 at l0 = 10 and -1.323863e-2 at l0 = 18
     mp = request.getfixturevalue("fifty_digits")
-    x, t = width_point("S11", mp.mpf(l0)), mp.mpf("0.5")
+    t = mp.mpf("0.5")
     w = twist_width_closed(mp.mpf(l0), t)
-    left = twist_along_stretch(x, left_spec("S11"), 0, t)
-    right = twist_along_stretch(x, right_spec("S11"), 0, t)
+    left, right = (y.twists[0] for y in endpoints(width_point("S11", l0), t, 50))
     # 6.2e-28 and 3.3e-42 relative at l0 = 18: the left offsets cancel about e^{-2 l0}
     assert abs(left - w / 2) <= 1e-20 * abs(w) and abs(right + w / 2) <= 1e-20 * abs(w)
     if l0 == 18:

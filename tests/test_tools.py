@@ -1,19 +1,21 @@
 """Tests for the scripts under ``tools/``."""
 
 import ast
+import importlib
 import json
 import random
 import subprocess
-import sys
 import timeit
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
-
-import cube_certificates  # noqa: E402
-import source_stats  # noqa: E402
-import write_bench  # noqa: E402
-from test_cube import EDGE_POINT_BASES  # noqa: E402
+import cube_certificates
+import pytest
+import source_stats
+import write_bench
+from mp_reference import log_lengths, mpf_point
+from test_cube import EDGE_POINT_BASES
+from thurston_kit.stretch import FNPoint
+from thurston_kit.torus import candidate_slopes
 
 DECLARED = [
     {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25},
@@ -146,13 +148,14 @@ def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
     (tmp_path / "notes.txt").write_text("not python\n")
     assert source_stats.line_total(tmp_path) == 3
     source_stats.main()
-    last = capsys.readouterr().out.splitlines()[-1]
-    assert last.split() == ["tests", str(source_stats.line_total(source_stats.TESTS)), "lines"]
+    tests, tools = (line.split() for line in capsys.readouterr().out.splitlines()[-2:])
+    assert tests == ["tests", str(source_stats.line_total(source_stats.TESTS)), "lines"]
+    assert tools == ["tools", str(source_stats.line_total(source_stats.TOOLS)), "lines"]
 
 
 def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsys):
     # one call per layer in place of the timed repeats
-    monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat: [fn() or 1.0])
+    monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat, timer: [fn() or 1.0])
     namespace = {}
     exec(write_bench.LAYER_SNIPPET, namespace)
     layers = json.loads(capsys.readouterr().out)
@@ -253,3 +256,57 @@ def test_write_bench_reports_a_layer_of_one_side_alone(monkeypatch):
 def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():
     for lengths, twists in [((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), EDGE_POINT_BASES[0]]:
         assert cube_certificates.check(lengths, twists, random.Random(0)) == []
+
+
+def test_mpf_point_copies_every_float_exactly():
+    mpmath = pytest.importorskip("mpmath")
+    lengths, twists = (5e-324, 0.1, 17.809518214039276), (-1e300, 1 / 3, -0.0)
+    for dps in (15, 50):
+        with mpmath.workdps(dps):
+            x = mpf_point(FNPoint("S2", lengths, twists))
+        for got, value in zip(x.lengths + x.twists, lengths + twists):
+            assert type(got) is mpmath.mpf and got == value and float(got) == value
+
+
+def _farey_triangles(count, rng):
+    """``count`` Farey triangles (a, b, a + b) as slope triples: from a seed
+    (infinity, n/1) edge, a random number of steps down the Stern-Brocot tree."""
+    out = []
+    for _ in range(count):
+        a, b = (1, 0), (rng.randrange(-30, 30), 1)
+        for _ in range(rng.randrange(0, 10)):
+            mid = (a[0] + b[0], a[1] + b[1])
+            a, b = (a, mid) if rng.random() < 0.5 else (mid, b)
+        out.append((a, b, (a[0] + b[0], a[1] + b[1])))
+    return out
+
+
+@pytest.mark.parametrize("l, tau", [(0.1, 0.0), (1.0, 0.3), (5.0, -1.2), (1.0, 100.0), (0.01, -300.0)])
+def test_trace_recursion_keeps_the_markov_relation(l, tau):
+    # x^2 + y^2 + z^2 = xyz on each triangle, with the traces x = 2 cosh(L/2)
+    # taken back from the lengths at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    triangles = _farey_triangles(60, random.Random(0))
+    slopes = [slope for triangle in triangles for slope in triangle]
+    logs = dict(zip(slopes, log_lengths(FNPoint("S11", (l,), (tau,)), slopes, 50)))
+    with mpmath.workdps(50):
+        for triangle in triangles:
+            x, y, z = (2 * mpmath.cosh(mpmath.exp(logs[slope]) / 2) for slope in triangle)
+            assert abs(x * x + y * y + z * z - x * y * z) <= 1e-40 * x * y * z, triangle
+
+
+def test_trace_recursion_is_the_benchmark_block_product_at_fifty_digits(monkeypatch):
+    # perfbench/reference.py reads its scalars through its module's math
+    # name, so mpmath there runs its block product at 50 digits; where a half
+    # trace passes e^30 its far form drops a term of about e^{-2 h}, which
+    # stays below 1e-45 at these points (1e-50 measured)
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    reference = importlib.import_module("reference")
+    monkeypatch.setattr(reference, "math", mpmath)
+    slopes = [(p, q) for p, q in candidate_slopes(6) if q >= 2]
+    for l, tau in [(0.1, 0.0), (1.0, 0.3), (5.0, -1.2), (1.0, 100.0)]:
+        got = log_lengths(FNPoint("S11", (l,), (tau,)), slopes, 50)
+        with mpmath.workdps(50):
+            want = [reference.log_length(mpmath.mpf(l), mpmath.mpf(tau), p, q) for p, q in slopes]
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-45, (l, tau)

@@ -27,6 +27,8 @@ from thurston_kit.torus import (
     _plan,
 )
 
+from mp_reference import log_lengths
+
 #: length of the dual curve at (l, tau) = (1, 0): 2 arccosh(coth(1/2)),
 #: evaluated once and frozen
 DUAL_LENGTH_GOLDEN = 2.8136582274945905
@@ -36,39 +38,17 @@ DUAL_LENGTH_GOLDEN = 2.8136582274945905
 FULL_TWIST_GOLDEN = 0.20861035263064975
 
 
-def _block_product_length(l, tau, p, q):
-    """Reference curve length of slope p/q at (l, tau): the plain
-    Christoffel block product prod_i diag(e^{u_i/2}, e^{-u_i/2}) B0 with
-    u_i = k_i l + tau, one block at a time with a running log scale.
-    Valid while every block stays below e^709."""
-    if q == 0:
-        return l
-    cb, sb = 1.0 / math.tanh(l / 2.0), 1.0 / math.sinh(l / 2.0)
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    logscale = 0.0
-    for i in range(1, q + 1):
-        e = math.exp((((i * p) // q - ((i - 1) * p) // q) * l + tau) / 2.0)
-        x00, x01, x10, x11 = cb * e, sb * e, sb / e, cb / e
-        m00, m01, m10, m11 = (
-            m00 * x00 + m01 * x10,
-            m00 * x01 + m01 * x11,
-            m10 * x00 + m11 * x10,
-            m10 * x01 + m11 * x11,
-        )
-        s = max(m00, m01, m10, m11)
-        m00, m01, m10, m11 = m00 / s, m01 / s, m10 / s, m11 / s
-        logscale += math.log(s)
-    lh = logscale + math.log((m00 + m11) / 2.0)
-    # arccosh(e^lh) without forming e^lh
-    return 2.0 * (lh + math.log1p(math.sqrt(-math.expm1(-2.0 * lh))))
-
-
 def _point(l, tau):
     return FNPoint("S11", (l,), (tau,))
 
 
 def _engine_lengths(l, tau, slopes):
     return np.exp(_log_lengths((_point(l, tau),), _plan(slopes))[:, 0])
+
+
+def _reference_log_lengths(l, tau, slopes):
+    """Log lengths of ``slopes`` at (l, tau) by the 50-digit trace recursion, rounded to float."""
+    return [float(v) for v in log_lengths(_point(l, tau), slopes, 50)]
 
 
 # ------------------------------------------------------------- slopes
@@ -316,8 +296,8 @@ def test_full_twist_relabels_slopes():
             assert a == pytest.approx(b, abs=1e-8)
 
 
-def test_engine_lengths_match_block_product():
-    # the Farey engine against the block-product reference, from thin to
+def test_engine_lengths_match_trace_recursion():
+    # the Farey engine against the 50-digit trace recursion, from thin to
     # thick and heavily twisted
     small = [(1, 0)] + [(p, q) for q in range(1, 7) for p in range(-8, 9) if gcd(abs(p), q) == 1]
     # a window of p around -100 q, where the words are heavily twisted
@@ -325,20 +305,20 @@ def test_engine_lengths_match_block_product():
     points = [(1.0, 0.3), (2.5, -1.2), (0.2, 4.0), (1.3e-5, 23.8), (1.3e-5, -23.8), (20.0, -7.0)]
     points += [(l, 100.0) for l in (1.0, 2.0, 5.0)]
     for i, (l, tau) in enumerate(points):
-        ref = [_block_product_length(l, tau, p, q) for p, q in small]
+        ref = np.exp(_reference_log_lengths(l, tau, small))
         assert _engine_lengths(l, tau, small) == pytest.approx(ref, abs=1e-10)
         if i < 5:
-            ref = [_block_product_length(l, tau, p, q) for p, q in windows]
+            ref = np.exp(_reference_log_lengths(l, tau, windows))
             assert _engine_lengths(l, tau, windows) == pytest.approx(ref, abs=1e-10)
 
 
-def test_heavy_twist_lengths_match_block_product():
-    # the trace recursion tr W(n-1) = tr A tr W(n) - tr W(n+1), run from
-    # slope 0 down to -30/1, misses that log length by 6e-5 at (1, 100)
-    # and returns NaN at (2, 100)
+def test_heavy_twist_lengths_match_trace_recursion():
+    # in float the trace recursion tr W(n-1) = tr A tr W(n) - tr W(n+1), run
+    # from slope 0 down to -30/1, misses that log length by 6e-5 at (1, 100)
+    # and returns NaN at (2, 100); the reference runs it at 50 digits
     slopes = [(p, q) for q in (1, 2, 3) for p in range(-30 * q, 30 * q + 1) if gcd(p, q) == 1]
     for l in (1.0, 2.0):
-        ref = [math.log(_block_product_length(l, 100.0, p, q)) for p, q in slopes]
+        ref = _reference_log_lengths(l, 100.0, slopes)
         assert np.log(_engine_lengths(l, 100.0, slopes)) == pytest.approx(ref, rel=0, abs=1e-12)
 
 
@@ -750,14 +730,15 @@ def test_a_batch_fails_on_its_first_failing_column():
 def test_integer_slopes_at_very_long_alpha_match_mpmath_reference(l, u):
     # slope 1/1 at tau = u - l is about 4 e^{-l/2} + u long; the term
     # e^{-l} of |tr|/2 - 1 left the normal range from l = 708, and from
-    # l = 750 it rounded to zero; the reference takes u as the engine rounds it
+    # l = 750 it rounded to zero; the reference seeds from the exact sum l + tau
+    # of the engine's rounded tau
     mpmath = pytest.importorskip("mpmath")
     tau = u - l
     got = _log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(1, 1)]))[0, 0]
     # |tr|/2 - 1 is about e^{-l}, so the reference keeps 60 digits past it
-    with mpmath.workdps(60 + int(l / 2.3)):
-        half_trace = mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh((mpmath.mpf(l) + mpmath.mpf(tau)) / 2)
-        ref = mpmath.log(2 * mpmath.acosh(half_trace))
+    dps = 60 + int(l / 2.3)
+    ref = log_lengths(FNPoint("S11", (l,), (tau,)), [(1, 1)], dps)[0]
+    with mpmath.workdps(dps):
         rel = abs((mpmath.mpf(got) - ref) / ref)
     assert rel <= sys.float_info.epsilon
 
@@ -768,9 +749,10 @@ def test_long_alpha_integer_slopes_match_mpmath_reference(l, tau, n):
     # the elliptic guard fired before integer slopes had an exact form
     mpmath = pytest.importorskip("mpmath")
     got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(n, 1)]))[0, 0])
+    # the reference seeds from the exact sum n l + tau
+    ref_log = log_lengths(FNPoint("S11", (l,), (tau,)), [(n, 1)], 60)[0]
     with mpmath.workdps(60):
-        u = n * mpmath.mpf(l) + mpmath.mpf(tau)
-        ref = 2 * mpmath.acosh(mpmath.coth(mpmath.mpf(l) / 2) * mpmath.cosh(u / 2))
+        ref = mpmath.exp(ref_log)
         rel = abs((mpmath.mpf(got) - ref) / ref)
     assert rel <= 4 * sys.float_info.epsilon
 
@@ -792,7 +774,9 @@ def test_short_integer_slopes_match_mpmath_reference(l, tau, n):
     # |tr|/2 = coth(l/2) cosh(u/2) lies between 1 + 1e-14 and 1.5 here, where
     # arccosh kept only about eps / (length^2 / 4) relative digits (6.1e-13
     # relative at the first point); the reference takes u = n l + tau as the
-    # engine rounds it, so only the length formula is measured
+    # engine rounds it, so only the length formula is measured.  That is why
+    # it keeps its own formula: mp_reference.log_lengths seeds from the exact
+    # sum, which would measure the rounding of u too
     mpmath = pytest.importorskip("mpmath")
     got = math.exp(_log_lengths([FNPoint("S11", (l,), (tau,))], _plan([(n, 1)]))[0, 0])
     with mpmath.workdps(60):

@@ -14,9 +14,10 @@ top-level ``def``, ``class`` and assigned names that do not start with
 not ``_REQUIRED``.  Then the package's environment reads: calls of
 ``os.environ.get`` and ``os.getenv``, and loading subscripts of
 ``os.environ``; the options count covers every setting only while this
-reads 0.  Last comes the line total of ``tests``, so one run gives a
-change's net lines on both sides.  Reads the files next to this script;
-imports nothing from the package.
+reads 0.  Last come the line totals of ``tests`` and of ``tools``, so
+one run gives a change's net lines on each side, and a change that moves
+code between the tests and the tools shows its net on both.  Reads the
+files next to this script; imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "thurston_kit"
 TESTS = ROOT / "tests"
+TOOLS = ROOT / "tools"
 
 
 def _called_name(node: ast.expr) -> str | None:
@@ -128,6 +130,7 @@ def main() -> None:
     print(f"{'cli flags':<16}{optional_flags(ast.parse((SRC / 'cli.py').read_text())):>6}")
     print(f"{'env reads':<16}{total_reads:>6}")
     print(f"{'tests':<16}{line_total(TESTS):>6} lines")
+    print(f"{'tools':<16}{line_total(TOOLS):>6} lines")
 
 
 if __name__ == "__main__":

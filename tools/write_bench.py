@@ -32,7 +32,8 @@ the 128 genus-two completions at the symmetric point, one
 ``cli.cube`` (``cli.main`` running ``cube`` at the symmetric point), one
 ``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
-written to a temporary directory, one ``cli.delta`` (``cli.main`` running
+written to a temporary directory whose files each call removes first,
+untimed, as a benchmark op's worker does, one ``cli.delta`` (``cli.main`` running
 ``delta`` as an ``oracle`` benchmark op does, its stdout discarded), and
 one ``control.python_kernel``, a
 fixed loop that calls nothing of the package, so its ratio shows the
@@ -91,7 +92,7 @@ GRID_MAX_Q = 400
 
 #: times each layer on fixed inputs and prints microseconds per call as JSON
 LAYER_SNIPPET = r"""
-import contextlib, io, json, math, tempfile, timeit
+import contextlib, io, json, math, tempfile, time, timeit
 from pathlib import Path
 from thurston_kit import bounds, cli, cube, h2, pants, stretch, torus
 metric = pants.PantsMetric(0.5, 1.0, 2.0)
@@ -151,15 +152,28 @@ def sweep():
     bounds.run_sweep(*sweep_args)
 # the default config's base point is the symmetric point
 tmp = tempfile.TemporaryDirectory()
+out_dir = Path(tmp.name) / "out"
+# the CLI layers remove the artifacts of the call before, as a benchmark op's
+# worker does, so every call writes new files; the clock stops while they do
+paused = [0.0]
+def clock():
+    return time.perf_counter() - paused[0]
+def remove_artifacts():
+    start = time.perf_counter()
+    for path in out_dir.glob("*"):
+        path.unlink()
+    paused[0] += time.perf_counter() - start
 cube_config = Path(tmp.name) / "config.txt"
-cube_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\n")
+cube_config.write_text(f"out_dir={out_dir}\n")
 def cli_cube():
+    remove_artifacts()
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--config", str(cube_config), "cube"])
 # the shape of an envelope benchmark op: one l0 and the cells t = 0 and t = t_max
 envelope_config = Path(tmp.name) / "envelope.txt"
-envelope_config.write_text(f"out_dir={Path(tmp.name) / 'out'}\nl0_values=1.0\nt_max=4.0\nt_step=4.0\nmax_q=30\n")
+envelope_config.write_text(f"out_dir={out_dir}\nl0_values=1.0\nt_max=4.0\nt_step=4.0\nmax_q=30\n")
 def cli_envelope():
+    remove_artifacts()
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["--config", str(envelope_config), "envelope"])
 # the shape of an oracle benchmark op: one delta, closed form and oracle
@@ -208,7 +222,7 @@ for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 
                                 ("control.python_kernel", control, 1, 20)):
     if fn is None:
         continue
-    out[name] = min(timeit.repeat(fn, number=number, repeat=5)) / (number * calls) * 1e6
+    out[name] = min(timeit.repeat(fn, number=number, repeat=5, timer=clock)) / (number * calls) * 1e6
 tmp.cleanup()
 print(json.dumps(out))
 """
@@ -240,8 +254,9 @@ LAYER_INPUTS = (
     "cli.cube_points: the 128 entries of chamfered_cube_check at the symmetric base point; cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
-    "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and an out_dir in the "
-    "same directory, its stdout discarded; cli.delta: cli.main(['delta', '--type', '2sym', '--l', "
+    "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and the same out_dir, "
+    "its stdout discarded; both remove the files in out_dir before each call, untimed, so each call "
+    "writes new files as a benchmark op does; cli.delta: cli.main(['delta', '--type', '2sym', '--l', "
     "'0.5,1.3,2.2', '--signs', 'LRL', '--cuff', '2']), its stdout discarded; "
     "control.python_kernel: 30,000 integer steps and 3,000 "
     "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
