@@ -154,7 +154,8 @@ def _shear(signed, terms: tuple[int, ...]):
 def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
     """Shear coordinate of each leaf, keyed by its cuff pair (e.g. 's12', 's11').
 
-    Only the labels meaningful for the triangulation type are present.
+    Only the labels meaningful for the triangulation type are present.  A
+    shear whose half-sum overflows raises, though its value may be finite.
     """
     if t.ends == (2, 2, 2):
         pairs = [(0, 1), (0, 2), (1, 2)]
@@ -162,7 +163,11 @@ def shear_coords(p: PantsMetric, t: PantsTriangulation) -> dict[str, float]:
         m = t.ends.index(4)
         pairs = [(m, m)] + [(m, i) for i in range(3) if i != m]
     signed = _signed(p.lengths)
-    return {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear(signed, _shear_coord(t.ends, t.signs, i, j)) for i, j in pairs}
+    shears = {f"s{min(i, j) + 1}{max(i, j) + 1}": _shear(signed, _shear_coord(t.ends, t.signs, i, j)) for i, j in pairs}
+    for key, value in shears.items():
+        if not math.isfinite(value):
+            raise ValueError(f"shear {key} is out of float reach: its half-sum overflows at lengths {p.lengths}")
+    return shears
 
 
 def _check_length(lengths, cuff: int) -> None:

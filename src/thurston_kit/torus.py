@@ -66,8 +66,8 @@ _LOG_HUGE = 30.0
 #: exact form of |tr|/2 - 1 in :func:`_log_lengths`
 _LOG_NEAR_ONE = math.log(1.5)
 #: node x column budget of one batched length pass, about 0.8 MB of
-#: matrices (8 envelope cells at max_q = 30); larger batches save
-#: little per column and grow the working set
+#: matrices (5 envelope cells at max_q = 30, sized from a bound on the
+#: family); larger batches save little per column and grow the working set
 _CHUNK_NODE_COLUMNS = 20_000
 
 
@@ -120,12 +120,6 @@ def _plan(slopes: Sequence[tuple[int, int]]) -> _Plan:
 def _family(max_q: int) -> _Plan:
     """The plan of the default slope family :func:`candidate_slopes`, built on first use."""
     return _plan(candidate_slopes(max_q))
-
-
-@lru_cache(maxsize=8)
-def _family_size(max_q: int) -> int:
-    """``len(candidate_slopes(max_q))``, counted once per ``max_q``."""
-    return len(candidate_slopes(max_q))
 
 
 @lru_cache(maxsize=8)
@@ -361,22 +355,22 @@ def envelope_widths(cells: Sequence[tuple[FNPoint, float]], max_q: int) -> list[
     stretch and no length pass, so it never fails.  The endpoints of the
     other cells are the columns of :func:`_family_max` over the default
     slope family of :func:`dth_estimate`, in chunks of at most
-    ``_CHUNK_NODE_COLUMNS`` family nodes times columns, so the working set
-    stays bounded; each endpoint's lengths serve both directions.  A chunk
-    builds its endpoints in cell order, then takes the integer pass: a cell
-    whose cone bounds in both directions lie ``_SLACK`` = 1e-12 below its
-    integer maxima in the log, a margin far above the lengths' float error,
-    takes those, and the others take one family pass (about 84% of the
-    benchmark's cells need none at max_q = 30).  A stretch error of any
-    cell of the chunk comes first, then an integer-slope error, then a
-    Farey-slope error of an open cell; within a pass the first failing
-    column names the error.  The CLI's cells are untwisted, where no
-    length failure is known.
+    ``_CHUNK_NODE_COLUMNS`` nodes times columns of the family's bound
+    2 max_q^2 + 2 (2 max_q + 1 integers, 2 max_q per q >= 2, infinity), so
+    the working set stays bounded and no slope is listed before a cell
+    opens; each endpoint's lengths serve both directions.  A chunk builds
+    its endpoints in cell order, then takes the integer pass: a cell whose
+    cone bounds in both directions lie ``_SLACK`` = 1e-12 below its integer
+    maxima in the log, a margin far above the lengths' float error, takes
+    those, and the others take one family pass (about 84% of the benchmark's
+    cells need none at max_q = 30).  A stretch error of any cell of the
+    chunk comes first, then an integer-slope error, then a Farey-slope error
+    of an open cell; within a pass the first failing column names the error.
+    The CLI's cells are untwisted, where no length failure is known.
     """
     import numpy as np
 
-    # the family's plan has one node per finite slope, and is built only for an open cell
-    step = max(1, _CHUNK_NODE_COLUMNS // (2 * _family_size(max_q)))
+    step = max(1, _CHUNK_NODE_COLUMNS // (2 * (2 * max_q * max_q + 2)))
     out = [(0.0, 0.0)] * len(cells)
     # a t = 0 cell off S11 still takes the pass, which rejects its surface
     live = [i for i, (y, t) in enumerate(cells) if t != 0.0 or y.surface != "S11"]

@@ -288,6 +288,17 @@ def test_shear_command_output(capsys):
     assert out.splitlines() == ["s12=-0.5", "s13=-0.5", "s23=-0.5"]
 
 
+def test_shear_command_states_an_overflowing_half_sum(capsys):
+    # 0.5 (l3 - l1 - l2) overflows in its sum though the shear, about -1e308,
+    # is finite; it used to print s12=-inf and exit 0
+    assert main(["shear", "--type", "3sym", "--l", "1e308,1e308,1", "--signs", "LLR", "--cuff", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: shear s12 is out of float reach: its half-sum overflows at lengths (1e+308, 1e+308, 1.0)\n"
+    )
+
+
 def test_twist_width_command(capsys):
     # the printed convention at l0 = 1 is the reconciled form at l0 / 2, bit for bit
     code, out = run_cli(capsys, "twist-width", "--l0", "0.5", "--t", "1")

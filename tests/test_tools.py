@@ -44,6 +44,48 @@ def test_write_bench_counts_pairs_by_seed_in_the_better_direction():
     assert (oracle["op_p50_ms"]["parent"]["q1"], oracle["op_p50_ms"]["parent"]["q3"]) == (0.45, 0.55)
 
 
+def _verdicts(parent, change):
+    """The verdicts of op_p50_ms and ok_frac over paired seeds 1, 2, ...: p50 from
+    the lists, ok 1.0 on both sides."""
+    records = {side: [_record(seed, p50, 1.0) for seed, p50 in enumerate(values, 1)]
+               for side, values in (("parent", parent), ("change", change))}
+    oracle = write_bench.compare(DECLARED, records)["oracle"]
+    return oracle["op_p50_ms"]["verdict"], oracle["ok_frac"]["verdict"]
+
+
+@pytest.mark.parametrize(
+    "parent,change,want",
+    [
+        # 10 of 10 pairs, medians 0.2 apart, more than the parent's q3 - q1 of 0.0575
+        ([1.0, 1.05, 1.1, 0.95, 1.0, 1.02, 0.98, 1.0, 1.1, 0.9], [0.8] * 10, "gain"),
+        # 9 of 10 pairs is nine tenths; a tie counts for neither side
+        ([1.0] * 10, [0.8] * 9 + [1.0], "gain"),
+        # 8 of 10 pairs is no gain, however far the medians lie apart
+        ([1.0] * 10, [0.5] * 8 + [1.5] * 2, "unchanged"),
+        # 10 of 10 pairs, but the medians lie within the parent's q3 - q1
+        ([1.0, 1.2] * 5, [0.99, 1.19] * 5, "unchanged"),
+        # the change's median 0.3 worse than the parent's 1.0, past the bound of 0.25
+        ([1.0] * 10, [1.3] * 10, "worse"),
+        ([1.0] * 10, [1.2] * 10, "unchanged"),
+        # the parent's q3 - q1 of 1.0 against a median of 1.5: too wide to tell
+        ([1.0, 2.0] * 5, [1.1, 1.9] * 5, "unresolved"),
+        ([1.0] * 10, [0.5, 1.5] * 5, "unresolved"),
+        # as wide, but every change run beats every parent run
+        ([1.0, 2.0] * 5, [0.9] * 10, "unchanged"),
+    ],
+)
+def test_write_bench_reads_each_metric_by_the_pair_bound_and_spread_rules(parent, change, want):
+    assert _verdicts(parent, change) == (want, "unchanged")
+
+
+def test_write_bench_reads_a_higher_is_better_metric_in_its_direction():
+    records = {side: [_record(seed, 1.0, ok) for seed, ok in enumerate(values, 1)]
+               for side, values in (("parent", [1.0] * 10), ("change", [0.85] * 10))}
+    assert write_bench.compare(DECLARED, records)["oracle"]["ok_frac"]["verdict"] == "worse"
+    records["parent"], records["change"] = records["change"], records["parent"]
+    assert write_bench.compare(DECLARED, records)["oracle"]["ok_frac"]["verdict"] == "gain"
+
+
 def test_source_stats_counts_only_fields_and_parameters_with_defaults():
     source = """
 from dataclasses import dataclass, field

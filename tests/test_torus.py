@@ -509,7 +509,8 @@ def test_envelope_cells_match_per_cell_widths_bit_for_bit(monkeypatch):
     # family pass over the columns of its open cells, within the chunk budget
     integers, family = len(_integers(30)[0][2]), len(_family(30)[2])
     chunks = [k for k, (size, _) in enumerate(passes) if size == integers]
-    assert chunks[0] == 0 and len(chunks) > 1 and {size for size, _ in passes} == {integers, family}
+    # 20 cells with t != 0, 5 per chunk: 20,000 // (2 (2 * 30^2 + 2))
+    assert chunks[0] == 0 and len(chunks) == 4 and {size for size, _ in passes} == {integers, family}
     assert sum(passes[k][1] for k in chunks) == 2 * sum(t != 0.0 for _, t in cells)
     for k, end in zip(chunks, chunks[1:] + [len(passes)]):
         assert end - k <= 2 and all(columns <= passes[k][1] for _, columns in passes[k + 1 : end])
@@ -537,15 +538,37 @@ def test_a_cell_settled_at_the_integers_runs_no_family_pass(monkeypatch):
 
 
 
-def test_a_settled_cell_builds_no_family_plan_at_the_cap():
-    # the chunk size comes from the slope count, so a cell that the integers
-    # settle builds no plan of the 194,712 slopes at max_q = 400
+def test_the_chunk_size_comes_from_a_bound_on_the_slope_family(monkeypatch):
+    # 2 max_q + 1 integers, at most 2 max_q numerators per q >= 2, and
+    # infinity; a chunk takes _CHUNK_NODE_COLUMNS // (2 bound) cells, at least one
+    for max_q in [*range(1, 61), 400]:
+        assert len(candidate_slopes(max_q)) <= 2 * max_q * max_q + 2
+    chunks = []
+
+    def family_max(points, pairs, max_q):
+        chunks.append(len(points) // 2)
+        return np.zeros(len(pairs))
+
+    monkeypatch.setattr(torus, "_family_max", family_max)
+    for max_q, per_chunk in ((20, 12), (30, 5), (400, 1)):
+        chunks.clear()
+        envelope_widths([(width_point("S11", 1.0), 4.0)] * (per_chunk + 1), max_q)
+        assert chunks == [per_chunk, 1]
+
+
+def test_a_settled_cell_builds_no_family_plan_at_the_cap(monkeypatch):
+    # the chunk size comes from a bound on the family, so a cell that the
+    # integers settle lists none of the 194,712 slopes at max_q = 400 and
+    # builds no plan of them, with every cache of the module cleared first
+    for cached in vars(torus).values():
+        getattr(cached, "cache_clear", lambda: None)()
+    listed = []
+    monkeypatch.setattr(torus, "candidate_slopes", lambda max_q: listed.append(max_q) or candidate_slopes(max_q))
     y, t = width_point("S11", 1.0), 4.0
-    before = _family.cache_info()
     got = envelope_widths([(y, t)], 400)
-    assert _family.cache_info() == before
+    assert listed == [] and _family.cache_info().currsize == 0
     assert got == [tuple(_family_max(_endpoints(y, t), np.array([[0, 1], [1, 0]]), 400).tolist())]
-    assert _family.cache_info() == before
+    assert listed == [] and _family.cache_info().currsize == 0
 
 def _mismatches(y, t, p, max_q):
     """The estimates that differ in any bit from one pass over the whole

@@ -8,7 +8,9 @@ seed<n>-trace0.json``.  For each workload recorded on both sides, OUT
 holds, per end-to-end metric declared in ``BENCHMARK.json`` and over the
 seeds run on both sides only, each side's median, quartiles and per-seed
 values and how many of those pairs the change wins, ties and loses in the
-metric's ``better`` direction; a seed run on one side only is listed in
+metric's ``better`` direction, and the metric's ``verdict``: ``gain``,
+``worse``, ``unresolved`` or ``unchanged`` by the pair, bound and spread
+rules of :func:`verdict`; a seed run on one side only is listed in
 that side's ``seeds`` and counts in nothing else.  It also holds the git
 sha and source digest of each side as its records give them (a checkout
 without ``.git`` has no sha, and one with uncommitted changes reports
@@ -292,9 +294,34 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(entry: dict) -> str:
+    """The reading of one metric's :func:`compare` entry.
+
+    ``gain`` when the change wins at least nine tenths of all pairs (a tie
+    counts for neither side) and its median beats the parent's by more than
+    the parent's q3 - q1; ``worse`` when its median is worse than the
+    parent's by more than ``bound`` times the parent's median; ``unresolved``
+    when either side's q3 - q1 is wider than ``bound`` times its median,
+    unless every change run beats every parent run; ``unchanged`` otherwise.
+    """
+    sign = -1.0 if entry["better"] == "lower" else 1.0
+    parent, change, pairs = entry["parent"], entry["change"], entry["pairs"]
+    better = sign * (change["median"] - parent["median"])
+    if 10 * pairs["change_wins"] >= 9 * pairs["count"] and better > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -better > entry["bound"] * abs(parent["median"]):
+        return "worse"
+    wide = any(s["q3"] - s["q1"] > entry["bound"] * abs(s["median"]) for s in (parent, change))
+    beats_all = min(sign * v for v in change["by_seed"].values()) > max(sign * v for v in parent["by_seed"].values())
+    if wide and not beats_all:
+        return "unresolved"
+    return "unchanged"
+
+
 def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
     """Per workload and metric: each side's spread and per-seed values over the
-    seeds both sides ran, and the pair counts; ``seeds`` lists every seed of a side."""
+    seeds both sides ran, the pair counts and the :func:`verdict`; ``seeds``
+    lists every seed of a side."""
     by_side = {side: {} for side in SIDES}
     for side in SIDES:
         for record in records[side]:
@@ -327,6 +354,7 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
                 "pairs": {"count": len(seeds), "change_wins": wins, "ties": ties,
                           "parent_wins": len(seeds) - wins - ties},
             }
+            entry[name]["verdict"] = verdict(entry[name])
         out[workload] = entry
     return out
 
