@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import struct
 import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
@@ -213,32 +212,28 @@ _CUBE_POINT = '  {\n    "completion": "%s",\n    "d_twist": [\n      %s\n    ],\
 #: the JSON and CSV texts of one twist vector, each ended by a NUL, which neither text holds
 _TWIST_JSON = "%r,\n      %r,\n      %r\0"
 _TWIST_CSV = "%.17g,%.17g,%.17g\0"
-#: the bytes of a twist vector, which tell 0.0 from -0.0
-_TWIST_BYTES = struct.Struct("3d")
 
 
-def _cube_points(entries: list[dict]) -> tuple[str, str]:
-    """cube_points.json and cube_points.csv of the cube's entries: the
-    distinct twist vectors (80 of the cloud's 128) formatted by one ``%`` per
-    file, then each file built by one ``%``.
+def _cube_points(rows: list[list[float]], entries: list[dict]) -> tuple[str, str]:
+    """cube_points.json and cube_points.csv of the cube's distinct twist
+    vectors ``rows`` (80 of the cloud's 128) and its entries, which name their
+    vector by its index ``"row"``: the rows formatted by one ``%`` per file,
+    then each file built by one ``%``.
 
-    The JSON is ``json.dumps(entries, indent=2, sort_keys=True) + "\\n"``,
-    one :data:`_CUBE_POINT` each (the pure-Python encoder that ``indent``
-    selects takes about four times as long).  Exact for a non-empty list with
-    labels of printable ASCII other than ``"`` and ``\\``, twist vectors of
-    three finite Python floats (``cube.cloud`` rejects any other) and bool
-    flags: json.dumps would escape other labels and write inf and nan as
-    Infinity and NaN.  The CSV writes each component ``%.17g``, as
-    :func:`format_float`.
+    The JSON is ``json.dumps(points, indent=2, sort_keys=True) + "\\n"``, the
+    points being the entries with ``"d_twist": rows[row]`` for ``"row"``, one
+    :data:`_CUBE_POINT` each (the pure-Python encoder that ``indent`` selects
+    takes about four times as long).  Exact for a non-empty list with labels
+    of printable ASCII other than ``"`` and ``\\``, rows of three finite
+    Python floats (``cube.cloud`` rejects any other) and bool flags:
+    json.dumps would escape other labels and write inf and nan as Infinity
+    and NaN.  The CSV writes each component ``%.17g``, as :func:`format_float`.
     """
-    keys = [_TWIST_BYTES.pack(*e["d_twist"]) for e in entries]
-    distinct = dict(zip(keys, [e["d_twist"] for e in entries]))
-    n, components = len(distinct), tuple([c for twist in distinct.values() for c in twist])
-    texts = dict(zip(distinct, zip((_TWIST_JSON * n % components).split("\0"),
-                                   (_TWIST_CSV * n % components).split("\0"))))
+    n, components = len(rows), tuple([c for row in rows for c in row])
+    texts = list(zip((_TWIST_JSON * n % components).split("\0"), (_TWIST_CSV * n % components).split("\0")))
     json_args, csv_args = [], []
-    for e, key in zip(entries, keys):
-        label, flag, (json_twist, csv_twist) = e["completion"], e["extreme"], texts[key]
+    for e in entries:
+        label, flag, (json_twist, csv_twist) = e["completion"], e["extreme"], texts[e["row"]]
         json_args += (label, json_twist, "true" if flag else "false")
         csv_args += (label, csv_twist, flag)
     points_json = "[\n" + ",\n".join([_CUBE_POINT] * len(entries)) + "\n]\n"
@@ -319,7 +314,7 @@ def cmd_cube(args: SimpleNamespace, cfg: Config) -> int:
         "brute_force_agrees": result["agree"],
     }
     out = Path(cfg.out_dir)
-    points_json, points_csv = _cube_points(result["entries"])
+    points_json, points_csv = _cube_points(result["rows"], result["entries"])
     _write(out / "cube_points.json", points_json)
     _write(out / "cube_points.csv", points_csv)
     _write_json(out / "cube_hull.json", hull_info)

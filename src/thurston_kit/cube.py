@@ -23,9 +23,10 @@ off-face margin as measured on the benchmark's inputs and at base
 lengths (1, 1, 15), (10, 10, 10) and (5, 9, 9), where qhull split a face
 of the float cloud's cube; the certificate holds at all of them.  In
 process, of a check at the symmetric point (about 0.8 ms on a 2-vCPU
-Xeon), it takes about a sixth, :func:`dedupe_points` (whose size the
-benchmark reads) about a sixteenth and the cloud, its float offsets on
-``math.exp``, about two thirds.  The
+Xeon), it takes about a sixth, :func:`dedupe_points` (the op's one dedupe:
+the benchmark reads its size and the ``cube`` command formats its rows)
+about a sixteenth and the cloud, its float offsets on ``math.exp``, about
+two thirds.  The
 qhull hull :func:`hull`, which returns the same :class:`Polytope` type that
 :func:`certify` reads, and the least-squares extremality test
 :func:`extreme_points_brute`, over scipy's NNLS, are the tests'
@@ -310,23 +311,25 @@ def chamfered_cube_check(x: FNPoint) -> dict:
     Returns the number of candidates, the counts of :func:`chamfered_cube`,
     ``agree``: the verdict of :func:`certify` (the CLI's
     ``brute_force_agrees``), which raises a :class:`GeometryError` where
-    the claim fails, the sorted labels of the extreme candidates, and one
-    entry per candidate in enumeration order: its label, its twist vector
-    and whether its point is a vertex of the cube.
+    the claim fails, the sorted labels of the extreme candidates, ``rows``,
+    the distinct rows of :func:`dedupe_points` as lists of floats, and one
+    entry per candidate in enumeration order: its label, the index ``row``
+    of its twist vector and whether its point is a vertex of the cube.  No
+    cloud row holds -0.0, so each row has the bits of its cloud rows: a row
+    is ``theta + (0.0 + D1 + D2) - rate``, and under round-to-nearest a sum
+    is -0.0 only when both addends are, ``a - b`` only when a is -0.0, b 0.0.
     """
     raw = cloud(x)
-    _, group = dedupe_points(raw)
+    rows, group = dedupe_points(raw)
     claim = chamfered_cube()
     certify(raw, claim)
     vertices = {group[v] for v in claim.vertices}
-    entries = [
-        {"completion": label, "d_twist": v, "extreme": g in vertices}
-        for label, v, g in zip(_completions()[1], raw.tolist(), group)
-    ]
+    entries = [{"completion": label, "row": g, "extreme": g in vertices} for label, g in zip(_completions()[1], group)]
     return {
         "n_candidates": len(raw),
         "hull_counts": claim.counts(),
         "agree": True,
         "extreme_completions": sorted(e["completion"] for e in entries if e["extreme"]),
+        "rows": rows.tolist(),
         "entries": entries,
     }

@@ -786,27 +786,35 @@ def _per_value_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-#: repeated twist vectors that differ only in the sign of a zero: equal as
-#: floats, so a writer that formats each distinct vector once must key on bytes
-SIGNED_ZERO_TWISTS = [(0.0, 1.5, -0.0), (-0.0, 1.5, 0.0), (0.0, 1.5, 0.0), (-0.0, 1.5, -0.0)] * 32
+#: twist vectors that differ only in the sign of a zero: equal as floats, and
+#: the writer formats the rows it is given, so each row keeps its own zeros
+SIGNED_ZERO_TWISTS = [(0.0, 1.5, -0.0), (-0.0, 1.5, 0.0), (0.0, 1.5, 0.0), (-0.0, 1.5, -0.0)]
+
+
+def _cube_entries(rows, picks, flags):
+    """The cube's rows as lists and its 128 entries, entry k naming row picks[k] mod len(rows)."""
+    entries = [{"completion": label, "row": k % len(rows), "extreme": x}
+               for label, k, x in zip(cube._completions()[1], picks, flags)]
+    return [list(v) for v in rows], entries
 
 
 def test_cube_points_template_is_json_dumps_on_finite_floats():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    labels = cube._completions()[1]
     finite = st.floats(allow_nan=False, allow_infinity=False)
     edges = [(-0.0, 5e-324, 1e308), (-1e308, 3.0, 2.2250738585072014e-308), (0.0, -7.0, 1e16)]
+    every = list(range(128))
 
     @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
-    @hypothesis.given(twists=st.lists(st.tuples(finite, finite, finite), min_size=128, max_size=128),
+    @hypothesis.given(twists=st.lists(st.tuples(finite, finite, finite), min_size=1, max_size=128),
+                      picks=st.lists(st.integers(0, 127), min_size=128, max_size=128),
                       flags=st.lists(st.booleans(), min_size=128, max_size=128))
-    @hypothesis.example(twists=(edges * 43)[:128], flags=[True, False] * 64)
-    @hypothesis.example(twists=SIGNED_ZERO_TWISTS, flags=[True, False, False] * 42 + [True, True])
-    def check(twists, flags):
-        entries = [{"completion": label, "d_twist": list(v), "extreme": x}
-                   for label, v, x in zip(labels, twists, flags)]
-        assert _cube_points(entries)[0] == json.dumps(entries, indent=2, sort_keys=True) + "\n"
+    @hypothesis.example(twists=(edges * 43)[:128], picks=every, flags=[True, False] * 64)
+    @hypothesis.example(twists=SIGNED_ZERO_TWISTS, picks=every, flags=[True, False, False] * 42 + [True, True])
+    def check(twists, picks, flags):
+        rows, entries = _cube_entries(twists, picks, flags)
+        points = [{"completion": e["completion"], "d_twist": rows[e["row"]], "extreme": e["extreme"]} for e in entries]
+        assert _cube_points(rows, entries)[0] == json.dumps(points, indent=2, sort_keys=True) + "\n"
 
     check()
 
@@ -835,11 +843,10 @@ def test_csv_row_formats_match_the_per_value_writer(tmp_path):
         assert (tmp_path / "rows.csv").read_bytes() == _per_value_csv(header, rows).encode()
 
     check()
-    # the cube's writer, on repeated vectors that differ only in the sign of a zero
-    entries = [{"completion": label, "d_twist": list(v), "extreme": i % 3 == 0}
-               for i, (label, v) in enumerate(zip(cube._completions()[1], SIGNED_ZERO_TWISTS))]
-    rows = [(e["completion"], *e["d_twist"], e["extreme"]) for e in entries]
-    assert _cube_points(entries)[1] == _per_value_csv("completion,d_twist_1,d_twist_2,d_twist_3,extreme", rows)
+    # the cube's writer, on rows that differ only in the sign of a zero
+    twists, entries = _cube_entries(SIGNED_ZERO_TWISTS, range(128), [i % 3 == 0 for i in range(128)])
+    rows = [(e["completion"], *twists[e["row"]], e["extreme"]) for e in entries]
+    assert _cube_points(twists, entries)[1] == _per_value_csv("completion,d_twist_1,d_twist_2,d_twist_3,extreme", rows)
 
 
 @pytest.mark.parametrize(

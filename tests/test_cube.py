@@ -403,9 +403,31 @@ def test_cloud_is_the_stretch_vector_array_and_the_entries_carry_its_rows():
     assert isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape == (128, 3)
     rows = _bits(pts.tolist())
     assert rows == _bits(stretch_vectors(x, side_plan(cube._completions()[0])).tolist())
-    entries = chamfered_cube_check(x)["entries"]
-    assert all(type(e["d_twist"]) is list and all(type(c) is float for c in e["d_twist"]) for e in entries)
-    assert _bits(e["d_twist"] for e in entries) == rows
+    result = chamfered_cube_check(x)
+    assert all(type(r) is list and all(type(c) is float for c in r) for r in result["rows"])
+    assert _bits(result["rows"][e["row"]] for e in result["entries"]) == rows
+
+
+def test_cloud_holds_no_negative_zero_so_its_byte_groups_are_dedupes_groups():
+    # a row is theta + (0.0 + D1 + D2) - rate, and under round-to-nearest a sum
+    # is -0.0 only when both addends are and a - b only when a is -0.0 and b
+    # is 0.0, so grouping rows by value (0.0 == -0.0) groups them by bytes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    length = st.floats(math.log(0.2), math.log(5.0)).map(math.exp)
+    twist = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(lengths=st.tuples(length, length, length), twists=st.tuples(twist, twist, twist))
+    def check(lengths, twists):
+        pts = cloud(FNPoint("S2", lengths, twists))
+        assert not (np.signbit(pts) & (pts == 0.0)).any()
+        first = {}
+        groups = [first.setdefault(row.tobytes(), len(first)) for row in pts]
+        rows, group = dedupe_points(pts)
+        assert group == groups and [row.tobytes() for row in rows] == list(first)
+
+    check()
 
 
 def test_cloud_rows_depend_only_on_the_unordered_pair_of_triangulations():

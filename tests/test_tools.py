@@ -218,7 +218,7 @@ def test_write_bench_times_a_cli_command_in_fresh_processes():
     timings = write_bench.cli_timings({side: write_bench.ROOT for side in write_bench.SIDES},
                                       commands=(write_bench.CLI_COMMANDS[0],), rounds=1)
     assert list(timings) == ["delta"]
-    assert set(timings["delta"]) == {"parent", "change", "change_over_parent", "change_over_parent_quartiles"}
+    assert set(timings["delta"]) == {"parent", "change", "change_over_parent", "change_over_parent_quartiles", "pairs"}
     assert all(timings["delta"][side] > 0 for side in write_bench.SIDES)
 
 
@@ -232,6 +232,29 @@ def test_write_bench_reports_the_quartiles_of_the_round_ratios():
     timings = write_bench.paired({"parent": [1.0, 2.0, 4.0, 1.0, 2.0], "change": [1.0, 1.0, 1.0, 2.0, 2.0]})
     assert (timings["parent"], timings["change"], timings["change_over_parent"]) == (2.0, 1.0, 1.0)
     assert timings["change_over_parent_quartiles"] == [0.5, 1.0]
+    assert timings["pairs"] == {"count": 5, "change_wins": 2, "ties": 2, "parent_wins": 1}
+
+
+def test_write_bench_counts_the_rounds_each_side_wins_in_the_layer_and_cli_timings(monkeypatch):
+    # the ten pairs of the gain rule; the change's times by round: 7 wins, 2 ties, 1 loss
+    assert write_bench.LAYER_ROUNDS == write_bench.CLI_ROUNDS == 10
+    change = [0.9, 1.0, 0.8, 0.9, 1.1, 0.9, 0.7, 1.0, 0.9, 0.9]
+    want = {"count": 10, "change_wins": 7, "ties": 2, "parent_wins": 1}
+    runs = {}
+
+    def seconds(root):
+        runs[root.name] = runs.get(root.name, -1) + 1
+        return change[runs[root.name]] if root.name == "c" else 1.0
+
+    monkeypatch.setattr(write_bench, "run_snippet", lambda root, code, *args: (
+        {"layer": seconds(root)} if code is write_bench.LAYER_SNIPPET else {"grid": 1.0}))
+    roots = {"parent": Path("p"), "change": Path("c")}
+    timings = write_bench.layer_timings(roots)
+    assert timings["layer"]["pairs"] == want
+    assert timings["grid"]["pairs"] == {"count": 10, "change_wins": 0, "ties": 10, "parent_wins": 0}
+    runs.clear()
+    monkeypatch.setattr(write_bench, "wall_time", lambda cmd, root, cwd: (seconds(root), subprocess.CompletedProcess(cmd, 0)))
+    assert write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:1])["delta"]["pairs"] == want
 
 
 def test_write_bench_pairs_tier1_runs_by_round(monkeypatch):

@@ -30,7 +30,7 @@ which the ``cube`` command does not run), one ``stretch.stretch_vectors`` of
 the 128 genus-two completions at the symmetric point, one
 ``bounds.run_sweep`` of the default ``sweep`` grid, one
 ``cli.cube_points`` (the text of ``cube_points.json`` and
-``cube_points.csv`` from the cube's entries at the symmetric point), one
+``cube_points.csv`` from the cube's rows and entries at the symmetric point), one
 ``cli.cube`` (``cli.main`` running ``cube`` at the symmetric point), one
 ``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
 ``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
@@ -51,11 +51,14 @@ process per round and side, ``torus.envelope_widths`` runs once on the
 default ``envelope`` grid at ``GRID_MAX_Q``, the CLI's cap, first-use
 plan builds included.  Each
 layer reports the median over rounds of the change's time over the
-parent's in the same round, with the quartiles of those ratios: a median
-of 6 does not resolve 20% on a noisy host.  Last, the wall time of each
-``CLI_COMMANDS`` subcommand in a fresh process with the default config,
-and of the Tier-1 suite (``python -m pytest -q`` in the root), in
-the same alternating rounds, with the same ratio quartiles.
+parent's in the same round, with the quartiles of those ratios and how
+many rounds the change wins, ties and loses (:func:`pair_counts`): on a
+noisy host a ratio whose quartiles exclude 1.0 over a few rounds is not
+yet a move, and the gain rule asks for nine tenths of ten pairs.  Last,
+the wall time of each ``CLI_COMMANDS`` subcommand in a fresh process with
+the default config, and of the Tier-1 suite (``python -m pytest -q`` in
+the root), in the same alternating rounds, with the same ratio quartiles
+and pair counts.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
@@ -74,9 +77,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-#: fresh processes per side for the layer timings, one per round; even, so
-#: that each side runs first in half the rounds (see ``round_order``)
-LAYER_ROUNDS = 6
+#: fresh processes per side for the layer timings, one per round: the ten
+#: pairs of the gain rule, and even, so that each side runs first in half the
+#: rounds (see ``round_order``)
+LAYER_ROUNDS = 10
 #: the subcommands timed end to end, each run with the default config
 CLI_COMMANDS = (
     ("delta", "--type", "3sym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "2"),
@@ -86,7 +90,7 @@ CLI_COMMANDS = (
     ("oracle-check",),
 )
 #: fresh processes per side and subcommand, one per round; even, as LAYER_ROUNDS
-CLI_ROUNDS = 6
+CLI_ROUNDS = 10
 #: Tier-1 runs per side, one per round; even, as LAYER_ROUNDS
 TIER1_ROUNDS = 2
 #: max_q of the default-grid layer, the CLI's cap
@@ -145,9 +149,12 @@ def cube_hull():
 certify = getattr(cube, "certify", None)
 def cube_certify():
     certify(raw, cube.chamfered_cube())
-entries = cube.chamfered_cube_check(base)["entries"]
+check = cube.chamfered_cube_check(base)
+# the rows and the entries that name them, or the entries alone on roots whose
+# entries carry their own twist vectors
+points_args = (check["rows"], check["entries"]) if "rows" in check else (check["entries"],)
 def cube_points():
-    cli._cube_points(entries)
+    cli._cube_points(*points_args)
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.max_q)
 def sweep():
@@ -202,30 +209,33 @@ def control():
 # the CLI delta (about 0.2 ms), the sweep (about 1.6 ms) and the control (about 5 ms),
 # the cube stages and the stretch vectors (about 0.05 to 3 ms each)
 out = {}
-for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
-                                ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
-                                ("pants.delta_side", side, len(cases), 1000 // len(cases)),
-                                ("pants._next_gap", gap, 1, 1000),
-                                ("h2.shear", shear, 1, 1000),
-                                ("torus.curve_length", slope_length, 1, 1000),
-                                ("torus.envelope_widths", envelope_cell, 1, 100),
-                                ("torus.envelope_widths[5,1]", envelope_farey_cell, 1, 100),
-                                ("cube.chamfered_cube_check", cube_check, 1, 15),
-                                ("cube.cloud", cube_cloud, 1, 30),
-                                ("stretch.stretch_vectors", vectors, 1, 30),
-                                ("cube.dedupe_points", cube_dedupe, 1, 100),
-                                ("cube.hull", cube_hull, 1, 100),
-                                ("cube.certify", cube_certify if certify else None, 1, 300),
-                                ("bounds.run_sweep", sweep, 1, 100),
-                                ("cli.cube_points", cube_points, 1, 100),
-                                ("cli.cube", cli_cube, 1, 20),
-                                ("cli.envelope", cli_envelope, 1, 50),
-                                ("cli.delta", cli_delta, 1, 500),
-                                ("control.python_kernel", control, 1, 20)):
-    if fn is None:
-        continue
-    out[name] = min(timeit.repeat(fn, number=number, repeat=5, timer=clock)) / (number * calls) * 1e6
-tmp.cleanup()
+# a layer that raises still removes the directory
+try:
+    for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
+                                    ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
+                                    ("pants.delta_side", side, len(cases), 1000 // len(cases)),
+                                    ("pants._next_gap", gap, 1, 1000),
+                                    ("h2.shear", shear, 1, 1000),
+                                    ("torus.curve_length", slope_length, 1, 1000),
+                                    ("torus.envelope_widths", envelope_cell, 1, 100),
+                                    ("torus.envelope_widths[5,1]", envelope_farey_cell, 1, 100),
+                                    ("cube.chamfered_cube_check", cube_check, 1, 15),
+                                    ("cube.cloud", cube_cloud, 1, 30),
+                                    ("stretch.stretch_vectors", vectors, 1, 30),
+                                    ("cube.dedupe_points", cube_dedupe, 1, 100),
+                                    ("cube.hull", cube_hull, 1, 100),
+                                    ("cube.certify", cube_certify if certify else None, 1, 300),
+                                    ("bounds.run_sweep", sweep, 1, 100),
+                                    ("cli.cube_points", cube_points, 1, 100),
+                                    ("cli.cube", cli_cube, 1, 20),
+                                    ("cli.envelope", cli_envelope, 1, 50),
+                                    ("cli.delta", cli_delta, 1, 500),
+                                    ("control.python_kernel", control, 1, 20)):
+        if fn is None:
+            continue
+        out[name] = min(timeit.repeat(fn, number=number, repeat=5, timer=clock)) / (number * calls) * 1e6
+finally:
+    tmp.cleanup()
 print(json.dumps(out))
 """
 #: times torus.envelope_widths once on the default envelope grid at max_q = argv[1],
@@ -253,7 +263,8 @@ LAYER_INPUTS = (
     "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
     "base point; dedupe_points and certify (with cube.chamfered_cube()): its raw cloud of 128 "
     "vectors; hull: the deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); "
-    "cli.cube_points: the 128 entries of chamfered_cube_check at the symmetric base point; cli.cube: "
+    "cli.cube_points: the distinct rows and the 128 entries of chamfered_cube_check at the symmetric "
+    "base point; cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
     "(the symmetric base point), its stdout discarded; cli.envelope: cli.main(['--config', cfg, "
     "'envelope']) with cfg holding l0_values=1.0, t_max=t_step=4.0, max_q=30 and the same out_dir, "
@@ -267,8 +278,8 @@ LAYER_INPUTS = (
     "dedupe_points, hull, cli.cube_points), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
     "(cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
-    f"medians over {LAYER_ROUNDS} processes per side, and the median and quartiles of the "
-    "per-round change/parent ratios"
+    f"medians over {LAYER_ROUNDS} processes per side, the median and quartiles of the "
+    "per-round change/parent ratios, and the rounds the change wins, ties and loses"
 )
 END_TO_END_INPUTS = (
     "cli_seconds: each subcommand of CLI_COMMANDS in a fresh `python -m thurston_kit.cli` process "
@@ -278,7 +289,8 @@ END_TO_END_INPUTS = (
     "runs per side, with the last line pytest printed; the side that runs first alternates by round "
     "(the parent in even rounds, the change in odd ones), and change_over_parent "
     "is the median over rounds of the change's time over the parent's in the same round, "
-    "change_over_parent_quartiles the quartiles of those ratios"
+    "change_over_parent_quartiles the quartiles of those ratios, and pairs the rounds the change "
+    "wins, ties and loses"
 )
 
 
@@ -292,6 +304,14 @@ def load_records(root: Path) -> list[dict]:
 def spread(values: list[float]) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def pair_counts(parent: list[float], change: list[float], lower: bool = True) -> dict:
+    """How many of the pairs ``(parent[i], change[i])`` the change wins, ties
+    and loses, a lower value winning when ``lower``."""
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    return {"count": len(parent), "change_wins": wins, "ties": ties, "parent_wins": len(parent) - wins - ties}
 
 
 def verdict(entry: dict) -> str:
@@ -339,11 +359,6 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
             name, lower = metric["name"], metric["better"] == "lower"
             values = {side: {seed: r["result"]["metrics"][name]["value"] for seed, r in runs[side].items()}
                       for side in SIDES}
-            wins = ties = 0
-            for seed in seeds:
-                p, c = values["parent"][seed], values["change"][seed]
-                ties += c == p
-                wins += (c < p) if lower else (c > p)
             entry[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -351,8 +366,8 @@ def compare(declared: list[dict], records: dict[str, list[dict]]) -> dict:
                 **{side: {**spread(list(values[side].values())),
                           "by_seed": {str(seed): v for seed, v in sorted(values[side].items())}}
                    for side in SIDES},
-                "pairs": {"count": len(seeds), "change_wins": wins, "ties": ties,
-                          "parent_wins": len(seeds) - wins - ties},
+                "pairs": pair_counts([values["parent"][seed] for seed in seeds],
+                                     [values["change"][seed] for seed in seeds], lower),
             }
             entry[name]["verdict"] = verdict(entry[name])
         out[workload] = entry
@@ -369,12 +384,13 @@ def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.
 
 
 def paired(samples: dict[str, list[float]]) -> dict:
-    """Each side's median and the median and quartiles over rounds of change
-    / parent (the host's speed drifts between rounds; the two runs of one
-    round share it)."""
+    """Each side's median, the median and quartiles over rounds of change /
+    parent (the host's speed drifts between rounds; the two runs of one round
+    share it) and the rounds the change wins, ties and loses."""
     ratios = spread([c / p for p, c in zip(samples["parent"], samples["change"])])
     return {**{side: statistics.median(samples[side]) for side in SIDES},
-            "change_over_parent": ratios["median"], "change_over_parent_quartiles": [ratios["q1"], ratios["q3"]]}
+            "change_over_parent": ratios["median"], "change_over_parent_quartiles": [ratios["q1"], ratios["q3"]],
+            "pairs": pair_counts(samples["parent"], samples["change"])}
 
 
 def round_order(r: int) -> tuple[str, ...]:
