@@ -12,12 +12,11 @@ and :func:`delta_oracle`, which recomputes the same quantity
 constructively in the upper half-plane from the lifted configuration and
 validates the closed forms, branch on the number of leaf ends at ``c``
 (2, 4 or 1), which :func:`_side` resolves once per process with the
-shear terms of each side, as :func:`_oracle_leaves` does the oracle's
-leaves.  The oracle's gap solve computes the shear halves that no gap
-changes once per scalar namespace (:func:`_fixed_heights`).
-The sides of stretch vectors (one side: :func:`delta_side`) take the
-offset, its complex-step rate and the offsets at the lengths scaled by
-e^{+-h} in one pass.
+shear terms of each side and of the oracle's leaves.  The oracle's gap
+solve computes the shear halves that no gap changes once per scalar
+namespace (:func:`_fixed_heights`).  The sides of stretch vectors
+(:func:`_delta_sides`) take the offset, its complex-step rate and the
+offsets at the lengths scaled by e^{+-h} in one pass.
 
 Lift normalization used everywhere (and by the oracle): the cuff axis is
 the upward imaginary axis with the pants on its left, the fan of leaf
@@ -125,7 +124,6 @@ def _signed(l) -> tuple:
     return (1 * a, -1 * a, 1 * b, -1 * b, 1 * c, -1 * c)
 
 
-@functools.cache
 def _shear_coord(ends: tuple[int, int, int], e: tuple[int, int, int], i: int, j: int) -> tuple[int, ...]:
     """Terms of the shear coordinate of the leaf between cuffs ``i`` and ``j``
     (0-based): one signed length, or three summed left to right and halved
@@ -180,14 +178,23 @@ def _side(ends: tuple[int, int, int], e: tuple[int, int, int], cuff: int) -> tup
     """The side of ``cuff`` in the triangulation (``ends``, ``e``) as ints, which
     serve every scalar namespace: (cuff, its leaf ends n, e_c, the terms of s_cj
     and s_jk (n = 2), s_cc and s_ck (n = 4) or s_jj and s_jk (n = 1), the terms
-    -e_j l_j and -e_c l_c, j, k).  The perpendicular is dropped from cuff ``j``'s
-    axis: the 4-end cuff when the cuff has one leaf end, else the cyclically next."""
+    -e_j l_j and -e_c l_c, j, and the terms of the oracle's fan leaves about the
+    cuff and of its spiral leaves about cuff j).  The perpendicular is dropped
+    from cuff ``j``'s axis: the 4-end cuff when the cuff has one leaf end, else
+    the cyclically next.  Each oracle leaf's cuff pair is in increasing order, as
+    :func:`shear_coords` reports the leaf, and each closed-form pair in the order
+    its formula names it: the order of a (2,2,2) sum's terms fixes its rounding."""
     n = ends[cuff]
     j = ends.index(4) if n == 1 else (cuff + 1) % 3
     k = 3 - cuff - j
-    first, second = {2: ((cuff, j), (j, k)), 4: ((cuff, cuff), (cuff, k)), 1: ((j, j), (j, k))}[n]
+    first, second, fan, spiral = {
+        2: ((cuff, j), (j, k), ((cuff, j),), ((j, k), (cuff, j))),
+        4: ((cuff, cuff), (cuff, k), ((cuff, j), (cuff, cuff), (cuff, k)), ((cuff, j),)),
+        1: ((j, j), (j, k), (), ((j, j), (j, k), (j, j), (cuff, j))),
+    }[n]
+    leaves = (tuple(_shear_coord(ends, e, min(pair), max(pair)) for pair in pairs) for pairs in (fan, spiral))
     return (cuff, n, e[cuff], _shear_coord(ends, e, *first), _shear_coord(ends, e, *second),
-            2 * j + (e[j] > 0), 2 * cuff + (e[cuff] > 0), j, k)
+            2 * j + (e[j] > 0), 2 * cuff + (e[cuff] > 0), j, *leaves)
 
 
 def _roles(lengths, t: PantsTriangulation, cuff: int) -> tuple:
@@ -223,7 +230,7 @@ def _delta_core(signed, side: tuple, exp):
     its real part rounds unlike ``math.log``'s.
     """
     log = cmath.log
-    cuff, n, ec, (a, b, c), second, perp, neg, _, _ = side
+    cuff, n, ec, (a, b, c), second, perp, neg, _, _, _ = side
     try:
         first = 0.5 * (signed[a] + signed[b] + signed[c])
         if n == 2:
@@ -296,15 +303,6 @@ def _delta_sides(p: PantsMetric, up: PantsMetric, down: PantsMetric, sides: Iter
         _check_length(l_down, cuff)
         table.append((d0, rate, d_up, _delta_core(signed_down, side, exp_down).real))
     return table
-
-
-def delta_side(
-    p: PantsMetric, t: PantsTriangulation, cuff: int, up: PantsMetric, down: PantsMetric
-) -> tuple[float, float, float, float]:
-    """One side of a stretch vector (``p`` scaled by e^h and e^-h give ``up``
-    and ``down``): the row of ``(t, cuff)`` in the side table of
-    :func:`~thurston_kit.stretch.stretch_vectors`, or its first error."""
-    return _delta_sides(p, up, down, ((t, cuff),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -405,22 +403,6 @@ def _deck_endpoint(length: float, sign: int, target: float) -> float:
     return _linear_root(condition, "deck translation")
 
 
-@functools.cache
-def _oracle_leaves(ends: tuple[int, int, int], e: tuple[int, int, int], cuff: int) -> tuple:
-    """The :func:`_shear_coord` terms of the oracle's fan leaves about ``cuff``
-    and of its spiral leaves about the perpendicular cuff j of :func:`_side`,
-    once per side.  Each leaf's cuff pair is in increasing order, as
-    :func:`shear_coords` reports the leaf; the order fixes the rounding of
-    the (2,2,2) sum."""
-    _, n, *_, j, k = _side(ends, e, cuff)
-    fan, spiral = {
-        2: (((cuff, j),), ((j, k), (cuff, j))),
-        4: (((cuff, j), (cuff, cuff), (cuff, k)), ((cuff, j),)),
-        1: ((), ((j, j), (j, k), (j, j), (cuff, j))),
-    }[n]
-    return tuple(tuple(_shear_coord(ends, e, min(pair), max(pair)) for pair in leaves) for leaves in (fan, spiral))
-
-
 def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     """Constructive computation of the twist offset; returns intermediates.
 
@@ -432,9 +414,8 @@ def oracle_details(p: PantsMetric, t: PantsTriangulation, cuff: int) -> dict:
     from the transported incircle median to the perpendicular foot.
     """
     l = p.lengths
-    *_, j, _ = _roles(l, t, cuff)
+    *_, j, fan, spiral = _roles(l, t, cuff)
     e, signed = t.signs, _signed(l)
-    fan, spiral = _oracle_leaves(t.ends, e, cuff)
     fan_shears = [_shear(signed, terms) for terms in fan]
     spiral_shears = [_shear(signed, terms) for terms in spiral]
 

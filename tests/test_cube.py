@@ -694,16 +694,12 @@ def test_resolved_sides_never_cross_namespaces(tmp_path):
     # as mpf, which makes the entries after a clear, stays within 1e-12 of
     # the float cloud (8.1e-14 measured), and the last float run, which reads
     # those entries, keeps every pinned bit
-    def clear():
-        pants._side.cache_clear()
-        pants._shear_coord.cache_clear()
-
     lengths, twists, points_sha, _, _ = CUBE_ARTIFACT_SHA256[0]
     x, specs = FNPoint("S2", lengths, twists), cube._completions()[0]
-    clear()
+    pants._side.cache_clear()
     assert _cube_points_sha(tmp_path, lengths, twists) == points_sha
     floats = stretch_vectors(x, side_plan(specs))
-    clear()
+    pants._side.cache_clear()
     with scalars(50):
         exact = np.asarray(stretch_vectors(mpf_point(x), side_plan(specs)), dtype=float)
     assert np.max(np.abs(floats - exact)) <= 1e-12

@@ -21,13 +21,14 @@ from thurston_kit.pants import (
     delta_closed,
     delta_oracle,
     delta_scale_derivative,
-    delta_side,
     enumerate_triangulations,
     oracle_details,
     shear_coords,
     _delta_core,
+    _delta_sides,
     _next_gap,
     _roles,
+    _shear,
     _signed,
     _solve_monotone,
 )
@@ -541,7 +542,8 @@ def _hex(value):
 
 
 def _side_outcomes(pm, tri, cuff, h=1e-6):
-    """The outcomes of ``delta_side`` and of the four separate evaluations it
+    """The outcomes of the side's row in a one-side table of ``_delta_sides``,
+    as ``stretch_vectors`` calls it, and of the four separate evaluations it
     replaces, each as hex with the central difference appended."""
     up, down = pm.scaled(math.exp(h)), pm.scaled(math.exp(-h))
 
@@ -552,7 +554,7 @@ def _side_outcomes(pm, tri, cuff, h=1e-6):
         return (delta_closed(pm, tri, cuff), delta_scale_derivative(pm, tri, cuff),
                 delta_closed(up, tri, cuff), delta_closed(down, tri, cuff))
 
-    return (_outcome(lambda: with_difference(delta_side(pm, tri, cuff, up, down))),
+    return (_outcome(lambda: with_difference(_delta_sides(pm, up, down, ((tri, cuff),))[0])),
             _outcome(lambda: with_difference(separate())))
 
 
@@ -709,6 +711,38 @@ def test_shear_coords_match_the_unresolved_formula_bit_for_bit():
             for label, value in shear_coords(PantsMetric(*lengths), tri).items():
                 i, j = int(label[1]) - 1, int(label[2]) - 1
                 assert value.hex() == _reference_shear(lengths, tri.signs, tri.ends, i, j).hex()
+
+
+def test_a_side_holds_the_oracle_leaves_and_is_the_one_side_cache():
+    # all 96 sides, cuffs log-uniform from 1e-3 to 30: each fan and spiral
+    # leaf of the oracle, evaluated from its resolved terms, is one of the
+    # leaves that shear_coords reports, bit for bit
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    log_length = st.floats(math.log(1e-3), math.log(30.0))
+    tris = enumerate_triangulations()
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(a=log_length, b=log_length, c=log_length)
+    def check(a, b, c):
+        pm = PantsMetric(math.exp(a), math.exp(b), math.exp(c))
+        signed = _signed(pm.lengths)
+        for tri in tris:
+            leaves = {value.hex() for value in shear_coords(pm, tri).values()}
+            for cuff in range(3):
+                *_, fan, spiral = _roles(pm.lengths, tri, cuff)
+                assert (len(fan), len(spiral)) == {2: (1, 2), 4: (3, 1), 1: (0, 4)}[tri.ends[cuff]]
+                assert {_shear(signed, terms).hex() for terms in (*fan, *spiral)} <= leaves
+
+    check()
+    # the closed form and the oracle resolve a side through the one cache
+    pants._side.cache_clear()
+    pm, tri = PantsMetric(0.5, 1.0, 2.0), tris[5]
+    delta_closed(pm, tri, 1)
+    delta_oracle(pm, tri, 1)
+    assert pants._side.cache_info().currsize == 1
+    cached = [name for name, f in vars(pants).items() if hasattr(f, "cache_info") and f.__module__ == pants.__name__]
+    assert cached == ["_side", "_fixed_heights"]
 
 
 # ------------------------------------------------------- 50-digit references

@@ -9,6 +9,7 @@ import timeit
 from pathlib import Path
 
 import cube_certificates
+import output_digest
 import pytest
 import source_stats
 import write_bench
@@ -207,11 +208,22 @@ def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsy
 
 
 LAYERS = {
-    "pants.delta_oracle", "pants.delta_closed", "pants.delta_side", "pants._next_gap", "h2.shear",
+    "pants.delta_oracle", "pants.delta_closed", "pants._delta_sides", "pants._next_gap", "h2.shear",
     "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
     "cube.dedupe_points", "cube.hull", "cube.certify", "bounds.run_sweep", "stretch.stretch_vectors",
     "cli.cube_points", "cli.cube", "cli.envelope", "cli.delta", "control.python_kernel",
 }
+
+
+def test_output_digest_is_the_same_on_two_runs_and_sees_one_more_byte(monkeypatch):
+    # a few ops of seed 1 of each workload that writes artifacts
+    for workload in ("envelope", "genus2"):
+        first = output_digest.digest(workload, seeds=(1,), ops=3)
+        assert output_digest.digest(workload, seeds=(1,), ops=3) == first
+        write = output_digest.cli._write
+        with monkeypatch.context() as patch:
+            patch.setattr(output_digest.cli, "_write", lambda path, text: write(path, text + " "))
+            assert output_digest.digest(workload, seeds=(1,), ops=3) != first
 
 
 def test_write_bench_times_a_cli_command_in_fresh_processes():

@@ -16,9 +16,10 @@ sha and source digest of each side as its records give them (a checkout
 without ``.git`` has no sha, and one with uncommitted changes reports
 HEAD; the digest identifies the source), the machine the records report, and
 in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
-one ``pants.delta_side`` (the four offset evaluations of one side of a
-stretch vector, over the 96 sides at the genus-two symmetric point, scaled
-by the derivative check's step ``stretch._CHECK_STEP``), one
+one ``pants._delta_sides`` as ``stretch.stretch_vectors`` calls it (the
+four offset evaluations of each of the 96 sides of the genus-two side plan
+in one call, at the symmetric point and at it scaled by the derivative
+check's step ``stretch._CHECK_STEP``), one
 ``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
 one ``torus.curve_length`` (slope 3/2 at one S11 point), one
 ``torus.envelope_widths`` cell that the integer slopes decide and one
@@ -112,9 +113,10 @@ def closed():
 unit = pants.PantsMetric(1.0, 1.0, 1.0)
 # the derivative check's step, which the stretch vectors scale by
 up, down = unit.scaled(math.exp(stretch._CHECK_STEP)), unit.scaled(math.exp(-stretch._CHECK_STEP))
-def side():
-    for t, cuff in cases:
-        pants.delta_side(unit, t, cuff, up, down)
+# the 96 sides of the genus-two side plan, in one call as stretch_vectors makes it
+plan_sides = cube._completions()[2].sides
+def sides():
+    pants._delta_sides(unit, up, down, plan_sides)
 def gap():
     pants._next_gap(1.0, 0.7)
 left, right = (0.0, 1.0, h2.INF), (1.0, 3.0, h2.INF)
@@ -202,7 +204,7 @@ def control():
         scale = abs(m[0]) + abs(m[3])
         m = (m[0] / scale, m[1] / scale, m[2] / scale, m[3] / scale)
         logscale += math.log(scale)
-# calls per repeat: about 1,000 for the pants layers (960 for the sides),
+# calls per repeat: about 1,000 for the pants layers (10 side tables of 96 sides each),
 # the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
 # work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the
 # cube points (about 0.4 ms), the CLI cube (about 7 ms), the CLI envelope (about 2 ms),
@@ -213,7 +215,7 @@ out = {}
 try:
     for name, fn, calls, number in (("pants.delta_oracle", oracle, len(cases), 1000 // len(cases)),
                                     ("pants.delta_closed", closed, len(cases), 1000 // len(cases)),
-                                    ("pants.delta_side", side, len(cases), 1000 // len(cases)),
+                                    ("pants._delta_sides", sides, 1, 1000 // len(plan_sides)),
                                     ("pants._next_gap", gap, 1, 1000),
                                     ("h2.shear", shear, 1, 1000),
                                     ("torus.curve_length", slope_length, 1, 1000),
@@ -251,8 +253,8 @@ print(json.dumps({"torus.envelope_widths[default grid]": (time.perf_counter() - 
 """
 LAYER_INPUTS = (
     "delta_oracle and delta_closed: all 32 types x cuffs 0-2 at cuff lengths (0.5, 1, 2); "
-    "delta_side: the same 96 sides at cuff lengths (1, 1, 1), scaled by e^{+-h} with h the derivative "
-    "check's step stretch._CHECK_STEP (3e-4); "
+    "_delta_sides: one call over the 96 sides of cube._completions()[2].sides at cuff lengths (1, 1, 1), "
+    "with up and down scaled by e^{+-h}, h the derivative check's step stretch._CHECK_STEP (3e-4); "
     "_next_gap: prev_gap 1, sigma 0.7; shear: triangles (0, 1, inf) and (1, 3, inf) across "
     "(1, inf); curve_length: slope 3/2 at the S11 point of length 1 and twist 0.3; "
     "envelope_widths: the one cell (width_point('S11', 1.0), t = 4) at max_q 30, which the integer "
@@ -274,9 +276,9 @@ LAYER_INPUTS = (
     "control.python_kernel: 30,000 integer steps and 3,000 "
     "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
-    "curve_length), 500 calls (cli.delta), 300 calls (certify), 100 calls (envelope cells, sweep, "
-    "dedupe_points, hull, cli.cube_points), 50 calls (cli.envelope), 30 calls (cloud, stretch_vectors), 20 calls "
-    "(cli.cube, control.python_kernel) or 15 calls "
+    "curve_length; 10 calls of _delta_sides, 960 sides), 500 calls (cli.delta), 300 calls (certify), "
+    "100 calls (envelope cells, sweep, dedupe_points, hull, cli.cube_points), 50 calls (cli.envelope), "
+    "30 calls (cloud, stretch_vectors), 20 calls (cli.cube, control.python_kernel) or 15 calls "
     "(chamfered_cube_check); "
     f"medians over {LAYER_ROUNDS} processes per side, the median and quartiles of the "
     "per-round change/parent ratios, and the rounds the change wins, ties and loses"
