@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Config:
-    """Validated key=value configuration."""
+    """Key=value configuration, checked at construction by __post_init__."""
 
     out_dir: str = "out"
     max_q: int = 30
@@ -50,7 +50,7 @@ class Config:
     base_lengths: tuple[float, ...] = (1.0, 1.0, 1.0)
     base_twists: tuple[float, ...] = (0.0, 0.0, 0.0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
         if self.max_q < 1:
@@ -91,18 +91,15 @@ def t_grid(t_max: float, t_step: float) -> tuple[float, ...]:
 
 
 def load_config(path: str | None) -> Config:
-    """The configuration in ``path`` (or the defaults), validated as a whole:
+    """The configuration in ``path`` (or the defaults), checked as a whole:
     the only source of the commands' settings."""
     if path is None:
         return _DEFAULT_CONFIG
-    cfg = Config(**_read_config(path))
-    cfg.validate()
-    return cfg
+    return Config(**_read_config(path))
 
 
-#: the defaults, validated once: a Config is frozen, so every command may share it
+#: the defaults, built once: a Config is frozen, so every command may share it
 _DEFAULT_CONFIG = Config()
-_DEFAULT_CONFIG.validate()
 
 
 def _read_config(path: str) -> dict[str, object]:

@@ -930,29 +930,70 @@ def test_t_grid_stops_at_t_max(tmp_path, capsys):
 
 
 def test_config_caps_the_number_of_t_values():
-    # validate counts the t values without building the grid
-    Config(t_max=999_999.0, t_step=1.0).validate()
-    Config(t_max=249_999.75).validate()
+    # a Config counts its t values without building the grid
+    Config(t_max=999_999.0, t_step=1.0)
+    Config(t_max=249_999.75)
     # one step over the cap, at two steps, and the grid that used to exhaust memory
     for t_max, t_step in ((1_000_000.0, 1.0), (250_000.0, 0.25), (1e300, 0.25)):
         with pytest.raises(ConfigError) as info:
-            Config(t_max=t_max, t_step=t_step).validate()
+            Config(t_max=t_max, t_step=t_step)
         assert str(info.value) == f"t grid exceeds 1000000 values: t_max = {t_max!r}, t_step = {t_step!r}"
 
 
 def test_config_caps_max_q_without_building_a_family(tmp_path, capsys):
     # the family has about 1.2 max_q^2 slopes; 10**9 would exhaust memory
     before = torus._family.cache_info()
-    Config(max_q=MAX_Q).validate()
+    Config(max_q=MAX_Q)
     for max_q in (MAX_Q + 1, 10**9):
         with pytest.raises(ConfigError) as info:
-            Config(max_q=max_q).validate()
+            Config(max_q=max_q)
         assert str(info.value) == f"max_q exceeds {MAX_Q}: max_q = {max_q}"
     assert main(["--config", str(write_config(tmp_path, max_q=10**9)), "envelope"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: max_q exceeds {MAX_Q}: max_q = 1000000000"]
     assert torus._family.cache_info() == before
+
+
+T_MESSAGE = "t_max must be finite and >= 0, and t_step finite and > 0"
+
+
+#: every invalid value of this file's config tests, as Config fields, and its message
+INVALID_CONFIGS = [
+    ({"out_dir": ""}, "out_dir must not be empty"),
+    ({"max_q": 0}, "max_q must be at least 1"),
+    ({"max_q": MAX_Q + 1}, f"max_q exceeds {MAX_Q}: max_q = {MAX_Q + 1}"),
+    ({"max_q": 10**9}, f"max_q exceeds {MAX_Q}: max_q = 1000000000"),
+    ({"l0_values": (1.0, 0.0)}, "l0_values must be positive"),
+    ({"t_max": -1.0}, T_MESSAGE),
+    ({"t_max": math.nan}, T_MESSAGE),
+    ({"t_max": math.inf}, T_MESSAGE),
+    ({"t_step": math.nan}, T_MESSAGE),
+    ({"t_step": math.inf}, T_MESSAGE),
+    ({"t_max": 1e300, "t_step": 1e-300}, "t grid exceeds 1000000 values: t_max = 1e+300, t_step = 1e-300"),
+    ({"t_max": 1e300}, "t grid exceeds 1000000 values: t_max = 1e+300, t_step = 0.25"),
+    ({"t_max": 1_000_000.0, "t_step": 1.0}, "t grid exceeds 1000000 values: t_max = 1000000.0, t_step = 1.0"),
+    ({"t_max": 250_000.0}, "t grid exceeds 1000000 values: t_max = 250000.0, t_step = 0.25"),
+    ({"base_lengths": (1.0, 1.0)}, "base point needs three lengths and three twists"),
+    ({"base_lengths": (1.0, -1.0, 1.0)}, "base lengths must be positive"),
+    ({"l0_values": (0.5, math.nan)}, "l0_values must be finite"),
+    ({"l0_values": (0.5, math.inf)}, "l0_values must be finite"),
+    ({"base_lengths": (1.0, math.inf, 1.0)}, "base_lengths must be finite"),
+    ({"base_lengths": (math.nan, 1.0, 1.0)}, "base_lengths must be finite"),
+    ({"base_twists": (0.0, math.nan, 0.0)}, "base_twists must be finite"),
+    ({"base_twists": (0.0, 0.0, -math.inf)}, "base_twists must be finite"),
+]
+
+
+@pytest.mark.parametrize("bad, message", INVALID_CONFIGS)
+def test_no_config_holds_a_value_the_commands_refuse(bad, message):
+    # a Config checks itself at construction, as FNPoint and PantsMetric do;
+    # there is no separate check to forget
+    assert not hasattr(Config, "validate")
+    for build in (lambda: Config(**bad), lambda: dataclasses.replace(Config(), **bad)):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
 
 
 def test_t_grid_keeps_exact_multiples():

@@ -880,22 +880,44 @@ CERTIFICATE_CASES = {
 }
 
 
+#: one argv of each of the eight subcommands, run at the default config
+EVERY_COMMAND = [
+    ["delta", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL", "--cuff", "1"],
+    ["shear", "--type", "3sym", "--l", "1,1,1", "--signs", "LLL"],
+    ["stretch", "--l", "1", "--tau", "0", "--t", "1"],
+    ["twist-width", "--l0", "1", "--t", "1"],
+    ["sweep"], ["envelope"], ["cube"], ["oracle-check"],
+]
+
+
 def test_the_cube_command_runs_no_qhull(tmp_path):
-    # a fresh process: the cube command leaves scipy.spatial unloaded, and
-    # with scipy.spatial loaded it calls ConvexHull not once
-    cfg = tmp_path / "config.txt"
-    cfg.write_text(f"out_dir={tmp_path / 'out'}\n")
-    code = (
-        "import sys; from thurston_kit.cli import main; "
-        f"cube = lambda: main(['--config', {str(cfg)!r}, 'cube']); "
-        "code, loaded = cube(), 'scipy.spatial' in sys.modules; "
-        "import scipy.spatial; calls = []; original = scipy.spatial.ConvexHull; "
-        "scipy.spatial.ConvexHull = lambda *a, **k: calls.append(1) or original(*a, **k); "
-        "print(code, loaded, cube(), len(calls))"
-    )
+    # a fresh process: every command runs with scipy's imports blocked and
+    # leaves no scipy module loaded (scipy serves only the tests' qhull and
+    # NNLS references), and with scipy.spatial loaded the cube command calls
+    # ConvexHull not once
+    code = f"""
+import importlib.abc, os, sys
+from thurston_kit.cli import main
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"blocked: {{name}}")
+
+os.chdir({str(tmp_path)!r})
+sys.meta_path.insert(0, NoScipy())
+codes = [main(argv) for argv in {EVERY_COMMAND!r}]
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+del sys.meta_path[0]
+import scipy.spatial
+calls, original = [], scipy.spatial.ConvexHull
+scipy.spatial.ConvexHull = lambda *a, **k: calls.append(1) or original(*a, **k)
+print(codes, loaded, main(["cube"]), len(calls))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1].split() == ["0", "False", "0", "0"]
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0, 0, 0] [] 0 0"
+    assert len(list((tmp_path / "out").iterdir())) == 9
 
 
 @pytest.mark.parametrize("case", CERTIFICATE_CASES)

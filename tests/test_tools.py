@@ -226,6 +226,20 @@ def test_output_digest_is_the_same_on_two_runs_and_sees_one_more_byte(monkeypatc
             assert output_digest.digest(workload, seeds=(1,), ops=3) != first
 
 
+#: output_digest.digest(workload, seeds=(1,), ops=40), pinned under the pin protocol
+DIGEST_PINS = {
+    "envelope": "0164cd5d15d317874b852b69335db2cc8a5898bf0d91fca15c8f8d59dfffb385",
+    "oracle": "cb44e69bc661e7c9621aebd1a51b036b56f3135fb2b1927af8c2a0b0a545441d",
+    "genus2": "41fe99eb3fd7cf0d464f2a58a6a60228034a38986a005e26f4128903084290c1",
+}
+
+
+@pytest.mark.parametrize("workload", DIGEST_PINS)
+def test_output_digest_of_forty_ops_is_pinned(workload):
+    # every exit code, stream and artifact byte of the first 40 ops of seed 1
+    assert output_digest.digest(workload, seeds=(1,), ops=40) == DIGEST_PINS[workload]
+
+
 def test_write_bench_times_a_cli_command_in_fresh_processes():
     timings = write_bench.cli_timings({side: write_bench.ROOT for side in write_bench.SIDES},
                                       commands=(write_bench.CLI_COMMANDS[0],), rounds=1)

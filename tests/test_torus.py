@@ -673,6 +673,40 @@ def test_cone_bounds_are_the_largest_ratio_on_each_cone():
     check()
 
 
+#: (x, y, max_q) where the integers settle d(x -> y) only through the collar
+#: term of the cone bound: untwisted at max_q = 3, and twisted
+COLLAR_SETTLED = [
+    ((2.39076503757152, 0.0), (3.2410904349637786, 0.0), 3),
+    ((1.0953738674067957, 5.084476343646891), (1.023687771424252, 4.101735917731283), 10),
+]
+
+
+@pytest.mark.parametrize("x, y, max_q", COLLAR_SETTLED)
+def test_the_collar_term_settles_a_pair_at_the_integers(monkeypatch, x, y, max_q):
+    # the integer argmax ends no cone, so the pair reaches the bounds; they
+    # clear the maximum with the collar term and not with half of it, and
+    # the estimate is then the family maximum with no family pass
+    x, y = _point(*x), _point(*y)
+    ll = _log_lengths((x, y), _family(max_q))
+    want = float(np.max(ll[:, 1] - ll[:, 0]))
+    plan, cones = _integers(max_q)
+    ll = _log_lengths((x, y), plan)
+    ratios = ll[:, 1] - ll[:, 0]
+    assert ratios.argmax() not in cones[1:3]
+    assert float(ratios.max()) == want
+    pairs, arcsinh = np.array([[0, 1]]), np.arcsinh
+    assert torus._cone_bounds(ll, pairs, cones)[0] <= want - torus._SLACK
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "arcsinh", lambda v: 0.5 * arcsinh(v))
+        assert torus._cone_bounds(ll, pairs, cones)[0] > want - torus._SLACK
+
+    def no_family(max_q):
+        raise AssertionError("the family pass ran")
+
+    monkeypatch.setattr(torus, "_family", no_family)
+    assert float.hex(dth_estimate(x, y, max_q)) == float.hex(want)
+
+
 def test_the_comparison_catches_a_prune_of_every_cone(monkeypatch):
     # at (5, 1) the maximum sits at the Farey slope (1, 4): with no cone to
     # bound, every cone is pruned and the integer maximum returned, which
