@@ -196,13 +196,18 @@ def certify(points: np.ndarray, claim: Polytope) -> tuple[float, float, float]:
     own.  The first face where a check fails raises :class:`GeometryError`
     with the face's name and margin, the planarity of every face checked
     first, then the points outside, then the vertices too close.
+    Vertices whose extent is not positive and finite, as near the float
+    limit, raise :class:`GeometryError` with the extent.
     """
     import numpy as np
 
     pts, rows = np.asarray(points, dtype=float), list(claim.vertices)
-    centre = pts[rows].mean(axis=0)
+    # vertices near the float limit overflow the centroid, and so the extent,
+    # which is refused below
+    with np.errstate(over="ignore"):
+        centre = pts[rows].mean(axis=0)
     extent = np.abs(pts[rows] - centre).max()
-    if not extent > 0.0:
+    if not 0.0 < extent < np.inf:
         raise GeometryError(f"the vertices span an extent of {extent}")
     rel = (pts - centre) / extent
     # each face's least-squares plane passes through the centroid of its

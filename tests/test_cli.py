@@ -505,6 +505,19 @@ def test_cube_command_states_a_degenerate_hull_in_one_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cube_command_states_an_overflowing_extent_in_one_line(tmp_path, capsys):
+    # the cloud is finite at twists near the float limit, but its centroid
+    # overflows; the extent came out infinite, numpy warned twice and the
+    # eigensolver failed on the NaN that followed
+    cfg = write_config(tmp_path, base_twists="1e308,1e308,-1e308")
+    assert main(["--config", str(cfg), "cube"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line == "error: the vertices span an extent of inf"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "config,message",
     [

@@ -783,6 +783,98 @@ def test_complex_step_rate_matches_a_fifty_digit_central_difference(request):
         assert abs(rate - reference) <= 1e-14 * abs(reference), (tri.label(), cuff)
 
 
+# ------------------------------------------------ the mirror pair and the rotation
+
+#: the 96 sides, (type, cuff)
+SIDES = [(tri, cuff) for tri in enumerate_triangulations() for cuff in range(3)]
+
+#: three points of cuff lengths, on [0.3, 4], at which the mirror sums of a side solve for its K
+K_POINTS = ((0.5, 1.3, 2.2), (1.7, 0.4, 3.1), (2.9, 2.3, 0.6))
+
+
+def _mirror_sum(delta, pm, tri, cuff):
+    """delta(e, s, c) + delta(e, -s, c): the side and the side with its three twist signs flipped."""
+    return delta(pm, tri, cuff) + delta(pm, PantsTriangulation(tri.ends, tuple(-e for e in tri.signs)), cuff)
+
+
+def _rotated(lengths, tri, cuff):
+    """The side with lengths, leaf ends and signs moved on by one cuff, and the cuff index with them."""
+    def turn(v):
+        return (v[2], v[0], v[1])
+
+    return PantsMetric(*turn(lengths)), PantsTriangulation(turn(tri.ends), turn(tri.signs)), (cuff + 1) % 3
+
+
+@functools.cache
+def _mirror_forms():
+    """Per side, twice its K as ints, where delta(e, s, c) + delta(e, -s, c) = K.l,
+    solved at 50 digits from the mirror sums at K_POINTS, and the largest
+    distance of a solved coefficient from the half-integer it is taken as."""
+    with scalars(50) as mp:
+        points = [tuple(map(mp.mpf, lengths)) for lengths in K_POINTS]
+        system = mp.matrix([list(point) for point in points])
+        forms, defect = {}, 0
+        for tri, cuff in SIDES:
+            k = mp.lu_solve(system, mp.matrix([_mirror_sum(delta_closed, PantsMetric(*p), tri, cuff) for p in points]))
+            twice = [int(mp.nint(2 * v)) for v in k]
+            defect = max(defect, *(abs(v - mp.mpf(t) / 2) for v, t in zip(k, twice)))
+            forms[tri, cuff] = tuple(twice)
+        return forms, float(defect)
+
+
+def _form(twice, lengths):
+    """K.l for K given as twice its coefficients."""
+    return sum(t * v for t, v in zip(twice, lengths)) / 2
+
+
+def _cuffs():
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("mpmath")
+    length = hypothesis.strategies.floats(math.log(0.3), math.log(4.0)).map(math.exp)
+    return hypothesis, hypothesis.strategies.tuples(length, length, length)
+
+
+def test_closed_form_keeps_the_mirror_identity_and_the_rotation_at_fifty_digits():
+    # on all 96 sides, the offset plus the offset with all three twist signs
+    # flipped is K.l with half-integer K (2.9e-50 from one measured), and
+    # rotating the cuffs maps each side's offset to another side's; at 50
+    # digits both hold to 1e-40 at cuffs log-uniform on [0.3, 4] (2.1e-50
+    # measured for the mirror, exactly for the rotation)
+    forms, defect = _mirror_forms()
+    assert defect <= 1e-30
+    hypothesis, cuffs = _cuffs()
+
+    @hypothesis.settings(max_examples=4, deadline=None, derandomize=True)
+    @hypothesis.given(lengths=cuffs)
+    def check(lengths):
+        with scalars(50) as mp:
+            point = tuple(map(mp.mpf, lengths))
+            pm = PantsMetric(*point)
+            for (tri, cuff), twice in forms.items():
+                assert abs(_mirror_sum(delta_closed, pm, tri, cuff) - _form(twice, point)) <= 1e-40
+                assert abs(delta_closed(*_rotated(point, tri, cuff)) - delta_closed(pm, tri, cuff)) <= 1e-40
+
+    check()
+
+
+def test_oracle_keeps_the_mirror_identity_and_the_rotation_on_its_own():
+    # the float oracle meets the identities with its own offsets and K alone,
+    # cuffs log-uniform on [0.3, 4]: to 1e-12 for the mirror and 1e-13 for
+    # the rotation (1.3e-13 and 1.3e-14 measured on these points)
+    forms, _ = _mirror_forms()
+    hypothesis, cuffs = _cuffs()
+
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True)
+    @hypothesis.given(lengths=cuffs)
+    def check(lengths):
+        pm = PantsMetric(*lengths)
+        for (tri, cuff), twice in forms.items():
+            assert abs(_mirror_sum(delta_oracle, pm, tri, cuff) - _form(twice, lengths)) <= 1e-12
+            assert abs(delta_oracle(*_rotated(lengths, tri, cuff)) - delta_oracle(pm, tri, cuff)) <= 1e-13
+
+    check()
+
+
 def _import_time(node):
     """``node`` and the nodes under it that run when its module is imported:
     of a function, only its decorators and defaults (annotations are strings)."""

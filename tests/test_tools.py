@@ -4,6 +4,7 @@ import ast
 import importlib
 import json
 import random
+import statistics
 import subprocess
 import timeit
 from pathlib import Path
@@ -199,19 +200,15 @@ def test_source_stats_ends_with_the_line_total_of_the_tests(tmp_path, capsys):
 def test_write_bench_layer_snippet_runs_on_the_current_source(monkeypatch, capsys):
     # one call per layer in place of the timed repeats
     monkeypatch.setattr(timeit, "repeat", lambda fn, number, repeat, timer: [fn() or 1.0])
-    namespace = {}
-    exec(write_bench.LAYER_SNIPPET, namespace)
-    layers = json.loads(capsys.readouterr().out)
-    assert set(layers) == LAYERS
-    # the control kernel reads builtins and math only, nothing of the package
-    assert set(namespace["control"].__code__.co_names) <= {"range", "abs", "math", "cosh", "sinh", "log"}
+    exec(write_bench.LAYER_SNIPPET, {})
+    assert set(json.loads(capsys.readouterr().out)) == LAYERS
 
 
 LAYERS = {
     "pants.delta_oracle", "pants.delta_closed", "pants._delta_sides", "pants._next_gap", "h2.shear",
-    "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.chamfered_cube_check", "cube.cloud",
-    "cube.dedupe_points", "cube.hull", "cube.certify", "bounds.run_sweep", "stretch.stretch_vectors",
-    "cli.cube_points", "cli.cube", "cli.envelope", "cli.delta", "control.python_kernel",
+    "torus.curve_length", "torus.envelope_widths", "torus.envelope_widths[5,1]", "cube.cloud",
+    "cube.dedupe_points", "cube.certify", "bounds.run_sweep", "cli.cube_points", "cli.cube", "cli.envelope",
+    "cli.delta",
 }
 
 
@@ -244,8 +241,11 @@ def test_write_bench_times_a_cli_command_in_fresh_processes():
     timings = write_bench.cli_timings({side: write_bench.ROOT for side in write_bench.SIDES},
                                       commands=(write_bench.CLI_COMMANDS[0],), rounds=1)
     assert list(timings) == ["delta"]
-    assert set(timings["delta"]) == {"parent", "change", "change_over_parent", "change_over_parent_quartiles", "pairs"}
-    assert all(timings["delta"][side] > 0 for side in write_bench.SIDES)
+    assert set(timings["delta"]) == {
+        "parent", "change", "copy", "change_over_parent", "change_over_parent_quartiles", "copy_over_parent",
+        "copy_over_parent_quartiles", "pairs", "verdict",
+    }
+    assert all(timings["delta"][side] > 0 for side in write_bench.TIMED_SIDES)
 
 
 def test_write_bench_times_the_default_grid_once_per_process():
@@ -261,23 +261,39 @@ def test_write_bench_reports_the_quartiles_of_the_round_ratios():
     assert timings["pairs"] == {"count": 5, "change_wins": 2, "ties": 2, "parent_wins": 1}
 
 
-def test_write_bench_counts_the_rounds_each_side_wins_in_the_layer_and_cli_timings(monkeypatch):
-    # the ten pairs of the gain rule; the change's times by round: 7 wins, 2 ties, 1 loss
-    assert write_bench.LAYER_ROUNDS == write_bench.CLI_ROUNDS == 10
-    change = [0.9, 1.0, 0.8, 0.9, 1.1, 0.9, 0.7, 1.0, 0.9, 0.9]
-    want = {"count": 10, "change_wins": 7, "ties": 2, "parent_wins": 1}
+def _trees(tmp_path):
+    """A parent and a change checkout, at root paths of unequal length, whose
+    ``src`` holds the first letter of the side's name."""
+    roots = {"parent": tmp_path / "parent-checkout", "change": tmp_path / "c"}
+    for side, root in roots.items():
+        (root / "src").mkdir(parents=True)
+        (root / "src" / "side.txt").write_text(side[0])
+    return roots
+
+
+def _side(root):
+    """The letter of the checkout whose ``src`` is under ``root``."""
+    return (root / "src" / "side.txt").read_text()
+
+
+def test_write_bench_counts_the_rounds_each_side_wins_in_the_layer_and_cli_timings(monkeypatch, tmp_path):
+    # at least the ten pairs of the gain rule; the change's times by round: 8 wins, 2 ties, 2 losses
+    assert write_bench.LAYER_ROUNDS == write_bench.CLI_ROUNDS == 12
+    change = [0.9, 1.0, 0.8, 0.9, 1.1, 0.9, 0.7, 1.0, 0.9, 0.9, 1.2, 0.8]
+    want = {"count": 12, "change_wins": 8, "ties": 2, "parent_wins": 2}
     runs = {}
 
     def seconds(root):
-        runs[root.name] = runs.get(root.name, -1) + 1
-        return change[runs[root.name]] if root.name == "c" else 1.0
+        side = _side(root)
+        runs[side] = runs.get(side, -1) + 1
+        return change[runs[side]] if side == "c" else 1.0
 
     monkeypatch.setattr(write_bench, "run_snippet", lambda root, code, *args: (
         {"layer": seconds(root)} if code is write_bench.LAYER_SNIPPET else {"grid": 1.0}))
-    roots = {"parent": Path("p"), "change": Path("c")}
+    roots = _trees(tmp_path)
     timings = write_bench.layer_timings(roots)
     assert timings["layer"]["pairs"] == want
-    assert timings["grid"]["pairs"] == {"count": 10, "change_wins": 0, "ties": 10, "parent_wins": 0}
+    assert timings["grid"]["pairs"] == {"count": 12, "change_wins": 0, "ties": 12, "parent_wins": 0}
     runs.clear()
     monkeypatch.setattr(write_bench, "wall_time", lambda cmd, root, cwd: (seconds(root), subprocess.CompletedProcess(cmd, 0)))
     assert write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:1])["delta"]["pairs"] == want
@@ -297,56 +313,113 @@ def test_write_bench_pairs_tier1_runs_by_round(monkeypatch):
     assert timings["summary"] == {"parent": "3 passed in p", "change": "3 passed in c"}
 
 
-def test_write_bench_alternates_which_side_runs_first(monkeypatch):
-    roots = {"parent": Path("p"), "change": Path("c")}
-    calls = []
+def _positions(order, rounds):
+    """Per entry of ``order`` (the runs of ``rounds`` rounds of three sides),
+    how often it runs first, second and third in its round."""
+    assert len(order) == 3 * rounds
+    by_round = [order[3 * r:3 * r + 3] for r in range(rounds)]
+    return {side: [sum(run[i] == side for run in by_round) for i in range(3)] for side in set(order)}
+
+
+def test_write_bench_runs_each_side_in_each_position_equally_often(monkeypatch, tmp_path):
+    roots, calls = _trees(tmp_path), []
 
     def fake_snippet(root, code, *args):
-        calls.append((root.name, code is write_bench.LAYER_SNIPPET))
-        return {"layer" if code is write_bench.LAYER_SNIPPET else "grid": 2.0 if root.name == "c" else 1.0}
+        calls.append((root, code is write_bench.LAYER_SNIPPET))
+        return {"layer" if code is write_bench.LAYER_SNIPPET else "grid": 1.0}
 
     monkeypatch.setattr(write_bench, "run_snippet", fake_snippet)
-    timings = write_bench.layer_timings(roots)
-    # the parent leads the even rounds, the change the odd ones; each side runs
-    # the layer snippet, then the default-grid one
-    expected = []
-    for r in range(write_bench.LAYER_ROUNDS):
-        for side in ("p", "c") if r % 2 == 0 else ("c", "p"):
-            expected += [(side, True), (side, False)]
-    assert calls == expected
-    assert timings["layer"]["change_over_parent"] == timings["grid"]["change_over_parent"] == 2.0
+    write_bench.layer_timings(roots)
+    # each side runs the layer snippet, then the default-grid one
+    assert [layer for _, layer in calls] == [True, False] * (3 * write_bench.LAYER_ROUNDS)
+    positions = _positions([root for root, layer in calls if layer], write_bench.LAYER_ROUNDS)
+    assert sorted(positions.values()) == [[4, 4, 4]] * 3
 
     order = []
 
     def fake_wall_time(cmd, root, cwd):
-        order.append(root.name)
+        order.append(root)
         return 1.0, subprocess.CompletedProcess(cmd, 0, stdout="")
 
     monkeypatch.setattr(write_bench, "wall_time", fake_wall_time)
-    write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:2], rounds=4)
-    assert order == list("pcpc" "cpcp" "pcpc" "cpcp")
+    # each side runs both commands in its turn
+    write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:2])
+    assert order[0::2] == order[1::2]
+    assert sorted(_positions(order[0::2], write_bench.CLI_ROUNDS).values()) == [[4, 4, 4]] * 3
     order.clear()
-    write_bench.tier1_timings(roots, rounds=2)
-    assert order == list("pccp")
-    # an even number of rounds, so each side runs first equally often
-    assert write_bench.LAYER_ROUNDS % 2 == write_bench.CLI_ROUNDS % 2 == write_bench.TIER1_ROUNDS % 2 == 0
+    # Tier-1 runs in the roots themselves, each first once
+    write_bench.tier1_timings(roots)
+    assert order == [roots["parent"], roots["change"], roots["change"], roots["parent"]]
 
 
-def test_write_bench_reports_a_layer_of_one_side_alone(monkeypatch):
-    # a layer that only the change has (cube.certify) or only the parent had
-    # gets that side's median and no ratio
+def test_write_bench_runs_the_three_sides_from_copies_at_paths_of_equal_length(monkeypatch, tmp_path):
+    roots, seen = _trees(tmp_path), {}
+
     def fake_snippet(root, code, *args):
-        return {"shared": 1.0, root.name: 3.0}
+        seen.setdefault(root, _side(root))
+        return {"layer": 1.0}
 
     monkeypatch.setattr(write_bench, "run_snippet", fake_snippet)
-    timings = write_bench.layer_timings({"parent": Path("p"), "change": Path("c")})
-    assert timings["p"] == {"parent": 3.0} and timings["c"] == {"change": 3.0}
-    assert timings["shared"]["change_over_parent"] == 1.0
+    write_bench.layer_timings(roots)
+    # the parent's tree twice and the change's once, none in place, side by side
+    # in one directory that is gone once the timings end
+    assert sorted(seen.values()) == ["c", "p", "p"]
+    assert len({len(str(root)) for root in seen}) == 1 and len({root.parent for root in seen}) == 1
+    assert not set(seen) & set(roots.values())
+    assert not any(root.exists() for root in seen)
+
+    def fake_wall_time(cmd, root, cwd):
+        seen.setdefault(root, _side(root))
+        return 1.0, subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(write_bench, "wall_time", fake_wall_time)
+    write_bench.cli_timings(roots, commands=write_bench.CLI_COMMANDS[:1], rounds=1)
+    assert sorted(seen.values()) == ["c", "c", "p", "p", "p", "p"]
+    assert len({len(str(root)) for root in seen}) == 1
+
+
+@pytest.mark.parametrize(
+    "change,copy,want",
+    [
+        # the change loses every round, but by no more than the copy does
+        ([1.10, 1.12, 1.05, 1.15], [1.2, 0.95, 1.1, 1.0], "unchanged"),
+        # the bands overlap at one end
+        ([0.92, 1.00, 0.96, 1.01], [0.98, 1.02, 1.0, 1.01], "unchanged"),
+        ([0.80, 0.85, 0.82, 0.84], [0.98, 1.02, 1.0, 1.01], "faster"),
+        ([1.20, 1.25, 1.22, 1.30], [0.98, 1.02, 1.0, 1.01], "slower"),
+        # a change band that holds the copy's is no move either
+        ([0.70, 1.30, 0.80, 1.20], [0.98, 1.02, 1.0, 1.01], "unchanged"),
+    ],
+)
+def test_write_bench_reads_a_move_only_outside_the_copy_band(change, copy, want):
+    timings = write_bench.paired({"parent": [1.0] * 4, "change": change, "copy": copy})
+    assert timings["verdict"] == want
+    assert (timings["change_over_parent"], timings["copy_over_parent"]) == (
+        statistics.median(change), statistics.median(copy))
+
+
+def test_write_bench_reports_a_layer_of_one_side_alone(monkeypatch, tmp_path):
+    # a layer that only the change has or only the parent had gets the medians
+    # of the sides that have it and no ratio
+    monkeypatch.setattr(write_bench, "run_snippet", lambda root, code, *args: {"shared": 1.0, _side(root): 3.0})
+    timings = write_bench.layer_timings(_trees(tmp_path))
+    assert timings["p"] == {"parent": 3.0, "copy": 3.0} and timings["c"] == {"change": 3.0}
+    assert timings["shared"]["change_over_parent"] == 1.0 and timings["shared"]["verdict"] == "unchanged"
 
 
 def test_cube_certificates_agree_at_the_symmetric_point_and_an_edge_point():
+    certified = []
     for lengths, twists in [((1.0, 1.0, 1.0), (0.0, 0.0, 0.0)), EDGE_POINT_BASES[0]]:
-        assert cube_certificates.check(lengths, twists, random.Random(0)) == []
+        problems, margins = cube_certificates.check(lengths, twists, random.Random(0))
+        assert problems == []
+        certified.append(margins)
+    # the margins lie within the certificate's tolerances, and the summary
+    # gives the worst of each
+    tol, gap = cube_certificates.cube.FACE_TOL, cube_certificates.cube.VERTEX_GAP
+    assert all(m[0] <= tol and m[1] <= tol and m[2] >= gap for m in certified)
+    planarity, outside, least = max(m[0] for m in certified), max(m[1] for m in certified), min(m[2] for m in certified)
+    assert cube_certificates.summary(certified) == (
+        f"worst planarity {planarity:.2g}, worst outside margin {outside:.2g}, least vertex gap {least:.2g} of the extent")
 
 
 def test_mpf_point_copies_every_float_exactly():

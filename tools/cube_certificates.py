@@ -10,7 +10,11 @@ that ``cube.certify`` certifies the labelled chamfered cube
 faces and counts are those of qhull's hull (``cube.hull``), and that the
 certificate refuses the cube's vertex set once one vertex is dropped or
 one non-vertex is added (both chosen by a seeded generator).  Prints one
-line per seed and a total; exits 1 on any disagreement.
+line per seed and a total, each with the margins that ``cube.certify``
+returns, in units of the extent: the worst planarity (the most a face's
+vertex lies off its plane), the worst outside margin (the most a point lies
+outside a plane) and the least vertex gap (the least a vertex lies inside a
+plane not its own); exits 1 on any disagreement.
 """
 
 from __future__ import annotations
@@ -44,14 +48,15 @@ def refused(raw: np.ndarray, vertices: set[int]) -> bool:
     return False
 
 
-def check(lengths, twists, pick: random.Random) -> list[str]:
-    """Disagreements between the labelled certificate and the references at one input."""
+def check(lengths, twists, pick: random.Random) -> tuple[list[str], tuple[float, float, float] | None]:
+    """Disagreements between the labelled certificate and the references at
+    one input, and the certificate's margins there (None when it refuses)."""
     raw = cube.cloud(FNPoint("S2", lengths, twists))
     uniq, group = cube.dedupe_points(raw)
     claim = cube.chamfered_cube()
-    problems = []
+    problems, margins = [], None
     try:
-        cube.certify(raw, claim)
+        margins = cube.certify(raw, claim)
     except GeometryError as exc:
         problems.append(f"labelled cube not certified: {exc}")
     # the labelled vertices and faces as rows of the distinct points
@@ -68,7 +73,16 @@ def check(lengths, twists, pick: random.Random) -> list[str]:
     others = sorted(set(range(len(raw))) - set(claim.vertices))
     if not refused(raw, set(claim.vertices) | {pick.choice(others)}):
         problems.append("certified with a non-vertex added")
-    return problems
+    return problems, margins
+
+
+def summary(margins: list[tuple[float, float, float]]) -> str:
+    """The worst of the certificate margins ``margins`` as one clause."""
+    if not margins:
+        return "no input certified"
+    planarity, outside, gap = zip(*margins)
+    return (f"worst planarity {max(planarity):.2g}, worst outside margin {max(outside):.2g}, "
+            f"least vertex gap {min(gap):.2g} of the extent")
 
 
 def main() -> int:
@@ -76,19 +90,23 @@ def main() -> int:
     run_seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     n_ops = int(workload.rate * run_seconds)
     total = bad = 0
+    every = []
     for seed in SEEDS:
         pick = random.Random(f"{seed}:certificates")
         ops = [op for op in itertools.islice(workload.ops(random.Random(seed)), n_ops) if op.kind == "cube"]
-        failed = 0
+        failed, certified = 0, []
         for op in ops:
-            problems = check(op.inputs["base_lengths"], op.inputs["base_twists"], pick)
+            problems, margins = check(op.inputs["base_lengths"], op.inputs["base_twists"], pick)
             if problems:
                 failed += 1
                 print(f"seed {seed}: {op.inputs}: {'; '.join(problems)}")
-        print(f"seed {seed}: {len(ops) - failed} of {len(ops)} cube inputs agree")
+            if margins:
+                certified.append(margins)
+        print(f"seed {seed}: {len(ops) - failed} of {len(ops)} cube inputs agree; {summary(certified)}")
         total += len(ops)
         bad += failed
-    print(f"total: {total - bad} of {total} cube inputs agree")
+        every += certified
+    print(f"total: {total - bad} of {total} cube inputs agree; {summary(every)}")
     return 1 if bad else 0
 
 

@@ -14,61 +14,40 @@ rules of :func:`verdict`; a seed run on one side only is listed in
 that side's ``seeds`` and counts in nothing else.  It also holds the git
 sha and source digest of each side as its records give them (a checkout
 without ``.git`` has no sha, and one with uncommitted changes reports
-HEAD; the digest identifies the source), the machine the records report, and
-in-process layer timings of ``pants.delta_oracle``, ``pants.delta_closed``,
-one ``pants._delta_sides`` as ``stretch.stretch_vectors`` calls it (the
-four offset evaluations of each of the 96 sides of the genus-two side plan
-in one call, at the symmetric point and at it scaled by the derivative
-check's step ``stretch._CHECK_STEP``), one
-``pants._next_gap`` solve, one ``h2.shear`` of a fixed triangle pair,
-one ``torus.curve_length`` (slope 3/2 at one S11 point), one
-``torus.envelope_widths`` cell that the integer slopes decide and one
-that needs the Farey pass, one ``cube.chamfered_cube_check`` and its
-stages ``cube.cloud``, ``cube.dedupe_points`` (of the raw cloud) and
-``cube.certify`` (the labelled certificate, on the raw cloud), one
-``cube.hull`` of the deduplicated cloud (the tests' qhull reference,
-which the ``cube`` command does not run), one ``stretch.stretch_vectors`` of
-the 128 genus-two completions at the symmetric point, one
-``bounds.run_sweep`` of the default ``sweep`` grid, one
-``cli.cube_points`` (the text of ``cube_points.json`` and
-``cube_points.csv`` from the cube's rows and entries at the symmetric point), one
-``cli.cube`` (``cli.main`` running ``cube`` at the symmetric point), one
-``cli.envelope`` (``cli.main`` running ``envelope`` on the cells of an
-``envelope`` benchmark op, l0 = 1 and t in {0, 4} at max_q 30), artifacts
-written to a temporary directory whose files each call removes first,
-untimed, as a benchmark op's worker does, one ``cli.delta`` (``cli.main`` running
-``delta`` as an ``oracle`` benchmark op does, its stdout discarded), and
-one ``control.python_kernel``, a
-fixed loop that calls nothing of the package, so its ratio shows the
-host's own drift between sides: the best of several
-repeats per fresh process, in processes that import each root's ``src``
-in turn.  A layer whose function a root lacks is not timed there, and
-is reported with the other side's median alone.  The timings run in
-rounds of one process per side, and the sides alternate: the parent
-runs first in even rounds and the change in odd ones (``round_order``),
-so with an even number of rounds a drift of the host's speed within a
-round favours neither side.  In a second fresh
-process per round and side, ``torus.envelope_widths`` runs once on the
-default ``envelope`` grid at ``GRID_MAX_Q``, the CLI's cap, first-use
-plan builds included.  Each
-layer reports the median over rounds of the change's time over the
-parent's in the same round, with the quartiles of those ratios and how
-many rounds the change wins, ties and loses (:func:`pair_counts`): on a
-noisy host a ratio whose quartiles exclude 1.0 over a few rounds is not
-yet a move, and the gain rule asks for nine tenths of ten pairs.  Last,
-the wall time of each ``CLI_COMMANDS`` subcommand in a fresh process with
-the default config, and of the Tier-1 suite (``python -m pytest -q`` in
-the root), in the same alternating rounds, with the same ratio quartiles
-and pair counts.
+HEAD; the digest identifies the source), and the machine the records report.
+
+Then it times the code itself, on the inputs that ``LAYER_INPUTS`` and
+``END_TO_END_INPUTS`` name.  The in-process layers (``LAYER_SNIPPET`` and
+``GRID_SNIPPET``, each in a fresh process) and the wall time of each
+``CLI_COMMANDS`` subcommand run on three sides: the parent, the change and
+``copy``, a second copy of the parent, whose time over the parent's is an
+A/A reading of the host's own spread.  Each side runs from a copy of its
+root's ``src`` at a path of the same length under one temporary directory
+(:func:`copies`), so nothing but the code differs between the sides.  Each
+side runs once per round, and the rounds cycle through every order of the
+sides (:func:`run_rounds`), so over a multiple of six rounds each side runs
+in each position equally often.  Each entry holds each side's median, the
+median and quartiles over rounds of the change's and the copy's time over
+the parent's in the same round, the rounds the change wins, ties and loses
+(:func:`pair_counts`), and a ``verdict`` (:func:`band_verdict`): ``faster``
+or ``slower`` only when the change's quartile band lies wholly below or
+above the copy's, ``unchanged`` otherwise.  A layer that the parent or the
+change lacks is reported with the medians of the sides that have it.  Last,
+the wall time of the Tier-1 suite, which needs the whole checkout, in each
+root, in two A/B rounds with the same ratios and pair counts.
 
 Only reads the records; it runs nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import compileall
+import contextlib
+import itertools
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -78,10 +57,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-#: fresh processes per side for the layer timings, one per round: the ten
-#: pairs of the gain rule, and even, so that each side runs first in half the
-#: rounds (see ``round_order``)
-LAYER_ROUNDS = 10
+#: the sides of the layer and CLI timings; ``copy`` runs the parent's code again
+TIMED_SIDES = ("parent", "change", "copy")
+#: fresh processes per side for the layer timings, one per round: at least the
+#: ten pairs of the gain rule, and a multiple of the six orders of the three
+#: sides, so that each side runs in each position equally often
+LAYER_ROUNDS = 12
 #: the subcommands timed end to end, each run with the default config
 CLI_COMMANDS = (
     ("delta", "--type", "3sym", "--l", "1,2,3", "--signs", "LRL", "--cuff", "2"),
@@ -90,9 +71,9 @@ CLI_COMMANDS = (
     ("cube",),
     ("oracle-check",),
 )
-#: fresh processes per side and subcommand, one per round; even, as LAYER_ROUNDS
-CLI_ROUNDS = 10
-#: Tier-1 runs per side, one per round; even, as LAYER_ROUNDS
+#: fresh processes per side and subcommand, one per round; as LAYER_ROUNDS
+CLI_ROUNDS = 12
+#: Tier-1 runs per side, one per round: each root runs first once
 TIER1_ROUNDS = 2
 #: max_q of the default-grid layer, the CLI's cap
 GRID_MAX_Q = 400
@@ -134,29 +115,16 @@ farey_cell = ((stretch.width_point("S11", 5.0), 1.0),)
 def envelope_farey_cell():
     torus.envelope_widths(farey_cell, 30)
 base = cube.symmetric_base_point()
-def cube_check():
-    cube.chamfered_cube_check(base)
 raw = cube.cloud(base)
-uniq = cube.dedupe_points(raw)[0]
 def cube_cloud():
     cube.cloud(base)
-plan = stretch.side_plan(cube._completions()[0])
-def vectors():
-    stretch.stretch_vectors(base, plan)
 def cube_dedupe():
     cube.dedupe_points(raw)
-def cube_hull():
-    cube.hull(uniq)
-# the labelled certificate, on roots that have it
-certify = getattr(cube, "certify", None)
 def cube_certify():
-    certify(raw, cube.chamfered_cube())
+    cube.certify(raw, cube.chamfered_cube())
 check = cube.chamfered_cube_check(base)
-# the rows and the entries that name them, or the entries alone on roots whose
-# entries carry their own twist vectors
-points_args = (check["rows"], check["entries"]) if "rows" in check else (check["entries"],)
 def cube_points():
-    cli._cube_points(*points_args)
+    cli._cube_points(check["rows"], check["entries"])
 cfg = cli.Config()
 sweep_args = (cfg.l0_values, cfg.t_values(), cfg.max_q)
 def sweep():
@@ -191,25 +159,11 @@ def cli_envelope():
 def cli_delta():
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["delta", "--type", "2sym", "--l", "0.5,1.3,2.2", "--signs", "LRL", "--cuff", "2"])
-# the control: a fixed kernel of integer bytecode and 2x2 float products with
-# math calls, the kind of loop perfbench's calibration runs, that calls nothing
-# of the package, so its change/parent ratio is the host's own drift
-def control():
-    acc, m, logscale = 0, (1.0, 0.0, 0.0, 1.0), 0.0
-    for i in range(30_000):
-        acc += i * i % 7
-    c, s = math.cosh(0.3), math.sinh(0.3)
-    for _ in range(3_000):
-        m = (m[0] * c + m[1] * s, m[0] * s + m[1] * c, m[2] * c + m[3] * s, m[2] * s + m[3] * c)
-        scale = abs(m[0]) + abs(m[3])
-        m = (m[0] / scale, m[1] / scale, m[2] / scale, m[3] / scale)
-        logscale += math.log(scale)
 # calls per repeat: about 1,000 for the pants layers (10 side tables of 96 sides each),
-# the shear (about 15 us each) and the slope length (about 110 us), and about 0.1 s of
-# work for the envelope cells (about 0.3 and 1 ms each), the cube (about 4.5 ms), the
-# cube points (about 0.4 ms), the CLI cube (about 7 ms), the CLI envelope (about 2 ms),
-# the CLI delta (about 0.2 ms), the sweep (about 1.6 ms) and the control (about 5 ms),
-# the cube stages and the stretch vectors (about 0.05 to 3 ms each)
+# the shear (about 12 us each) and the slope length (about 75 us), and about 0.05 to 0.1 s
+# of work for the envelope cells (about 0.2 and 0.65 ms each), the cube stages (about 0.05
+# to 0.55 ms), the cube points (about 0.35 ms), the sweep (about 1.2 ms), the CLI cube
+# (about 1.6 ms), the CLI envelope (about 0.5 ms) and the CLI delta (about 60 us)
 out = {}
 # a layer that raises still removes the directory
 try:
@@ -221,20 +175,14 @@ try:
                                     ("torus.curve_length", slope_length, 1, 1000),
                                     ("torus.envelope_widths", envelope_cell, 1, 100),
                                     ("torus.envelope_widths[5,1]", envelope_farey_cell, 1, 100),
-                                    ("cube.chamfered_cube_check", cube_check, 1, 15),
                                     ("cube.cloud", cube_cloud, 1, 30),
-                                    ("stretch.stretch_vectors", vectors, 1, 30),
                                     ("cube.dedupe_points", cube_dedupe, 1, 100),
-                                    ("cube.hull", cube_hull, 1, 100),
-                                    ("cube.certify", cube_certify if certify else None, 1, 300),
+                                    ("cube.certify", cube_certify, 1, 300),
                                     ("bounds.run_sweep", sweep, 1, 100),
                                     ("cli.cube_points", cube_points, 1, 100),
                                     ("cli.cube", cli_cube, 1, 20),
                                     ("cli.envelope", cli_envelope, 1, 50),
-                                    ("cli.delta", cli_delta, 1, 500),
-                                    ("control.python_kernel", control, 1, 20)):
-        if fn is None:
-            continue
+                                    ("cli.delta", cli_delta, 1, 500)):
         out[name] = min(timeit.repeat(fn, number=number, repeat=5, timer=clock)) / (number * calls) * 1e6
 finally:
     tmp.cleanup()
@@ -262,9 +210,8 @@ LAYER_INPUTS = (
     "whose maximum sits at slope (1, 4) and takes the family pass; envelope_widths[default grid]: the "
     f"165 cells of the default envelope grid (cli.Config) at max_q {GRID_MAX_Q}, timed once in a fresh "
     "process, plan builds included; "
-    "chamfered_cube_check, cloud and stretch_vectors (of the 128 completions): the symmetric "
-    "base point; dedupe_points and certify (with cube.chamfered_cube()): its raw cloud of 128 "
-    "vectors; hull: the deduplicated cloud; run_sweep: the default sweep grid (the defaults of cli.Config); "
+    "cloud: the symmetric base point; dedupe_points and certify (with cube.chamfered_cube()): its raw "
+    "cloud of 128 vectors; run_sweep: the default sweep grid (the defaults of cli.Config); "
     "cli.cube_points: the distinct rows and the 128 entries of chamfered_cube_check at the symmetric "
     "base point; cli.cube: "
     "cli.main(['--config', cfg, 'cube']) with cfg holding only an out_dir in a temporary directory "
@@ -273,26 +220,26 @@ LAYER_INPUTS = (
     "its stdout discarded; both remove the files in out_dir before each call, untimed, so each call "
     "writes new files as a benchmark op does; cli.delta: cli.main(['delta', '--type', '2sym', '--l', "
     "'0.5,1.3,2.2', '--signs', 'LRL', '--cuff', '2']), its stdout discarded; "
-    "control.python_kernel: 30,000 integer steps and 3,000 "
-    "rescaled 2x2 float products with a math.log each, calling nothing of the package; "
     "microseconds per call, best of 5 repeats per process of about 1,000 calls (pants, shear, "
     "curve_length; 10 calls of _delta_sides, 960 sides), 500 calls (cli.delta), 300 calls (certify), "
-    "100 calls (envelope cells, sweep, dedupe_points, hull, cli.cube_points), 50 calls (cli.envelope), "
-    "30 calls (cloud, stretch_vectors), 20 calls (cli.cube, control.python_kernel) or 15 calls "
-    "(chamfered_cube_check); "
-    f"medians over {LAYER_ROUNDS} processes per side, the median and quartiles of the "
-    "per-round change/parent ratios, and the rounds the change wins, ties and loses"
+    "100 calls (envelope cells, sweep, dedupe_points, cli.cube_points), 50 calls (cli.envelope), "
+    "30 calls (cloud) or 20 calls (cli.cube); "
+    f"{LAYER_ROUNDS} rounds of one process per side, the parent, the change and copy (the parent's "
+    "src again), each from a copy of its src at paths of equal length, the rounds cycling through "
+    "the six orders of the sides; each side's median, the median and quartiles of the per-round "
+    "change/parent and copy/parent ratios, the rounds the change wins, ties and loses, and the "
+    "verdict: faster or slower when the change/parent quartiles lie wholly below or above the "
+    "copy/parent ones, unchanged otherwise"
 )
 END_TO_END_INPUTS = (
     "cli_seconds: each subcommand of CLI_COMMANDS in a fresh `python -m thurston_kit.cli` process "
     "with the default config (no --config) in a temporary directory, "
-    f"median of {CLI_ROUNDS} runs per side; tier1_seconds: `python -m pytest -q "
-    f"--continue-on-collection-errors -p no:cacheprovider` in the root, median of {TIER1_ROUNDS} "
-    "runs per side, with the last line pytest printed; the side that runs first alternates by round "
-    "(the parent in even rounds, the change in odd ones), and change_over_parent "
-    "is the median over rounds of the change's time over the parent's in the same round, "
-    "change_over_parent_quartiles the quartiles of those ratios, and pairs the rounds the change "
-    "wins, ties and loses"
+    f"in {CLI_ROUNDS} rounds on the three sides of the layers, with the same ratios, pairs and verdict; "
+    f"tier1_seconds: `python -m pytest -q --continue-on-collection-errors -p no:cacheprovider` in each "
+    f"root, {TIER1_ROUNDS} rounds of parent and change, each running first once, with the last line "
+    "pytest printed; change_over_parent is the median over rounds of the change's time over the "
+    "parent's in the same round, change_over_parent_quartiles the quartiles of those ratios, and pairs "
+    "the rounds the change wins, ties and loses"
 )
 
 
@@ -385,21 +332,69 @@ def wall_time(cmd: list[str], root: Path, cwd: Path) -> tuple[float, subprocess.
     return time.perf_counter() - start, proc
 
 
+def band_verdict(change: list[float], copy: list[float]) -> str:
+    """``faster`` or ``slower`` when the quartile band ``change`` of the
+    change/parent ratios lies wholly below or above the band ``copy`` of the
+    copy/parent ones, the host's own spread on identical code; else ``unchanged``."""
+    if change[1] < copy[0]:
+        return "faster"
+    return "slower" if change[0] > copy[1] else "unchanged"
+
+
 def paired(samples: dict[str, list[float]]) -> dict:
-    """Each side's median, the median and quartiles over rounds of change /
-    parent (the host's speed drifts between rounds; the two runs of one round
-    share it) and the rounds the change wins, ties and loses."""
-    ratios = spread([c / p for p, c in zip(samples["parent"], samples["change"])])
-    return {**{side: statistics.median(samples[side]) for side in SIDES},
-            "change_over_parent": ratios["median"], "change_over_parent_quartiles": [ratios["q1"], ratios["q3"]],
-            "pairs": pair_counts(samples["parent"], samples["change"])}
+    """Each side's median; for each side but the parent, the median and
+    quartiles over rounds of its time over the parent's (the host's speed
+    drifts between rounds; the runs of one round share it); the rounds the
+    change wins, ties and loses; and, with a copy, the :func:`band_verdict`."""
+    out = {side: statistics.median(values) for side, values in samples.items()}
+    for side in [side for side in samples if side != "parent"]:
+        ratios = spread([s / p for p, s in zip(samples["parent"], samples[side])])
+        out[f"{side}_over_parent"] = ratios["median"]
+        out[f"{side}_over_parent_quartiles"] = [ratios["q1"], ratios["q3"]]
+    out["pairs"] = pair_counts(samples["parent"], samples["change"])
+    if "copy" in samples:
+        out["verdict"] = band_verdict(out["change_over_parent_quartiles"], out["copy_over_parent_quartiles"])
+    return out
 
 
-def round_order(r: int) -> tuple[str, ...]:
-    """The sides in the order they run in round ``r``: the parent first in even
-    rounds, the change first in odd ones, so neither always runs first on a host
-    whose speed drifts."""
-    return SIDES if r % 2 == 0 else SIDES[::-1]
+def by_name(samples: dict[str, list[dict]]) -> dict:
+    """:func:`paired` per name that the runs of ``samples`` report, over the
+    sides whose first run has it; the medians of those sides alone when the
+    parent or the change lacks it."""
+    out = {}
+    for name in dict.fromkeys(name for runs in samples.values() for name in runs[0]):
+        have = {side: [run[name] for run in runs] for side, runs in samples.items() if name in runs[0]}
+        out[name] = (paired(have) if {"parent", "change"} <= have.keys()
+                     else {side: statistics.median(values) for side, values in have.items()})
+    return out
+
+
+def run_rounds(sides: tuple[str, ...], rounds: int, run) -> dict[str, list]:
+    """``run(side)`` for each of ``sides`` once per round, by side in round
+    order.  Round ``r`` runs the sides in the ``r``-th of their orders, cycling
+    through all of them, so over a multiple of their number each side runs in
+    each position equally often and a drift of the host's speed favours none."""
+    orders = list(itertools.permutations(sides))
+    samples = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in orders[r % len(orders)]:
+            samples[side].append(run(side))
+    return samples
+
+
+@contextlib.contextmanager
+def copies(roots: dict[str, Path]):
+    """Per side of ``TIMED_SIDES``, a root that holds a compiled copy of the
+    ``src`` of that side's checkout (the parent's for ``copy``), each at
+    ``<tmp>/<i>`` under one temporary directory, so their paths have one length."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = {}
+        for i, side in enumerate(TIMED_SIDES):
+            out[side] = Path(tmp) / str(i)
+            shutil.copytree(roots.get(side, roots["parent"]) / "src", out[side] / "src",
+                            ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+            compileall.compile_dir(out[side] / "src", quiet=1)
+        yield out
 
 
 def run_snippet(root: Path, code: str, *args: str) -> dict:
@@ -411,43 +406,38 @@ def run_snippet(root: Path, code: str, *args: str) -> dict:
 
 
 def layer_timings(roots: dict[str, Path]) -> dict:
-    samples = {side: [] for side in SIDES}
-    for r in range(LAYER_ROUNDS):
-        for side in round_order(r):
-            samples[side].append({**run_snippet(roots[side], LAYER_SNIPPET),
-                                  **run_snippet(roots[side], GRID_SNIPPET, str(GRID_MAX_Q))})
-    names = dict.fromkeys(name for side in SIDES for name in samples[side][0])
-    return {name: paired({side: [s[name] for s in samples[side]] for side in SIDES})
-            if all(name in samples[side][0] for side in SIDES)
-            else {side: statistics.median(s[name] for s in samples[side]) for side in SIDES if name in samples[side][0]}
-            for name in names}
+    with copies(roots) as src:
+        return by_name(run_rounds(TIMED_SIDES, LAYER_ROUNDS, lambda side: {
+            **run_snippet(src[side], LAYER_SNIPPET), **run_snippet(src[side], GRID_SNIPPET, str(GRID_MAX_Q))}))
 
 
 def cli_timings(roots: dict[str, Path], commands=CLI_COMMANDS, rounds: int = CLI_ROUNDS) -> dict:
     """Wall seconds of each subcommand, run with the default config; a run
     that exits non-zero stops the script."""
-    samples = {argv[0]: {side: [] for side in SIDES} for argv in commands}
-    with tempfile.TemporaryDirectory() as tmp:
-        for r in range(rounds):
+    with copies(roots) as src, tempfile.TemporaryDirectory() as tmp:
+        def run(side: str) -> dict:
+            seconds = {}
             for argv in commands:
-                for side in round_order(r):
-                    seconds, proc = wall_time([sys.executable, "-m", "thurston_kit.cli", *argv], roots[side], Path(tmp))
-                    if proc.returncode != 0:
-                        raise SystemExit(f"error: {side} `{' '.join(argv)}` exited {proc.returncode}: {proc.stderr}")
-                    samples[argv[0]][side].append(seconds)
-    return {name: paired(by_side) for name, by_side in samples.items()}
+                cmd = [sys.executable, "-m", "thurston_kit.cli", *argv]
+                seconds[argv[0]], proc = wall_time(cmd, src[side], Path(tmp))
+                if proc.returncode != 0:
+                    raise SystemExit(f"error: {side} `{' '.join(argv)}` exited {proc.returncode}: {proc.stderr}")
+            return seconds
+
+        return by_name(run_rounds(TIMED_SIDES, rounds, run))
 
 
 def tier1_timings(roots: dict[str, Path], rounds: int = TIER1_ROUNDS) -> dict:
     """Wall seconds of the Tier-1 suite in each root, with its last output line."""
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
-    samples, summary = {side: [] for side in SIDES}, {}
-    for r in range(rounds):
-        for side in round_order(r):
-            seconds, proc = wall_time(cmd, roots[side], roots[side])
-            samples[side].append(seconds)
-            summary[side] = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-    return {**paired(samples), "summary": summary}
+    summary = {}
+
+    def run(side: str) -> float:
+        seconds, proc = wall_time(cmd, roots[side], roots[side])
+        summary[side] = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+        return seconds
+
+    return {**paired(run_rounds(SIDES, rounds, run)), "summary": summary}
 
 
 def cpu_model() -> str | None:
